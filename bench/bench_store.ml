@@ -682,6 +682,136 @@ let run_read ~scale ~out =
   close_out oc;
   Printf.printf "wrote %s\n%!" out
 
+(* ---------- kernels: the per-block byte loops ---------- *)
+
+(* Every table block passes through [Env.rf_read] (mmap copy-out) and
+   [Crc32c.sub] on the way in, and through [Crc32c] on the way out; an
+   L0→L1 merge strings both together with block decode, merge and
+   encode. Each kernel runs [samples] timed batches and reports MB/s of
+   the median and best batch. *)
+
+let block_bytes = 4096
+
+let time_batches ~samples ~bytes f =
+  let rates =
+    List.init samples (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        f ();
+        float_of_int bytes /. (Unix.gettimeofday () -. t0) /. 1e6)
+    |> List.sort Float.compare
+  in
+  (List.nth rates (samples / 2), List.nth rates (samples - 1))
+
+let kernel_row name ~bytes_per_sample (median, best) =
+  Printf.printf "  %-10s median %8.1f MB/s   best %8.1f MB/s\n%!" name median
+    best;
+  J.Obj
+    [
+      ("kernel", J.Str name);
+      ("bytes_per_sample", J.Int bytes_per_sample);
+      ("median_mb_per_s", J.Float median);
+      ("best_mb_per_s", J.Float best);
+    ]
+
+let run_kernels ~scale ~out =
+  Printf.printf "clsm kernel bench (%s scale, %d core(s))\n%!" (scale_name scale)
+    (Domain.recommended_domain_count ());
+  let blocks = match scale with Smoke -> 1_000 | Full -> 20_000 in
+  let samples = match scale with Smoke -> 3 | Full -> 9 in
+  let bytes = blocks * block_bytes in
+  let rng = Random.State.make [| 42 |] in
+  let block =
+    String.init block_bytes (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  let crc =
+    time_batches ~samples ~bytes (fun () ->
+        for _ = 1 to blocks do
+          ignore
+            (Sys.opaque_identity
+               (Clsm_util.Crc32c.sub block ~pos:0 ~len:block_bytes))
+        done)
+  in
+  let crc_row = kernel_row "crc32c" ~bytes_per_sample:bytes crc in
+  (* 4 KB reads strided by block + trailer through a 1 MB file, as table
+     blocks sit on disk. *)
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "kernel.dat" in
+  let file_bytes = 1 lsl 20 in
+  Out_channel.with_open_bin path (fun oc ->
+      for _ = 1 to file_bytes / block_bytes do
+        Out_channel.output_string oc block
+      done);
+  let rf = Clsm_env.Env.unix.Clsm_env.Env.open_random path in
+  let stride = block_bytes + Clsm_sstable.Table_format.block_trailer_length in
+  let read =
+    time_batches ~samples ~bytes (fun () ->
+        let pos = ref 0 in
+        for _ = 1 to blocks do
+          if !pos + block_bytes > file_bytes then pos := 0;
+          ignore
+            (Sys.opaque_identity
+               (rf.Clsm_env.Env.rf_read ~pos:!pos ~len:block_bytes));
+          pos := !pos + stride
+        done)
+  in
+  rf.Clsm_env.Env.rf_close ();
+  let read_row = kernel_row "rf_read" ~bytes_per_sample:bytes read in
+  (* One L0→L1 merge of 4 fully-overlapping runs, sequential, as the
+     store's maintenance would run it at max_subcompactions = 1. *)
+  let num_files = 4 in
+  let entries_per_file = match scale with Smoke -> 2_000 | Full -> 15_000 in
+  let inputs =
+    build_l0_inputs ~dir ~num_files ~entries_per_file ~value_bytes:256
+  in
+  let input_bytes =
+    List.fold_left (fun a f -> a + (Refcounted.value f).Table_file.size) 0 inputs
+  in
+  let task =
+    {
+      Compaction.src_level = 0;
+      inputs_lo = inputs;
+      inputs_hi = [];
+      target_level = 1;
+      drop_tombstones = true;
+    }
+  in
+  let alloc = Atomic.make 100_000 in
+  let merge =
+    time_batches ~samples ~bytes:input_bytes (fun () ->
+        drop_outputs
+          (Compaction.run ~cfg:merge_cfg ~dir
+             ~alloc_number:(fun () -> Atomic.fetch_and_add alloc 1)
+             ~snapshots:[] task))
+  in
+  List.iter
+    (fun f ->
+      Table_file.mark_obsolete (Refcounted.value f);
+      Refcounted.retire f)
+    inputs;
+  rm_rf dir;
+  let merge_row = kernel_row "merge" ~bytes_per_sample:input_bytes merge in
+  let doc =
+    J.Obj
+      [
+        ("schema", J.Str "clsm-bench/1");
+        ("bench", J.Str "kernels");
+        ("scale", J.Str (scale_name scale));
+        ( "host",
+          J.Obj
+            [ ("recommended_domains", J.Int (Domain.recommended_domain_count ())) ]
+        );
+        ("block_bytes", J.Int block_bytes);
+        ("samples", J.Int samples);
+        ("merge_input_files", J.Int num_files);
+        ("kernels", J.List [ crc_row; read_row; merge_row ]);
+      ]
+  in
+  let oc = open_out out in
+  output_string oc (J.to_string doc);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "wrote %s\n%!" out
+
 (* ---------- entry point ---------- *)
 
 let run ~scale ~out =

@@ -21,7 +21,11 @@
    --read [smoke] [--out FILE]
                    reader-domain scaling (1..16 readers × uniform/zipfian
                    × point-get/scan) over a cache-resident working set;
-                   same JSON schema (default BENCH_read.json) *)
+                   same JSON schema (default BENCH_read.json)
+   --kernels [smoke] [--out FILE]
+                   MB/s of the per-block byte loops: Crc32c.sub and
+                   Env.unix rf_read on 4 KB blocks, and one L0→L1 merge;
+                   same JSON schema (default BENCH_kernels.json) *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -56,6 +60,16 @@ let () =
         | [] -> "BENCH_read.json"
       in
       Bench_store.run_read ~scale ~out:(out_of rest)
+  | "--kernels" :: rest ->
+      let scale =
+        if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full
+      in
+      let rec out_of = function
+        | "--out" :: path :: _ -> path
+        | _ :: tl -> out_of tl
+        | [] -> "BENCH_kernels.json"
+      in
+      Bench_store.run_kernels ~scale ~out:(out_of rest)
   | "--sharded" :: rest ->
       let scale =
         if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full

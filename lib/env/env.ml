@@ -88,6 +88,29 @@ let unix_create_writer path =
         end);
   }
 
+(* Unaligned 8-byte load and store, compiled inline (no C stub). Callers
+   bounds-check first. *)
+external map_get64u :
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  int ->
+  int64 = "%caml_bigstring_get64u"
+
+external bytes_set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Copy [n] bytes of [map] at [pos]: 8 bytes a step, then a byte tail. *)
+let copy_out map ~pos n =
+  let b = Bytes.create n in
+  let words_end = n land lnot 7 in
+  let i = ref 0 in
+  while !i < words_end do
+    bytes_set64u b !i (map_get64u map (pos + !i));
+    i := !i + 8
+  done;
+  for j = words_end to n - 1 do
+    Bytes.unsafe_set b j (Bigarray.Array1.unsafe_get map (pos + j))
+  done;
+  Bytes.unsafe_to_string b
+
 let unix_open_random path =
   wrap ~op:"open" ~path (fun () ->
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
@@ -117,11 +140,7 @@ let unix_open_random path =
               if !closed then invalid_arg "Env.rf_read: closed";
               if pos < 0 || n < 0 || pos + n > len then
                 invalid_arg "Env.rf_read: out of bounds";
-              let b = Bytes.create n in
-              for i = 0 to n - 1 do
-                Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get map (pos + i))
-              done;
-              Bytes.unsafe_to_string b);
+              copy_out map ~pos n);
           rf_close = (fun () -> closed := true);
         }
       end)

@@ -83,7 +83,8 @@ let pick ~cfg ?(level_pointers = [||]) ?(skip = fun ~src:_ ~target:_ -> false)
     find 1
   end
 
-let filter_group ~snapshots ~drop_tombstones versions =
+(* [versions]: (ts, is_tombstone) pairs, ascending ts. *)
+let keep_timestamps ~snapshots ~drop_tombstones versions =
   let arr = Array.of_list versions in
   let n = Array.length arr in
   if n = 0 then []
@@ -110,11 +111,15 @@ let filter_group ~snapshots ~drop_tombstones versions =
     (* With nothing below the target level, a deletion marker that is the
        oldest surviving entry denotes "never existed" and can go. *)
     let rec drop_leading = function
-      | (_, Entry.Tombstone) :: rest when drop_tombstones -> drop_leading rest
+      | (_, true) :: rest when drop_tombstones -> drop_leading rest
       | l -> l
     in
     List.map fst (drop_leading !kept)
   end
+
+let filter_group ~snapshots ~drop_tombstones versions =
+  keep_timestamps ~snapshots ~drop_tombstones
+    (List.map (fun (ts, e) -> (ts, Entry.is_tombstone e)) versions)
 
 (* Accumulates output tables, cutting at the target file size. *)
 type output_state = {
@@ -218,10 +223,12 @@ let write_sorted_run ~cfg ~dir ?cache ?(env = Clsm_env.Env.unix) ~alloc_number
     match next_group () with
     | None -> ()
     | Some (_user_key, versions) ->
-        let decoded =
-          List.map (fun (ik, v) -> (Internal_key.ts_of ik, Entry.decode v)) versions
+        let kinds =
+          List.map
+            (fun (ik, v) -> (Internal_key.ts_of ik, Entry.encoded_is_tombstone v))
+            versions
         in
-        let kept_ts = filter_group ~snapshots ~drop_tombstones decoded in
+        let kept_ts = keep_timestamps ~snapshots ~drop_tombstones kinds in
         List.iter
           (fun (ik, v) ->
             if List.mem (Internal_key.ts_of ik) kept_ts then

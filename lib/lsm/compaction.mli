@@ -48,8 +48,10 @@ val filter_group :
   int list
 (** Pure core of the GC: given the ascending timestamps (with decoded
     entries) of one user key's versions and the ascending active-snapshot
-    timestamps, return the timestamps to {e keep}. Exposed for direct
-    property testing. *)
+    timestamps, return the timestamps to {e keep}. Only whether each
+    entry is a tombstone matters: the merge itself reads that off the
+    encoded tag byte and never decodes (copies) a value. Exposed for
+    direct property testing. *)
 
 val write_sorted_run :
   cfg:Lsm_config.t ->

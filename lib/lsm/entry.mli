@@ -10,5 +10,9 @@ val decode : string -> t
 
 val is_tombstone : t -> bool
 
+val encoded_is_tombstone : string -> bool
+(** [encoded_is_tombstone s = is_tombstone (decode s)], read off the tag
+    byte without copying the value. Raises like {!decode}. *)
+
 val to_option : t -> string option
 (** [Value v ↦ Some v], [Tombstone ↦ None]. *)

@@ -24,22 +24,21 @@ type t = {
   aux_reservation : string option;
 }
 
-(* Decode one block image ([payload ^ trailer] as laid out on disk),
-   verifying the CRC trailer. Corrupt messages carry the block's byte
-   offset so containment/quarantine can report exactly which block
-   rotted. *)
-let decode_block_image ~offset raw =
+(* Decode one block image ([payload ^ trailer] as laid out on disk) of
+   [size] payload bytes starting at [pos] in [raw], verifying the CRC
+   trailer in place before the payload is copied out. Corrupt messages
+   carry the block's byte offset so containment/quarantine can report
+   exactly which block rotted. *)
+let decode_block_image ~offset ~pos ~size raw =
   let corrupt what =
     raise (Corrupt (Printf.sprintf "block@%d: %s" offset what))
   in
-  let size = String.length raw - Table_format.block_trailer_length in
   if size < 0 then corrupt "handle out of bounds";
-  let payload = String.sub raw 0 size in
-  let block_type = raw.[size] in
-  let stored = Crc32c.unmask (Binary.get_fixed32 raw ~pos:(size + 1)) in
-  let actual = Crc32c.sub ~init:(Crc32c.string payload) raw ~pos:size ~len:1 in
-  if stored <> actual then corrupt "checksum mismatch";
-  match block_type with
+  let stored = Crc32c.unmask (Binary.get_fixed32 raw ~pos:(pos + size + 1)) in
+  if Crc32c.sub raw ~pos ~len:(size + 1) <> stored then
+    corrupt "checksum mismatch";
+  let payload = String.sub raw pos size in
+  match raw.[pos + size] with
   | '\000' -> payload
   | '\001' -> (
       try Simple_compress.decompress payload
@@ -56,7 +55,7 @@ let read_block_raw (file : Env.random_file) handle =
     with Invalid_argument _ ->
       raise (Corrupt (Printf.sprintf "block@%d: handle out of bounds" offset))
   in
-  decode_block_image ~offset raw
+  decode_block_image ~offset ~pos:0 ~size raw
 
 let open_file ?cache ?(env = Env.unix) ~cmp path =
   let file = env.Env.open_random path in
@@ -211,13 +210,9 @@ module Iter = struct
       let span = t.file.Env.rf_read ~pos:base ~len:(!run_end - base) in
       List.iter
         (fun h ->
-          let image =
-            String.sub span
-              (h.Block_handle.offset - base)
-              (h.Block_handle.size + Table_format.block_trailer_length)
-          in
           let payload =
-            decode_block_image ~offset:h.Block_handle.offset image
+            decode_block_image ~offset:h.Block_handle.offset
+              ~pos:(h.Block_handle.offset - base) ~size:h.Block_handle.size span
           in
           Cache.insert cache (key_of h) (Block.parse t.cmp payload))
         missing;

@@ -11,6 +11,9 @@ type t = {
   tmp_path : string;
   env : Env.t;
   writer : Env.writer;
+  out : Buffer.t;
+      (* emitted blocks and trailers not yet handed to [writer]; [offset]
+         counts them *)
   data : Block_builder.t;
   index : Block_builder.t;
   mutable offset : int;
@@ -22,6 +25,16 @@ type t = {
   mutable last_key : string option;
   mutable finished : bool;
 }
+
+(* Output reaches the writer in chunks of at least this many bytes (and
+   once more at [finish]), not one small append per block and trailer. *)
+let flush_bytes = 64 * 1024
+
+let flush_out t =
+  if Buffer.length t.out > 0 then begin
+    t.writer.Env.w_append (Buffer.contents t.out);
+    Buffer.clear t.out
+  end
 
 (* Crash safety: the table is built at [path ^ ".tmp"] and renamed to its
    final name only after the full contents are fsynced, so a [.sst] that
@@ -42,6 +55,7 @@ let create ?(block_size = 4096) ?(restart_interval = 16) ?(bits_per_key = 10)
     tmp_path;
     env;
     writer = env.Env.create_writer tmp_path;
+    out = Buffer.create (flush_bytes + block_size);
     data = Block_builder.create ~restart_interval ();
     index = Block_builder.create ~restart_interval:1 ();
     offset = 0;
@@ -54,29 +68,26 @@ let create ?(block_size = 4096) ?(restart_interval = 16) ?(bits_per_key = 10)
     finished = false;
   }
 
-(* Write [payload] followed by the 5-byte trailer (compression type byte +
+(* Emit [payload] followed by the 5-byte trailer (compression type byte +
    masked CRC over payload+type); return its handle. Compression is applied
    only when it actually shrinks the block. *)
 let emit_block ?(try_compress = false) t payload =
   let payload, block_type =
     if try_compress then begin
       let packed = Simple_compress.compress payload in
-      if String.length packed < String.length payload then (packed, '\001')
-      else (payload, '\000')
+      if String.length packed < String.length payload then (packed, "\001")
+      else (payload, "\000")
     end
-    else (payload, '\000')
+    else (payload, "\000")
   in
   let handle = { Block_handle.offset = t.offset; size = String.length payload } in
-  t.writer.Env.w_append payload;
-  let trailer = Buffer.create Table_format.block_trailer_length in
-  Buffer.add_char trailer block_type;
-  let crc =
-    Crc32c.string ~init:(Crc32c.string payload) (String.make 1 block_type)
-  in
-  Binary.write_fixed32 trailer (Crc32c.mask crc);
-  t.writer.Env.w_append (Buffer.contents trailer);
+  Buffer.add_string t.out payload;
+  Buffer.add_string t.out block_type;
+  let crc = Crc32c.string ~init:(Crc32c.string payload) block_type in
+  Binary.write_fixed32 t.out (Crc32c.mask crc);
   t.offset <-
     t.offset + String.length payload + Table_format.block_trailer_length;
+  if Buffer.length t.out >= flush_bytes then flush_out t;
   handle
 
 let flush_data_block t =
@@ -143,9 +154,10 @@ let finish t =
   in
   let props_handle = emit_block t (Table_format.encode_properties props) in
   let index_handle = emit_block t (Block_builder.finish t.index) in
-  t.writer.Env.w_append
+  Buffer.add_string t.out
     (Table_format.encode_footer
        { Table_format.filter_handle; props_handle; index_handle });
+  flush_out t;
   (* Publish order: contents durable first, then the rename that makes the
      table visible under its final name. *)
   t.writer.Env.w_fsync ();

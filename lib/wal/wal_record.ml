@@ -15,7 +15,7 @@ let decode s ~pos =
     let stored = Crc32c.unmask (Binary.get_fixed32 s ~pos) in
     let len = Binary.get_fixed32 s ~pos:(pos + 4) in
     if len < 0 || pos + header_length + len > n then `Torn
+    else if Crc32c.sub s ~pos:(pos + header_length) ~len <> stored then
+      `Corrupt
     else
-      let payload = String.sub s (pos + header_length) len in
-      if Crc32c.string payload <> stored then `Corrupt
-      else `Record (payload, pos + header_length + len)
+      `Record (String.sub s (pos + header_length) len, pos + header_length + len)

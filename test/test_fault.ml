@@ -92,6 +92,48 @@ let crash_image_keeps_synced_prefix () =
   Alcotest.(check bool) "no bytes beyond written" true
     (String.length contents <= String.length "durable!-unsynced-tail")
 
+(* ---------- Env.unix random reads ---------- *)
+
+(* [rf_read] copies out of the mapping 8 bytes at a time plus a byte tail:
+   check it against the file's bytes at every alignment, every short
+   length, and reads that end on the last byte. *)
+let unix_rf_read_exact () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "rf" in
+  let contents = String.init 301 (fun i -> Char.chr ((i * 37 + 11) land 0xff)) in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+  let n = String.length contents in
+  let rf = Env.unix.Env.open_random path in
+  Alcotest.(check int) "length" n rf.Env.rf_length;
+  for pos = 0 to 23 do
+    for len = 0 to 17 do
+      Alcotest.(check string)
+        (Printf.sprintf "pos=%d len=%d" pos len)
+        (String.sub contents pos len)
+        (rf.Env.rf_read ~pos ~len)
+    done
+  done;
+  for len = 0 to 40 do
+    Alcotest.(check string)
+      (Printf.sprintf "tail len=%d" len)
+      (String.sub contents (n - len) len)
+      (rf.Env.rf_read ~pos:(n - len) ~len)
+  done;
+  Alcotest.(check string) "whole file" contents (rf.Env.rf_read ~pos:0 ~len:n);
+  let out_of_bounds (pos, len) =
+    match rf.Env.rf_read ~pos ~len with
+    | _ -> Alcotest.failf "pos=%d len=%d must raise" pos len
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter out_of_bounds [ (-1, 1); (0, -1); (n - 7, 8); (n, 1); (0, n + 1) ];
+  (* Closing twice is harmless. *)
+  rf.Env.rf_close ();
+  rf.Env.rf_close ();
+  match rf.Env.rf_read ~pos:0 ~len:8 with
+  | _ -> Alcotest.fail "read after close must raise"
+  | exception Invalid_argument _ -> ()
+
 (* ---------- WAL fsync-gate ---------- *)
 
 let fsync_gate_poisons_writer () =
@@ -330,6 +372,8 @@ let strict_wal_fails_on_corrupt_tail () =
 
 let suites =
   [
+    ( "env.unix",
+      [ Alcotest.test_case "rf_read exact bytes" `Quick unix_rf_read_exact ] );
     ( "fault",
       [
         Alcotest.test_case "crash countdown" `Quick crash_countdown;

@@ -239,23 +239,6 @@ let cache_concurrent () =
   Alcotest.(check bool) "capacity respected" true
     ((Cache.stats c).Cache.weight <= 64)
 
-(* ---------- Mmap_file ---------- *)
-
-let mmap_roundtrip () =
-  let path = tmp_path "mmap_test" in
-  let oc = open_out_bin path in
-  output_string oc "hello mmap world";
-  close_out oc;
-  let f = Mmap_file.open_ro path in
-  Alcotest.(check int) "length" 16 (Mmap_file.length f);
-  Alcotest.(check string) "middle read" "mmap" (Mmap_file.read f ~pos:6 ~len:4);
-  Alcotest.(check string) "empty read" "" (Mmap_file.read f ~pos:0 ~len:0);
-  (match Mmap_file.read f ~pos:10 ~len:100 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out of bounds should raise");
-  Mmap_file.close f;
-  Mmap_file.close f (* idempotent *)
-
 (* ---------- Table ---------- *)
 
 let build_table ?(block_size = 256) ?filter_key_of name pairs =
@@ -463,8 +446,6 @@ let suites =
         Alcotest.test_case "find_or_add" `Quick cache_find_or_add;
         Alcotest.test_case "concurrent" `Quick cache_concurrent;
       ] );
-    ( "sstable.mmap",
-      [ Alcotest.test_case "roundtrip" `Quick mmap_roundtrip ] );
     ( "sstable.table",
       [
         Alcotest.test_case "roundtrip" `Quick table_roundtrip;

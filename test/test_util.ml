@@ -119,6 +119,73 @@ let crc_detects_flip () =
   Alcotest.(check bool) "differs" true
     (before <> Crc32c.string (Bytes.to_string s))
 
+(* The RFC 3720 (iSCSI) appendix B.4 CRC-32C test vectors. *)
+let crc_rfc3720_vectors () =
+  List.iter
+    (fun (name, s, expected) ->
+      Alcotest.(check int) name expected (Crc32c.string s))
+    [
+      ("32 x 0x00", String.make 32 '\x00', 0x8A9136AA);
+      ("32 x 0xff", String.make 32 '\xff', 0x62A8AB43);
+      ("ascending 0..31", String.init 32 Char.chr, 0x46DD794E);
+      ("descending 31..0", String.init 32 (fun i -> Char.chr (31 - i)), 0x113FDB5C);
+    ]
+
+(* Byte-at-a-time reference: the textbook reflected table loop. *)
+let crc_reference =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 = 1 then c := 0x82F63B78 lxor (!c lsr 1)
+          else c := !c lsr 1
+        done;
+        !c)
+  in
+  fun ?(init = 0) s ~pos ~len ->
+    let crc = ref (init lxor 0xffffffff) in
+    for i = pos to pos + len - 1 do
+      crc := table.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
+    done;
+    !crc lxor 0xffffffff
+
+(* Every pos mod 8, short lengths around the 8-byte step and random long
+   ones, chained through [~init] at a random split. *)
+let prop_crc_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* pos = 0 -- 15 in
+      let* len = frequency [ (3, 0 -- 40); (1, 41 -- 5000) ] in
+      let* pad = 0 -- 9 in
+      let* s = string_size ~gen:char (return (pos + len + pad)) in
+      let* split = 0 -- len in
+      let* init = frequency [ (1, return 0); (1, map (fun x -> x land 0xffffffff) int) ] in
+      return (s, pos, len, split, init))
+  in
+  QCheck.Test.make ~name:"slicing-by-8 = byte-at-a-time reference" ~count:2000
+    (QCheck.make
+       ~print:(fun (s, pos, len, split, init) ->
+         Printf.sprintf "len(s)=%d pos=%d len=%d split=%d init=%#x"
+           (String.length s) pos len split init)
+       gen)
+    (fun (s, pos, len, split, init) ->
+      let whole = Crc32c.sub ~init s ~pos ~len in
+      let chained =
+        Crc32c.sub
+          ~init:(Crc32c.sub ~init s ~pos ~len:split)
+          s ~pos:(pos + split) ~len:(len - split)
+      in
+      whole = crc_reference ~init s ~pos ~len && chained = whole)
+
+let crc_rejects_out_of_bounds () =
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos=%d len=%d" pos len)
+        (Invalid_argument "Crc32c.sub")
+        (fun () -> ignore (Crc32c.sub "0123456789" ~pos ~len)))
+    [ (-1, 1); (0, -1); (3, 8); (11, 0) ]
+
 (* ---------- Hashing ---------- *)
 
 let hash_deterministic () =
@@ -175,7 +242,10 @@ let suites =
         Alcotest.test_case "incremental" `Quick crc_incremental;
         Alcotest.test_case "mask roundtrip" `Quick crc_mask_roundtrip;
         Alcotest.test_case "detects bit flip" `Quick crc_detects_flip;
+        Alcotest.test_case "RFC 3720 vectors" `Quick crc_rfc3720_vectors;
+        Alcotest.test_case "bounds" `Quick crc_rejects_out_of_bounds;
       ] );
+    qsuite "util.crc32c.props" [ prop_crc_matches_reference ];
     ( "util.hashing",
       [
         Alcotest.test_case "deterministic" `Quick hash_deterministic;
