@@ -10,6 +10,18 @@ let max_levels = 16
    within a factor of two, which is all the observability needs. *)
 let wait_buckets = 40
 
+(* Installs are counted per edit kind, indexed by [kind_index]. *)
+type install_kind = [ `Flush | `Compaction | `Quarantine | `Readmit | `Commit ]
+
+let install_kinds = [| "flush"; "compaction"; "quarantine"; "readmit"; "commit" |]
+
+let kind_index = function
+  | `Flush -> 0
+  | `Compaction -> 1
+  | `Quarantine -> 2
+  | `Readmit -> 3
+  | `Commit -> 4
+
 let bucket_of_ns ns =
   let rec bits n acc = if n <= 1 then acc else bits (n lsr 1) (acc + 1) in
   min (wait_buckets - 1) (bits (max 1 ns) 0)
@@ -50,6 +62,9 @@ type t = {
   commit_wait_hist : int Atomic.t array; (* log2 buckets, see above *)
   get_ns : int Atomic.t;
   get_hist : int Atomic.t array; (* log2 buckets, same scheme *)
+  installs : int Atomic.t array; (* by install kind *)
+  install_ns : int Atomic.t array; (* by install kind *)
+  manifest_bytes_last : int Atomic.t;
 }
 
 type snapshot = {
@@ -88,6 +103,9 @@ type snapshot = {
   commit_wait_hist : int array;
   get_ns : int;
   get_hist : int array;
+  installs : int array;
+  install_ns : int array;
+  manifest_bytes_last : int;
 }
 
 let create () : t =
@@ -127,6 +145,9 @@ let create () : t =
     commit_wait_hist = Array.init wait_buckets (fun _ -> Atomic.make 0);
     get_ns = Atomic.make 0;
     get_hist = Array.init wait_buckets (fun _ -> Atomic.make 0);
+    installs = Array.init (Array.length install_kinds) (fun _ -> Atomic.make 0);
+    install_ns = Array.init (Array.length install_kinds) (fun _ -> Atomic.make 0);
+    manifest_bytes_last = Atomic.make 0;
   }
 
 let incr_puts (t : t) = Atomic.incr t.puts
@@ -176,6 +197,12 @@ let incr_corruptions_detected (t : t) = Atomic.incr t.corruptions_detected
 let incr_quarantined_tables (t : t) = Atomic.incr t.quarantined_tables
 let incr_io_retries (t : t) = Atomic.incr t.io_retries
 let incr_auto_repairs (t : t) = Atomic.incr t.auto_repairs
+
+let record_install (t : t) ~kind ~ns ~manifest_bytes =
+  let i = kind_index kind in
+  Atomic.incr t.installs.(i);
+  ignore (Atomic.fetch_and_add t.install_ns.(i) (max 0 ns));
+  Atomic.set t.manifest_bytes_last manifest_bytes
 
 (* One durable WAL write+fsync that covered [records] records. A batch of
    n acknowledged n commits with one fsync, so n-1 fsyncs were saved
@@ -244,6 +271,9 @@ let read (t : t) : snapshot =
     commit_wait_hist = Array.map Atomic.get t.commit_wait_hist;
     get_ns = Atomic.get t.get_ns;
     get_hist = Array.map Atomic.get t.get_hist;
+    installs = Array.map Atomic.get t.installs;
+    install_ns = Array.map Atomic.get t.install_ns;
+    manifest_bytes_last = Atomic.get t.manifest_bytes_last;
   }
 
 (* Percentile over a log2 histogram, reported as the matched bucket's
@@ -327,6 +357,15 @@ let scalar_fields : (string * [ `Sum | `Max ] * (snapshot -> int)) list =
     ("get_p50_us", `Max, fun s -> get_percentile_us s ~pct:50.);
     ("get_p99_us", `Max, fun s -> get_percentile_us s ~pct:99.);
   ]
+  @ List.concat
+      (List.mapi
+         (fun i kind ->
+           [
+             ("installs_" ^ kind, `Sum, fun s -> s.installs.(i));
+             ("install_ns_total_" ^ kind, `Sum, fun s -> s.install_ns.(i));
+           ])
+         (Array.to_list install_kinds))
+  @ [ ("manifest_bytes_last", `Max, fun s -> s.manifest_bytes_last) ]
 
 (* Aggregate several stores' snapshots (the shard roll-up): counters sum,
    high-watermarks take the maximum. A record construction on purpose —
@@ -387,6 +426,9 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
             if i < Array.length arr then arr.(i) else 0
           in
           at a.get_hist + at b.get_hist);
+    installs = Array.map2 ( + ) a.installs b.installs;
+    install_ns = Array.map2 ( + ) a.install_ns b.install_ns;
+    manifest_bytes_last = max a.manifest_bytes_last b.manifest_bytes_last;
   }
 
 let merge_all = function

@@ -5,6 +5,15 @@
 
 type t
 
+type install_kind = [ `Flush | `Compaction | `Quarantine | `Readmit | `Commit ]
+(** What a committed version edit did; the plain [`Commit] is a
+    manifest save with no file change (ledger resolutions, the repair
+    probe, close). *)
+
+val install_kinds : string array
+(** JSON names of the install kinds, in the index order of
+    [installs]/[install_ns]. *)
+
 type snapshot = {
   puts : int;
   gets : int;
@@ -48,6 +57,10 @@ type snapshot = {
   get_hist : int array;
       (** log2 buckets of point-read latency, same scheme as
           [commit_wait_hist]; the timed-read count is the bucket sum *)
+  installs : int array;  (** committed edits, indexed as [install_kinds] *)
+  install_ns : int array;
+      (** cumulative install latency (install lock to retired cells), ns *)
+  manifest_bytes_last : int;  (** size of the latest manifest written *)
 }
 
 val create : unit -> t
@@ -68,6 +81,10 @@ val record_compaction_run : t -> fanout:int -> duration_ns:int -> unit
 (** Account one finished compaction job: [fanout] subrange merges
     (1 = sequential) taking [duration_ns] of wall-clock. Safe from any
     worker domain. *)
+
+val record_install :
+  t -> kind:install_kind -> ns:int -> manifest_bytes:int -> unit
+(** Account one committed version edit. *)
 
 val add_bytes_flushed : t -> int -> unit
 val add_bytes_compacted : t -> int -> unit

@@ -43,7 +43,8 @@ let save ?(env = Env.unix) ~dir t =
     (fun () ->
       w.Env.w_append contents;
       w.Env.w_fsync ());
-  env.Env.rename ~src:tmp ~dst:path
+  env.Env.rename ~src:tmp ~dst:path;
+  String.length contents
 
 let load ?(env = Env.unix) ~dir () =
   let path = Table_file.manifest_path ~dir in

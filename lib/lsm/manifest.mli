@@ -12,8 +12,8 @@ type t = {
           verdict: recovery neither opens nor garbage-collects them *)
 }
 
-val save : ?env:Clsm_env.Env.t -> dir:string -> t -> unit
-(** Raises {!Clsm_env.Env.Error} on IO failure; the previous manifest is
+val save : ?env:Clsm_env.Env.t -> dir:string -> t -> int
+(** Returns the bytes written. Raises {!Clsm_env.Env.Error} on IO failure; the previous manifest is
     then still in place (the temp file never replaces it). *)
 
 val load : ?env:Clsm_env.Env.t -> dir:string -> unit -> t option

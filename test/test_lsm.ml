@@ -449,7 +449,9 @@ let manifest_roundtrip () =
       quarantined = [ 9; 4 ];
     }
   in
-  Manifest.save ~dir:tmp_dir m;
+  let written = Manifest.save ~dir:tmp_dir m in
+  Alcotest.(check int) "save reports the file size" written
+    (Unix.stat (Filename.concat tmp_dir "MANIFEST")).Unix.st_size;
   (match Manifest.load ~dir:tmp_dir () with
   | Some m' ->
       Alcotest.(check int) "next_file" 42 m'.Manifest.next_file_number;
