@@ -9,7 +9,7 @@
    pipeline) multiply by N. Cross-shard consistency costs exactly one
    extra lock:
 
-   - [get_snap] runs ONE [Clock.snap_ts] fence and registers ONE
+   - [get_snap] runs ONE [Clock.snapshot] fence and registers ONE
      registry entry; per-shard views at that timestamp are materialized
      with [S.snapshot_at] (no fence, no registration).
    - [write_batch] stamps each shard's sub-batch with a bare
@@ -341,9 +341,9 @@ module Make (S : Store_sig.EXTENDED) = struct
   let get_snap ?ttl t =
     Stats.incr_snapshots t.stats;
     Shared_lock.lock_exclusive t.batch_lock;
-    let ts = Clock.snap_ts t.clock ~mode:(snapshot_mode t) in
-    let handle =
-      Clock.register_snapshot t.clock ?ttl ~now:(Unix.gettimeofday ()) ts
+    let ts, handle =
+      Clock.snapshot ?ttl t.clock ~mode:(snapshot_mode t)
+        ~now:(Unix.gettimeofday ())
     in
     Shared_lock.unlock_exclusive t.batch_lock;
     { snap_ts = ts; handle; released = Atomic.make false }

@@ -10,12 +10,23 @@ let expired now entry =
   (not entry.live)
   || match entry.expires with Some e -> now >= e | None -> false
 
+let entry ?ttl ~now ts =
+  { ts; expires = Option.map (fun d -> now +. d) ttl; live = true }
+
 let install t ?ttl ~now ts =
-  let entry =
-    { ts; expires = Option.map (fun d -> now +. d) ttl; live = true }
-  in
+  let entry = entry ?ttl ~now ts in
   with_lock t (fun () -> t.entries <- entry :: t.entries);
   entry
+
+let install_chosen t ?ttl ~now choose =
+  with_lock t (fun () ->
+      let ts = choose () in
+      if ts <= 0 then (ts, None)
+      else begin
+        let entry = entry ?ttl ~now ts in
+        t.entries <- entry :: t.entries;
+        (ts, Some entry)
+      end)
 
 let remove t handle =
   with_lock t (fun () -> handle.live <- false)

@@ -18,6 +18,13 @@ val install : t -> ?ttl:float -> now:float -> int -> handle
 (** Register a snapshot timestamp; with [ttl] (seconds) it is reclaimed
     automatically once [now] passes installation time + ttl. *)
 
+val install_chosen :
+  t -> ?ttl:float -> now:float -> (unit -> int) -> int * handle option
+(** Register the timestamp [choose ()] returns, chosen under the
+    registry's lock: no {!live_timestamps} reader can observe the moment
+    between choosing a snapshot timestamp and pinning it. Nothing is
+    registered for a timestamp [<= 0] (nothing written yet). *)
+
 val remove : t -> handle -> unit
 (** Application-driven release. Idempotent. *)
 

@@ -194,7 +194,7 @@ module type EXTENDED = sig
 
   val snapshot_at : t -> ts:int -> snapshot
   (** A snapshot view at a timestamp the {e caller} has already fenced
-      (via {!Clock.snap_ts} on this store's clock) and keeps registered:
+      (via {!Clock.snapshot} on this store's clock) and keeps registered:
       no fence is run and no registry entry is taken, so releasing it is
       a no-op. Reading through a timestamp that was never fenced on this
       clock is unsound. *)

@@ -2,8 +2,8 @@
    model, the scheduler, the graduated backpressure curve, and — against
    the real store — the regression the refactor exists for: a memtable
    rotation triggers a flush through a condvar signal, not a poll tick,
-   plus a multi-domain stress test of writers, scanners and forced
-   churn under the worker pool. *)
+   blocked claimants wake on release, plus a multi-domain stress test of
+   writers, scanners and forced churn under the worker pool. *)
 
 open Clsm_core
 open Clsm_primitives
@@ -152,6 +152,9 @@ let stats_json_shape () =
   Stats.incr_compactions s ~src_level:0 ();
   Stats.incr_compactions s ~src_level:2 ();
   Stats.add_slowdown s ~delay_ns:1234;
+  Stats.record_install s ~kind:`Flush ~ns:500 ~manifest_bytes:70;
+  Stats.record_install s ~kind:`Flush ~ns:700 ~manifest_bytes:90;
+  Stats.record_install s ~kind:`Readmit ~ns:40 ~manifest_bytes:80;
   let json = Stats.to_json (Stats.read s) in
   let has sub =
     let n = String.length json and m = String.length sub in
@@ -162,6 +165,20 @@ let stats_json_shape () =
   Alcotest.(check bool) "per-level array" true
     (has "\"compactions_per_level\":[1,0,1");
   Alcotest.(check bool) "slowdown ns" true (has "\"slowdown_delay_ns\":1234");
+  (* one install counter and latency sum per edit kind *)
+  Array.iter
+    (fun kind ->
+      Alcotest.(check bool) ("installs " ^ kind) true
+        (has (Printf.sprintf "\"installs_%s\":" kind));
+      Alcotest.(check bool) ("install ns " ^ kind) true
+        (has (Printf.sprintf "\"install_ns_total_%s\":" kind)))
+    Stats.install_kinds;
+  Alcotest.(check bool) "flush installs" true (has "\"installs_flush\":2");
+  Alcotest.(check bool) "flush install ns" true
+    (has "\"install_ns_total_flush\":1200");
+  Alcotest.(check bool) "readmit installs" true (has "\"installs_readmit\":1");
+  Alcotest.(check bool) "latest manifest size" true
+    (has "\"manifest_bytes_last\":80");
   Alcotest.(check bool) "valid object" true
     (String.length json > 2
     && json.[0] = '{'
@@ -263,6 +280,127 @@ let flush_without_poll_tick () =
       (* Data must remain readable across rotation + flush. *)
       Alcotest.(check (option string)) "read-back" (Some (String.make 64 'v'))
         (Db.get db "key-0199"))
+
+(* Blocked claimants wake when the holder releases, not on a tick: the
+   store runs no private scheduler (and a 30 s tick), so this domain
+   takes claims itself with [maintenance_next] and holds them while
+   other domains block in [compact_now], [scrub_now] and [repair_now];
+   [maintenance_run] then releases each one, and every blocked call must
+   finish right after. *)
+let blocking_claims_wake_on_release () =
+  let dir = fresh_dir () in
+  let f = Clsm_env.Faulty_env.create ~seed:3 () in
+  let base = Options.default ~dir in
+  let opts =
+    {
+      base with
+      Options.env = Clsm_env.Faulty_env.env f;
+      memtable_bytes = 4 * 1024;
+      cache_bytes = 1 lsl 20;
+      maintenance_tick = 30.0;
+      external_maintenance = true;
+      scrub_interval = 3600.0;
+      auto_repair = true;
+      lsm =
+        {
+          base.Options.lsm with
+          Clsm_lsm.Lsm_config.level1_max_bytes = 64 * 1024;
+          target_file_size = 16 * 1024;
+          block_size = 1024;
+        };
+    }
+  in
+  let db = Db.open_store opts in
+  let key i = Printf.sprintf "key-%04d" i in
+  for i = 0 to 199 do
+    Db.put db ~key:(key i) ~value:(String.make 64 'v')
+  done;
+  let hold expected =
+    match Db.maintenance_next db with
+    | Some job when job = expected -> job
+    | Some _ | None -> Alcotest.fail "expected to claim the job"
+  in
+  (* Run [calls] on their own domains while [job] is held; release it and
+     require each call to finish within [bound] seconds of the release. *)
+  let blocked_until_release ~what job calls =
+    let running =
+      List.map
+        (fun call ->
+          let finished = Atomic.make None in
+          let d =
+            Domain.spawn (fun () ->
+                call ();
+                Atomic.set finished (Some (Unix.gettimeofday ())))
+          in
+          (d, finished))
+        calls
+    in
+    Unix.sleepf 0.05;
+    List.iter
+      (fun (_, finished) ->
+        Alcotest.(check bool)
+          (what ^ ": blocked while the claim is held")
+          true
+          (Atomic.get finished = None))
+      running;
+    Db.maintenance_run db job;
+    let released = Unix.gettimeofday () in
+    let deadline = released +. 10.0 in
+    List.iter
+      (fun (d, finished) ->
+        while Atomic.get finished = None && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.001
+        done;
+        match Atomic.get finished with
+        | None -> Alcotest.failf "%s: still blocked 10 s after the release" what
+        | Some at ->
+            Domain.join d;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: returned %.1f ms after the release" what
+                 ((at -. released) *. 1e3))
+              true
+              (at -. released < 0.5))
+      running
+  in
+  (* The flush claim: two concurrent compact_now calls queue behind it
+     and both reach quiescence. *)
+  blocked_until_release ~what:"compact_now" (hold Clsm_maintenance.Job.Flush)
+    [ (fun () -> Db.compact_now db); (fun () -> Db.compact_now db) ];
+  Alcotest.(check int) "memtable drained" 0 (Db.memtable_bytes db);
+  (* The scrub claim; the held slice reads rot, so the waiting scrub_now
+     quarantines what it found. *)
+  let scrub = hold Clsm_maintenance.Job.Scrub in
+  Clsm_env.Faulty_env.set_fault_rates f ~corrupt_read_1_in:1 ();
+  blocked_until_release ~what:"scrub_now" scrub
+    [ (fun () -> ignore (Db.scrub_now db : string list)) ];
+  Clsm_env.Faulty_env.set_fault_rates f ~corrupt_read_1_in:0 ();
+  (match Db.health db with
+  | `Partial _ -> ()
+  | `Ok | `Degraded _ -> Alcotest.fail "expected quarantined tables");
+  (* The repair claim: the held job readmits, the waiting repair_now
+     finds nothing left to do. *)
+  blocked_until_release ~what:"repair_now"
+    (hold Clsm_maintenance.Job.Repair)
+    [ (fun () -> ignore (Db.repair_now db)) ];
+  Alcotest.(check bool) "healed" true (Db.health db = `Ok);
+  for i = 0 to 199 do
+    Alcotest.(check (option string)) (key i) (Some (String.make 64 'v'))
+      (Db.get db (key i))
+  done;
+  Alcotest.(check (list string)) "verify clean" [] (Db.verify_integrity db);
+  (* every install above went through the one install step *)
+  let st = Db.stats db in
+  let installs kind =
+    let rec index i = if Stats.install_kinds.(i) = kind then i else index (i + 1) in
+    st.Stats.installs.(index 0)
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) ("installs counted: " ^ kind) true (installs kind > 0))
+    [ "flush"; "quarantine"; "readmit" ];
+  Alcotest.(check bool) "manifest size recorded" true
+    (st.Stats.manifest_bytes_last > 0);
+  Db.close db
 
 (* End-to-end through the real store with [max_subcompactions = 4]: the
    L0→L1 merge must fan out (stats record the parallelism), and reads,
@@ -456,6 +594,8 @@ let suites =
       [
         Alcotest.test_case "flush without poll tick" `Quick
           flush_without_poll_tick;
+        Alcotest.test_case "blocked claims wake on release" `Quick
+          blocking_claims_wake_on_release;
         Alcotest.test_case "parallel subcompactions end-to-end" `Quick
           parallel_subcompactions_e2e;
         Alcotest.test_case "writers/readers/churn stress" `Slow
