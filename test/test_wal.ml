@@ -249,7 +249,16 @@ let group_batches_riders () =
       ~observer path
   in
   let writers = 4 in
-  let producer i () = Wal_writer.append w (Printf.sprintf "w%d" i) in
+  (* Start the appends together: a domain spawn can take longer than a
+     commit round, and writers that arrive one by one never share one. *)
+  let ready = Atomic.make 0 in
+  let producer i () =
+    Atomic.incr ready;
+    while Atomic.get ready < writers do
+      Domain.cpu_relax ()
+    done;
+    Wal_writer.append w (Printf.sprintf "w%d" i)
+  in
   List.init writers (fun i -> Domain.spawn (producer i))
   |> List.iter Domain.join;
   Wal_writer.close w;
