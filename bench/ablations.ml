@@ -3,6 +3,7 @@
 
 open Clsm_sim_lsm
 open Clsm_workload
+module Time_ns = Clsm_util.Time_ns
 
 let line fmt = Printf.printf (fmt ^^ "\n%!")
 let kops v = v /. 1000.0
@@ -86,9 +87,9 @@ let snapshot_protocol () =
     in
     let violations = ref 0 and snaps = ref 0 in
     let snapshotter () =
-      let t0 = Unix.gettimeofday () in
-      let deadline = t0 +. 6.0 in
-      while Unix.gettimeofday () < deadline do
+      let t0 = Time_ns.now_ns () in
+      let deadline = t0 + 6_000_000_000 in
+      while Time_ns.now_ns () < deadline do
         let s = Clsm_core.Db.get_snap db in
         incr snaps;
         for k = 0 to 15 do
@@ -100,7 +101,7 @@ let snapshot_protocol () =
         Clsm_core.Db.release_snapshot db s
       done;
       Atomic.set stop true;
-      int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
+      Time_ns.now_ns () - t0
     in
     let w = Domain.spawn (writer 0) in
     let w2 = Domain.spawn (writer 1_000_000) in
@@ -144,13 +145,13 @@ let snapshot_linearizability () =
       0
     in
     let w = Domain.spawn writer in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Time_ns.now_ns () in
     let n = 20_000 in
     for _ = 1 to n do
       let s = Clsm_core.Db.get_snap db in
       Clsm_core.Db.release_snapshot db s
     done;
-    let per = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n in
+    let per = float_of_int (Time_ns.now_ns () - t0) /. float_of_int n in
     Atomic.set stop true;
     ignore (Domain.join w);
     Clsm_core.Db.close db;
@@ -184,12 +185,12 @@ let bloom_filters () =
       Clsm_core.Db.put db ~key:(Printf.sprintf "present%08d" i) ~value:"v"
     done;
     Clsm_core.Db.compact_now db;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Time_ns.now_s () in
     let n = 100_000 in
     for i = 0 to n - 1 do
       ignore (Clsm_core.Db.get db (Printf.sprintf "absent%08d" i))
     done;
-    let rate = float_of_int n /. (Unix.gettimeofday () -. t0) in
+    let rate = float_of_int n /. (Time_ns.now_s () -. t0) in
     Clsm_core.Db.close db;
     rate
   in
@@ -216,11 +217,11 @@ let wal_mode () =
       }
     in
     let db = Clsm_core.Db.open_store opts in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Time_ns.now_s () in
     for i = 0 to n - 1 do
       Clsm_core.Db.put db ~key:(Printf.sprintf "k%08d" i) ~value:(String.make 256 'v')
     done;
-    let rate = float_of_int n /. (Unix.gettimeofday () -. t0) in
+    let rate = float_of_int n /. (Time_ns.now_s () -. t0) in
     Clsm_core.Db.close db;
     rate
   in
@@ -244,16 +245,16 @@ let memory_component () =
   line "== Ablation: memory component (skip-list vs copy-on-write map) ==";
   let run_ops name put get close =
     let n = 20_000 in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Time_ns.now_s () in
     for i = 0 to n - 1 do
       put ~key:(Printf.sprintf "k%06d" (i mod 5_000)) ~value:"payload-64-bytes"
     done;
-    let wrate = float_of_int n /. (Unix.gettimeofday () -. t0) in
-    let t0 = Unix.gettimeofday () in
+    let wrate = float_of_int n /. (Time_ns.now_s () -. t0) in
+    let t0 = Time_ns.now_s () in
     for i = 0 to n - 1 do
       ignore (get (Printf.sprintf "k%06d" (i mod 5_000)))
     done;
-    let rrate = float_of_int n /. (Unix.gettimeofday () -. t0) in
+    let rrate = float_of_int n /. (Time_ns.now_s () -. t0) in
     close ();
     line "%-28s %10.0f Kputs/s %10.0f Kgets/s" name (kops wrate) (kops rrate)
   in

@@ -13,7 +13,8 @@
    multiply the memtables, WAL tails and flush pipelines, which only
    helps when domains actually run in parallel). *)
 
-module Histogram = Clsm_workload.Histogram
+module Histogram = Clsm_util.Histogram
+module Time_ns = Clsm_util.Time_ns
 module Sharded_db = Clsm_core.Sharded_db
 module Options = Clsm_core.Options
 module Stats = Clsm_core.Stats
@@ -44,7 +45,7 @@ let run_one ~scale ~shards =
   let dir = Bench_store.fresh_dir () in
   let db = Sharded_db.open_store (sharded_opts ~dir ~shards ~key_space) in
   let scan_rows = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Time_ns.now_s () in
   let worker w =
     let h = Histogram.create () in
     let state = ref (w * 7919) in
@@ -52,7 +53,7 @@ let run_one ~scale ~shards =
       let k =
         Printf.sprintf "user%08d" (Bench_store.next_key state ~key_space)
       in
-      let op_start = Unix.gettimeofday () in
+      let op_start = Time_ns.now_ns () in
       if i mod 500 = 0 then
         (* a bounded cross-shard scan: one fence, merged shard iterators *)
         ignore
@@ -60,7 +61,7 @@ let run_one ~scale ~shards =
              (List.length (Sharded_db.range ~start:k ~limit:100 db)))
       else if i mod 10 = 0 then ignore (Sharded_db.get db k)
       else Sharded_db.put db ~key:k ~value;
-      Histogram.record h (Unix.gettimeofday () -. op_start)
+      Histogram.record h (Time_ns.now_ns () - op_start)
     done;
     h
   in
@@ -69,7 +70,7 @@ let run_one ~scale ~shards =
   in
   let h0 = worker 0 in
   let hists = h0 :: List.map Domain.join domains in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Time_ns.now_s () -. t0 in
   let h = Histogram.merge hists in
   let s = Sharded_db.stats db in
   let per_shard = Sharded_db.shard_stats db in
@@ -83,8 +84,8 @@ let run_one ~scale ~shards =
       ("ops", J.Int ops);
       ("wall_s", J.Float wall);
       ("ops_per_s", J.Float (float_of_int ops /. wall));
-      ("op_p50_us", J.Float (Histogram.percentile h 50.0 *. 1e6));
-      ("op_p99_us", J.Float (Histogram.percentile h 99.0 *. 1e6));
+      ("op_p50_us", J.Float (float_of_int (Histogram.percentile h 50.0) /. 1e3));
+      ("op_p99_us", J.Float (float_of_int (Histogram.percentile h 99.0) /. 1e3));
       ("scan_rows", J.Int (Atomic.get scan_rows));
       ("stall_s", J.Float (float_of_int s.Stats.stall_ns /. 1e9));
       ("write_stalls", J.Int s.Stats.write_stalls);

@@ -22,7 +22,8 @@
 open Clsm_lsm
 open Clsm_primitives
 module Scheduler = Clsm_maintenance.Scheduler
-module Histogram = Clsm_workload.Histogram
+module Histogram = Clsm_util.Histogram
+module Time_ns = Clsm_util.Time_ns
 module Db = Clsm_core.Db
 module Options = Clsm_core.Options
 module Stats = Clsm_core.Stats
@@ -171,13 +172,13 @@ let run_merge_phase ~scale =
   in
   let alloc = Atomic.make 100_000 in
   let run_once m =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Time_ns.now_s () in
     let outputs, fanout =
       Compaction.run_parallel ~cfg:merge_cfg ~dir
         ~alloc_number:(fun () -> Atomic.fetch_and_add alloc 1)
         ~snapshots:[] ~fan_out:Scheduler.fan_out ~max_subcompactions:m task
     in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Time_ns.now_s () -. t0 in
     (wall, fanout, outputs)
   in
   let repeats = match scale with Smoke -> 1 | Full -> 3 in
@@ -279,16 +280,16 @@ let run_mixed_phase ~scale =
     (fun max_subcompactions ->
       let dir = fresh_dir () in
       let db = Db.open_store (mixed_opts ~dir ~max_subcompactions) in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Time_ns.now_s () in
       let worker w =
         let h = Histogram.create () in
         let state = ref (w * 7919) in
         for i = 1 to ops_per_writer do
           let k = Printf.sprintf "user%08d" (next_key state ~key_space) in
-          let op_start = Unix.gettimeofday () in
+          let op_start = Time_ns.now_ns () in
           if i mod 10 = 0 then ignore (Db.get db k)
           else Db.put db ~key:k ~value;
-          Histogram.record h (Unix.gettimeofday () -. op_start)
+          Histogram.record h (Time_ns.now_ns () - op_start)
         done;
         h
       in
@@ -297,7 +298,7 @@ let run_mixed_phase ~scale =
       in
       let h0 = worker 0 in
       let hists = h0 :: List.map Domain.join domains in
-      let wall = Unix.gettimeofday () -. t0 in
+      let wall = Time_ns.now_s () -. t0 in
       let h = Histogram.merge hists in
       let s = Db.stats db in
       Db.close db;
@@ -310,8 +311,8 @@ let run_mixed_phase ~scale =
           ("ops", J.Int ops);
           ("wall_s", J.Float wall);
           ("ops_per_s", J.Float (float_of_int ops /. wall));
-          ("op_p50_us", J.Float (Histogram.percentile h 50.0 *. 1e6));
-          ("op_p99_us", J.Float (Histogram.percentile h 99.0 *. 1e6));
+          ("op_p50_us", J.Float (float_of_int (Histogram.percentile h 50.0) /. 1e3));
+          ("op_p99_us", J.Float (float_of_int (Histogram.percentile h 99.0) /. 1e3));
           ("stall_s", J.Float (float_of_int s.Stats.stall_ns /. 1e9));
           ("write_stalls", J.Int s.Stats.write_stalls);
           ( "slowdown_s",
@@ -350,14 +351,14 @@ let durability_opts ~dir ~wal_sync =
 let run_durability_cell_once ~writers ~name ~wal_sync ~n ~value =
   let dir = fresh_dir () in
   let db = Db.open_store (durability_opts ~dir ~wal_sync) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Time_ns.now_s () in
   let worker w =
     let h = Histogram.create () in
     for i = 1 to n do
       let k = Printf.sprintf "w%dk%08d" w i in
-      let op_start = Unix.gettimeofday () in
+      let op_start = Time_ns.now_ns () in
       Db.put db ~key:k ~value;
-      Histogram.record h (Unix.gettimeofday () -. op_start)
+      Histogram.record h (Time_ns.now_ns () - op_start)
     done;
     h
   in
@@ -366,7 +367,7 @@ let run_durability_cell_once ~writers ~name ~wal_sync ~n ~value =
   in
   let h0 = worker 0 in
   let hists = h0 :: List.map Domain.join domains in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Time_ns.now_s () -. t0 in
   let h = Histogram.merge hists in
   let s = Db.stats db in
   Db.close db;
@@ -380,8 +381,8 @@ let run_durability_cell_once ~writers ~name ~wal_sync ~n ~value =
         ("ops", J.Int ops);
         ("wall_s", J.Float wall);
         ("ops_per_s", J.Float (float_of_int ops /. wall));
-        ("put_p50_us", J.Float (Histogram.percentile h 50.0 *. 1e6));
-        ("put_p99_us", J.Float (Histogram.percentile h 99.0 *. 1e6));
+        ("put_p50_us", J.Float (float_of_int (Histogram.percentile h 50.0) /. 1e3));
+        ("put_p99_us", J.Float (float_of_int (Histogram.percentile h 99.0) /. 1e3));
         ("fsync_rounds", J.Int s.Stats.wal_group_commits);
         ("records_acked", J.Int s.Stats.wal_group_records);
         ("fsyncs_saved", J.Int s.Stats.wal_fsyncs_saved);
@@ -500,17 +501,17 @@ type read_op = Point | Scan of int
 
 let run_read_cell_once db ~readers ~dist ~op ~ops_per_reader ~seed0 =
   let c0 = Db.cache_stats db in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Time_ns.now_s () in
   let worker r =
     let rng = Rng.create (seed0 + (r * 7919) + 17) in
     let h = Histogram.create () in
     for _ = 1 to ops_per_reader do
       let k = Key_dist.next_key dist rng in
-      let op_start = Unix.gettimeofday () in
+      let op_start = Time_ns.now_ns () in
       (match op with
       | Point -> ignore (Db.get db k)
       | Scan limit -> ignore (Db.range ~start:k ~limit db));
-      Histogram.record h (Unix.gettimeofday () -. op_start)
+      Histogram.record h (Time_ns.now_ns () - op_start)
     done;
     h
   in
@@ -519,7 +520,7 @@ let run_read_cell_once db ~readers ~dist ~op ~ops_per_reader ~seed0 =
   in
   let h0 = worker 0 in
   let hists = h0 :: List.map Domain.join domains in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Time_ns.now_s () -. t0 in
   let c1 = Db.cache_stats db in
   let h = Histogram.merge hists in
   let ops = readers * ops_per_reader in
@@ -532,8 +533,8 @@ let run_read_cell_once db ~readers ~dist ~op ~ops_per_reader ~seed0 =
         ("ops", J.Int ops);
         ("wall_s", J.Float wall);
         ("ops_per_s", J.Float (float_of_int ops /. wall));
-        ("op_p50_us", J.Float (Histogram.percentile h 50.0 *. 1e6));
-        ("op_p99_us", J.Float (Histogram.percentile h 99.0 *. 1e6));
+        ("op_p50_us", J.Float (float_of_int (Histogram.percentile h 50.0) /. 1e3));
+        ("op_p99_us", J.Float (float_of_int (Histogram.percentile h 99.0) /. 1e3));
         ("cache_hits", J.Int hits);
         ("cache_misses", J.Int misses);
         ( "cache_hit_rate",
@@ -695,9 +696,9 @@ let block_bytes = 4096
 let time_batches ~samples ~bytes f =
   let rates =
     List.init samples (fun _ ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Time_ns.now_s () in
         f ();
-        float_of_int bytes /. (Unix.gettimeofday () -. t0) /. 1e6)
+        float_of_int bytes /. (Time_ns.now_s () -. t0) /. 1e6)
     |> List.sort Float.compare
   in
   (List.nth rates (samples / 2), List.nth rates (samples - 1))

@@ -23,6 +23,10 @@ type t = {
   stats : Stats.t;
   stop : bool Atomic.t;
   maintenance : Mutex.t;
+  work : Wakeup.t;
+      (* signalled when a write leaves the memtable over budget and after
+         every flush or compaction install: the background loop waits
+         here for work, stalled writers for an install *)
   mutable bg_domain : unit Domain.t option;
   mutable closed : bool;
 }
@@ -102,39 +106,51 @@ let get t key =
 
 (* ---------- writes (fully serialized) ---------- *)
 
+(* A stalled writer sleeps until the next install. The generation is
+   read before the condition is re-checked, so an install in between
+   makes the wait return at once. *)
 let throttle t =
-  let b = Backoff.create ~max_spins:4096 () in
-  let rec wait () =
-    if Atomic.get t.stop then ()
-    else begin
-      let mem_full, imm_busy, l0_pile =
-        with_mutex t (fun () ->
-            ( Memtable.approximate_bytes t.pm.mem
-              > 2 * t.opts.Options.memtable_bytes,
-              t.imm <> None,
-              Version.level_file_count (Refcounted.value t.version) 0
-              >= t.opts.Options.lsm.Lsm_config.l0_stall_limit ))
-      in
-      if (mem_full && imm_busy) || l0_pile then begin
-        Stats.incr_write_stalls t.stats;
-        Backoff.once b;
+  let stalled () =
+    (not (Atomic.get t.stop))
+    && with_mutex t (fun () ->
+           (Memtable.approximate_bytes t.pm.mem
+            > 2 * t.opts.Options.memtable_bytes
+           && t.imm <> None)
+           || Version.level_file_count (Refcounted.value t.version) 0
+              >= t.opts.Options.lsm.Lsm_config.l0_stall_limit)
+  in
+  if stalled () then begin
+    Stats.incr_write_stalls t.stats;
+    let rec wait () =
+      let seen = Wakeup.current t.work in
+      if stalled () then begin
+        ignore (Wakeup.wait t.work ~seen : int);
         wait ()
       end
-    end
-  in
-  wait ()
+    in
+    wait ()
+  end
 
+(* The write that takes the memtable over budget wakes the background
+   loop to rotate it; the loop re-checks the budget after every step, so
+   later writes need not. *)
 let write_entry t ~user_key entry =
   throttle t;
-  with_mutex t (fun () ->
-      t.seq <- t.seq + 1;
-      let ts = t.seq in
-      Memtable.add t.pm.mem ~user_key ~ts entry;
-      match t.pm.wal with
-      | Some w ->
-          Clsm_wal.Wal_writer.append w
-            (Log_record.encode { Log_record.ts; user_key; entry })
-      | None -> ())
+  let budget = t.opts.Options.memtable_bytes in
+  let crossed =
+    with_mutex t (fun () ->
+        let before = Memtable.approximate_bytes t.pm.mem in
+        t.seq <- t.seq + 1;
+        let ts = t.seq in
+        Memtable.add t.pm.mem ~user_key ~ts entry;
+        (match t.pm.wal with
+        | Some w ->
+            Clsm_wal.Wal_writer.append w
+              (Log_record.encode { Log_record.ts; user_key; entry })
+        | None -> ());
+        before <= budget && Memtable.approximate_bytes t.pm.mem > budget)
+  in
+  if crossed then Wakeup.signal t.work
 
 let put t ~key ~value =
   Stats.incr_puts t.stats;
@@ -190,31 +206,10 @@ let range ?snapshot ?start ?stop ?(limit = max_int) t =
   (match start with
   | Some s -> merged.Iter.seek (Internal_key.make s 0)
   | None -> merged.Iter.seek_to_first ());
-  let rec next_visible () =
-    if not (merged.Iter.valid ()) then None
-    else begin
-      let uk = Internal_key.user_key_of (merged.Iter.key ()) in
-      let best = ref None in
-      while
-        merged.Iter.valid ()
-        && String.equal (Internal_key.user_key_of (merged.Iter.key ())) uk
-      do
-        if Internal_key.ts_of (merged.Iter.key ()) <= snap.snap_ts then
-          best := Some (merged.Iter.value ());
-        merged.Iter.next ()
-      done;
-      match !best with
-      | Some enc -> (
-          match Entry.decode enc with
-          | Entry.Value v -> Some (uk, v)
-          | Entry.Tombstone -> next_visible ())
-      | None -> next_visible ()
-    end
-  in
   let rec collect n acc =
     if n >= limit then List.rev acc
     else
-      match next_visible () with
+      match Iter.next_visible merged ~snap_ts:snap.snap_ts with
       | None -> List.rev acc
       | Some (k, _) when (match stop with Some e -> k >= e | None -> false) ->
           List.rev acc
@@ -336,7 +331,18 @@ let compact_now t =
       ignore (flush_imm t);
       ignore (rotate t);
       ignore (flush_imm t);
-      while compact_level_once t do () done)
+      while compact_level_once t do () done);
+  Wakeup.signal t.work
+
+(* Each productive step installed a flush or a compaction: wake stalled
+   writers. The generation is read before the step looks for work, so a
+   write that crosses the budget meanwhile cuts the wait short. *)
+let background_loop t =
+  while not (Atomic.get t.stop) do
+    let seen = Wakeup.current t.work in
+    if maintenance_step t then Wakeup.signal t.work
+    else if not (Atomic.get t.stop) then ignore (Wakeup.wait t.work ~seen : int)
+  done
 
 (* ---------- open / close ---------- *)
 
@@ -446,6 +452,7 @@ let open_store (opts : Options.t) =
       stats = Stats.create ();
       stop = Atomic.make false;
       maintenance = Mutex.create ();
+      work = Wakeup.create ();
       bg_domain = None;
       closed = false;
     }
@@ -456,18 +463,14 @@ let open_store (opts : Options.t) =
       if n < wal_number then
         try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
     wals;
-  t.bg_domain <-
-    Some
-      (Domain.spawn (fun () ->
-           while not (Atomic.get t.stop) do
-             if not (maintenance_step t) then Unix.sleepf 0.002
-           done));
+  t.bg_domain <- Some (Domain.spawn (fun () -> background_loop t));
   t
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
     Atomic.set t.stop true;
+    Wakeup.signal t.work;
     (match t.bg_domain with Some d -> Domain.join d | None -> ());
     (match t.pm.wal with
     | Some w ->

@@ -1,4 +1,5 @@
 open Clsm_primitives
+module Time_ns = Clsm_util.Time_ns
 
 type config = { soft_l0 : int; hard_l0 : int; max_delay_ns : int }
 
@@ -35,15 +36,13 @@ let hard_blocked o config =
 
 let admit t ~observe ~wake =
   let b = Backoff.create ~max_spins:4096 () in
-  (* [since] is the wall-clock instant this writer first found itself
+  (* [since] is the monotonic instant (ns) this writer first found itself
      hard-blocked (None while unblocked); the elapsed stall is accounted
      once, when the writer gets through (or gives up on a stopped
      store), so stall seconds in stats are real writer-observed time. *)
   let record_stall = function
     | None -> ()
-    | Some t0 ->
-        Stats.add_stall_ns t.stats
-          (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
+    | Some t0 -> Stats.add_stall_ns t.stats (Time_ns.now_ns () - t0)
   in
   let rec wait_hard since =
     let o = observe () in
@@ -54,7 +53,7 @@ let admit t ~observe ~wake =
         | None ->
             Stats.incr_write_stalls t.stats;
             wake ();
-            Some (Unix.gettimeofday ())
+            Some (Time_ns.now_ns ())
         | Some _ -> since
       in
       Backoff.once b;

@@ -9,6 +9,7 @@
 module Make (M : Memtable_intf.S) = struct
   open Clsm_primitives
   open Clsm_lsm
+  module Time_ns = Clsm_util.Time_ns
   module Job = Clsm_maintenance.Job
   module Scheduler = Clsm_maintenance.Scheduler
   module Env = Clsm_env.Env
@@ -83,7 +84,7 @@ module Make (M : Memtable_intf.S) = struct
      obsolete. Close calls this holding [close_mutex]; every other caller
      holds no lock. *)
   let commit_edit t ~kind (edit : Version_edit.t) =
-    let started = Unix.gettimeofday () in
+    let started = Time_ns.now_ns () in
     let h = t.heal in
     Mutex.lock t.install;
     Fun.protect
@@ -138,7 +139,7 @@ module Make (M : Memtable_intf.S) = struct
               bytes)
         in
         Stats.record_install t.stats ~kind ~manifest_bytes
-          ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9)))
+          ~ns:(Time_ns.now_ns () - started))
   [@@excludes_locks install lock cm hm]
 
   (* ---------- merge hooks ---------- *)
@@ -193,7 +194,7 @@ module Make (M : Memtable_intf.S) = struct
     match current_imm t with
     | No_imm -> false
     | Imm mc ->
-        let snapshots = Clock.live_snapshots t.clock ~now:(Unix.gettimeofday ()) in
+        let snapshots = Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()) in
         let bytes = M.approximate_bytes mc.mem in
         (* Safe to retry wholesale: a failed attempt cleans up its partial
            outputs (Compaction.cleanup_failed), so each retry starts from
@@ -230,8 +231,8 @@ module Make (M : Memtable_intf.S) = struct
   (* Run one claimed compaction: merge outside any lock, then install.
      Caller owns the claim on the task's level range. *)
   let run_claimed_compaction t { State.task; pinned = _ } =
-    let snapshots = Clock.live_snapshots t.clock ~now:(Unix.gettimeofday ()) in
-    let started = Unix.gettimeofday () in
+    let snapshots = Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()) in
+    let started = Time_ns.now_ns () in
     (* The expensive merge, range-partitioned across domains when the
        knob allows: each subrange gets its own clamped merge cursor and
        table writer, and the combined output list is installed below as
@@ -245,9 +246,7 @@ module Make (M : Memtable_intf.S) = struct
             ~fan_out:Scheduler.fan_out
             ~max_subcompactions:t.opts.Options.max_subcompactions task)
     in
-    let merge_duration_ns =
-      int_of_float ((Unix.gettimeofday () -. started) *. 1e9)
-    in
+    let merge_duration_ns = Time_ns.now_ns () - started in
     let bytes =
       List.fold_left
         (fun a f -> a + (Refcounted.value f).Table_file.size)
@@ -502,7 +501,7 @@ module Make (M : Memtable_intf.S) = struct
             h.scrub_cursor <- !cursor;
             if finished then
               h.scrub_next_due <-
-                Unix.gettimeofday () +. t.opts.Options.scrub_interval);
+                Time_ns.now_s () +. t.opts.Options.scrub_interval);
         (List.rev !problems, finished))
 
   (* A full scrub pass, run synchronously under the scrub claim the
@@ -602,7 +601,7 @@ module Make (M : Memtable_intf.S) = struct
           Compaction.run ~cfg:t.opts.Options.lsm ~dir:t.opts.Options.dir
             ~cache:t.cache ~env:t.opts.Options.env
             ~alloc_number:(alloc_file_number t)
-            ~snapshots:(Clock.live_snapshots t.clock ~now:(Unix.gettimeofday ()))
+            ~snapshots:(Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()))
             task
         in
         commit_edit t ~kind:`Readmit
@@ -773,7 +772,7 @@ module Make (M : Memtable_intf.S) = struct
       (* Damp the next attempt up front: a repair that fails (media
          still rotten, fault still live) must not hot-loop the pool. *)
       Mutex.protect h.hm (fun () ->
-          h.repair_next_due <- Unix.gettimeofday () +. 1.0);
+          h.repair_next_due <- Time_ns.now_s () +. 1.0);
       let finalized = finalize_quarantined t in
       let recovered = recover_from_degraded t in
       (match finalized with
@@ -798,7 +797,7 @@ module Make (M : Memtable_intf.S) = struct
     if Atomic.get t.stop then None
     else begin
       let c = t.claims and h = t.heal in
-      let now = Unix.gettimeofday () in
+      let now = Time_ns.now_s () in
       Mutex.protect c.cm (fun () ->
           let repair_wanted () =
             Mutex.protect h.hm (fun () ->
@@ -864,7 +863,7 @@ module Make (M : Memtable_intf.S) = struct
                      disk cannot hot-loop the worker. *)
                   Mutex.protect t.heal.hm (fun () ->
                       t.heal.scrub_next_due <-
-                        Unix.gettimeofday ()
+                        Time_ns.now_s ()
                         +. Float.max 1.0 t.opts.Options.scrub_interval)))
     | Job.Compact { src_level; target_level } -> (
         let range = (src_level, target_level) in

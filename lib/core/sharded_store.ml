@@ -116,7 +116,7 @@ let default_bounds n =
     invalid_arg "Sharded_store: > 256 shards need explicit shard_boundaries";
   Array.init (n - 1) (fun j -> String.make 1 (Char.chr ((j + 1) * 256 / n)))
 
-module Make (S : Store_sig.EXTENDED) = struct
+module Make_core (S : Store_sig.EXTENDED) = struct
   type t = {
     opts : Options.t;
     clock : Clock.t;
@@ -343,7 +343,7 @@ module Make (S : Store_sig.EXTENDED) = struct
     Shared_lock.lock_exclusive t.batch_lock;
     let ts, handle =
       Clock.snapshot ?ttl t.clock ~mode:(snapshot_mode t)
-        ~now:(Unix.gettimeofday ())
+        ~now:(Clsm_util.Time_ns.now_s ())
     in
     Shared_lock.unlock_exclusive t.batch_lock;
     { snap_ts = ts; handle; released = Atomic.make false }
@@ -361,12 +361,6 @@ module Make (S : Store_sig.EXTENDED) = struct
       invalid_arg "Sharded_store.get_at: released snapshot";
     let shard = shard_of t key in
     S.get_at shard (S.snapshot_at shard ~ts:s.snap_ts) key
-
-  let multi_get t keys =
-    let s = get_snap t in
-    let result = List.map (fun k -> (k, get_at t s k)) keys in
-    release_snapshot t s;
-    result
 
   (* ---------- cross-shard iterators / scans ---------- *)
 
@@ -441,41 +435,6 @@ module Make (S : Store_sig.EXTENDED) = struct
       Array.iter S.iter_close it.subs;
       if it.own_snapshot then release_snapshot it.router it.snap
     end
-
-  let range ?snapshot ?start ?stop ?(limit = max_int) t =
-    let it = iterator ?snapshot t in
-    (match start with
-    | Some s -> iter_seek it s
-    | None -> iter_seek_first it);
-    let rec collect n acc =
-      if n >= limit || not (iter_valid it) then List.rev acc
-      else
-        let k = iter_key it in
-        match stop with
-        | Some e when k >= e -> List.rev acc
-        | Some _ | None ->
-            let v = iter_value it in
-            iter_next it;
-            collect (n + 1) ((k, v) :: acc)
-    in
-    let result = collect 0 [] in
-    iter_close it;
-    result
-
-  let fold ?snapshot f t acc =
-    let it = iterator ?snapshot t in
-    iter_seek_first it;
-    let rec go acc =
-      if iter_valid it then begin
-        let k = iter_key it and v = iter_value it in
-        iter_next it;
-        go (f k v acc)
-      end
-      else acc
-    in
-    let result = go acc in
-    iter_close it;
-    result
 
   (* ---------- maintenance / introspection ---------- *)
 
@@ -594,4 +553,12 @@ module Make (S : Store_sig.EXTENDED) = struct
   let shard_boundaries t = Array.to_list t.bounds
   let shard_stats t = Array.map (fun s -> S.stats s) t.shards
   let shard_healths t = Array.map (fun s -> S.health s) t.shards
+end
+
+(* The router: the primitives above plus the bulk reads
+   {!Store_sig.Scans} derives from them. *)
+module Make (S : Store_sig.EXTENDED) = struct
+  module C = Make_core (S)
+  include C
+  include Store_sig.Scans (C)
 end

@@ -3,12 +3,7 @@
    keeps the counters allocation-free on the hot path. *)
 let max_levels = 16
 
-(* Commit-wait latencies land in power-of-two buckets: bucket [i] counts
-   waits with ns in [2^i, 2^(i+1)) (bucket 0 absorbs sub-2ns). 40 buckets
-   reach ~550 s — anything slower clamps into the last one. Log2 buckets
-   cost one increment on the commit path and still resolve p50/p99 to
-   within a factor of two, which is all the observability needs. *)
-let wait_buckets = 40
+module Histogram = Clsm_util.Histogram
 
 (* Installs are counted per edit kind, indexed by [kind_index]. *)
 type install_kind = [ `Flush | `Compaction | `Quarantine | `Readmit | `Commit ]
@@ -21,10 +16,6 @@ let kind_index = function
   | `Quarantine -> 2
   | `Readmit -> 3
   | `Commit -> 4
-
-let bucket_of_ns ns =
-  let rec bits n acc = if n <= 1 then acc else bits (n lsr 1) (acc + 1) in
-  min (wait_buckets - 1) (bits (max 1 ns) 0)
 
 type t = {
   puts : int Atomic.t;
@@ -57,11 +48,8 @@ type t = {
   wal_group_commits : int Atomic.t;
   wal_group_records : int Atomic.t;
   wal_fsyncs_saved : int Atomic.t;
-  commit_waits : int Atomic.t;
-  commit_wait_ns : int Atomic.t;
-  commit_wait_hist : int Atomic.t array; (* log2 buckets, see above *)
-  get_ns : int Atomic.t;
-  get_hist : int Atomic.t array; (* log2 buckets, same scheme *)
+  commit_wait : Histogram.t;
+  get_latency : Histogram.t;
   installs : int Atomic.t array; (* by install kind *)
   install_ns : int Atomic.t array; (* by install kind *)
   manifest_bytes_last : int Atomic.t;
@@ -140,11 +128,8 @@ let create () : t =
     wal_group_commits = Atomic.make 0;
     wal_group_records = Atomic.make 0;
     wal_fsyncs_saved = Atomic.make 0;
-    commit_waits = Atomic.make 0;
-    commit_wait_ns = Atomic.make 0;
-    commit_wait_hist = Array.init wait_buckets (fun _ -> Atomic.make 0);
-    get_ns = Atomic.make 0;
-    get_hist = Array.init wait_buckets (fun _ -> Atomic.make 0);
+    commit_wait = Histogram.create ();
+    get_latency = Histogram.create ();
     installs = Array.init (Array.length install_kinds) (fun _ -> Atomic.make 0);
     install_ns = Array.init (Array.length install_kinds) (fun _ -> Atomic.make 0);
     manifest_bytes_last = Atomic.make 0;
@@ -212,17 +197,8 @@ let record_group_commit (t : t) ~records =
   ignore (Atomic.fetch_and_add t.wal_group_records (max 0 records));
   ignore (Atomic.fetch_and_add t.wal_fsyncs_saved (max 0 (records - 1)))
 
-let record_commit_wait (t : t) ~ns =
-  Atomic.incr t.commit_waits;
-  ignore (Atomic.fetch_and_add t.commit_wait_ns (max 0 ns));
-  Atomic.incr t.commit_wait_hist.(bucket_of_ns ns)
-
-(* Point-read latency, same log2 scheme as commit waits; the count lives
-   in the histogram (sum of buckets), so only the duration sum needs a
-   second counter. *)
-let record_get_latency (t : t) ~ns =
-  ignore (Atomic.fetch_and_add t.get_ns (max 0 ns));
-  Atomic.incr t.get_hist.(bucket_of_ns ns)
+let record_commit_wait (t : t) ~ns = Histogram.record t.commit_wait ns
+let record_get_latency (t : t) ~ns = Histogram.record t.get_latency ns
 
 (* The hook record every store layer passes to [Wal_writer.create], so
    durable-commit accounting is identical no matter which layer (recovery,
@@ -235,6 +211,7 @@ let wal_observer (t : t) : Clsm_wal.Wal_writer.observer =
   }
 
 let read (t : t) : snapshot =
+  let commit_wait_hist = Histogram.counts t.commit_wait in
   {
     puts = Atomic.get t.puts;
     gets = Atomic.get t.gets;
@@ -266,38 +243,20 @@ let read (t : t) : snapshot =
     wal_group_commits = Atomic.get t.wal_group_commits;
     wal_group_records = Atomic.get t.wal_group_records;
     wal_fsyncs_saved = Atomic.get t.wal_fsyncs_saved;
-    commit_waits = Atomic.get t.commit_waits;
-    commit_wait_ns = Atomic.get t.commit_wait_ns;
-    commit_wait_hist = Array.map Atomic.get t.commit_wait_hist;
-    get_ns = Atomic.get t.get_ns;
-    get_hist = Array.map Atomic.get t.get_hist;
+    commit_waits = Array.fold_left ( + ) 0 commit_wait_hist;
+    commit_wait_ns = Histogram.sum_ns t.commit_wait;
+    commit_wait_hist;
+    get_ns = Histogram.sum_ns t.get_latency;
+    get_hist = Histogram.counts t.get_latency;
     installs = Array.map Atomic.get t.installs;
     install_ns = Array.map Atomic.get t.install_ns;
     manifest_bytes_last = Atomic.get t.manifest_bytes_last;
   }
 
-(* Percentile over a log2 histogram, reported as the matched bucket's
-   upper bound in (ceiling) microseconds — within 2x of the true value,
-   which is the resolution the buckets promise. 0 when nothing was
-   recorded. *)
+(* Ceiling microseconds, so a recorded sub-microsecond latency does not
+   read as the 0 of an empty histogram. *)
 let percentile_us (hist : int array) ~pct =
-  let total = Array.fold_left ( + ) 0 hist in
-  if total = 0 then 0
-  else begin
-    let rank = max 1 (int_of_float (ceil (float_of_int total *. pct /. 100.))) in
-    let idx = ref (wait_buckets - 1) and acc = ref 0 in
-    (try
-       Array.iteri
-         (fun i n ->
-           acc := !acc + n;
-           if !acc >= rank then begin
-             idx := i;
-             raise Exit
-           end)
-         hist
-     with Exit -> ());
-    ((1 lsl (!idx + 1)) + 999) / 1000
-  end
+  (Histogram.percentile_of_counts hist pct + 999) / 1000
 
 let commit_wait_percentile_us (s : snapshot) ~pct =
   percentile_us s.commit_wait_hist ~pct
@@ -413,19 +372,9 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
     wal_fsyncs_saved = a.wal_fsyncs_saved + b.wal_fsyncs_saved;
     commit_waits = a.commit_waits + b.commit_waits;
     commit_wait_ns = a.commit_wait_ns + b.commit_wait_ns;
-    commit_wait_hist =
-      Array.init wait_buckets (fun i ->
-          let at (arr : int array) =
-            if i < Array.length arr then arr.(i) else 0
-          in
-          at a.commit_wait_hist + at b.commit_wait_hist);
+    commit_wait_hist = Array.map2 ( + ) a.commit_wait_hist b.commit_wait_hist;
     get_ns = a.get_ns + b.get_ns;
-    get_hist =
-      Array.init wait_buckets (fun i ->
-          let at (arr : int array) =
-            if i < Array.length arr then arr.(i) else 0
-          in
-          at a.get_hist + at b.get_hist);
+    get_hist = Array.map2 ( + ) a.get_hist b.get_hist;
     installs = Array.map2 ( + ) a.installs b.installs;
     install_ns = Array.map2 ( + ) a.install_ns b.install_ns;
     manifest_bytes_last = max a.manifest_bytes_last b.manifest_bytes_last;

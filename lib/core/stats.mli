@@ -49,14 +49,16 @@ type snapshot = {
   wal_group_records : int;  (** records those rounds acknowledged *)
   wal_fsyncs_saved : int;
       (** fsyncs amortized away by batching, vs. per-write durability *)
-  commit_waits : int;  (** durable appends with a measured commit wait *)
+  commit_waits : int;
+      (** durable appends with a measured commit wait (the bucket sum of
+          [commit_wait_hist]) *)
   commit_wait_ns : int;  (** cumulative commit-wait time, nanoseconds *)
   commit_wait_hist : int array;
-      (** log2 buckets: [.(i)] counts waits in [2^i, 2^(i+1)) ns *)
+      (** {!Clsm_util.Histogram.counts} of the commit waits in ns *)
   get_ns : int;  (** cumulative point-read latency, nanoseconds *)
   get_hist : int array;
-      (** log2 buckets of point-read latency, same scheme as
-          [commit_wait_hist]; the timed-read count is the bucket sum *)
+      (** the same bucket counts of point-read latency; the timed-read
+          count is the bucket sum *)
   installs : int array;  (** committed edits, indexed as [install_kinds] *)
   install_ns : int array;
       (** cumulative install latency (install lock to retired cells), ns *)
@@ -126,15 +128,18 @@ val merge : snapshot -> snapshot -> snapshot
 (** Aggregate two stores' snapshots (the per-shard roll-up of a
     range-sharded store): counters and durations sum, the
     [max_compaction_fanout] high-watermark takes the maximum, and the
-    per-level compaction arrays add element-wise. *)
+    per-level compaction arrays and the latency histograms add
+    element-wise, so percentiles of the result are resolved over the
+    combined population. *)
 
 val merge_all : snapshot list -> snapshot
 (** [merge]d over the list; all-zero for [[]]. *)
 
 val commit_wait_percentile_us : snapshot -> pct:float -> int
-(** Percentile of the commit-wait histogram in microseconds (the matched
-    log2 bucket's upper bound, so within 2x of the true value); 0 when no
-    waits were recorded. [to_json] exports p50/p99 via this. *)
+(** Percentile of the commit-wait histogram in ceiling microseconds: the
+    midpoint of the matched bucket, within a factor of [2^(1/8)] of the
+    true order statistic (see {!Clsm_util.Histogram}); 0 when no waits
+    were recorded. [to_json] exports p50/p99 via this. *)
 
 val get_percentile_us : snapshot -> pct:float -> int
 (** Same resolution over the point-read latency histogram. *)

@@ -8,9 +8,10 @@
    {!Maintenance_hooks}, driven by the event-driven
    {!Clsm_maintenance.Scheduler}. *)
 
-module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
+module Make_core (M : Memtable_intf.S) = struct
   open Clsm_primitives
   open Clsm_lsm
+  module Time_ns = Clsm_util.Time_ns
   module State = Store_state.Make (M)
   module Hooks = Maintenance_hooks.Make (M)
   module Recover = Recovery.Make (M)
@@ -52,13 +53,12 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
             | None -> None))
 
   (* Point reads are timed end to end (memtable probe through block cache
-     and disk) into a log2 histogram — the paper's "gets never block"
+     and disk) into a latency histogram — the paper's "gets never block"
      property is only observable as a latency distribution. *)
   let timed_get t f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Time_ns.now_ns () in
     let r = f () in
-    Stats.record_get_latency t.stats
-      ~ns:(int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
+    Stats.record_get_latency t.stats ~ns:(Time_ns.now_ns () - t0);
     r
 
   let get t key =
@@ -311,7 +311,7 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
     Shared_lock.lock_shared t.lock;
     let tsb, handle =
       Clock.snapshot ?ttl t.clock ~mode:(snapshot_mode t)
-        ~now:(Unix.gettimeofday ())
+        ~now:(Time_ns.now_s ())
     in
     Shared_lock.unlock_shared t.lock;
     { snap_ts = tsb; handle; released = Atomic.make false }
@@ -338,13 +338,6 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
         | Some (Entry.Value v) -> Some v
         | Some Entry.Tombstone | None -> None)
 
-  (* Consistent multi-key read: all keys observed at one timestamp. *)
-  let multi_get t keys =
-    let s = get_snap t in
-    let result = List.map (fun k -> (k, get_at t s k)) keys in
-    release_snapshot t s;
-    result
-
   (* ---------- iterators / scans ---------- *)
 
   type iterator = {
@@ -356,34 +349,6 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
     mutable cur : (string * string) option;
     mutable it_closed : bool;
   }
-
-  (* Consume the group of versions of the user key at the merge cursor and
-     return its visible binding under the snapshot, advancing past the
-     group. *)
-  let rec next_visible merged snap_ts =
-    if not (merged.Iter.valid ()) then None
-    else begin
-      let uk = Internal_key.user_key_of (merged.Iter.key ()) in
-      let best = ref None in
-      let rec consume () =
-        if merged.Iter.valid () then begin
-          let ik = merged.Iter.key () in
-          if String.equal (Internal_key.user_key_of ik) uk then begin
-            if Internal_key.ts_of ik <= snap_ts then
-              best := Some (merged.Iter.value ());
-            merged.Iter.next ();
-            consume ()
-          end
-        end
-      in
-      consume ();
-      match !best with
-      | Some enc -> (
-          match Entry.decode enc with
-          | Entry.Value v -> Some (uk, v)
-          | Entry.Tombstone -> next_visible merged snap_ts)
-      | None -> next_visible merged snap_ts
-    end
 
   let iterator ?snapshot t =
     Stats.incr_scans t.stats;
@@ -432,12 +397,12 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
   let iter_seek_first it =
     guard_iter it (fun () ->
         it.merged.Iter.seek_to_first ();
-        it.cur <- next_visible it.merged it.snap.snap_ts)
+        it.cur <- Iter.next_visible it.merged ~snap_ts:it.snap.snap_ts)
 
   let iter_seek it target =
     guard_iter it (fun () ->
         it.merged.Iter.seek (Internal_key.make target 0);
-        it.cur <- next_visible it.merged it.snap.snap_ts)
+        it.cur <- Iter.next_visible it.merged ~snap_ts:it.snap.snap_ts)
 
   let iter_valid it = it.cur <> None
 
@@ -454,7 +419,7 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
   let iter_next it =
     if it.cur <> None then
       guard_iter it (fun () ->
-          it.cur <- next_visible it.merged it.snap.snap_ts)
+          it.cur <- Iter.next_visible it.merged ~snap_ts:it.snap.snap_ts)
 
   let iter_close it =
     if not it.it_closed then begin
@@ -463,41 +428,6 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
       it.release_refs ();
       if it.own_snapshot then release_snapshot it.db it.snap
     end
-
-  let range ?snapshot ?start ?stop ?(limit = max_int) t =
-    let it = iterator ?snapshot t in
-    (match start with
-    | Some s -> iter_seek it s
-    | None -> iter_seek_first it);
-    let rec collect n acc =
-      if n >= limit || not (iter_valid it) then List.rev acc
-      else
-        let k = iter_key it in
-        match stop with
-        | Some e when k >= e -> List.rev acc
-        | Some _ | None ->
-            let v = iter_value it in
-            iter_next it;
-            collect (n + 1) ((k, v) :: acc)
-    in
-    let result = collect 0 [] in
-    iter_close it;
-    result
-
-  let fold ?snapshot f t acc =
-    let it = iterator ?snapshot t in
-    iter_seek_first it;
-    let rec go acc =
-      if iter_valid it then begin
-        let k = iter_key it and v = iter_value it in
-        iter_next it;
-        go (f k v acc)
-      end
-      else acc
-    in
-    let result = go acc in
-    iter_close it;
-    result
 
   (* ---------- maintenance (delegated to the scheduler + hooks) ---------- *)
 
@@ -667,4 +597,12 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
   let maintenance_next t = Hooks.next t
   let maintenance_run t job = Hooks.run t job
   let set_wake_hook t f = t.wake_hook <- Some f
+end
+
+(* The sealed store: the primitives above plus the bulk reads
+   {!Store_sig.Scans} derives from them. *)
+module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
+  module C = Make_core (M)
+  include C
+  include Store_sig.Scans (C)
 end

@@ -8,6 +8,47 @@ exception Degraded of string
     The payload describes the original failure. Reads keep working; close
     the store, fix the environment and reopen to resume writing. *)
 
+(** The snapshot and iterator primitives of {!S}, from which {!Scans}
+    derives its bulk reads. *)
+module type SCAN_PRIMITIVES = sig
+  type t
+  type snapshot
+
+  val get_snap : ?ttl:float -> t -> snapshot
+  (** Consistent point-in-time view (serializable; linearizable when the
+      store was opened with [linearizable_snapshots]). Release it with
+      {!release_snapshot}, or pass [ttl] (seconds) to have the handle expire
+      automatically — the paper's two removal paths for unused snapshot
+      handles (§3.2.1). Reading through an expired snapshot is not checked;
+      its pinned versions may be garbage-collected. *)
+
+  val release_snapshot : t -> snapshot -> unit
+  (** Unpin the snapshot so compactions may GC versions it held (the
+      paper's explicit API-call removal from the active snapshot list).
+      Idempotent. *)
+
+  val get_at : t -> snapshot -> string -> string option
+  (** Snapshot read of a single key (§3.2.2). *)
+
+  (** Forward iterator over live user keys: the snapshot-filtered merge of
+      all components. Holds references on its components — {!iter_close} it. *)
+  type iterator
+
+  val iterator : ?snapshot:snapshot -> t -> iterator
+  (** Without [snapshot], an internal snapshot is taken and released on
+      close. *)
+
+  val iter_seek_first : iterator -> unit
+  val iter_seek : iterator -> string -> unit
+  (** Position at the first visible key [>= target]. *)
+
+  val iter_valid : iterator -> bool
+  val iter_key : iterator -> string
+  val iter_value : iterator -> string
+  val iter_next : iterator -> unit
+  val iter_close : iterator -> unit
+end
+
 module type S = sig
   type t
 
@@ -67,46 +108,13 @@ module type S = sig
 
   (** {1 Snapshots and scans} *)
 
-  type snapshot
-
-  val get_snap : ?ttl:float -> t -> snapshot
-  (** Consistent point-in-time view (serializable; linearizable when the
-      store was opened with [linearizable_snapshots]). Release it with
-      {!release_snapshot}, or pass [ttl] (seconds) to have the handle expire
-      automatically — the paper's two removal paths for unused snapshot
-      handles (§3.2.1). Reading through an expired snapshot is not checked;
-      its pinned versions may be garbage-collected. *)
+  include SCAN_PRIMITIVES with type t := t
 
   val snapshot_ts : snapshot -> int
-  val release_snapshot : t -> snapshot -> unit
-  (** Unpin the snapshot so compactions may GC versions it held (the
-      paper's explicit API-call removal from the active snapshot list).
-      Idempotent. *)
-
-  val get_at : t -> snapshot -> string -> string option
-  (** Snapshot read of a single key (§3.2.2). *)
 
   val multi_get : t -> string list -> (string * string option) list
   (** Read several keys from one internal snapshot, so the results are
       mutually consistent. *)
-
-  (** Forward iterator over live user keys: the snapshot-filtered merge of
-      all components. Holds references on its components — {!iter_close} it. *)
-  type iterator
-
-  val iterator : ?snapshot:snapshot -> t -> iterator
-  (** Without [snapshot], an internal snapshot is taken and released on
-      close. *)
-
-  val iter_seek_first : iterator -> unit
-  val iter_seek : iterator -> string -> unit
-  (** Position at the first visible key [>= target]. *)
-
-  val iter_valid : iterator -> bool
-  val iter_key : iterator -> string
-  val iter_value : iterator -> string
-  val iter_next : iterator -> unit
-  val iter_close : iterator -> unit
 
   val range :
     ?snapshot:snapshot ->
@@ -178,6 +186,53 @@ module type S = sig
       level invariants of the current disk component. Empty list = healthy.
       Safe on a live store (operates on a pinned version). *)
 
+end
+
+(** {!S.multi_get}, {!S.range} and {!S.fold}, written once over any
+    store's primitives. *)
+module Scans (P : SCAN_PRIMITIVES) = struct
+  open P
+
+  let multi_get t keys =
+    let s = get_snap t in
+    let result = List.map (fun k -> (k, get_at t s k)) keys in
+    release_snapshot t s;
+    result
+
+  let range ?snapshot ?start ?stop ?(limit = max_int) t =
+    let it = iterator ?snapshot t in
+    (match start with
+    | Some s -> iter_seek it s
+    | None -> iter_seek_first it);
+    let rec collect n acc =
+      if n >= limit || not (iter_valid it) then List.rev acc
+      else
+        let k = iter_key it in
+        match stop with
+        | Some e when k >= e -> List.rev acc
+        | Some _ | None ->
+            let v = iter_value it in
+            iter_next it;
+            collect (n + 1) ((k, v) :: acc)
+    in
+    let result = collect 0 [] in
+    iter_close it;
+    result
+
+  let fold ?snapshot f t acc =
+    let it = iterator ?snapshot t in
+    iter_seek_first it;
+    let rec go acc =
+      if iter_valid it then begin
+        let k = iter_key it and v = iter_value it in
+        iter_next it;
+        go (f k v acc)
+      end
+      else acc
+    in
+    let result = go acc in
+    iter_close it;
+    result
 end
 
 (** The extended surface a store exposes so a router (e.g.

@@ -131,7 +131,7 @@ module Make (M : Memtable_intf.S) = struct
       pending_quarantine = [];
       quarantined;
       scrub_cursor = None;
-      scrub_next_due = Unix.gettimeofday ();
+      scrub_next_due = Clsm_util.Time_ns.now_s ();
       repair_next_due = 0.0;
     }
 

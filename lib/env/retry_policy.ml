@@ -2,7 +2,7 @@
 
    This is deliberately distinct from [Primitives.Backoff]: that one is a
    CPU spin/yield loop for lock-free retry on the fast path; this one
-   sleeps real wall-clock time between attempts at disk operations, and
+   sleeps real time between attempts at disk operations, and
    both the clock and the sleep are injectable so unit tests can drive it
    under a fake clock with zero real delay.
 
@@ -31,7 +31,7 @@ let default =
     jitter = 0.2;
     deadline = Some 2.0;
     sleep = Unix.sleepf;
-    now = Unix.gettimeofday;
+    now = Clsm_util.Time_ns.now_s;
   }
 
 let none =

@@ -1,7 +1,7 @@
 (** Deadline-bounded capped exponential backoff for maintenance-path IO.
 
     Distinct from the spin-loop [Primitives.Backoff]: this policy sleeps
-    wall-clock time between attempts at storage operations. Both the
+    real time between attempts at storage operations. Both the
     clock ([now]) and [sleep] are injectable so tests can run it under a
     fake clock deterministically.
 
@@ -26,7 +26,8 @@ type t = {
 
 val default : t
 (** 5 attempts, 5ms initial, x2 growth, 100ms cap, 20% jitter, 2s
-    deadline, real [Unix.sleepf]/[Unix.gettimeofday]. *)
+    deadline, real [Unix.sleepf] and the monotonic
+    {!Clsm_util.Time_ns.now_s}. *)
 
 val none : t
 (** Single attempt — retries disabled. *)

@@ -140,3 +140,17 @@ let fold f it acc =
   go acc
 
 let to_list it = List.rev (fold (fun k v acc -> (k, v) :: acc) it [])
+
+let rec next_visible it ~snap_ts =
+  if not (it.valid ()) then None
+  else begin
+    let uk = Internal_key.user_key_of (it.key ()) in
+    let best = ref None in
+    while it.valid () && String.equal (Internal_key.user_key_of (it.key ())) uk do
+      if Internal_key.ts_of (it.key ()) <= snap_ts then best := Some (it.value ());
+      it.next ()
+    done;
+    match Option.map Entry.decode !best with
+    | Some (Entry.Value v) -> Some (uk, v)
+    | Some Entry.Tombstone | None -> next_visible it ~snap_ts
+  end

@@ -39,3 +39,9 @@ val fold : (string -> string -> 'acc -> 'acc) -> t -> 'acc -> 'acc
 (** Runs [seek_to_first] then folds over every entry. *)
 
 val to_list : t -> (string * string) list
+
+val next_visible : t -> snap_ts:int -> (string * string) option
+(** Over internal keys: consume every version of the user key at the
+    cursor and return its binding visible at [snap_ts]; a key whose
+    visible version is a tombstone, or that has none, is skipped for the
+    next one. [None] once the iterator is exhausted. *)

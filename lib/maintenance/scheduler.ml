@@ -59,10 +59,10 @@ let worker_loop t id =
 let ticker_loop t =
   let slice = 0.05 in
   while not (Atomic.get t.stopping) do
-    let deadline = Unix.gettimeofday () +. t.tick_interval in
+    let deadline = Clsm_util.Time_ns.now_s () +. t.tick_interval in
     let rec nap () =
       if not (Atomic.get t.stopping) then begin
-        let left = deadline -. Unix.gettimeofday () in
+        let left = deadline -. Clsm_util.Time_ns.now_s () in
         if left > 0. then begin
           Unix.sleepf (Float.min slice left);
           nap ()

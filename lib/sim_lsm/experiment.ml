@@ -1,5 +1,6 @@
 open Clsm_sim
 open Clsm_workload
+module Histogram = Clsm_util.Histogram
 
 type config = {
   system : System.t;
@@ -60,7 +61,8 @@ let spawn_workers (cfg : config) machine store counters hist =
         let op = Workload_spec.next_op cfg.workload rng in
         let t0 = Engine.now machine.Sim_store.engine in
         (Sim_store.do_op store op) (fun keys ->
-            Histogram.record hist (Engine.now machine.Sim_store.engine -. t0);
+            Histogram.record hist
+              (int_of_float ((Engine.now machine.Sim_store.engine -. t0) *. 1e9));
             counters.ops <- counters.ops + 1;
             counters.keys <- counters.keys + keys;
             step ())
@@ -73,6 +75,7 @@ let spawn_workers (cfg : config) machine store counters hist =
   done
 
 let outcome_of (cfg : config) ~ops ~keys ~stalls ~rotations hist =
+  let secs pct = float_of_int (Histogram.percentile hist pct) *. 1e-9 in
   {
     system = cfg.system;
     threads = cfg.threads;
@@ -80,9 +83,9 @@ let outcome_of (cfg : config) ~ops ~keys ~stalls ~rotations hist =
     keys;
     throughput = float_of_int ops /. cfg.duration;
     keys_per_sec = float_of_int keys /. cfg.duration;
-    p50 = Histogram.percentile hist 50.0;
-    p90 = Histogram.percentile hist 90.0;
-    p99 = Histogram.percentile hist 99.0;
+    p50 = secs 50.0;
+    p90 = secs 90.0;
+    p99 = secs 99.0;
     stalls;
     rotations;
   }

@@ -1,4 +1,5 @@
 open Clsm_primitives
+module Time_ns = Clsm_util.Time_ns
 module Env = Clsm_env.Env
 
 type group_config = { max_batch : int; max_delay_us : int }
@@ -73,14 +74,12 @@ let check_poisoned t = match t.poisoned with Some e -> raise e | None -> ()
 let poison_locked t e = if t.poisoned = None then t.poisoned <- Some e
 [@@requires_lock io_mutex]
 
-let now_ns () = Int64.to_int (Int64.of_float (Unix.gettimeofday () *. 1e9))
-
 let observe_commit t ~records ~since_ns =
   match t.observer with
   | None -> ()
   | Some o ->
       if records > 0 then o.on_group_commit ~records;
-      o.on_commit_wait ~ns:(max 0 (now_ns () - since_ns))
+      o.on_commit_wait ~ns:(max 0 (Time_ns.now_ns () - since_ns))
 
 (* Pops the async queue in one pass so a failure
    part-way through cannot leave it half-drained for the next caller:
@@ -182,7 +181,7 @@ let lead_round_locked t cfg ~accumulate =
 [@@requires_lock gm] [@@drops_lock gm]
 
 let append_group t cfg payload =
-  let t0 = now_ns () in
+  let t0 = Time_ns.now_ns () in
   Mutex.lock t.gm;
   let result =
     Fun.protect
@@ -209,7 +208,7 @@ let append_group t cfg payload =
   match result with
   | Ok () -> (
       match t.observer with
-      | Some o -> o.on_commit_wait ~ns:(max 0 (now_ns () - t0))
+      | Some o -> o.on_commit_wait ~ns:(max 0 (Time_ns.now_ns () - t0))
       | None -> ())
   | Error e -> raise e
 
@@ -245,7 +244,7 @@ let append t payload =
   match t.mode with
   | Group cfg -> append_group t cfg payload
   | Sync ->
-      let t0 = now_ns () in
+      let t0 = Time_ns.now_ns () in
       Mutex.lock t.io_mutex;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.io_mutex)

@@ -1,3 +1,5 @@
+open Clsm_util
+
 type result = {
   ops : int;
   keys_touched : int;
@@ -15,6 +17,20 @@ let pp_result ppf r =
     "%d ops in %.2fs: %.0f ops/s (%.0f keys/s), p50=%.1fus p90=%.1fus p99=%.1fus"
     r.ops r.elapsed r.throughput r.keys_per_sec (r.p50 *. 1e6) (r.p90 *. 1e6)
     (r.p99 *. 1e6)
+
+let result_of ~ops ~keys_touched ~elapsed hist =
+  let secs pct = float_of_int (Histogram.percentile hist pct) *. 1e-9 in
+  {
+    ops;
+    keys_touched;
+    elapsed;
+    throughput = float_of_int ops /. elapsed;
+    keys_per_sec = float_of_int keys_touched /. elapsed;
+    p50 = secs 50.0;
+    p90 = secs 90.0;
+    p99 = secs 99.0;
+    mean_latency = Histogram.mean_ns hist *. 1e-9;
+  }
 
 let preload ?(seed = 42) (store : Store_ops.t) (spec : Workload_spec.t) ~count =
   let rng = Rng.create seed in
@@ -39,7 +55,7 @@ let run ?(seed = 7) ~threads ~ops_per_thread (store : Store_ops.t)
     let rmw_pad = ref 0 in
     for _ = 1 to ops_per_thread do
       let op = Workload_spec.next_op spec rng in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Time_ns.now_ns () in
       (match op with
       | Workload_spec.Read ->
           ignore (store.Store_ops.get (Workload_spec.next_key spec rng));
@@ -65,24 +81,13 @@ let run ?(seed = 7) ~threads ~ops_per_thread (store : Store_ops.t)
                ~key:(Workload_spec.next_key spec rng)
                ~value:(Workload_spec.value_for spec rng));
           Atomic.incr keys_touched);
-      Histogram.record hist (Unix.gettimeofday () -. t0)
+      Histogram.record hist (Time_ns.now_ns () - t0)
     done;
     hist
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Time_ns.now_ns () in
   let domains = List.map (fun s -> Domain.spawn (worker s)) worker_seeds in
   let hists = List.map Domain.join domains in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let hist = Histogram.merge hists in
-  let ops = threads * ops_per_thread in
-  {
-    ops;
-    keys_touched = Atomic.get keys_touched;
-    elapsed;
-    throughput = float_of_int ops /. elapsed;
-    keys_per_sec = float_of_int (Atomic.get keys_touched) /. elapsed;
-    p50 = Histogram.percentile hist 50.0;
-    p90 = Histogram.percentile hist 90.0;
-    p99 = Histogram.percentile hist 99.0;
-    mean_latency = Histogram.mean hist;
-  }
+  let elapsed = float_of_int (Time_ns.now_ns () - t0) *. 1e-9 in
+  result_of ~ops:(threads * ops_per_thread)
+    ~keys_touched:(Atomic.get keys_touched) ~elapsed (Histogram.merge hists)

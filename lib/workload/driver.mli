@@ -16,6 +16,11 @@ type result = {
 
 val pp_result : Format.formatter -> result -> unit
 
+val result_of :
+  ops:int -> keys_touched:int -> elapsed:float -> Clsm_util.Histogram.t -> result
+(** Summarize a run of [elapsed] seconds whose per-op latencies (ns) are
+    in the histogram; latencies in the result are in seconds. *)
+
 val preload : ?seed:int -> Store_ops.t -> Workload_spec.t -> count:int -> unit
 (** Sequentially insert [count] keys drawn from the spec's distribution
     indices 0.. so reads have something to hit; compacts afterwards. *)

@@ -1,3 +1,5 @@
+open Clsm_util
+
 type op =
   | Get of string
   | Put of string * int
@@ -133,13 +135,13 @@ let replay ?(value_seed = 1234) (store : Store_ops.t) ops =
   let hist = Histogram.create () in
   let keys_touched = ref 0 in
   let value_for key len =
-    let rng = Rng.create (value_seed lxor Clsm_util.Hashing.hash key) in
+    let rng = Rng.create (value_seed lxor Hashing.hash key) in
     String.init len (fun _ -> Char.chr (0x20 + Rng.int rng 0x5f))
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Time_ns.now_ns () in
   List.iter
     (fun op ->
-      let start = Unix.gettimeofday () in
+      let start = Time_ns.now_ns () in
       (match op with
       | Get k ->
           ignore (store.Store_ops.get k);
@@ -156,18 +158,8 @@ let replay ?(value_seed = 1234) (store : Store_ops.t) ops =
       | Rmw (k, n) ->
           ignore (store.Store_ops.put_if_absent ~key:k ~value:(value_for k n));
           incr keys_touched);
-      Histogram.record hist (Unix.gettimeofday () -. start))
+      Histogram.record hist (Time_ns.now_ns () - start))
     ops;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let total = List.length ops in
-  {
-    Driver.ops = total;
-    keys_touched = !keys_touched;
-    elapsed;
-    throughput = float_of_int total /. elapsed;
-    keys_per_sec = float_of_int !keys_touched /. elapsed;
-    p50 = Histogram.percentile hist 50.0;
-    p90 = Histogram.percentile hist 90.0;
-    p99 = Histogram.percentile hist 99.0;
-    mean_latency = Histogram.mean hist;
-  }
+  let elapsed = float_of_int (Time_ns.now_ns () - t0) *. 1e-9 in
+  Driver.result_of ~ops:(List.length ops) ~keys_touched:!keys_touched ~elapsed
+    hist

@@ -108,6 +108,48 @@ let serialized_writers_are_safe () =
         [ 'a'; 'b'; 'c' ];
       Alcotest.(check int) "no lost writes" 0 !missing)
 
+(* A memtable a few records wide and an L0 stall limit of 3 keep the
+   writers stalled most of the time: each stall must end on the
+   background loop's install signal, with no write lost. *)
+let stalled_writers_wake () =
+  let dir = fresh_dir () in
+  let base = small_opts dir in
+  let opts =
+    {
+      base with
+      Clsm_core.Options.memtable_bytes = 2048;
+      lsm =
+        {
+          base.Clsm_core.Options.lsm with
+          Clsm_lsm.Lsm_config.l0_compaction_trigger = 2;
+          l0_slowdown_trigger = 3;
+          l0_stall_limit = 3;
+        };
+    }
+  in
+  let st = S.open_store opts in
+  let n = 1_500 in
+  let writer tag () =
+    for i = 0 to n - 1 do
+      S.put st ~key:(Printf.sprintf "%c%05d" tag i) ~value:(String.make 64 tag)
+    done
+  in
+  List.map Domain.spawn [ writer 'a'; writer 'b'; writer 'c' ]
+  |> List.iter Domain.join;
+  let missing = ref 0 in
+  List.iter
+    (fun tag ->
+      for i = 0 to n - 1 do
+        if S.get st (Printf.sprintf "%c%05d" tag i) = None then incr missing
+      done)
+    [ 'a'; 'b'; 'c' ];
+  let stats = S.stats st in
+  S.close st;
+  Alcotest.(check int) "no lost writes" 0 !missing;
+  Alcotest.(check bool) "writers stalled" true
+    (stats.Clsm_core.Stats.write_stalls > 0);
+  Alcotest.(check bool) "flushed" true (stats.Clsm_core.Stats.flushes > 1)
+
 (* ---------- Striped RMW ---------- *)
 
 let striped_counter_no_lost_updates () =
@@ -178,6 +220,8 @@ let suites =
         Alcotest.test_case "snapshots and ranges" `Quick snapshots_and_ranges;
         Alcotest.test_case "recovery" `Quick recovery;
         Alcotest.test_case "concurrent writers" `Quick serialized_writers_are_safe;
+        Alcotest.test_case "stalled writers wake on install" `Quick
+          stalled_writers_wake;
       ] );
     ( "baselines.striped_rmw",
       [

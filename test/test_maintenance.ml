@@ -184,6 +184,52 @@ let stats_json_shape () =
     && json.[0] = '{'
     && json.[String.length json - 1] = '}')
 
+(* Latency percentiles come from the shared histogram: within one bucket
+   (a factor of 2^(1/8)) of the exact order statistic, and a shard
+   roll-up resolves them over the combined population — p50 of a fast
+   and a slow shard is the fast shard's latency, not the slower
+   shard's p50. *)
+let stats_percentiles () =
+  let shard ~get_ns ~wait_ns =
+    let s = Stats.create () in
+    for _ = 1 to 100 do
+      Stats.record_get_latency s ~ns:get_ns;
+      Stats.record_commit_wait s ~ns:wait_ns
+    done;
+    Stats.read s
+  in
+  let near name expected got =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %dus ~ %dus" name got expected)
+      true
+      (float_of_int (abs (got - expected))
+      <= (float_of_int expected *. (Float.pow 2.0 0.125 -. 1.0)) +. 1.0)
+  in
+  let fast = shard ~get_ns:10_000 ~wait_ns:50_000 in
+  let slow = shard ~get_ns:1_000_000 ~wait_ns:2_000_000 in
+  near "fast get p50" 10 (Stats.get_percentile_us fast ~pct:50.);
+  near "fast commit-wait p99" 50 (Stats.commit_wait_percentile_us fast ~pct:99.);
+  near "slow get p50" 1000 (Stats.get_percentile_us slow ~pct:50.);
+  let m = Stats.merge fast slow in
+  Alcotest.(check int) "merged commit waits" 200 m.Stats.commit_waits;
+  Alcotest.(check int) "merged commit-wait ns" (100 * 2_050_000)
+    m.Stats.commit_wait_ns;
+  Alcotest.(check int) "merged get ns" (100 * 1_010_000) m.Stats.get_ns;
+  near "merged get p50" 10 (Stats.get_percentile_us m ~pct:50.);
+  near "merged get p99" 1000 (Stats.get_percentile_us m ~pct:99.);
+  near "merged commit-wait p50" 50 (Stats.commit_wait_percentile_us m ~pct:50.);
+  near "merged commit-wait p99" 2000
+    (Stats.commit_wait_percentile_us m ~pct:99.);
+  let json = Stats.to_json m in
+  let has sub =
+    let n = String.length json and k = String.length sub in
+    let rec at i = i + k <= n && (String.sub json i k = sub || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "json get_p50_us" true
+    (has (Printf.sprintf "\"get_p50_us\":%d," (Stats.get_percentile_us m ~pct:50.)));
+  Alcotest.(check bool) "json commit_waits" true (has "\"commit_waits\":200,")
+
 (* Counters are plain Atomics: domains hammering them concurrently must
    lose no increments, the fan-out high-watermark must converge to the
    true maximum, and a JSON snapshot taken afterwards must reflect the
@@ -589,6 +635,8 @@ let suites =
         Alcotest.test_case "to_json shape" `Quick stats_json_shape;
         Alcotest.test_case "concurrent counter updates" `Quick
           stats_concurrent_updates;
+        Alcotest.test_case "percentiles and shard roll-up" `Quick
+          stats_percentiles;
       ] );
     ( "maintenance.store",
       [

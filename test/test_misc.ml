@@ -1,6 +1,7 @@
 (* Assorted micro edge cases rounding out the per-module suites. *)
 
 open Clsm_workload
+module Histogram = Clsm_util.Histogram
 
 (* ---------- skiplist degenerate shapes ---------- *)
 
@@ -43,7 +44,7 @@ let skiplist_cursor_sees_prior_inserts_after_seek () =
 
 let prop_histogram_percentile_monotone =
   QCheck.Test.make ~name:"histogram percentiles monotone" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 200) (float_range 1e-9 1.0))
+    QCheck.(list_of_size Gen.(1 -- 200) (int_range 1 1_000_000_000))
     (fun samples ->
       let h = Histogram.create () in
       List.iter (Histogram.record h) samples;
@@ -57,12 +58,12 @@ let prop_histogram_percentile_monotone =
 
 let prop_histogram_percentile_brackets_max =
   QCheck.Test.make ~name:"p100 within a bucket of max" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 100) (float_range 1e-7 0.1))
+    QCheck.(list_of_size Gen.(1 -- 100) (int_range 100 100_000_000))
     (fun samples ->
       let h = Histogram.create () in
       List.iter (Histogram.record h) samples;
-      let mx = List.fold_left Float.max 0.0 samples in
-      let p100 = Histogram.percentile h 100.0 in
+      let mx = float_of_int (List.fold_left max 0 samples) in
+      let p100 = float_of_int (Histogram.percentile h 100.0) in
       p100 >= mx *. 0.85 && p100 <= mx *. 1.15)
 
 (* ---------- wal large records ---------- *)

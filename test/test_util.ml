@@ -217,6 +217,71 @@ let prop_hash64_nonnegative =
     QCheck.(string_of_size Gen.(0 -- 64))
     (fun s -> Hashing.hash64 s >= 0)
 
+(* ---------- Histogram ---------- *)
+
+(* Latencies spread over every octave the histogram resolves, zero
+   included, so the exact region, the log-linear region and the octave
+   edges are all exercised. *)
+let latency_gen = QCheck.Gen.(int_range 0 39 >>= fun e -> int_bound (1 lsl e))
+
+let latencies =
+  QCheck.make ~print:QCheck.Print.(list int)
+    QCheck.Gen.(list_size (1 -- 300) latency_gen)
+
+let prop_histogram_percentile_within_bucket =
+  QCheck.Test.make ~name:"percentile within 2^(1/8) of the order statistic"
+    ~count:300
+    QCheck.(pair latencies (float_range 0.0 100.0))
+    (fun (samples, pct) ->
+      let h = Histogram.create () in
+      List.iter (Histogram.record h) samples;
+      let sorted = Array.of_list (List.sort compare samples) in
+      let n = Array.length sorted in
+      let rank = max 1 (int_of_float (Float.ceil (float_of_int n *. pct /. 100.0))) in
+      let exact = float_of_int sorted.(rank - 1) in
+      let got = float_of_int (Histogram.percentile h pct) in
+      let bound = Float.pow 2.0 0.125 in
+      if exact = 0.0 then got = 0.0
+      else got <= exact *. bound && exact <= got *. bound)
+
+let prop_histogram_merge_is_union =
+  QCheck.Test.make ~name:"merge equals recording both inputs" ~count:200
+    QCheck.(pair latencies latencies)
+    (fun (xs, ys) ->
+      let of_list l =
+        let h = Histogram.create () in
+        List.iter (Histogram.record h) l;
+        h
+      in
+      let merged = Histogram.merge [ of_list xs; of_list ys ] in
+      let both = of_list (xs @ ys) in
+      Histogram.counts merged = Histogram.counts both
+      && Histogram.sum_ns merged = Histogram.sum_ns both
+      && Histogram.count merged = List.length xs + List.length ys)
+
+let histogram_concurrent_record () =
+  let domains = 4 and per_domain = 100_000 in
+  let h = Histogram.create () in
+  let value d i = (i * 7919 + d) mod 5_000_000 in
+  let workers =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            for i = 1 to per_domain do
+              Histogram.record h (value d i)
+            done))
+  in
+  List.iter Domain.join workers;
+  let sequential = Histogram.create () in
+  for d = 0 to domains - 1 do
+    for i = 1 to per_domain do
+      Histogram.record sequential (value d i)
+    done
+  done;
+  Alcotest.(check int) "count" (domains * per_domain) (Histogram.count h);
+  Alcotest.(check int) "sum" (Histogram.sum_ns sequential) (Histogram.sum_ns h);
+  Alcotest.(check (array int)) "buckets" (Histogram.counts sequential)
+    (Histogram.counts h)
+
 let suites =
   [
     ( "util.varint",
@@ -253,4 +318,11 @@ let suites =
         Alcotest.test_case "mix64 spreads" `Quick mix64_spreads;
       ] );
     qsuite "util.hashing.props" [ prop_hash64_nonnegative ];
+    ( "util.histogram",
+      [
+        Alcotest.test_case "4 domains lose no count" `Quick
+          histogram_concurrent_record;
+      ] );
+    qsuite "util.histogram.props"
+      [ prop_histogram_percentile_within_bucket; prop_histogram_merge_is_union ];
   ]

@@ -1,4 +1,5 @@
 open Clsm_workload
+module Histogram = Clsm_util.Histogram
 
 (* ---------- Rng ---------- *)
 
@@ -101,7 +102,7 @@ let key_encoding_sorted () =
 let histogram_percentiles () =
   let h = Histogram.create () in
   for i = 1 to 1000 do
-    Histogram.record h (float_of_int i *. 1e-6)
+    Histogram.record h (i * 1000)
   done;
   Alcotest.(check int) "count" 1000 (Histogram.count h);
   let p50 = Histogram.percentile h 50.0 in
@@ -109,29 +110,30 @@ let histogram_percentiles () =
   let p99 = Histogram.percentile h 99.0 in
   let close name got expected =
     Alcotest.(check bool)
-      (Printf.sprintf "%s %.1fus ~ %.1fus" name (got *. 1e6) (expected *. 1e6))
+      (Printf.sprintf "%s %dns ~ %.0fns" name got expected)
       true
-      (got > expected *. 0.8 && got < expected *. 1.25)
+      (float_of_int got > expected *. 0.8 && float_of_int got < expected *. 1.25)
   in
-  close "p50" p50 500e-6;
-  close "p90" p90 900e-6;
-  close "p99" p99 990e-6;
+  close "p50" p50 500e3;
+  close "p90" p90 900e3;
+  close "p99" p99 990e3;
   Alcotest.(check bool) "ordered" true (p50 <= p90 && p90 <= p99);
-  close "mean" (Histogram.mean h) 500.5e-6;
-  Alcotest.(check bool) "max" true (Histogram.max_value h = 1000e-6)
+  Alcotest.(check (float 1e-6)) "mean" 500_500.0 (Histogram.mean_ns h);
+  close "p100 is the max" (Histogram.percentile h 100.0) 1000e3
 
 let histogram_merge () =
   let a = Histogram.create () and b = Histogram.create () in
-  Histogram.record a 1e-6;
-  Histogram.record b 100e-6;
+  Histogram.record a 1_000;
+  Histogram.record b 100_000;
   let m = Histogram.merge [ a; b ] in
   Alcotest.(check int) "merged count" 2 (Histogram.count m);
-  Alcotest.(check bool) "p99 from b" true (Histogram.percentile m 99.0 > 50e-6)
+  Alcotest.(check int) "merged sum" 101_000 (Histogram.sum_ns m);
+  Alcotest.(check bool) "p99 from b" true (Histogram.percentile m 99.0 > 50_000)
 
 let histogram_empty () =
   let h = Histogram.create () in
-  Alcotest.(check (float 0.0)) "empty percentile" 0.0 (Histogram.percentile h 90.0);
-  Alcotest.(check (float 0.0)) "empty mean" 0.0 (Histogram.mean h)
+  Alcotest.(check int) "empty percentile" 0 (Histogram.percentile h 90.0);
+  Alcotest.(check (float 0.0)) "empty mean" 0.0 (Histogram.mean_ns h)
 
 (* ---------- Workload_spec ---------- *)
 
