@@ -689,7 +689,8 @@ let run_read ~scale ~out =
    [Crc32c.sub] on the way in, and through [Crc32c] on the way out; an
    L0→L1 merge strings both together with block decode, merge and
    encode. Each kernel runs [samples] timed batches and reports MB/s of
-   the median and best batch. *)
+   the median and best batch; the point lookups report ns per call
+   instead (see [point_lookup_rows]). *)
 
 let block_bytes = 4096
 
@@ -713,6 +714,102 @@ let kernel_row name ~bytes_per_sample (median, best) =
       ("median_mb_per_s", J.Float median);
       ("best_mb_per_s", J.Float best);
     ]
+
+(* Point lookups served wholly from the block cache, in the shape of the
+   e2e get_resident workload: 8 B keys and 256 B values, preloaded,
+   compacted and warmed by a full fold. Times a cached
+   [Table.find_last_le] on the store's largest table and [Db.get] on the
+   store, and counts the minor-heap words each call allocates: on OCaml 5
+   every minor collection stops every domain. *)
+let point_lookup_rows ~scale ~samples =
+  let module Table = Clsm_sstable.Table in
+  let keys = match scale with Smoke -> 10_000 | Full -> 100_000 in
+  let ops = match scale with Smoke -> 20_000 | Full -> 200_000 in
+  let key i = Clsm_workload.Key_dist.key_of_index ~key_len:8 i in
+  let value = String.make 256 'v' in
+  let dir = fresh_dir () in
+  let db =
+    Db.open_store
+      {
+        (Options.default ~dir) with
+        Options.cache_bytes = 64 lsl 20;
+        scrub_interval = 0.0;
+      }
+  in
+  let chunk = 1000 in
+  for c = 0 to (keys / chunk) - 1 do
+    Db.write_batch db
+      (List.init chunk (fun j -> Db.Batch_put (key ((c * chunk) + j), value)))
+  done;
+  Db.compact_now db;
+  ignore (Db.fold (fun _ _ n -> n + 1) db 0 : int);
+  let rng = Random.State.make [| 7 |] in
+  let probes = Array.init 4096 (fun _ -> key (Random.State.int rng keys)) in
+  (* [samples] timed batches of [ops] calls: median and best ns per call,
+     and the minor words per call of the median batch. *)
+  let row name call =
+    for i = 0 to Array.length probes - 1 do
+      call probes.(i)
+    done;
+    let mask = Array.length probes - 1 in
+    let runs =
+      List.init samples (fun _ ->
+          let w0 = Gc.minor_words () in
+          let t0 = Time_ns.now_ns () in
+          for i = 0 to ops - 1 do
+            call (Array.unsafe_get probes (i land mask))
+          done;
+          let ns = Time_ns.now_ns () - t0 in
+          let words = Gc.minor_words () -. w0 in
+          (float_of_int ns /. float_of_int ops, words /. float_of_int ops))
+      |> List.sort compare
+    in
+    let median_ns, words = List.nth runs (samples / 2) in
+    let best_ns, _ = List.hd runs in
+    Printf.printf "  %-22s median %8.0f ns/op   best %8.0f ns/op   %6.1f words/op\n%!"
+      name median_ns best_ns words;
+    J.Obj
+      [
+        ("kernel", J.Str name);
+        ("ops_per_sample", J.Int ops);
+        ("median_ns_per_op", J.Float median_ns);
+        ("best_ns_per_op", J.Float best_ns);
+        ("minor_words_per_op", J.Float words);
+      ]
+  in
+  let db_row =
+    row "point_lookup.db_get" (fun k ->
+        ignore (Sys.opaque_identity (Db.get db k) : string option))
+  in
+  Db.close db;
+  let largest =
+    Array.to_list (Sys.readdir dir)
+    |> List.filter (fun f -> Filename.check_suffix f ".sst")
+    |> List.map (fun f -> Filename.concat dir f)
+    |> List.sort (fun a b ->
+           compare (Unix.stat b).Unix.st_size (Unix.stat a).Unix.st_size)
+    |> List.hd
+  in
+  let cache =
+    Clsm_sstable.Cache.create ~capacity:(64 lsl 20)
+      ~weight:Clsm_sstable.Block.size_bytes ()
+  in
+  let table = Table.open_file ~cache ~cmp:Internal_key.comparator largest in
+  let in_table =
+    Array.of_list
+      (Table.fold (fun k _ acc -> Internal_key.probe (Internal_key.user_key_of k) :: acc)
+         table [])
+  in
+  Array.iteri
+    (fun i _ -> probes.(i) <- in_table.(Random.State.int rng (Array.length in_table)))
+    probes;
+  let table_row =
+    row "point_lookup.find_last_le" (fun k ->
+        ignore (Sys.opaque_identity (Table.find_last_le table k) : _ option))
+  in
+  Table.close table;
+  rm_rf dir;
+  [ table_row; db_row ]
 
 let run_kernels ~scale ~out =
   Printf.printf "clsm kernel bench (%s scale, %d core(s))\n%!" (scale_name scale)
@@ -791,6 +888,7 @@ let run_kernels ~scale ~out =
     inputs;
   rm_rf dir;
   let merge_row = kernel_row "merge" ~bytes_per_sample:input_bytes merge in
+  let point_rows = point_lookup_rows ~scale ~samples in
   let doc =
     J.Obj
       [
@@ -804,7 +902,7 @@ let run_kernels ~scale ~out =
         ("block_bytes", J.Int block_bytes);
         ("samples", J.Int samples);
         ("merge_input_files", J.Int num_files);
-        ("kernels", J.List [ crc_row; read_row; merge_row ]);
+        ("kernels", J.List ([ crc_row; read_row; merge_row ] @ point_rows));
       ]
   in
   let oc = open_out out in

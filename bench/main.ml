@@ -25,7 +25,9 @@
    --kernels [smoke] [--out FILE]
                    MB/s of the per-block byte loops: Crc32c.sub and
                    Env.unix rf_read on 4 KB blocks, and one L0→L1 merge;
-                   same JSON schema (default BENCH_kernels.json) *)
+                   ns and minor words per cached point lookup
+                   (Table.find_last_le, Db.get); same JSON schema
+                   (default BENCH_kernels.json) *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -29,44 +29,59 @@ module Make_core (M : Memtable_intf.S) = struct
   let on_corrupt t tf detail =
     ignore (enqueue_quarantine t ~number:tf.Table_file.number ~detail : bool)
 
+  (* Each component is probed under a reference taken from its RCU box
+     and dropped after, also when the probe raises. Written out rather
+     than through [Rcu_box.with_ref] so that a get allocates no closure. *)
   let get_entry t ~user_key ~snap_ts =
+    let pm = Rcu_box.acquire t.pm in
     let from_pm =
-      Rcu_box.with_ref t.pm (fun mc -> M.get mc.mem ~user_key ~snap_ts)
+      match M.get (Refcounted.value pm).mem ~user_key ~snap_ts with
+      | r -> Refcounted.decr pm; r
+      | exception e -> Refcounted.decr pm; raise e
     in
     match from_pm with
     | Some (_, entry) -> Some entry
     | None -> (
+        let pimm = Rcu_box.acquire t.pimm in
         let from_imm =
-          Rcu_box.with_ref t.pimm (fun slot ->
-              match slot with
-              | No_imm -> None
-              | Imm mc -> M.get mc.mem ~user_key ~snap_ts)
+          match
+            match Refcounted.value pimm with
+            | No_imm -> None
+            | Imm mc -> M.get mc.mem ~user_key ~snap_ts
+          with
+          | r -> Refcounted.decr pimm; r
+          | exception e -> Refcounted.decr pimm; raise e
         in
         match from_imm with
         | Some (_, entry) -> Some entry
         | None -> (
-            match
-              Rcu_box.with_ref t.pd (fun v ->
-                  Version.get ~on_corrupt:(on_corrupt t) v ~user_key ~snap_ts)
-            with
-            | Some (_, entry) -> Some entry
-            | None -> None))
+            let pd = Rcu_box.acquire t.pd in
+            let from_disk =
+              match
+                Version.get ~on_corrupt:(on_corrupt t) (Refcounted.value pd)
+                  ~user_key ~snap_ts
+              with
+              | r -> Refcounted.decr pd; r
+              | exception e -> Refcounted.decr pd; raise e
+            in
+            match from_disk with Some (_, entry) -> Some entry | None -> None))
 
   (* Point reads are timed end to end (memtable probe through block cache
      and disk) into a latency histogram — the paper's "gets never block"
      property is only observable as a latency distribution. *)
-  let timed_get t f =
+  let timed_get t ~user_key ~snap_ts =
     let t0 = Time_ns.now_ns () in
-    let r = f () in
+    let r =
+      match get_entry t ~user_key ~snap_ts with
+      | Some (Entry.Value v) -> Some v
+      | Some Entry.Tombstone | None -> None
+    in
     Stats.record_get_latency t.stats ~ns:(Time_ns.now_ns () - t0);
     r
 
   let get t key =
     Stats.incr_gets t.stats;
-    timed_get t (fun () ->
-        match get_entry t ~user_key:key ~snap_ts:Internal_key.max_ts with
-        | Some (Entry.Value v) -> Some v
-        | Some Entry.Tombstone | None -> None)
+    timed_get t ~user_key:key ~snap_ts:Internal_key.max_ts
 
   (* ---------- writes (Algorithm 1/2: shared lock + timestamp) ----------
 
@@ -333,10 +348,7 @@ module Make_core (M : Memtable_intf.S) = struct
   let get_at t s key =
     Stats.incr_gets t.stats;
     if Atomic.get s.released then invalid_arg "Db.get_at: released snapshot";
-    timed_get t (fun () ->
-        match get_entry t ~user_key:key ~snap_ts:s.snap_ts with
-        | Some (Entry.Value v) -> Some v
-        | Some Entry.Tombstone | None -> None)
+    timed_get t ~user_key:key ~snap_ts:s.snap_ts
 
   (* ---------- iterators / scans ---------- *)
 

@@ -8,6 +8,11 @@ val encode : t -> string
 val decode : string -> t
 (** Raises [Invalid_argument] on an unknown tag. *)
 
+val decode_at : string -> pos:int -> len:int -> t
+(** [decode_at s ~pos ~len = decode (String.sub s pos len)], copying the
+    value out of [s] once: reads an entry where it lies in a block (see
+    [Block.Iter.read_value]). *)
+
 val is_tombstone : t -> bool
 
 val encoded_is_tombstone : string -> bool

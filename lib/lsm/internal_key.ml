@@ -5,11 +5,14 @@ type t = { user_key : string; ts : int }
 let ts_size = 8
 let max_ts = max_int
 
-let encode { user_key; ts } =
-  let buf = Buffer.create (String.length user_key + ts_size) in
-  Buffer.add_string buf user_key;
-  Binary.write_fixed64 buf ts;
-  Buffer.contents buf
+let make user_key ts =
+  let n = String.length user_key in
+  let b = Bytes.create (n + ts_size) in
+  Bytes.blit_string user_key 0 b 0 n;
+  Binary.put_fixed64 b ~pos:n ts;
+  Bytes.unsafe_to_string b
+
+let encode { user_key; ts } = make user_key ts
 
 let check s =
   if String.length s < ts_size then invalid_arg "Internal_key: too short"
@@ -19,7 +22,6 @@ let decode s =
   let n = String.length s - ts_size in
   { user_key = String.sub s 0 n; ts = Binary.get_fixed64 s ~pos:n }
 
-let make user_key ts = encode { user_key; ts }
 let probe user_key = make user_key max_ts
 
 let user_key_of s =
@@ -34,19 +36,37 @@ let compare a b =
   let c = String.compare a.user_key b.user_key in
   if c <> 0 then c else Int.compare a.ts b.ts
 
-let compare_encoded a b =
-  let la = String.length a - ts_size and lb = String.length b - ts_size in
-  if la < 0 || lb < 0 then invalid_arg "Internal_key.compare_encoded";
-  let n = min la lb in
-  let rec go i =
-    if i = n then
-      if la <> lb then Int.compare la lb
-      else Int.compare (Binary.get_fixed64 a ~pos:la) (Binary.get_fixed64 b ~pos:lb)
-    else
-      let ca = String.unsafe_get a i and cb = String.unsafe_get b i in
-      if Char.equal ca cb then go (i + 1) else Char.compare ca cb
-  in
-  go 0
+(* The timestamp stored at [s.[pos .. pos+8)], read without
+   [Binary.get_fixed64]'s range check so that ordering a damaged key
+   never raises. Equal to [get_fixed64] on every key {!encode} wrote. *)
+let ts_at s pos =
+  Binary.get_fixed32 s ~pos lor (Binary.get_fixed32 s ~pos:(pos + 4) lsl 32)
 
-let comparator =
-  { Clsm_sstable.Comparator.name = "clsm-internal-key"; compare = compare_encoded }
+(* The one implementation of the internal-key order: user keys
+   bytewise (a proper prefix first), then timestamps ascending. A plain
+   loop, so a comparison allocates nothing. *)
+let compare_sub s pos len target =
+  let la = len - ts_size and lb = String.length target - ts_size in
+  if la < 0 || lb < 0 then invalid_arg "Internal_key.compare_encoded";
+  let n = if la < lb then la else lb in
+  let i = ref 0 in
+  while
+    !i < n
+    && Char.equal (String.unsafe_get s (pos + !i)) (String.unsafe_get target !i)
+  do
+    incr i
+  done;
+  if !i < n then
+    Char.compare (String.unsafe_get s (pos + !i)) (String.unsafe_get target !i)
+  else if la <> lb then Int.compare la lb
+  else Int.compare (ts_at s (pos + la)) (ts_at target lb)
+
+let compare_encoded a b = compare_sub a 0 (String.length a) b
+
+let compare_user_key ik user_key =
+  check ik;
+  Clsm_sstable.Comparator.bytewise_compare_sub ik 0
+    (String.length ik - ts_size)
+    user_key
+
+let comparator = Clsm_sstable.Comparator.make ~name:"clsm-internal-key" compare_sub

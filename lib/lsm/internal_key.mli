@@ -34,6 +34,13 @@ val ts_of : string -> int
 
 val compare : t -> t -> int
 val compare_encoded : string -> string -> int
+(** Order of encoded keys. Raises [Invalid_argument] on a key shorter
+    than {!ts_size}. *)
+
+val compare_user_key : string -> string -> int
+(** [compare_user_key ik k] = [String.compare (user_key_of ik) k],
+    without the copy. *)
 
 val comparator : Clsm_sstable.Comparator.t
-(** {!compare_encoded} packaged for blocks and tables. *)
+(** The order packaged for blocks and tables: its [compare_sub] is the
+    one implementation, [compare_encoded] its whole-string form. *)

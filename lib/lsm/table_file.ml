@@ -40,13 +40,6 @@ let open_number ?cache ?(env = Env.unix) ~dir number =
 let typed_corruption t detail =
   Corruption { number = t.number; path = Clsm_sstable.Table.path t.table; detail }
 
-(* Run [f] on the table, translating the sstable layer's stringly
-   [Table.Corrupt] into the typed {!Corruption} that names the file — the
-   unit the store can contain (quarantine) without guessing. *)
-let with_table t f =
-  try f t.table
-  with Clsm_sstable.Table.Corrupt m -> raise (typed_corruption t m)
-
 let mark_obsolete t = Atomic.set t.obsolete true
 
 let release t =

@@ -39,10 +39,6 @@ val open_number :
 val typed_corruption : t -> string -> exn
 (** The {!Corruption} exception for this file with the given detail. *)
 
-val with_table : t -> (Clsm_sstable.Table.t -> 'a) -> 'a
-(** Run a read against the table, translating
-    {!Clsm_sstable.Table.Corrupt} into {!Corruption} naming this file. *)
-
 val mark_obsolete : t -> unit
 (** The file will be deleted once its last reference is dropped. *)
 

@@ -2,11 +2,11 @@ open Clsm_primitives
 
 type file = Table_file.t Refcounted.t
 
-type t = { l0 : file list; levels : file list array }
+type t = { l0 : file list; levels : file list array; runs : file array array }
 
 let empty ~num_levels =
   if num_levels < 2 then invalid_arg "Version.empty";
-  { l0 = []; levels = Array.make (num_levels - 1) [] }
+  { l0 = []; levels = Array.make (num_levels - 1) []; runs = Array.make (num_levels - 1) [||] }
 
 let addref file =
   (* Files listed in a live version always have a positive count: the
@@ -17,7 +17,7 @@ let addref file =
 let create ~l0 ~levels =
   List.iter addref l0;
   Array.iter (List.iter addref) levels;
-  { l0; levels = Array.copy levels }
+  { l0; levels = Array.copy levels; runs = Array.map Array.of_list levels }
 
 let release t =
   List.iter Refcounted.decr t.l0;
@@ -47,25 +47,106 @@ let total_bytes t =
 
 let user_range_contains tf user_key =
   let open Table_file in
-  tf.smallest <> ""
-  && String.compare (Internal_key.user_key_of tf.smallest) user_key <= 0
-  && String.compare user_key (Internal_key.user_key_of tf.largest) <= 0
+  String.length tf.smallest > 0
+  && Internal_key.compare_user_key tf.smallest user_key <= 0
+  && Internal_key.compare_user_key tf.largest user_key >= 0
+
+(* The block entry a lookup landed on, if it is a version of [user_key]:
+   its timestamp and the entry, whose value is the one copy made. *)
+let read_hit user_key it =
+  let ik = Clsm_sstable.Block.Iter.key it in
+  if Internal_key.compare_user_key ik user_key <> 0 then None
+  else
+    Some
+      ( Internal_key.ts_of ik,
+        Clsm_sstable.Block.Iter.read_value it Entry.decode_at )
 
 (* Newest entry for [user_key] with ts <= probe's ts inside one file.
-   Raises {!Table_file.Corruption} on a checksum/decode failure. *)
-let search_file file ~user_key ~probe =
+   A block that fails its checksum or does not decode raises
+   {!Table_file.Corruption}, or with [on_corrupt] is reported and the
+   file treated as a miss. The probe is a well-formed internal key, so
+   a key too short or a timestamp out of range ([Invalid_argument],
+   [Failure]) or an unknown entry tag is the file's fault too. *)
+let search_file on_corrupt file ~user_key ~probe =
   let tf = Refcounted.value file in
-  if not (user_range_contains tf user_key) then None
-  else if not (Clsm_sstable.Table.may_contain tf.Table_file.table user_key)
-  then None
+  let table = tf.Table_file.table in
+  if not (Clsm_sstable.Table.may_contain table user_key) then None
   else
     match
-      Table_file.with_table tf (fun table ->
-          Clsm_sstable.Table.find_last_le table probe)
+      Clsm_sstable.Table.find_last_le_with table probe (fun it ->
+          read_hit user_key it)
     with
-    | Some (ik, v) when String.equal (Internal_key.user_key_of ik) user_key ->
-        Some (Internal_key.ts_of ik, Entry.decode v)
-    | Some _ | None -> None
+    | hit -> hit
+    | exception
+        ( Clsm_sstable.Table.Corrupt detail
+        | Invalid_argument detail
+        | Failure detail ) -> (
+        match on_corrupt with
+        | None -> raise (Table_file.typed_corruption tf detail)
+        | Some report ->
+            report tf detail;
+            None)
+
+(* L0 files may overlap, so every file is consulted and the newest
+   matching version wins. *)
+let rec search_l0 on_corrupt files best ~user_key ~probe =
+  match files with
+  | [] -> best
+  | file :: rest ->
+      let best =
+        if not (user_range_contains (Refcounted.value file) user_key) then best
+        else
+          match (search_file on_corrupt file ~user_key ~probe, best) with
+          | (Some (ts, _) as hit), Some (best_ts, _) when ts > best_ts -> hit
+          | Some _, Some _ -> best
+          | hit, None -> hit
+          | None, best -> best
+      in
+      search_l0 on_corrupt rest best ~user_key ~probe
+
+(* Index of the last file in a sorted run whose smallest user key is <=
+   [user_key] (an empty file counts as smallest), or -1. *)
+let last_starting_at_or_before files user_key =
+  let lo = ref 0 and hi = ref (Array.length files) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let smallest = (Refcounted.value files.(mid)).Table_file.smallest in
+    if
+      String.length smallest = 0
+      || Internal_key.compare_user_key smallest user_key <= 0
+    then lo := mid + 1
+    else hi := mid
+  done;
+  !lo - 1
+
+(* Deeper levels are disjoint, but versions of one user key can straddle
+   adjacent files; the later file holds the newer versions, so the files
+   holding [user_key] are searched from file [j] backwards, newest range
+   first, until one ends before [user_key]. *)
+let rec search_run on_corrupt files j ~user_key ~probe =
+  if j < 0 then None
+  else
+    let tf = Refcounted.value files.(j) in
+    if String.length tf.Table_file.smallest = 0 then
+      search_run on_corrupt files (j - 1) ~user_key ~probe
+    else if Internal_key.compare_user_key tf.Table_file.largest user_key < 0
+    then None
+    else
+      match search_file on_corrupt files.(j) ~user_key ~probe with
+      | Some _ as hit -> hit
+      | None -> search_run on_corrupt files (j - 1) ~user_key ~probe
+
+let rec search_levels on_corrupt runs i ~user_key ~probe =
+  if i >= Array.length runs then None
+  else
+    let files = runs.(i) in
+    match
+      search_run on_corrupt files
+        (last_starting_at_or_before files user_key)
+        ~user_key ~probe
+    with
+    | Some _ as hit -> hit
+    | None -> search_levels on_corrupt runs (i + 1) ~user_key ~probe
 
 let get ?on_corrupt t ~user_key ~snap_ts =
   (* With [on_corrupt], a file that fails its checksum is reported and
@@ -73,52 +154,10 @@ let get ?on_corrupt t ~user_key ~snap_ts =
      answers, possibly with an older committed version — that is the
      containment contract, surfaced as [`Partial] health by the store.
      Without it, the typed {!Table_file.Corruption} propagates. *)
-  let search_file file ~user_key ~probe =
-    match on_corrupt with
-    | None -> search_file file ~user_key ~probe
-    | Some report -> (
-        try search_file file ~user_key ~probe
-        with Table_file.Corruption { detail; _ } ->
-          report (Refcounted.value file) detail;
-          None)
-  in
   let probe = Internal_key.make user_key snap_ts in
-  (* L0 files may overlap, so every file is consulted and the newest
-     matching version wins. *)
-  let best =
-    List.fold_left
-      (fun acc file ->
-        match (search_file file ~user_key ~probe, acc) with
-        | (Some (ts, _) as hit), Some (best_ts, _) when ts > best_ts -> hit
-        | Some _, Some _ -> acc
-        | hit, None -> hit
-        | None, acc -> acc)
-      None t.l0
-  in
-  match best with
+  match search_l0 on_corrupt t.l0 None ~user_key ~probe with
   | Some _ as hit -> hit
-  | None ->
-      (* Deeper levels are disjoint, but versions of one user key can
-         straddle two adjacent files; the later file holds the newer
-         versions, so candidates are scanned newest-range-first. *)
-      let rec search_levels i =
-        if i >= Array.length t.levels then None
-        else
-          let candidates =
-            List.filter
-              (fun f -> user_range_contains (Refcounted.value f) user_key)
-              t.levels.(i)
-          in
-          let rec try_files = function
-            | [] -> search_levels (i + 1)
-            | f :: rest -> (
-                match search_file f ~user_key ~probe with
-                | Some _ as hit -> hit
-                | None -> try_files rest)
-          in
-          try_files (List.rev candidates)
-      in
-      search_levels 0
+  | None -> search_levels on_corrupt t.runs 0 ~user_key ~probe
 
 (* Table iterator that translates the sstable layer's stringly Corrupt
    into the typed {!Table_file.Corruption}. Scans do NOT transparently

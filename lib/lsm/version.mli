@@ -15,6 +15,7 @@ type file = Table_file.t Clsm_primitives.Refcounted.t
 type t = {
   l0 : file list; (* newest first *)
   levels : file list array; (* [levels.(i)] is level [i+1], sorted, disjoint *)
+  runs : file array array; (* [levels] as arrays, binary-searched by {!get} *)
 }
 
 val empty : num_levels:int -> t

@@ -164,12 +164,20 @@ module Make (Key : ORDERED) = struct
     | Next n when Key.compare n.key key = 0 -> Some n.value
     | Next _ | Nil -> None
 
+  (* The last node with key <= [key], as the link that reached it ([Nil]
+     when there is none). Moves right while the next key is <= [key] and
+     down otherwise, holding links already in the list, so the descent
+     allocates nothing. *)
+  let rec last_le t key level (pred : 'v succ) =
+    let cell = match pred with Nil -> t.head.(level) | Next p -> p.next.(level) in
+    match Atomic.get cell with
+    | Next n as s when Key.compare n.key key <= 0 -> last_le t key level s
+    | Next _ | Nil -> if level = 0 then pred else last_le t key (level - 1) pred
+
   let find_le t key =
-    let pred, _, succ = locate_bottom t key in
-    match succ with
-    | Next n when Key.compare n.key key = 0 -> Some (n.key, n.value)
-    | Next _ | Nil -> (
-        match pred with None -> None | Some p -> Some (p.key, p.value))
+    match last_le t key (Atomic.get t.height - 1) Nil with
+    | Nil -> None
+    | Next n -> Some (n.key, n.value)
 
   let find_ge t key =
     let _, _, succ = locate_bottom t key in

@@ -2,6 +2,8 @@ open Clsm_util
 
 exception Corrupt of string
 
+let corrupt m = raise (Corrupt m)
+
 type t = {
   data : string;
   limit : int; (* end of entry region / start of restart array *)
@@ -19,155 +21,247 @@ let parse cmp data =
 
 let num_restarts t = t.num_restarts
 let size_bytes t = String.length t.data
-
-let restart_offset t i =
-  Binary.get_fixed32 t.data ~pos:(String.length t.data - 4 - (4 * (t.num_restarts - i)))
+let restart_offset t i = Binary.get_fixed32 t.data ~pos:(t.limit + (4 * i))
 
 module Iter = struct
+  (* An entry is [shared; non_shared; value_len] as varints, then the
+     [non_shared] key bytes that follow the [shared]-byte prefix of the
+     previous key, then the value. Keys are rebuilt into two buffers that
+     the iterator owns: a step forward writes the new key into [spare]
+     and swaps, so [spare] then holds the previous key and {!step_back}
+     swaps again. The two keys share the [shared] prefix of the newer
+     one, so the next step copies only what the older one lacks. Nothing
+     is allocated per entry once the buffers fit
+     the block's longest key; [key] makes the key a string on demand,
+     once per entry. *)
   type iter = {
-    block : t;
-    mutable offset : int; (* start of current entry, or limit when done *)
+    mutable block : t;
+    mutable pos : int; (* varint cursor *)
+    mutable offset : int; (* start of current entry, [block.limit] when invalid *)
     mutable next_offset : int;
-    mutable cur_key : string;
-    mutable cur_value_pos : int;
-    mutable cur_value_len : int;
-    mutable is_valid : bool;
+    mutable key : Bytes.t; (* current key is [key.[0 .. key_len)] *)
+    mutable key_len : int;
+    mutable spare : Bytes.t;
+    mutable common : int; (* [key] and [spare] agree on this many bytes *)
+    mutable value_pos : int;
+    mutable value_len : int;
+    (* the entry before the current one, for {!step_back} *)
+    mutable prev_offset : int;
+    mutable prev_key_len : int;
+    mutable prev_value_pos : int;
+    mutable key_string : string; (* [key] as a string when [key_cached] *)
+    mutable key_cached : bool;
   }
 
   let make block =
     {
       block;
+      pos = 0;
       offset = block.limit;
       next_offset = block.limit;
-      cur_key = "";
-      cur_value_pos = 0;
-      cur_value_len = 0;
-      is_valid = false;
+      key = Bytes.empty;
+      key_len = 0;
+      spare = Bytes.empty;
+      common = 0;
+      value_pos = 0;
+      value_len = 0;
+      prev_offset = block.limit;
+      prev_key_len = 0;
+      prev_value_pos = 0;
+      key_string = "";
+      key_cached = false;
     }
 
-  let valid it = it.is_valid
+  let reset it block =
+    it.block <- block;
+    it.offset <- block.limit;
+    it.next_offset <- block.limit;
+    it.key_len <- 0;
+    it.common <- 0;
+    it.key_cached <- false
+
+  let valid it = it.offset < it.block.limit
 
   let key it =
-    if not it.is_valid then invalid_arg "Block.Iter.key: invalid iterator";
-    it.cur_key
+    if not (valid it) then invalid_arg "Block.Iter.key: invalid iterator";
+    if not it.key_cached then begin
+      it.key_string <- Bytes.sub_string it.key 0 it.key_len;
+      it.key_cached <- true
+    end;
+    it.key_string
 
   let value it =
-    if not it.is_valid then invalid_arg "Block.Iter.value: invalid iterator";
-    String.sub it.block.data it.cur_value_pos it.cur_value_len
+    if not (valid it) then invalid_arg "Block.Iter.value: invalid iterator";
+    String.sub it.block.data it.value_pos it.value_len
 
-  (* Decode the entry at [it.next_offset], using [it.cur_key] as the prefix
-     source. *)
-  let decode_next it =
+  let read_value it f =
+    if not (valid it) then invalid_arg "Block.Iter.read_value: invalid iterator";
+    f it.block.data ~pos:it.value_pos ~len:it.value_len
+
+  (* LEB128 at the cursor, bounded by [limit]; the same checks as
+     {!Varint.read}, raised as {!Corrupt}. *)
+  let rec read_varint_from it data limit acc shift =
+    let pos = it.pos in
+    if pos >= limit then corrupt "varint truncated";
+    if shift > 7 * (Varint.max_length - 1) then corrupt "varint too long";
+    let byte = Char.code (String.unsafe_get data pos) in
+    it.pos <- pos + 1;
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte >= 0x80 then read_varint_from it data limit acc (shift + 7)
+    else if acc < 0 then corrupt "varint overflow"
+    else acc
+
+  let read_varint it limit = read_varint_from it it.block.data limit 0 0
+
+  let value_handle it =
+    if not (valid it) then invalid_arg "Block.Iter.value_handle: invalid iterator";
+    let limit = it.value_pos + it.value_len in
+    it.pos <- it.value_pos;
+    let offset = read_varint it limit in
+    let size = read_varint it limit in
+    { Block_handle.offset; size }
+
+  (* Both lengths come from the block, so neither the key nor the value
+     may reach past the entry region. *)
+  let check_extent b ~key_pos ~non_shared ~value_len =
+    if non_shared > b.limit - key_pos || value_len > b.limit - key_pos - non_shared
+    then corrupt "entry overruns block"
+
+  (* Decode the entry at [off], which follows the current one. *)
+  let decode_at it off =
     let b = it.block in
-    if it.next_offset >= b.limit then it.is_valid <- false
-    else begin
-      let pos = it.next_offset in
-      let shared, pos =
-        try Varint.read b.data ~pos with Varint.Corrupt m -> raise (Corrupt m)
-      in
-      let non_shared, pos = Varint.read b.data ~pos in
-      let value_len, pos = Varint.read b.data ~pos in
-      if pos + non_shared + value_len > b.limit then
-        raise (Corrupt "entry overruns block");
-      if shared > String.length it.cur_key then
-        raise (Corrupt "shared prefix longer than previous key");
-      it.cur_key <-
-        String.sub it.cur_key 0 shared ^ String.sub b.data pos non_shared;
-      it.cur_value_pos <- pos + non_shared;
-      it.cur_value_len <- value_len;
-      it.offset <- it.next_offset;
-      it.next_offset <- it.cur_value_pos + value_len;
-      it.is_valid <- true
-    end
+    it.pos <- off;
+    let shared = read_varint it b.limit in
+    let non_shared = read_varint it b.limit in
+    let value_len = read_varint it b.limit in
+    let key_pos = it.pos in
+    check_extent b ~key_pos ~non_shared ~value_len;
+    if shared > it.key_len then corrupt "shared prefix longer than previous key";
+    let len = shared + non_shared in
+    (* [spare] already agrees with [key] on its first [common] bytes. *)
+    let kept =
+      if Bytes.length it.spare < len then begin
+        it.spare <- Bytes.create (Int.max len (2 * Bytes.length it.spare));
+        0
+      end
+      else Int.min it.common shared
+    in
+    let k = it.spare in
+    Bytes.blit it.key kept k kept (shared - kept);
+    Bytes.blit_string b.data key_pos k shared non_shared;
+    it.spare <- it.key;
+    it.key <- k;
+    it.common <- shared;
+    it.prev_offset <- it.offset;
+    it.prev_key_len <- it.key_len;
+    it.prev_value_pos <- it.value_pos;
+    it.offset <- off;
+    it.key_len <- len;
+    it.value_pos <- key_pos + non_shared;
+    it.value_len <- value_len;
+    it.next_offset <- key_pos + non_shared + value_len;
+    it.key_cached <- false
+
+  (* Undo the last {!decode_at}: the previous key is in [spare], and the
+     previous entry ends where the current one starts. *)
+  let step_back it =
+    let k = it.key in
+    it.key <- it.spare;
+    it.spare <- k;
+    it.next_offset <- it.offset;
+    it.value_len <- it.offset - it.prev_value_pos;
+    it.offset <- it.prev_offset;
+    it.key_len <- it.prev_key_len;
+    it.value_pos <- it.prev_value_pos;
+    it.key_cached <- false
+
+  let invalidate it = it.offset <- it.block.limit
+
+  let advance it =
+    if it.next_offset >= it.block.limit then invalidate it
+    else decode_at it it.next_offset
 
   let seek_to_restart it i =
-    it.next_offset <- restart_offset it.block i;
-    it.cur_key <- "";
-    it.is_valid <- false
+    let off = restart_offset it.block i in
+    if off > it.block.limit then corrupt "restart offset past entries";
+    it.next_offset <- off;
+    it.offset <- it.block.limit;
+    it.key_len <- 0;
+    it.common <- 0;
+    it.key_cached <- false
+
+  (* Order the key of restart [i], stored whole, against [target] where
+     it lies in the block. *)
+  let restart_compare it i target =
+    let b = it.block in
+    it.pos <- restart_offset b i;
+    if read_varint it b.limit <> 0 then corrupt "restart entry has shared bytes";
+    let non_shared = read_varint it b.limit in
+    let value_len = read_varint it b.limit in
+    let key_pos = it.pos in
+    check_extent b ~key_pos ~non_shared ~value_len;
+    b.cmp.Comparator.compare_sub b.data key_pos non_shared target
+
+  (* The buffer is only read for the duration of the call. *)
+  let compare_current it target =
+    it.block.cmp.Comparator.compare_sub
+      (Bytes.unsafe_to_string it.key)
+      0 it.key_len target
 
   let seek_to_first it =
     seek_to_restart it 0;
-    decode_next it
+    advance it
 
-  let next it = if it.is_valid then decode_next it
+  let next it = if valid it then advance it
 
-  (* Key at a restart point (always stored in full). *)
-  let restart_key b i =
-    let pos = restart_offset b i in
-    let shared, pos = Varint.read b.data ~pos in
-    if shared <> 0 then raise (Corrupt "restart entry has shared bytes");
-    let non_shared, pos = Varint.read b.data ~pos in
-    let _value_len, pos = Varint.read b.data ~pos in
-    String.sub b.data pos non_shared
-
-  let seek it target =
-    let b = it.block in
-    let cmp = b.cmp.Comparator.compare in
-    (* Binary search: greatest restart i whose key is < target. *)
-    let lo = ref 0 and hi = ref (b.num_restarts - 1) in
+  (* Binary search: the greatest restart whose key compares below
+     [bound] against [target] (0: key < target, 1: key <= target), or
+     restart 0. *)
+  let restart_below it target bound =
+    let lo = ref 0 and hi = ref (it.block.num_restarts - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if cmp (restart_key b mid) target < 0 then lo := mid else hi := mid - 1
+      if restart_compare it mid target < bound then lo := mid else hi := mid - 1
     done;
-    seek_to_restart it !lo;
-    decode_next it;
-    while it.is_valid && cmp it.cur_key target < 0 do
-      decode_next it
-    done
+    !lo
 
-  (* Starting from the current position, keep advancing while [keep] holds
-     for the decoded entry, leaving the iterator on the last entry that
-     satisfied it (invalid if none did). *)
-  let scan_keeping_last it keep =
-    if not (it.is_valid && keep it.cur_key) then it.is_valid <- false
-    else
-      (* Invariant: the current entry satisfies [keep]. Step forward until
-         the next entry does not, then restore the last accepted one. *)
-      let rec go () =
-        let offset = it.offset
-        and next_offset = it.next_offset
-        and key = it.cur_key
-        and vpos = it.cur_value_pos
-        and vlen = it.cur_value_len in
-        decode_next it;
-        if it.is_valid && keep it.cur_key then go ()
-        else begin
-          it.offset <- offset;
-          it.next_offset <- next_offset;
-          it.cur_key <- key;
-          it.cur_value_pos <- vpos;
-          it.cur_value_len <- vlen;
-          it.is_valid <- true
-        end
-      in
-      go ()
+  let seek it target =
+    seek_to_restart it (restart_below it target 0);
+    advance it;
+    while valid it && compare_current it target < 0 do
+      advance it
+    done
 
   let seek_le it target =
     let b = it.block in
-    let cmp = b.cmp.Comparator.compare in
-    (* Greatest restart i whose key is <= target. *)
-    if cmp (restart_key b 0) target > 0 then it.is_valid <- false
+    if b.limit = 0 || restart_compare it 0 target > 0 then invalidate it
     else begin
-      let lo = ref 0 and hi = ref (b.num_restarts - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if cmp (restart_key b mid) target <= 0 then lo := mid else hi := mid - 1
-      done;
-      seek_to_restart it !lo;
-      decode_next it;
-      scan_keeping_last it (fun k -> cmp k target <= 0)
+      seek_to_restart it (restart_below it target 1);
+      advance it;
+      (* Step forward while the next entry is still <= target; the first
+         one past it is stepped back over. *)
+      let stepping = ref true in
+      while !stepping && it.next_offset < b.limit do
+        decode_at it it.next_offset;
+        if compare_current it target > 0 then begin
+          step_back it;
+          stepping := false
+        end
+      done
     end
 
   let seek_last it =
     seek_to_restart it (it.block.num_restarts - 1);
-    decode_next it;
-    scan_keeping_last it (fun _ -> true)
+    advance it;
+    while valid it && it.next_offset < it.block.limit do
+      decode_at it it.next_offset
+    done
 
   let fold f block acc =
     let it = make block in
     seek_to_first it;
     let rec go acc =
-      if it.is_valid then begin
+      if valid it then begin
         let k = key it and v = value it in
         next it;
         go (f k v acc)

@@ -1,8 +1,17 @@
 (** Reader for blocks produced by {!Block_builder}: in-memory parse plus a
     seekable iterator that binary-searches the restart array and then scans
-    forward, reconstructing prefix-compressed keys. *)
+    forward, reconstructing prefix-compressed keys.
+
+    The search compares keys where they lie, through the comparator's
+    [compare_sub]: restart keys in the block bytes, rebuilt keys in two
+    buffers the iterator owns. Positioning allocates nothing once those
+    buffers fit the block's longest key; only {!Iter.key} and
+    {!Iter.value} copy bytes out. *)
 
 exception Corrupt of string
+(** A structurally malformed block. Every decode failure of a block —
+    restart array, varint, entry extent, shared prefix — is raised as
+    this. *)
 
 type t
 
@@ -18,6 +27,10 @@ module Iter : sig
 
   val make : t -> iter
   (** Fresh iterator, initially invalid. *)
+
+  val reset : iter -> t -> unit
+  (** Rebind to another block, invalid, keeping the key buffers: one
+      iterator serves block after block. *)
 
   val seek_to_first : iter -> unit
 
@@ -38,6 +51,18 @@ module Iter : sig
   (** Raises [Invalid_argument] if not {!valid}. *)
 
   val value : iter -> string
+  (** Raises [Invalid_argument] if not {!valid}. [key] is made a string
+      once per entry and then returned as is; [value] copies each call. *)
+
+  val read_value : iter -> (string -> pos:int -> len:int -> 'a) -> 'a
+  (** [read_value it f] applies [f] to the current value where it lies:
+      [f data ~pos ~len] with [String.sub data pos len = value it].
+      [data] is the whole block: [f] copies out what it keeps. *)
+
+  val value_handle : iter -> Block_handle.t
+  (** The current value decoded as a block handle (index blocks), with
+      no copy. Raises {!Corrupt} if it is not one. *)
+
   val next : iter -> unit
 
   val fold : (string -> string -> 'acc -> 'acc) -> t -> 'acc -> 'acc

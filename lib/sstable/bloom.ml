@@ -29,18 +29,17 @@ let mem t key =
   let nbits = Bytes.length t.bits * 8 in
   let h = ref (bloom_hash key) in
   let delta = ((!h lsr 17) lor (!h lsl 15)) land 0xffffffff in
-  let rec probe remaining =
-    if remaining = 0 then true
-    else
-      let bit = !h mod nbits in
-      let byte = Char.code (Bytes.get t.bits (bit / 8)) in
-      if byte land (1 lsl (bit mod 8)) = 0 then false
-      else begin
-        h := (!h + delta) land 0xffffffff;
-        probe (remaining - 1)
-      end
-  in
-  probe t.k
+  let remaining = ref t.k and hit = ref true in
+  while !hit && !remaining > 0 do
+    let bit = !h mod nbits in
+    let byte = Char.code (Bytes.get t.bits (bit / 8)) in
+    if byte land (1 lsl (bit mod 8)) = 0 then hit := false
+    else begin
+      h := (!h + delta) land 0xffffffff;
+      decr remaining
+    end
+  done;
+  !hit
 
 let encode t = Bytes.to_string t.bits ^ String.make 1 (Char.chr t.k)
 

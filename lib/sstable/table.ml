@@ -145,15 +145,21 @@ let load_block t handle =
       let key = t.key_prefix ^ string_of_int handle.Block_handle.offset in
       Cache.find_or_add cache key decode
 
-let handle_of_index_value v =
-  let handle, _ = Block_handle.decode v ~pos:0 in
-  handle
+(* A block decode failure, named by the offset of the block. *)
+let corrupt_at offset m = raise (Corrupt (Printf.sprintf "block@%d: %s" offset m))
+
+let index_offset t = t.footer.Table_format.index_handle.Block_handle.offset
+
+(* What an iterator points at before its first block. *)
+let empty_block =
+  Block.parse Comparator.bytewise (Block_builder.finish (Block_builder.create ()))
 
 module Iter = struct
   type iter = {
     table : t;
     index_iter : Block.Iter.iter;
-    mutable data_iter : Block.Iter.iter option;
+    data_iter : Block.Iter.iter; (* rebound to each data block in turn *)
+    mutable at : int; (* offset of the block being decoded, for errors *)
     mutable seq_blocks : int;
         (* consecutive sequential (index [next]) block advances; reset by
            any seek, so point reads never trigger readahead *)
@@ -166,7 +172,8 @@ module Iter = struct
     {
       table;
       index_iter = Block.Iter.make table.index;
-      data_iter = None;
+      data_iter = Block.Iter.make empty_block;
+      at = index_offset table;
       seq_blocks = 0;
       ra_until = 0;
     }
@@ -190,7 +197,7 @@ module Iter = struct
     Block.Iter.next probe;
     let continue = ref true in
     while !continue && !n < k && Block.Iter.valid probe do
-      let h = handle_of_index_value (Block.Iter.value probe) in
+      let h = Block.Iter.value_handle probe in
       if h.Block_handle.offset = !run_end then begin
         run := h :: !run;
         run_end := block_end h;
@@ -226,129 +233,173 @@ module Iter = struct
         let k = Cache.readahead_blocks cache in
         if k > 0 && it.seq_blocks >= 1 && Block.Iter.valid it.index_iter
         then begin
-          let cur = handle_of_index_value (Block.Iter.value it.index_iter) in
+          let cur = Block.Iter.value_handle it.index_iter in
           if cur.Block_handle.offset >= it.ra_until then
             try readahead_batch it cache k cur with _ -> ()
         end
 
   let load_data_block it =
     if Block.Iter.valid it.index_iter then begin
-      let handle = handle_of_index_value (Block.Iter.value it.index_iter) in
-      it.data_iter <- Some (Block.Iter.make (load_block it.table handle))
+      let handle = Block.Iter.value_handle it.index_iter in
+      Block.Iter.reset it.data_iter (load_block it.table handle);
+      it.at <- handle.Block_handle.offset
     end
-    else it.data_iter <- None
+    else Block.Iter.reset it.data_iter empty_block
 
   (* Advance to the first valid entry at or after the current position,
      skipping exhausted data blocks. *)
   let rec skip_exhausted it =
-    match it.data_iter with
-    | Some di when Block.Iter.valid di -> ()
-    | Some _ | None ->
-        Block.Iter.next it.index_iter;
-        if Block.Iter.valid it.index_iter then begin
-          it.seq_blocks <- it.seq_blocks + 1;
-          maybe_readahead it;
-          load_data_block it;
-          (match it.data_iter with
-          | Some di -> Block.Iter.seek_to_first di
-          | None -> ());
-          skip_exhausted it
-        end
-        else it.data_iter <- None
+    if not (Block.Iter.valid it.data_iter) then begin
+      it.at <- index_offset it.table;
+      Block.Iter.next it.index_iter;
+      if Block.Iter.valid it.index_iter then begin
+        it.seq_blocks <- it.seq_blocks + 1;
+        maybe_readahead it;
+        load_data_block it;
+        Block.Iter.seek_to_first it.data_iter;
+        skip_exhausted it
+      end
+      else Block.Iter.reset it.data_iter empty_block
+    end
 
+  (* Block decode errors, raised as {!Corrupt} naming the block. *)
   let seek_to_first it =
-    it.seq_blocks <- 0;
-    Block.Iter.seek_to_first it.index_iter;
-    load_data_block it;
-    (match it.data_iter with
-    | Some di -> Block.Iter.seek_to_first di
-    | None -> ());
-    skip_exhausted it
+    try
+      it.seq_blocks <- 0;
+      it.at <- index_offset it.table;
+      Block.Iter.seek_to_first it.index_iter;
+      load_data_block it;
+      Block.Iter.seek_to_first it.data_iter;
+      skip_exhausted it
+    with Block.Corrupt m -> corrupt_at it.at m
 
   let seek it target =
     (* Index keys are the last key of each block, so the first index entry
        >= target points at the only block that can contain it. *)
-    it.seq_blocks <- 0;
-    Block.Iter.seek it.index_iter target;
-    load_data_block it;
-    (match it.data_iter with
-    | Some di -> Block.Iter.seek di target
-    | None -> ());
-    skip_exhausted it
-
-  let valid it =
-    match it.data_iter with Some di -> Block.Iter.valid di | None -> false
-
-  let key it =
-    match it.data_iter with
-    | Some di -> Block.Iter.key di
-    | None -> invalid_arg "Table.Iter.key: invalid iterator"
-
-  let value it =
-    match it.data_iter with
-    | Some di -> Block.Iter.value di
-    | None -> invalid_arg "Table.Iter.value: invalid iterator"
+    try
+      it.seq_blocks <- 0;
+      it.at <- index_offset it.table;
+      Block.Iter.seek it.index_iter target;
+      load_data_block it;
+      Block.Iter.seek it.data_iter target;
+      skip_exhausted it
+    with Block.Corrupt m -> corrupt_at it.at m
 
   let next it =
-    match it.data_iter with
-    | Some di ->
-        Block.Iter.next di;
-        skip_exhausted it
-    | None -> ()
+    try
+      Block.Iter.next it.data_iter;
+      skip_exhausted it
+    with Block.Corrupt m -> corrupt_at it.at m
+
+  let valid it = Block.Iter.valid it.data_iter
+  let key it = Block.Iter.key it.data_iter
+  let value it = Block.Iter.value it.data_iter
 end
 
 let index_anchors t =
   let it = Block.Iter.make t.index in
-  Block.Iter.seek_to_first it;
   let rec go acc =
     if Block.Iter.valid it then begin
       let k = Block.Iter.key it in
-      let h = handle_of_index_value (Block.Iter.value it) in
+      let h = Block.Iter.value_handle it in
       Block.Iter.next it;
       go ((k, h.Block_handle.size) :: acc)
     end
     else List.rev acc
   in
-  go []
+  try
+    Block.Iter.seek_to_first it;
+    go []
+  with Block.Corrupt m -> corrupt_at (index_offset t) m
 
 let find_first_ge t probe =
   let it = Iter.make t in
   Iter.seek it probe;
   if Iter.valid it then Some (Iter.key it, Iter.value it) else None
 
-let find_last_le t probe =
-  let index_it = Block.Iter.make t.index in
-  let last_entry_of handle =
-    let di = Block.Iter.make (load_block t handle) in
-    Block.Iter.seek_last di;
-    if Block.Iter.valid di then Some (Block.Iter.key di, Block.Iter.value di)
-    else None
-  in
-  (* The first block whose last key >= probe is the only one that can hold
-     entries in (prev_block.last, probe]; if it holds nothing <= probe, the
-     answer is the last entry of the latest block entirely <= probe. *)
-  Block.Iter.seek index_it probe;
-  if Block.Iter.valid index_it then begin
-    let handle = handle_of_index_value (Block.Iter.value index_it) in
-    let di = Block.Iter.make (load_block t handle) in
-    Block.Iter.seek_le di probe;
-    if Block.Iter.valid di then Some (Block.Iter.key di, Block.Iter.value di)
-    else begin
-      (* Every entry of that block is > probe: fall back to the preceding
-         block, i.e. the greatest index key <= probe. *)
-      Block.Iter.seek_le index_it probe;
-      if Block.Iter.valid index_it then
-        last_entry_of (handle_of_index_value (Block.Iter.value index_it))
-      else None
+(* Point lookups reuse one pair of block iterators per domain, so after
+   the first few calls their key buffers fit and a cache-hit lookup
+   allocates nothing but what the caller copies out. A lookup that finds
+   the domain's pair busy (a systhread or fiber interleaved on the
+   domain, or a reader that looks up again) takes a fresh pair. *)
+type lookup = {
+  mutable busy : bool;
+  mutable at : int; (* offset of the block being decoded, for errors *)
+  index_it : Block.Iter.iter;
+  data_it : Block.Iter.iter;
+}
+
+let new_lookup () =
+  {
+    busy = false;
+    at = 0;
+    index_it = Block.Iter.make empty_block;
+    data_it = Block.Iter.make empty_block;
+  }
+
+let lookups = Domain.DLS.new_key new_lookup
+
+let release_lookup l =
+  (* Hold no block of this table past the call. *)
+  Block.Iter.reset l.index_it empty_block;
+  Block.Iter.reset l.data_it empty_block;
+  l.busy <- false
+
+let load_data t l handle =
+  Block.Iter.reset l.data_it (load_block t handle);
+  l.at <- handle.Block_handle.offset
+
+(* Leave [l.data_it] on the last entry of the block at [handle]. *)
+let seek_last_of t l handle =
+  load_data t l handle;
+  Block.Iter.seek_last l.data_it;
+  Block.Iter.valid l.data_it
+
+(* Leave [l.data_it] on the last entry <= probe; false if there is none.
+   The first block whose last key >= probe is the only one that can hold
+   entries in (prev_block.last, probe]; if it holds nothing <= probe, the
+   answer is the last entry of the latest block entirely <= probe. *)
+let seek_last_le t l probe =
+  let ii = l.index_it in
+  Block.Iter.reset ii t.index;
+  l.at <- index_offset t;
+  Block.Iter.seek ii probe;
+  if Block.Iter.valid ii then begin
+    load_data t l (Block.Iter.value_handle ii);
+    Block.Iter.seek_le l.data_it probe;
+    Block.Iter.valid l.data_it
+    ||
+    (* Every entry of that block is > probe: fall back to the preceding
+       block, i.e. the greatest index key <= probe. *)
+    begin
+      l.at <- index_offset t;
+      Block.Iter.seek_le ii probe;
+      Block.Iter.valid ii && seek_last_of t l (Block.Iter.value_handle ii)
     end
   end
   else begin
     (* probe is past every block: answer is the last entry of the table. *)
-    Block.Iter.seek_last index_it;
-    if Block.Iter.valid index_it then
-      last_entry_of (handle_of_index_value (Block.Iter.value index_it))
-    else None
+    Block.Iter.seek_last ii;
+    Block.Iter.valid ii && seek_last_of t l (Block.Iter.value_handle ii)
   end
+
+let find_last_le_with t probe f =
+  let l = Domain.DLS.get lookups in
+  let l = if l.busy then new_lookup () else l in
+  l.busy <- true;
+  match
+    try if seek_last_le t l probe then f l.data_it else None
+    with Block.Corrupt m -> corrupt_at l.at m
+  with
+  | r ->
+      release_lookup l;
+      r
+  | exception e ->
+      release_lookup l;
+      raise e
+
+let find_last_le t probe =
+  find_last_le_with t probe (fun it -> Some (Block.Iter.key it, Block.Iter.value it))
 
 let fold f t acc =
   let it = Iter.make t in
@@ -391,7 +442,7 @@ let data_block_handles t =
   Block.Iter.seek_to_first it;
   let rec go acc =
     if Block.Iter.valid it then begin
-      let h = handle_of_index_value (Block.Iter.value it) in
+      let h = Block.Iter.value_handle it in
       Block.Iter.next it;
       go (h :: acc)
     end

@@ -3,6 +3,10 @@
     iterator. Open tables are immutable and safe to share across domains. *)
 
 exception Corrupt of string
+(** A block that fails its checksum or does not decode. Every read —
+    {!find_first_ge}, {!find_last_le}, {!Iter} seeks and steps,
+    {!index_anchors} — raises this, never {!Block.Corrupt}; the message
+    names the block's byte offset ["block@<offset>: ..."]. *)
 
 type t
 
@@ -44,7 +48,17 @@ val find_first_ge : t -> string -> (string * string) option
 val find_last_le : t -> string -> (string * string) option
 (** Last binding with key [<= probe] — the newest version not exceeding a
     snapshot timestamp when internal keys order timestamps ascending.
-    Like {!find_first_ge}, not Bloom-gated. *)
+    Like {!find_first_ge}, not Bloom-gated.
+    [find_last_le t p = find_last_le_with t p (fun it -> Some (key, value))]. *)
+
+val find_last_le_with : t -> string -> (Block.Iter.iter -> 'a option) -> 'a option
+(** [find_last_le_with t probe f] positions a block iterator on the last
+    binding with key [<= probe] and returns [f] of it, or [None] if there
+    is none. [f] reads the entry in place ({!Block.Iter.key},
+    {!Block.Iter.read_value}) and must not keep the iterator: it belongs
+    to the calling domain and is reused by its next lookup. A cache-hit
+    lookup allocates nothing but [f]'s result, the block handle and the
+    cache key. *)
 
 module Iter : sig
   (** Two-level iterator with forward-scan readahead: after the first

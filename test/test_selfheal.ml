@@ -279,6 +279,53 @@ let persistent_rot_round_trip () =
     (Db.verify_integrity db);
   Db.close db
 
+(* A block whose checksum holds but whose entries do not decode (a
+   writer bug rather than media rot) is contained like rot: the get that
+   meets it reports the table for quarantine and answers from the rest
+   of the store instead of raising. The first entry of the table's first
+   block gets a value-length varint that runs on into the key and past
+   the block; the trailer is recomputed. *)
+let malformed_block_is_contained () =
+  let dir = fresh_dir () in
+  let opts = small_opts dir in
+  let db = Db.open_store opts in
+  fill db;
+  Db.close db;
+  let sst =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n -> Filename.check_suffix n ".sst")
+    |> List.sort compare |> List.hd
+  in
+  let path = Filename.concat dir sst in
+  let t = Clsm_sstable.Table.open_file ~cmp:Internal_key.comparator path in
+  let size = snd (List.hd (Clsm_sstable.Table.index_anchors t)) in
+  let user_key =
+    Internal_key.user_key_of
+      (Clsm_sstable.Table.properties t).Clsm_sstable.Table_format.smallest
+  in
+  Clsm_sstable.Table.close t;
+  let raw = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  Alcotest.(check bool) "restart entry header" true
+    (Bytes.get raw 0 = '\000' && Char.code (Bytes.get raw 2) < 0x80);
+  Bytes.set raw 2 (Char.chr (Char.code (Bytes.get raw 2) lor 0x80));
+  let crc =
+    Clsm_util.Crc32c.sub (Bytes.unsafe_to_string raw) ~pos:0 ~len:(size + 1)
+  in
+  Clsm_util.Binary.put_fixed32 raw ~pos:(size + 1) (Clsm_util.Crc32c.mask crc);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc raw);
+  let db = Db.open_store opts in
+  (match Db.get db user_key with
+  | got ->
+      (* Its only version lived in the damaged block. *)
+      Alcotest.(check (option string)) "answered as a miss" None got
+  | exception e -> Alcotest.failf "get raised %s" (Printexc.to_string e));
+  Alcotest.(check bool) "corruption counted" true
+    ((Db.stats db).Stats.corruptions_detected > 0);
+  (match Db.health db with
+  | `Partial _ -> ()
+  | `Ok | `Degraded _ -> Alcotest.fail "expected `Partial with the table reported");
+  Db.close db
+
 (* ---------- transient fsync faults ride through retry ---------- *)
 
 let transient_fsync_completes_via_retry () =
@@ -341,6 +388,8 @@ let suites =
       [
         Alcotest.test_case "transient rot round trip" `Quick
           transient_rot_round_trip;
+        Alcotest.test_case "malformed block contained" `Quick
+          malformed_block_is_contained;
         Alcotest.test_case "persistent rot round trip" `Quick
           persistent_rot_round_trip;
       ] );

@@ -179,6 +179,104 @@ let prop_block_seek_le_matches_model =
       in
       got = expected)
 
+(* The iterator against a sorted-list oracle. Every case builds one
+   block, then for each target checks the entry [seek], [seek_le] or
+   [seek_last] lands on, key and value, and every entry [next] reaches
+   after it. Keys share a 14-byte prefix and differ in a short tail, so
+   most entries store a byte or two of their own and [seek_le]'s one-step
+   undo (a buffer swap) lands on restart and block edges at every
+   restart interval. One iterator, rebound with [reset], serves every
+   case, so stale key buffers from a previous block are exercised too. *)
+type block_case = {
+  internal : bool; (* Internal_key.comparator, else bytewise *)
+  interval : int;
+  entries : (string * string) list; (* sorted, distinct *)
+  targets : string list;
+}
+
+let gen_block_case =
+  let open QCheck.Gen in
+  let tail = string_size ~gen:(char_range 'a' 'c') (0 -- 3) in
+  let user_key = map (fun s -> "common-prefix/" ^ s) tail in
+  let ts = oneof [ 0 -- 3; return Clsm_lsm.Internal_key.max_ts ] in
+  bool >>= fun internal ->
+  oneofl [ 1; 3; 16 ] >>= fun interval ->
+  let key =
+    if internal then map2 Clsm_lsm.Internal_key.make user_key ts else user_key
+  in
+  let cmp =
+    if internal then Clsm_lsm.Internal_key.compare_encoded else String.compare
+  in
+  list_size (0 -- 60) key >>= fun keys ->
+  let present = oneofl (if keys = [] then [ "" ] else keys) in
+  list_size (1 -- 12) (oneof [ key; present ]) >>= fun targets ->
+  let keys = List.sort_uniq cmp keys in
+  let value i = Printf.sprintf "v%d%s" i (String.make (i mod 7) 'x') in
+  let entries = List.mapi (fun i k -> (k, value i)) keys in
+  (* an internal-key target is a whole internal key *)
+  let targets =
+    List.filter (fun t -> (not internal) || String.length t >= 8) targets
+  in
+  return { internal; interval; entries; targets }
+
+let print_block_case c =
+  Printf.sprintf "internal=%b interval=%d entries=[%s] targets=[%s]" c.internal
+    c.interval
+    (String.concat "; " (List.map (fun (k, _) -> String.escaped k) c.entries))
+    (String.concat "; " (List.map String.escaped c.targets))
+
+let shared_iter = Block.Iter.make (build_block [])
+
+let prop_block_iter_matches_oracle =
+  QCheck.Test.make ~name:"block iterator = sorted-list oracle" ~count:400
+    (QCheck.make ~print:print_block_case gen_block_case)
+    (fun c ->
+      let cmp =
+        if c.internal then Clsm_lsm.Internal_key.comparator else Comparator.bytewise
+      in
+      let b = Block_builder.create ~restart_interval:c.interval () in
+      List.iter (fun (k, v) -> Block_builder.add b ~key:k ~value:v) c.entries;
+      let block = Block.parse cmp (Block_builder.finish b) in
+      let it = shared_iter in
+      Block.Iter.reset it block;
+      (* The position and every [next] after it yield [expected]. *)
+      let rec yields = function
+        | [] -> not (Block.Iter.valid it)
+        | (k, v) :: rest ->
+            Block.Iter.valid it
+            && Block.Iter.key it = k
+            && Block.Iter.key it == Block.Iter.key it
+            && Block.Iter.value it = v
+            && Block.Iter.read_value it (fun s ~pos ~len -> String.sub s pos len) = v
+            && (Block.Iter.next it; yields rest)
+      in
+      let rec drop_while p = function
+        | x :: rest when p x -> drop_while p rest
+        | l -> l
+      in
+      let from_last_le target =
+        (* the suffix starting at the last entry <= target, [] if none *)
+        let rec go acc = function
+          | [] -> acc
+          | ((k, _) :: rest) as l ->
+              if cmp.Comparator.compare k target <= 0 then go l rest else acc
+        in
+        go [] c.entries
+      in
+      let last = match List.rev c.entries with [] -> [] | e :: _ -> [ e ] in
+      Block.Iter.seek_last it;
+      yields last
+      && (Block.Iter.seek_to_first it; yields c.entries)
+      && List.for_all
+           (fun target ->
+             Block.Iter.seek it target;
+             yields
+               (drop_while
+                  (fun (k, _) -> cmp.Comparator.compare k target < 0)
+                  c.entries)
+             && (Block.Iter.seek_le it target; yields (from_last_le target)))
+           c.targets)
+
 (* ---------- Cache ---------- *)
 
 let cache_lru_eviction () =
@@ -320,6 +418,50 @@ let table_corruption_detected () =
   | _ -> Alcotest.fail "expected Corrupt");
   Table.close t
 
+(* A block whose checksum holds but whose first entry does not decode:
+   the value-length varint of the first (restart) entry gets its
+   continuation bit, so it runs on into the key and claims more bytes
+   than the block has. The trailer is recomputed, so only decoding can
+   tell. Returns the path and the first key. *)
+let malformed_first_block name =
+  let pairs = sorted_pairs 100 in
+  let path, props = build_table name pairs in
+  let t = Table.open_file ~cmp:Comparator.bytewise path in
+  let size = snd (List.hd (Table.index_anchors t)) in
+  Table.close t;
+  let raw = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  (* [shared = 0; non_shared; value_len] as one-byte varints *)
+  Alcotest.(check bool) "restart entry header" true
+    (Bytes.get raw 0 = '\000' && Char.code (Bytes.get raw 2) < 0x80);
+  Bytes.set raw 2 (Char.chr (Char.code (Bytes.get raw 2) lor 0x80));
+  let crc =
+    Clsm_util.Crc32c.sub (Bytes.unsafe_to_string raw) ~pos:0 ~len:(size + 1)
+  in
+  Clsm_util.Binary.put_fixed32 raw ~pos:(size + 1) (Clsm_util.Crc32c.mask crc);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc raw);
+  (path, props.Table_format.smallest)
+
+(* Every read path turns a block decode failure into [Table.Corrupt],
+   which is what the LSM layer quarantines on. *)
+let table_malformed_block_is_corrupt () =
+  let path, first = malformed_first_block "t_malformed" in
+  let t = Table.open_file ~cmp:Comparator.bytewise path in
+  let expect_corrupt what f =
+    match f () with
+    | exception Table.Corrupt m ->
+        Alcotest.(check bool) (what ^ " names the block") true
+          (String.starts_with ~prefix:"block@0:" m)
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s read a malformed block" what
+  in
+  expect_corrupt "find_last_le" (fun () -> ignore (Table.find_last_le t first));
+  expect_corrupt "find_first_ge" (fun () -> ignore (Table.find_first_ge t first));
+  expect_corrupt "to_list" (fun () -> ignore (Table.to_list t));
+  (match Table.verify t with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "verify passed a malformed block");
+  Table.close t
+
 let table_truncated_rejected () =
   let path = tmp_path "t_trunc" in
   let oc = open_out_bin path in
@@ -377,6 +519,13 @@ let table_find_last_le () =
       Alcotest.(check (option string)) "with suffix" (Some k)
         (Option.map fst (Table.find_last_le t (k ^ "\x01"))))
     pairs;
+  (* A lookup made while the domain's iterators are in use (here from
+     inside a reader) takes its own, and leaves the outer entry intact. *)
+  Alcotest.(check (option (pair string string))) "nested lookup"
+    (Some ("key000150", "key000042"))
+    (Table.find_last_le_with t "key000150" (fun it ->
+         let inner = Table.find_last_le t "key000042x" in
+         Some (Block.Iter.key it, Option.get (Option.map fst inner))));
   Table.close t
 
 let prop_table_find_last_le =
@@ -438,6 +587,7 @@ let suites =
           prop_block_matches_list;
           prop_block_seek_matches_model;
           prop_block_seek_le_matches_model;
+          prop_block_iter_matches_oracle;
         ] );
     ( "sstable.cache",
       [
@@ -453,6 +603,8 @@ let suites =
         Alcotest.test_case "block cache" `Quick table_with_cache;
         Alcotest.test_case "corruption detected" `Quick table_corruption_detected;
         Alcotest.test_case "truncated rejected" `Quick table_truncated_rejected;
+        Alcotest.test_case "malformed block is Corrupt" `Quick
+          table_malformed_block_is_corrupt;
         Alcotest.test_case "filter key extractor" `Quick table_filter_key_extractor;
         Alcotest.test_case "tiny blocks" `Quick
           table_single_and_empty_block_boundaries;
