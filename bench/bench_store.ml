@@ -683,14 +683,14 @@ let run_read ~scale ~out =
   close_out oc;
   Printf.printf "wrote %s\n%!" out
 
-(* ---------- kernels: the per-block byte loops ---------- *)
+(* ---------- kernels: per-block byte loops, point lookups, the clock ---------- *)
 
 (* Every table block passes through [Env.rf_read] (mmap copy-out) and
    [Crc32c.sub] on the way in, and through [Crc32c] on the way out; an
    L0→L1 merge strings both together with block decode, merge and
    encode. Each kernel runs [samples] timed batches and reports MB/s of
-   the median and best batch; the point lookups report ns per call
-   instead (see [point_lookup_rows]). *)
+   the median and best batch; the point lookups and the clock calls
+   report ns per call instead (see [ns_row]). *)
 
 let block_bytes = 4096
 
@@ -713,6 +713,38 @@ let kernel_row name ~bytes_per_sample (median, best) =
       ("bytes_per_sample", J.Int bytes_per_sample);
       ("median_mb_per_s", J.Float median);
       ("best_mb_per_s", J.Float best);
+    ]
+
+(* [samples] timed batches of [ops] calls [call i], i = 0 .. ops - 1,
+   after one warm-up batch of [warmup] calls: median and best ns per
+   call, and the minor words per call of the median batch. *)
+let ns_row ~samples ~ops ?(warmup = ops) name call =
+  for i = 0 to warmup - 1 do
+    call i
+  done;
+  let runs =
+    List.init samples (fun _ ->
+        let w0 = Gc.minor_words () in
+        let t0 = Time_ns.now_ns () in
+        for i = 0 to ops - 1 do
+          call i
+        done;
+        let ns = Time_ns.now_ns () - t0 in
+        let words = Gc.minor_words () -. w0 in
+        (float_of_int ns /. float_of_int ops, words /. float_of_int ops))
+    |> List.sort compare
+  in
+  let median_ns, words = List.nth runs (samples / 2) in
+  let best_ns, _ = List.hd runs in
+  Printf.printf "  %-28s median %8.0f ns/op   best %8.0f ns/op   %6.1f words/op\n%!"
+    name median_ns best_ns words;
+  J.Obj
+    [
+      ("kernel", J.Str name);
+      ("ops_per_sample", J.Int ops);
+      ("median_ns_per_op", J.Float median_ns);
+      ("best_ns_per_op", J.Float best_ns);
+      ("minor_words_per_op", J.Float words);
     ]
 
 (* Point lookups served wholly from the block cache, in the shape of the
@@ -745,37 +777,10 @@ let point_lookup_rows ~scale ~samples =
   ignore (Db.fold (fun _ _ n -> n + 1) db 0 : int);
   let rng = Random.State.make [| 7 |] in
   let probes = Array.init 4096 (fun _ -> key (Random.State.int rng keys)) in
-  (* [samples] timed batches of [ops] calls: median and best ns per call,
-     and the minor words per call of the median batch. *)
+  let mask = Array.length probes - 1 in
   let row name call =
-    for i = 0 to Array.length probes - 1 do
-      call probes.(i)
-    done;
-    let mask = Array.length probes - 1 in
-    let runs =
-      List.init samples (fun _ ->
-          let w0 = Gc.minor_words () in
-          let t0 = Time_ns.now_ns () in
-          for i = 0 to ops - 1 do
-            call (Array.unsafe_get probes (i land mask))
-          done;
-          let ns = Time_ns.now_ns () - t0 in
-          let words = Gc.minor_words () -. w0 in
-          (float_of_int ns /. float_of_int ops, words /. float_of_int ops))
-      |> List.sort compare
-    in
-    let median_ns, words = List.nth runs (samples / 2) in
-    let best_ns, _ = List.hd runs in
-    Printf.printf "  %-22s median %8.0f ns/op   best %8.0f ns/op   %6.1f words/op\n%!"
-      name median_ns best_ns words;
-    J.Obj
-      [
-        ("kernel", J.Str name);
-        ("ops_per_sample", J.Int ops);
-        ("median_ns_per_op", J.Float median_ns);
-        ("best_ns_per_op", J.Float best_ns);
-        ("minor_words_per_op", J.Float words);
-      ]
+    ns_row ~samples ~ops ~warmup:(Array.length probes) name (fun i ->
+        call (Array.unsafe_get probes (i land mask)))
   in
   let db_row =
     row "point_lookup.db_get" (fun k ->
@@ -810,6 +815,32 @@ let point_lookup_rows ~scale ~samples =
   Table.close table;
   rm_rf dir;
   [ table_row; db_row ]
+
+(* The paper's timestamp protocol on an otherwise idle clock, in ns per
+   call: getSnap's choice and fence of a snapshot timestamp (Algorithm
+   2, both modes), an RMW's getTS + in-flight fence + release, and a
+   blind put's getTS + release. A second domain writes once first, so
+   the Active sets' scans cover two homes, as in a two-client store. *)
+let clock_rows ~scale ~samples =
+  let module Clock = Clsm_core.Clock in
+  let ops = match scale with Smoke -> 20_000 | Full -> 200_000 in
+  let clock = Clock.create () in
+  let put_ts () =
+    let _, h, hp = Clock.get_put_ts clock in
+    Clock.end_put clock ~active:h ~put:hp
+  in
+  Domain.join (Domain.spawn put_ts);
+  let row name call = ns_row ~samples ~ops name (fun _ -> call ()) in
+  let snap mode () = ignore (Sys.opaque_identity (Clock.snap_ts clock ~mode)) in
+  let serializable = row "clock.snap_ts.serializable" (snap Clock.Serializable) in
+  let linearizable = row "clock.snap_ts.linearizable" (snap Clock.Linearizable) in
+  let rmw =
+    row "clock.rmw_fence" (fun () ->
+        let ts, h = Clock.get_ts clock in
+        Clock.rmw_fence clock ~ts;
+        Clock.end_op clock h)
+  in
+  [ serializable; linearizable; rmw; row "clock.put_ts" put_ts ]
 
 let run_kernels ~scale ~out =
   Printf.printf "clsm kernel bench (%s scale, %d core(s))\n%!" (scale_name scale)
@@ -889,6 +920,7 @@ let run_kernels ~scale ~out =
   rm_rf dir;
   let merge_row = kernel_row "merge" ~bytes_per_sample:input_bytes merge in
   let point_rows = point_lookup_rows ~scale ~samples in
+  let clock_rows = clock_rows ~scale ~samples in
   let doc =
     J.Obj
       [
@@ -902,7 +934,8 @@ let run_kernels ~scale ~out =
         ("block_bytes", J.Int block_bytes);
         ("samples", J.Int samples);
         ("merge_input_files", J.Int num_files);
-        ("kernels", J.List ([ crc_row; read_row; merge_row ] @ point_rows));
+        ( "kernels",
+          J.List ([ crc_row; read_row; merge_row ] @ point_rows @ clock_rows) );
       ]
   in
   let oc = open_out out in

@@ -115,6 +115,9 @@ let db_tests () =
       (Staged.stage (fun () ->
            i := (!i + 104729) mod 100_000;
            ignore (Clsm_core.Db.get db (Printf.sprintf "key%08d" !i))));
+    Test.make ~name:"clsm/get-snap"
+      (Staged.stage (fun () ->
+           Clsm_core.Db.release_snapshot db (Clsm_core.Db.get_snap db)));
     Test.make ~name:"clsm/rmw-counter"
       (Staged.stage (fun () ->
            ignore

@@ -24,11 +24,17 @@ type t = {
   snapshots : Snapshot_registry.t;
 }
 
-let create ?(active_set_capacity = 4096) () =
+(* How many timestamps each set can hold in flight at once: one per
+   domain the runtime can run ({!Active_set.homes}), with room for
+   systhreads sharing a domain. Scans read only the slots claimed, so the
+   capacity costs memory, not time. *)
+let active_capacity = 32 * Active_set.homes
+
+let create () =
   {
     time_counter = Monotonic_counter.create 0;
-    active = Active_set.create ~capacity:active_set_capacity ();
-    put_active = Active_set.create ~capacity:active_set_capacity ();
+    active = Active_set.create ~capacity:active_capacity ();
+    put_active = Active_set.create ~capacity:active_capacity ();
     snap_time = Monotonic_counter.create 0;
     snapshots = Snapshot_registry.create ();
   }
@@ -141,10 +147,15 @@ let choose_snap_ts t ~mode =
       ignore (Monotonic_counter.advance_to t.snap_time ts);
       ts
 
-(* Line 13: wait out writes whose timestamps are below snapTime. *)
+(* Line 13: wait out writes whose timestamps are at or below snapTime.
+   A writer whose timestamp equals snapTime re-draws only if its check
+   saw the fence; one that checked just before it is in Active, and the
+   snapshot covers its timestamp, so it must be waited out like the
+   older ones — otherwise the snapshot reads the key before that write
+   lands and after, and sees two different values. *)
 let fence t ~mode =
   if mode <> Unsafe_naive then
-    drain_below t (fun () -> Monotonic_counter.get t.snap_time)
+    drain_below t (fun () -> Monotonic_counter.get t.snap_time + 1)
 
 let snap_ts t ~mode =
   let ts = choose_snap_ts t ~mode in

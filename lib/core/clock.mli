@@ -14,10 +14,8 @@ open Clsm_primitives
 
 type t
 
-val create : ?active_set_capacity:int -> unit -> t
-(** A fresh clock at time 0 with an empty snapshot registry.
-    [active_set_capacity] (default 4096) bounds concurrently in-flight
-    timestamps, see {!Active_set}. *)
+val create : unit -> t
+(** A fresh clock at time 0 with an empty snapshot registry. *)
 
 val now : t -> int
 (** Current value of [timeCounter]. *)

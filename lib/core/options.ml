@@ -10,7 +10,6 @@ type t = {
   readahead_blocks : int;
   linearizable_snapshots : bool;
   unsafe_naive_snapshots : bool;
-  active_set_capacity : int;
   maintenance_workers : int;
   maintenance_tick : float;
   max_subcompactions : int;
@@ -38,7 +37,6 @@ let default ~dir =
     readahead_blocks = 8;
     linearizable_snapshots = false;
     unsafe_naive_snapshots = false;
-    active_set_capacity = 4096;
     maintenance_workers = 2;
     maintenance_tick = 0.25;
     max_subcompactions = 1;

@@ -35,7 +35,6 @@ type t = {
       (** ABLATION ONLY: take snapshot timestamps straight from
           [timeCounter], skipping the Active-set protocol — reintroduces the
           Figure 3/4 races (scans may observe inconsistent states) *)
-  active_set_capacity : int;  (** slots for in-flight timestamps *)
   maintenance_workers : int;
       (** background worker domains for flush/compaction (default 2);
           flushes and deep-level compactions proceed in parallel on

@@ -192,8 +192,7 @@ module Make_core (S : Store_sig.EXTENDED) = struct
     let clock =
       match opts.Options.clock with
       | Some c -> c
-      | None ->
-          Clock.create ~active_set_capacity:opts.Options.active_set_capacity ()
+      | None -> Clock.create ()
     in
     let shard_opts i =
       {

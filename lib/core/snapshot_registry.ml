@@ -1,4 +1,4 @@
-type entry = { ts : int; expires : float option; mutable live : bool }
+type entry = { ts : int; expires : float option }
 type handle = entry
 type t = { mutex : Mutex.t; mutable entries : entry list }
 
@@ -7,11 +7,9 @@ let create () = { mutex = Mutex.create (); entries = [] }
 let with_lock t f = Mutex.protect t.mutex f
 
 let expired now entry =
-  (not entry.live)
-  || match entry.expires with Some e -> now >= e | None -> false
+  match entry.expires with Some e -> now >= e | None -> false
 
-let entry ?ttl ~now ts =
-  { ts; expires = Option.map (fun d -> now +. d) ttl; live = true }
+let entry ?ttl ~now ts = { ts; expires = Option.map (fun d -> now +. d) ttl }
 
 let install t ?ttl ~now ts =
   let entry = entry ?ttl ~now ts in
@@ -28,8 +26,13 @@ let install_chosen t ?ttl ~now choose =
         (ts, Some entry)
       end)
 
+(* Unlinked at once, not left for [live_timestamps] to prune: a store
+   that scans but never flushes or compacts would otherwise keep one dead
+   entry per released snapshot for ever. The list holds only pinned
+   snapshots, so the walk is short. *)
 let remove t handle =
-  with_lock t (fun () -> handle.live <- false)
+  with_lock t (fun () ->
+      t.entries <- List.filter (fun e -> e != handle) t.entries)
 
 let prune_locked t now =
   t.entries <- List.filter (fun e -> not (expired now e)) t.entries

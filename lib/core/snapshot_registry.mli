@@ -26,7 +26,9 @@ val install_chosen :
     registered for a timestamp [<= 0] (nothing written yet). *)
 
 val remove : t -> handle -> unit
-(** Application-driven release. Idempotent. *)
+(** Application-driven release: the entry leaves the list at once, so the
+    registry holds only unreleased snapshots whether or not anything calls
+    {!live_timestamps}. Idempotent. *)
 
 val live_timestamps : t -> now:float -> int list
 (** Ascending timestamps of unexpired snapshots (duplicates preserved);

@@ -461,7 +461,7 @@ module Make_core (M : Memtable_intf.S) = struct
     let clock =
       match opts.clock with
       | Some c -> c
-      | None -> Clock.create ~active_set_capacity:opts.active_set_capacity ()
+      | None -> Clock.create ()
     in
     (* Fresh writes must outrank everything this directory persisted —
        with a shared clock, CAS-max across shards in any recovery order. *)

@@ -1,5 +1,3 @@
-open Clsm_primitives
-
 type ops = {
   name : string;
   get : string -> string option;
@@ -43,36 +41,21 @@ end
 
 let of_memtable () =
   let open Clsm_lsm in
+  let module Clock = Clsm_core.Clock in
   let m = Clsm_core.Memtable.create () in
-  let clock = Monotonic_counter.create 0 in
-  (* The Active/fence pair replays the store's getTS handshake: without
-     it, a put that drew a timestamp but has not yet inserted is
-     invisible to a concurrent RMW, which then installs a newer version
-     on top — the put lands beneath it and is lost unobserved. Only
-     blind writers register (cf. [put_active] in the store): an older
-     RMW detects our newer version through its own conflict check. *)
-  let active = Active_set.create ~capacity:64 () in
-  let fence = Monotonic_counter.create 0 in
-  let get_ts () =
-    let rec loop () =
-      let ts = Monotonic_counter.inc_and_get clock in
-      let h = Active_set.add active ts in
-      if ts <= Monotonic_counter.get fence then begin
-        Active_set.remove active h;
-        loop ()
-      end
-      else (ts, h)
-    in
-    loop ()
-  in
+  (* The store's own clock supplies the getTS handshake: without it, a
+     put that drew a timestamp but has not yet inserted is invisible to a
+     concurrent RMW, which then installs a newer version on top — the put
+     lands beneath it and is lost unobserved. *)
+  let clock = Clock.create () in
   let value_of = function
     | Some (_, Entry.Value v) -> Some v
     | Some (_, Entry.Tombstone) | None -> None
   in
   let write key entry =
-    let ts, h = get_ts () in
+    let ts, h, hp = Clock.get_put_ts clock in
     Clsm_core.Memtable.add m ~user_key:key ~ts entry;
-    Active_set.remove active h
+    Clock.end_put clock ~active:h ~put:hp
   in
   let rmw ~key f =
     (* Algorithm 3 against the bare memtable: read newest, decide, draw a
@@ -87,33 +70,22 @@ let of_memtable () =
       let pre = value_of latest in
       match f pre with
       | History.Abort -> pre
-      | decision -> (
+      | decision ->
           let entry =
             match decision with
             | History.Set v -> Entry.Value v
             | History.Remove -> Entry.Tombstone
             | History.Abort -> assert false
           in
-          let ts = Monotonic_counter.inc_and_get clock in
-          ignore (Monotonic_counter.advance_to fence (ts - 1));
-          let b = Backoff.create () in
-          let rec wait () =
-            match Active_set.find_min active with
-            | Some mn when mn < ts ->
-                Backoff.once b;
-                wait ()
-            | Some _ | None -> ()
+          let ts, h = Clock.get_ts clock in
+          Clock.rmw_fence clock ~ts;
+          let prev_ts, loc = Clsm_core.Memtable.locate_rmw m ~user_key:key in
+          let installed =
+            (match prev_ts with Some p -> p <= seen_ts | None -> true)
+            && Clsm_core.Memtable.try_install m loc ~user_key:key ~ts entry
           in
-          wait ();
-          let prev_ts, loc =
-            Clsm_core.Memtable.locate_rmw m ~user_key:key
-          in
-          match prev_ts with
-          | Some p when p > seen_ts -> attempt ()
-          | _ ->
-              if Clsm_core.Memtable.try_install m loc ~user_key:key ~ts entry
-              then pre
-              else attempt ())
+          Clock.end_op clock h;
+          if installed then pre else attempt ()
     in
     attempt ()
   in

@@ -31,9 +31,10 @@ end
 
 val of_memtable : unit -> ops
 (** A bare {!Clsm_core.Memtable} (the lock-free skip-list with versioned
-    keys) driven directly: puts draw timestamps from a private counter,
-    RMW runs the Algorithm-3 locate/conflict-check/CAS-install loop with
-    no store around it. No scans (memtable iteration is only weakly
+    keys) driven directly: writes draw timestamps from a private
+    {!Clsm_core.Clock} through the store's [getTS]/RMW-fence handshake,
+    and RMW runs the Algorithm-3 locate/conflict-check/CAS-install loop
+    with no store around it. No scans (memtable iteration is only weakly
     consistent, by design). *)
 
 val of_striped : Clsm_baselines.Striped_rmw.t -> ops

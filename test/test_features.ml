@@ -220,6 +220,65 @@ let registry_basics () =
     (Snapshot_registry.min_timestamp r ~now:11.0);
   Snapshot_registry.remove r h5 (* idempotent *)
 
+(* Releasing a snapshot unlinks its entry at once: on a store that never
+   flushes or compacts nothing else prunes the registry, and it must not
+   keep one dead entry per released snapshot. *)
+let registry_remove_unlinks () =
+  let r = Snapshot_registry.create () in
+  for i = 1 to 10_000 do
+    match Snapshot_registry.install_chosen r ~now:0.0 (fun () -> i) with
+    | _, Some h -> Snapshot_registry.remove r h
+    | _, None -> Alcotest.fail "positive timestamp not registered"
+  done;
+  Alcotest.(check int) "nothing left" 0 (Snapshot_registry.cardinal r)
+
+(* A fresh store's Active sets have claimed no slot, so a new domain's
+   first put publishes above their high-water mark while snapshots on
+   another domain scan below it. The mark covers the slot before the
+   put checks [snapTime], so each snapshot either waits the put out or
+   makes it re-draw a newer timestamp: read through every snapshot taken
+   while the put ran, the key answers the same before and after the
+   writer finishes. *)
+let first_put_vs_snapshot () =
+  for round = 1 to 50 do
+    let dir = fresh_dir () in
+    let db =
+      Db.open_store
+        { (small_opts dir) with Options.linearizable_snapshots = round mod 2 = 0 }
+    in
+    let ready = Atomic.make 0 and put_done = Atomic.make false in
+    let start () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done
+    in
+    let writer =
+      Domain.spawn (fun () ->
+          start ();
+          Db.put db ~key:"k" ~value:"v";
+          Atomic.set put_done true)
+    in
+    start ();
+    let rec snap acc =
+      if Atomic.get put_done then acc
+      else
+        let s = Db.get_snap db in
+        snap ((s, Db.get_at db s "k") :: acc)
+    in
+    let seen = snap [] in
+    Domain.join writer;
+    List.iter
+      (fun (s, before) ->
+        Alcotest.(check (option string))
+          (Printf.sprintf "round %d, snapshot %d: read is stable" round
+             (Db.snapshot_ts s))
+          before (Db.get_at db s "k");
+        Db.release_snapshot db s)
+      seen;
+    Db.close db
+  done
+
 let ttl_snapshot_released_for_gc () =
   with_store (fun db _ ->
       Db.put db ~key:"k" ~value:"old";
@@ -419,6 +478,8 @@ let suites =
     ( "features.snapshots",
       [
         Alcotest.test_case "registry basics" `Quick registry_basics;
+        Alcotest.test_case "release unlinks" `Quick registry_remove_unlinks;
+        Alcotest.test_case "first put vs snapshot" `Quick first_put_vs_snapshot;
         Alcotest.test_case "ttl release" `Quick ttl_snapshot_released_for_gc;
       ] );
     ( "features.crash",

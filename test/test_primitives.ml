@@ -166,6 +166,19 @@ let active_set_fills_and_drains () =
   List.iter (Active_set.remove s) hs;
   Alcotest.(check int) "drained" 0 (Active_set.cardinal s)
 
+(* Homes are leased per domain and returned when it exits: 300 domains
+   run one after another reuse one home, so the scan width stays at the
+   main domain's home and theirs. *)
+let active_set_lease_reuse () =
+  let s = Active_set.create () in
+  Active_set.remove s (Active_set.add s 1);
+  for i = 1 to 300 do
+    Domain.join
+      (Domain.spawn (fun () -> Active_set.remove s (Active_set.add s (i + 1))))
+  done;
+  Alcotest.(check bool) "span <= 2" true (Active_set.span s <= 2);
+  Alcotest.(check int) "empty" 0 (Active_set.cardinal s)
+
 (* ---------- Mpmc_queue ---------- *)
 
 let queue_fifo () =
@@ -485,6 +498,7 @@ let suites =
         Alcotest.test_case "basic" `Quick active_set_basic;
         Alcotest.test_case "concurrent stress" `Quick active_set_stress;
         Alcotest.test_case "fill and drain" `Quick active_set_fills_and_drains;
+        Alcotest.test_case "lease reuse" `Quick active_set_lease_reuse;
       ] );
     ( "primitives.mpmc_queue",
       [
