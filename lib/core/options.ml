@@ -59,6 +59,6 @@ let default_group_commit = { max_batch = 64; max_delay_us = 50 }
 let wal_mode t =
   match t.wal_sync with
   | `Async -> Clsm_wal.Wal_writer.Async
-  | `Per_write -> Clsm_wal.Wal_writer.Sync
+  | `Per_write -> Clsm_wal.Wal_writer.Group { max_batch = 1; max_delay_us = 0 }
   | `Group { max_batch; max_delay_us } ->
       Clsm_wal.Wal_writer.Group { max_batch; max_delay_us }

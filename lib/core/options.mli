@@ -3,9 +3,10 @@
     inherited from LevelDB §4). *)
 
 type group_commit = { max_batch : int; max_delay_us : int }
-(** Group-commit batching policy: a leader's batch closes at [max_batch]
-    records or when the [max_delay_us] accumulation window (0 = commit
-    immediately) expires with fewer committers waiting. *)
+(** Group-commit batching policy: a leader's batch holds at most
+    [max_batch] records, and its accumulation window closes when the
+    committers the previous round predicts have boarded, or at the
+    latest after [max_delay_us] (0 = never wait). *)
 
 type wal_sync = [ `Per_write | `Group of group_commit | `Async ]
 (** WAL durability policy for the commit points ([put]/[write_batch]/
@@ -100,12 +101,12 @@ type t = {
 val default : dir:string -> t
 
 val default_group_commit : group_commit
-(** [{ max_batch = 64; max_delay_us = 50 }]. The window is adaptive: a
-    leader only sleeps when new records arrived during the previous
-    round's write+fsync, so an uncontended writer never pays the delay,
-    while under contention a sub-fsync-length window lets every
-    concurrent committer board one batch instead of oscillating between
-    small ones. *)
+(** [{ max_batch = 64; max_delay_us = 50 }]. A leader waits only while
+    fewer committers are pending than the previous round's batch plus
+    its leftovers, and stops waiting the moment the last of them boards;
+    [max_delay_us] is only the bound. An uncontended writer never waits,
+    and concurrent committers board one batch instead of oscillating
+    between small ones. *)
 
 val wal_mode : t -> Clsm_wal.Wal_writer.mode
 (** The {!Clsm_wal.Wal_writer.mode} this policy maps to (used everywhere

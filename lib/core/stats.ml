@@ -48,6 +48,8 @@ type t = {
   wal_group_commits : int Atomic.t;
   wal_group_records : int Atomic.t;
   wal_fsyncs_saved : int Atomic.t;
+  wal_windows_boarded : int Atomic.t;
+  wal_windows_expired : int Atomic.t;
   commit_wait : Histogram.t;
   get_latency : Histogram.t;
   installs : int Atomic.t array; (* by install kind *)
@@ -86,6 +88,8 @@ type snapshot = {
   wal_group_commits : int;
   wal_group_records : int;
   wal_fsyncs_saved : int;
+  wal_windows_boarded : int;
+  wal_windows_expired : int;
   commit_waits : int;
   commit_wait_ns : int;
   commit_wait_hist : int array;
@@ -128,6 +132,8 @@ let create () : t =
     wal_group_commits = Atomic.make 0;
     wal_group_records = Atomic.make 0;
     wal_fsyncs_saved = Atomic.make 0;
+    wal_windows_boarded = Atomic.make 0;
+    wal_windows_expired = Atomic.make 0;
     commit_wait = Histogram.create ();
     get_latency = Histogram.create ();
     installs = Array.init (Array.length install_kinds) (fun _ -> Atomic.make 0);
@@ -197,6 +203,11 @@ let record_group_commit (t : t) ~records =
   ignore (Atomic.fetch_and_add t.wal_group_records (max 0 records));
   ignore (Atomic.fetch_and_add t.wal_fsyncs_saved (max 0 (records - 1)))
 
+(* One closed group-commit accumulation window: closed early because the
+   predicted riders boarded, or by its deadline. *)
+let record_window (t : t) ~boarded =
+  Atomic.incr (if boarded then t.wal_windows_boarded else t.wal_windows_expired)
+
 let record_commit_wait (t : t) ~ns = Histogram.record t.commit_wait ns
 let record_get_latency (t : t) ~ns = Histogram.record t.get_latency ns
 
@@ -208,6 +219,7 @@ let wal_observer (t : t) : Clsm_wal.Wal_writer.observer =
     Clsm_wal.Wal_writer.on_group_commit =
       (fun ~records -> record_group_commit t ~records);
     on_commit_wait = (fun ~ns -> record_commit_wait t ~ns);
+    on_window = (fun ~boarded -> record_window t ~boarded);
   }
 
 let read (t : t) : snapshot =
@@ -243,6 +255,8 @@ let read (t : t) : snapshot =
     wal_group_commits = Atomic.get t.wal_group_commits;
     wal_group_records = Atomic.get t.wal_group_records;
     wal_fsyncs_saved = Atomic.get t.wal_fsyncs_saved;
+    wal_windows_boarded = Atomic.get t.wal_windows_boarded;
+    wal_windows_expired = Atomic.get t.wal_windows_expired;
     commit_waits = Array.fold_left ( + ) 0 commit_wait_hist;
     commit_wait_ns = Histogram.sum_ns t.commit_wait;
     commit_wait_hist;
@@ -305,6 +319,8 @@ let scalar_fields : (string * [ `Sum | `Max ] * (snapshot -> int)) list =
     ("wal_group_commits", `Sum, fun s -> s.wal_group_commits);
     ("wal_group_records", `Sum, fun s -> s.wal_group_records);
     ("wal_fsyncs_saved", `Sum, fun s -> s.wal_fsyncs_saved);
+    ("wal_windows_boarded", `Sum, fun s -> s.wal_windows_boarded);
+    ("wal_windows_expired", `Sum, fun s -> s.wal_windows_expired);
     ("commit_waits", `Sum, fun s -> s.commit_waits);
     ("commit_wait_ns", `Sum, fun s -> s.commit_wait_ns);
     (* derived from the histogram, so a shard roll-up ([merge] adds the
@@ -370,6 +386,8 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
     wal_group_commits = a.wal_group_commits + b.wal_group_commits;
     wal_group_records = a.wal_group_records + b.wal_group_records;
     wal_fsyncs_saved = a.wal_fsyncs_saved + b.wal_fsyncs_saved;
+    wal_windows_boarded = a.wal_windows_boarded + b.wal_windows_boarded;
+    wal_windows_expired = a.wal_windows_expired + b.wal_windows_expired;
     commit_waits = a.commit_waits + b.commit_waits;
     commit_wait_ns = a.commit_wait_ns + b.commit_wait_ns;
     commit_wait_hist = Array.map2 ( + ) a.commit_wait_hist b.commit_wait_hist;

@@ -49,6 +49,13 @@ type snapshot = {
   wal_group_records : int;  (** records those rounds acknowledged *)
   wal_fsyncs_saved : int;
       (** fsyncs amortized away by batching, vs. per-write durability *)
+  wal_windows_boarded : int;
+      (** group-commit accumulation windows closed early, when the
+          predicted riders had boarded *)
+  wal_windows_expired : int;
+      (** accumulation windows closed by [max_delay_us] instead; many of
+          these mean committers arrive slower than the window or the
+          prediction is stale *)
   commit_waits : int;
       (** durable appends with a measured commit wait (the bucket sum of
           [commit_wait_hist]) *)
@@ -111,6 +118,10 @@ val incr_auto_repairs : t -> unit
 val record_group_commit : t -> records:int -> unit
 (** Account one durable WAL write+fsync round covering [records] records
     ([records - 1] fsyncs saved vs. per-write durability). *)
+
+val record_window : t -> boarded:bool -> unit
+(** Account one closed group-commit accumulation window: [boarded] when
+    the predicted riders boarded, [false] when its deadline passed. *)
 
 val record_commit_wait : t -> ns:int -> unit
 (** Account one durable append's commit-wait latency. *)

@@ -3,11 +3,12 @@ module Time_ns = Clsm_util.Time_ns
 module Env = Clsm_env.Env
 
 type group_config = { max_batch : int; max_delay_us : int }
-type mode = Sync | Async | Group of group_config
+type mode = Async | Group of group_config
 
 type observer = {
   on_group_commit : records:int -> unit;
   on_commit_wait : ns:int -> unit;
+  on_window : boarded:bool -> unit;
 }
 
 type t = {
@@ -39,17 +40,42 @@ type t = {
   mutable gnext : int; (* next ticket to hand out *)
   mutable gdurable : int; (* highest ticket known durable *)
   mutable gleader : bool; (* a leader is currently committing *)
-  mutable garmed : bool;
-      (* true when records arrived while the previous round was doing IO:
-         the concurrency signal that arms the accumulation window (see
-         [lead_round_locked]) *)
+  mutable gtarget : int;
+      (* committers the next round expects to board: the previous round's
+         batch (closed-loop writers come back) plus its leftovers (already
+         pending). A leader opens the accumulation window only while fewer
+         than this are pending; see [lead_round_locked]. *)
+  mutable gwindow : int;
+      (* while a leader is parked in the window: the pending count that
+         closes it early; 0 otherwise *)
+  mutable gwake : (Unix.file_descr * Unix.file_descr) option;
+      (* self-pipe the rider completing [gwindow] writes one byte to,
+         waking the leader out of its [Unix.select]. Only in [Group] mode
+         when a window can open ([max_batch > 1], [max_delay_us > 0]);
+         [None] once [close]/[abandon] began, after which no window opens
+         (see [shut_group]). *)
 }
 
 let create ?(mode = Async) ?(env = Env.unix) ?observer file_path =
+  let writer = env.Env.create_writer file_path in
+  let gwake =
+    match mode with
+    | Group { max_batch; max_delay_us } when max_batch > 1 && max_delay_us > 0 ->
+        let r, w =
+          try Unix.pipe ~cloexec:true ()
+          with e ->
+            (try writer.Env.w_close () with _ -> ());
+            raise e
+        in
+        Unix.set_nonblock r;
+        Unix.set_nonblock w;
+        Some (r, w)
+    | Group _ | Async -> None
+  in
   {
     mode;
     file_path;
-    writer = env.Env.create_writer file_path;
+    writer;
     queue = Mpmc_queue.create ();
     io_mutex = Mutex.create ();
     closed = false;
@@ -62,7 +88,9 @@ let create ?(mode = Async) ?(env = Env.unix) ?observer file_path =
     gnext = 0;
     gdurable = -1;
     gleader = false;
-    garmed = false;
+    gtarget = 1;
+    gwindow = 0;
+    gwake;
   }
 
 (* Fsync-gate semantics: after any append or fsync failure the durability
@@ -74,19 +102,14 @@ let check_poisoned t = match t.poisoned with Some e -> raise e | None -> ()
 let poison_locked t e = if t.poisoned = None then t.poisoned <- Some e
 [@@requires_lock io_mutex]
 
-let observe_commit t ~records ~since_ns =
-  match t.observer with
-  | None -> ()
-  | Some o ->
-      if records > 0 then o.on_group_commit ~records;
-      o.on_commit_wait ~ns:(max 0 (Time_ns.now_ns () - since_ns))
-
 (* Pops the async queue in one pass so a failure
    part-way through cannot leave it half-drained for the next caller:
    either way the popped records are gone (they were never acknowledged)
    and the queue itself stays structurally sound. *)
 let drain_locked t =
-  let buf = Buffer.create 4096 in
+  (* one async put's worth is the common case; a 4 KB start would be a
+     major-heap allocation per put *)
+  let buf = Buffer.create 512 in
   let rec pump () =
     match Mpmc_queue.pop t.queue with
     | Some payload ->
@@ -103,39 +126,80 @@ let drain_locked t =
 
 (* ---------- group commit (leader/rider) ---------- *)
 
+(* The rider whose record completes the window's target wakes the parked
+   leader. Called under [gm], so it cannot race the leader's decision to
+   park (made under [gm]) or [shut_group] closing the pipe; the write end
+   is non-blocking, and a full pipe already wakes the leader. *)
+let kick_locked t =
+  match t.gwake with
+  | Some (_, w) -> (
+      try ignore (Unix.single_write_substring w "!" 0 1)
+      with Unix.Unix_error _ -> ())
+  | None -> ()
+[@@requires_lock gm]
+
+(* Park on the pipe for at most [ns], without [gm]. A byte written before
+   the [select] still wakes it, so no kick is lost between dropping [gm]
+   and parking. [false] when the pipe cannot be waited on at all (e.g. a
+   descriptor past [select]'s limit): the caller then closes the window
+   instead of retrying it in a spin. Never raises: [gm] is not held. *)
+let park rfd ~ns =
+  match Unix.select [ rfd ] [] [] (float_of_int ns *. 1e-9) with
+  | [], _, _ -> true
+  | _ -> (
+      try
+        ignore (Unix.read rfd (Bytes.create 1) 0 1);
+        true
+      with
+      | Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> true
+      | Unix.Unix_error _ -> false)
+  | exception Unix.Unix_error (EINTR, _, _) -> true
+  | exception Unix.Unix_error _ -> false
+
 (* One leader round. Called and returns with [gm] held; [gm] is released
-   around the accumulation sleep and the IO so riders can keep enqueueing
-   while the leader writes. On IO failure the writer is poisoned under
-   [io_mutex] and every parked rider is woken to re-raise it; the round
-   itself never raises (the caller's wait loop surfaces the poison). *)
+   around the accumulation window and the IO so riders can keep
+   enqueueing while the leader waits or writes. On IO failure the writer
+   is poisoned under [io_mutex] and every parked rider is woken to
+   re-raise it; the round itself never raises (the caller's wait loop
+   surfaces the poison). *)
 let lead_round_locked t cfg ~accumulate =
   t.gleader <- true;
-  if
-    accumulate && cfg.max_delay_us > 0 && t.garmed
-    && Queue.length t.gpending < cfg.max_batch
-  then begin
-    (* Accumulation window: let concurrent committers board this batch.
-       OCaml's Condition has no timed wait, so the leader sleeps with the
-       lock dropped; riders arriving meanwhile park on [gcond].
-
-       The window is adaptive: it only opens when at least one record
-       arrived while the previous round was inside its write+fsync —
-       evidence that concurrent committers exist. An uncontended writer
-       therefore never pays the delay, while under contention the window
-       closes the re-arrival gap: without it, writers acknowledged by
-       round k re-enqueue just after round k+1's leader drained, and the
-       batch size oscillates around half the committer count instead of
-       reaching it. *)
-    Mutex.unlock t.gm;
-    Unix.sleepf (float_of_int cfg.max_delay_us *. 1e-6);
-    Mutex.lock t.gm
-  end;
-  let batch = ref [] and hi = ref (-1) and n = ref 0 in
+  let target = min cfg.max_batch t.gtarget in
+  (match t.gwake with
+  | Some (rfd, _) when accumulate && Queue.length t.gpending < target ->
+      (* Accumulation window: wait until the [target] committers the last
+         round predicts have boarded, or [max_delay_us] has passed. An
+         uncontended writer has a target of 1 and never opens it; two
+         closed-loop writers close it as soon as the second re-enqueues.
+         After a writer departs, one window expires and the smaller
+         batch lowers the target. The leader blocks in [select] on the
+         self-pipe (OCaml's [Condition] has no timed wait), so it yields
+         the CPU to the riders it waits for. *)
+      t.gwindow <- target;
+      let deadline = Time_ns.now_ns () + (cfg.max_delay_us * 1000) in
+      let rec board () =
+        if Queue.length t.gpending >= target then true
+        else
+          let left = deadline - Time_ns.now_ns () in
+          if left <= 0 || t.gwake = None then false
+          else begin
+            Mutex.unlock t.gm;
+            let parked = park rfd ~ns:left in
+            Mutex.lock t.gm;
+            if parked then board () else Queue.length t.gpending >= target
+          end
+      in
+      let boarded = board () in
+      t.gwindow <- 0;
+      Option.iter (fun o -> o.on_window ~boarded) t.observer
+  | Some _ | None -> ());
+  let batch = ref [] and hi = ref (-1) and n = ref 0 and bytes = ref 0 in
   while !n < cfg.max_batch && not (Queue.is_empty t.gpending) do
     let seq, payload = Queue.pop t.gpending in
     batch := payload :: !batch;
     hi := seq;
-    incr n
+    incr n;
+    bytes := !bytes + Wal_record.header_length + String.length payload
   done;
   let payloads = List.rev !batch in
   Mutex.unlock t.gm;
@@ -150,7 +214,9 @@ let lead_round_locked t cfg ~accumulate =
             match t.poisoned with
             | Some _ -> false
             | None -> (
-                let buf = Buffer.create 4096 in
+                (* sized to the batch: a fixed 4 KB start would be a
+                   major-heap allocation every round *)
+                let buf = Buffer.create !bytes in
                 List.iter (Wal_record.encode buf) payloads;
                 try
                   t.writer.Env.w_append (Buffer.contents buf);
@@ -163,16 +229,13 @@ let lead_round_locked t cfg ~accumulate =
   in
   Mutex.lock t.gm;
   t.gleader <- false;
-  (* Concurrency evidence, either form: records arrived while we were in
-     the write+fsync, or this batch itself carried several committers
-     (after a full boarding nobody is left to arrive mid-IO, so the batch
-     size must keep the window armed or it would disarm every other
-     round and the batch size would oscillate between 1 and full). *)
-  t.garmed <- List.length payloads > 1 || not (Queue.is_empty t.gpending);
+  (* The next round expects this batch back plus whoever queued behind
+     it; a round that found nothing to do predicts a lone writer. *)
+  t.gtarget <- max 1 (!n + Queue.length t.gpending);
   if committed && !hi >= 0 then begin
     t.gdurable <- max t.gdurable !hi;
     match t.observer with
-    | Some o -> o.on_group_commit ~records:(List.length payloads)
+    | Some o -> o.on_group_commit ~records:!n
     | None -> ()
   end;
   (* Wake everyone: riders whose ticket is now durable return, the rest
@@ -193,6 +256,7 @@ let append_group t cfg payload =
             let my = t.gnext in
             t.gnext <- my + 1;
             Queue.push (my, payload) t.gpending;
+            if Queue.length t.gpending = t.gwindow then kick_locked t;
             let rec wait () =
               if t.gdurable >= my then Ok ()
               else
@@ -236,6 +300,29 @@ let settle_group t cfg =
   in
   match result with Ok () -> () | Error e -> raise e
 
+(* Wake everything parked on the group state, and close the self-pipe
+   once no leader can be inside a window. Clearing [gwake] stops any
+   later leader from opening one; a parked leader is kicked out of its
+   [select] and sees it cleared; the descriptors are closed only after
+   [gwindow] is back to 0, so no leader ever selects on a descriptor
+   number the process may since have reused. The broadcast wakes parked
+   riders to re-check the poison. *)
+let shut_group t =
+  Mutex.protect t.gm (fun () ->
+      let pipe = t.gwake in
+      kick_locked t;
+      t.gwake <- None;
+      Condition.broadcast t.gcond;
+      match pipe with
+      | None -> ()
+      | Some (r, w) ->
+          while t.gwindow > 0 do
+            Condition.wait t.gcond t.gm
+          done;
+          List.iter
+            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+            [ r; w ])
+
 (* ---------- public operations ---------- *)
 
 let append t payload =
@@ -243,25 +330,6 @@ let append t payload =
   check_poisoned t;
   match t.mode with
   | Group cfg -> append_group t cfg payload
-  | Sync ->
-      let t0 = Time_ns.now_ns () in
-      Mutex.lock t.io_mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.io_mutex)
-        (fun () ->
-          check_poisoned t;
-          let buf =
-            Buffer.create (String.length payload + Wal_record.header_length)
-          in
-          Wal_record.encode buf payload;
-          try
-            t.writer.Env.w_append (Buffer.contents buf);
-            t.written <- t.written + Buffer.length buf;
-            t.writer.Env.w_fsync ()
-          with e ->
-            poison_locked t e;
-            raise e);
-      observe_commit t ~records:1 ~since_ns:t0
   | Async ->
       Mpmc_queue.push t.queue payload;
       (* Opportunistic group commit: whoever gets the lock drains for all.
@@ -289,7 +357,7 @@ let flush t =
   (* Settle parked group riders first: their records live in [gpending],
      not the async queue, and must be made durable by leader rounds so
      their tickets publish. Then drain the async queue and fsync. *)
-  (match t.mode with Group cfg -> settle_group t cfg | Sync | Async -> ());
+  (match t.mode with Group cfg -> settle_group t cfg | Async -> ());
   Mutex.lock t.io_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.io_mutex)
@@ -313,7 +381,11 @@ let close t =
     (* The descriptor is released even when the final flush fails; the
        failure still propagates (a swallowed fsync error here would
        silently drop acknowledged-durable guarantees). *)
-    Fun.protect ~finally:(fun () -> t.writer.Env.w_close ()) (fun () -> flush t)
+    Fun.protect
+      ~finally:(fun () ->
+        shut_group t;
+        t.writer.Env.w_close ())
+      (fun () -> flush t)
   end
 
 let abandon t =
@@ -323,9 +395,10 @@ let abandon t =
        writer is unbuffered); the queue's unacknowledged records are
        dropped, modeling the loss. Group riders parked at this point are
        in-flight unacknowledged commits: poison with [Env.Crashed] and
-       wake them so they raise instead of hanging forever. *)
+       wake them, a leader parked in a window included, so they raise
+       instead of hanging or riding out the window. *)
     Mutex.protect t.io_mutex (fun () -> poison_locked t Env.Crashed);
-    Mutex.protect t.gm (fun () -> Condition.broadcast t.gcond);
+    shut_group t;
     try t.writer.Env.w_close () with _ -> ()
   end
 

@@ -7,18 +7,22 @@
     the file opportunistically by whichever appender wins a try-lock (group
     commit), or synchronously by {!flush}.
 
-    In [Sync] mode every [append] writes and fsyncs before returning.
-
     In [Group] mode every [append] is durable before returning, but the
     write+fsync is leader-batched (RocksDB-style group commit): concurrent
     appenders enqueue their record with a ticket and park on a condition
     variable; the first waiter elects itself leader — no dedicated domain
     is spawned, so the scheme composes with the maintenance scheduler's
-    pool and simulated environments — optionally sleeps [max_delay_us] to
-    let more committers board, drains up to [max_batch] records, issues
+    pool and simulated environments — waits in an accumulation window
+    until the committers the previous round predicts have boarded (at
+    most [max_delay_us]), drains up to [max_batch] records, issues
     {e one} write and {e one} fsync through the env, publishes the durable
     ticket and wakes all riders. [max_batch] bounds a single batch;
-    leftover records elect the next leader immediately.
+    leftover records elect the next leader immediately. The window's
+    early close uses a self-pipe, created only when a window can open
+    ([max_batch > 1] and [max_delay_us > 0]) and closed by {!close} or
+    {!abandon}. Per-write durability is
+    [Group { max_batch = 1; max_delay_us = 0 }]: every append is its own
+    round, with no window and no pipe.
 
     {b Failure model (fsync-gate).} All IO goes through the store's
     {!Clsm_env.Env.t}. The first append or fsync failure {e poisons} the
@@ -35,24 +39,30 @@
 type t
 
 type group_config = { max_batch : int; max_delay_us : int }
-(** Leader accumulation policy: a batch closes at [max_batch] records, or
-    when the [max_delay_us] accumulation window (0 = commit immediately)
-    expires with fewer waiting. The window is adaptive — a leader opens
-    it only when new records arrived while the previous round was inside
-    its write+fsync, so an uncontended writer commits immediately and
-    never pays the delay, while concurrent committers get a boarding
-    window that lets the batch reach the full committer count instead of
-    oscillating around half of it. *)
+(** Leader accumulation policy. Each round predicts how many committers
+    board the next one: its own batch size (closed-loop writers come
+    back) plus the records that queued behind it. A leader that finds
+    fewer pending than that prediction (capped at [max_batch]) opens an
+    accumulation window, and the window closes as soon as the last
+    predicted rider boards — the leader blocks on a pipe that rider
+    writes to, it neither sleeps blind nor spins — or after
+    [max_delay_us] (0 = never open a window). An uncontended writer
+    predicts 1 and never pays the window; after a writer departs, one
+    window expires and the smaller batch lowers the prediction. *)
 
-type mode = Sync | Async | Group of group_config
+type mode = Async | Group of group_config
 
 type observer = {
   on_group_commit : records:int -> unit;
-      (** one durable write+fsync covering [records] records (1 in [Sync]
-          mode) just completed *)
+      (** one durable write+fsync covering [records] records just
+          completed *)
   on_commit_wait : ns:int -> unit;
       (** one durable [append] was acknowledged after waiting [ns]
-          nanoseconds (commit-wait latency, [Sync] and [Group] modes) *)
+          nanoseconds (commit-wait latency, [Group] mode) *)
+  on_window : boarded:bool -> unit;
+      (** one [Group] accumulation window closed: [boarded] when the
+          predicted riders boarded, [false] when [max_delay_us] expired
+          first (or the writer shut down) *)
 }
 (** Stats hooks, injected at {!create} so this layer stays independent of
     the core's stats registry. Callbacks run on the committing caller's
@@ -64,9 +74,9 @@ val create : ?mode:mode -> ?env:Clsm_env.Env.t -> ?observer:observer -> string -
 
 val append : t -> string -> unit
 (** Log one record. Thread-safe; non-blocking in [Async] mode except for an
-    opportunistic drain attempt; blocks until durable in [Sync] and
-    [Group] modes. Raises {!Clsm_env.Env.Error} (or the original
-    poisoning exception) on IO failure — in [Sync]/[Group] mode the
+    opportunistic drain attempt; blocks until durable in [Group]
+    mode. Raises {!Clsm_env.Env.Error} (or the original
+    poisoning exception) on IO failure — in [Group] mode the
     record is then {e not} acknowledged. *)
 
 val enqueue : t -> string -> unit
@@ -82,8 +92,9 @@ val flush : t -> unit
     the original exception. *)
 
 val close : t -> unit
-(** {!flush} then close the file. The descriptor is always released, but a
-    flush/fsync failure still propagates. *)
+(** {!flush} then close the file. The descriptors (the file's and the
+    window pipe's) are always released, but a flush/fsync failure still
+    propagates. *)
 
 val poisoned : t -> bool
 (** True once an IO failure has permanently disabled the writer (or
@@ -105,5 +116,7 @@ val written_bytes : t -> int
 val abandon : t -> unit
 (** Close the file without draining the queue or syncing — test hook that
     leaves the file exactly as a crash would. Poisons the writer with
-    {!Clsm_env.Env.Crashed} and wakes parked group riders so in-flight
-    commits raise (unacknowledged) instead of hanging. Never raises. *)
+    {!Clsm_env.Env.Crashed} and wakes parked group riders, and a leader
+    parked in an accumulation window, so in-flight commits raise
+    (unacknowledged) at once instead of hanging. Releases the window
+    pipe once no leader is inside a window. Never raises. *)

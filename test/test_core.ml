@@ -517,6 +517,36 @@ let wal_disabled_loses_memtable_only () =
     (Db.get db "volatile");
   Db.close db
 
+(* ---------- Group-commit WAL ---------- *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* Every rotation opens a fresh group-mode log, with its own wake-up
+   pipe, and the flush retires the old one: 20 rotations must leave the
+   process's descriptor count where it was. *)
+let group_rotations_release_fds () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let dir = fresh_dir () in
+    let opts =
+      {
+        (small_opts dir) with
+        Options.wal_sync = `Group Options.default_group_commit;
+      }
+    in
+    let before = open_fds () in
+    let db = Db.open_store opts in
+    for i = 1 to 20 do
+      Db.put db ~key:(Printf.sprintf "k%02d" i) ~value:"v";
+      Db.compact_now db
+    done;
+    let rotations = (Db.stats db).Stats.memtable_rotations in
+    Db.close db;
+    Alcotest.(check bool)
+      (Printf.sprintf "%d rotations" rotations)
+      true (rotations >= 20);
+    Alcotest.(check int) "descriptors released" before (open_fds ())
+  end
+
 (* ---------- Concurrency ---------- *)
 
 let concurrent_put_get_during_merges () =
@@ -662,6 +692,11 @@ let suites =
         Alcotest.test_case "disk + wal mix" `Quick recovery_with_disk_and_wal_mix;
         Alcotest.test_case "unordered wal records" `Quick recovery_unordered_wal;
         Alcotest.test_case "wal disabled" `Quick wal_disabled_loses_memtable_only;
+      ] );
+    ( "core.db.wal",
+      [
+        Alcotest.test_case "group rotations release fds" `Quick
+          group_rotations_release_fds;
       ] );
     ( "core.db.concurrent",
       [

@@ -143,7 +143,8 @@ let fsync_gate_poisons_writer () =
   let f = Faulty_env.create ~seed:7 ~fsync_fail_1_in:1 () in
   let path = Filename.concat dir "gate.log" in
   let w =
-    Clsm_wal.Wal_writer.create ~mode:Clsm_wal.Wal_writer.Sync
+    Clsm_wal.Wal_writer.create
+      ~mode:(Clsm_wal.Wal_writer.Group { max_batch = 1; max_delay_us = 0 })
       ~env:(Faulty_env.env f) path
   in
   (match Clsm_wal.Wal_writer.append w "r1" with

@@ -73,7 +73,11 @@ let wal_large_record () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "clsm_wal_large_%d" (Unix.getpid ()))
   in
-  let w = Clsm_wal.Wal_writer.create ~mode:Clsm_wal.Wal_writer.Sync path in
+  let w =
+    Clsm_wal.Wal_writer.create
+      ~mode:(Clsm_wal.Wal_writer.Group { max_batch = 1; max_delay_us = 0 })
+      path
+  in
   let big = String.init 1_000_000 (fun i -> Char.chr (i mod 256)) in
   Clsm_wal.Wal_writer.append w big;
   Clsm_wal.Wal_writer.append w "small-after-big";

@@ -622,9 +622,10 @@ let run_group_commit_seed seed =
   let fault = Faulty_env.create ~seed () in
   (* Sweep the policy space deterministically per seed: tiny batches
      (leaders outnumber riders), wide batches, no/short accumulation
-     windows. *)
+     windows, and a long one that only boarding riders close early, so
+     crash points land inside parked windows too. *)
   let max_batch = [| 1; 2; 4; 8 |].(Random.State.int rng 4) in
-  let max_delay_us = [| 0; 100; 500 |].(Random.State.int rng 3) in
+  let max_delay_us = [| 0; 100; 500; 50_000 |].(Random.State.int rng 4) in
   let opts =
     {
       (opts_for ~env:(Faulty_env.env fault) dir) with

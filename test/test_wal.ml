@@ -7,6 +7,9 @@ let tmp_dir =
 
 let tmp_path name = Filename.concat tmp_dir name
 
+(* Per-write durability: every append is its own group-commit round. *)
+let per_write = Wal_writer.Group { Wal_writer.max_batch = 1; max_delay_us = 0 }
+
 let record_roundtrip () =
   let buf = Buffer.create 64 in
   let payloads = [ "first"; ""; "third record with some length" ] in
@@ -33,7 +36,7 @@ let record_detects_corruption () =
 
 let writer_sync_roundtrip () =
   let path = tmp_path "sync.log" in
-  let w = Wal_writer.create ~mode:Wal_writer.Sync path in
+  let w = Wal_writer.create ~mode:per_write path in
   Wal_writer.append w "one";
   Wal_writer.append w "two";
   Wal_writer.close w;
@@ -78,7 +81,7 @@ let writer_concurrent_appends () =
 
 let torn_tail_recovery () =
   let path = tmp_path "torn.log" in
-  let w = Wal_writer.create ~mode:Wal_writer.Sync path in
+  let w = Wal_writer.create ~mode:per_write path in
   Wal_writer.append w "keep-1";
   Wal_writer.append w "keep-2";
   Wal_writer.append w "will-be-torn";
@@ -101,7 +104,7 @@ let write_whole path s =
    failure. *)
 let torn_tail_strict_raises () =
   let path = tmp_path "torn_strict.log" in
-  let w = Wal_writer.create ~mode:Wal_writer.Sync path in
+  let w = Wal_writer.create ~mode:per_write path in
   Wal_writer.append w "keep-1";
   Wal_writer.append w "will-be-torn";
   Wal_writer.close w;
@@ -117,7 +120,7 @@ let torn_tail_strict_raises () =
    salvaged and the outcome distinguishes corruption from tearing. *)
 let bit_flip_corrupt_tail () =
   let path = tmp_path "bitflip.log" in
-  let w = Wal_writer.create ~mode:Wal_writer.Sync path in
+  let w = Wal_writer.create ~mode:per_write path in
   Wal_writer.append w "keep-1";
   Wal_writer.append w "keep-2";
   Wal_writer.append w "victim-payload";
@@ -155,7 +158,7 @@ let zero_length_file () =
    torn (incomplete) trailer. *)
 let garbage_trailer () =
   let path = tmp_path "garbage.log" in
-  let w = Wal_writer.create ~mode:Wal_writer.Sync path in
+  let w = Wal_writer.create ~mode:per_write path in
   Wal_writer.append w "keep-1";
   Wal_writer.append w "keep-2";
   Wal_writer.close w;
@@ -182,8 +185,7 @@ let group ?(max_batch = 8) ?(max_delay_us = 0) () =
 
 (* Durability is immediate in group mode: no flush/close, the record must
    already be on disk when append returns — and [written_bytes] must
-   bound a cleanly readable prefix, exactly like Sync mode (scrub's
-   contract). *)
+   bound a cleanly readable prefix (scrub's contract). *)
 let group_append_is_durable () =
   let path = tmp_path "group_durable.log" in
   let w = Wal_writer.create ~mode:(group ()) path in
@@ -241,6 +243,7 @@ let group_batches_riders () =
           Atomic.incr commits;
           ignore (Atomic.fetch_and_add committed records));
       on_commit_wait = (fun ~ns:_ -> ());
+      on_window = (fun ~boarded:_ -> ());
     }
   in
   let w =
@@ -280,6 +283,7 @@ let group_respects_max_batch () =
       Wal_writer.on_group_commit =
         (fun ~records -> if records > 2 then Atomic.incr oversize);
       on_commit_wait = (fun ~ns:_ -> ());
+      on_window = (fun ~boarded:_ -> ());
     }
   in
   let w =
@@ -298,6 +302,144 @@ let group_respects_max_batch () =
   Alcotest.(check int) "no batch above max_batch" 0 (Atomic.get oversize);
   let records, _ = Wal_reader.read_records ~strict:true path in
   Alcotest.(check int) "none lost" 80 (List.length records)
+
+(* Commit rounds and window outcomes, counted through the observer. *)
+let counting_observer () =
+  let rounds = Atomic.make 0
+  and boarded = Atomic.make 0
+  and expired = Atomic.make 0 in
+  let observer =
+    {
+      Wal_writer.on_group_commit = (fun ~records:_ -> Atomic.incr rounds);
+      on_commit_wait = (fun ~ns:_ -> ());
+      on_window =
+        (fun ~boarded:b -> Atomic.incr (if b then boarded else expired));
+    }
+  in
+  (observer, rounds, boarded, expired)
+
+(* Two closed-loop committers run for [n] and [n + extra] appends. *)
+let closed_loop_pair w ~n ~extra =
+  let producer tag count () =
+    for i = 0 to count - 1 do
+      Wal_writer.append w (Printf.sprintf "%c%04d" tag i)
+    done
+  in
+  List.map Domain.spawn [ producer 'a' n; producer 'b' (n + extra) ]
+  |> List.iter Domain.join
+
+(* The window closes when the predicted rider boards, not at its
+   deadline: with a 1 s window, two closed-loop committers would need
+   ~100 s if every round waited it out. *)
+let group_window_closes_on_boarding () =
+  let path = tmp_path "group_early_close.log" in
+  let observer, rounds, boarded, expired = counting_observer () in
+  let w =
+    Wal_writer.create
+      ~mode:(group ~max_batch:8 ~max_delay_us:1_000_000 ())
+      ~observer path
+  in
+  let t0 = Unix.gettimeofday () in
+  closed_loop_pair w ~n:100 ~extra:0;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Wal_writer.close w;
+  let mean = 200. /. float_of_int (Atomic.get rounds) in
+  Alcotest.(check bool)
+    (Printf.sprintf "200 appends in %.2f s (< 10 s)" elapsed)
+    true (elapsed < 10.);
+  Alcotest.(check bool)
+    (Printf.sprintf "mean batch %.2f >= 1.5" mean)
+    true (mean >= 1.5);
+  Alcotest.(check bool)
+    (Printf.sprintf "windows boarded (%d boarded, %d expired)"
+       (Atomic.get boarded) (Atomic.get expired))
+    true
+    (Atomic.get boarded > Atomic.get expired);
+  let records, _ = Wal_reader.read_records ~strict:true path in
+  Alcotest.(check int) "on disk" 200 (List.length records)
+
+(* After one committer departs, the other pays a window only until a
+   smaller batch lowers the prediction: at most 2 expire over its next
+   50 appends, instead of one per append. *)
+let group_window_adapts_to_departure () =
+  let path = tmp_path "group_departure.log" in
+  let observer, _, _, expired = counting_observer () in
+  let delay_us = 200_000 in
+  let w =
+    Wal_writer.create
+      ~mode:(group ~max_batch:8 ~max_delay_us:delay_us ())
+      ~observer path
+  in
+  closed_loop_pair w ~n:50 ~extra:50;
+  Wal_writer.close w;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d windows expired (<= 2)" (Atomic.get expired))
+    true
+    (Atomic.get expired <= 2);
+  let records, _ = Wal_reader.read_records ~strict:true path in
+  Alcotest.(check int) "on disk" 150 (List.length records)
+
+(* [abandon] while a leader is parked in a 1 s window: the leader and its
+   rider raise at once instead of riding out the window. A slow fsync
+   makes the set-up deterministic:
+   the first of three committers commits alone while the other two queue
+   behind it, so the next round predicts three and parks waiting for a
+   rider that never comes. *)
+let group_abandon_parked_window () =
+  let path = tmp_path "group_abandon_window.log" in
+  let slow =
+    {
+      Env.unix with
+      create_writer =
+        (fun p ->
+          let w = Env.unix.create_writer p in
+          {
+            w with
+            w_fsync =
+              (fun () ->
+                Unix.sleepf 0.1;
+                w.w_fsync ());
+          });
+    }
+  in
+  let observer, rounds, _, _ = counting_observer () in
+  let w =
+    Wal_writer.create
+      ~mode:(group ~max_batch:8 ~max_delay_us:1_000_000 ())
+      ~env:slow ~observer path
+  in
+  let writers = 3 in
+  let ready = Atomic.make 0 in
+  let outcome i () =
+    Atomic.incr ready;
+    while Atomic.get ready < writers do
+      Domain.cpu_relax ()
+    done;
+    match Wal_writer.append w (Printf.sprintf "w%d" i) with
+    | () -> `Acked
+    | exception Env.Crashed -> `Crashed (Unix.gettimeofday ())
+  in
+  let domains = List.init writers (fun i -> Domain.spawn (outcome i)) in
+  while Atomic.get rounds < 1 do
+    Unix.sleepf 0.001
+  done;
+  (* past the first round's fsync: the next leader is in its window *)
+  Unix.sleepf 0.1;
+  let abandoned = Unix.gettimeofday () in
+  Wal_writer.abandon w;
+  let results = List.map Domain.join domains in
+  let acked = List.filter (( = ) `Acked) results in
+  Alcotest.(check int) "one committed before the window" 1 (List.length acked);
+  List.iter
+    (function
+      | `Acked -> ()
+      | `Crashed at ->
+          Alcotest.(check bool)
+            (Printf.sprintf "raised %.3f s after abandon" (at -. abandoned))
+            true
+            (at -. abandoned < 0.5))
+    results;
+  Alcotest.(check bool) "poisoned" true (Wal_writer.poisoned w)
 
 (* Recovery's re-log path: [enqueue] acknowledges nothing and writes
    nothing until one [flush] makes the whole batch durable. *)
@@ -391,7 +533,7 @@ let prop_wal_roundtrip =
     QCheck.(list (string_of_size Gen.(0 -- 100)))
     (fun payloads ->
       let path = tmp_path "prop.log" in
-      let w = Wal_writer.create ~mode:Wal_writer.Sync path in
+      let w = Wal_writer.create ~mode:per_write path in
       List.iter (Wal_writer.append w) payloads;
       Wal_writer.close w;
       let records, outcome = Wal_reader.read_records path in
@@ -452,7 +594,7 @@ let prop_group_prefix_equivalent =
       in
       let group_mode = group ~max_batch:3 ~max_delay_us:0 () in
       let acked_g, path_g, f_g, crashed_g = run_mode "g" group_mode in
-      let acked_p, path_p, f_p, crashed_p = run_mode "p" Wal_writer.Sync in
+      let acked_p, path_p, f_p, crashed_p = run_mode "p" per_write in
       let salvage ~crashed path f =
         if crashed then Faulty_env.install_crash_image f;
         if Sys.file_exists path then fst (Wal_reader.read_records path) else []
@@ -498,6 +640,12 @@ let suites =
         Alcotest.test_case "concurrent appends" `Quick group_concurrent_appends;
         Alcotest.test_case "riders batch" `Quick group_batches_riders;
         Alcotest.test_case "max_batch bound" `Quick group_respects_max_batch;
+        Alcotest.test_case "window closes on boarding" `Quick
+          group_window_closes_on_boarding;
+        Alcotest.test_case "window adapts to a departure" `Quick
+          group_window_adapts_to_departure;
+        Alcotest.test_case "abandon during a window" `Quick
+          group_abandon_parked_window;
         Alcotest.test_case "enqueue then flush" `Quick group_enqueue_then_flush;
         Alcotest.test_case "poison wakes riders" `Quick
           group_poison_wakes_all_riders;
