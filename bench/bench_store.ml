@@ -683,13 +683,13 @@ let run_read ~scale ~out =
   close_out oc;
   Printf.printf "wrote %s\n%!" out
 
-(* ---------- kernels: per-block byte loops, point lookups, the clock ---------- *)
+(* ---------- kernels: per-block byte loops, cached reads, the clock ---------- *)
 
 (* Every table block passes through [Env.rf_read] (mmap copy-out) and
    [Crc32c.sub] on the way in, and through [Crc32c] on the way out; an
    L0→L1 merge strings both together with block decode, merge and
    encode. Each kernel runs [samples] timed batches and reports MB/s of
-   the median and best batch; the point lookups and the clock calls
+   the median and best batch; the cached reads and the clock calls
    report ns per call instead (see [ns_row]). *)
 
 let block_bytes = 4096
@@ -747,13 +747,15 @@ let ns_row ~samples ~ops ?(warmup = ops) name call =
       ("minor_words_per_op", J.Float words);
     ]
 
-(* Point lookups served wholly from the block cache, in the shape of the
-   e2e get_resident workload: 8 B keys and 256 B values, preloaded,
-   compacted and warmed by a full fold. Times a cached
-   [Table.find_last_le] on the store's largest table and [Db.get] on the
-   store, and counts the minor-heap words each call allocates: on OCaml 5
-   every minor collection stops every domain. *)
-let point_lookup_rows ~scale ~samples =
+(* Point lookups and scans served wholly from the block cache, in the
+   shape of the e2e get_resident workload: 8 B keys and 256 B values,
+   preloaded, compacted and warmed by a full fold. Times a cached
+   [Table.find_last_le] on the store's largest table, and [Db.get], a
+   one-row [Db.range] (the scan's seek: an iterator, one seek per
+   component, one row) and a 50-row [Db.range] (the seek plus 49 rows)
+   on the store, and counts the minor-heap words each call allocates: on
+   OCaml 5 every minor collection stops every domain. *)
+let cached_read_rows ~scale ~samples =
   let module Table = Clsm_sstable.Table in
   let keys = match scale with Smoke -> 10_000 | Full -> 100_000 in
   let ops = match scale with Smoke -> 20_000 | Full -> 200_000 in
@@ -786,6 +788,16 @@ let point_lookup_rows ~scale ~samples =
     row "point_lookup.db_get" (fun k ->
         ignore (Sys.opaque_identity (Db.get db k) : string option))
   in
+  let scan_row name limit =
+    ns_row ~samples ~ops:(ops / 20) ~warmup:(Array.length probes) name
+      (fun i ->
+        ignore
+          (Sys.opaque_identity
+             (Db.range ~start:(Array.unsafe_get probes (i land mask)) ~limit db)
+            : _ list))
+  in
+  let seek_row = scan_row "scan.seek" 1 in
+  let range_row = scan_row "scan.range50" 50 in
   Db.close db;
   let largest =
     Array.to_list (Sys.readdir dir)
@@ -814,7 +826,7 @@ let point_lookup_rows ~scale ~samples =
   in
   Table.close table;
   rm_rf dir;
-  [ table_row; db_row ]
+  [ table_row; db_row; seek_row; range_row ]
 
 (* The paper's timestamp protocol on an otherwise idle clock, in ns per
    call: getSnap's choice and fence of a snapshot timestamp (Algorithm
@@ -919,7 +931,7 @@ let run_kernels ~scale ~out =
     inputs;
   rm_rf dir;
   let merge_row = kernel_row "merge" ~bytes_per_sample:input_bytes merge in
-  let point_rows = point_lookup_rows ~scale ~samples in
+  let read_rows = cached_read_rows ~scale ~samples in
   let clock_rows = clock_rows ~scale ~samples in
   let doc =
     J.Obj
@@ -935,7 +947,7 @@ let run_kernels ~scale ~out =
         ("samples", J.Int samples);
         ("merge_input_files", J.Int num_files);
         ( "kernels",
-          J.List ([ crc_row; read_row; merge_row ] @ point_rows @ clock_rows) );
+          J.List ([ crc_row; read_row; merge_row ] @ read_rows @ clock_rows) );
       ]
   in
   let oc = open_out out in

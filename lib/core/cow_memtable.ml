@@ -96,6 +96,11 @@ let iter t =
         current := Some binding;
         seq := rest
   in
+  let entry () =
+    match !current with
+    | Some (_, e) -> e
+    | None -> invalid_arg "Cow_memtable.iter: invalid"
+  in
   {
     Iter.seek_to_first =
       (fun () ->
@@ -111,11 +116,8 @@ let iter t =
         match !current with
         | Some (k, _) -> k
         | None -> invalid_arg "Cow_memtable.iter: invalid");
-    value =
-      (fun () ->
-        match !current with
-        | Some (_, e) -> Entry.encode e
-        | None -> invalid_arg "Cow_memtable.iter: invalid");
+    value = (fun () -> Entry.encode (entry ()));
+    entry;
     next = (fun () -> if !current <> None then step ());
   }
 

@@ -68,16 +68,9 @@ let iter t =
     Iter.seek_to_first = (fun () -> SL.Cursor.seek_first c);
     seek = (fun target -> SL.Cursor.seek c target);
     valid = (fun () -> SL.Cursor.valid c);
-    key =
-      (fun () ->
-        match SL.Cursor.current c with
-        | Some (k, _) -> k
-        | None -> invalid_arg "Memtable.iter: invalid");
-    value =
-      (fun () ->
-        match SL.Cursor.current c with
-        | Some (_, e) -> Entry.encode e
-        | None -> invalid_arg "Memtable.iter: invalid");
+    key = (fun () -> SL.Cursor.key c);
+    value = (fun () -> Entry.encode (SL.Cursor.value c));
+    entry = (fun () -> SL.Cursor.value c);
     next = (fun () -> SL.Cursor.next c);
   }
 

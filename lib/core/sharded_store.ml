@@ -379,6 +379,7 @@ module Make_core (S : Store_sig.EXTENDED) = struct
       valid = (fun () -> S.iter_valid sit);
       key = (fun () -> S.iter_key sit);
       value = (fun () -> S.iter_value sit);
+      entry = (fun () -> Entry.Value (S.iter_value sit));
       next = (fun () -> S.iter_next sit);
     }
 

@@ -123,11 +123,11 @@ module Make_core (M : Memtable_intf.S) = struct
      fsync, out of space) degrades the store to read-only before the
      exception reaches the caller: the writer is poisoned, so no later
      write could be made durable either. *)
-  let wal_append t mc data =
+  let wal_append ?alone t mc data =
     match mc.wal with
     | None -> ()
     | Some w -> (
-        try Clsm_wal.Wal_writer.append w data
+        try Clsm_wal.Wal_writer.append ?alone w data
         with (Clsm_env.Env.Error _ | Clsm_env.Env.Crashed) as e ->
           degrade t ("wal append failed: " ^ Printexc.to_string e);
           raise e)
@@ -193,7 +193,9 @@ module Make_core (M : Memtable_intf.S) = struct
                 { Log_record.ts; user_key; entry })
               ops
           in
-          wal_append t mc (Log_record.encode_batch records));
+          (* Every put appends under the shared lock this batch holds
+             exclusively, so no rider can board a group-commit window. *)
+          wal_append ~alone:true t mc (Log_record.encode_batch records));
       maybe_wake_for_rotation t mc
     end
 
@@ -399,22 +401,31 @@ module Make_core (M : Memtable_intf.S) = struct
      re-raised: unlike a point get, a scan cannot treat a rotten file as
      a miss without silently dropping a key range from its answer. The
      caller can retry after repair — the quarantined table is gone from
-     the next read view, so the retry answers from surviving data. *)
-  let guard_iter it f =
-    try f ()
+     the next read view, so the retry answers from surviving data.
+     [guard_iter] applies [f] to [x] so that a step passes [advance]
+     itself and allocates no closure per row. *)
+  let guard_iter it f x =
+    try f x
     with Table_file.Corruption { number; detail; _ } as e ->
       ignore (enqueue_quarantine it.db ~number ~detail : bool);
       raise e
 
+  let advance it =
+    it.cur <- Iter.next_visible it.merged ~snap_ts:it.snap.snap_ts
+
   let iter_seek_first it =
-    guard_iter it (fun () ->
+    guard_iter it
+      (fun it ->
         it.merged.Iter.seek_to_first ();
-        it.cur <- Iter.next_visible it.merged ~snap_ts:it.snap.snap_ts)
+        advance it)
+      it
 
   let iter_seek it target =
-    guard_iter it (fun () ->
+    guard_iter it
+      (fun target ->
         it.merged.Iter.seek (Internal_key.make target 0);
-        it.cur <- Iter.next_visible it.merged ~snap_ts:it.snap.snap_ts)
+        advance it)
+      target
 
   let iter_valid it = it.cur <> None
 
@@ -428,10 +439,7 @@ module Make_core (M : Memtable_intf.S) = struct
     | Some (_, v) -> v
     | None -> invalid_arg "Db.iter_value: invalid iterator"
 
-  let iter_next it =
-    if it.cur <> None then
-      guard_iter it (fun () ->
-          it.cur <- Iter.next_visible it.merged ~snap_ts:it.snap.snap_ts)
+  let iter_next it = if it.cur <> None then guard_iter it advance it
 
   let iter_close it =
     if not it.it_closed then begin

@@ -4,19 +4,25 @@ type t = {
   valid : unit -> bool;
   key : unit -> string;
   value : unit -> string;
+  entry : unit -> Entry.t;
   next : unit -> unit;
 }
 
-let of_table table =
+let of_table ?(corruption = fun m -> Clsm_sstable.Table.Corrupt m) table =
   let module T = Clsm_sstable.Table in
   let it = T.Iter.make table in
   {
-    seek_to_first = (fun () -> T.Iter.seek_to_first it);
-    seek = (fun target -> T.Iter.seek it target);
+    seek_to_first =
+      (fun () ->
+        try T.Iter.seek_to_first it with T.Corrupt m -> raise (corruption m));
+    seek =
+      (fun target ->
+        try T.Iter.seek it target with T.Corrupt m -> raise (corruption m));
     valid = (fun () -> T.Iter.valid it);
     key = (fun () -> T.Iter.key it);
     value = (fun () -> T.Iter.value it);
-    next = (fun () -> T.Iter.next it);
+    entry = (fun () -> T.Iter.read_value it Entry.decode_at);
+    next = (fun () -> try T.Iter.next it with T.Corrupt m -> raise (corruption m));
   }
 
 let of_array arr =
@@ -40,6 +46,7 @@ let of_array arr =
     valid;
     key = (fun () -> fst arr.(!pos));
     value = (fun () -> snd arr.(!pos));
+    entry = (fun () -> Entry.decode (snd arr.(!pos)));
     next = (fun () -> if valid () then incr pos);
   }
 
@@ -61,43 +68,69 @@ let of_sorted_list ~cmp entries =
     valid;
     key = (fun () -> fst arr.(!pos));
     value = (fun () -> snd arr.(!pos));
+    entry = (fun () -> Entry.decode (snd arr.(!pos)));
     next = (fun () -> if valid () then incr pos);
   }
 
-let concat subs =
-  let subs = Array.of_list subs in
-  let n = Array.length subs in
-  let cur = ref n in
-  (* Position [cur] on the first source at or after index [i] that is
-     valid, rewinding each candidate to its first entry. *)
-  let rec settle_from i =
-    if i >= n then cur := n
-    else begin
-      subs.(i).seek_to_first ();
-      if subs.(i).valid () then cur := i else settle_from (i + 1)
+(* Stands in for the iterator of a run's file before one is entered. *)
+let unpositioned =
+  let invalid () = invalid_arg "Iter.run: invalid iterator" in
+  {
+    seek_to_first = ignore;
+    seek = ignore;
+    valid = (fun () -> false);
+    key = invalid;
+    value = invalid;
+    entry = invalid;
+    next = ignore;
+  }
+
+let run ~cmp ~largest open_file =
+  let n = Array.length largest in
+  let cur = ref n (* the file entered, [n] for none *)
+  and it = ref unpositioned (* its iterator *) in
+  let enter i =
+    if i <> !cur then begin
+      cur := i;
+      it := if i < n then open_file i else unpositioned
     end
   in
-  let valid () = !cur < n && subs.(!cur).valid () in
+  (* A file left exhausted hands over to the first entry of the next. *)
+  let rec settle () =
+    if !cur < n && not (!it.valid ()) then begin
+      enter (!cur + 1);
+      !it.seek_to_first ();
+      settle ()
+    end
+  in
+  let valid () = !cur < n && !it.valid () in
   {
-    seek_to_first = (fun () -> settle_from 0);
+    seek_to_first =
+      (fun () ->
+        enter 0;
+        !it.seek_to_first ();
+        settle ());
     seek =
       (fun target ->
-        let rec go i =
-          if i >= n then cur := n
-          else begin
-            subs.(i).seek target;
-            if subs.(i).valid () then cur := i else go (i + 1)
-          end
-        in
-        go 0);
+        (* The first file whose largest key is >= target is the only one
+           that can hold the first entry >= target. *)
+        let lo = ref 0 and hi = ref n in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if cmp largest.(mid) target < 0 then lo := mid + 1 else hi := mid
+        done;
+        enter !lo;
+        !it.seek target;
+        settle ());
     valid;
-    key = (fun () -> subs.(!cur).key ());
-    value = (fun () -> subs.(!cur).value ());
+    key = (fun () -> !it.key ());
+    value = (fun () -> !it.value ());
+    entry = (fun () -> !it.entry ());
     next =
       (fun () ->
         if valid () then begin
-          subs.(!cur).next ();
-          if not (subs.(!cur).valid ()) then settle_from (!cur + 1)
+          !it.next ();
+          settle ()
         end);
   }
 
@@ -124,6 +157,7 @@ let clamp ?lo ?hi ~cmp it =
     valid;
     key = it.key;
     value = it.value;
+    entry = it.entry;
     next = (fun () -> if valid () then it.next ());
   }
 
@@ -141,16 +175,24 @@ let fold f it acc =
 
 let to_list it = List.rev (fold (fun k v acc -> (k, v) :: acc) it [])
 
+(* Consume the versions of [uk] at the cursor and return the last one
+   not above [snap_ts] (versions ascend by timestamp), or [Tombstone]
+   when none is; only visible versions are read. *)
+let rec last_visible it uk snap_ts best =
+  if not (it.valid ()) then best
+  else
+    let k = it.key () in
+    if Internal_key.compare_user_key k uk <> 0 then best
+    else begin
+      let best = if Internal_key.ts_of k <= snap_ts then it.entry () else best in
+      it.next ();
+      last_visible it uk snap_ts best
+    end
+
 let rec next_visible it ~snap_ts =
   if not (it.valid ()) then None
-  else begin
+  else
     let uk = Internal_key.user_key_of (it.key ()) in
-    let best = ref None in
-    while it.valid () && String.equal (Internal_key.user_key_of (it.key ())) uk do
-      if Internal_key.ts_of (it.key ()) <= snap_ts then best := Some (it.value ());
-      it.next ()
-    done;
-    match Option.map Entry.decode !best with
-    | Some (Entry.Value v) -> Some (uk, v)
-    | Some Entry.Tombstone | None -> next_visible it ~snap_ts
-  end
+    match last_visible it uk snap_ts Entry.Tombstone with
+    | Entry.Value v -> Some (uk, v)
+    | Entry.Tombstone -> next_visible it ~snap_ts

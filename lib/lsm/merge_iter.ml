@@ -107,6 +107,7 @@ let merge_linear ~cmp subs =
     valid = (fun () -> !cur >= 0);
     key = (fun () -> subs.(!cur).cur_key);
     value = (fun () -> subs.(!cur).it.Iter.value ());
+    entry = (fun () -> subs.(!cur).it.Iter.entry ());
     next =
       (fun () ->
         if !cur >= 0 then begin
@@ -164,6 +165,7 @@ let merge_heap ~cmp subs =
     valid = (fun () -> !m > 0);
     key = (fun () -> (root ()).cur_key);
     value = (fun () -> (root ()).it.Iter.value ());
+    entry = (fun () -> (root ()).it.Iter.entry ());
     next =
       (fun () ->
         if !m > 0 then begin

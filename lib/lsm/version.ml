@@ -2,11 +2,22 @@ open Clsm_primitives
 
 type file = Table_file.t Refcounted.t
 
-type t = { l0 : file list; levels : file list array; runs : file array array }
+type t = {
+  l0 : file list;
+  levels : file list array;
+  runs : file array array;
+  scan : (file array * string array) array;
+      (* each level's non-empty files, and their largest keys *)
+}
 
 let empty ~num_levels =
   if num_levels < 2 then invalid_arg "Version.empty";
-  { l0 = []; levels = Array.make (num_levels - 1) []; runs = Array.make (num_levels - 1) [||] }
+  {
+    l0 = [];
+    levels = Array.make (num_levels - 1) [];
+    runs = Array.make (num_levels - 1) [||];
+    scan = Array.make (num_levels - 1) ([||], [||]);
+  }
 
 let addref file =
   (* Files listed in a live version always have a positive count: the
@@ -14,10 +25,24 @@ let addref file =
   let ok = Refcounted.try_incr file in
   assert ok
 
+let scan_run files =
+  let files =
+    Array.of_list
+      (List.filter
+         (fun f -> String.length (Refcounted.value f).Table_file.smallest > 0)
+         files)
+  in
+  (files, Array.map (fun f -> (Refcounted.value f).Table_file.largest) files)
+
 let create ~l0 ~levels =
   List.iter addref l0;
   Array.iter (List.iter addref) levels;
-  { l0; levels = Array.copy levels; runs = Array.map Array.of_list levels }
+  {
+    l0;
+    levels = Array.copy levels;
+    runs = Array.map Array.of_list levels;
+    scan = Array.map scan_run levels;
+  }
 
 let release t =
   List.iter Refcounted.decr t.l0;
@@ -165,30 +190,20 @@ let get ?on_corrupt t ~user_key ~snap_ts =
    the caller gets the typed signal and the store quarantines. *)
 let iter_of_file file =
   let tf = Refcounted.value file in
-  let it = Iter.of_table tf.Table_file.table in
-  let guard f x =
-    try f x
-    with Clsm_sstable.Table.Corrupt m -> raise (Table_file.typed_corruption tf m)
-  in
-  {
-    Iter.seek_to_first = guard it.Iter.seek_to_first;
-    seek = guard it.Iter.seek;
-    valid = guard it.Iter.valid;
-    key = guard it.Iter.key;
-    value = guard it.Iter.value;
-    next = guard it.Iter.next;
-  }
+  Iter.of_table ~corruption:(Table_file.typed_corruption tf) tf.Table_file.table
 
 let iters t =
-  let l0_iters = List.map iter_of_file t.l0 in
   let level_iters =
-    Array.to_list t.levels
-    |> List.filter_map (fun files ->
-           match files with
-           | [] -> None
-           | _ -> Some (Iter.concat (List.map iter_of_file files)))
+    Array.fold_right
+      (fun (files, largest) acc ->
+        if Array.length files = 0 then acc
+        else
+          Iter.run ~cmp:Internal_key.compare_encoded ~largest (fun j ->
+              iter_of_file files.(j))
+          :: acc)
+      t.scan []
   in
-  l0_iters @ level_iters
+  List.map iter_of_file t.l0 @ level_iters
 
 let find_file t number =
   let in_list l =

@@ -16,6 +16,9 @@ type t = {
   l0 : file list; (* newest first *)
   levels : file list array; (* [levels.(i)] is level [i+1], sorted, disjoint *)
   runs : file array array; (* [levels] as arrays, binary-searched by {!get} *)
+  scan : (file array * string array) array;
+      (* each level's non-empty files and their largest keys, for the run
+         iterators of {!iters} *)
 }
 
 val empty : num_levels:int -> t
@@ -67,8 +70,9 @@ val iter_of_file : file -> Iter.t
     (instead of the stringly sstable error) on checksum failure. *)
 
 val iters : t -> Iter.t list
-(** One iterator per L0 file (newest first) followed by one concatenated
-    iterator per non-empty level; inputs for merged scans. Iterators
+(** One iterator per L0 file (newest first) followed by one
+    {!Iter.run} per non-empty level, which opens a file's table iterator
+    only when a seek or a step enters it; inputs for merged scans. Iterators
     raise the typed {!Table_file.Corruption} on checksum failure — a scan
     never silently skips a rotten key range. *)
 

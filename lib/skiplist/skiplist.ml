@@ -26,7 +26,8 @@ module type S = sig
     val seek_first : 'v cursor -> unit
     val seek : 'v cursor -> key -> unit
     val valid : 'v cursor -> bool
-    val current : 'v cursor -> (key * 'v) option
+    val key : 'v cursor -> key
+    val value : 'v cursor -> 'v
     val next : 'v cursor -> unit
   end
 
@@ -213,10 +214,15 @@ module Make (Key : ORDERED) = struct
 
     let valid c = match c.pos with At _ -> true | Unpositioned | Exhausted -> false
 
-    let current c =
+    let key c =
       match c.pos with
-      | At n -> Some (n.key, n.value)
-      | Unpositioned | Exhausted -> None
+      | At n -> n.key
+      | Unpositioned | Exhausted -> invalid_arg "Skiplist.Cursor.key"
+
+    let value c =
+      match c.pos with
+      | At n -> n.value
+      | Unpositioned | Exhausted -> invalid_arg "Skiplist.Cursor.value"
 
     let next c =
       match c.pos with

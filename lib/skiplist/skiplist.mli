@@ -67,7 +67,14 @@ module type S = sig
     (** Position at the least binding [>= k] (invalid if none). *)
 
     val valid : 'v cursor -> bool
-    val current : 'v cursor -> (key * 'v) option
+    val key : 'v cursor -> key
+    (** The current binding's key. Raises [Invalid_argument] if not
+        {!valid}. *)
+
+    val value : 'v cursor -> 'v
+    (** The current binding's value. Raises [Invalid_argument] if not
+        {!valid}. *)
+
     val next : 'v cursor -> unit
     (** Advance; no-op if already invalid. *)
   end

@@ -1,10 +1,10 @@
 (* Sharded CLOCK cache with a lock-free hit path.
 
    Each shard publishes its key -> entry map as an immutable snapshot in
-   an [Atomic.t]; readers only do [Atomic.get] + [Map.find_opt] +
-   [Refcounted.try_incr] + an atomic reference-bit store. All structural
-   mutation (insert, evict, pin, clear) happens under the shard mutex and
-   republishes the snapshot.
+   an [Atomic.t]; readers only do [Atomic.get] + [Map.find_opt] + a
+   reference-bit check, and [Refcounted.try_incr] when they take a
+   handle. All structural mutation (insert, evict, pin, clear) happens
+   under the shard mutex and republishes the snapshot.
 
    Eviction order is CLOCK (second chance): resident unpinned entries sit
    in a compact array swept by a hand; a set reference bit buys one more
@@ -12,17 +12,17 @@
    handles keep the payload alive, so a reader racing an eviction never
    observes a freed block.
 
-   The retry in [find]/[acquire] terminates: [try_incr] can only fail
+   The retry in [acquire] terminates: [try_incr] can only fail
    after an evictor's final [decr], which (program order on the evicting
    domain, seq-cst atomics) happens after the entry was removed from the
    published snapshot — so the re-read snapshot no longer contains that
    entry. *)
 
-module SMap = Map.Make (String)
+module IMap = Map.Make (Int)
 module Refcounted = Clsm_primitives.Refcounted
 
 type 'a entry = {
-  ekey : string;
+  ekey : int;
   cell : 'a Refcounted.t;
   w : int;
   refbit : bool Atomic.t;
@@ -40,14 +40,14 @@ type 'a flight = {
 type 'a shard = {
   mutex : Mutex.t;
   cond : Condition.t;
-  map : 'a entry SMap.t Atomic.t;
+  map : 'a entry IMap.t Atomic.t;
   mutable ring : 'a entry option array;
   mutable count : int; (* live prefix of [ring] *)
   mutable hand : int;
   mutable used : int;
   capacity : int;
-  reservations : (string, int) Hashtbl.t;
-  inflight : (string, 'a flight) Hashtbl.t;
+  reservations : (int, int) Hashtbl.t;
+  inflight : (int, 'a flight) Hashtbl.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
   evictions : int Atomic.t;
@@ -84,7 +84,7 @@ let create ?(shards = 16) ?(release = fun _ -> ()) ?(readahead = 0)
     {
       mutex = Mutex.create ();
       cond = Condition.create ();
-      map = Atomic.make SMap.empty;
+      map = Atomic.make IMap.empty;
       ring = Array.make 16 None;
       count = 0;
       hand = 0;
@@ -109,8 +109,7 @@ let create ?(shards = 16) ?(release = fun _ -> ()) ?(readahead = 0)
   }
 
 let shard_of t key =
-  t.shards.(Clsm_util.Hashing.hash ~seed:0x5bd1e995 key
-            mod Array.length t.shards)
+  t.shards.(Clsm_util.Hashing.mix64 key mod Array.length t.shards)
 
 let with_locked sh f = Mutex.protect sh.mutex f
 
@@ -153,7 +152,7 @@ let ring_remove sh e =
    [try_incr] loses to the final decrement re-read the snapshot and must
    no longer find [e] (see the retry-termination note above). *)
 let drop_entry sh e =
-  Atomic.set sh.map (SMap.remove e.ekey (Atomic.get sh.map));
+  Atomic.set sh.map (IMap.remove e.ekey (Atomic.get sh.map));
   if e.slot >= 0 then ring_remove sh e;
   sh.used <- sh.used - e.w;
   Refcounted.decr e.cell
@@ -177,19 +176,35 @@ let evict_until_fits sh =
 
 (* --- lock-free hit path --- *)
 
+(* A hit sets the CLOCK reference bit only when it is clear, so hot
+   entries are read-shared between domains, not written by every hit. *)
+let touch e = if not (Atomic.get e.refbit) then Atomic.set e.refbit true
+
 let rec acquire t key =
   let sh = shard_of t key in
-  match SMap.find_opt key (Atomic.get sh.map) with
+  match IMap.find_opt key (Atomic.get sh.map) with
   | None ->
       Atomic.incr sh.misses;
       None
   | Some e ->
       if Refcounted.try_incr e.cell then begin
-        Atomic.set e.refbit true;
+        touch e;
         Atomic.incr sh.hits;
         Some { h_entry = e; h_alive = true }
       end
       else acquire t key
+
+(* The value of a resident [key], with no handle: the reference a handle
+   would take is dropped before the caller reads the value anyway, so a
+   hit reads the payload straight from the published entry. *)
+let find_resident t key =
+  let sh = shard_of t key in
+  match IMap.find_opt key (Atomic.get sh.map) with
+  | None -> None
+  | Some e ->
+      touch e;
+      Atomic.incr sh.hits;
+      Some (Refcounted.value e.cell)
 
 let handle_value h = Refcounted.value h.h_entry.cell
 
@@ -200,16 +215,15 @@ let release h =
   end
 
 let find t key =
-  match acquire t key with
-  | None -> None
-  | Some h ->
-      let v = handle_value h in
-      release h;
-      Some v
+  match find_resident t key with
+  | Some _ as hit -> hit
+  | None ->
+      Atomic.incr (shard_of t key).misses;
+      None
 
 let mem t key =
   let sh = shard_of t key in
-  SMap.mem key (Atomic.get sh.map)
+  IMap.mem key (Atomic.get sh.map)
 
 (* --- writes (shard mutex) --- *)
 
@@ -217,10 +231,10 @@ let mem t key =
    reference *before* eviction runs, so the brand-new entry surviving or
    not, the caller's payload stays valid. *)
 let install_locked t sh key v ~extra_ref =
-  (match SMap.find_opt key (Atomic.get sh.map) with
+  (match IMap.find_opt key (Atomic.get sh.map) with
   | Some old when not old.pinned -> drop_entry sh old
   | _ -> ());
-  match SMap.find_opt key (Atomic.get sh.map) with
+  match IMap.find_opt key (Atomic.get sh.map) with
   | Some pinned_entry ->
       (* A pin owns this key; hand out a reference to it instead. *)
       if extra_ref then begin
@@ -245,7 +259,7 @@ let install_locked t sh key v ~extra_ref =
         else None
       in
       if w <= sh.capacity then begin
-        Atomic.set sh.map (SMap.add key e (Atomic.get sh.map));
+        Atomic.set sh.map (IMap.add key e (Atomic.get sh.map));
         ring_add sh e;
         sh.used <- sh.used + w;
         evict_until_fits sh
@@ -264,7 +278,7 @@ let insert t key v =
 let remove t key =
   let sh = shard_of t key in
   with_locked sh (fun () ->
-      match SMap.find_opt key (Atomic.get sh.map) with
+      match IMap.find_opt key (Atomic.get sh.map) with
       | Some e when not e.pinned -> drop_entry sh e
       | _ -> ())
 
@@ -272,25 +286,25 @@ let clear t =
   Array.iter
     (fun sh ->
       with_locked sh (fun () ->
-          SMap.iter
+          IMap.iter
             (fun _ e -> if not e.pinned then drop_entry sh e)
             (Atomic.get sh.map)))
     t.shards
 
-(* Eager invalidation for a retiring key namespace (a closing table's
+(* Eager invalidation for a retiring key range (a closing table's
    blocks). Without it, dead blocks linger with their reference bits set
    and CLOCK's second chance makes them evict live data first — unlike
    strict LRU, the hand can't tell "recently used, then orphaned" from
-   "hot". O(entries) per call; namespace retirement is rare. *)
-let remove_matching t ~prefix =
-  let plen = String.length prefix in
-  let matches k = String.length k >= plen && String.sub k 0 plen = prefix in
+   "hot". Each shard walks only the keys in the range. *)
+let remove_range t ~lo ~hi =
   Array.iter
     (fun sh ->
       with_locked sh (fun () ->
-          SMap.iter
-            (fun k e -> if (not e.pinned) && matches k then drop_entry sh e)
-            (Atomic.get sh.map)))
+          Seq.iter
+            (fun (_, e) -> if not e.pinned then drop_entry sh e)
+            (Seq.take_while
+               (fun (k, _) -> k < hi)
+               (IMap.to_seq_from lo (Atomic.get sh.map)))))
     t.shards
 
 (* --- singleflight miss path --- *)
@@ -304,9 +318,9 @@ let rec acquire_or_add t key f =
       (* Re-check under the lock: someone may have installed while we
          were acquiring the mutex. *)
       let resident =
-        match SMap.find_opt key (Atomic.get sh.map) with
+        match IMap.find_opt key (Atomic.get sh.map) with
         | Some e when Refcounted.try_incr e.cell ->
-            Atomic.set e.refbit true;
+            touch e;
             Some { h_entry = e; h_alive = true }
         | _ -> None
       in
@@ -367,17 +381,20 @@ let rec acquire_or_add t key f =
                   raise e)))
 
 let find_or_add t key f =
-  let h = acquire_or_add t key f in
-  let v = handle_value h in
-  release h;
-  v
+  match find_resident t key with
+  | Some v -> v
+  | None ->
+      let h = acquire_or_add t key f in
+      let v = handle_value h in
+      release h;
+      v
 
 (* --- pinning and reservations --- *)
 
 let pin t key v =
   let sh = shard_of t key in
   with_locked sh (fun () ->
-      (match SMap.find_opt key (Atomic.get sh.map) with
+      (match IMap.find_opt key (Atomic.get sh.map) with
       | Some old when not old.pinned -> drop_entry sh old
       | Some _ -> invalid_arg "Cache.pin: key already pinned"
       | None -> ());
@@ -389,7 +406,7 @@ let pin t key v =
       in
       let ok = Refcounted.try_incr cell in
       assert ok;
-      Atomic.set sh.map (SMap.add key e (Atomic.get sh.map));
+      Atomic.set sh.map (IMap.add key e (Atomic.get sh.map));
       sh.used <- sh.used + w;
       Atomic.incr sh.pin_count;
       evict_until_fits sh;
@@ -400,9 +417,9 @@ let unpin t h =
   if e.pinned then begin
     let sh = shard_of t e.ekey in
     with_locked sh (fun () ->
-        match SMap.find_opt e.ekey (Atomic.get sh.map) with
+        match IMap.find_opt e.ekey (Atomic.get sh.map) with
         | Some resident when resident == e ->
-            Atomic.set sh.map (SMap.remove e.ekey (Atomic.get sh.map));
+            Atomic.set sh.map (IMap.remove e.ekey (Atomic.get sh.map));
             sh.used <- sh.used - e.w;
             Atomic.decr sh.pin_count;
             Refcounted.decr e.cell
@@ -466,7 +483,7 @@ let stats (t : _ t) =
 
 let cardinal t =
   Array.fold_left
-    (fun acc sh -> acc + SMap.cardinal (Atomic.get sh.map))
+    (fun acc sh -> acc + IMap.cardinal (Atomic.get sh.map))
     0 t.shards
 
 let with_shard_locked t key f =

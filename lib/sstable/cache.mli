@@ -5,9 +5,18 @@
     §2.3); with locality most reads that reach the disk component are
     served from here, so the hit path must scale with reader domains. Each
     shard publishes an immutable map snapshot through an [Atomic.t]: a hit
-    is a map lookup, a [Refcounted.try_incr], and an atomic reference-bit
-    store — no mutex. The shard mutex is taken only on miss, insertion,
-    eviction and pin management.
+    is a map lookup, a read of the entry's reference bit (written only
+    when clear) and a hit count, plus a [Refcounted.try_incr] when it
+    returns a {!handle} — no mutex. The shard mutex is taken only on
+    miss, insertion, eviction and pin management.
+
+    {2 Keys}
+
+    Keys are non-negative [int]s, so a lookup builds no key and compares
+    machine words; the shard is chosen by {!Clsm_util.Hashing.mix64} of
+    the key. Callers pack their own namespace into the key: a table
+    reader packs its table id and the block's file offset (see
+    [Table]), and retires a closed table with {!remove_range}.
 
     {2 Entries and handles}
 
@@ -20,7 +29,7 @@
     {2 Pinned entries}
 
     Open tables pin their hot auxiliary blocks (index, filter) so every
-    get does not re-look them up by string key. Pinned entries are charged
+    get does not look them up again. Pinned entries are charged
     to the shard budget but are never touched by the CLOCK hand, [clear],
     or a racing {!insert}. {!reserve} charges weight for auxiliary data
     that lives outside the cache's value type (e.g. bloom filters), so
@@ -72,23 +81,24 @@ val create :
     {!readahead_blocks} (default 0 = disabled); the cache only carries the
     policy and counters — table iterators implement the fetch. *)
 
-val find : 'a t -> string -> 'a option
-(** Lock-free on hit. The returned value stays reachable through the GC
-    even if the entry is evicted immediately after. *)
+val find : 'a t -> int -> 'a option
+(** Lock-free on hit, and takes no reference: the returned value stays
+    reachable through the GC even if the entry is evicted, and [release]
+    may run on it, immediately after. Hold a {!handle} to keep it off. *)
 
-val insert : 'a t -> string -> 'a -> unit
+val insert : 'a t -> int -> 'a -> unit
 (** Insert or refresh; runs the CLOCK hand until the shard fits its
     budget. Entries heavier than a whole shard are not cached. Inserting
     over a pinned entry is a no-op (the pin wins). *)
 
-val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
+val find_or_add : 'a t -> int -> (unit -> 'a) -> 'a
 (** [find_or_add t k f] returns the cached value or computes, caches and
-    returns [f ()]. Concurrent callers on the same missing key run [f]
-    exactly once per generation: one winner loads, losers wait and share
-    the result. A loser never installs its own entry (see the singleflight
-    notes above). *)
+    returns [f ()]. A hit is {!find}'s. Concurrent callers on the same
+    missing key run [f] exactly once per generation: one winner loads,
+    losers wait and share the result. A loser never installs its own
+    entry (see the singleflight notes above). *)
 
-val remove : 'a t -> string -> unit
+val remove : 'a t -> int -> unit
 (** Drop the cache's reference to [key]'s entry if present and not
     pinned. Outstanding handles keep the payload alive. *)
 
@@ -96,23 +106,24 @@ val clear : 'a t -> unit
 (** Evict every unpinned entry. Pinned entries and reservations
     survive. *)
 
-val remove_matching : 'a t -> prefix:string -> unit
-(** Drop every unpinned entry whose key starts with [prefix]. Used to
+val remove_range : 'a t -> lo:int -> hi:int -> unit
+(** Drop every unpinned entry whose key is in [\[lo, hi)]. Used to
     retire a closing table's blocks eagerly: CLOCK's second chance cannot
     distinguish "recently used, then orphaned" from "hot", so without
     eager invalidation dead blocks would push live data out first.
-    O(entries); meant for rare namespace retirement, not the hot path. *)
+    Each shard visits only the keys in the range, but takes its mutex:
+    meant for rare retirement, not the hot path. *)
 
 val stats : 'a t -> stats
 val cardinal : 'a t -> int
 
 (** {2 Handles} *)
 
-val acquire : 'a t -> string -> 'a handle option
+val acquire : 'a t -> int -> 'a handle option
 (** Lock-free on hit: like {!find} but returns a counted handle the
     caller must {!release}. *)
 
-val acquire_or_add : 'a t -> string -> (unit -> 'a) -> 'a handle
+val acquire_or_add : 'a t -> int -> (unit -> 'a) -> 'a handle
 (** Handle-returning {!find_or_add}; same singleflight contract. *)
 
 val handle_value : 'a handle -> 'a
@@ -120,7 +131,7 @@ val release : 'a handle -> unit
 
 (** {2 Pinning} *)
 
-val pin : 'a t -> string -> 'a -> 'a handle
+val pin : 'a t -> int -> 'a -> 'a handle
 (** Insert [key] as a pinned entry (evicting any unpinned entry under the
     same key) and return a handle to it. The entry is charged to the
     budget but never evicted until {!unpin}. *)
@@ -128,17 +139,18 @@ val pin : 'a t -> string -> 'a -> 'a handle
 val unpin : 'a t -> 'a handle -> unit
 (** Remove the pinned entry and release the handle. Idempotent. *)
 
-val reserve : 'a t -> string -> int -> unit
+val reserve : 'a t -> int -> int -> unit
 (** Charge [weight] against [key]'s shard without storing a value.
     Re-reserving the same key replaces the previous charge. *)
 
-val unreserve : 'a t -> string -> unit
+val unreserve : 'a t -> int -> unit
 
 (** {2 Readahead support} *)
 
-val mem : 'a t -> string -> bool
+val mem : 'a t -> int -> bool
 (** Lock-free membership probe that does not touch hit/miss counters or
-    reference bits — used by readahead to skip already-resident blocks. *)
+    reference bits — a scan uses it to tell whether the block it is
+    entering is resident before it reads ahead. *)
 
 val readahead_blocks : 'a t -> int
 (** The configured forward-scan readahead depth (0 = disabled). *)
@@ -148,7 +160,7 @@ val note_readahead : 'a t -> blocks:int -> unit
 
 (** {2 Test hooks} *)
 
-val with_shard_locked : 'a t -> string -> (unit -> 'b) -> 'b
+val with_shard_locked : 'a t -> int -> (unit -> 'b) -> 'b
 (** Run [f] while holding the mutex of [key]'s shard. Used by tests to
     prove the hit path never takes the shard lock: a concurrent {!find}
     on a resident key must complete while [f] is still running. *)

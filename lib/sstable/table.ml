@@ -3,25 +3,58 @@ module Env = Clsm_env.Env
 
 exception Corrupt of string
 
-let next_table_id = Atomic.make 0
+(* Block-cache keys pack a table id above a block's file offset, so a
+   key is one [int] and no two blocks of open tables share one. Offsets
+   take [offset_bits] (files up to 1 TiB); ids take the remaining bits of
+   a non-negative int. A closed table's id is recycled once its blocks
+   have left the cache, so ids never run past [max_ids] unless that many
+   tables are open at once. *)
+let offset_bits = 40
+let max_file_length = 1 lsl offset_bits
+let max_ids = 1 lsl (Sys.int_size - 1 - offset_bits)
+let block_key id offset = (id lsl offset_bits) lor offset
+
+(* Ids of closed tables, reused first (a lock-free stack: a CAS on a
+   fresh cons cell cannot suffer ABA), then never-used ones. *)
+let free_ids = Atomic.make []
+let next_id = Atomic.make 0
+
+let rec take_id () =
+  match Atomic.get free_ids with
+  | id :: rest as ids ->
+      if Atomic.compare_and_set free_ids ids rest then id else take_id ()
+  | [] ->
+      let id = Atomic.fetch_and_add next_id 1 in
+      if id >= max_ids then
+        invalid_arg "Table.open_file: too many open tables for cache keys";
+      id
+
+let rec free_id id =
+  let ids = Atomic.get free_ids in
+  if not (Atomic.compare_and_set free_ids ids (id :: ids)) then free_id id
+
+(* A table opened with a cache: its id, and the accounting handles. The
+   index block is pinned into the cache (direct reference, charged to
+   the budget, never evicted) and the filter + properties weight is
+   reserved, so the per-open-table RAM the reader keeps hot is visible
+   in [Cache.stats]. *)
+type cached = {
+  cache : Block.t Cache.t;
+  id : int;
+  index_pin : Block.t Cache.handle;
+  aux_key : int;
+}
 
 type t = {
-  id : int;
-  key_prefix : string;  (* "<id>:", the cache-key namespace of this table *)
   path : string;
   file : Env.random_file;
   cmp : Comparator.t;
-  cache : Block.t Cache.t option;
+  cached : cached option;
+  closed : bool Atomic.t;
   footer : Table_format.footer;
   index : Block.t;
   filter : Bloom.t;
   props : Table_format.properties;
-  (* Accounting handles: the index block is pinned into the cache (direct
-     reference, charged to the budget, never evicted) and the filter +
-     properties weight is reserved, so the per-open-table RAM the reader
-     keeps hot is visible in [Cache.stats]. *)
-  index_pin : Block.t Cache.handle option;
-  aux_reservation : string option;
 }
 
 (* Decode one block image ([payload ^ trailer] as laid out on disk) of
@@ -60,6 +93,10 @@ let read_block_raw (file : Env.random_file) handle =
 let open_file ?cache ?(env = Env.unix) ~cmp path =
   let file = env.Env.open_random path in
   let len = file.Env.rf_length in
+  if Option.is_some cache && len > max_file_length then begin
+    file.Env.rf_close ();
+    invalid_arg "Table.open_file: file too long for cache keys"
+  end;
   if len < Table_format.footer_length then raise (Corrupt "file too short");
   let footer_str =
     file.Env.rf_read
@@ -84,51 +121,54 @@ let open_file ?cache ?(env = Env.unix) ~cmp path =
         (read_block_raw file footer.Table_format.props_handle)
     with Varint.Corrupt m | Invalid_argument m -> raise (Corrupt m)
   in
-  let id = Atomic.fetch_and_add next_table_id 1 in
-  let index_pin, aux_reservation =
+  let cached =
     match cache with
-    | None -> (None, None)
+    | None -> None
     | Some cache ->
-        let pin_key = Printf.sprintf "%d:index" id in
-        let aux_key = Printf.sprintf "%d:aux" id in
+        let id = take_id () in
+        (* The index and the aux weight key on their own handles'
+           offsets, which no data block shares. *)
+        let key h = block_key id h.Block_handle.offset in
+        let aux_key = key footer.Table_format.filter_handle in
         let aux_weight =
           footer.Table_format.filter_handle.Block_handle.size
           + footer.Table_format.props_handle.Block_handle.size
           + Table_format.footer_length
         in
-        let pin = Cache.pin cache pin_key index in
+        let index_pin =
+          Cache.pin cache (key footer.Table_format.index_handle) index
+        in
         Cache.reserve cache aux_key aux_weight;
-        (Some pin, Some aux_key)
+        Some { cache; id; index_pin; aux_key }
   in
   {
-    id;
-    key_prefix = string_of_int id ^ ":";
     path;
     file;
     cmp;
-    cache;
+    cached;
+    closed = Atomic.make false;
     footer;
     index;
     filter;
     props;
-    index_pin;
-    aux_reservation;
   }
 
 let close t =
-  (match (t.cache, t.index_pin) with
-  | Some cache, Some pin -> Cache.unpin cache pin
-  | _ -> ());
-  (match (t.cache, t.aux_reservation) with
-  | Some cache, Some key -> Cache.unreserve cache key
-  | _ -> ());
-  (* Retire this table's data blocks so they stop competing with live
-     tables for cache space (handles held by in-flight reads keep their
-     blocks alive). *)
-  (match t.cache with
-  | Some cache -> Cache.remove_matching cache ~prefix:t.key_prefix
-  | None -> ());
-  t.file.Env.rf_close ()
+  if not (Atomic.exchange t.closed true) then begin
+    (match t.cached with
+    | Some c ->
+        Cache.unpin c.cache c.index_pin;
+        Cache.unreserve c.cache c.aux_key;
+        (* Retire this table's data blocks so they stop competing with
+           live tables for cache space (handles held by in-flight reads
+           keep their blocks alive); only then may a new table take the
+           id. *)
+        Cache.remove_range c.cache ~lo:(block_key c.id 0)
+          ~hi:(block_key (c.id + 1) 0);
+        free_id c.id
+    | None -> ());
+    t.file.Env.rf_close ()
+  end
 let path t = t.path
 let properties t = t.props
 let file_size t = t.file.Env.rf_length
@@ -139,11 +179,10 @@ let load_block t handle =
     try Block.parse t.cmp (read_block_raw t.file handle)
     with Block.Corrupt m -> raise (Corrupt m)
   in
-  match t.cache with
+  match t.cached with
   | None -> decode ()
-  | Some cache ->
-      let key = t.key_prefix ^ string_of_int handle.Block_handle.offset in
-      Cache.find_or_add cache key decode
+  | Some c ->
+      Cache.find_or_add c.cache (block_key c.id handle.Block_handle.offset) decode
 
 (* A block decode failure, named by the offset of the block. *)
 let corrupt_at offset m = raise (Corrupt (Printf.sprintf "block@%d: %s" offset m))
@@ -163,9 +202,6 @@ module Iter = struct
     mutable seq_blocks : int;
         (* consecutive sequential (index [next]) block advances; reset by
            any seek, so point reads never trigger readahead *)
-    mutable ra_until : int;
-        (* file offset already covered by a readahead batch; nothing below
-           this needs another batch *)
   }
 
   let make table =
@@ -175,67 +211,66 @@ module Iter = struct
       data_iter = Block.Iter.make empty_block;
       at = index_offset table;
       seq_blocks = 0;
-      ra_until = 0;
     }
 
   let block_end h =
     h.Block_handle.offset + h.Block_handle.size
     + Table_format.block_trailer_length
 
-  (* Fetch up to [k] physically contiguous data blocks starting at the
-     iterator's current index position in one pread, decode each and warm
-     the cache. Any failure (short read, rot in one of the prefetched
-     blocks) is swallowed: the scan falls back to on-demand single-block
-     reads, which carry their own verification and error paths. *)
-  let readahead_batch it cache k cur =
+  (* Fetch the block [cur] the scan is entering, which is not cached,
+     together with the following physically contiguous data blocks (up
+     to [k] in all) in one pread; decode and cache those not already
+     resident. Any failure (short read, rot in one of the prefetched
+     blocks) is swallowed: the scan falls back to an on-demand read of
+     [cur], which carries its own verification and error paths. *)
+  let readahead_batch it c k cur =
     let t = it.table in
     let probe = Block.Iter.make t.index in
     Block.Iter.seek probe (Block.Iter.key it.index_iter);
-    let run = ref [ cur ] in
-    let run_end = ref (block_end cur) in
-    let n = ref 1 in
     Block.Iter.next probe;
-    let continue = ref true in
-    while !continue && !n < k && Block.Iter.valid probe do
-      let h = Block.Iter.value_handle probe in
-      if h.Block_handle.offset = !run_end then begin
-        run := h :: !run;
-        run_end := block_end h;
-        incr n;
-        Block.Iter.next probe
-      end
-      else continue := false
-    done;
-    let handles = List.rev !run in
-    it.ra_until <- !run_end;
-    let key_of h = t.key_prefix ^ string_of_int h.Block_handle.offset in
-    let missing =
-      List.filter (fun h -> not (Cache.mem cache (key_of h))) handles
+    (* The blocks after [cur] that follow it on disk, nearest first. *)
+    let rec followers n run_end acc =
+      if n >= k || not (Block.Iter.valid probe) then (run_end, List.rev acc)
+      else
+        let h = Block.Iter.value_handle probe in
+        if h.Block_handle.offset <> run_end then (run_end, List.rev acc)
+        else begin
+          Block.Iter.next probe;
+          followers (n + 1) (block_end h) (h :: acc)
+        end
     in
-    if List.length handles > 1 && missing <> [] then begin
+    let run_end, rest = followers 1 (block_end cur) [] in
+    if rest <> [] then begin
+      let key_of h = block_key c.id h.Block_handle.offset in
+      let missing =
+        cur :: List.filter (fun h -> not (Cache.mem c.cache (key_of h))) rest
+      in
       let base = cur.Block_handle.offset in
-      let span = t.file.Env.rf_read ~pos:base ~len:(!run_end - base) in
+      let span = t.file.Env.rf_read ~pos:base ~len:(run_end - base) in
       List.iter
         (fun h ->
           let payload =
             decode_block_image ~offset:h.Block_handle.offset
               ~pos:(h.Block_handle.offset - base) ~size:h.Block_handle.size span
           in
-          Cache.insert cache (key_of h) (Block.parse t.cmp payload))
+          Cache.insert c.cache (key_of h) (Block.parse t.cmp payload))
         missing;
-      Cache.note_readahead cache ~blocks:(List.length missing)
+      Cache.note_readahead c.cache ~blocks:(List.length missing)
     end
 
+  (* Read ahead only when a sequential scan enters a block that is not
+     cached: a scan over resident blocks pays one lock-free probe per
+     block crossing and never looks further. *)
   let maybe_readahead it =
-    match it.table.cache with
+    match it.table.cached with
     | None -> ()
-    | Some cache ->
-        let k = Cache.readahead_blocks cache in
-        if k > 0 && it.seq_blocks >= 1 && Block.Iter.valid it.index_iter
+    | Some c ->
+        let k = Cache.readahead_blocks c.cache in
+        if k > 1 && it.seq_blocks >= 1 && Block.Iter.valid it.index_iter
         then begin
           let cur = Block.Iter.value_handle it.index_iter in
-          if cur.Block_handle.offset >= it.ra_until then
-            try readahead_batch it cache k cur with _ -> ()
+          if not (Cache.mem c.cache (block_key c.id cur.Block_handle.offset))
+          then try readahead_batch it c k cur with _ -> ()
         end
 
   let load_data_block it =
@@ -294,6 +329,7 @@ module Iter = struct
   let valid it = Block.Iter.valid it.data_iter
   let key it = Block.Iter.key it.data_iter
   let value it = Block.Iter.value it.data_iter
+  let read_value it f = Block.Iter.read_value it.data_iter f
 end
 
 let index_anchors t =

@@ -1,6 +1,12 @@
 (** Reader for table files written by {!Table_builder}: footer → index →
     Bloom-filtered, cache-backed block reads, with a seekable two-level
-    iterator. Open tables are immutable and safe to share across domains. *)
+    iterator. Open tables are immutable and safe to share across domains.
+
+    A table opened with a cache takes a table id, and keys each block in
+    the cache by one [int] that packs the id above the block's file
+    offset (40 bits, so files up to 1 TiB). Two open tables never share
+    a key; {!close} removes the table's blocks from the cache and only
+    then frees its id for reuse. *)
 
 exception Corrupt of string
 (** A block that fails its checksum or does not decode. Every read —
@@ -23,9 +29,14 @@ val open_file :
     and the filter/properties weight reserved, so this per-open-table RAM
     is charged to the cache budget and visible in {!Cache.stats} (released
     by {!close}). Data blocks are read on demand through [cache]. Raises
-    {!Corrupt} or {!Clsm_env.Env.Error}. *)
+    {!Corrupt} or {!Clsm_env.Env.Error}, and [Invalid_argument] when
+    [cache] is given and the file is longer than the cache key's offset
+    bits allow, or more tables are open than its id bits allow. *)
 
 val close : t -> unit
+(** Release the pinned index, the reservation and the table's cached
+    blocks, then the file. Idempotent. *)
+
 val path : t -> string
 val properties : t -> Table_format.properties
 val file_size : t -> int
@@ -58,17 +69,19 @@ val find_last_le_with : t -> string -> (Block.Iter.iter -> 'a option) -> 'a opti
     {!Block.Iter.read_value}) and must not keep the iterator: it belongs
     to the calling domain and is reused by its next lookup. A cache-hit
     lookup allocates nothing but [f]'s result, the block handle and the
-    cache key. *)
+    loader closure. *)
 
 module Iter : sig
-  (** Two-level iterator with forward-scan readahead: after the first
-      sequential block-to-block advance, the next K physically contiguous
-      data blocks (K = [Cache.readahead_blocks] of the table's cache) are
-      fetched in a single pread and decoded into the cache ahead of the
-      scan. Seeks reset the sequential detector, so point reads never
-      prefetch. Readahead failures are swallowed — the scan degrades to
-      on-demand per-block reads, which carry their own verification and
-      error reporting. *)
+  (** Two-level iterator with forward-scan readahead on a miss: when a
+      sequential block-to-block advance enters a block that is not
+      cached, it and the blocks physically contiguous after it (K in all,
+      K = [Cache.readahead_blocks] of the table's cache) are fetched in a
+      single pread and decoded into the cache ahead of the scan. A scan
+      over resident blocks probes the entered block's key once and never
+      looks further. Seeks reset the sequential detector, so point reads
+      never prefetch. Readahead failures are swallowed — the scan
+      degrades to on-demand per-block reads, which carry their own
+      verification and error reporting. *)
 
   type iter
 
@@ -78,6 +91,10 @@ module Iter : sig
   val valid : iter -> bool
   val key : iter -> string
   val value : iter -> string
+
+  val read_value : iter -> (string -> pos:int -> len:int -> 'a) -> 'a
+  (** The current value where it lies, as {!Block.Iter.read_value}. *)
+
   val next : iter -> unit
 end
 

@@ -243,7 +243,7 @@ let lead_round_locked t cfg ~accumulate =
   Condition.broadcast t.gcond
 [@@requires_lock gm] [@@drops_lock gm]
 
-let append_group t cfg payload =
+let append_group t cfg ~alone payload =
   let t0 = Time_ns.now_ns () in
   Mutex.lock t.gm;
   let result =
@@ -264,7 +264,7 @@ let append_group t cfg payload =
                 | Some e -> Error e
                 | None ->
                     if t.gleader then Condition.wait t.gcond t.gm
-                    else lead_round_locked t cfg ~accumulate:true;
+                    else lead_round_locked t cfg ~accumulate:(not alone);
                     wait ()
             in
             wait ())
@@ -325,11 +325,11 @@ let shut_group t =
 
 (* ---------- public operations ---------- *)
 
-let append t payload =
+let append ?(alone = false) t payload =
   if t.closed then invalid_arg "Wal_writer.append: closed";
   check_poisoned t;
   match t.mode with
-  | Group cfg -> append_group t cfg payload
+  | Group cfg -> append_group t cfg ~alone payload
   | Async ->
       Mpmc_queue.push t.queue payload;
       (* Opportunistic group commit: whoever gets the lock drains for all.

@@ -72,12 +72,17 @@ val create : ?mode:mode -> ?env:Clsm_env.Env.t -> ?observer:observer -> string -
 (** Open (create/truncate) the log file at the given path.
     Default mode: [Async]; default env: {!Clsm_env.Env.unix}. *)
 
-val append : t -> string -> unit
+val append : ?alone:bool -> t -> string -> unit
 (** Log one record. Thread-safe; non-blocking in [Async] mode except for an
     opportunistic drain attempt; blocks until durable in [Group]
     mode. Raises {!Clsm_env.Env.Error} (or the original
     poisoning exception) on IO failure — in [Group] mode the
-    record is then {e not} acknowledged. *)
+    record is then {e not} acknowledged.
+
+    [alone] (default [false]) tells the writer that the caller holds a
+    lock every other appender needs, so no rider can board until this
+    append returns: a [Group] leader then opens no accumulation window,
+    which could only expire. *)
 
 val enqueue : t -> string -> unit
 (** Queue one record with no durability work or acknowledgement,

@@ -105,11 +105,118 @@ let cached_point_lookups_allocate_their_result () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir
 
+(* Allocation budget of a cached scan. Each row of a [Db.range] should
+   cost the result's own words — its key, its value, its tuple and list
+   cell — plus a small constant: a value is copied once, from the block
+   or the memtable into the result. And opening an iterator and seeking
+   it should cost the same whatever the number of files in a level: a
+   seek enters one file per level. *)
+let scan_keys = 4000
+let scan_value i = Printf.sprintf "%08d" i ^ String.make 1016 's'
+
+let scan_store dir ~target_file_size =
+  let base = Options.default ~dir in
+  let db =
+    Db.open_store
+      {
+        base with
+        Options.cache_bytes = 64 lsl 20;
+        scrub_interval = 0.0;
+        lsm =
+          {
+            base.Options.lsm with
+            Lsm_config.target_file_size;
+            level1_max_bytes = 64 lsl 20;
+          };
+      }
+  in
+  for c = 0 to (scan_keys / 500) - 1 do
+    Db.write_batch db
+      (List.init 500 (fun j ->
+           let i = (c * 500) + j in
+           Db.Batch_put (key i, scan_value i)))
+  done;
+  Db.compact_now db;
+  ignore (Db.fold (fun _ _ n -> n + 1) db 0 : int);
+  db
+
+let with_scan_store name ~target_file_size f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "clsm_test_alloc_%s_%d" name (Unix.getpid ()))
+  in
+  let db = scan_store dir ~target_file_size in
+  Fun.protect
+    ~finally:(fun () ->
+      Db.close db;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f db)
+
+let rows = 50
+
+let cached_scan_rows_allocate_their_result () =
+  with_scan_store "rows" ~target_file_size:(512 * 1024) (fun db ->
+      let rng = Random.State.make [| 13 |] in
+      let starts =
+        Array.init 400 (fun _ -> key (Random.State.int rng (scan_keys - rows)))
+      in
+      let results = Array.map (fun k -> Db.range ~start:k ~limit:rows db) starts in
+      Alcotest.(check bool) "full pages" true
+        (Array.for_all (fun r -> List.length r = rows) results);
+      let result_words =
+        Array.fold_left (fun acc r -> acc + Obj.reachable_words (Obj.repr r)) 0 results
+      in
+      let words =
+        words_per_call (Array.length starts) (fun i ->
+            ignore (Sys.opaque_identity (Db.range ~start:starts.(i) ~limit:rows db)))
+      in
+      let per_row =
+        (words -. (float_of_int result_words /. float_of_int (Array.length starts)))
+        /. float_of_int rows
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "a row of 1 KB beyond its result: %.1f words <= 40" per_row)
+        true (per_row <= 40.0))
+
+let seek_words db =
+  let rng = Random.State.make [| 17 |] in
+  let starts = Array.init 400 (fun _ -> key (Random.State.int rng scan_keys)) in
+  words_per_call (Array.length starts) (fun i ->
+      let it = Db.iterator db in
+      Db.iter_seek it starts.(i);
+      Db.iter_close it)
+
+let seek_cost_ignores_file_count () =
+  let few, many =
+    ( with_scan_store "few" ~target_file_size:(1 lsl 20) (fun db ->
+          (Db.level_file_counts db, seek_words db)),
+      with_scan_store "many" ~target_file_size:(100 * 1024) (fun db ->
+          (Db.level_file_counts db, seek_words db)) )
+  in
+  let l1_files (levels, _) = List.nth levels 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "L1 holds %d and %d files" (l1_files few) (l1_files many))
+    true
+    (l1_files few <= 4 && l1_files many >= 40);
+  Alcotest.(check bool)
+    (Printf.sprintf "iterator + seek + close: %.0f words over %d files, %.0f over %d"
+       (snd many) (l1_files many) (snd few) (l1_files few))
+    true
+    (snd many <= snd few +. 16.0)
+
 let suites =
   [
     ( "alloc.point_lookup",
       [
         Alcotest.test_case "cached lookups allocate their result" `Quick
           cached_point_lookups_allocate_their_result;
+      ] );
+    ( "alloc.scan",
+      [
+        Alcotest.test_case "cached scan rows allocate their result" `Quick
+          cached_scan_rows_allocate_their_result;
+        Alcotest.test_case "seek cost ignores the file count" `Quick
+          seek_cost_ignores_file_count;
       ] );
   ]

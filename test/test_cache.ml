@@ -25,11 +25,11 @@ let tmp_path name = Filename.concat tmp_dir name
    on the CLOCK design it completes immediately. *)
 let hits_lock_free () =
   let c = Cache.create ~shards:1 ~capacity:100 ~weight:(fun _ -> 1) () in
-  Cache.insert c "k" "v";
+  Cache.insert c 1 "v";
   let locked = Atomic.make false and release = Atomic.make false in
   let holder =
     Domain.spawn (fun () ->
-        Cache.with_shard_locked c "k" (fun () ->
+        Cache.with_shard_locked c 1 (fun () ->
             Atomic.set locked true;
             while not (Atomic.get release) do
               Domain.cpu_relax ()
@@ -39,10 +39,10 @@ let hits_lock_free () =
     Domain.cpu_relax ()
   done;
   (* The shard mutex is held right now. *)
-  let via_find = Cache.find c "k" in
-  let via_mem = Cache.mem c "k" in
+  let via_find = Cache.find c 1 in
+  let via_mem = Cache.mem c 1 in
   let via_handle =
-    match Cache.acquire c "k" with
+    match Cache.acquire c 1 with
     | None -> None
     | Some h ->
         let v = Cache.handle_value h in
@@ -66,12 +66,12 @@ let handle_survives_eviction () =
       ~release:(fun v -> freed := v :: !freed)
       ~weight:(fun _ -> 1) ()
   in
-  let h = Cache.acquire_or_add c "k" (fun () -> "payload-k") in
-  (* Flood the shard so "k" is certainly evicted. *)
+  let h = Cache.acquire_or_add c 100 (fun () -> "payload-k") in
+  (* Flood the shard so key 100 is certainly evicted. *)
   for i = 0 to 15 do
-    Cache.insert c (string_of_int i) ("v" ^ string_of_int i)
+    Cache.insert c i ("v" ^ string_of_int i)
   done;
-  Alcotest.(check (option string)) "k evicted" None (Cache.find c "k");
+  Alcotest.(check (option string)) "k evicted" None (Cache.find c 100);
   Alcotest.(check bool)
     "payload not freed while a handle is held" false
     (List.mem "payload-k" !freed);
@@ -113,29 +113,29 @@ let singleflight_generation c key loads expected_loads =
 let singleflight_once_per_generation () =
   let c = Cache.create ~shards:1 ~capacity:100 ~weight:(fun _ -> 1) () in
   let loads = Atomic.make 0 in
-  singleflight_generation c "k" loads 1;
+  singleflight_generation c 1 loads 1;
   (* New generation: drop the entry, the next racers reload once. *)
-  Cache.remove c "k";
-  singleflight_generation c "k" loads 2
+  Cache.remove c 1;
+  singleflight_generation c 1 loads 2
 
 let singleflight_failure_propagates () =
   let c = Cache.create ~shards:1 ~capacity:100 ~weight:(fun _ -> 1) () in
-  (match Cache.find_or_add c "k" (fun () -> failwith "boom") with
+  (match Cache.find_or_add c 1 (fun () -> failwith "boom") with
   | _ -> Alcotest.fail "expected the loader's exception"
   | exception Failure m -> Alcotest.(check string) "loader exn" "boom" m);
   (* The failed flight is cleaned up: the next caller retries the load. *)
   Alcotest.(check string) "retry succeeds" "ok"
-    (Cache.find_or_add c "k" (fun () -> "ok"))
+    (Cache.find_or_add c 1 (fun () -> "ok"))
 
 (* ---------- pinning and reservations ---------- *)
 
 let pins_and_reservations () =
   let c = Cache.create ~shards:1 ~capacity:8 ~weight:(fun _ -> 1) () in
-  let h = Cache.pin c "pin" "P" in
+  let h = Cache.pin c 100 "P" in
   Alcotest.(check int) "pins counted" 1 (Cache.stats c).Cache.pins;
-  Cache.reserve c "res" 3;
+  Cache.reserve c 101 3;
   for i = 0 to 31 do
-    Cache.insert c (string_of_int i) "v"
+    Cache.insert c i "v"
   done;
   let s = Cache.stats c in
   Alcotest.(check bool) "budget holds pin + reservation + resident" true
@@ -143,19 +143,19 @@ let pins_and_reservations () =
   Alcotest.(check bool) "reservation squeezed resident entries" true
     (Cache.cardinal c <= 5);
   Alcotest.(check (option string)) "pinned entry never evicted" (Some "P")
-    (Cache.find c "pin");
+    (Cache.find c 100);
   Cache.clear c;
   Alcotest.(check (option string)) "pin survives clear" (Some "P")
-    (Cache.find c "pin");
+    (Cache.find c 100);
   Alcotest.(check int) "only the pin survives clear" 1 (Cache.cardinal c);
-  Cache.insert c "pin" "usurper";
+  Cache.insert c 100 "usurper";
   Alcotest.(check (option string)) "insert over a pin is a no-op" (Some "P")
-    (Cache.find c "pin");
-  Cache.unreserve c "res";
+    (Cache.find c 100);
+  Cache.unreserve c 101;
   Cache.unpin c h;
   Alcotest.(check int) "pins drop on unpin" 0 (Cache.stats c).Cache.pins;
   Alcotest.(check (option string)) "unpinned entry gone" None
-    (Cache.find c "pin");
+    (Cache.find c 100);
   Alcotest.(check int) "weight back to zero" 0 (Cache.stats c).Cache.weight;
   Cache.unpin c h (* idempotent *)
 
@@ -175,7 +175,7 @@ let stress_domains () =
     let ok = ref true in
     for i = 0 to 10_000 do
       let k = (i * seed) mod n_keys in
-      let key = Printf.sprintf "key%d" k in
+      let key = k in
       let expect = Printf.sprintf "val%d" k in
       match Cache.acquire c key with
       | Some h ->
@@ -391,6 +391,87 @@ let readahead_with_bitrot_never_degrades () =
       Db.close db)
     [ 1; 2; 3 ]
 
+(* ---------- block keys ---------- *)
+
+(* Tables of one layout — the same keys and value sizes, so the same
+   block offsets — but their own values: a block served under another
+   table's key would show up as a wrong value. *)
+let layout_pairs tag =
+  List.init 600 (fun i -> (Printf.sprintf "key%06d" i, Printf.sprintf "%s%05d" tag i))
+
+let open_layout_table cache tag =
+  let path = build_table ("keys_" ^ tag) (layout_pairs tag) in
+  Table.open_file ~cache ~cmp:Comparator.bytewise path
+
+let n_blocks t = List.length (Table.index_anchors t)
+let misses cache = (Cache.stats cache).Cache.misses
+
+let open_tables_never_share_keys () =
+  let cache = Cache.create ~capacity:(1 lsl 22) ~weight:Block.size_bytes () in
+  let a = open_layout_table cache "a" and b = open_layout_table cache "b" in
+  Alcotest.(check bool) "several blocks" true (n_blocks a > 4);
+  for _ = 1 to 2 do
+    Alcotest.(check (list (pair string string))) "a reads its own blocks"
+      (layout_pairs "a") (Table.to_list a);
+    Alcotest.(check (list (pair string string))) "b reads its own blocks"
+      (layout_pairs "b") (Table.to_list b)
+  done;
+  Alcotest.(check (option (pair string string))) "a point read"
+    (Some ("key000300", "a00300")) (Table.find_first_ge a "key000300");
+  Alcotest.(check int) "every block and both pinned indexes resident"
+    (n_blocks a + n_blocks b + 2)
+    (Cache.cardinal cache);
+  Table.close a;
+  Table.close b
+
+let close_drops_only_its_blocks () =
+  let cache = Cache.create ~capacity:(1 lsl 22) ~weight:Block.size_bytes () in
+  let a = open_layout_table cache "a" and b = open_layout_table cache "b" in
+  ignore (Table.to_list a);
+  ignore (Table.to_list b);
+  let b_blocks = n_blocks b in
+  Table.close a;
+  Alcotest.(check int) "only b's blocks and index remain" (b_blocks + 1)
+    (Cache.cardinal cache);
+  let before = misses cache in
+  Alcotest.(check (list (pair string string))) "b still reads"
+    (layout_pairs "b") (Table.to_list b);
+  Alcotest.(check int) "b's blocks all stayed resident" before (misses cache);
+  (* A table opened now may take a's id: it must find none of a's
+     blocks under its keys. *)
+  let c = open_layout_table cache "c" in
+  Alcotest.(check (list (pair string string))) "a new table reads its own"
+    (layout_pairs "c") (Table.to_list c);
+  Alcotest.(check int) "a new table loads every block" (before + n_blocks c)
+    (misses cache);
+  Table.close b;
+  Table.close c;
+  Table.close c (* idempotent *);
+  Alcotest.(check int) "nothing left" 0 (Cache.cardinal cache);
+  Alcotest.(check int) "no weight left" 0 (Cache.stats cache).Cache.weight
+
+(* A file longer than the key's offset bits could alias a block of the
+   next table id: opening it with a cache is refused before any read. *)
+let open_refuses_unkeyable_file () =
+  let closed = ref false in
+  let huge =
+    {
+      Env.unix with
+      Env.open_random =
+        (fun _ ->
+          {
+            Env.rf_length = (1 lsl 40) + 1;
+            rf_read = (fun ~pos:_ ~len:_ -> Alcotest.fail "read before the check");
+            rf_close = (fun () -> closed := true);
+          });
+    }
+  in
+  let cache = Cache.create ~capacity:1024 ~weight:Block.size_bytes () in
+  (match Table.open_file ~cache ~env:huge ~cmp:Comparator.bytewise "huge.sst" with
+  | _ -> Alcotest.fail "a 1 TiB + 1 file was opened"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "the file was closed" true !closed
+
 let suites =
   [
     ( "cache.lockfree",
@@ -411,6 +492,15 @@ let suites =
       [
         Alcotest.test_case "pin + reservation accounting" `Quick
           pins_and_reservations;
+      ] );
+    ( "cache.keys",
+      [
+        Alcotest.test_case "open tables never share a block key" `Quick
+          open_tables_never_share_keys;
+        Alcotest.test_case "close drops only the table's blocks" `Quick
+          close_drops_only_its_blocks;
+        Alcotest.test_case "a file too long for the key is refused" `Quick
+          open_refuses_unkeyable_file;
       ] );
     ( "cache.stress",
       [

@@ -221,13 +221,13 @@ let validate_detects_level_overlap () =
 
 let cache_clear_and_stats () =
   let c = Clsm_sstable.Cache.create ~shards:2 ~capacity:10 ~weight:(fun _ -> 1) () in
-  Clsm_sstable.Cache.insert c "a" 1;
-  Clsm_sstable.Cache.insert c "b" 2;
+  Clsm_sstable.Cache.insert c 1 1;
+  Clsm_sstable.Cache.insert c 2 2;
   Alcotest.(check int) "cardinal" 2 (Clsm_sstable.Cache.cardinal c);
   Clsm_sstable.Cache.clear c;
   Alcotest.(check int) "cleared" 0 (Clsm_sstable.Cache.cardinal c);
   Alcotest.(check (option int)) "miss after clear" None
-    (Clsm_sstable.Cache.find c "a")
+    (Clsm_sstable.Cache.find c 1)
 
 let active_set_tiny_capacity_contention () =
   let open Clsm_primitives in

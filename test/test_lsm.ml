@@ -64,21 +64,122 @@ let entry_roundtrip () =
 
 let sorted l = List.sort compare l
 
-let iter_concat () =
-  let a = Iter.of_sorted_list ~cmp:String.compare [ ("a", "1"); ("b", "2") ] in
-  let b = Iter.of_sorted_list ~cmp:String.compare [] in
-  let c = Iter.of_sorted_list ~cmp:String.compare [ ("x", "3"); ("y", "4") ] in
-  let it = Iter.concat [ a; b; c ] in
+let iter_run () =
+  let files =
+    [| [ ("a", "1"); ("b", "2") ]; []; [ ("x", "3"); ("y", "4") ] |]
+  in
+  let opened = ref [] in
+  let it =
+    Iter.run ~cmp:String.compare ~largest:[| "b"; "b"; "y" |] (fun i ->
+        opened := i :: !opened;
+        Iter.of_sorted_list ~cmp:String.compare files.(i))
+  in
   Alcotest.(check (list (pair string string)))
     "all entries"
     [ ("a", "1"); ("b", "2"); ("x", "3"); ("y", "4") ]
     (Iter.to_list it);
   it.Iter.seek "c";
   Alcotest.(check string) "seek across gap" "x" (it.Iter.key ());
+  opened := [];
   it.Iter.seek "y";
   Alcotest.(check string) "seek into last" "y" (it.Iter.key ());
+  Alcotest.(check (list int)) "a seek in the entered file opens none" []
+    !opened;
+  it.Iter.seek "a";
+  Alcotest.(check (list int)) "a seek opens only its file" [ 0 ] !opened;
   it.Iter.seek "z";
   Alcotest.(check bool) "seek past end" false (it.Iter.valid ())
+
+(* The run iterator against the flat sorted list of the same entries, cut
+   into files at arbitrary points — so versions of one user key straddle
+   adjacent files — with empty files mixed in, under sequences of seeks
+   (before the first file, after the last, into gaps, onto straddling
+   keys), seek_to_first and nexts across file boundaries. *)
+type run_op = Seek of string * int | First | Next of int
+
+let run_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map2
+            (fun uk ts -> Seek (uk, ts))
+            (oneofl [ ""; "a"; "b"; "bb"; "c"; "d"; "dd"; "e"; "z" ])
+            (oneofl [ 0; 1; 2; 3; 5 ]) );
+        (1, return First);
+        (3, map (fun n -> Next n) (1 -- 6));
+      ])
+
+let show_run_op = function
+  | Seek (uk, ts) -> Printf.sprintf "seek %S@%d" uk ts
+  | First -> "first"
+  | Next n -> Printf.sprintf "next %d" n
+
+let prop_run_equals_flat =
+  QCheck.Test.make ~name:"run iterator = flat sorted list" ~count:500
+    QCheck.(
+      triple
+        (make
+           ~print:Print.(list (pair string int))
+           Gen.(
+             list_size (0 -- 24)
+               (pair (oneofl [ "a"; "b"; "c"; "d"; "e" ]) (1 -- 4))))
+        (make ~print:Print.(list int) Gen.(list_size (0 -- 8) (0 -- 24)))
+        (make
+           ~print:Print.(list show_run_op)
+           Gen.(list_size (1 -- 12) run_op_gen)))
+    (fun (versions, cuts, ops) ->
+      let cmp = Internal_key.compare_encoded in
+      let entries =
+        List.sort_uniq compare versions
+        |> List.map (fun (uk, ts) ->
+               (Internal_key.make uk ts, Entry.encode (Entry.Value (uk ^ string_of_int ts))))
+        |> List.sort (fun (a, _) (b, _) -> cmp a b)
+      in
+      let arr = Array.of_list entries in
+      let n = Array.length arr in
+      (* Cut points, repeats allowed: a repeated cut is an empty file. *)
+      let cuts = List.sort compare (List.map (fun c -> min c n) cuts) in
+      let bounds = (0 :: cuts) @ [ n ] in
+      let rec files = function
+        | a :: (b :: _ as rest) -> Array.to_list (Array.sub arr a (b - a)) :: files rest
+        | [ _ ] | [] -> []
+      in
+      let files = Array.of_list (files bounds) in
+      (* An empty file repeats its predecessor's bound (the smallest key
+         when it comes first). *)
+      let floor = if n = 0 then Internal_key.make "" 0 else fst arr.(0) in
+      let largest = Array.make (Array.length files) floor in
+      Array.iteri
+        (fun i f ->
+          largest.(i) <-
+            (match List.rev f with
+            | (k, _) :: _ -> k
+            | [] -> if i = 0 then floor else largest.(i - 1)))
+        files;
+      let run =
+        Iter.run ~cmp ~largest (fun i -> Iter.of_sorted_list ~cmp files.(i))
+      in
+      let flat = Iter.of_sorted_list ~cmp entries in
+      let state (it : Iter.t) =
+        if it.Iter.valid () then Some (it.Iter.key (), it.Iter.value (), it.Iter.entry ())
+        else None
+      in
+      let apply (it : Iter.t) = function
+        | Seek (uk, ts) -> it.Iter.seek (Internal_key.make uk ts)
+        | First -> it.Iter.seek_to_first ()
+        | Next k ->
+            for _ = 1 to k do
+              it.Iter.next ()
+            done
+      in
+      Iter.to_list run = entries
+      && List.for_all
+           (fun op ->
+             apply run op;
+             apply flat op;
+             state run = state flat)
+           ops)
 
 let merge_basic () =
   let a = Iter.of_sorted_list ~cmp:String.compare [ ("a", "A"); ("c", "C") ] in
@@ -498,7 +599,7 @@ let suites =
     ("lsm.entry", [ Alcotest.test_case "roundtrip" `Quick entry_roundtrip ]);
     ( "lsm.iter",
       [
-        Alcotest.test_case "concat" `Quick iter_concat;
+        Alcotest.test_case "run" `Quick iter_run;
         Alcotest.test_case "merge basic" `Quick merge_basic;
         Alcotest.test_case "merge tie-break" `Quick merge_tie_break;
         Alcotest.test_case "merge skips dead-source seeks" `Quick
@@ -513,6 +614,7 @@ let suites =
           prop_merge_seek;
           prop_merge_engines_agree;
           prop_merge_engines_agree_on_seeks;
+          prop_run_equals_flat;
         ] );
     ( "lsm.iter.clamp",
       [

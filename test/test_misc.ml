@@ -30,7 +30,7 @@ let skiplist_cursor_sees_prior_inserts_after_seek () =
   ignore (SL.insert sl "e" 1);
   let seen = ref [] in
   while SL.Cursor.valid c do
-    seen := fst (Option.get (SL.Cursor.current c)) :: !seen;
+    seen := SL.Cursor.key c :: !seen;
     SL.Cursor.next c
   done;
   (* "d" and "f" were present at seek time and must appear; "e" may or may

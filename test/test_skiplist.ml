@@ -63,13 +63,13 @@ let cursor_walk () =
   Alcotest.(check bool) "fresh invalid" false (SL.Cursor.valid c);
   SL.Cursor.seek_first c;
   Alcotest.(check (option string)) "first" (Some "a")
-    (Option.map fst (SL.Cursor.current c));
+    (Some (SL.Cursor.key c));
   SL.Cursor.next c;
   Alcotest.(check (option string)) "second" (Some "c")
-    (Option.map fst (SL.Cursor.current c));
+    (Some (SL.Cursor.key c));
   SL.Cursor.seek c "d";
   Alcotest.(check (option string)) "seek between" (Some "e")
-    (Option.map fst (SL.Cursor.current c));
+    (Some (SL.Cursor.key c));
   SL.Cursor.next c;
   Alcotest.(check bool) "exhausted" false (SL.Cursor.valid c);
   SL.Cursor.next c;

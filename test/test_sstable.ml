@@ -281,48 +281,48 @@ let prop_block_iter_matches_oracle =
 
 let cache_lru_eviction () =
   let c = Cache.create ~shards:1 ~capacity:3 ~weight:(fun _ -> 1) () in
-  Cache.insert c "a" 1;
-  Cache.insert c "b" 2;
-  Cache.insert c "c" 3;
-  ignore (Cache.find c "a");
-  (* a is now MRU *)
-  Cache.insert c "d" 4;
-  (* evicts b (LRU) *)
-  Alcotest.(check (option int)) "a kept" (Some 1) (Cache.find c "a");
-  Alcotest.(check (option int)) "b evicted" None (Cache.find c "b");
-  Alcotest.(check (option int)) "c kept" (Some 3) (Cache.find c "c");
-  Alcotest.(check (option int)) "d kept" (Some 4) (Cache.find c "d");
+  Cache.insert c 1 1;
+  Cache.insert c 2 2;
+  Cache.insert c 3 3;
+  ignore (Cache.find c 1);
+  (* 1 is now MRU *)
+  Cache.insert c 4 4;
+  (* evicts 2 (LRU) *)
+  Alcotest.(check (option int)) "a kept" (Some 1) (Cache.find c 1);
+  Alcotest.(check (option int)) "b evicted" None (Cache.find c 2);
+  Alcotest.(check (option int)) "c kept" (Some 3) (Cache.find c 3);
+  Alcotest.(check (option int)) "d kept" (Some 4) (Cache.find c 4);
   let s = Cache.stats c in
   Alcotest.(check int) "evictions" 1 s.Cache.evictions
 
 let cache_weighted () =
   let c = Cache.create ~shards:1 ~capacity:10 ~weight:String.length () in
-  Cache.insert c "k1" "aaaa";
-  Cache.insert c "k2" "bbbb";
-  Cache.insert c "k3" "cccccc";
+  Cache.insert c 1 "aaaa";
+  Cache.insert c 2 "bbbb";
+  Cache.insert c 3 "cccccc";
   (* 6 bytes; 4+4+6 > 10 evicts until fit *)
   Alcotest.(check bool) "total weight within capacity" true
     ((Cache.stats c).Cache.weight <= 10);
-  Cache.insert c "huge" (String.make 100 'x');
+  Cache.insert c 4 (String.make 100 'x');
   Alcotest.(check (option string)) "oversized not cached" None
-    (Cache.find c "huge")
+    (Cache.find c 4)
 
 let cache_find_or_add () =
   let c = Cache.create ~capacity:100 ~weight:(fun _ -> 1) () in
   let calls = ref 0 in
   let load () = incr calls; 42 in
-  Alcotest.(check int) "computed" 42 (Cache.find_or_add c "k" load);
-  Alcotest.(check int) "cached" 42 (Cache.find_or_add c "k" load);
+  Alcotest.(check int) "computed" 42 (Cache.find_or_add c 1 load);
+  Alcotest.(check int) "cached" 42 (Cache.find_or_add c 1 load);
   Alcotest.(check int) "loaded once" 1 !calls;
-  Cache.remove c "k";
-  Alcotest.(check int) "reloaded" 42 (Cache.find_or_add c "k" load);
+  Cache.remove c 1;
+  Alcotest.(check int) "reloaded" 42 (Cache.find_or_add c 1 load);
   Alcotest.(check int) "loaded twice" 2 !calls
 
 let cache_concurrent () =
   let c = Cache.create ~shards:4 ~capacity:64 ~weight:(fun _ -> 1) () in
   let worker seed () =
     for i = 0 to 5_000 do
-      let k = Printf.sprintf "key%d" ((i * seed) mod 128) in
+      let k = (i * seed) mod 128 in
       match Cache.find c k with
       | Some v -> assert (v = k)
       | None -> Cache.insert c k k

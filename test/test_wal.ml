@@ -379,6 +379,52 @@ let group_window_adapts_to_departure () =
   let records, _ = Wal_reader.read_records ~strict:true path in
   Alcotest.(check int) "on disk" 150 (List.length records)
 
+(* A store's [write_batch] appends holding the store lock exclusively,
+   so no put can board its leader's window. Two closed-loop writers warm
+   the prediction to a batch of two; they stop together, after a round
+   that carried both, so the prediction stays warm. The batch that
+   follows must commit without opening a window: one would park until
+   the 0.5 s deadline and count as expired. *)
+let store_batch_opens_no_window () =
+  let open Clsm_core in
+  let dir = tmp_path (Printf.sprintf "store_batch_window_%d" (Unix.getpid ())) in
+  let base = Options.default ~dir in
+  let db =
+    Db.open_store
+      {
+        base with
+        Options.wal_sync = `Group { Options.max_batch = 8; max_delay_us = 500_000 };
+        scrub_interval = 0.0;
+      }
+  in
+  let puts = Atomic.make 0 and stop = Atomic.make false in
+  let writer tag () =
+    let i = ref 0 in
+    while not (Atomic.get stop) do
+      Db.put db ~key:(Printf.sprintf "%c%06d" tag !i) ~value:"v";
+      incr i;
+      Atomic.incr puts
+    done
+  in
+  let writers = List.map Domain.spawn [ writer 'a'; writer 'b' ] in
+  while Atomic.get puts < 100 do
+    Unix.sleepf 0.001
+  done;
+  Atomic.set stop true;
+  List.iter Domain.join writers;
+  let before = (Db.stats db).Stats.wal_windows_expired in
+  let t0 = Unix.gettimeofday () in
+  Db.write_batch db [ Db.Batch_put ("batch", "v"); Db.Batch_delete "a000" ];
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "no window expired" before
+    (Db.stats db).Stats.wal_windows_expired;
+  Alcotest.(check bool)
+    (Printf.sprintf "batch committed in %.3f s (< 0.25 s)" elapsed)
+    true (elapsed < 0.25);
+  Alcotest.(check (option string)) "batch durable and visible" (Some "v")
+    (Db.get db "batch");
+  Db.close db
+
 (* [abandon] while a leader is parked in a 1 s window: the leader and its
    rider raise at once instead of riding out the window. A slow fsync
    makes the set-up deterministic:
@@ -651,6 +697,8 @@ let suites =
           group_poison_wakes_all_riders;
         Alcotest.test_case "flush idempotent after poison" `Quick
           flush_idempotent_after_poison;
+        Alcotest.test_case "store batch opens no window" `Quick
+          store_batch_opens_no_window;
       ] );
     ( "wal.props",
       List.map QCheck_alcotest.to_alcotest
