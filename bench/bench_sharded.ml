@@ -25,7 +25,7 @@ let bound_keys ~shards ~key_space =
       Printf.sprintf "user%08d" ((j + 1) * key_space / shards))
 
 let sharded_opts ~dir ~shards ~key_space =
-  let base = Bench_store.mixed_opts ~dir ~max_subcompactions:1 in
+  let base = Bench_store.mixed_opts ~dir in
   {
     base with
     Options.shards;

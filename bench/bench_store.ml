@@ -1,27 +1,16 @@
-(* Reproducible compaction + mixed-workload benchmark against the real
-   store, emitting a stable machine-readable JSON schema
-   ("clsm-bench/1") so per-PR runs accumulate into a perf trajectory
-   (BENCH_compaction.json checked in, BENCH_smoke.json as a CI
-   artifact).
+(* Reproducible mixed-workload benchmark against the real store, emitting
+   a stable machine-readable JSON schema ("clsm-bench/1") so per-PR runs
+   accumulate into a perf trajectory (BENCH_compaction.json checked in,
+   BENCH_smoke.json as a CI artifact).
 
-   Two phases:
-
-   1. [compaction_merge] — a large fully-overlapping L0→L1 merge driven
-      directly through {!Clsm_lsm.Compaction.run_parallel} at
-      max_subcompactions ∈ {1, 2, 4}, one domain per subrange via
-      {!Clsm_maintenance.Scheduler.fan_out}. Verifies the parallel
-      output's entry stream is identical to the sequential one and
-      reports per-setting wall-clock + the speedup ratio.
-
-   2. [mixed_workload] — multi-domain writers against an open store with
-      a small memtable (so flushes and L0→L1 merges dominate), once with
-      sequential compactions and once with max_subcompactions=4;
-      reports ops/s, put p50/p99, writer stall seconds and compaction
-      seconds from the store's own counters. *)
+   [mixed_workload]: multi-domain writers against an open store with a
+   small memtable (so flushes and L0→L1 merges dominate); reports ops/s,
+   op p50/p99, writer stall seconds and compaction seconds from the
+   store's own counters. The merge itself is timed in isolation by
+   [run_kernels]. *)
 
 open Clsm_lsm
 open Clsm_primitives
-module Scheduler = Clsm_maintenance.Scheduler
 module Histogram = Clsm_util.Histogram
 module Time_ns = Clsm_util.Time_ns
 module Db = Clsm_core.Db
@@ -103,7 +92,7 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
-(* ---------- phase 1: the L0→L1 merge itself ---------- *)
+(* ---------- L0→L1 merge inputs (timed by [run_kernels]) ---------- *)
 
 let merge_cfg =
   {
@@ -113,8 +102,8 @@ let merge_cfg =
   }
 
 (* [num_files] fully-overlapping L0 runs: file i holds every key with
-   index ≡ i (mod num_files), so every subrange draws from every input —
-   the worst case the boundary planner has to balance. *)
+   index ≡ i (mod num_files), so every output block draws from every
+   input. *)
 let build_l0_inputs ~dir ~num_files ~entries_per_file ~value_bytes =
   let alloc = Atomic.make 1 in
   let value i = String.init value_bytes (fun j -> Char.chr ((i + j) mod 26 + 97)) in
@@ -136,15 +125,6 @@ let build_l0_inputs ~dir ~num_files ~entries_per_file ~value_bytes =
       Refcounted.create ~release:Table_file.release
         (Table_file.open_number ~dir number))
 
-let output_entries outputs =
-  List.concat_map
-    (fun f ->
-      Clsm_sstable.Table.fold
-        (fun k v acc -> (k, Hashtbl.hash v) :: acc)
-        (Refcounted.value f).Table_file.table []
-      |> List.rev)
-    outputs
-
 let drop_outputs outputs =
   List.iter
     (fun f ->
@@ -152,104 +132,15 @@ let drop_outputs outputs =
       Refcounted.retire f)
     outputs
 
-let run_merge_phase ~scale =
-  let num_files = 8 in
-  let entries_per_file = match scale with Smoke -> 2_000 | Full -> 50_000 in
-  let value_bytes = 100 in
-  let dir = fresh_dir () in
-  let inputs = build_l0_inputs ~dir ~num_files ~entries_per_file ~value_bytes in
-  let input_bytes =
-    List.fold_left (fun a f -> a + (Refcounted.value f).Table_file.size) 0 inputs
-  in
-  let task =
-    {
-      Compaction.src_level = 0;
-      inputs_lo = inputs;
-      inputs_hi = [];
-      target_level = 1;
-      drop_tombstones = true;
-    }
-  in
-  let alloc = Atomic.make 100_000 in
-  let run_once m =
-    let t0 = Time_ns.now_s () in
-    let outputs, fanout =
-      Compaction.run_parallel ~cfg:merge_cfg ~dir
-        ~alloc_number:(fun () -> Atomic.fetch_and_add alloc 1)
-        ~snapshots:[] ~fan_out:Scheduler.fan_out ~max_subcompactions:m task
-    in
-    let wall = Time_ns.now_s () -. t0 in
-    (wall, fanout, outputs)
-  in
-  let repeats = match scale with Smoke -> 1 | Full -> 3 in
-  let baseline = ref [] in
-  let rows =
-    List.map
-      (fun m ->
-        (* best-of-N to shave scheduler noise; correctness checked on
-           every run *)
-        let best = ref infinity and fanout = ref 1 and identical = ref true in
-        let output_files = ref 0 and output_bytes = ref 0 and entries = ref 0 in
-        for _ = 1 to repeats do
-          let wall, f, outputs = run_once m in
-          let ents = output_entries outputs in
-          if m = 1 && !baseline = [] then baseline := ents
-          else identical := !identical && ents = !baseline;
-          output_files := List.length outputs;
-          output_bytes :=
-            List.fold_left
-              (fun a f -> a + (Refcounted.value f).Table_file.size)
-              0 outputs;
-          entries := List.length ents;
-          drop_outputs outputs;
-          if wall < !best then best := wall;
-          fanout := f
-        done;
-        ( m,
-          J.Obj
-            [
-              ("max_subcompactions", J.Int m);
-              ("fanout", J.Int !fanout);
-              ("wall_s", J.Float !best);
-              ("entries", J.Int !entries);
-              ("input_bytes", J.Int input_bytes);
-              ("output_files", J.Int !output_files);
-              ("output_bytes", J.Int !output_bytes);
-              ("identical_to_sequential", J.Bool !identical);
-            ],
-          !best ))
-      [ 1; 2; 4 ]
-  in
-  List.iter
-    (fun f ->
-      Table_file.mark_obsolete (Refcounted.value f);
-      Refcounted.retire f)
-    inputs;
-  rm_rf dir;
-  let seq_wall =
-    List.find_map (fun (m, _, w) -> if m = 1 then Some w else None) rows
-    |> Option.get
-  in
-  let speedups =
-    List.filter_map
-      (fun (m, _, w) ->
-        if m = 1 || w <= 0. then None
-        else Some (string_of_int m, J.Float (seq_wall /. w)))
-      rows
-  in
-  ( J.List (List.map (fun (_, row, _) -> row) rows),
-    J.Obj speedups )
+(* ---------- mixed workload against the open store ---------- *)
 
-(* ---------- phase 2: mixed workload against the open store ---------- *)
-
-let mixed_opts ~dir ~max_subcompactions =
+let mixed_opts ~dir =
   let base = Options.default ~dir in
   {
     base with
     Options.memtable_bytes = 256 * 1024;
     wal_enabled = false;
     maintenance_workers = 2;
-    max_subcompactions;
     lsm =
       {
         Lsm_config.default with
@@ -276,56 +167,54 @@ let run_mixed_phase ~scale =
   let ops_per_writer = match scale with Smoke -> 4_000 | Full -> 50_000 in
   let key_space = match scale with Smoke -> 10_000 | Full -> 100_000 in
   let value = String.make 256 'v' in
-  List.map
-    (fun max_subcompactions ->
-      let dir = fresh_dir () in
-      let db = Db.open_store (mixed_opts ~dir ~max_subcompactions) in
-      let t0 = Time_ns.now_s () in
-      let worker w =
-        let h = Histogram.create () in
-        let state = ref (w * 7919) in
-        for i = 1 to ops_per_writer do
-          let k = Printf.sprintf "user%08d" (next_key state ~key_space) in
-          let op_start = Time_ns.now_ns () in
-          if i mod 10 = 0 then ignore (Db.get db k)
-          else Db.put db ~key:k ~value;
-          Histogram.record h (Time_ns.now_ns () - op_start)
-        done;
-        h
-      in
-      let domains =
-        List.init (writers - 1) (fun w -> Domain.spawn (fun () -> worker (w + 1)))
-      in
-      let h0 = worker 0 in
-      let hists = h0 :: List.map Domain.join domains in
-      let wall = Time_ns.now_s () -. t0 in
-      let h = Histogram.merge hists in
-      let s = Db.stats db in
-      Db.close db;
-      rm_rf dir;
-      let ops = writers * ops_per_writer in
-      J.Obj
-        [
-          ("max_subcompactions", J.Int max_subcompactions);
-          ("writers", J.Int writers);
-          ("ops", J.Int ops);
-          ("wall_s", J.Float wall);
-          ("ops_per_s", J.Float (float_of_int ops /. wall));
-          ("op_p50_us", J.Float (float_of_int (Histogram.percentile h 50.0) /. 1e3));
-          ("op_p99_us", J.Float (float_of_int (Histogram.percentile h 99.0) /. 1e3));
-          ("stall_s", J.Float (float_of_int s.Stats.stall_ns /. 1e9));
-          ("write_stalls", J.Int s.Stats.write_stalls);
-          ( "slowdown_s",
-            J.Float (float_of_int s.Stats.slowdown_delay_ns /. 1e9) );
-          ("compaction_s", J.Float (float_of_int s.Stats.compaction_ns /. 1e9));
-          ("compactions", J.Int s.Stats.compactions);
-          ("subcompactions", J.Int s.Stats.subcompactions);
-          ("max_compaction_fanout", J.Int s.Stats.max_compaction_fanout);
-          ("flushes", J.Int s.Stats.flushes);
-          ("bytes_flushed", J.Int s.Stats.bytes_flushed);
-          ("bytes_compacted", J.Int s.Stats.bytes_compacted);
-        ])
-    [ 1; 4 ]
+  let dir = fresh_dir () in
+  let db = Db.open_store (mixed_opts ~dir) in
+  let t0 = Time_ns.now_s () in
+  let worker w =
+    let h = Histogram.create () in
+    let state = ref (w * 7919) in
+    for i = 1 to ops_per_writer do
+      let k = Printf.sprintf "user%08d" (next_key state ~key_space) in
+      let op_start = Time_ns.now_ns () in
+      if i mod 10 = 0 then ignore (Db.get db k)
+      else Db.put db ~key:k ~value;
+      Histogram.record h (Time_ns.now_ns () - op_start)
+    done;
+    h
+  in
+  let domains =
+    List.init (writers - 1) (fun w -> Domain.spawn (fun () -> worker (w + 1)))
+  in
+  let h0 = worker 0 in
+  let hists = h0 :: List.map Domain.join domains in
+  let wall = Time_ns.now_s () -. t0 in
+  let h = Histogram.merge hists in
+  let s = Db.stats db in
+  Db.close db;
+  rm_rf dir;
+  let ops = writers * ops_per_writer in
+  let p99_us = float_of_int (Histogram.percentile h 99.0) /. 1e3 in
+  let stall_s = float_of_int s.Stats.stall_ns /. 1e9 in
+  Printf.printf "  mixed workload: %.0f ops/s   op p99 %.0f us   stall %.2f s\n%!"
+    (float_of_int ops /. wall) p99_us stall_s;
+  J.Obj
+    [
+      ("writers", J.Int writers);
+      ("ops", J.Int ops);
+      ("wall_s", J.Float wall);
+      ("ops_per_s", J.Float (float_of_int ops /. wall));
+      ("op_p50_us", J.Float (float_of_int (Histogram.percentile h 50.0) /. 1e3));
+      ("op_p99_us", J.Float p99_us);
+      ("stall_s", J.Float stall_s);
+      ("write_stalls", J.Int s.Stats.write_stalls);
+      ( "slowdown_s",
+        J.Float (float_of_int s.Stats.slowdown_delay_ns /. 1e9) );
+      ("compaction_s", J.Float (float_of_int s.Stats.compaction_ns /. 1e9));
+      ("compactions", J.Int s.Stats.compactions);
+      ("flushes", J.Int s.Stats.flushes);
+      ("bytes_flushed", J.Int s.Stats.bytes_flushed);
+      ("bytes_compacted", J.Int s.Stats.bytes_compacted);
+    ]
 
 (* ---------- durability bench: per-write vs group vs async WAL ---------- *)
 
@@ -736,7 +625,7 @@ let ns_row ~samples ~ops ?(warmup = ops) name call =
   in
   let median_ns, words = List.nth runs (samples / 2) in
   let best_ns, _ = List.hd runs in
-  Printf.printf "  %-28s median %8.0f ns/op   best %8.0f ns/op   %6.1f words/op\n%!"
+  Printf.printf "  %-30s median %8.0f ns/op   best %8.0f ns/op   %6.1f words/op\n%!"
     name median_ns best_ns words;
   J.Obj
     [
@@ -897,8 +786,8 @@ let run_kernels ~scale ~out =
   in
   rf.Clsm_env.Env.rf_close ();
   let read_row = kernel_row "rf_read" ~bytes_per_sample:bytes read in
-  (* One L0→L1 merge of 4 fully-overlapping runs, sequential, as the
-     store's maintenance would run it at max_subcompactions = 1. *)
+  (* One L0→L1 merge of 4 fully-overlapping runs, as the store's
+     maintenance runs it. *)
   let num_files = 4 in
   let entries_per_file = match scale with Smoke -> 2_000 | Full -> 15_000 in
   let inputs =
@@ -962,10 +851,7 @@ let run ~scale ~out =
   Printf.printf "clsm compaction bench (%s scale, %d core(s))\n%!"
     (scale_name scale)
     (Domain.recommended_domain_count ());
-  let merge_rows, speedups = run_merge_phase ~scale in
-  Printf.printf "  merge phase done\n%!";
-  let mixed_rows = run_mixed_phase ~scale in
-  Printf.printf "  mixed-workload phase done\n%!";
+  let mixed_row = run_mixed_phase ~scale in
   let doc =
     J.Obj
       [
@@ -976,9 +862,7 @@ let run ~scale ~out =
           J.Obj
             [ ("recommended_domains", J.Int (Domain.recommended_domain_count ())) ]
         );
-        ("compaction_merge", merge_rows);
-        ("merge_speedup_vs_sequential", speedups);
-        ("mixed_workload", J.List mixed_rows);
+        ("mixed_workload", J.List [ mixed_row ]);
       ]
   in
   let oc = open_out out in

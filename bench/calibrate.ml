@@ -1,156 +1,119 @@
-(* Bechamel microbenchmarks of the real OCaml implementation. These are the
-   measured single-thread service times backing the simulator's cost table
-   (Costs.default documents the paper-derived values; rerun this to re-fit
-   on new hardware). One Test.make per operation of interest. *)
-
-open Bechamel
-open Toolkit
-
-let tmp_dir name =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_bench_%s_%d" name (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  rm d;
-  d
+(* Single-thread service times of the real implementation, timed with
+   [Bench_store.ns_row] (ns and minor words per call). Each row is named
+   after the [Clsm_sim_lsm.Costs] field it backs: the simulator charges
+   [mem_write] for a skip-list insert plus WAL enqueue, [mem_read] for a
+   memtable search including Bloom checks, [snapshot_overhead] for
+   getSnap, and a cLSM read-modify-write as a [mem_read] followed by a
+   [mem_write]. Keys are built before timing, so a row costs the
+   operation and not its key's [sprintf]. *)
 
 module SL = Clsm_skiplist.Skiplist.Make (String)
+module M = Clsm_core.Memtable
+module Db = Clsm_core.Db
 
-let skiplist_tests () =
-  let n = 100_000 in
+let samples = 5
+let ops = 20_000
+let n = 100_000
+let key i = Printf.sprintf "key%08d" i
+
+(* [ops] keys drawn from [0, range), cycled through by the call index. *)
+let probes ~seed ~range =
+  let rng = Random.State.make [| seed |] in
+  Array.init ops (fun _ -> key (Random.State.int rng range))
+
+(* Rows are printed as they finish; the JSON object is not kept. *)
+let row name call =
+  ignore (Bench_store.ns_row ~samples ~ops name call : Bench_store.J.t)
+
+(* A fresh key per call across the warm-up and every sample. *)
+let fresh_keys ~from =
+  let keys = Array.init (ops * (samples + 1)) (fun j -> key (from + j)) in
+  let next = ref 0 in
+  fun () ->
+    let k = keys.(!next) in
+    incr next;
+    k
+
+let skiplist_rows () =
   let filled = SL.create () in
   for i = 0 to n - 1 do
-    ignore (SL.insert filled (Printf.sprintf "key%08d" i) i)
+    ignore (SL.insert filled (key i) i)
   done;
-  let counter = ref n in
-  let probe = ref 0 in
-  [
-    Test.make ~name:"skiplist/insert-100k"
-      (Staged.stage (fun () ->
-           incr counter;
-           ignore (SL.insert filled (Printf.sprintf "key%08d" !counter) 0)));
-    Test.make ~name:"skiplist/find-100k"
-      (Staged.stage (fun () ->
-           probe := (!probe + 7919) mod n;
-           ignore (SL.find filled (Printf.sprintf "key%08d" !probe))));
-  ]
+  let fresh = fresh_keys ~from:n in
+  row "mem_write.skiplist_insert" (fun _ ->
+      ignore (SL.insert filled (fresh ()) 0));
+  let probes = probes ~seed:1 ~range:n in
+  row "mem_read.skiplist_find" (fun i ->
+      ignore (Sys.opaque_identity (SL.find filled probes.(i))))
 
-let memtable_tests () =
-  let module M = Clsm_core.Memtable in
+let memtable_rows () =
   let m = M.create () in
-  let n = 100_000 in
+  let payload = Clsm_lsm.Entry.Value "payload-256-bytes" in
   for i = 0 to n - 1 do
-    M.add m ~user_key:(Printf.sprintf "key%08d" i) ~ts:(i + 1)
-      (Clsm_lsm.Entry.Value "payload-256-bytes")
+    M.add m ~user_key:(key i) ~ts:(i + 1) payload
   done;
   let ts = ref n in
-  let probe = ref 0 in
-  [
-    Test.make ~name:"memtable/add"
-      (Staged.stage (fun () ->
-           incr ts;
-           M.add m ~user_key:(Printf.sprintf "key%08d" (!ts mod n)) ~ts:!ts
-             (Clsm_lsm.Entry.Value "payload-256-bytes")));
-    Test.make ~name:"memtable/get"
-      (Staged.stage (fun () ->
-           probe := (!probe + 104729) mod n;
-           ignore
-             (M.get m
-                ~user_key:(Printf.sprintf "key%08d" !probe)
-                ~snap_ts:max_int)));
-  ]
+  let probes = probes ~seed:2 ~range:n in
+  row "mem_write.memtable_add" (fun i ->
+      incr ts;
+      M.add m ~user_key:probes.(i) ~ts:!ts payload);
+  row "mem_read.memtable_get" (fun i ->
+      ignore
+        (Sys.opaque_identity (M.get m ~user_key:probes.(i) ~snap_ts:max_int)))
 
-let bloom_test () =
-  let keys = List.init 10_000 (Printf.sprintf "key%08d") in
-  let filter = Clsm_sstable.Bloom.create keys in
-  let probe = ref 0 in
-  [
-    Test.make ~name:"bloom/mem"
-      (Staged.stage (fun () ->
-           incr probe;
-           ignore (Clsm_sstable.Bloom.mem filter (Printf.sprintf "key%08d" !probe))));
-  ]
+(* Half the probes are members. *)
+let bloom_row () =
+  let filter = Clsm_sstable.Bloom.create (List.init 10_000 key) in
+  let probes = probes ~seed:3 ~range:20_000 in
+  row "mem_read.bloom_mem" (fun i ->
+      ignore (Sys.opaque_identity (Clsm_sstable.Bloom.mem filter probes.(i))))
 
-let wal_test () =
-  let dir = tmp_dir "wal" in
-  Unix.mkdir dir 0o755;
+let wal_row () =
+  let dir = Bench_store.fresh_dir () in
   let w = Clsm_wal.Wal_writer.create (Filename.concat dir "bench.log") in
   let payload = String.make 264 'x' in
-  [
-    Test.make ~name:"wal/append-async"
-      (Staged.stage (fun () -> Clsm_wal.Wal_writer.append w payload));
-  ]
+  row "mem_write.wal_append_async" (fun _ ->
+      Clsm_wal.Wal_writer.append w payload);
+  Clsm_wal.Wal_writer.close w;
+  Bench_store.rm_rf dir
 
-let db_tests () =
-  let dir = tmp_dir "db" in
-  let opts =
-    {
-      (Clsm_core.Options.default ~dir) with
-      Clsm_core.Options.memtable_bytes = 1 lsl 30 (* avoid rotation mid-bench *);
-      wal_enabled = true;
-    }
+let db_rows () =
+  let dir = Bench_store.fresh_dir () in
+  let db =
+    Db.open_store
+      {
+        (Clsm_core.Options.default ~dir) with
+        Clsm_core.Options.memtable_bytes = 1 lsl 30 (* no rotation mid-row *);
+        wal_enabled = true;
+      }
   in
-  let db = Clsm_core.Db.open_store opts in
-  for i = 0 to 99_999 do
-    Clsm_core.Db.put db ~key:(Printf.sprintf "key%08d" i) ~value:(String.make 256 'v')
+  for i = 0 to n - 1 do
+    Db.put db ~key:(key i) ~value:(String.make 256 'v')
   done;
-  let i = ref 0 in
   let value = String.make 256 'w' in
-  [
-    Test.make ~name:"clsm/put"
-      (Staged.stage (fun () ->
-           incr i;
-           Clsm_core.Db.put db
-             ~key:(Printf.sprintf "key%08d" (!i mod 100_000))
-             ~value));
-    Test.make ~name:"clsm/get"
-      (Staged.stage (fun () ->
-           i := (!i + 104729) mod 100_000;
-           ignore (Clsm_core.Db.get db (Printf.sprintf "key%08d" !i))));
-    Test.make ~name:"clsm/get-snap"
-      (Staged.stage (fun () ->
-           Clsm_core.Db.release_snapshot db (Clsm_core.Db.get_snap db)));
-    Test.make ~name:"clsm/rmw-counter"
-      (Staged.stage (fun () ->
-           ignore
-             (Clsm_core.Db.rmw db ~key:"counter" (fun v ->
-                  let n = match v with Some s -> int_of_string s | None -> 0 in
-                  Clsm_core.Db.Set (string_of_int (n + 1))))));
-  ]
+  let probes = probes ~seed:4 ~range:n in
+  row "mem_write.db_put" (fun i -> Db.put db ~key:probes.(i) ~value);
+  row "mem_read.db_get" (fun i ->
+      ignore (Sys.opaque_identity (Db.get db probes.(i))));
+  row "snapshot_overhead.db_get_snap" (fun _ ->
+      Db.release_snapshot db (Db.get_snap db));
+  row "mem_read+mem_write.db_rmw" (fun _ ->
+      ignore
+        (Db.rmw db ~key:"counter" (fun v ->
+             let c = match v with Some s -> int_of_string s | None -> 0 in
+             Db.Set (string_of_int (c + 1)))));
+  Db.close db;
+  Bench_store.rm_rf dir
 
 let run () =
-  let tests =
-    skiplist_tests () @ memtable_tests () @ bloom_test () @ wal_test ()
-    @ db_tests ()
-  in
-  let grouped = Test.make_grouped ~name:"calibrate" tests in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "\n== Calibration: measured single-thread service times ==\n";
-  Printf.printf "%-28s %14s\n" "operation" "ns/op";
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        match Analyze.OLS.estimates ols with
-        | Some (est :: _) -> (name, est) :: acc
-        | Some [] | None -> acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter (fun (name, est) -> Printf.printf "%-28s %14.1f\n" name est) rows;
   Printf.printf
-    "(feed these into Clsm_sim_lsm.Costs to re-fit the simulator)\n%!"
+    "\n== Calibration: single-thread service times (median of %d batches \
+     of %d calls) ==\n%!"
+    samples ops;
+  skiplist_rows ();
+  memtable_rows ();
+  bloom_row ();
+  wal_row ();
+  db_rows ();
+  Printf.printf
+    "(row prefix = the Clsm_sim_lsm.Costs field the row backs)\n%!"

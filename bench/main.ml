@@ -3,12 +3,14 @@
    Default: run every paper figure through the simulator.
    --figure <id>   one figure (fig1 fig5a fig5b fig6a fig6b fig7a fig7b
                    fig8 fig9 fig10 fig11)
-   --calibrate     Bechamel microbenchmarks of the real implementation
+   --calibrate     ns and minor words per call of the real implementation,
+                   one row per simulator cost it backs
    --real [quick]  real-execution cross-checks (multi-domain driver)
    --ablations     design-choice ablation sweeps
    --compaction [smoke] [--out FILE]
-                   parallel-subcompaction + mixed-workload bench; emits
-                   the clsm-bench/1 JSON schema (default
+                   mixed put/get workload over a small memtable, so
+                   flushes and L0→L1 merges dominate; emits the
+                   clsm-bench/1 JSON schema (default
                    BENCH_compaction.json)
    --sharded [smoke] [--out FILE]
                    mixed workload against the range-shard router at

@@ -162,18 +162,26 @@ let snap_ts t ~mode =
   fence t ~mode;
   ts
 
+type snapshot = {
+  snap_ts : int;
+  handle : Snapshot_registry.handle option;
+  released : bool Atomic.t;
+}
+
 (* The timestamp is chosen and pinned in one registry critical section,
    and pinned before the fence's wait: on a shared clock the other
    stores keep rotating, flushing and compacting meanwhile, and a merge
    whose snapshot list missed this timestamp could collapse away a
    version the snapshot must see. *)
 let snapshot ?ttl t ~mode ~now =
-  let pinned =
+  let snap_ts, handle =
     Snapshot_registry.install_chosen t.snapshots ?ttl ~now (fun () ->
         choose_snap_ts t ~mode)
   in
   fence t ~mode;
-  pinned
+  { snap_ts; handle; released = Atomic.make false }
+
+let snapshot_at ~ts = { snap_ts = ts; handle = None; released = Atomic.make false }
 
 (* A rotation freezes a memtable whose writes have all landed — its
    store's exclusive lock saw to that — but on a shared clock another
@@ -188,7 +196,9 @@ let await_older_writes t =
   let bound = Monotonic_counter.get t.time_counter in
   drain_below t (fun () -> bound)
 
-let release_snapshot t handle = Snapshot_registry.remove t.snapshots handle
+let release_snapshot t s =
+  if not (Atomic.exchange s.released true) then
+    Option.iter (Snapshot_registry.remove t.snapshots) s.handle
 
 let live_snapshots t ~now:now_s =
   Snapshot_registry.live_timestamps t.snapshots ~now:now_s

@@ -59,20 +59,30 @@ val snap_ts : t -> mode:snapshot_mode -> int
     timestamp valid against every store on this clock, without pinning
     it. *)
 
-val snapshot :
-  ?ttl:float ->
-  t ->
-  mode:snapshot_mode ->
-  now:float ->
-  int * Snapshot_registry.handle option
+type snapshot = {
+  snap_ts : int;
+  handle : Snapshot_registry.handle option;
+      (** the registry pin; [None] when [snap_ts = 0] (nothing to pin) or
+          for a {!snapshot_at} view *)
+  released : bool Atomic.t;
+}
+(** A snapshot handle, the same for a single store and a shard router. *)
+
+val snapshot : ?ttl:float -> t -> mode:snapshot_mode -> now:float -> snapshot
 (** [getSnap]: a fenced timestamp, pinned in the registry compaction GC
-    consults as it is chosen ([None] when [ts = 0]: nothing to pin). *)
+    consults as it is chosen. *)
+
+val snapshot_at : ts:int -> snapshot
+(** A view at a timestamp someone else fenced and keeps registered: no
+    fence and no registry entry of its own, so releasing it is a no-op. *)
 
 val await_older_writes : t -> unit
 (** Wait until no write holds a timestamp below the current counter;
     a rotation calls it under its store's exclusive lock. *)
 
-val release_snapshot : t -> Snapshot_registry.handle -> unit
+val release_snapshot : t -> snapshot -> unit
+(** Unpin the snapshot. Idempotent: only the first release removes its
+    registry entry. *)
 
 val live_snapshots : t -> now:float -> int list
 (** Live pinned timestamps, ascending — the GC floor for every store

@@ -233,18 +233,13 @@ module Make (M : Memtable_intf.S) = struct
   let run_claimed_compaction t { State.task; pinned = _ } =
     let snapshots = Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()) in
     let started = Time_ns.now_ns () in
-    (* The expensive merge, range-partitioned across domains when the
-       knob allows: each subrange gets its own clamped merge cursor and
-       table writer, and the combined output list is installed below as
-       one edit, exactly like a sequential merge — a crash can only ever
-       observe all of it or none of it. *)
-    let outputs, fanout =
+    (* The expensive merge, on this worker: its output list is installed
+       below as one edit, so a crash observes all of it or none of it. *)
+    let outputs =
       with_retry t ~what:"compaction merge" (fun () ->
-          Compaction.run_parallel ~cfg:t.opts.Options.lsm
-            ~dir:t.opts.Options.dir ~cache:t.cache ~env:t.opts.Options.env
-            ~alloc_number:(alloc_file_number t) ~snapshots
-            ~fan_out:Scheduler.fan_out
-            ~max_subcompactions:t.opts.Options.max_subcompactions task)
+          Compaction.run ~cfg:t.opts.Options.lsm ~dir:t.opts.Options.dir
+            ~cache:t.cache ~env:t.opts.Options.env
+            ~alloc_number:(alloc_file_number t) ~snapshots task)
     in
     let merge_duration_ns = Time_ns.now_ns () - started in
     let bytes =
@@ -260,11 +255,11 @@ module Make (M : Memtable_intf.S) = struct
            t.compact_pointers.(task.Compaction.src_level - 1) <- largest
        | None -> ());
     Stats.incr_compactions t.stats ~src_level:task.Compaction.src_level ();
-    Stats.record_compaction_run t.stats ~fanout ~duration_ns:merge_duration_ns;
+    Stats.record_compaction_run t.stats ~duration_ns:merge_duration_ns;
     Stats.add_bytes_compacted t.stats bytes;
     Log.debug (fun m ->
-        m "compacted level %d (%d bytes) into %d file(s), %d subcompaction(s)"
-          task.Compaction.src_level bytes (List.length outputs) fanout)
+        m "compacted level %d (%d bytes) into %d file(s)"
+          task.Compaction.src_level bytes (List.length outputs))
 
   (* ---------- claims ---------- *)
 

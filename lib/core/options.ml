@@ -12,7 +12,6 @@ type t = {
   unsafe_naive_snapshots : bool;
   maintenance_workers : int;
   maintenance_tick : float;
-  max_subcompactions : int;
   backpressure_max_delay_us : int;
   lsm : Clsm_lsm.Lsm_config.t;
   env : Clsm_env.Env.t;
@@ -39,7 +38,6 @@ let default ~dir =
     unsafe_naive_snapshots = false;
     maintenance_workers = 2;
     maintenance_tick = 0.25;
-    max_subcompactions = 1;
     backpressure_max_delay_us = 1000;
     lsm = Clsm_lsm.Lsm_config.default;
     env = Clsm_env.Env.unix;
@@ -62,3 +60,8 @@ let wal_mode t =
   | `Per_write -> Clsm_wal.Wal_writer.Group { max_batch = 1; max_delay_us = 0 }
   | `Group { max_batch; max_delay_us } ->
       Clsm_wal.Wal_writer.Group { max_batch; max_delay_us }
+
+let snapshot_mode t =
+  if t.unsafe_naive_snapshots then Clock.Unsafe_naive
+  else if t.linearizable_snapshots then Clock.Linearizable
+  else Clock.Serializable

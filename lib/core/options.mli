@@ -45,14 +45,6 @@ type t = {
           maintenance is normally event-driven — write paths signal the
           scheduler — and the tick only bounds the staleness of work
           nobody signalled for *)
-  max_subcompactions : int;
-      (** ceiling on range-partitioned subcompactions per compaction job
-          (default 1 — sequential merge). With [n > 1] a picked
-          compaction's key space is split into up to [n] byte-balanced
-          disjoint subranges, each merged on its own domain, and the
-          per-subrange outputs are committed as one manifest edit; set
-          to ~the machine's spare cores to cut large L0→L1 merge
-          wall-clock and the L0 write stalls it causes *)
   backpressure_max_delay_us : int;
       (** ceiling of the per-put delay injected by the graduated write
           controller as L0 approaches [l0_stall_limit] (default 1000 µs) *)
@@ -111,3 +103,8 @@ val default_group_commit : group_commit
 val wal_mode : t -> Clsm_wal.Wal_writer.mode
 (** The {!Clsm_wal.Wal_writer.mode} this policy maps to (used everywhere
     a store layer opens a WAL writer, so all writers of one store agree). *)
+
+val snapshot_mode : t -> Clock.snapshot_mode
+(** The [getSnap] variant these options select: [Unsafe_naive] under
+    [unsafe_naive_snapshots], else [Linearizable] under
+    [linearizable_snapshots], else [Serializable]. *)

@@ -323,16 +323,7 @@ module Make_core (S : Store_sig.EXTENDED) = struct
 
   (* ---------- snapshots ---------- *)
 
-  type snapshot = {
-    snap_ts : int;
-    handle : Snapshot_registry.handle option;
-    released : bool Atomic.t;
-  }
-
-  let snapshot_mode t =
-    if t.opts.Options.unsafe_naive_snapshots then Clock.Unsafe_naive
-    else if t.opts.Options.linearizable_snapshots then Clock.Linearizable
-    else Clock.Serializable
+  type snapshot = Clock.snapshot
 
   (* ONE fence, ONE registry entry, valid across every shard (they share
      the clock). Exclusive mode excludes in-flight router batches so
@@ -340,22 +331,17 @@ module Make_core (S : Store_sig.EXTENDED) = struct
   let get_snap ?ttl t =
     Stats.incr_snapshots t.stats;
     Shared_lock.lock_exclusive t.batch_lock;
-    let ts, handle =
-      Clock.snapshot ?ttl t.clock ~mode:(snapshot_mode t)
+    let s =
+      Clock.snapshot ?ttl t.clock ~mode:(Options.snapshot_mode t.opts)
         ~now:(Clsm_util.Time_ns.now_s ())
     in
     Shared_lock.unlock_exclusive t.batch_lock;
-    { snap_ts = ts; handle; released = Atomic.make false }
+    s
 
-  let snapshot_ts s = s.snap_ts
+  let snapshot_ts (s : snapshot) = s.snap_ts
+  let release_snapshot t s = Clock.release_snapshot t.clock s
 
-  let release_snapshot t s =
-    if not (Atomic.exchange s.released true) then
-      match s.handle with
-      | Some h -> Clock.release_snapshot t.clock h
-      | None -> ()
-
-  let get_at t s key =
+  let get_at t (s : snapshot) key =
     if Atomic.get s.released then
       invalid_arg "Sharded_store.get_at: released snapshot";
     let shard = shard_of t key in

@@ -29,9 +29,6 @@ type t = {
   flushes : int Atomic.t;
   compactions : int Atomic.t;
   compactions_per_level : int Atomic.t array; (* by source level *)
-  subcompactions : int Atomic.t;
-  parallel_compactions : int Atomic.t;
-  max_compaction_fanout : int Atomic.t;
   compaction_ns : int Atomic.t;
   bytes_flushed : int Atomic.t;
   bytes_compacted : int Atomic.t;
@@ -69,9 +66,6 @@ type snapshot = {
   flushes : int;
   compactions : int;
   compactions_per_level : int array;
-  subcompactions : int;
-  parallel_compactions : int;
-  max_compaction_fanout : int;
   compaction_ns : int;
   bytes_flushed : int;
   bytes_compacted : int;
@@ -113,9 +107,6 @@ let create () : t =
     flushes = Atomic.make 0;
     compactions = Atomic.make 0;
     compactions_per_level = Array.init max_levels (fun _ -> Atomic.make 0);
-    subcompactions = Atomic.make 0;
-    parallel_compactions = Atomic.make 0;
-    max_compaction_fanout = Atomic.make 0;
     compaction_ns = Atomic.make 0;
     bytes_flushed = Atomic.make 0;
     bytes_compacted = Atomic.make 0;
@@ -158,20 +149,10 @@ let incr_compactions (t : t) ?src_level () =
       Atomic.incr t.compactions_per_level.(l)
   | Some _ | None -> ()
 
-(* Parallelism/duration accounting for one finished compaction job, from
-   whichever maintenance worker ran it; the max-fanout watermark is a CAS
-   loop so concurrent jobs on disjoint level ranges cannot lose an
-   update. *)
-let record_compaction_run (t : t) ~fanout ~duration_ns =
-  ignore (Atomic.fetch_and_add t.subcompactions (max 1 fanout));
-  if fanout > 1 then Atomic.incr t.parallel_compactions;
-  ignore (Atomic.fetch_and_add t.compaction_ns (max 0 duration_ns));
-  let rec bump () =
-    let cur = Atomic.get t.max_compaction_fanout in
-    if fanout > cur && not (Atomic.compare_and_set t.max_compaction_fanout cur fanout)
-    then bump ()
-  in
-  bump ()
+(* Duration accounting for one finished compaction job, from whichever
+   maintenance worker ran it. *)
+let record_compaction_run (t : t) ~duration_ns =
+  ignore (Atomic.fetch_and_add t.compaction_ns (max 0 duration_ns))
 
 let add_bytes_flushed (t : t) n = ignore (Atomic.fetch_and_add t.bytes_flushed n)
 let add_bytes_compacted (t : t) n = ignore (Atomic.fetch_and_add t.bytes_compacted n)
@@ -236,9 +217,6 @@ let read (t : t) : snapshot =
     flushes = Atomic.get t.flushes;
     compactions = Atomic.get t.compactions;
     compactions_per_level = Array.map Atomic.get t.compactions_per_level;
-    subcompactions = Atomic.get t.subcompactions;
-    parallel_compactions = Atomic.get t.parallel_compactions;
-    max_compaction_fanout = Atomic.get t.max_compaction_fanout;
     compaction_ns = Atomic.get t.compaction_ns;
     bytes_flushed = Atomic.get t.bytes_flushed;
     bytes_compacted = Atomic.get t.bytes_compacted;
@@ -300,9 +278,6 @@ let scalar_fields : (string * [ `Sum | `Max ] * (snapshot -> int)) list =
     ("memtable_rotations", `Sum, fun s -> s.memtable_rotations);
     ("flushes", `Sum, fun s -> s.flushes);
     ("compactions", `Sum, fun s -> s.compactions);
-    ("subcompactions", `Sum, fun s -> s.subcompactions);
-    ("parallel_compactions", `Sum, fun s -> s.parallel_compactions);
-    ("max_compaction_fanout", `Max, fun s -> s.max_compaction_fanout);
     ("compaction_ns", `Sum, fun s -> s.compaction_ns);
     ("bytes_flushed", `Sum, fun s -> s.bytes_flushed);
     ("bytes_compacted", `Sum, fun s -> s.bytes_compacted);
@@ -367,9 +342,6 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
     flushes = a.flushes + b.flushes;
     compactions = a.compactions + b.compactions;
     compactions_per_level = per_level;
-    subcompactions = a.subcompactions + b.subcompactions;
-    parallel_compactions = a.parallel_compactions + b.parallel_compactions;
-    max_compaction_fanout = max a.max_compaction_fanout b.max_compaction_fanout;
     compaction_ns = a.compaction_ns + b.compaction_ns;
     bytes_flushed = a.bytes_flushed + b.bytes_flushed;
     bytes_compacted = a.bytes_compacted + b.bytes_compacted;

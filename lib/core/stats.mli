@@ -27,11 +27,6 @@ type snapshot = {
   compactions : int;
   compactions_per_level : int array;
       (** indexed by source level: [.(0)] counts L0→L1 merges *)
-  subcompactions : int;
-      (** subrange merges executed; equals [compactions] when every job
-          ran sequentially *)
-  parallel_compactions : int;  (** jobs that fanned out to > 1 subranges *)
-  max_compaction_fanout : int;  (** high-watermark subranges of one job *)
   compaction_ns : int;  (** cumulative compaction job wall-clock, ns *)
   bytes_flushed : int;
   bytes_compacted : int;
@@ -86,10 +81,9 @@ val incr_flushes : t -> unit
 val incr_compactions : t -> ?src_level:int -> unit -> unit
 (** Count a compaction, attributed to [src_level] when given. *)
 
-val record_compaction_run : t -> fanout:int -> duration_ns:int -> unit
-(** Account one finished compaction job: [fanout] subrange merges
-    (1 = sequential) taking [duration_ns] of wall-clock. Safe from any
-    worker domain. *)
+val record_compaction_run : t -> duration_ns:int -> unit
+(** Account one finished compaction job's merge taking [duration_ns] of
+    wall-clock. Safe from any worker domain. *)
 
 val record_install :
   t -> kind:install_kind -> ns:int -> manifest_bytes:int -> unit
@@ -137,9 +131,8 @@ val read : t -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 (** Aggregate two stores' snapshots (the per-shard roll-up of a
-    range-sharded store): counters and durations sum, the
-    [max_compaction_fanout] high-watermark takes the maximum, and the
-    per-level compaction arrays and the latency histograms add
+    range-sharded store): counters and durations sum, high-watermarks
+    take the maximum, and the per-level compaction arrays and the latency histograms add
     element-wise, so percentiles of the result are resolved over the
     combined population. *)
 

@@ -312,42 +312,23 @@ module Make_core (M : Memtable_intf.S) = struct
 
   (* ---------- snapshots (Algorithm 2) ---------- *)
 
-  type snapshot = {
-    snap_ts : int;
-    handle : Snapshot_registry.handle option; (* None for the ts=0 case *)
-    released : bool Atomic.t;
-  }
-
-  let snapshot_mode t =
-    if t.opts.Options.unsafe_naive_snapshots then Clock.Unsafe_naive
-    else if t.opts.Options.linearizable_snapshots then Clock.Linearizable
-    else Clock.Serializable
+  type snapshot = Clock.snapshot
 
   let get_snap ?ttl t =
     Stats.incr_snapshots t.stats;
     Shared_lock.lock_shared t.lock;
-    let tsb, handle =
-      Clock.snapshot ?ttl t.clock ~mode:(snapshot_mode t)
+    let s =
+      Clock.snapshot ?ttl t.clock ~mode:(Options.snapshot_mode t.opts)
         ~now:(Time_ns.now_s ())
     in
     Shared_lock.unlock_shared t.lock;
-    { snap_ts = tsb; handle; released = Atomic.make false }
+    s
 
-  (* A view at a timestamp someone else fenced and registered (the shard
-     router's cross-shard getSnap): no fence, no registry entry of its
-     own — the caller's registration keeps [ts] GC-protected. *)
-  let snapshot_at _t ~ts =
-    { snap_ts = ts; handle = None; released = Atomic.make false }
+  let snapshot_at _t ~ts = Clock.snapshot_at ~ts
+  let snapshot_ts (s : snapshot) = s.snap_ts
+  let release_snapshot t s = Clock.release_snapshot t.clock s
 
-  let snapshot_ts s = s.snap_ts
-
-  let release_snapshot t s =
-    if not (Atomic.exchange s.released true) then
-      match s.handle with
-      | Some h -> Clock.release_snapshot t.clock h
-      | None -> ()
-
-  let get_at t s key =
+  let get_at t (s : snapshot) key =
     Stats.incr_gets t.stats;
     if Atomic.get s.released then invalid_arg "Db.get_at: released snapshot";
     timed_get t ~user_key:key ~snap_ts:s.snap_ts

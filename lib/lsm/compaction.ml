@@ -278,128 +278,6 @@ let run ~cfg ~dir ?cache ?env ~alloc_number ~snapshots task =
   write_sorted_run ~cfg ~dir ?cache ?env ~alloc_number ~snapshots
     ~drop_tombstones:task.drop_tombstones merged
 
-(* ---------- range-partitioned subcompactions ---------- *)
-
-(* Split the task's key space into up to [max_subcompactions] disjoint
-   half-open user-key subranges. Candidates are the per-data-block
-   anchors of every input file ((last key, stored bytes) pairs off the
-   in-memory indexes — no data IO), so boundaries exist even when the
-   inputs are a pile of fully-overlapping L0 files. Walking the anchors
-   in key order and cutting each time ~total/n bytes accumulate yields
-   byte-balanced subranges. Boundaries are user keys: a subrange
-   [lo, hi) holds every version of every user key in it, so the per-key
-   GC (filter_group) sees complete version groups. *)
-let plan_subranges ~max_subcompactions task =
-  let whole = [ (None, None) ] in
-  if max_subcompactions <= 1 then whole
-  else begin
-    let anchors =
-      List.concat_map
-        (fun f ->
-          List.map
-            (fun (ik, bytes) -> (Internal_key.user_key_of ik, bytes))
-            (Clsm_sstable.Table.index_anchors
-               (Refcounted.value f).Table_file.table))
-        (task.inputs_lo @ task.inputs_hi)
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    in
-    let total = List.fold_left (fun a (_, w) -> a + w) 0 anchors in
-    if total = 0 || List.length anchors < 2 then whole
-    else begin
-      let target = max 1 (total / max_subcompactions) in
-      let cuts, _ =
-        List.fold_left
-          (fun (cuts, acc) (uk, w) ->
-            let acc = acc + w in
-            let due = (List.length cuts + 1) * target in
-            if
-              List.length cuts < max_subcompactions - 1
-              && acc >= due
-              && (match cuts with
-                 | last :: _ -> String.compare uk last > 0
-                 | [] -> true)
-            then (uk :: cuts, acc)
-            else (cuts, acc))
-          ([], 0) anchors
-      in
-      match List.rev cuts with
-      | [] -> whole
-      | firsts ->
-          (* Drop a cut equal to the globally smallest anchor: it would
-             leave the first subrange empty. *)
-          let smallest = fst (List.hd anchors) in
-          let firsts = List.filter (fun b -> String.compare b smallest > 0) firsts in
-          if firsts = [] then whole
-          else
-            let rec ranges lo = function
-              | [] -> [ (lo, None) ]
-              | b :: rest -> (lo, Some b) :: ranges (Some b) rest
-            in
-            ranges None firsts
-    end
-  end
-
-(* One subrange's merge: fresh cursors over every input, clamped to the
-   internal-key image of the user-key subrange. [Internal_key.make uk 0]
-   is the smallest internal key of user key [uk] (timestamps sort
-   ascending), so [lo] is inclusive of every version of its boundary key
-   and [hi] excludes every version of its boundary key — no user key
-   ever straddles two subranges. *)
-let run_subrange ~cfg ~dir ?cache ?env ~alloc_number ~snapshots task (lo, hi) =
-  let inputs = task.inputs_lo @ task.inputs_hi in
-  let merged =
-    Merge_iter.merge ~cmp:Internal_key.compare_encoded
-      (List.map file_iter inputs)
-  in
-  let clamped =
-    Iter.clamp ~cmp:Internal_key.compare_encoded
-      ?lo:(Option.map (fun uk -> Internal_key.make uk 0) lo)
-      ?hi:(Option.map (fun uk -> Internal_key.make uk 0) hi)
-      merged
-  in
-  write_sorted_run ~cfg ~dir ?cache ?env ~alloc_number ~snapshots
-    ~drop_tombstones:task.drop_tombstones clamped
-
-let sequential_fan_out thunks =
-  List.map (fun f -> try Ok (f ()) with e -> Error e) thunks
-
-let run_parallel ~cfg ~dir ?cache ?env ~alloc_number ~snapshots
-    ?(fan_out = sequential_fan_out) ~max_subcompactions task =
-  match plan_subranges ~max_subcompactions task with
-  | [] | [ _ ] -> (run ~cfg ~dir ?cache ?env ~alloc_number ~snapshots task, 1)
-  | subranges ->
-      let thunks =
-        List.map
-          (fun r () ->
-            run_subrange ~cfg ~dir ?cache ?env ~alloc_number ~snapshots task r)
-          subranges
-      in
-      let results = fan_out thunks in
-      (match
-         List.find_map (function Error e -> Some e | Ok _ -> None) results
-       with
-      | Some e ->
-          (* Whole-job abort: subranges that failed already deleted their
-             partials (write_sorted_run's cleanup); finished subranges'
-             outputs are unpublished, so drop them too (best-effort — a
-             survivor is an orphan the next recovery collects). *)
-          List.iter
-            (function
-              | Ok files ->
-                  List.iter
-                    (fun f ->
-                      Table_file.mark_obsolete (Refcounted.value f);
-                      Refcounted.decr f)
-                    files
-              | Error _ -> ())
-            results;
-          raise e
-      | None ->
-          (* Subranges are disjoint and ascending, so concatenating their
-             output lists in order yields the level's sorted run. *)
-          ( List.concat_map (function Ok fs -> fs | Error _ -> []) results,
-            List.length subranges ))
-
 let edit_of_task task ~outputs =
   {
     Version_edit.empty with

@@ -87,40 +87,6 @@ val run :
   Version.file list
 (** Merge the task's inputs and write the target-level output run. *)
 
-val plan_subranges :
-  max_subcompactions:int -> task -> (string option * string option) list
-(** Split the task's key space into at most [max_subcompactions] disjoint
-    half-open {e user-key} subranges [(lo, hi)] ([None] = unbounded)
-    covering everything, byte-balanced using the inputs' per-data-block
-    index anchors (no data IO). Returns [[(None, None)]] — one subrange,
-    the whole space — when [max_subcompactions <= 1] or the inputs are
-    too small to split. Exposed for testing. *)
-
-val run_parallel :
-  cfg:Lsm_config.t ->
-  dir:string ->
-  ?cache:Clsm_sstable.Block.t Clsm_sstable.Cache.t ->
-  ?env:Clsm_env.Env.t ->
-  alloc_number:(unit -> int) ->
-  snapshots:int list ->
-  ?fan_out:((unit -> Version.file list) list ->
-           (Version.file list, exn) result list) ->
-  max_subcompactions:int ->
-  task ->
-  Version.file list * int
-(** RocksDB-style subcompactions: run each planned subrange through its
-    own clamped merge + {!write_sorted_run} via [fan_out] (default:
-    sequential in the calling domain; pass
-    [Clsm_maintenance.Scheduler.fan_out] to use one domain per subrange),
-    then concatenate the per-subrange outputs in key order. Returns the
-    combined output files and the fan-out actually used; the caller
-    commits them in {e one} manifest edit exactly as with {!run}, so
-    crash atomicity and snapshot semantics are unchanged. If any
-    subrange fails, the outputs of every other subrange are deleted
-    (best-effort) and the first exception is re-raised.
-
-    [alloc_number] must be safe to call from multiple domains. *)
-
 val edit_of_task : task -> outputs:Version.file list -> Version_edit.t
 (** The task's install: every input removed, the outputs added at
     [target_level]. Applied with {!Version.apply}; a base version that

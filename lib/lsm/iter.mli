@@ -53,9 +53,10 @@ val clamp :
     the first entry [>= lo], [seek target] never goes below [lo], and the
     view reports invalid at the first entry [>= hi]. The underlying
     iterator is not advanced past that entry. With internal keys,
-    clamping to [Internal_key.make uk 0] boundaries yields an exact
-    user-key partition: every version of one user key falls in exactly
-    one subrange (range-partitioned subcompactions rely on this). *)
+    clamping to [Internal_key.make uk 0] boundaries partitions by user
+    key: every version of one user key falls in exactly one view.
+    [Clsm_core.Sharded_store] clamps each shard's scan to the shard's key
+    range. *)
 
 val fold : (string -> string -> 'acc -> 'acc) -> t -> 'acc -> 'acc
 (** Runs [seek_to_first] then folds over every entry. *)

@@ -101,21 +101,3 @@ let stop t =
 
 let jobs_run t = Atomic.get t.jobs
 let wakes t = Atomic.get t.wake_signals
-
-(* Bounded fork-join for subtasks of one maintenance job (range-
-   partitioned subcompactions): thunks beyond the first each get a fresh
-   domain, the first runs on the calling worker domain so a fan-out of n
-   costs n-1 spawns and the worker is never idle while its children
-   run. Exceptions are captured per-thunk, never lost: the caller
-   decides whether one failure aborts the whole job. *)
-let fan_out thunks =
-  let wrap f = try Ok (f ()) with e -> Error e in
-  match thunks with
-  | [] -> []
-  | [ f ] -> [ wrap f ]
-  | first :: rest ->
-      let children =
-        List.map (fun f -> Domain.spawn (fun () -> wrap f)) rest
-      in
-      let r0 = wrap first in
-      r0 :: List.map Domain.join children

@@ -14,7 +14,12 @@
     [next]/[run] until [next] returns [None], then block on the wakeup
     cell. This keeps claim state (which levels are busy, whether a flush
     is in flight) next to the store where its invariants live, while the
-    scheduler provides wakeup, parallelism and lifecycle. *)
+    scheduler provides wakeup, parallelism and lifecycle.
+
+    A job runs whole on the worker that claimed it: one compaction is
+    one merge on one domain. Parallelism comes only from [num_workers]
+    workers running jobs on disjoint claims (e.g. compactions of
+    disjoint level ranges); no job spawns a domain of its own. *)
 
 type t
 
@@ -48,12 +53,3 @@ val jobs_run : t -> int
 
 val wakes : t -> int
 (** Total {!wake} signals delivered (for stats and tests). *)
-
-val fan_out : (unit -> 'a) list -> ('a, exn) result list
-(** Run the thunks concurrently and join them all: the first on the
-    calling domain, each of the rest on a freshly spawned domain (n
-    thunks cost n-1 spawns). Results are returned in input order;
-    an exception inside a thunk becomes its [Error] — none is lost,
-    none escapes. Used to fan a claimed compaction out into
-    range-partitioned subcompactions without tying up other pool
-    workers. *)

@@ -256,9 +256,9 @@ let mid_flush_crash_leaves_no_orphans () =
   Alcotest.(check (list string)) "healthy" [] (Db.verify_integrity db);
   Db.close db
 
-(* ---------- orphan cleanup after a mid-subcompaction crash ---------- *)
+(* ---------- orphan cleanup after a mid-compaction crash ---------- *)
 
-let mid_subcompaction_crash_leaves_no_orphans () =
+let mid_compaction_crash_leaves_no_orphans () =
   let dir = fresh_dir () in
   let f = Faulty_env.create ~seed:23 () in
   let base = small_opts ~env:(Faulty_env.env f) ~wal_sync:`Per_write dir in
@@ -271,7 +271,6 @@ let mid_subcompaction_crash_leaves_no_orphans () =
          file-size cap), so rounds 1 and 2 are flush-only and the L0→L1
          merge fires exactly once, in round 3. *)
       Options.memtable_bytes = 1 lsl 20;
-      max_subcompactions = 4;
       lsm = { base.Options.lsm with Lsm_config.target_file_size = 32 * 1024 };
     }
   in
@@ -293,15 +292,19 @@ let mid_subcompaction_crash_leaves_no_orphans () =
   Db.compact_now db;
   let flush_cost = Faulty_env.mutating_ops f - before in
   (* Round 3: the flush inside compact_now produces the third L0 file and
-     the drain immediately runs the L0→L1 compaction, fanned out over 4
-     subranges. Crash a few IO operations past the (identical) flush:
-     several subcompaction domains die mid-write, leaving half-written
-     .sst.tmp files and possibly renamed tables no manifest records. *)
+     the drain immediately runs the L0→L1 compaction. Crash two IO
+     operations past the (identical) flush: the merge's output table has
+     been created and partly appended, leaving a half-written .sst.tmp
+     that no manifest records. *)
   put_batch 3;
-  Faulty_env.arm f ~crash_after:(flush_cost + 6);
+  Faulty_env.arm f ~crash_after:(flush_cost + 2);
   Db.compact_now db;
   Alcotest.(check bool) "crash fired during the compaction" true
     (Faulty_env.crashed f);
+  Alcotest.(check bool) "crash fired inside the merge's table write" true
+    (Array.exists
+       (fun name -> Filename.check_suffix name ".sst.tmp")
+       (Sys.readdir dir));
   Db.simulate_crash db;
   Faulty_env.install_crash_image f;
   let db = Db.open_store { opts with Options.env = Env.unix } in
@@ -310,6 +313,10 @@ let mid_subcompaction_crash_leaves_no_orphans () =
      listing the directory or a legitimately in-flight output .tmp would
      race the stray-file check. *)
   Db.compact_now db;
+  let st = Db.stats db in
+  Alcotest.(check bool) "the recovered store re-ran the merge and timed it"
+    true
+    (st.Stats.compactions >= 1 && st.Stats.compaction_ns > 0);
   let listing = Sys.readdir dir |> Array.to_list in
   List.iter
     (fun name ->
@@ -531,8 +538,8 @@ let suites =
         Alcotest.test_case "enospc degrades" `Quick enospc_degrades_to_read_only;
         Alcotest.test_case "no orphans after crash" `Quick
           mid_flush_crash_leaves_no_orphans;
-        Alcotest.test_case "no orphans after subcompaction crash" `Quick
-          mid_subcompaction_crash_leaves_no_orphans;
+        Alcotest.test_case "no orphans after compaction crash" `Quick
+          mid_compaction_crash_leaves_no_orphans;
         Alcotest.test_case "strict wal" `Quick strict_wal_fails_on_corrupt_tail;
         Alcotest.test_case "install crash ordering" `Slow install_crash_ordering;
       ] );

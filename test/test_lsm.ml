@@ -417,7 +417,7 @@ let clamp_seek () =
 
 let clamp_user_key_partition () =
   (* Internal-key clamping at [make uk 0] boundaries partitions by user
-     key: every version of a key lands in exactly one subrange. *)
+     key: every version of a key lands in exactly one view. *)
   let entries =
     List.map
       (fun (k, ts) -> (Internal_key.make k ts, Printf.sprintf "%s@%d" k ts))

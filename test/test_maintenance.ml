@@ -231,19 +231,15 @@ let stats_percentiles () =
   Alcotest.(check bool) "json commit_waits" true (has "\"commit_waits\":200,")
 
 (* Counters are plain Atomics: domains hammering them concurrently must
-   lose no increments, the fan-out high-watermark must converge to the
-   true maximum, and a JSON snapshot taken afterwards must reflect the
-   exact totals. *)
+   lose no increments, and a JSON snapshot taken afterwards must reflect
+   the exact totals. *)
 let stats_concurrent_updates () =
   let s = Stats.create () in
   let domains = 4 and per_domain = 5_000 in
   let worker d () =
-    for i = 0 to per_domain - 1 do
+    for _ = 0 to per_domain - 1 do
       Stats.incr_flushes s;
-      (* Fanouts cycle 1..4 so the true max is exactly 4. *)
-      Stats.record_compaction_run s
-        ~fanout:((i mod 4) + 1)
-        ~duration_ns:10;
+      Stats.record_compaction_run s ~duration_ns:10;
       Stats.add_stall_ns s (d + 1)
     done
   in
@@ -252,10 +248,6 @@ let stats_concurrent_updates () =
   let st = Stats.read s in
   let n = domains * per_domain in
   Alcotest.(check int) "flushes" n st.Stats.flushes;
-  (* Each run records max 1 fanout subranges: cycle 1+2+3+4 per 4 runs. *)
-  Alcotest.(check int) "subcompactions" (n / 4 * 10) st.Stats.subcompactions;
-  Alcotest.(check int) "parallel runs" (n / 4 * 3) st.Stats.parallel_compactions;
-  Alcotest.(check int) "fanout high-watermark" 4 st.Stats.max_compaction_fanout;
   Alcotest.(check int) "compaction ns" (n * 10) st.Stats.compaction_ns;
   Alcotest.(check int) "stall ns"
     (per_domain * (1 + 2 + 3 + 4))
@@ -266,9 +258,8 @@ let stats_concurrent_updates () =
     let rec at i = i + m <= n && (String.sub json i m = sub || at (i + 1)) in
     at 0
   in
-  Alcotest.(check bool) "json subcompactions" true
-    (has (Printf.sprintf "\"subcompactions\":%d" st.Stats.subcompactions));
-  Alcotest.(check bool) "json fanout" true (has "\"max_compaction_fanout\":4");
+  Alcotest.(check bool) "json compaction_ns" true
+    (has (Printf.sprintf "\"compaction_ns\":%d" st.Stats.compaction_ns));
   Alcotest.(check bool) "json stall_ns" true
     (has (Printf.sprintf "\"stall_ns\":%d" st.Stats.stall_ns))
 
@@ -448,66 +439,6 @@ let blocking_claims_wake_on_release () =
     (st.Stats.manifest_bytes_last > 0);
   Db.close db
 
-(* End-to-end through the real store with [max_subcompactions = 4]: the
-   L0→L1 merge must fan out (stats record the parallelism), and reads,
-   level invariants and recovery must be indistinguishable from the
-   sequential path. *)
-let parallel_subcompactions_e2e () =
-  let dir = fresh_dir () in
-  let base = Options.default ~dir in
-  let opts =
-    {
-      base with
-      Options.memtable_bytes = 1 lsl 20;
-      cache_bytes = 1 lsl 20;
-      max_subcompactions = 4;
-      lsm =
-        {
-          base.Options.lsm with
-          Clsm_lsm.Lsm_config.level1_max_bytes = 64 * 1024;
-          target_file_size = 32 * 1024;
-          l0_compaction_trigger = 3;
-          block_size = 1024;
-        };
-    }
-  in
-  let db = Db.open_store opts in
-  let value round i = Printf.sprintf "r%d-%06d" round i in
-  for round = 1 to 4 do
-    for i = 1 to 300 do
-      Db.put db ~key:(Printf.sprintf "k%04d" i) ~value:(value round i)
-    done;
-    (* Rotate + flush each round; round 3 reaches the L0 trigger and runs
-       the fanned-out L0→L1 merge inside this call. *)
-    Db.compact_now db
-  done;
-  for i = 1 to 300 do
-    Alcotest.(check (option string))
-      (Printf.sprintf "k%04d newest version" i)
-      (Some (value 4 i))
-      (Db.get db (Printf.sprintf "k%04d" i))
-  done;
-  Alcotest.(check (list string)) "level invariants hold" []
-    (Db.verify_integrity db);
-  let st = Db.stats db in
-  Alcotest.(check bool) "a compaction ran" true (st.Stats.compactions >= 1);
-  Alcotest.(check bool) "it fanned out" true
-    (st.Stats.parallel_compactions >= 1 && st.Stats.max_compaction_fanout >= 2);
-  Alcotest.(check bool) "subranges counted" true
-    (st.Stats.subcompactions > st.Stats.compactions);
-  Alcotest.(check bool) "duration recorded" true (st.Stats.compaction_ns > 0);
-  Db.close db;
-  (* Recovery over the parallel-written level must be seamless. *)
-  let db2 = Db.open_store opts in
-  Fun.protect
-    ~finally:(fun () -> Db.close db2)
-    (fun () ->
-      Alcotest.(check (option string)) "survives reopen"
-        (Some (value 4 123))
-        (Db.get db2 "k0123");
-      Alcotest.(check (list string)) "healthy after reopen" []
-        (Db.verify_integrity db2))
-
 (* ---------- Store-level: concurrency stress under the scheduler ---------- *)
 
 let stress_writers_readers_churn () =
@@ -644,8 +575,6 @@ let suites =
           flush_without_poll_tick;
         Alcotest.test_case "blocked claims wake on release" `Quick
           blocking_claims_wake_on_release;
-        Alcotest.test_case "parallel subcompactions end-to-end" `Quick
-          parallel_subcompactions_e2e;
         Alcotest.test_case "writers/readers/churn stress" `Slow
           stress_writers_readers_churn;
       ] );

@@ -417,171 +417,6 @@ let prop_version_apply =
         everything;
       edit_ok && task_ok && refs_ok)
 
-(* ---------- range-partitioned subcompactions ---------- *)
-
-let mk_task files =
-  {
-    Compaction.src_level = 0;
-    inputs_lo = files;
-    inputs_hi = [];
-    target_level = 1;
-    drop_tombstones = true;
-  }
-
-let drop_files files =
-  List.iter
-    (fun f ->
-      Table_file.mark_obsolete (Refcounted.value f);
-      Refcounted.retire f)
-    files
-
-(* Four fully-overlapping input files (keys dealt round-robin) with a
-   512-byte block size, so the planner has plenty of anchors. *)
-let overlapping_inputs ~per_file =
-  List.init 4 (fun fi ->
-      make_file
-        (List.init per_file (fun e ->
-             let idx = (e * 4) + fi in
-             (Printf.sprintf "k%05d" idx, idx + 1, Some (String.make 24 'v')))))
-
-let plan_subranges_invariants () =
-  let files = overlapping_inputs ~per_file:120 in
-  let task = mk_task files in
-  let check_plan n =
-    let plan = Compaction.plan_subranges ~max_subcompactions:n task in
-    Alcotest.(check bool)
-      (Printf.sprintf "n=%d: non-empty, at most n" n)
-      true
-      (List.length plan >= 1 && List.length plan <= max 1 n);
-    (match (List.hd plan, List.nth plan (List.length plan - 1)) with
-    | (None, _), (_, None) -> ()
-    | _ -> Alcotest.failf "n=%d: plan does not cover the whole space" n);
-    let rec adjacent = function
-      | (_, Some hi) :: ((Some lo, _) :: _ as rest) ->
-          Alcotest.(check string)
-            (Printf.sprintf "n=%d: adjacent boundaries" n)
-            hi lo;
-          adjacent rest
-      | (_, Some _) :: _ ->
-          Alcotest.failf "n=%d: interior subrange missing lo" n
-      | [ _ ] | [] -> ()
-      | (_, None) :: _ :: _ ->
-          Alcotest.failf "n=%d: unbounded hi before the last subrange" n
-    in
-    adjacent plan;
-    let boundaries = List.filter_map snd plan in
-    let rec ascending = function
-      | a :: (b :: _ as rest) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "n=%d: boundaries ascend" n)
-            true
-            (String.compare a b < 0);
-          ascending rest
-      | [ _ ] | [] -> ()
-    in
-    ascending boundaries
-  in
-  List.iter check_plan [ 0; 1; 2; 4; 64 ];
-  Alcotest.(check (list (pair (option string) (option string))))
-    "n=1 is the whole space"
-    [ (None, None) ]
-    (Compaction.plan_subranges ~max_subcompactions:1 task);
-  drop_files files
-
-let entry_stream outputs =
-  List.concat_map
-    (fun f -> Clsm_sstable.Table.to_list (Refcounted.value f).Table_file.table)
-    outputs
-
-let run_parallel_matches_sequential () =
-  let files = overlapping_inputs ~per_file:120 in
-  let task = mk_task files in
-  let n = Atomic.make 70000 in
-  let alloc () = Atomic.fetch_and_add n 1 in
-  let seq =
-    Compaction.run ~cfg:small_cfg ~dir:tmp_dir ~alloc_number:alloc
-      ~snapshots:[] task
-  in
-  let expected = entry_stream seq in
-  List.iter
-    (fun m ->
-      let outputs, fanout =
-        Compaction.run_parallel ~cfg:small_cfg ~dir:tmp_dir
-          ~alloc_number:alloc ~snapshots:[]
-          ~fan_out:Clsm_maintenance.Scheduler.fan_out ~max_subcompactions:m
-          task
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "m=%d: fanout in [1, m]" m)
-        true
-        (fanout >= 1 && fanout <= m);
-      if m >= 2 then
-        Alcotest.(check bool)
-          (Printf.sprintf "m=%d: actually fanned out" m)
-          true (fanout > 1);
-      Alcotest.(check bool)
-        (Printf.sprintf "m=%d: identical entry stream" m)
-        true
-        (entry_stream outputs = expected);
-      drop_files outputs)
-    [ 2; 4 ];
-  drop_files seq;
-  drop_files files
-
-let prop_parallel_equals_sequential =
-  (* Random histories with tombstones and live snapshots, dealt into 3
-     overlapping files, merged sequentially and with N ∈ {1,2,4}
-     subcompactions on real domains: the resulting level contents must
-     be identical entry for entry. *)
-  QCheck.Test.make ~name:"parallel subcompaction = sequential merge" ~count:30
-    QCheck.(
-      triple
-        (list_of_size Gen.(1 -- 120)
-           (triple (int_range 0 40) (int_range 1 300) bool))
-        (list_of_size Gen.(0 -- 3) (int_range 0 300))
-        (int_range 0 2))
-    (fun (raw, snapshots, log_n) ->
-      let entries =
-        List.sort_uniq
-          (fun (k1, t1, _) (k2, t2, _) -> compare (k1, t1) (k2, t2))
-          raw
-      in
-      QCheck.assume (entries <> []);
-      let buckets = [| []; []; [] |] in
-      List.iteri
-        (fun i e -> buckets.(i mod 3) <- e :: buckets.(i mod 3))
-        entries;
-      let files =
-        Array.to_list buckets
-        |> List.filter (fun b -> b <> [])
-        |> List.map (fun b ->
-               make_file
-                 (List.map
-                    (fun (k, ts, tomb) ->
-                      ( Printf.sprintf "k%03d" k,
-                        ts,
-                        if tomb then None else Some (Printf.sprintf "v%d" ts) ))
-                    b))
-      in
-      let task = mk_task files in
-      let n = Atomic.make 80000 in
-      let alloc () = Atomic.fetch_and_add n 1 in
-      let seq =
-        Compaction.run ~cfg:small_cfg ~dir:tmp_dir ~alloc_number:alloc
-          ~snapshots task
-      in
-      let par, fanout =
-        Compaction.run_parallel ~cfg:small_cfg ~dir:tmp_dir
-          ~alloc_number:alloc ~snapshots
-          ~fan_out:Clsm_maintenance.Scheduler.fan_out
-          ~max_subcompactions:(1 lsl log_n) task
-      in
-      let ok = entry_stream par = entry_stream seq && fanout <= 1 lsl log_n in
-      drop_files seq;
-      drop_files par;
-      drop_files files;
-      ok)
-
 let suites =
   [
     ( "lsm.version",
@@ -600,18 +435,10 @@ let suites =
         Alcotest.test_case "run + apply L0 merge" `Quick run_and_apply_l0_merge;
         Alcotest.test_case "apply preserves new L0" `Quick apply_preserves_new_l0;
       ] );
-    ( "lsm.compaction.subranges",
-      [
-        Alcotest.test_case "plan_subranges invariants" `Quick
-          plan_subranges_invariants;
-        Alcotest.test_case "run_parallel = sequential" `Quick
-          run_parallel_matches_sequential;
-      ] );
     ( "lsm.compaction.props",
       List.map QCheck_alcotest.to_alcotest
         [
           prop_write_sorted_run_roundtrip;
-          prop_parallel_equals_sequential;
           prop_version_apply;
         ] );
   ]
