@@ -235,49 +235,9 @@ let wal_mode () =
   line "async WAL: %8.0f Kops/s   group WAL: %8.3f Kops/s   per-write WAL: %8.3f Kops/s (async/per-write %.0fx)"
     (kops async) (kops group) (kops sync) (async /. sync)
 
-(* 6. Generic algorithm: the same store functor over the lock-free
-   skip-list (Db) vs the copy-on-write map (Cow_store) — real execution.
-   Quantifies what the concurrent memtable buys inside the identical
-   algorithm; on a single core the gap reflects constant factors only,
-   on a multicore it reflects write-side parallelism. *)
-let memory_component () =
-  line "";
-  line "== Ablation: memory component (skip-list vs copy-on-write map) ==";
-  let run_ops name put get close =
-    let n = 20_000 in
-    let t0 = Time_ns.now_s () in
-    for i = 0 to n - 1 do
-      put ~key:(Printf.sprintf "k%06d" (i mod 5_000)) ~value:"payload-64-bytes"
-    done;
-    let wrate = float_of_int n /. (Time_ns.now_s () -. t0) in
-    let t0 = Time_ns.now_s () in
-    for i = 0 to n - 1 do
-      ignore (get (Printf.sprintf "k%06d" (i mod 5_000)))
-    done;
-    let rrate = float_of_int n /. (Time_ns.now_s () -. t0) in
-    close ();
-    line "%-28s %10.0f Kputs/s %10.0f Kgets/s" name (kops wrate) (kops rrate)
-  in
-  let dir1 = tmp_dir "mc_skiplist" and dir2 = tmp_dir "mc_cow" in
-  let opts dir =
-    { (Clsm_core.Options.default ~dir) with
-      Clsm_core.Options.memtable_bytes = 1 lsl 24 }
-  in
-  let a = Clsm_core.Db.open_store (opts dir1) in
-  run_ops "skip-list (cLSM, Db)"
-    (fun ~key ~value -> Clsm_core.Db.put a ~key ~value)
-    (fun k -> Clsm_core.Db.get a k)
-    (fun () -> Clsm_core.Db.close a);
-  let b = Clsm_core.Cow_store.open_store (opts dir2) in
-  run_ops "copy-on-write map (Cow_store)"
-    (fun ~key ~value -> Clsm_core.Cow_store.put b ~key ~value)
-    (fun k -> Clsm_core.Cow_store.get b k)
-    (fun () -> Clsm_core.Cow_store.close b)
-
 let run () =
   lock_granularity ();
   snapshot_protocol ();
   snapshot_linearizability ();
   bloom_filters ();
-  wal_mode ();
-  memory_component ()
+  wal_mode ()

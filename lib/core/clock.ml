@@ -181,8 +181,6 @@ let snapshot ?ttl t ~mode ~now =
   fence t ~mode;
   { snap_ts; handle; released = Atomic.make false }
 
-let snapshot_at ~ts = { snap_ts = ts; handle = None; released = Atomic.make false }
-
 (* A rotation freezes a memtable whose writes have all landed — its
    store's exclusive lock saw to that — but on a shared clock another
    store may still hold an older timestamp in flight. A snapshot fenced

@@ -62,8 +62,7 @@ val snap_ts : t -> mode:snapshot_mode -> int
 type snapshot = {
   snap_ts : int;
   handle : Snapshot_registry.handle option;
-      (** the registry pin; [None] when [snap_ts = 0] (nothing to pin) or
-          for a {!snapshot_at} view *)
+      (** the registry pin; [None] when [snap_ts = 0] (nothing to pin) *)
   released : bool Atomic.t;
 }
 (** A snapshot handle, the same for a single store and a shard router. *)
@@ -71,10 +70,6 @@ type snapshot = {
 val snapshot : ?ttl:float -> t -> mode:snapshot_mode -> now:float -> snapshot
 (** [getSnap]: a fenced timestamp, pinned in the registry compaction GC
     consults as it is chosen. *)
-
-val snapshot_at : ts:int -> snapshot
-(** A view at a timestamp someone else fenced and keeps registered: no
-    fence and no registry entry of its own, so releasing it is a no-op. *)
 
 val await_older_writes : t -> unit
 (** Wait until no write holds a timestamp below the current counter;

@@ -1,5 +1,5 @@
-(* The flagship instantiation: the cLSM of the paper, over the lock-free
-   skip-list memtable (Algorithm 3's conflict detection is the skip-list's
-   bottom-level CAS). *)
+(* The cLSM store ({!Store}) plus the bulk reads {!Store_sig.Scans}
+   derives from its primitives. *)
 
-include Store.Make (Memtable)
+include Store
+include Store_sig.Scans (Store)

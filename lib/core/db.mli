@@ -21,4 +21,32 @@
     background domain runs the maintenance service: memtable rotation,
     flush to level 0, and leveled compaction with snapshot-aware GC. *)
 
-include Store_sig.EXTENDED
+include Store_sig.S with type snapshot = Clock.snapshot
+
+(** {1 Shards}
+
+    What the range-shard router {!Sharded_db} needs to run several
+    stores as one: a shared logical clock and one maintenance pool for
+    all of them. *)
+
+val open_shard : clock:Clock.t -> Options.t -> t
+(** {!open_store}, but drawing timestamps from [clock] and starting no
+    maintenance scheduler: the caller drives flush, compaction, scrub
+    and repair through {!maintenance_next} and {!maintenance_run}. The
+    router opens every shard on one clock, so one fenced snapshot
+    timestamp is consistent across all of them, and its snapshots can
+    be read through any shard. *)
+
+val maintenance_next : t -> Clsm_maintenance.Job.t option
+(** Claim this store's highest-priority runnable maintenance job
+    ([None] when idle, stopped or degraded). Thread-safe; the claim
+    must be discharged with {!maintenance_run}. *)
+
+val maintenance_run : t -> Clsm_maintenance.Job.t -> unit
+(** Execute a job claimed by {!maintenance_next} and release its claim
+    (exceptions are degraded into read-only mode, never propagated). *)
+
+val set_wake_hook : t -> (unit -> unit) -> unit
+(** Where "maintenance work exists" signals go for a store opened with
+    {!open_shard}: the router points this at its shared scheduler's
+    wake. *)

@@ -6,943 +6,938 @@
    installed by one primitive, [commit_edit], which holds the exclusive
    sections the paper requires and states the crash ordering once. *)
 
-module Make (M : Memtable_intf.S) = struct
-  open Clsm_primitives
-  open Clsm_lsm
-  module Time_ns = Clsm_util.Time_ns
-  module Job = Clsm_maintenance.Job
-  module Scheduler = Clsm_maintenance.Scheduler
-  module Env = Clsm_env.Env
-  module State = Store_state.Make (M)
-  open State
+open Clsm_primitives
+open Clsm_lsm
+module Time_ns = Clsm_util.Time_ns
+module Job = Clsm_maintenance.Job
+module Scheduler = Clsm_maintenance.Scheduler
+module Env = Clsm_env.Env
+open Store_state
 
-  let src = Logs.Src.create "clsm.db.maintenance" ~doc:"cLSM store maintenance"
+let src = Logs.Src.create "clsm.db.maintenance" ~doc:"cLSM store maintenance"
 
-  module Log = (val Logs.src_log src : Logs.LOG)
-  module Retry = Clsm_env.Retry_policy
+module Log = (val Logs.src_log src : Logs.LOG)
+module Retry = Clsm_env.Retry_policy
 
-  (* Maintenance-path IO commit points run under the configured retry
-     policy: a transient fault (EINTR-ish fsync hiccup, brief ENOSPC)
-     rides through a few backed-off attempts instead of degrading the
-     store on first touch. Only [Env.Error] is retried — [Env.Crashed]
-     is the test harness's kill switch and corruption is never
-     transient. *)
-  let with_retry t ~what f =
-    Retry.run t.opts.Options.retry
-      ~on_retry:(fun ~attempt ~delay e ->
-        Stats.incr_io_retries t.stats;
-        Log.warn (fun m ->
-            m "%s failed (attempt %d), retrying in %.1fms: %s" what attempt
-              (delay *. 1e3) (Printexc.to_string e)))
-      f
+(* Maintenance-path IO commit points run under the configured retry
+   policy: a transient fault (EINTR-ish fsync hiccup, brief ENOSPC)
+   rides through a few backed-off attempts instead of degrading the
+   store on first touch. Only [Env.Error] is retried — [Env.Crashed]
+   is the test harness's kill switch and corruption is never
+   transient. *)
+let with_retry t ~what f =
+  Retry.run t.opts.Options.retry
+    ~on_retry:(fun ~attempt ~delay e ->
+      Stats.incr_io_retries t.stats;
+      Log.warn (fun m ->
+          m "%s failed (attempt %d), retrying in %.1fms: %s" what attempt
+            (delay *. 1e3) (Printexc.to_string e)))
+    f
 
-  (* An environment failure inside maintenance (failed fsync, out of
-     space) that survives the retry policy must not take down the worker
-     domain or be retried forever: the store degrades to read-only —
-     reads keep working off the installed components — and the error is
-     surfaced through [health] and the [Degraded] exception on writes.
+(* An environment failure inside maintenance (failed fsync, out of
+   space) that survives the retry policy must not take down the worker
+   domain or be retried forever: the store degrades to read-only —
+   reads keep working off the installed components — and the error is
+   surfaced through [health] and the [Degraded] exception on writes.
 
-     A corruption verdict is different: the media lied, but only about
-     one table. Quarantining it (containment) keeps the store writable;
-     degrading would punish every key for one rotten block. *)
-  let guard_io t ~what f =
-    try f () with
-    | (Env.Error _ | Env.Crashed) as e ->
-        degrade t (what ^ " failed: " ^ Printexc.to_string e);
-        Log.err (fun m ->
-            m "%s failed, store degraded to read-only: %s" what
-              (Printexc.to_string e))
-    | Table_file.Corruption { number; detail; _ } ->
-        ignore (enqueue_quarantine t ~number ~detail : bool);
-        Log.err (fun m ->
-            m "%s hit corrupt table %06d (%s): quarantine queued" what number
-              detail)
+   A corruption verdict is different: the media lied, but only about
+   one table. Quarantining it (containment) keeps the store writable;
+   degrading would punish every key for one rotten block. *)
+let guard_io t ~what f =
+  try f () with
+  | (Env.Error _ | Env.Crashed) as e ->
+      degrade t (what ^ " failed: " ^ Printexc.to_string e);
+      Log.err (fun m ->
+          m "%s failed, store degraded to read-only: %s" what
+            (Printexc.to_string e))
+  | Table_file.Corruption { number; detail; _ } ->
+      ignore (enqueue_quarantine t ~number ~detail : bool);
+      Log.err (fun m ->
+          m "%s hit corrupt table %06d (%s): quarantine queued" what number
+            detail)
 
-  (* ---------- the install step ---------- *)
+(* ---------- the install step ---------- *)
 
-  (* Commit one version edit — the paper's afterMerge exclusive section
-     (Algorithm 1, §3.1) and the only place that swaps [pd] or saves the
-     manifest. The crash-ordering invariant, stated once:
+(* Commit one version edit — the paper's afterMerge exclusive section
+   (Algorithm 1, §3.1) and the only place that swaps [pd] or saves the
+   manifest. The crash-ordering invariant, stated once:
 
-     1. under [install] (commits serialize; [pd] cannot move meanwhile),
-     2. move the verdicts from the pending queue into the ledger BEFORE
-        the swap: tombstone dropping is pinned while either is non-empty,
-        so no compaction pick can see a quarantined table's range as
-        "nothing deeper". Verdicts on tables already gone from the
-        version are moot and dropped;
-     3. swap [pd] (and, for a flush, empty P'm) under the exclusive lock;
-     4. clear resolved ledger entries, so no manifest lists a number both
-        in its file set and in quarantine;
-     5. save the manifest (retried) — a crash now recovers the new version;
-     6. only then mark the removed inputs obsolete (deletable); tables
-        entering quarantine are kept as evidence;
-     7. retire the replaced cells.
+   1. under [install] (commits serialize; [pd] cannot move meanwhile),
+   2. move the verdicts from the pending queue into the ledger BEFORE
+      the swap: tombstone dropping is pinned while either is non-empty,
+      so no compaction pick can see a quarantined table's range as
+      "nothing deeper". Verdicts on tables already gone from the
+      version are moot and dropped;
+   3. swap [pd] (and, for a flush, empty P'm) under the exclusive lock;
+   4. clear resolved ledger entries, so no manifest lists a number both
+      in its file set and in quarantine;
+   5. save the manifest (retried) — a crash now recovers the new version;
+   6. only then mark the removed inputs obsolete (deletable); tables
+      entering quarantine are kept as evidence;
+   7. retire the replaced cells.
 
-     Added files arrive with one owning reference each, which is dropped
-     here once the new version holds its own. An edit that changes no
-     file swaps nothing. A failed save propagates with nothing marked
-     obsolete. Close calls this holding [close_mutex]; every other caller
-     holds no lock. *)
-  let commit_edit t ~kind (edit : Version_edit.t) =
-    let started = Time_ns.now_ns () in
-    let h = t.heal in
-    Mutex.lock t.install;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.install)
-      (fun () ->
-        let cur = current_version t in
-        let entering =
-          List.filter
-            (fun n -> Version.find_file cur n <> None)
-            edit.Version_edit.quarantine_add
-        in
-        Mutex.protect h.hm (fun () ->
-            h.quarantined <- entering @ h.quarantined;
-            h.pending_quarantine <-
-              List.filter
-                (fun (n, _) -> not (List.mem n edit.quarantine_add))
-                h.pending_quarantine);
-        List.iter (fun _ -> Stats.incr_quarantined_tables t.stats) entering;
-        let replaced =
-          if edit.removed = [] && edit.added = [] && kind <> `Flush then []
-          else begin
-            let next = Version.apply cur edit in
-            let next = Refcounted.create ~release:Version.release next in
-            Shared_lock.lock_exclusive t.lock;
-            let old_pd = Rcu_box.swap t.pd next in
-            if kind = `Flush then
-              Refcounted.retire (Rcu_box.swap t.pimm (Refcounted.create No_imm));
-            Shared_lock.unlock_exclusive t.lock;
-            List.iter (fun (_, f) -> Refcounted.retire f) edit.added;
-            [ old_pd ]
-          end
-        in
-        Mutex.protect h.hm (fun () ->
-            h.quarantined <-
-              List.filter
-                (fun n -> not (List.mem n edit.quarantine_clear))
-                h.quarantined);
-        let manifest_bytes =
-          Fun.protect
-            ~finally:(fun () -> List.iter Refcounted.retire replaced)
-            (fun () ->
-              let bytes =
-                with_retry t ~what:"manifest save" (fun () -> save_manifest t)
-              in
-              List.iter
-                (fun n ->
-                  if not (List.mem n edit.quarantine_add) then
-                    Option.iter
-                      (fun f -> Table_file.mark_obsolete (Refcounted.value f))
-                      (Version.find_file cur n))
-                edit.removed;
-              bytes)
-        in
-        Stats.record_install t.stats ~kind ~manifest_bytes
-          ~ns:(Time_ns.now_ns () - started))
-  [@@excludes_locks install lock cm hm]
-
-  (* ---------- merge hooks ---------- *)
-
-  (* beforeMerge: freeze Cm as C'm and open a fresh Cm (Algorithm 1 lines
-     8-12). Returns false when a previous immutable component is still being
-     merged. Caller holds the flush claim. *)
-  let rotate t =
-    match current_imm t with
-    | Imm _ -> false
-    | No_imm ->
-        if M.is_empty (current_pm t).mem then false
-        else begin
-          let wal_number = alloc_file_number t () in
-          let wal =
-            if t.opts.Options.wal_enabled then
-              Some
-                (with_retry t ~what:"WAL create" (fun () ->
-                     Clsm_wal.Wal_writer.create
-                       ~mode:(Options.wal_mode t.opts)
-                       ~observer:(Stats.wal_observer t.stats)
-                       ~env:t.opts.Options.env
-                       (Table_file.wal_path ~dir:t.opts.Options.dir wal_number)))
-            else None
-          in
-          let fresh = { mem = M.create (); wal; wal_number } in
-          Shared_lock.lock_exclusive t.lock;
-          (* On a shared clock another store may still hold an older
-             timestamp in flight; freezing only what is older than every
-             in-flight write keeps it visible to every later snapshot. *)
-          Clock.await_older_writes t.clock;
-          (* P'm <- Pm, then Pm <- new: readers traversing Pm then P'm may see
-             the old component twice but can never miss it. *)
-          let old_pm_cell = Rcu_box.peek t.pm in
-          let imm_cell =
-            Refcounted.create (Imm (Refcounted.value old_pm_cell))
-          in
-          let old_imm_cell = Rcu_box.swap t.pimm imm_cell in
-          let old_pm_cell' = Rcu_box.swap t.pm (Refcounted.create fresh) in
-          Shared_lock.unlock_exclusive t.lock;
-          assert (old_pm_cell == old_pm_cell');
-          Refcounted.retire old_imm_cell;
-          Refcounted.retire old_pm_cell';
-          Stats.incr_rotations t.stats;
-          true
-        end
-
-  (* Merge C'm into the disk component, then afterMerge: install the new
-     version and clear P'm (Algorithm 1 lines 13-17). Caller holds the
-     flush claim. *)
-  let flush_imm t =
-    match current_imm t with
-    | No_imm -> false
-    | Imm mc ->
-        let snapshots = Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()) in
-        let bytes = M.approximate_bytes mc.mem in
-        (* Safe to retry wholesale: a failed attempt cleans up its partial
-           outputs (Compaction.cleanup_failed), so each retry starts from
-           a blank slate. *)
-        let outputs =
-          with_retry t ~what:"memtable flush write" (fun () ->
-              Compaction.write_sorted_run ~cfg:t.opts.Options.lsm
-                ~dir:t.opts.Options.dir ~cache:t.cache ~env:t.opts.Options.env
-                ~alloc_number:(alloc_file_number t) ~snapshots
-                ~drop_tombstones:false (M.iter mc.mem))
-        in
-        commit_edit t ~kind:`Flush
-          {
-            Version_edit.empty with
-            added = List.map (fun f -> (0, f)) outputs;
-          };
-        Stats.incr_flushes t.stats;
-        Stats.add_bytes_flushed t.stats bytes;
-        (match mc.wal with
-        | Some w ->
-            let env = t.opts.Options.env in
-            (* The manifest no longer references this log: failure to close
-               or delete it only leaves an orphan that the next recovery
-               collects, so it must not degrade or kill the worker. *)
-            (try Clsm_wal.Wal_writer.close w
-             with Env.Error _ | Env.Crashed -> ());
-            (try Env.(env.remove) (Clsm_wal.Wal_writer.path w)
-             with Env.Error _ | Env.Crashed -> ())
-        | None -> ());
-        Log.debug (fun m ->
-            m "flushed %d bytes into %d L0 file(s)" bytes (List.length outputs));
-        true
-
-  (* Run one claimed compaction: merge outside any lock, then install.
-     Caller owns the claim on the task's level range. *)
-  let run_claimed_compaction t { State.task; pinned = _ } =
-    let snapshots = Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()) in
-    let started = Time_ns.now_ns () in
-    (* The expensive merge, on this worker: its output list is installed
-       below as one edit, so a crash observes all of it or none of it. *)
-    let outputs =
-      with_retry t ~what:"compaction merge" (fun () ->
-          Compaction.run ~cfg:t.opts.Options.lsm ~dir:t.opts.Options.dir
-            ~cache:t.cache ~env:t.opts.Options.env
-            ~alloc_number:(alloc_file_number t) ~snapshots task)
-    in
-    let merge_duration_ns = Time_ns.now_ns () - started in
-    let bytes =
-      List.fold_left
-        (fun a f -> a + (Refcounted.value f).Table_file.size)
-        0
-        (task.Compaction.inputs_lo @ task.Compaction.inputs_hi)
-    in
-    commit_edit t ~kind:`Compaction (Compaction.edit_of_task task ~outputs);
-    (if task.Compaction.src_level >= 1 then
-       match Version.files_range task.Compaction.inputs_lo with
-       | Some (_, largest) ->
-           t.compact_pointers.(task.Compaction.src_level - 1) <- largest
-       | None -> ());
-    Stats.incr_compactions t.stats ~src_level:task.Compaction.src_level ();
-    Stats.record_compaction_run t.stats ~duration_ns:merge_duration_ns;
-    Stats.add_bytes_compacted t.stats bytes;
-    Log.debug (fun m ->
-        m "compacted level %d (%d bytes) into %d file(s)"
-          task.Compaction.src_level bytes (List.length outputs))
-
-  (* ---------- claims ---------- *)
-
-  let flush_needed t =
-    (match current_imm t with Imm _ -> true | No_imm -> false)
-    || M.approximate_bytes (current_pm t).mem > t.opts.Options.memtable_bytes
-
-  let set_claimed c tag v =
-    match tag with
-    | `Flush -> c.flush_claimed <- v
-    | `Repair -> c.repair_claimed <- v
-    | `Scrub -> c.scrub_claimed <- v
-  [@@requires_lock cm]
-
-  (* Take a single-instance job slot; [false] when someone holds it. *)
-  let claim_locked c tag =
-    let held =
-      match tag with
-      | `Flush -> c.flush_claimed
-      | `Repair -> c.repair_claimed
-      | `Scrub -> c.scrub_claimed
-    in
-    if not held then set_claimed c tag true;
-    not held
-  [@@requires_lock cm]
-
-  let claim t tag = Mutex.protect t.claims.cm (fun () -> claim_locked t.claims tag)
-
-  (* Every release signals after dropping [cm], so the wakeup mutex is
-     never taken under it. *)
-  let release t tag =
-    let c = t.claims in
-    Mutex.protect c.cm (fun () -> set_claimed c tag false);
-    Wakeup.signal c.released
-
-  (* The one way to wait on the claims ledger. [attempt] takes [cm]
-     itself and answers [Some] once what the caller waits for is
-     available. The generation is read before each attempt, so a
-     release that lands between a failed attempt and the wait makes
-     the wait return at once: a waiter wakes when the holder releases,
-     with no poll tick and no lost wakeup. *)
-  let await_release t attempt =
-    let c = t.claims in
-    let rec go () =
-      let seen = Wakeup.current c.released in
-      match attempt () with
-      | Some x -> x
-      | None ->
-          ignore (Wakeup.wait c.released ~seen : int);
-          go ()
-    in
-    go ()
-  [@@excludes_locks]
-
-  let claim_blocking t tag =
-    await_release t (fun () -> if claim t tag then Some () else None)
-  [@@excludes_locks]
-
-  (* Pick and claim a compaction whose level range is disjoint from every
-     in-flight one. The version the task was picked from is pinned so its
-     input files cannot be released before the task runs.
-
-     Tombstone dropping is pinned while the quarantine ledger is
-     non-empty: a quarantined table is invisible to the version, so
-     "nothing deeper than the target" may be a fiction — dropping a
-     tombstone whose only covered older values live in the quarantined
-     table would resurrect the deleted key on readmission. The ledger is
-     populated BEFORE the quarantine swap (see [commit_edit]), so any
-     pick that sees an empty ledger ran against a version still
-     containing every quarantined table's data, and its
-     [deeper_levels_empty] verdict is honest. *)
-  let claim_compaction_locked t =
-    let c = t.claims in
-    if c.barrier then None
-    else begin
-      let busy l = List.exists (fun (s, tg) -> l = s || l = tg) c.busy_levels in
-      let skip ~src ~target = busy src || busy target in
-      let pin_tombstones =
-        let h = t.heal in
-        Mutex.protect h.hm (fun () ->
-            h.pending_quarantine <> [] || h.quarantined <> [])
+   Added files arrive with one owning reference each, which is dropped
+   here once the new version holds its own. An edit that changes no
+   file swaps nothing. A failed save propagates with nothing marked
+   obsolete. Close calls this holding [close_mutex]; every other caller
+   holds no lock. *)
+let commit_edit t ~kind (edit : Version_edit.t) =
+  let started = Time_ns.now_ns () in
+  let h = t.heal in
+  Mutex.lock t.install;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.install)
+    (fun () ->
+      let cur = current_version t in
+      let entering =
+        List.filter
+          (fun n -> Version.find_file cur n <> None)
+          edit.Version_edit.quarantine_add
       in
-      let cell = Rcu_box.acquire t.pd in
-      match
-        Compaction.pick ~cfg:t.opts.Options.lsm
-          ~level_pointers:t.compact_pointers ~skip ~pin_tombstones
-          (Refcounted.value cell)
-      with
-      | Some task ->
-          let range =
-            (task.Compaction.src_level, task.Compaction.target_level)
-          in
-          c.busy_levels <- range :: c.busy_levels;
-          c.pending <- (range, { State.task; pinned = cell }) :: c.pending;
-          Some
-            (Job.Compact
-               {
-                 src_level = task.Compaction.src_level;
-                 target_level = task.Compaction.target_level;
-               })
-      | None ->
-          Refcounted.decr cell;
-          None
-    end
-  [@@requires_lock cm]
-
-  let release_compaction t range =
-    let c = t.claims in
-    Mutex.protect c.cm (fun () ->
-        c.busy_levels <- List.filter (fun r -> r <> range) c.busy_levels);
-    Wakeup.signal c.released
-
-  let take_pending t range =
-    let c = t.claims in
-    Mutex.protect c.cm (fun () ->
-        match List.assoc_opt range c.pending with
-        | Some cc ->
-            c.pending <- List.remove_assoc range c.pending;
-            Some cc
-        | None -> None)
-
-  (* ---------- self-healing: quarantine, scrub, repair ---------- *)
-
-  (* Containment: swap every table with a pending corruption verdict out
-     of the read view and record it in the manifest's quarantine ledger,
-     as one edit for the whole batch, so neither this process nor a
-     recovery after crash ever reads the rotten files again. Overlapping
-     data in other tables keeps serving the key range; the store's
-     health becomes [`Partial] (reported by the store layer from the
-     ledger), not [`Degraded] — writes continue. Verdicts against tables
-     already compacted away are moot ([commit_edit] drops them).
-
-     Runs regardless of [auto_repair] (containment is not optional). *)
-  let apply_pending_quarantines t =
-    let h = t.heal in
-    let pending = Mutex.protect h.hm (fun () -> List.rev h.pending_quarantine) in
-    if pending <> [] then begin
-      List.iter
-        (fun (number, detail) ->
-          Log.err (fun m -> m "quarantining table %06d: %s" number detail))
-        pending;
-      let numbers = List.map fst pending in
-      commit_edit t ~kind:`Quarantine
-        { Version_edit.empty with removed = numbers; quarantine_add = numbers }
-    end
-  [@@excludes_locks]
-
-  (* One scrub slice: re-verify up to [budget] blocks (checksums plus
-     structural decode, bypassing the block cache) starting from the
-     pass cursor; corrupt tables are enqueued for quarantine and the
-     pass continues with the next file. When the file set is exhausted
-     the active WAL tail is checked too and the pass closes, scheduling
-     the next one [scrub_interval] later. Returns the problems found.
-     Caller holds the scrub claim. *)
-  let scrub_slice t ~budget =
-    let h = t.heal in
-    let problems = ref [] in
-    let cell = Rcu_box.acquire t.pd in
-    Fun.protect
-      ~finally:(fun () -> Refcounted.decr cell)
-      (fun () ->
-        let v = Refcounted.value cell in
-        let files =
-          Version.files_by_level v
-          |> List.map (fun (_, f) -> Refcounted.value f)
-          |> List.sort (fun a b ->
-                 Int.compare a.Table_file.number b.Table_file.number)
-        in
-        let resume_file, resume_block =
-          Mutex.protect h.hm (fun () ->
-              match h.scrub_cursor with Some c -> c | None -> (min_int, 0))
-        in
-        let used = ref 0 in
-        let cursor = ref None in
-        (try
-           List.iter
-             (fun tf ->
-               let number = tf.Table_file.number in
-               (* Files below the cursor were verified earlier this pass
-                  (or compacted away, which also re-verified them). *)
-               if number >= resume_file then begin
-                 let rec step from_block =
-                   if !used >= budget then begin
-                     cursor := Some (number, from_block);
-                     raise Exit
-                   end;
-                   match
-                     Clsm_sstable.Table.scrub ~from_block
-                       ~max_blocks:(budget - !used) tf.Table_file.table
-                   with
-                   | Ok { Clsm_sstable.Table.blocks_checked; next_block } -> (
-                       used := !used + blocks_checked;
-                       Stats.add_scrubbed_blocks t.stats blocks_checked;
-                       match next_block with Some nb -> step nb | None -> ())
-                   | Error detail ->
-                       problems :=
-                         Printf.sprintf "table %06d: %s" number detail
-                         :: !problems;
-                       ignore (enqueue_quarantine t ~number ~detail : bool)
-                 in
-                 step (if number = resume_file then resume_block else 0)
-               end)
-             files;
-           (* Whole disk component verified: check the live WAL tail. A
-              corrupt tail is not fatal — the memtable still holds every
-              record — but it must be surfaced and retired by a flush
-              before a crash would make recovery salvage short. The
-              writer may have an append in flight, so only the prefix it
-              has fully written is classified ([written_bytes] is read
-              BEFORE the file): a racing half-written record can never
-              masquerade as corruption. *)
-           (match (current_pm t).wal with
-            | Some w when not (Clsm_wal.Wal_writer.poisoned w) -> (
-                let path = Clsm_wal.Wal_writer.path w in
-                let synced = Clsm_wal.Wal_writer.written_bytes w in
-                match
-                  Clsm_wal.Wal_reader.read_records ~env:t.opts.Options.env
-                    ~strict:false ~max_bytes:synced path
-                with
-                | _, Clsm_wal.Wal_reader.Corrupt_tail ->
-                    let p = path ^ ": corrupt WAL tail" in
-                    problems := p :: !problems;
-                    Stats.incr_corruptions_detected t.stats;
-                    Log.err (fun m -> m "scrub: %s" p);
-                    wake_bg t
-                | _, (Clsm_wal.Wal_reader.Clean | Clsm_wal.Wal_reader.Torn_tail)
-                  ->
-                    ())
-            | Some _ | None -> ());
-           cursor := None
-         with Exit -> ());
-        let finished = !cursor = None in
-        Mutex.protect h.hm (fun () ->
-            h.scrub_cursor <- !cursor;
-            if finished then
-              h.scrub_next_due <-
-                Time_ns.now_s () +. t.opts.Options.scrub_interval);
-        (List.rev !problems, finished))
-
-  (* A full scrub pass, run synchronously under the scrub claim the
-     caller already holds. Restarts from the beginning regardless of any
-     background cursor. *)
-  let scrub_full_pass t =
-    Mutex.protect t.heal.hm (fun () -> t.heal.scrub_cursor <- None);
-    let problems, finished = scrub_slice t ~budget:max_int in
-    assert finished;
-    problems
-
-  (* Block new compaction claims and wait out the in-flight ones, so the
-     files a readmission collapse merges can be neither consumed nor
-     overlapped at the bottom level by a concurrent compaction install.
-     Flushes keep running: they only prepend strictly newer L0 files,
-     which the collapse reads nothing from — its closure is computed
-     against a version snapshot taken after the barrier is up. *)
-  let with_compaction_barrier t f =
-    let c = t.claims in
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.protect c.cm (fun () -> c.barrier <- false);
-        Wakeup.signal c.released)
-      (fun () ->
-        Mutex.protect c.cm (fun () -> c.barrier <- true);
-        await_release t (fun () ->
-            Mutex.protect c.cm (fun () ->
-                if c.busy_levels = [] then Some () else None));
-        f ())
-
-  (* Readmission by range collapse (DESIGN §12). [Version.get] answers
-     from the shallowest component holding a key, and the table's age
-     relative to anything still in the tree is unknown: spliced at L0 its
-     old values would shadow newer ones below, spliced deep it would be
-     shadowed by older ones above. So it is merged with every file whose
-     user-key range overlaps it at ANY level, closed transitively, and the
-     output goes to the bottom level — an ordinary compaction task (the
-     table as [inputs_lo], the closure as [inputs_hi]) run by
-     {!Compaction.run} and installed by [commit_edit] with its ledger
-     entry cleared. Files flushed after the closure's snapshot are
-     strictly newer and win by timestamp; tombstones ride through
-     ([drop_tombstones = false]) and keep covering the readmitted puts.
-
-     Caller holds the repair claim and the compaction barrier, and no
-     locks. Raises [Env.Error] on transient IO trouble and
-     {!Table_file.Corruption} naming whichever merge input (possibly the
-     readmitted table itself) turned out rotten. *)
-  let readmit_collapsed t ~number qcell =
-    let uk_lo tf = Internal_key.user_key_of tf.Table_file.smallest in
-    let uk_hi tf = Internal_key.user_key_of tf.Table_file.largest in
-    (* The closure, pinned past the version cell it was found in; the
-       barrier keeps it live (and the closure) until the install. *)
-    let overlaps =
-      Rcu_box.with_ref t.pd (fun v ->
-          let files = List.map snd (Version.files_by_level v) in
-          let touches (lo, hi) f =
-            let tf = Refcounted.value f in
-            tf.Table_file.smallest <> "" && uk_hi tf >= lo && uk_lo tf <= hi
-          in
-          let widen (lo, hi) f =
-            let tf = Refcounted.value f in
-            (min lo (uk_lo tf), max hi (uk_hi tf))
-          in
-          let rec close range inputs =
-            match
-              List.filter
-                (fun f -> (not (List.memq f inputs)) && touches range f)
-                files
-            with
-            | [] -> inputs
-            | extra -> close (List.fold_left widen range extra) (inputs @ extra)
-          in
-          let q = Refcounted.value qcell in
-          let inputs = close (uk_lo q, uk_hi q) [] in
-          List.iter
-            (fun f ->
-              (* live in the pinned version, so the count is positive *)
-              let ok = Refcounted.try_incr f in
-              assert ok)
-            inputs;
-          inputs)
-    in
-    Fun.protect
-      ~finally:(fun () -> List.iter Refcounted.decr overlaps)
-      (fun () ->
-        let bottom = t.opts.Options.lsm.Lsm_config.num_levels - 1 in
-        let task =
-          {
-            Compaction.src_level = bottom;
-            inputs_lo = [ qcell ];
-            inputs_hi = overlaps;
-            target_level = bottom;
-            drop_tombstones = false;
-          }
-        in
-        let outputs =
-          Compaction.run ~cfg:t.opts.Options.lsm ~dir:t.opts.Options.dir
-            ~cache:t.cache ~env:t.opts.Options.env
-            ~alloc_number:(alloc_file_number t)
-            ~snapshots:(Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()))
-            task
-        in
-        commit_edit t ~kind:`Readmit
-          {
-            (Compaction.edit_of_task task ~outputs) with
-            quarantine_clear = [ number ];
-          };
-        (* The rewritten original is in no version, so [commit_edit]
-           could not mark it: it becomes deletable once the manifest that
-           stops naming it has landed, which is now. *)
-        Table_file.mark_obsolete (Refcounted.value qcell))
-  [@@excludes_locks]
-
-  (* Repair out of [`Partial]. Every quarantined table gets a second
-     chance: re-opened fresh and fully re-verified from disk. Rot that
-     was transient (a bit flipped on some past read, not damage on the
-     platter) re-verifies clean and the table is readmitted online via
-     {!readmit_collapsed}. Persistent damage gets the file renamed aside
-     as evidence (never deleted); its key ranges keep answering from
-     surviving overlapping data. Either way the QUARANTINE record is
-     resolved. A final full scrub pass vets the whole component before
-     [`Ok] is honest — fresh verdicts it finds are queued and block the
-     transition until the next round. Returns [`Nothing] (no quarantined
-     files), [`Repaired], or [`Blocked] (transient IO trouble or
-     still-rotten data; retried after the damping interval). *)
-  let finalize_quarantined t =
-    let h = t.heal in
-    let nums = Mutex.protect h.hm (fun () -> h.quarantined) in
-    if nums = [] then `Nothing
-    else begin
-      let env = t.opts.Options.env in
-      let dir = t.opts.Options.dir in
-      let blocked = ref false in
-      let resolved = ref [] in
-      let drop number = resolved := number :: !resolved in
-      let close_quietly tf =
-        try Clsm_sstable.Table.close tf.Table_file.table with _ -> ()
-      in
-      (* Re-open and fully re-verify; the footer/index/filter load can hit
-         the same rot the data blocks did. *)
-      let reverify number =
-        match Table_file.open_number ~cache:t.cache ~env ~dir number with
-        | exception Env.Crashed -> raise Env.Crashed
-        | exception Env.Error _ -> `Io
-        | exception e -> `Rotten (Printexc.to_string e)
-        | tf -> (
-            match Clsm_sstable.Table.verify tf.Table_file.table with
-            | Ok _ when tf.Table_file.smallest <> "" -> `Clean tf
-            | Ok _ ->
-                (* An entry-less table holds nothing to restore. *)
-                close_quietly tf;
-                `Rotten "no entries"
-            | Error detail ->
-                close_quietly tf;
-                `Rotten detail
-            | exception Env.Crashed -> raise Env.Crashed
-            | exception Env.Error _ ->
-                close_quietly tf;
-                `Io)
-      in
-      with_compaction_barrier t (fun () ->
-          List.iter
-            (fun number ->
-              let path = Table_file.table_path ~dir number in
-              let discard detail =
-                (try Env.(env.rename) ~src:path ~dst:(path ^ ".quarantined")
-                 with Env.Error _ -> ());
-                Log.warn (fun m ->
-                    m "repair: table %06d still rotten (%s), renamed aside as \
-                       %s.quarantined"
-                      number detail (Filename.basename path));
-                drop number
-              in
-              if not (Env.(env.file_exists) path) then
-                (* compacted away in a race before the quarantine swap;
-                   the record is moot *)
-                drop number
-              else
-                match reverify number with
-                | `Io -> blocked := true
-                | `Rotten detail -> discard detail
-                | `Clean tf -> (
-                    let qcell = Refcounted.create ~release:Table_file.release tf in
-                    match
-                      Fun.protect
-                        ~finally:(fun () -> Refcounted.decr qcell)
-                        (fun () -> readmit_collapsed t ~number qcell)
-                    with
-                    | () ->
-                        Log.info (fun m ->
-                            m
-                              "repair: table %06d re-verified clean, \
-                               readmitted via bottom-level collapse"
-                              number)
-                    | exception Env.Error _ -> blocked := true
-                    | exception Table_file.Corruption { number = n; detail; _ }
-                      ->
-                        if n = number then discard detail
-                        else begin
-                          (* a surviving merge input is rotten too: queue
-                             it and retry the whole round *)
-                          ignore (enqueue_quarantine t ~number:n ~detail : bool);
-                          blocked := true
-                        end))
-            nums);
-      (* The purely-ledger resolutions (discards, moot records) in one
-         edit; readmissions cleared their own entries. *)
-      if !resolved <> [] then
-        commit_edit t ~kind:`Commit
-          { Version_edit.empty with quarantine_clear = !resolved };
-      if !blocked then `Blocked
-      else begin
-        (* Vet the whole component before claiming health. *)
-        claim_blocking t `Scrub;
-        match
-          Fun.protect
-            ~finally:(fun () -> release t `Scrub)
-            (fun () -> scrub_full_pass t)
-        with
-        | exception Env.Error _ -> `Blocked
-        | [] ->
-            wake_bg t;
-            `Repaired
-        | _problems ->
-            apply_pending_quarantines t;
-            `Blocked
-      end
-    end
-  [@@excludes_locks]
-
-  (* Repair out of [`Degraded]: prove the failure path works again by
-     pushing everything buffered out to disk — clear any stuck immutable
-     component, rotate the (possibly WAL-poisoned) memtable and flush
-     it so a fresh log takes over, then commit a manifest as a final
-     write-path probe. Success means the fault was transient after all:
-     the degraded flag is lifted online, without reopening the store. *)
-  let recover_from_degraded t =
-    if Atomic.get t.degraded = None then `Nothing
-    else if not (claim t `Flush) then `Blocked (* flush in flight *)
-    else
-      Fun.protect
-        ~finally:(fun () -> release t `Flush)
-        (fun () ->
-          match
-            ignore (flush_imm t : bool);
-            ignore (rotate t : bool);
-            ignore (flush_imm t : bool);
-            commit_edit t ~kind:`Commit Version_edit.empty
-          with
-          | () ->
-              (match Atomic.get t.degraded with
-              | Some reason ->
-                  Log.info (fun m ->
-                      m "repair: store restored to Ok (was degraded: %s)"
-                        reason)
-              | None -> ());
-              Atomic.set t.degraded None;
-              `Repaired
-          | exception Env.Error _ -> `Blocked)
-
-  (* The [Repair] job body. Containment always runs; the healing steps
-     run when [auto_repair] is on or the caller forces them
-     ([repair_now]). Caller holds the repair claim. *)
-  let run_repair t ~force =
-    let h = t.heal in
-    apply_pending_quarantines t;
-    if t.opts.Options.auto_repair || force then begin
-      (* Damp the next attempt up front: a repair that fails (media
-         still rotten, fault still live) must not hot-loop the pool. *)
       Mutex.protect h.hm (fun () ->
-          h.repair_next_due <- Time_ns.now_s () +. 1.0);
-      let finalized = finalize_quarantined t in
-      let recovered = recover_from_degraded t in
-      (match finalized with
-      | `Repaired -> Stats.incr_auto_repairs t.stats
-      | `Nothing | `Blocked -> ());
-      match recovered with
-      | `Repaired -> Stats.incr_auto_repairs t.stats
-      | `Nothing | `Blocked -> ()
-    end
-  [@@excludes_locks]
-
-  (* ---------- the scheduler's job interface ---------- *)
-
-  (* Claim the highest-priority runnable job, in [Job.priority] order:
-     an unclaimed needed flush first (it is what frees WAL space), then
-     Repair, then compactions (Compaction.pick orders them L0→L1 first,
-     then shallowest over-budget level), then Scrub when nothing else
-     wants the worker. A degraded store skips the flush check — its
-     write path is exactly what is broken — and claims nothing but
-     Repair, which is the way back out. *)
-  let next t =
-    if Atomic.get t.stop then None
-    else begin
-      let c = t.claims and h = t.heal in
-      let now = Time_ns.now_s () in
-      Mutex.protect c.cm (fun () ->
-          let repair_wanted () =
-            Mutex.protect h.hm (fun () ->
-                h.pending_quarantine <> []
-                || t.opts.Options.auto_repair
-                   && now >= h.repair_next_due
-                   && (h.quarantined <> [] || is_degraded t))
-          in
-          let scrub_due () =
-            t.opts.Options.scrub_interval > 0.0
-            && Mutex.protect h.hm (fun () -> now >= h.scrub_next_due)
-          in
-          if (not (is_degraded t)) && flush_needed t && claim_locked c `Flush
-          then Some Job.Flush
-          else if repair_wanted () && claim_locked c `Repair then
-            Some Job.Repair
-          else if is_degraded t then None
-          else
-            match claim_compaction_locked t with
-            | Some _ as j -> j
-            | None ->
-                if scrub_due () && claim_locked c `Scrub then Some Job.Scrub
-                else None)
-    end
-
-  let run_flush t =
-    Fun.protect
-      ~finally:(fun () -> release t `Flush)
-      (fun () ->
-        (* Clear a pending immutable component first, then rotate an
-           over-budget memtable and flush the result. *)
-        ignore (flush_imm t);
-        if
-          M.approximate_bytes (current_pm t).mem
-          > t.opts.Options.memtable_bytes
-        then if rotate t then ignore (flush_imm t))
-
-  let rec run t (job : Job.t) =
-    match job with
-    (* [In_shard] is the router's tag; a single store never claims one.
-       Unwrap defensively rather than crash a worker. *)
-    | Job.In_shard { job; _ } -> run t job
-    | Job.Flush -> guard_io t ~what:"memtable flush" (fun () -> run_flush t)
-    | Job.Repair ->
+          h.quarantined <- entering @ h.quarantined;
+          h.pending_quarantine <-
+            List.filter
+              (fun (n, _) -> not (List.mem n edit.quarantine_add))
+              h.pending_quarantine);
+      List.iter (fun _ -> Stats.incr_quarantined_tables t.stats) entering;
+      let replaced =
+        if edit.removed = [] && edit.added = [] && kind <> `Flush then []
+        else begin
+          let next = Version.apply cur edit in
+          let next = Refcounted.create ~release:Version.release next in
+          Shared_lock.lock_exclusive t.lock;
+          let old_pd = Rcu_box.swap t.pd next in
+          if kind = `Flush then
+            Refcounted.retire (Rcu_box.swap t.pimm (Refcounted.create No_imm));
+          Shared_lock.unlock_exclusive t.lock;
+          List.iter (fun (_, f) -> Refcounted.retire f) edit.added;
+          [ old_pd ]
+        end
+      in
+      Mutex.protect h.hm (fun () ->
+          h.quarantined <-
+            List.filter
+              (fun n -> not (List.mem n edit.quarantine_clear))
+              h.quarantined);
+      let manifest_bytes =
         Fun.protect
-          ~finally:(fun () -> release t `Repair)
+          ~finally:(fun () -> List.iter Refcounted.retire replaced)
           (fun () ->
-            guard_io t ~what:"repair" (fun () -> run_repair t ~force:false))
-    | Job.Scrub ->
+            let bytes =
+              with_retry t ~what:"manifest save" (fun () -> save_manifest t)
+            in
+            List.iter
+              (fun n ->
+                if not (List.mem n edit.quarantine_add) then
+                  Option.iter
+                    (fun f -> Table_file.mark_obsolete (Refcounted.value f))
+                    (Version.find_file cur n))
+              edit.removed;
+            bytes)
+      in
+      Stats.record_install t.stats ~kind ~manifest_bytes
+        ~ns:(Time_ns.now_ns () - started))
+[@@excludes_locks install lock cm hm]
+
+(* ---------- merge hooks ---------- *)
+
+(* beforeMerge: freeze Cm as C'm and open a fresh Cm (Algorithm 1 lines
+   8-12). Returns false when a previous immutable component is still being
+   merged. Caller holds the flush claim. *)
+let rotate t =
+  match current_imm t with
+  | Imm _ -> false
+  | No_imm ->
+      if Memtable.is_empty (current_pm t).mem then false
+      else begin
+        let wal_number = alloc_file_number t () in
+        let wal =
+          if t.opts.Options.wal_enabled then
+            Some
+              (with_retry t ~what:"WAL create" (fun () ->
+                   Clsm_wal.Wal_writer.create
+                     ~mode:(Options.wal_mode t.opts)
+                     ~observer:(Stats.wal_observer t.stats)
+                     ~env:t.opts.Options.env
+                     (Table_file.wal_path ~dir:t.opts.Options.dir wal_number)))
+          else None
+        in
+        let fresh = { mem = Memtable.create (); wal; wal_number } in
+        Shared_lock.lock_exclusive t.lock;
+        (* On a shared clock another store may still hold an older
+           timestamp in flight; freezing only what is older than every
+           in-flight write keeps it visible to every later snapshot. *)
+        Clock.await_older_writes t.clock;
+        (* P'm <- Pm, then Pm <- new: readers traversing Pm then P'm may see
+           the old component twice but can never miss it. *)
+        let old_pm_cell = Rcu_box.peek t.pm in
+        let imm_cell =
+          Refcounted.create (Imm (Refcounted.value old_pm_cell))
+        in
+        let old_imm_cell = Rcu_box.swap t.pimm imm_cell in
+        let old_pm_cell' = Rcu_box.swap t.pm (Refcounted.create fresh) in
+        Shared_lock.unlock_exclusive t.lock;
+        assert (old_pm_cell == old_pm_cell');
+        Refcounted.retire old_imm_cell;
+        Refcounted.retire old_pm_cell';
+        Stats.incr_rotations t.stats;
+        true
+      end
+
+(* Merge C'm into the disk component, then afterMerge: install the new
+   version and clear P'm (Algorithm 1 lines 13-17). Caller holds the
+   flush claim. *)
+let flush_imm t =
+  match current_imm t with
+  | No_imm -> false
+  | Imm mc ->
+      let snapshots = Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()) in
+      let bytes = Memtable.approximate_bytes mc.mem in
+      (* Safe to retry wholesale: a failed attempt cleans up its partial
+         outputs (Compaction.cleanup_failed), so each retry starts from
+         a blank slate. *)
+      let outputs =
+        with_retry t ~what:"memtable flush write" (fun () ->
+            Compaction.write_sorted_run ~cfg:t.opts.Options.lsm
+              ~dir:t.opts.Options.dir ~cache:t.cache ~env:t.opts.Options.env
+              ~alloc_number:(alloc_file_number t) ~snapshots
+              ~drop_tombstones:false (Memtable.iter mc.mem))
+      in
+      commit_edit t ~kind:`Flush
+        {
+          Version_edit.empty with
+          added = List.map (fun f -> (0, f)) outputs;
+        };
+      Stats.incr_flushes t.stats;
+      Stats.add_bytes_flushed t.stats bytes;
+      (match mc.wal with
+      | Some w ->
+          let env = t.opts.Options.env in
+          (* The manifest no longer references this log: failure to close
+             or delete it only leaves an orphan that the next recovery
+             collects, so it must not degrade or kill the worker. *)
+          (try Clsm_wal.Wal_writer.close w
+           with Env.Error _ | Env.Crashed -> ());
+          (try Env.(env.remove) (Clsm_wal.Wal_writer.path w)
+           with Env.Error _ | Env.Crashed -> ())
+      | None -> ());
+      Log.debug (fun m ->
+          m "flushed %d bytes into %d L0 file(s)" bytes (List.length outputs));
+      true
+
+(* Run one claimed compaction: merge outside any lock, then install.
+   Caller owns the claim on the task's level range. *)
+let run_claimed_compaction t { Store_state.task; pinned = _ } =
+  let snapshots = Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()) in
+  let started = Time_ns.now_ns () in
+  (* The expensive merge, on this worker: its output list is installed
+     below as one edit, so a crash observes all of it or none of it. *)
+  let outputs =
+    with_retry t ~what:"compaction merge" (fun () ->
+        Compaction.run ~cfg:t.opts.Options.lsm ~dir:t.opts.Options.dir
+          ~cache:t.cache ~env:t.opts.Options.env
+          ~alloc_number:(alloc_file_number t) ~snapshots task)
+  in
+  let merge_duration_ns = Time_ns.now_ns () - started in
+  let bytes =
+    List.fold_left
+      (fun a f -> a + (Refcounted.value f).Table_file.size)
+      0
+      (task.Compaction.inputs_lo @ task.Compaction.inputs_hi)
+  in
+  commit_edit t ~kind:`Compaction (Compaction.edit_of_task task ~outputs);
+  (if task.Compaction.src_level >= 1 then
+     match Version.files_range task.Compaction.inputs_lo with
+     | Some (_, largest) ->
+         t.compact_pointers.(task.Compaction.src_level - 1) <- largest
+     | None -> ());
+  Stats.incr_compactions t.stats ~src_level:task.Compaction.src_level ();
+  Stats.record_compaction_run t.stats ~duration_ns:merge_duration_ns;
+  Stats.add_bytes_compacted t.stats bytes;
+  Log.debug (fun m ->
+      m "compacted level %d (%d bytes) into %d file(s)"
+        task.Compaction.src_level bytes (List.length outputs))
+
+(* ---------- claims ---------- *)
+
+let flush_needed t =
+  (match current_imm t with Imm _ -> true | No_imm -> false)
+  || Memtable.approximate_bytes (current_pm t).mem
+     > t.opts.Options.memtable_bytes
+
+let set_claimed c tag v =
+  match tag with
+  | `Flush -> c.flush_claimed <- v
+  | `Repair -> c.repair_claimed <- v
+  | `Scrub -> c.scrub_claimed <- v
+[@@requires_lock cm]
+
+(* Take a single-instance job slot; [false] when someone holds it. *)
+let claim_locked c tag =
+  let held =
+    match tag with
+    | `Flush -> c.flush_claimed
+    | `Repair -> c.repair_claimed
+    | `Scrub -> c.scrub_claimed
+  in
+  if not held then set_claimed c tag true;
+  not held
+[@@requires_lock cm]
+
+let claim t tag = Mutex.protect t.claims.cm (fun () -> claim_locked t.claims tag)
+
+(* Every release signals after dropping [cm], so the wakeup mutex is
+   never taken under it. *)
+let release t tag =
+  let c = t.claims in
+  Mutex.protect c.cm (fun () -> set_claimed c tag false);
+  Wakeup.signal c.released
+
+(* The one way to wait on the claims ledger. [attempt] takes [cm]
+   itself and answers [Some] once what the caller waits for is
+   available. The generation is read before each attempt, so a
+   release that lands between a failed attempt and the wait makes
+   the wait return at once: a waiter wakes when the holder releases,
+   with no poll tick and no lost wakeup. *)
+let await_release t attempt =
+  let c = t.claims in
+  let rec go () =
+    let seen = Wakeup.current c.released in
+    match attempt () with
+    | Some x -> x
+    | None ->
+        ignore (Wakeup.wait c.released ~seen : int);
+        go ()
+  in
+  go ()
+[@@excludes_locks]
+
+let claim_blocking t tag =
+  await_release t (fun () -> if claim t tag then Some () else None)
+[@@excludes_locks]
+
+(* Pick and claim a compaction whose level range is disjoint from every
+   in-flight one. The version the task was picked from is pinned so its
+   input files cannot be released before the task runs.
+
+   Tombstone dropping is pinned while the quarantine ledger is
+   non-empty: a quarantined table is invisible to the version, so
+   "nothing deeper than the target" may be a fiction — dropping a
+   tombstone whose only covered older values live in the quarantined
+   table would resurrect the deleted key on readmission. The ledger is
+   populated BEFORE the quarantine swap (see [commit_edit]), so any
+   pick that sees an empty ledger ran against a version still
+   containing every quarantined table's data, and its
+   [deeper_levels_empty] verdict is honest. *)
+let claim_compaction_locked t =
+  let c = t.claims in
+  if c.barrier then None
+  else begin
+    let busy l = List.exists (fun (s, tg) -> l = s || l = tg) c.busy_levels in
+    let skip ~src ~target = busy src || busy target in
+    let pin_tombstones =
+      let h = t.heal in
+      Mutex.protect h.hm (fun () ->
+          h.pending_quarantine <> [] || h.quarantined <> [])
+    in
+    let cell = Rcu_box.acquire t.pd in
+    match
+      Compaction.pick ~cfg:t.opts.Options.lsm
+        ~level_pointers:t.compact_pointers ~skip ~pin_tombstones
+        (Refcounted.value cell)
+    with
+    | Some task ->
+        let range =
+          (task.Compaction.src_level, task.Compaction.target_level)
+        in
+        c.busy_levels <- range :: c.busy_levels;
+        c.pending <- (range, { Store_state.task; pinned = cell }) :: c.pending;
+        Some
+          (Job.Compact
+             {
+               src_level = task.Compaction.src_level;
+               target_level = task.Compaction.target_level;
+             })
+    | None ->
+        Refcounted.decr cell;
+        None
+  end
+[@@requires_lock cm]
+
+let release_compaction t range =
+  let c = t.claims in
+  Mutex.protect c.cm (fun () ->
+      c.busy_levels <- List.filter (fun r -> r <> range) c.busy_levels);
+  Wakeup.signal c.released
+
+let take_pending t range =
+  let c = t.claims in
+  Mutex.protect c.cm (fun () ->
+      match List.assoc_opt range c.pending with
+      | Some cc ->
+          c.pending <- List.remove_assoc range c.pending;
+          Some cc
+      | None -> None)
+
+(* ---------- self-healing: quarantine, scrub, repair ---------- *)
+
+(* Containment: swap every table with a pending corruption verdict out
+   of the read view and record it in the manifest's quarantine ledger,
+   as one edit for the whole batch, so neither this process nor a
+   recovery after crash ever reads the rotten files again. Overlapping
+   data in other tables keeps serving the key range; the store's
+   health becomes [`Partial] (reported by the store layer from the
+   ledger), not [`Degraded] — writes continue. Verdicts against tables
+   already compacted away are moot ([commit_edit] drops them).
+
+   Runs regardless of [auto_repair] (containment is not optional). *)
+let apply_pending_quarantines t =
+  let h = t.heal in
+  let pending = Mutex.protect h.hm (fun () -> List.rev h.pending_quarantine) in
+  if pending <> [] then begin
+    List.iter
+      (fun (number, detail) ->
+        Log.err (fun m -> m "quarantining table %06d: %s" number detail))
+      pending;
+    let numbers = List.map fst pending in
+    commit_edit t ~kind:`Quarantine
+      { Version_edit.empty with removed = numbers; quarantine_add = numbers }
+  end
+[@@excludes_locks]
+
+(* One scrub slice: re-verify up to [budget] blocks (checksums plus
+   structural decode, bypassing the block cache) starting from the
+   pass cursor; corrupt tables are enqueued for quarantine and the
+   pass continues with the next file. When the file set is exhausted
+   the active WAL tail is checked too and the pass closes, scheduling
+   the next one [scrub_interval] later. Returns the problems found.
+   Caller holds the scrub claim. *)
+let scrub_slice t ~budget =
+  let h = t.heal in
+  let problems = ref [] in
+  let cell = Rcu_box.acquire t.pd in
+  Fun.protect
+    ~finally:(fun () -> Refcounted.decr cell)
+    (fun () ->
+      let v = Refcounted.value cell in
+      let files =
+        Version.files_by_level v
+        |> List.map (fun (_, f) -> Refcounted.value f)
+        |> List.sort (fun a b ->
+               Int.compare a.Table_file.number b.Table_file.number)
+      in
+      let resume_file, resume_block =
+        Mutex.protect h.hm (fun () ->
+            match h.scrub_cursor with Some c -> c | None -> (min_int, 0))
+      in
+      let used = ref 0 in
+      let cursor = ref None in
+      (try
+         List.iter
+           (fun tf ->
+             let number = tf.Table_file.number in
+             (* Files below the cursor were verified earlier this pass
+                (or compacted away, which also re-verified them). *)
+             if number >= resume_file then begin
+               let rec step from_block =
+                 if !used >= budget then begin
+                   cursor := Some (number, from_block);
+                   raise Exit
+                 end;
+                 match
+                   Clsm_sstable.Table.scrub ~from_block
+                     ~max_blocks:(budget - !used) tf.Table_file.table
+                 with
+                 | Ok { Clsm_sstable.Table.blocks_checked; next_block } -> (
+                     used := !used + blocks_checked;
+                     Stats.add_scrubbed_blocks t.stats blocks_checked;
+                     match next_block with Some nb -> step nb | None -> ())
+                 | Error detail ->
+                     problems :=
+                       Printf.sprintf "table %06d: %s" number detail
+                       :: !problems;
+                     ignore (enqueue_quarantine t ~number ~detail : bool)
+               in
+               step (if number = resume_file then resume_block else 0)
+             end)
+           files;
+         (* Whole disk component verified: check the live WAL tail. A
+            corrupt tail is not fatal — the memtable still holds every
+            record — but it must be surfaced and retired by a flush
+            before a crash would make recovery salvage short. The
+            writer may have an append in flight, so only the prefix it
+            has fully written is classified ([written_bytes] is read
+            BEFORE the file): a racing half-written record can never
+            masquerade as corruption. *)
+         (match (current_pm t).wal with
+          | Some w when not (Clsm_wal.Wal_writer.poisoned w) -> (
+              let path = Clsm_wal.Wal_writer.path w in
+              let synced = Clsm_wal.Wal_writer.written_bytes w in
+              match
+                Clsm_wal.Wal_reader.read_records ~env:t.opts.Options.env
+                  ~strict:false ~max_bytes:synced path
+              with
+              | _, Clsm_wal.Wal_reader.Corrupt_tail ->
+                  let p = path ^ ": corrupt WAL tail" in
+                  problems := p :: !problems;
+                  Stats.incr_corruptions_detected t.stats;
+                  Log.err (fun m -> m "scrub: %s" p);
+                  wake_bg t
+              | _, (Clsm_wal.Wal_reader.Clean | Clsm_wal.Wal_reader.Torn_tail)
+                ->
+                  ())
+          | Some _ | None -> ());
+         cursor := None
+       with Exit -> ());
+      let finished = !cursor = None in
+      Mutex.protect h.hm (fun () ->
+          h.scrub_cursor <- !cursor;
+          if finished then
+            h.scrub_next_due <-
+              Time_ns.now_s () +. t.opts.Options.scrub_interval);
+      (List.rev !problems, finished))
+
+(* A full scrub pass, run synchronously under the scrub claim the
+   caller already holds. Restarts from the beginning regardless of any
+   background cursor. *)
+let scrub_full_pass t =
+  Mutex.protect t.heal.hm (fun () -> t.heal.scrub_cursor <- None);
+  let problems, finished = scrub_slice t ~budget:max_int in
+  assert finished;
+  problems
+
+(* Block new compaction claims and wait out the in-flight ones, so the
+   files a readmission collapse merges can be neither consumed nor
+   overlapped at the bottom level by a concurrent compaction install.
+   Flushes keep running: they only prepend strictly newer L0 files,
+   which the collapse reads nothing from — its closure is computed
+   against a version snapshot taken after the barrier is up. *)
+let with_compaction_barrier t f =
+  let c = t.claims in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect c.cm (fun () -> c.barrier <- false);
+      Wakeup.signal c.released)
+    (fun () ->
+      Mutex.protect c.cm (fun () -> c.barrier <- true);
+      await_release t (fun () ->
+          Mutex.protect c.cm (fun () ->
+              if c.busy_levels = [] then Some () else None));
+      f ())
+
+(* Readmission by range collapse (DESIGN §12). [Version.get] answers
+   from the shallowest component holding a key, and the table's age
+   relative to anything still in the tree is unknown: spliced at L0 its
+   old values would shadow newer ones below, spliced deep it would be
+   shadowed by older ones above. So it is merged with every file whose
+   user-key range overlaps it at ANY level, closed transitively, and the
+   output goes to the bottom level — an ordinary compaction task (the
+   table as [inputs_lo], the closure as [inputs_hi]) run by
+   {!Compaction.run} and installed by [commit_edit] with its ledger
+   entry cleared. Files flushed after the closure's snapshot are
+   strictly newer and win by timestamp; tombstones ride through
+   ([drop_tombstones = false]) and keep covering the readmitted puts.
+
+   Caller holds the repair claim and the compaction barrier, and no
+   locks. Raises [Env.Error] on transient IO trouble and
+   {!Table_file.Corruption} naming whichever merge input (possibly the
+   readmitted table itself) turned out rotten. *)
+let readmit_collapsed t ~number qcell =
+  let uk_lo tf = Internal_key.user_key_of tf.Table_file.smallest in
+  let uk_hi tf = Internal_key.user_key_of tf.Table_file.largest in
+  (* The closure, pinned past the version cell it was found in; the
+     barrier keeps it live (and the closure) until the install. *)
+  let overlaps =
+    Rcu_box.with_ref t.pd (fun v ->
+        let files = List.map snd (Version.files_by_level v) in
+        let touches (lo, hi) f =
+          let tf = Refcounted.value f in
+          tf.Table_file.smallest <> "" && uk_hi tf >= lo && uk_lo tf <= hi
+        in
+        let widen (lo, hi) f =
+          let tf = Refcounted.value f in
+          (min lo (uk_lo tf), max hi (uk_hi tf))
+        in
+        let rec close range inputs =
+          match
+            List.filter
+              (fun f -> (not (List.memq f inputs)) && touches range f)
+              files
+          with
+          | [] -> inputs
+          | extra -> close (List.fold_left widen range extra) (inputs @ extra)
+        in
+        let q = Refcounted.value qcell in
+        let inputs = close (uk_lo q, uk_hi q) [] in
+        List.iter
+          (fun f ->
+            (* live in the pinned version, so the count is positive *)
+            let ok = Refcounted.try_incr f in
+            assert ok)
+          inputs;
+        inputs)
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Refcounted.decr overlaps)
+    (fun () ->
+      let bottom = t.opts.Options.lsm.Lsm_config.num_levels - 1 in
+      let task =
+        {
+          Compaction.src_level = bottom;
+          inputs_lo = [ qcell ];
+          inputs_hi = overlaps;
+          target_level = bottom;
+          drop_tombstones = false;
+        }
+      in
+      let outputs =
+        Compaction.run ~cfg:t.opts.Options.lsm ~dir:t.opts.Options.dir
+          ~cache:t.cache ~env:t.opts.Options.env
+          ~alloc_number:(alloc_file_number t)
+          ~snapshots:(Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()))
+          task
+      in
+      commit_edit t ~kind:`Readmit
+        {
+          (Compaction.edit_of_task task ~outputs) with
+          quarantine_clear = [ number ];
+        };
+      (* The rewritten original is in no version, so [commit_edit]
+         could not mark it: it becomes deletable once the manifest that
+         stops naming it has landed, which is now. *)
+      Table_file.mark_obsolete (Refcounted.value qcell))
+[@@excludes_locks]
+
+(* Repair out of [`Partial]. Every quarantined table gets a second
+   chance: re-opened fresh and fully re-verified from disk. Rot that
+   was transient (a bit flipped on some past read, not damage on the
+   platter) re-verifies clean and the table is readmitted online via
+   {!readmit_collapsed}. Persistent damage gets the file renamed aside
+   as evidence (never deleted); its key ranges keep answering from
+   surviving overlapping data. Either way the QUARANTINE record is
+   resolved. A final full scrub pass vets the whole component before
+   [`Ok] is honest — fresh verdicts it finds are queued and block the
+   transition until the next round. Returns [`Nothing] (no quarantined
+   files), [`Repaired], or [`Blocked] (transient IO trouble or
+   still-rotten data; retried after the damping interval). *)
+let finalize_quarantined t =
+  let h = t.heal in
+  let nums = Mutex.protect h.hm (fun () -> h.quarantined) in
+  if nums = [] then `Nothing
+  else begin
+    let env = t.opts.Options.env in
+    let dir = t.opts.Options.dir in
+    let blocked = ref false in
+    let resolved = ref [] in
+    let drop number = resolved := number :: !resolved in
+    let close_quietly tf =
+      try Clsm_sstable.Table.close tf.Table_file.table with _ -> ()
+    in
+    (* Re-open and fully re-verify; the footer/index/filter load can hit
+       the same rot the data blocks did. *)
+    let reverify number =
+      match Table_file.open_number ~cache:t.cache ~env ~dir number with
+      | exception Env.Crashed -> raise Env.Crashed
+      | exception Env.Error _ -> `Io
+      | exception e -> `Rotten (Printexc.to_string e)
+      | tf -> (
+          match Clsm_sstable.Table.verify tf.Table_file.table with
+          | Ok _ when tf.Table_file.smallest <> "" -> `Clean tf
+          | Ok _ ->
+              (* An entry-less table holds nothing to restore. *)
+              close_quietly tf;
+              `Rotten "no entries"
+          | Error detail ->
+              close_quietly tf;
+              `Rotten detail
+          | exception Env.Crashed -> raise Env.Crashed
+          | exception Env.Error _ ->
+              close_quietly tf;
+              `Io)
+    in
+    with_compaction_barrier t (fun () ->
+        List.iter
+          (fun number ->
+            let path = Table_file.table_path ~dir number in
+            let discard detail =
+              (try Env.(env.rename) ~src:path ~dst:(path ^ ".quarantined")
+               with Env.Error _ -> ());
+              Log.warn (fun m ->
+                  m "repair: table %06d still rotten (%s), renamed aside as \
+                     %s.quarantined"
+                    number detail (Filename.basename path));
+              drop number
+            in
+            if not (Env.(env.file_exists) path) then
+              (* compacted away in a race before the quarantine swap;
+                 the record is moot *)
+              drop number
+            else
+              match reverify number with
+              | `Io -> blocked := true
+              | `Rotten detail -> discard detail
+              | `Clean tf -> (
+                  let qcell = Refcounted.create ~release:Table_file.release tf in
+                  match
+                    Fun.protect
+                      ~finally:(fun () -> Refcounted.decr qcell)
+                      (fun () -> readmit_collapsed t ~number qcell)
+                  with
+                  | () ->
+                      Log.info (fun m ->
+                          m
+                            "repair: table %06d re-verified clean, \
+                             readmitted via bottom-level collapse"
+                            number)
+                  | exception Env.Error _ -> blocked := true
+                  | exception Table_file.Corruption { number = n; detail; _ }
+                    ->
+                      if n = number then discard detail
+                      else begin
+                        (* a surviving merge input is rotten too: queue
+                           it and retry the whole round *)
+                        ignore (enqueue_quarantine t ~number:n ~detail : bool);
+                        blocked := true
+                      end))
+          nums);
+    (* The purely-ledger resolutions (discards, moot records) in one
+       edit; readmissions cleared their own entries. *)
+    if !resolved <> [] then
+      commit_edit t ~kind:`Commit
+        { Version_edit.empty with quarantine_clear = !resolved };
+    if !blocked then `Blocked
+    else begin
+      (* Vet the whole component before claiming health. *)
+      claim_blocking t `Scrub;
+      match
         Fun.protect
           ~finally:(fun () -> release t `Scrub)
-          (fun () ->
-            guard_io t ~what:"scrub" (fun () ->
-                try
-                  ignore
-                    (scrub_slice t ~budget:t.opts.Options.scrub_block_budget
-                      : string list * bool)
-                with Env.Error _ ->
-                  (* A transient read failure is not corruption and must
-                     not degrade the store off a hygiene pass: abandon
-                     the slice (the cursor is unchanged) and push the
-                     pass out a full interval so a persistently sick
-                     disk cannot hot-loop the worker. *)
-                  Mutex.protect t.heal.hm (fun () ->
-                      t.heal.scrub_next_due <-
-                        Time_ns.now_s ()
-                        +. Float.max 1.0 t.opts.Options.scrub_interval)))
-    | Job.Compact { src_level; target_level } -> (
-        let range = (src_level, target_level) in
-        match take_pending t range with
-        | None -> release_compaction t range
-        | Some cc ->
-            Fun.protect
-              ~finally:(fun () ->
-                (* unpin first: a woken drain must find the inputs freed *)
-                Refcounted.decr cc.State.pinned;
-                release_compaction t range)
-              (fun () ->
-                guard_io t ~what:"compaction" (fun () ->
-                    run_claimed_compaction t cc)))
+          (fun () -> scrub_full_pass t)
+      with
+      | exception Env.Error _ -> `Blocked
+      | [] ->
+          wake_bg t;
+          `Repaired
+      | _problems ->
+          apply_pending_quarantines t;
+          `Blocked
+    end
+  end
+[@@excludes_locks]
 
-  let make_scheduler t =
-    Scheduler.create ~num_workers:t.opts.Options.maintenance_workers
-      ~tick_interval:t.opts.Options.maintenance_tick
-      ~next:(fun () -> next t)
-      ~run:(fun job -> run t job)
-      ()
-
-  (* ---------- foreground maintenance ---------- *)
-
-  (* Synchronously rotate, flush and compact to quiescence, cooperating
-     with (not fighting) the background workers: claims are shared, and
-     quiescence means no claimable work and no claim in flight. *)
-  let compact_now t =
-    claim_blocking t `Flush;
+(* Repair out of [`Degraded]: prove the failure path works again by
+   pushing everything buffered out to disk — clear any stuck immutable
+   component, rotate the (possibly WAL-poisoned) memtable and flush
+   it so a fresh log takes over, then commit a manifest as a final
+   write-path probe. Success means the fault was transient after all:
+   the degraded flag is lifted online, without reopening the store. *)
+let recover_from_degraded t =
+  if Atomic.get t.degraded = None then `Nothing
+  else if not (claim t `Flush) then `Blocked (* flush in flight *)
+  else
     Fun.protect
       ~finally:(fun () -> release t `Flush)
       (fun () ->
-        guard_io t ~what:"foreground flush" (fun () ->
-            ignore (flush_imm t);
-            ignore (rotate t);
-            ignore (flush_imm t)));
-    let c = t.claims in
-    let rec drain () =
-      let claimed =
-        await_release t (fun () ->
-            Mutex.protect c.cm (fun () ->
-                (* A degraded store must not keep re-claiming the same
-                   doomed task: stop draining, the directory is as
-                   compacted as it will get. *)
-                if is_degraded t then Some None
-                else
-                  match claim_compaction_locked t with
-                  | Some job -> Some (Some job)
-                  | None ->
-                      if c.busy_levels <> [] || c.flush_claimed then None
-                      else Some None))
-      in
-      match claimed with
-      | Some job ->
-          run t job;
-          drain ()
-      | None -> ()
-    in
-    drain ()
-  [@@excludes_locks]
+        match
+          ignore (flush_imm t : bool);
+          ignore (rotate t : bool);
+          ignore (flush_imm t : bool);
+          commit_edit t ~kind:`Commit Version_edit.empty
+        with
+        | () ->
+            (match Atomic.get t.degraded with
+            | Some reason ->
+                Log.info (fun m ->
+                    m "repair: store restored to Ok (was degraded: %s)"
+                      reason)
+            | None -> ());
+            Atomic.set t.degraded None;
+            `Repaired
+        | exception Env.Error _ -> `Blocked)
 
-  (* Synchronous full scrub pass (the CLI's [scrub] and the tests call
-     this): verify every sstable block plus the WAL tail, queue
-     quarantines for anything rotten and apply them before returning.
-     Returns human-readable problem descriptions, [] when clean. *)
-  let scrub_now t =
-    claim_blocking t `Scrub;
-    let problems =
+(* The [Repair] job body. Containment always runs; the healing steps
+   run when [auto_repair] is on or the caller forces them
+   ([repair_now]). Caller holds the repair claim. *)
+let run_repair t ~force =
+  let h = t.heal in
+  apply_pending_quarantines t;
+  if t.opts.Options.auto_repair || force then begin
+    (* Damp the next attempt up front: a repair that fails (media
+       still rotten, fault still live) must not hot-loop the pool. *)
+    Mutex.protect h.hm (fun () ->
+        h.repair_next_due <- Time_ns.now_s () +. 1.0);
+    let finalized = finalize_quarantined t in
+    let recovered = recover_from_degraded t in
+    (match finalized with
+    | `Repaired -> Stats.incr_auto_repairs t.stats
+    | `Nothing | `Blocked -> ());
+    match recovered with
+    | `Repaired -> Stats.incr_auto_repairs t.stats
+    | `Nothing | `Blocked -> ()
+  end
+[@@excludes_locks]
+
+(* ---------- the scheduler's job interface ---------- *)
+
+(* Claim the highest-priority runnable job. This is the one place the
+   claim order lives: an unclaimed needed flush first (it is what frees
+   WAL space), then Repair, then compactions (Compaction.pick orders
+   them L0→L1 first, then shallowest over-budget level), then Scrub
+   when nothing else wants the worker. A degraded store skips the
+   flush check — its write path is exactly what is broken — and claims
+   nothing but Repair, which is the way back out. *)
+let next t =
+  if Atomic.get t.stop then None
+  else begin
+    let c = t.claims and h = t.heal in
+    let now = Time_ns.now_s () in
+    Mutex.protect c.cm (fun () ->
+        let repair_wanted () =
+          Mutex.protect h.hm (fun () ->
+              h.pending_quarantine <> []
+              || t.opts.Options.auto_repair
+                 && now >= h.repair_next_due
+                 && (h.quarantined <> [] || is_degraded t))
+        in
+        let scrub_due () =
+          t.opts.Options.scrub_interval > 0.0
+          && Mutex.protect h.hm (fun () -> now >= h.scrub_next_due)
+        in
+        if (not (is_degraded t)) && flush_needed t && claim_locked c `Flush
+        then Some Job.Flush
+        else if repair_wanted () && claim_locked c `Repair then
+          Some Job.Repair
+        else if is_degraded t then None
+        else
+          match claim_compaction_locked t with
+          | Some _ as j -> j
+          | None ->
+              if scrub_due () && claim_locked c `Scrub then Some Job.Scrub
+              else None)
+  end
+
+let run_flush t =
+  Fun.protect
+    ~finally:(fun () -> release t `Flush)
+    (fun () ->
+      (* Clear a pending immutable component first, then rotate an
+         over-budget memtable and flush the result. *)
+      ignore (flush_imm t);
+      if
+        Memtable.approximate_bytes (current_pm t).mem
+        > t.opts.Options.memtable_bytes
+      then if rotate t then ignore (flush_imm t))
+
+let run t (job : Job.t) =
+  match job with
+  | Job.Flush -> guard_io t ~what:"memtable flush" (fun () -> run_flush t)
+  | Job.Repair ->
+      Fun.protect
+        ~finally:(fun () -> release t `Repair)
+        (fun () ->
+          guard_io t ~what:"repair" (fun () -> run_repair t ~force:false))
+  | Job.Scrub ->
       Fun.protect
         ~finally:(fun () -> release t `Scrub)
-        (fun () -> scrub_full_pass t)
-    in
-    apply_pending_quarantines t;
-    problems
-  [@@excludes_locks]
+        (fun () ->
+          guard_io t ~what:"scrub" (fun () ->
+              try
+                ignore
+                  (scrub_slice t ~budget:t.opts.Options.scrub_block_budget
+                    : string list * bool)
+              with Env.Error _ ->
+                (* A transient read failure is not corruption and must
+                   not degrade the store off a hygiene pass: abandon
+                   the slice (the cursor is unchanged) and push the
+                   pass out a full interval so a persistently sick
+                   disk cannot hot-loop the worker. *)
+                Mutex.protect t.heal.hm (fun () ->
+                    t.heal.scrub_next_due <-
+                      Time_ns.now_s ()
+                      +. Float.max 1.0 t.opts.Options.scrub_interval)))
+  | Job.Compact { src_level; target_level } -> (
+      let range = (src_level, target_level) in
+      match take_pending t range with
+      | None -> release_compaction t range
+      | Some cc ->
+          Fun.protect
+            ~finally:(fun () ->
+              (* unpin first: a woken drain must find the inputs freed *)
+              Refcounted.decr cc.Store_state.pinned;
+              release_compaction t range)
+            (fun () ->
+              guard_io t ~what:"compaction" (fun () ->
+                  run_claimed_compaction t cc)))
 
-  (* Synchronous repair attempt (the Repair job, forced): containment,
-     quarantine finalization and the degraded-recovery probe all run
-     even with [auto_repair] off. *)
-  let repair_now t =
-    claim_blocking t `Repair;
+let make_scheduler t =
+  Scheduler.create ~num_workers:t.opts.Options.maintenance_workers
+    ~tick_interval:t.opts.Options.maintenance_tick ~pp:Job.pp
+    ~next:(fun () -> next t)
+    ~run:(fun job -> run t job)
+    ()
+
+(* ---------- foreground maintenance ---------- *)
+
+(* Synchronously rotate, flush and compact to quiescence, cooperating
+   with (not fighting) the background workers: claims are shared, and
+   quiescence means no claimable work and no claim in flight. *)
+let compact_now t =
+  claim_blocking t `Flush;
+  Fun.protect
+    ~finally:(fun () -> release t `Flush)
+    (fun () ->
+      guard_io t ~what:"foreground flush" (fun () ->
+          ignore (flush_imm t);
+          ignore (rotate t);
+          ignore (flush_imm t)));
+  let c = t.claims in
+  let rec drain () =
+    let claimed =
+      await_release t (fun () ->
+          Mutex.protect c.cm (fun () ->
+              (* A degraded store must not keep re-claiming the same
+                 doomed task: stop draining, the directory is as
+                 compacted as it will get. *)
+              if is_degraded t then Some None
+              else
+                match claim_compaction_locked t with
+                | Some job -> Some (Some job)
+                | None ->
+                    if c.busy_levels <> [] || c.flush_claimed then None
+                    else Some None))
+    in
+    match claimed with
+    | Some job ->
+        run t job;
+        drain ()
+    | None -> ()
+  in
+  drain ()
+[@@excludes_locks]
+
+(* Synchronous full scrub pass (the CLI's [scrub] and the tests call
+   this): verify every sstable block plus the WAL tail, queue
+   quarantines for anything rotten and apply them before returning.
+   Returns human-readable problem descriptions, [] when clean. *)
+let scrub_now t =
+  claim_blocking t `Scrub;
+  let problems =
     Fun.protect
-      ~finally:(fun () -> release t `Repair)
-      (fun () ->
-        guard_io t ~what:"repair" (fun () -> run_repair t ~force:true))
-  [@@excludes_locks]
-end
+      ~finally:(fun () -> release t `Scrub)
+      (fun () -> scrub_full_pass t)
+  in
+  apply_pending_quarantines t;
+  problems
+[@@excludes_locks]
+
+(* Synchronous repair attempt (the Repair job, forced): containment,
+   quarantine finalization and the degraded-recovery probe all run
+   even with [auto_repair] off. *)
+let repair_now t =
+  claim_blocking t `Repair;
+  Fun.protect
+    ~finally:(fun () -> release t `Repair)
+    (fun () ->
+      guard_io t ~what:"repair" (fun () -> run_repair t ~force:true))
+[@@excludes_locks]

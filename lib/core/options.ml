@@ -16,10 +16,8 @@ type t = {
   lsm : Clsm_lsm.Lsm_config.t;
   env : Clsm_env.Env.t;
   strict_wal : bool;
-  clock : Clock.t option;
   shards : int;
   shard_boundaries : string list option;
-  external_maintenance : bool;
   retry : Clsm_env.Retry_policy.t;
   scrub_interval : float;
   scrub_block_budget : int;
@@ -42,10 +40,8 @@ let default ~dir =
     lsm = Clsm_lsm.Lsm_config.default;
     env = Clsm_env.Env.unix;
     strict_wal = false;
-    clock = None;
     shards = 1;
     shard_boundaries = None;
-    external_maintenance = false;
     retry = Clsm_env.Retry_policy.default;
     scrub_interval = 30.0;
     scrub_block_budget = 256;

@@ -56,11 +56,6 @@ type t = {
   strict_wal : bool;
       (** fail recovery on a torn or corrupt WAL tail instead of salvaging
           the valid prefix (default false) *)
-  clock : Clock.t option;
-      (** logical-time domain to draw timestamps from (default [None] —
-          the store creates a private one). The shard router injects one
-          shared clock into every shard so a single fenced snapshot
-          timestamp is consistent across all of them *)
   shards : int;
       (** number of range shards for {!Sharded_db.open_store} (default 1);
           ignored by the single-instance stores *)
@@ -68,10 +63,6 @@ type t = {
       (** explicit ascending split keys (length [shards - 1]) for the
           shard router; [None] derives byte-uniform boundaries. On reopen
           the directory's persisted sharding layout wins *)
-  external_maintenance : bool;
-      (** do not start a private maintenance scheduler (default false);
-          set by the shard router, which drives every shard's flush and
-          compaction claims from one shared worker pool *)
   retry : Clsm_env.Retry_policy.t;
       (** backoff policy wrapped around maintenance-path IO commit points
           (sorted-run writes, compaction merges, manifest saves) so a

@@ -1,609 +1,591 @@
-(* The cLSM store algorithm, generic over the in-memory component — the
-   paper's decoupling claim made literal: Algorithms 1-3 are written once
-   against Memtable_intf.S; Algorithm 3's optimistic install is delegated
-   to the component's locate/try_install pair. The subsystems live in
-   their own modules and are composed here: shared state in
+(* The cLSM store algorithm over the lock-free skip-list memtable:
+   Algorithms 1-3 call {!Memtable} directly, and Algorithm 3's optimistic
+   install is the memtable's locate/try_install pair. The subsystems live
+   in their own modules and are composed here: shared state in
    {!Store_state}, crash recovery in {!Recovery}, the graduated write
    controller in {!Backpressure}, the merge hooks and job layer in
    {!Maintenance_hooks}, driven by the event-driven
-   {!Clsm_maintenance.Scheduler}. *)
+   {!Clsm_maintenance.Scheduler}. {!Db} is this module plus the bulk
+   reads {!Store_sig.Scans} derives from it. *)
 
-module Make_core (M : Memtable_intf.S) = struct
-  open Clsm_primitives
-  open Clsm_lsm
-  module Time_ns = Clsm_util.Time_ns
-  module State = Store_state.Make (M)
-  module Hooks = Maintenance_hooks.Make (M)
-  module Recover = Recovery.Make (M)
-  open State
+open Clsm_primitives
+open Clsm_lsm
+module Time_ns = Clsm_util.Time_ns
+open Store_state
 
-  type t = State.t
+type t = Store_state.t
 
-  (* ---------- reads (Algorithm 1: no blocking, Pm -> P'm -> Pd) ---------- *)
+(* ---------- reads (Algorithm 1: no blocking, Pm -> P'm -> Pd) ---------- *)
 
-  (* Silent corruption discovered on a read path is contained, not
-     fatal: the verdict is enqueued (read paths may hold the shared
-     lock, so the quarantine swap itself is deferred to the Repair job)
-     and the rotten file treated as a miss — overlapping data in other
-     tables still answers. Health reports [`Partial] until repair. *)
-  let on_corrupt t tf detail =
-    ignore (enqueue_quarantine t ~number:tf.Table_file.number ~detail : bool)
+(* Silent corruption discovered on a read path is contained, not
+   fatal: the verdict is enqueued (read paths may hold the shared
+   lock, so the quarantine swap itself is deferred to the Repair job)
+   and the rotten file treated as a miss — overlapping data in other
+   tables still answers. Health reports [`Partial] until repair. *)
+let on_corrupt t tf detail =
+  ignore (enqueue_quarantine t ~number:tf.Table_file.number ~detail : bool)
 
-  (* Each component is probed under a reference taken from its RCU box
-     and dropped after, also when the probe raises. Written out rather
-     than through [Rcu_box.with_ref] so that a get allocates no closure. *)
-  let get_entry t ~user_key ~snap_ts =
-    let pm = Rcu_box.acquire t.pm in
-    let from_pm =
-      match M.get (Refcounted.value pm).mem ~user_key ~snap_ts with
-      | r -> Refcounted.decr pm; r
-      | exception e -> Refcounted.decr pm; raise e
-    in
-    match from_pm with
-    | Some (_, entry) -> Some entry
-    | None -> (
-        let pimm = Rcu_box.acquire t.pimm in
-        let from_imm =
-          match
-            match Refcounted.value pimm with
-            | No_imm -> None
-            | Imm mc -> M.get mc.mem ~user_key ~snap_ts
-          with
-          | r -> Refcounted.decr pimm; r
-          | exception e -> Refcounted.decr pimm; raise e
-        in
-        match from_imm with
-        | Some (_, entry) -> Some entry
-        | None -> (
-            let pd = Rcu_box.acquire t.pd in
-            let from_disk =
-              match
-                Version.get ~on_corrupt:(on_corrupt t) (Refcounted.value pd)
-                  ~user_key ~snap_ts
-              with
-              | r -> Refcounted.decr pd; r
-              | exception e -> Refcounted.decr pd; raise e
-            in
-            match from_disk with Some (_, entry) -> Some entry | None -> None))
+(* Each component is probed under a reference taken from its RCU box
+   and dropped after, also when the probe raises. Written out rather
+   than through [Rcu_box.with_ref] so that a get allocates no closure. *)
+let get_entry t ~user_key ~snap_ts =
+  let pm = Rcu_box.acquire t.pm in
+  let from_pm =
+    match Memtable.get (Refcounted.value pm).mem ~user_key ~snap_ts with
+    | r -> Refcounted.decr pm; r
+    | exception e -> Refcounted.decr pm; raise e
+  in
+  match from_pm with
+  | Some (_, entry) -> Some entry
+  | None -> (
+      let pimm = Rcu_box.acquire t.pimm in
+      let from_imm =
+        match
+          match Refcounted.value pimm with
+          | No_imm -> None
+          | Imm mc -> Memtable.get mc.mem ~user_key ~snap_ts
+        with
+        | r -> Refcounted.decr pimm; r
+        | exception e -> Refcounted.decr pimm; raise e
+      in
+      match from_imm with
+      | Some (_, entry) -> Some entry
+      | None -> (
+          let pd = Rcu_box.acquire t.pd in
+          let from_disk =
+            match
+              Version.get ~on_corrupt:(on_corrupt t) (Refcounted.value pd)
+                ~user_key ~snap_ts
+            with
+            | r -> Refcounted.decr pd; r
+            | exception e -> Refcounted.decr pd; raise e
+          in
+          match from_disk with Some (_, entry) -> Some entry | None -> None))
 
-  (* Point reads are timed end to end (memtable probe through block cache
-     and disk) into a latency histogram — the paper's "gets never block"
-     property is only observable as a latency distribution. *)
-  let timed_get t ~user_key ~snap_ts =
-    let t0 = Time_ns.now_ns () in
-    let r =
-      match get_entry t ~user_key ~snap_ts with
-      | Some (Entry.Value v) -> Some v
-      | Some Entry.Tombstone | None -> None
-    in
-    Stats.record_get_latency t.stats ~ns:(Time_ns.now_ns () - t0);
-    r
+(* Point reads are timed end to end (memtable probe through block cache
+   and disk) into a latency histogram — the paper's "gets never block"
+   property is only observable as a latency distribution. *)
+let timed_get t ~user_key ~snap_ts =
+  let t0 = Time_ns.now_ns () in
+  let r =
+    match get_entry t ~user_key ~snap_ts with
+    | Some (Entry.Value v) -> Some v
+    | Some Entry.Tombstone | None -> None
+  in
+  Stats.record_get_latency t.stats ~ns:(Time_ns.now_ns () - t0);
+  r
 
-  let get t key =
-    Stats.incr_gets t.stats;
-    timed_get t ~user_key:key ~snap_ts:Internal_key.max_ts
+let get t key =
+  Stats.incr_gets t.stats;
+  timed_get t ~user_key:key ~snap_ts:Internal_key.max_ts
 
-  (* ---------- writes (Algorithm 1/2: shared lock + timestamp) ----------
+(* ---------- writes (Algorithm 1/2: shared lock + timestamp) ----------
 
-     The timestamp machinery — getTS, the Active/put_active handshake,
-     the snapTime fence — lives in {!Clock}, shared by every shard of a
-     range-sharded deployment (and private to this store otherwise). *)
+   The timestamp machinery — getTS, the Active/put_active handshake,
+   the snapTime fence — lives in {!Clock}, shared by every shard of a
+   range-sharded deployment (and private to this store otherwise). *)
 
-  (* Graduated admission control (see {!Backpressure}), checked outside the
-     shared lock so a delayed or stalled writer cannot block the merge.
-     A degraded store counts as stopped: the stall it is waiting out
-     (e.g. a full L0 that can no longer be compacted) will never clear,
-     so writers must not spin on it. *)
-  let observe_pressure t () =
-    {
-      Backpressure.stopped = Atomic.get t.stop || is_degraded t;
-      mem_full =
-        M.approximate_bytes (current_pm t).mem
-        > 2 * t.opts.Options.memtable_bytes;
-      imm_busy = (match current_imm t with Imm _ -> true | No_imm -> false);
-      l0_files = Version.level_file_count (current_version t) 0;
-    }
+(* Graduated admission control (see {!Backpressure}), checked outside the
+   shared lock so a delayed or stalled writer cannot block the merge.
+   A degraded store counts as stopped: the stall it is waiting out
+   (e.g. a full L0 that can no longer be compacted) will never clear,
+   so writers must not spin on it. *)
+let observe_pressure t () =
+  {
+    Backpressure.stopped = Atomic.get t.stop || is_degraded t;
+    mem_full =
+      Memtable.approximate_bytes (current_pm t).mem
+      > 2 * t.opts.Options.memtable_bytes;
+    imm_busy = (match current_imm t with Imm _ -> true | No_imm -> false);
+    l0_files = Version.level_file_count (current_version t) 0;
+  }
 
-  let throttle_writes t =
-    Backpressure.admit t.backpressure
-      ~observe:(observe_pressure t)
-      ~wake:(fun () -> wake_bg t)
+let throttle_writes t =
+  Backpressure.admit t.backpressure
+    ~observe:(observe_pressure t)
+    ~wake:(fun () -> wake_bg t)
 
-  (* Memtable over budget: hand the rotation to the maintenance workers. *)
-  let maybe_wake_for_rotation t mc =
-    if M.approximate_bytes mc.mem > t.opts.Options.memtable_bytes then
-      wake_bg t
+(* Memtable over budget: hand the rotation to the maintenance workers. *)
+let maybe_wake_for_rotation t mc =
+  if Memtable.approximate_bytes mc.mem > t.opts.Options.memtable_bytes then
+    wake_bg t
 
-  let check_writable t =
-    match Atomic.get t.degraded with
-    | Some reason -> raise (Store_sig.Degraded reason)
-    | None -> ()
+let check_writable t =
+  match Atomic.get t.degraded with
+  | Some reason -> raise (Store_sig.Degraded reason)
+  | None -> ()
 
-  (* Append to the memory component's log. An environment failure (failed
-     fsync, out of space) degrades the store to read-only before the
-     exception reaches the caller: the writer is poisoned, so no later
-     write could be made durable either. *)
-  let wal_append ?alone t mc data =
-    match mc.wal with
-    | None -> ()
-    | Some w -> (
-        try Clsm_wal.Wal_writer.append ?alone w data
-        with (Clsm_env.Env.Error _ | Clsm_env.Env.Crashed) as e ->
-          degrade t ("wal append failed: " ^ Printexc.to_string e);
-          raise e)
+(* Append to the memory component's log. An environment failure (failed
+   fsync, out of space) degrades the store to read-only before the
+   exception reaches the caller: the writer is poisoned, so no later
+   write could be made durable either. *)
+let wal_append ?alone t mc data =
+  match mc.wal with
+  | None -> ()
+  | Some w -> (
+      try Clsm_wal.Wal_writer.append ?alone w data
+      with (Clsm_env.Env.Error _ | Clsm_env.Env.Crashed) as e ->
+        degrade t ("wal append failed: " ^ Printexc.to_string e);
+        raise e)
 
-  let write_entry t ~user_key entry =
+let write_entry t ~user_key entry =
+  check_writable t;
+  throttle_writes t;
+  Shared_lock.lock_shared t.lock;
+  let mc = current_pm t in
+  Fun.protect
+    ~finally:(fun () -> Shared_lock.unlock_shared t.lock)
+    (fun () ->
+      let ts, h, hp = Clock.get_put_ts t.clock in
+      (* The Active entries guard visibility (snapshots and RMWs wait
+         on them), which is established by the memtable insert; holding
+         them across the WAL append would only stall those on group
+         commit. *)
+      Fun.protect
+        ~finally:(fun () -> Clock.end_put t.clock ~active:h ~put:hp)
+        (fun () -> Memtable.add mc.mem ~user_key ~ts entry);
+      wal_append t mc (Log_record.encode { Log_record.ts; user_key; entry }));
+  maybe_wake_for_rotation t mc
+
+let put t ~key ~value =
+  Stats.incr_puts t.stats;
+  write_entry t ~user_key:key (Entry.Value value)
+
+(* Atomic batches keep LevelDB's blocking implementation (paper §4): the
+   shared-exclusive lock is held in exclusive mode, so the batch is atomic
+   with respect to every writer and every snapshot (getSnap also takes the
+   lock); it is logged as one WAL record, so it is durable
+   all-or-nothing. *)
+type batch_op = Batch_put of string * string | Batch_delete of string
+
+let write_batch t ops =
+  if ops <> [] then begin
     check_writable t;
     throttle_writes t;
-    Shared_lock.lock_shared t.lock;
+    Shared_lock.lock_exclusive t.lock;
     let mc = current_pm t in
     Fun.protect
-      ~finally:(fun () -> Shared_lock.unlock_shared t.lock)
+      ~finally:(fun () -> Shared_lock.unlock_exclusive t.lock)
       (fun () ->
-        let ts, h, hp = Clock.get_put_ts t.clock in
-        (* The Active entries guard visibility (snapshots and RMWs wait
-           on them), which is established by the memtable insert; holding
-           them across the WAL append would only stall those on group
-           commit. *)
-        Fun.protect
-          ~finally:(fun () -> Clock.end_put t.clock ~active:h ~put:hp)
-          (fun () -> M.add mc.mem ~user_key ~ts entry);
-        wal_append t mc (Log_record.encode { Log_record.ts; user_key; entry }));
+        let records =
+          List.map
+            (fun op ->
+              let user_key, entry =
+                match op with
+                | Batch_put (key, value) ->
+                    Stats.incr_puts t.stats;
+                    (key, Entry.Value value)
+                | Batch_delete key ->
+                    Stats.incr_deletes t.stats;
+                    (key, Entry.Tombstone)
+              in
+              (* No snapshot fence that could observe these keys can run
+                 concurrently — a local getSnap needs this store's
+                 shared lock, a cross-shard getSnap holds the router
+                 lock against write batches — so bare timestamps are
+                 safe here without the Active set. *)
+              let ts = Clock.batch_ts t.clock in
+              Memtable.add mc.mem ~user_key ~ts entry;
+              { Log_record.ts; user_key; entry })
+            ops
+        in
+        (* Every put appends under the shared lock this batch holds
+           exclusively, so no rider can board a group-commit window. *)
+        wal_append ~alone:true t mc (Log_record.encode_batch records));
     maybe_wake_for_rotation t mc
+  end
 
-  let put t ~key ~value =
-    Stats.incr_puts t.stats;
-    write_entry t ~user_key:key (Entry.Value value)
+let delete t ~key =
+  Stats.incr_deletes t.stats;
+  write_entry t ~user_key:key Entry.Tombstone
 
-  (* Atomic batches keep LevelDB's blocking implementation (paper §4): the
-     shared-exclusive lock is held in exclusive mode, so the batch is atomic
-     with respect to every writer and every snapshot (getSnap also takes the
-     lock); it is logged as one WAL record, so it is durable
-     all-or-nothing. *)
-  type batch_op = Batch_put of string * string | Batch_delete of string
+(* ---------- read-modify-write (Algorithm 3) ---------- *)
 
-  let write_batch t ops =
-    if ops <> [] then begin
-      check_writable t;
-      throttle_writes t;
-      Shared_lock.lock_exclusive t.lock;
-      let mc = current_pm t in
-      Fun.protect
-        ~finally:(fun () -> Shared_lock.unlock_exclusive t.lock)
-        (fun () ->
-          let records =
-            List.map
-              (fun op ->
-                let user_key, entry =
-                  match op with
-                  | Batch_put (key, value) ->
-                      Stats.incr_puts t.stats;
-                      (key, Entry.Value value)
-                  | Batch_delete key ->
-                      Stats.incr_deletes t.stats;
-                      (key, Entry.Tombstone)
-                in
-                (* No snapshot fence that could observe these keys can run
-                   concurrently — a local getSnap needs this store's
-                   shared lock, a cross-shard getSnap holds the router
-                   lock against write batches — so bare timestamps are
-                   safe here without the Active set. *)
-                let ts = Clock.batch_ts t.clock in
-                M.add mc.mem ~user_key ~ts entry;
-                { Log_record.ts; user_key; entry })
-              ops
-          in
-          (* Every put appends under the shared lock this batch holds
-             exclusively, so no rider can board a group-commit window. *)
-          wal_append ~alone:true t mc (Log_record.encode_batch records));
-      maybe_wake_for_rotation t mc
-    end
+type rmw_decision = Set of string | Remove | Abort
 
-  let delete t ~key =
-    Stats.incr_deletes t.stats;
-    write_entry t ~user_key:key Entry.Tombstone
-
-  (* ---------- read-modify-write (Algorithm 3) ---------- *)
-
-  type rmw_decision = Set of string | Remove | Abort
-
-  let rmw t ~key f =
-    Stats.incr_rmws t.stats;
-    check_writable t;
-    throttle_writes t;
-    Shared_lock.lock_shared t.lock;
-    let pm = current_pm t in
-    let rec attempt () =
-      (* Line 4: newest version across Pm, P'm, Pd. Under the shared lock the
-         component pointers are stable (swaps require exclusive mode). *)
-      let latest =
-        match M.get pm.mem ~user_key:key ~snap_ts:Internal_key.max_ts with
-        | Some _ as hit -> hit
-        | None -> (
-            match current_imm t with
-            | Imm mc -> (
-                match
-                  M.get mc.mem ~user_key:key ~snap_ts:Internal_key.max_ts
-                with
-                | Some _ as hit -> hit
-                | None ->
-                    Version.get ~on_corrupt:(on_corrupt t) (current_version t)
-                      ~user_key:key ~snap_ts:Internal_key.max_ts)
-            | No_imm ->
-                Version.get ~on_corrupt:(on_corrupt t) (current_version t)
-                  ~user_key:key ~snap_ts:Internal_key.max_ts)
-      in
-      let seen_ts = match latest with Some (ts, _) -> ts | None -> 0 in
-      let pre_image =
-        match latest with Some (_, Entry.Value v) -> Some v | _ -> None
-      in
-      match f pre_image with
-      | Abort -> pre_image
-      | decision -> (
-          let entry =
-            match decision with
-            | Set v -> Entry.Value v
-            | Remove -> Entry.Tombstone
-            | Abort -> assert false
-          in
-          (* Line 9 first: the fresh timestamp, then fence out the
-             blind spot the paper's line order leaves open — a put that
-             drew an older timestamp but has not yet published its node
-             would slot in *beneath* ours, invisible to the read above
-             and to the conflict check below, and its value would be
-             lost without the RMW ever observing it. The clock's
-             [rmw_fence] makes any such straddling writer re-draw a newer
-             timestamp (the getTS retry) and drains the ones already
-             committed to theirs — the same handshake getSnap relies on.
-             Only blind writers need draining: an older RMW locates after
-             its own drain, so it detects our newer version as a conflict
-             by itself; waiting on [active] here would needlessly
-             serialize independent RMWs. Progress: the oldest active
-             writer never waits, so every wait iteration implies
-             system-wide progress. *)
-          let ts, h = Clock.get_ts t.clock in
-          Clock.rmw_fence t.clock ~ts;
-          (* Lines 5-6: locate the insertion point for (k, ∞); a
-             predecessor version newer than what we read is a conflict.
-             Every version with a timestamp below ours has landed by
-             now, so a clean check really means no intervening write. *)
-          let prev_ts, loc = M.locate_rmw pm.mem ~user_key:key in
-          match prev_ts with
-          | Some p when p > seen_ts ->
+let rmw t ~key f =
+  Stats.incr_rmws t.stats;
+  check_writable t;
+  throttle_writes t;
+  Shared_lock.lock_shared t.lock;
+  let pm = current_pm t in
+  let rec attempt () =
+    (* Line 4: newest version across Pm, P'm, Pd. Under the shared lock the
+       component pointers are stable (swaps require exclusive mode). *)
+    let latest =
+      match Memtable.get pm.mem ~user_key:key ~snap_ts:Internal_key.max_ts with
+      | Some _ as hit -> hit
+      | None -> (
+          match current_imm t with
+          | Imm mc -> (
+              match
+                Memtable.get mc.mem ~user_key:key ~snap_ts:Internal_key.max_ts
+              with
+              | Some _ as hit -> hit
+              | None ->
+                  Version.get ~on_corrupt:(on_corrupt t) (current_version t)
+                    ~user_key:key ~snap_ts:Internal_key.max_ts)
+          | No_imm ->
+              Version.get ~on_corrupt:(on_corrupt t) (current_version t)
+                ~user_key:key ~snap_ts:Internal_key.max_ts)
+    in
+    let seen_ts = match latest with Some (ts, _) -> ts | None -> 0 in
+    let pre_image =
+      match latest with Some (_, Entry.Value v) -> Some v | _ -> None
+    in
+    match f pre_image with
+    | Abort -> pre_image
+    | decision -> (
+        let entry =
+          match decision with
+          | Set v -> Entry.Value v
+          | Remove -> Entry.Tombstone
+          | Abort -> assert false
+        in
+        (* Line 9 first: the fresh timestamp, then fence out the
+           blind spot the paper's line order leaves open — a put that
+           drew an older timestamp but has not yet published its node
+           would slot in *beneath* ours, invisible to the read above
+           and to the conflict check below, and its value would be
+           lost without the RMW ever observing it. The clock's
+           [rmw_fence] makes any such straddling writer re-draw a newer
+           timestamp (the getTS retry) and drains the ones already
+           committed to theirs — the same handshake getSnap relies on.
+           Only blind writers need draining: an older RMW locates after
+           its own drain, so it detects our newer version as a conflict
+           by itself; waiting on [active] here would needlessly
+           serialize independent RMWs. Progress: the oldest active
+           writer never waits, so every wait iteration implies
+           system-wide progress. *)
+        let ts, h = Clock.get_ts t.clock in
+        Clock.rmw_fence t.clock ~ts;
+        (* Lines 5-6: locate the insertion point for (k, ∞); a
+           predecessor version newer than what we read is a conflict.
+           Every version with a timestamp below ours has landed by
+           now, so a clean check really means no intervening write. *)
+        let prev_ts, loc = Memtable.locate_rmw pm.mem ~user_key:key in
+        match prev_ts with
+        | Some p when p > seen_ts ->
+            Clock.end_op t.clock h;
+            Stats.incr_rmw_conflicts t.stats;
+            attempt ()
+        | _ ->
+            (* Lines 10-12: publish with a CAS. *)
+            if Memtable.try_install pm.mem loc ~user_key:key ~ts entry then begin
+              Clock.end_op t.clock h;
+              wal_append t pm
+                (Log_record.encode { Log_record.ts; user_key = key; entry });
+              pre_image
+            end
+            else begin
               Clock.end_op t.clock h;
               Stats.incr_rmw_conflicts t.stats;
               attempt ()
-          | _ ->
-              (* Lines 10-12: publish with a CAS. *)
-              if M.try_install pm.mem loc ~user_key:key ~ts entry then begin
-                Clock.end_op t.clock h;
-                wal_append t pm
-                  (Log_record.encode { Log_record.ts; user_key = key; entry });
-                pre_image
-              end
-              else begin
-                Clock.end_op t.clock h;
-                Stats.incr_rmw_conflicts t.stats;
-                attempt ()
-              end)
-    in
-    let result =
-      Fun.protect
-        ~finally:(fun () -> Shared_lock.unlock_shared t.lock)
-        attempt
-    in
-    maybe_wake_for_rotation t pm;
-    result
+            end)
+  in
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Shared_lock.unlock_shared t.lock)
+      attempt
+  in
+  maybe_wake_for_rotation t pm;
+  result
 
-  let put_if_absent t ~key ~value =
-    (* [f] can be re-invoked after a conflict; only the decision of the final
-       (successful) invocation stands, so the flag must be overwritten on
-       every call rather than latched. *)
-    let installed = ref false in
-    ignore
-      (rmw t ~key (function
-        | Some _ ->
-            installed := false;
-            Abort
-        | None ->
-            installed := true;
-            Set value));
-    !installed
+let put_if_absent t ~key ~value =
+  (* [f] can be re-invoked after a conflict; only the decision of the final
+     (successful) invocation stands, so the flag must be overwritten on
+     every call rather than latched. *)
+  let installed = ref false in
+  ignore
+    (rmw t ~key (function
+      | Some _ ->
+          installed := false;
+          Abort
+      | None ->
+          installed := true;
+          Set value));
+  !installed
 
-  (* ---------- snapshots (Algorithm 2) ---------- *)
+(* ---------- snapshots (Algorithm 2) ---------- *)
 
-  type snapshot = Clock.snapshot
+type snapshot = Clock.snapshot
 
-  let get_snap ?ttl t =
-    Stats.incr_snapshots t.stats;
-    Shared_lock.lock_shared t.lock;
-    let s =
-      Clock.snapshot ?ttl t.clock ~mode:(Options.snapshot_mode t.opts)
-        ~now:(Time_ns.now_s ())
-    in
-    Shared_lock.unlock_shared t.lock;
-    s
+let get_snap ?ttl t =
+  Stats.incr_snapshots t.stats;
+  Shared_lock.lock_shared t.lock;
+  let s =
+    Clock.snapshot ?ttl t.clock ~mode:(Options.snapshot_mode t.opts)
+      ~now:(Time_ns.now_s ())
+  in
+  Shared_lock.unlock_shared t.lock;
+  s
 
-  let snapshot_at _t ~ts = Clock.snapshot_at ~ts
-  let snapshot_ts (s : snapshot) = s.snap_ts
-  let release_snapshot t s = Clock.release_snapshot t.clock s
+let snapshot_ts (s : snapshot) = s.snap_ts
+let release_snapshot t s = Clock.release_snapshot t.clock s
 
-  let get_at t (s : snapshot) key =
-    Stats.incr_gets t.stats;
-    if Atomic.get s.released then invalid_arg "Db.get_at: released snapshot";
-    timed_get t ~user_key:key ~snap_ts:s.snap_ts
+let get_at t (s : snapshot) key =
+  Stats.incr_gets t.stats;
+  if Atomic.get s.released then invalid_arg "Db.get_at: released snapshot";
+  timed_get t ~user_key:key ~snap_ts:s.snap_ts
 
-  (* ---------- iterators / scans ---------- *)
+(* ---------- iterators / scans ---------- *)
 
-  type iterator = {
-    snap : snapshot;
-    own_snapshot : bool;
-    merged : Iter.t;
-    release_refs : unit -> unit;
-    db : t;
-    mutable cur : (string * string) option;
-    mutable it_closed : bool;
+type iterator = {
+  snap : snapshot;
+  own_snapshot : bool;
+  merged : Iter.t;
+  release_refs : unit -> unit;
+  db : t;
+  mutable cur : (string * string) option;
+  mutable it_closed : bool;
+}
+
+let iterator ?snapshot t =
+  Stats.incr_scans t.stats;
+  let snap, own_snapshot =
+    match snapshot with Some s -> (s, false) | None -> (get_snap t, true)
+  in
+  (* Pin all three components for the iterator's lifetime. *)
+  let pm_cell = Rcu_box.acquire t.pm in
+  let imm_cell = Rcu_box.acquire t.pimm in
+  let pd_cell = Rcu_box.acquire t.pd in
+  let sources =
+    Memtable.iter (Refcounted.value pm_cell).mem
+    ::
+    (match Refcounted.value imm_cell with
+    | Imm mc -> [ Memtable.iter mc.mem ]
+    | No_imm -> [])
+    @ Version.iters (Refcounted.value pd_cell)
+  in
+  let merged = Merge_iter.merge ~cmp:Internal_key.compare_encoded sources in
+  let release_refs () =
+    Refcounted.decr pm_cell;
+    Refcounted.decr imm_cell;
+    Refcounted.decr pd_cell
+  in
+  {
+    snap;
+    own_snapshot;
+    merged;
+    release_refs;
+    db = t;
+    cur = None;
+    it_closed = false;
   }
 
-  let iterator ?snapshot t =
-    Stats.incr_scans t.stats;
-    let snap, own_snapshot =
-      match snapshot with Some s -> (s, false) | None -> (get_snap t, true)
-    in
-    (* Pin all three components for the iterator's lifetime. *)
-    let pm_cell = Rcu_box.acquire t.pm in
-    let imm_cell = Rcu_box.acquire t.pimm in
-    let pd_cell = Rcu_box.acquire t.pd in
-    let sources =
-      M.iter (Refcounted.value pm_cell).mem
-      ::
-      (match Refcounted.value imm_cell with
-      | Imm mc -> [ M.iter mc.mem ]
-      | No_imm -> [])
-      @ Version.iters (Refcounted.value pd_cell)
-    in
-    let merged = Merge_iter.merge ~cmp:Internal_key.compare_encoded sources in
-    let release_refs () =
-      Refcounted.decr pm_cell;
-      Refcounted.decr imm_cell;
-      Refcounted.decr pd_cell
-    in
+(* A corruption surfacing mid-scan is reported for quarantine and
+   re-raised: unlike a point get, a scan cannot treat a rotten file as
+   a miss without silently dropping a key range from its answer. The
+   caller can retry after repair — the quarantined table is gone from
+   the next read view, so the retry answers from surviving data.
+   [guard_iter] applies [f] to [x] so that a step passes [advance]
+   itself and allocates no closure per row. *)
+let guard_iter it f x =
+  try f x
+  with Table_file.Corruption { number; detail; _ } as e ->
+    ignore (enqueue_quarantine it.db ~number ~detail : bool);
+    raise e
+
+let advance it =
+  it.cur <- Iter.next_visible it.merged ~snap_ts:it.snap.snap_ts
+
+let iter_seek_first it =
+  guard_iter it
+    (fun it ->
+      it.merged.Iter.seek_to_first ();
+      advance it)
+    it
+
+let iter_seek it target =
+  guard_iter it
+    (fun target ->
+      it.merged.Iter.seek (Internal_key.make target 0);
+      advance it)
+    target
+
+let iter_valid it = it.cur <> None
+
+let iter_key it =
+  match it.cur with
+  | Some (k, _) -> k
+  | None -> invalid_arg "Db.iter_key: invalid iterator"
+
+let iter_value it =
+  match it.cur with
+  | Some (_, v) -> v
+  | None -> invalid_arg "Db.iter_value: invalid iterator"
+
+let iter_next it = if it.cur <> None then guard_iter it advance it
+
+let iter_close it =
+  if not it.it_closed then begin
+    it.it_closed <- true;
+    it.cur <- None;
+    it.release_refs ();
+    if it.own_snapshot then release_snapshot it.db it.snap
+  end
+
+(* ---------- maintenance (delegated to the scheduler + hooks) ---------- *)
+
+let compact_now t = Maintenance_hooks.compact_now t
+
+(* ---------- open / recovery / close ---------- *)
+
+let open_shard ~clock (opts : Options.t) =
+  let cache =
+    Clsm_sstable.Cache.create ~capacity:opts.cache_bytes
+      ~readahead:opts.readahead_blocks
+      ~weight:Clsm_sstable.Block.size_bytes ()
+  in
+  (* Stats exist before recovery: the recovered WAL writer's observer
+     feeds commit-wait/group-commit accounting into them. *)
+  let stats = Stats.create () in
+  let r = Recovery.recover opts ~cache ~stats in
+  let num_levels = opts.lsm.Lsm_config.num_levels in
+  (* Fresh writes must outrank everything this directory persisted —
+     with a shared clock, CAS-max across shards in any recovery order. *)
+  Clock.observe_recovered_ts clock r.Recovery.last_ts;
+  let t =
     {
-      snap;
-      own_snapshot;
-      merged;
-      release_refs;
-      db = t;
-      cur = None;
-      it_closed = false;
+      opts;
+      lock = Shared_lock.create ();
+      clock;
+      pm =
+        Rcu_box.create
+          (Refcounted.create
+             {
+               mem = r.Recovery.mem;
+               wal = r.Recovery.wal;
+               wal_number = r.Recovery.wal_number;
+             });
+      pimm = Rcu_box.create (Refcounted.create No_imm);
+      pd =
+        Rcu_box.create
+          (Refcounted.create ~release:Version.release r.Recovery.version);
+      next_file = r.Recovery.next_file;
+      cache;
+      stats;
+      stop = Atomic.make false;
+      degraded = Atomic.make None;
+      heal = fresh_heal ~quarantined:r.Recovery.quarantined;
+      install = Mutex.create ();
+      claims = fresh_claims ();
+      compact_pointers = Array.make (num_levels - 1) "";
+      backpressure =
+        Backpressure.create
+          ~config:(Backpressure.config_of_options opts)
+          ~stats;
+      scheduler = None;
+      wake_hook = None;
+      closed = false;
+      close_mutex = Mutex.create ();
     }
+  in
+  t
 
-  (* A corruption surfacing mid-scan is reported for quarantine and
-     re-raised: unlike a point get, a scan cannot treat a rotten file as
-     a miss without silently dropping a key range from its answer. The
-     caller can retry after repair — the quarantined table is gone from
-     the next read view, so the retry answers from surviving data.
-     [guard_iter] applies [f] to [x] so that a step passes [advance]
-     itself and allocates no closure per row. *)
-  let guard_iter it f x =
-    try f x
-    with Table_file.Corruption { number; detail; _ } as e ->
-      ignore (enqueue_quarantine it.db ~number ~detail : bool);
-      raise e
+let open_store opts =
+  let t = open_shard ~clock:(Clock.create ()) opts in
+  let scheduler = Maintenance_hooks.make_scheduler t in
+  t.scheduler <- Some scheduler;
+  Clsm_maintenance.Scheduler.start scheduler;
+  t
 
-  let advance it =
-    it.cur <- Iter.next_visible it.merged ~snap_ts:it.snap.snap_ts
+let repair = Recovery.repair
 
-  let iter_seek_first it =
-    guard_iter it
-      (fun it ->
-        it.merged.Iter.seek_to_first ();
-        advance it)
-      it
+let flush_wal t =
+  match (current_pm t).wal with
+  | Some w -> Clsm_wal.Wal_writer.flush w
+  | None -> ()
 
-  let iter_seek it target =
-    guard_iter it
-      (fun target ->
-        it.merged.Iter.seek (Internal_key.make target 0);
-        advance it)
-      target
+let stop_scheduler t =
+  Atomic.set t.stop true;
+  match t.scheduler with
+  | Some s ->
+      Clsm_maintenance.Scheduler.stop s;
+      t.scheduler <- None
+  | None -> ()
 
-  let iter_valid it = it.cur <> None
+(* Testing hook: die without flushing the WAL queue or saving the
+   manifest — what a crash leaves on disk. The value must not be used
+   afterwards (a fresh open_store on the directory performs recovery). *)
+let simulate_crash t =
+  Mutex.protect t.close_mutex (fun () ->
+      if not t.closed then begin
+        t.closed <- true;
+        stop_scheduler t;
+        match (current_pm t).wal with
+        | Some w -> Clsm_wal.Wal_writer.abandon w
+        | None -> ()
+      end)
 
-  let iter_key it =
-    match it.cur with
-    | Some (k, _) -> k
-    | None -> invalid_arg "Db.iter_key: invalid iterator"
+let close t =
+  Mutex.lock t.close_mutex;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.close_mutex)
+    (fun () ->
+      if not t.closed then begin
+        t.closed <- true;
+        stop_scheduler t;
+        let pm_cell = Rcu_box.peek t.pm in
+        (* The component references are released even when the final
+           flush or manifest save fails — the error still reaches the
+           caller, and recovery replays the surviving log. *)
+        Fun.protect
+          ~finally:(fun () ->
+            Refcounted.retire pm_cell;
+            Refcounted.retire (Rcu_box.peek t.pimm);
+            Refcounted.retire (Rcu_box.peek t.pd))
+          (fun () ->
+            (* [Wal_writer.close] flushes before closing; an IO failure
+               propagates (after the descriptor is released) instead of
+               being silently dropped. *)
+            (match (Refcounted.value pm_cell).wal with
+            | Some w -> Clsm_wal.Wal_writer.close w
+            | None -> ());
+            (* The final manifest commit, through the one install
+               step like every other (a plain commit: no file
+               changes, transient faults ride the retry policy). *)
+            Maintenance_hooks.commit_edit t ~kind:`Commit Version_edit.empty)
+      end)
 
-  let iter_value it =
-    match it.cur with
-    | Some (_, v) -> v
-    | None -> invalid_arg "Db.iter_value: invalid iterator"
+(* Offline-style health check runnable on a live store: validates every
+   table file and the level invariants of the current version. *)
+let verify_integrity t =
+  Rcu_box.with_ref t.pd Version.validate
 
-  let iter_next it = if it.cur <> None then guard_iter it advance it
+let stats t = Stats.read t.stats
+let options t = t.opts
 
-  let iter_close it =
-    if not it.it_closed then begin
-      it.it_closed <- true;
-      it.cur <- None;
-      it.release_refs ();
-      if it.own_snapshot then release_snapshot it.db it.snap
-    end
+(* Degraded (write path down) dominates Partial (some key ranges
+   serving from reduced redundancy); both beat Ok. *)
+let health t =
+  match Atomic.get t.degraded with
+  | Some reason -> `Degraded reason
+  | None -> (
+      match quarantine_counts t with
+      | 0, 0 -> `Ok
+      | pending, quarantined ->
+          `Partial
+            (Printf.sprintf
+               "%d table(s) quarantined for corruption (%d pending)"
+               (pending + quarantined) pending))
 
-  (* ---------- maintenance (delegated to the scheduler + hooks) ---------- *)
+let scrub_now t = Maintenance_hooks.scrub_now t
 
-  let compact_now t = Hooks.compact_now t
+let repair_now t =
+  Maintenance_hooks.repair_now t;
+  health t
 
-  (* ---------- open / recovery / close ---------- *)
+let level_file_counts t =
+  let v = current_version t in
+  List.length v.Version.l0
+  :: List.map List.length (Array.to_list v.Version.levels)
 
-  let open_store (opts : Options.t) =
-    let cache =
-      Clsm_sstable.Cache.create ~capacity:opts.cache_bytes
-        ~readahead:opts.readahead_blocks
-        ~weight:Clsm_sstable.Block.size_bytes ()
-    in
-    (* Stats exist before recovery: the recovered WAL writer's observer
-       feeds commit-wait/group-commit accounting into them. *)
-    let stats = Stats.create () in
-    let r = Recover.recover opts ~cache ~stats in
-    let num_levels = opts.lsm.Lsm_config.num_levels in
-    let clock =
-      match opts.clock with
-      | Some c -> c
-      | None -> Clock.create ()
-    in
-    (* Fresh writes must outrank everything this directory persisted —
-       with a shared clock, CAS-max across shards in any recovery order. *)
-    Clock.observe_recovered_ts clock r.Recover.last_ts;
-    let t =
-      {
-        opts;
-        lock = Shared_lock.create ();
-        clock;
-        pm =
-          Rcu_box.create
-            (Refcounted.create
-               {
-                 mem = r.Recover.mem;
-                 wal = r.Recover.wal;
-                 wal_number = r.Recover.wal_number;
-               });
-        pimm = Rcu_box.create (Refcounted.create No_imm);
-        pd =
-          Rcu_box.create
-            (Refcounted.create ~release:Version.release r.Recover.version);
-        next_file = r.Recover.next_file;
-        cache;
-        stats;
-        stop = Atomic.make false;
-        degraded = Atomic.make None;
-        heal = fresh_heal ~quarantined:r.Recover.quarantined;
-        install = Mutex.create ();
-        claims = fresh_claims ();
-        compact_pointers = Array.make (num_levels - 1) "";
-        backpressure =
-          Backpressure.create
-            ~config:(Backpressure.config_of_options opts)
-            ~stats;
-        scheduler = None;
-        wake_hook = None;
-        closed = false;
-        close_mutex = Mutex.create ();
-      }
-    in
-    if not opts.external_maintenance then begin
-      let scheduler = Hooks.make_scheduler t in
-      t.scheduler <- Some scheduler;
-      Clsm_maintenance.Scheduler.start scheduler
-    end;
-    t
+let memtable_bytes t = Memtable.approximate_bytes (current_pm t).mem
+let cache_stats t = Clsm_sstable.Cache.stats t.cache
 
-  let repair = Recovery.repair
+(* ---------- shard support (see db.mli) ---------- *)
 
-  let flush_wal t =
-    match (current_pm t).wal with
-    | Some w -> Clsm_wal.Wal_writer.flush w
-    | None -> ()
-
-  let stop_scheduler t =
-    Atomic.set t.stop true;
-    match t.scheduler with
-    | Some s ->
-        Clsm_maintenance.Scheduler.stop s;
-        t.scheduler <- None
-    | None -> ()
-
-  (* Testing hook: die without flushing the WAL queue or saving the
-     manifest — what a crash leaves on disk. The value must not be used
-     afterwards (a fresh open_store on the directory performs recovery). *)
-  let simulate_crash t =
-    Mutex.protect t.close_mutex (fun () ->
-        if not t.closed then begin
-          t.closed <- true;
-          stop_scheduler t;
-          match (current_pm t).wal with
-          | Some w -> Clsm_wal.Wal_writer.abandon w
-          | None -> ()
-        end)
-
-  let close t =
-    Mutex.lock t.close_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.close_mutex)
-      (fun () ->
-        if not t.closed then begin
-          t.closed <- true;
-          stop_scheduler t;
-          let pm_cell = Rcu_box.peek t.pm in
-          (* The component references are released even when the final
-             flush or manifest save fails — the error still reaches the
-             caller, and recovery replays the surviving log. *)
-          Fun.protect
-            ~finally:(fun () ->
-              Refcounted.retire pm_cell;
-              Refcounted.retire (Rcu_box.peek t.pimm);
-              Refcounted.retire (Rcu_box.peek t.pd))
-            (fun () ->
-              (* [Wal_writer.close] flushes before closing; an IO failure
-                 propagates (after the descriptor is released) instead of
-                 being silently dropped. *)
-              (match (Refcounted.value pm_cell).wal with
-              | Some w -> Clsm_wal.Wal_writer.close w
-              | None -> ());
-              (* The final manifest commit, through the one install
-                 step like every other (a plain commit: no file
-                 changes, transient faults ride the retry policy). *)
-              Hooks.commit_edit t ~kind:`Commit Version_edit.empty)
-        end)
-
-  (* Offline-style health check runnable on a live store: validates every
-     table file and the level invariants of the current version. *)
-  let verify_integrity t =
-    Rcu_box.with_ref t.pd Version.validate
-
-  let stats t = Stats.read t.stats
-  let options t = t.opts
-
-  (* Degraded (write path down) dominates Partial (some key ranges
-     serving from reduced redundancy); both beat Ok. *)
-  let health t =
-    match Atomic.get t.degraded with
-    | Some reason -> `Degraded reason
-    | None -> (
-        match quarantine_counts t with
-        | 0, 0 -> `Ok
-        | pending, quarantined ->
-            `Partial
-              (Printf.sprintf
-                 "%d table(s) quarantined for corruption (%d pending)"
-                 (pending + quarantined) pending))
-
-  let scrub_now t = Hooks.scrub_now t
-
-  let repair_now t =
-    Hooks.repair_now t;
-    health t
-
-  let level_file_counts t =
-    let v = current_version t in
-    List.length v.Version.l0
-    :: List.map List.length (Array.to_list v.Version.levels)
-
-  let memtable_bytes t = M.approximate_bytes (current_pm t).mem
-  let cache_stats t = Clsm_sstable.Cache.stats t.cache
-
-  (* ---------- router support (Store_sig.EXTENDED) ---------- *)
-
-  let clock t = t.clock
-  let maintenance_next t = Hooks.next t
-  let maintenance_run t job = Hooks.run t job
-  let set_wake_hook t f = t.wake_hook <- Some f
-end
-
-(* The sealed store: the primitives above plus the bulk reads
-   {!Store_sig.Scans} derives from them. *)
-module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
-  module C = Make_core (M)
-  include C
-  include Store_sig.Scans (C)
-end
+let maintenance_next t = Maintenance_hooks.next t
+let maintenance_run t job = Maintenance_hooks.run t job
+let set_wake_hook t f = t.wake_hook <- Some f

@@ -1,5 +1,5 @@
-(** The store signature produced by {!Store.Make} — see {!Db} (the
-    skip-list instantiation, the paper's cLSM) for the full story; the
+(** The store signature shared by {!Db} (the paper's cLSM, see there
+    for the full story) and the range-shard router {!Sharded_db}; the
     per-item documentation lives here. *)
 
 exception Degraded of string
@@ -233,38 +233,4 @@ module Scans (P : SCAN_PRIMITIVES) = struct
     let result = go acc in
     iter_close it;
     result
-end
-
-(** The extended surface a store exposes so a router (e.g.
-    {!Sharded_store}) can compose several instances into one: access to
-    the logical clock, snapshot views at an externally fenced timestamp,
-    and the maintenance claim/run pair so one shared worker pool can
-    arbitrate flush/compaction jobs across instances. *)
-module type EXTENDED = sig
-  include S
-
-  val clock : t -> Clock.t
-  (** The store's logical-time domain — shared when the store was opened
-      with [Options.clock = Some c]. *)
-
-  val snapshot_at : t -> ts:int -> snapshot
-  (** A snapshot view at a timestamp the {e caller} has already fenced
-      (via {!Clock.snapshot} on this store's clock) and keeps registered:
-      no fence is run and no registry entry is taken, so releasing it is
-      a no-op. Reading through a timestamp that was never fenced on this
-      clock is unsound. *)
-
-  val maintenance_next : t -> Clsm_maintenance.Job.t option
-  (** Claim this store's highest-priority runnable maintenance job
-      ([None] when idle, stopped or degraded). Thread-safe; the claim
-      must be discharged with {!maintenance_run}. *)
-
-  val maintenance_run : t -> Clsm_maintenance.Job.t -> unit
-  (** Execute a job claimed by {!maintenance_next} and release its claim
-      (exceptions are degraded into read-only mode, never propagated). *)
-
-  val set_wake_hook : t -> (unit -> unit) -> unit
-  (** Where "maintenance work exists" signals go when the store was
-      opened with [Options.external_maintenance] (no private scheduler):
-      the router points this at its shared scheduler's wake. *)
 end

@@ -1,201 +1,199 @@
-(* The store's shared state, factored out of the store functor so the
-   layered subsystems — Recovery, Backpressure, Maintenance_hooks and the
-   algorithm core in Store — can all be written against the same record
-   without living in one monolithic module. OCaml functors are
-   applicative, so every [Store_state.Make (M)] names the same types. *)
+(* The store's shared state: one record that the layered subsystems —
+   Recovery, Backpressure, Maintenance_hooks and the algorithm core in
+   Store — are all written against, so none of them has to live in one
+   monolithic module. *)
 
-module Make (M : Memtable_intf.S) = struct
-  open Clsm_primitives
-  open Clsm_lsm
+open Clsm_primitives
+open Clsm_lsm
 
-  (* A memory component: the skip-list plus the log that covers it. *)
-  type memcomp = {
-    mem : M.t;
-    wal : Clsm_wal.Wal_writer.t option;
-    wal_number : int;
+(* A memory component: the skip-list plus the log that covers it. *)
+type memcomp = {
+  mem : Memtable.t;
+  wal : Clsm_wal.Wal_writer.t option;
+  wal_number : int;
+}
+
+type imm_slot = No_imm | Imm of memcomp
+
+(* Claim ledger for the maintenance worker pool: which job slots are
+   taken right now, all under [cm]. [flush_claimed] serializes the
+   rotate/flush path (the paper's beforeMerge/afterMerge pair must not
+   race itself); [busy_levels] holds the (src, target) ranges of
+   in-flight compactions so parallel workers only ever merge disjoint
+   ranges; [repair_claimed] and [scrub_claimed] make the Repair and
+   Scrub jobs single-instance. Every release and the barrier clear
+   signal [released], which is what a blocked claimant waits on. A
+   claimed compaction carries its picked task and a reference on the
+   version it was picked from, so input files cannot be retired
+   between claim and execution. *)
+type claimed_compaction = {
+  task : Compaction.task;
+  pinned : Version.t Refcounted.t;
+}
+
+type claims = {
+  cm : Mutex.t;
+  mutable flush_claimed : bool;
+  mutable repair_claimed : bool;
+  mutable scrub_claimed : bool;
+  mutable busy_levels : (int * int) list;
+  mutable pending : ((int * int) * claimed_compaction) list;
+  mutable barrier : bool;
+      (* repair's readmission collapse is running (or waiting to):
+         no new compaction may be claimed until it clears, so the
+         collapse's input files cannot be consumed under it. Flushes
+         are unaffected — they only prepend strictly newer L0 files. *)
+  released : Wakeup.t;
+}
+
+(* Self-healing state. Read paths never mutate the version or the
+   manifest directly (they may hold the shared lock, which cannot be
+   upgraded): a corruption verdict is only *enqueued* here, and the
+   maintenance [Repair] job — which holds no locks on entry — performs
+   the actual quarantine swap and manifest record. *)
+type heal = {
+  hm : Mutex.t;
+  mutable pending_quarantine : (int * string) list;
+      (* (table number, detail) verdicts awaiting the Repair job,
+         deduplicated against themselves and [quarantined] *)
+  mutable quarantined : int list;
+      (* dropped from the read view and recorded in the manifest;
+         cleared by repair finalization *)
+  mutable scrub_cursor : (int * int) option;
+      (* (table number, data-block index) to resume the current scrub
+         pass from; [None] between passes *)
+  mutable scrub_next_due : float;
+  mutable repair_next_due : float;
+      (* damping for repair attempts that can fail and be retried
+         (degraded recovery, quarantine finalization) *)
+}
+
+type t = {
+  opts : Options.t;
+  lock : Shared_lock.t;
+  clock : Clock.t;
+      (* the logical-time domain: timeCounter, Active/put_active,
+         snapTime and the snapshot registry. Private by default;
+         injected (shared) when this store is one shard of a
+         range-sharded deployment *)
+  pm : memcomp Rcu_box.t;
+  pimm : imm_slot Rcu_box.t;
+  pd : Version.t Rcu_box.t;
+  next_file : int Atomic.t;
+  cache : Clsm_sstable.Block.t Clsm_sstable.Cache.t;
+  stats : Stats.t;
+  stop : bool Atomic.t;
+  install : Mutex.t;
+      (* serializes edit commits (Maintenance_hooks.commit_edit): the
+         manifest written must describe a version no concurrent install
+         is tearing *)
+  claims : claims;
+  backpressure : Backpressure.t;
+  compact_pointers : string array; (* per-level round-robin cursors *)
+  mutable scheduler :
+    Clsm_maintenance.Job.t Clsm_maintenance.Scheduler.t option;
+  mutable wake_hook : (unit -> unit) option;
+      (* where maintenance-work signals go when the pool is external
+         (a shard router's shared scheduler) instead of [scheduler] *)
+  degraded : string option Atomic.t;
+      (* Some reason once an unrecoverable IO failure (ENOSPC, failed
+         fsync) hits a maintenance path: the store stops accepting
+         writes and scheduling maintenance but keeps serving reads *)
+  heal : heal;
+  mutable closed : bool;
+  close_mutex : Mutex.t;
+}
+
+let alloc_file_number t () = Atomic.fetch_and_add t.next_file 1
+
+(* First degradation reason wins; later failures are consequences. *)
+let degrade t reason =
+  ignore (Atomic.compare_and_set t.degraded None (Some reason) : bool)
+
+let is_degraded t = Atomic.get t.degraded <> None
+
+let fresh_claims () =
+  {
+    cm = Mutex.create ();
+    flush_claimed = false;
+    repair_claimed = false;
+    scrub_claimed = false;
+    busy_levels = [];
+    pending = [];
+    barrier = false;
+    released = Wakeup.create ();
   }
 
-  type imm_slot = No_imm | Imm of memcomp
-
-  (* Claim ledger for the maintenance worker pool: which job slots are
-     taken right now, all under [cm]. [flush_claimed] serializes the
-     rotate/flush path (the paper's beforeMerge/afterMerge pair must not
-     race itself); [busy_levels] holds the (src, target) ranges of
-     in-flight compactions so parallel workers only ever merge disjoint
-     ranges; [repair_claimed] and [scrub_claimed] make the Repair and
-     Scrub jobs single-instance. Every release and the barrier clear
-     signal [released], which is what a blocked claimant waits on. A
-     claimed compaction carries its picked task and a reference on the
-     version it was picked from, so input files cannot be retired
-     between claim and execution. *)
-  type claimed_compaction = {
-    task : Compaction.task;
-    pinned : Version.t Refcounted.t;
+let fresh_heal ~quarantined =
+  {
+    hm = Mutex.create ();
+    pending_quarantine = [];
+    quarantined;
+    scrub_cursor = None;
+    scrub_next_due = Clsm_util.Time_ns.now_s ();
+    repair_next_due = 0.0;
   }
 
-  type claims = {
-    cm : Mutex.t;
-    mutable flush_claimed : bool;
-    mutable repair_claimed : bool;
-    mutable scrub_claimed : bool;
-    mutable busy_levels : (int * int) list;
-    mutable pending : ((int * int) * claimed_compaction) list;
-    mutable barrier : bool;
-        (* repair's readmission collapse is running (or waiting to):
-           no new compaction may be claimed until it clears, so the
-           collapse's input files cannot be consumed under it. Flushes
-           are unaffected — they only prepend strictly newer L0 files. *)
-    released : Wakeup.t;
-  }
+let current_pm t = Refcounted.value (Rcu_box.peek t.pm)
+let current_imm t = Refcounted.value (Rcu_box.peek t.pimm)
+let current_version t = Refcounted.value (Rcu_box.peek t.pd)
 
-  (* Self-healing state. Read paths never mutate the version or the
-     manifest directly (they may hold the shared lock, which cannot be
-     upgraded): a corruption verdict is only *enqueued* here, and the
-     maintenance [Repair] job — which holds no locks on entry — performs
-     the actual quarantine swap and manifest record. *)
-  type heal = {
-    hm : Mutex.t;
-    mutable pending_quarantine : (int * string) list;
-        (* (table number, detail) verdicts awaiting the Repair job,
-           deduplicated against themselves and [quarantined] *)
-    mutable quarantined : int list;
-        (* dropped from the read view and recorded in the manifest;
-           cleared by repair finalization *)
-    mutable scrub_cursor : (int * int) option;
-        (* (table number, data-block index) to resume the current scrub
-           pass from; [None] between passes *)
-    mutable scrub_next_due : float;
-    mutable repair_next_due : float;
-        (* damping for repair attempts that can fail and be retried
-           (degraded recovery, quarantine finalization) *)
-  }
+(* Signal the maintenance scheduler that work exists (memtable over
+   threshold, rotation, stall). The paper's sleep-polling background
+   loop is gone: this is a real Mutex+Condition wakeup. *)
+let wake_bg t =
+  match (t.scheduler, t.wake_hook) with
+  | Some s, _ ->
+      Stats.incr_maintenance_wakeups t.stats;
+      Clsm_maintenance.Scheduler.wake s
+  | None, Some wake ->
+      Stats.incr_maintenance_wakeups t.stats;
+      wake ()
+  | None, None -> ()
 
-  type t = {
-    opts : Options.t;
-    lock : Shared_lock.t;
-    clock : Clock.t;
-        (* the logical-time domain: timeCounter, Active/put_active,
-           snapTime and the snapshot registry. Private by default;
-           injected (shared) when this store is one shard of a
-           range-sharded deployment *)
-    pm : memcomp Rcu_box.t;
-    pimm : imm_slot Rcu_box.t;
-    pd : Version.t Rcu_box.t;
-    next_file : int Atomic.t;
-    cache : Clsm_sstable.Block.t Clsm_sstable.Cache.t;
-    stats : Stats.t;
-    stop : bool Atomic.t;
-    install : Mutex.t;
-        (* serializes edit commits (Maintenance_hooks.commit_edit): the
-           manifest written must describe a version no concurrent install
-           is tearing *)
-    claims : claims;
-    backpressure : Backpressure.t;
-    compact_pointers : string array; (* per-level round-robin cursors *)
-    mutable scheduler : Clsm_maintenance.Scheduler.t option;
-    mutable wake_hook : (unit -> unit) option;
-        (* where maintenance-work signals go when the pool is external
-           (a shard router's shared scheduler) instead of [scheduler] *)
-    degraded : string option Atomic.t;
-        (* Some reason once an unrecoverable IO failure (ENOSPC, failed
-           fsync) hits a maintenance path: the store stops accepting
-           writes and scheduling maintenance but keeps serving reads *)
-    heal : heal;
-    mutable closed : bool;
-    close_mutex : Mutex.t;
-  }
-
-  let alloc_file_number t () = Atomic.fetch_and_add t.next_file 1
-
-  (* First degradation reason wins; later failures are consequences. *)
-  let degrade t reason =
-    ignore (Atomic.compare_and_set t.degraded None (Some reason) : bool)
-
-  let is_degraded t = Atomic.get t.degraded <> None
-
-  let fresh_claims () =
-    {
-      cm = Mutex.create ();
-      flush_claimed = false;
-      repair_claimed = false;
-      scrub_claimed = false;
-      busy_levels = [];
-      pending = [];
-      barrier = false;
-      released = Wakeup.create ();
-    }
-
-  let fresh_heal ~quarantined =
-    {
-      hm = Mutex.create ();
-      pending_quarantine = [];
-      quarantined;
-      scrub_cursor = None;
-      scrub_next_due = Clsm_util.Time_ns.now_s ();
-      repair_next_due = 0.0;
-    }
-
-  let current_pm t = Refcounted.value (Rcu_box.peek t.pm)
-  let current_imm t = Refcounted.value (Rcu_box.peek t.pimm)
-  let current_version t = Refcounted.value (Rcu_box.peek t.pd)
-
-  (* Signal the maintenance scheduler that work exists (memtable over
-     threshold, rotation, stall). The paper's sleep-polling background
-     loop is gone: this is a real Mutex+Condition wakeup. *)
-  let wake_bg t =
-    match (t.scheduler, t.wake_hook) with
-    | Some s, _ ->
-        Stats.incr_maintenance_wakeups t.stats;
-        Clsm_maintenance.Scheduler.wake s
-    | None, Some wake ->
-        Stats.incr_maintenance_wakeups t.stats;
-        wake ()
-    | None, None -> ()
-
-  (* Record a corruption verdict against a table file, deduplicated, and
-     signal maintenance. Safe from any read path (only takes the heal
-     mutex). Returns whether the verdict was fresh. *)
-  let enqueue_quarantine t ~number ~detail =
-    let h = t.heal in
-    let fresh =
-      Mutex.protect h.hm (fun () ->
-          if
-            List.mem_assoc number h.pending_quarantine
-            || List.mem number h.quarantined
-          then false
-          else begin
-            h.pending_quarantine <- (number, detail) :: h.pending_quarantine;
-            true
-          end)
-    in
-    if fresh then begin
-      Stats.incr_corruptions_detected t.stats;
-      wake_bg t
-    end;
-    fresh
-
-  let quarantine_counts t =
-    let h = t.heal in
+(* Record a corruption verdict against a table file, deduplicated, and
+   signal maintenance. Safe from any read path (only takes the heal
+   mutex). Returns whether the verdict was fresh. *)
+let enqueue_quarantine t ~number ~detail =
+  let h = t.heal in
+  let fresh =
     Mutex.protect h.hm (fun () ->
-        (List.length h.pending_quarantine, List.length h.quarantined))
+        if
+          List.mem_assoc number h.pending_quarantine
+          || List.mem number h.quarantined
+        then false
+        else begin
+          h.pending_quarantine <- (number, detail) :: h.pending_quarantine;
+          true
+        end)
+  in
+  if fresh then begin
+    Stats.incr_corruptions_detected t.stats;
+    wake_bg t
+  end;
+  fresh
 
-  (* ---------- manifest ---------- *)
+let quarantine_counts t =
+  let h = t.heal in
+  Mutex.protect h.hm (fun () ->
+      (List.length h.pending_quarantine, List.length h.quarantined))
 
-  let manifest_of_state t =
-    {
-      Manifest.next_file_number = Atomic.get t.next_file;
-      last_ts = Clock.now t.clock;
-      wal_number = (current_pm t).wal_number;
-      files =
-        List.map
-          (fun (level, f) -> (level, (Refcounted.value f).Table_file.number))
-          (Version.files_by_level (current_version t));
-      quarantined = Mutex.protect t.heal.hm (fun () -> t.heal.quarantined);
-    }
+(* ---------- manifest ---------- *)
 
-  (* Returns the bytes written. *)
-  let save_manifest t =
-    Manifest.save ~env:t.opts.Options.env ~dir:t.opts.Options.dir
-      (manifest_of_state t)
-  [@@requires_lock install]
-end
+let manifest_of_state t =
+  {
+    Manifest.next_file_number = Atomic.get t.next_file;
+    last_ts = Clock.now t.clock;
+    wal_number = (current_pm t).wal_number;
+    files =
+      List.map
+        (fun (level, f) -> (level, (Refcounted.value f).Table_file.number))
+        (Version.files_by_level (current_version t));
+    quarantined = Mutex.protect t.heal.hm (fun () -> t.heal.quarantined);
+  }
+
+(* Returns the bytes written. *)
+let save_manifest t =
+  Manifest.save ~env:t.opts.Options.env ~dir:t.opts.Options.dir
+    (manifest_of_state t)
+[@@requires_lock install]

@@ -25,8 +25,8 @@ type ops = {
 module Of_store (S : Clsm_core.Store_sig.S) : sig
   val ops : ?name:string -> S.t -> ops
   (** Any [Store_sig.S] implementation — {!Clsm_core.Db} (the cLSM
-      skip-list store) or {!Clsm_core.Cow_store}. Scans read through a
-      fresh snapshot and report its timestamp. *)
+      store) or the range-shard router {!Clsm_core.Sharded_db}. Scans
+      read through a fresh snapshot and report its timestamp. *)
 end
 
 val of_memtable : unit -> ops

@@ -55,7 +55,7 @@ val clamp :
     iterator is not advanced past that entry. With internal keys,
     clamping to [Internal_key.make uk 0] boundaries partitions by user
     key: every version of one user key falls in exactly one view.
-    [Clsm_core.Sharded_store] clamps each shard's scan to the shard's key
+    [Clsm_core.Sharded_db] clamps each shard's scan to the shard's key
     range. *)
 
 val fold : (string -> string -> 'acc -> 'acc) -> t -> 'acc -> 'acc

@@ -4,9 +4,13 @@
     releases write-ahead log space and unblocks stalled writers, an
     L0→L1 compaction bounds read amplification and the L0 stall/slowdown
     triggers, and deeper compactions only reshape cold data. Following
-    Luo & Carey's stability analysis, jobs are totally ordered:
+    Luo & Carey's stability analysis, the store claims jobs in the order
 
-    flush > L0→L1 compaction > deeper-level compactions (shallower first). *)
+    flush > repair > L0→L1 compaction > deeper-level compactions
+    (shallower first) > scrub.
+
+    That order is decided where the jobs are claimed
+    ([Clsm_core.Maintenance_hooks.next]), not here. *)
 
 type t =
   | Flush  (** rotate the memtable if needed and merge [C'm] to L0 *)
@@ -19,22 +23,5 @@ type t =
   | Scrub
       (** incremental background media check: re-verify sstable blocks
           and the WAL tail at a configurable IO budget *)
-  | In_shard of { shard : int; job : t }
-      (** [job], claimed from shard [shard] of a range-sharded store:
-          how one shared worker pool arbitrates jobs across shards while
-          claim bookkeeping stays per shard *)
-
-val priority : t -> int
-(** Smaller is more urgent. [Flush] is [0]; [Repair] is [1]; [Compact]
-    of level [l] is [l + 2]; [Scrub] yields to everything; [In_shard] is
-    transparent (its inner job's priority). *)
-
-val compare : t -> t -> int
-(** Orders by {!priority}. *)
-
-val levels : t -> (int * int) option
-(** The [(src, target)] level range a compaction occupies; [None] for a
-    flush. Two compactions may run in parallel iff their ranges are
-    disjoint. *)
 
 val pp : Format.formatter -> t -> unit

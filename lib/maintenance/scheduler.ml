@@ -4,13 +4,14 @@ let src = Logs.Src.create "clsm.maintenance" ~doc:"cLSM maintenance scheduler"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type t = {
+type 'job t = {
   wakeup : Wakeup.t;
   stopping : bool Atomic.t;
   num_workers : int;
   tick_interval : float;
-  next : unit -> Job.t option;
-  run : Job.t -> unit;
+  pp : Format.formatter -> 'job -> unit;
+  next : unit -> 'job option;
+  run : 'job -> unit;
   jobs : int Atomic.t;
   wake_signals : int Atomic.t;
   mutable domains : unit Domain.t list;
@@ -18,13 +19,14 @@ type t = {
   mutable started : bool;
 }
 
-let create ?(num_workers = 2) ?(tick_interval = 0.25) ~next ~run () =
+let create ?(num_workers = 2) ?(tick_interval = 0.25) ~pp ~next ~run () =
   if num_workers < 1 then invalid_arg "Scheduler.create: num_workers < 1";
   {
     wakeup = Wakeup.create ();
     stopping = Atomic.make false;
     num_workers;
     tick_interval;
+    pp;
     next;
     run;
     jobs = Atomic.make 0;
@@ -44,7 +46,7 @@ let worker_loop t id =
           (try t.run job
            with e ->
              Log.err (fun m ->
-                 m "worker %d: %a raised %s" id Job.pp job (Printexc.to_string e)));
+                 m "worker %d: %a raised %s" id t.pp job (Printexc.to_string e)));
           go (Wakeup.current t.wakeup)
       | None -> go (Wakeup.wait t.wakeup ~seen)
       | exception e ->

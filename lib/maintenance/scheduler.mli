@@ -21,35 +21,38 @@
     workers running jobs on disjoint claims (e.g. compactions of
     disjoint level ranges); no job spawns a domain of its own. *)
 
-type t
+type 'job t
+(** A pool running jobs of type ['job]: a single store runs {!Job.t}, a
+    shard router runs [(shard, Job.t)] pairs. *)
 
 val create :
   ?num_workers:int ->
   ?tick_interval:float ->
-  next:(unit -> Job.t option) ->
-  run:(Job.t -> unit) ->
+  pp:(Format.formatter -> 'job -> unit) ->
+  next:(unit -> 'job option) ->
+  run:('job -> unit) ->
   unit ->
-  t
+  'job t
 (** [num_workers] defaults to [2]; [tick_interval] (seconds) defaults to
     [0.25]. [next] must be thread-safe and claim the job it returns;
     [run] must release the claim even on failure (exceptions escaping
-    [run] are caught and logged by the worker). No domain is spawned
-    until {!start}. *)
+    [run] are caught and logged by the worker, naming the job with
+    [pp]). No domain is spawned until {!start}. *)
 
-val start : t -> unit
+val start : _ t -> unit
 (** Spawn the worker pool and the ticker. Idempotent. *)
 
-val wake : t -> unit
+val wake : _ t -> unit
 (** Signal the workers that work may exist. Never blocks; safe from any
     domain; cheap when all workers are busy. *)
 
-val stop : t -> unit
+val stop : _ t -> unit
 (** Ask workers to finish their current job, then join every domain.
     The ticker wakes within ~50 ms regardless of [tick_interval].
     Idempotent. After [stop], {!wake} is a no-op. *)
 
-val jobs_run : t -> int
+val jobs_run : _ t -> int
 (** Total jobs executed (for stats and tests). *)
 
-val wakes : t -> int
+val wakes : _ t -> int
 (** Total {!wake} signals delivered (for stats and tests). *)

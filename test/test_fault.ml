@@ -406,12 +406,15 @@ let crash_opts ?(l0_trigger = 8) f dir =
   in
   {
     base with
-    (* nothing but the job under test does maintenance IO *)
-    Options.external_maintenance = true;
-    scrub_interval = 0.0;
+    Options.scrub_interval = 0.0;
     auto_repair = false;
     lsm = { base.Options.lsm with Lsm_config.l0_compaction_trigger = l0_trigger };
   }
+
+(* Opened with no scheduler: nothing but the job under test does
+   maintenance IO. *)
+let open_crash ?l0_trigger f dir =
+  Db.open_shard ~clock:(Clock.create ()) (crash_opts ?l0_trigger f dir)
 
 (* [rounds] rounds of puts over the same keys, each flushed to its own L0
    table; the last round is what must read back. *)
@@ -477,7 +480,7 @@ let crash_at_every_op ~prepare ~job ~last_round =
 let install_crash_ordering () =
   let rot f = Faulty_env.set_fault_rates f ~corrupt_read_1_in:1 () in
   let quarantined f dir =
-    let db = Db.open_store (crash_opts f dir) in
+    let db = open_crash f dir in
     crash_rounds db 2;
     rot f;
     ignore (Db.scrub_now db : string list);
@@ -491,7 +494,7 @@ let install_crash_ordering () =
     [
       ( "flush",
         (fun f dir ->
-          let db = Db.open_store (crash_opts f dir) in
+          let db = open_crash f dir in
           crash_rounds db 1;
           for i = 1 to crash_keys do
             Db.put db ~key:(Printf.sprintf "k%03d" i) ~value:(crash_value 2 i)
@@ -500,15 +503,15 @@ let install_crash_ordering () =
         (fun _ db -> Db.compact_now db) );
       ( "compaction",
         (fun f dir ->
-          let db = Db.open_store (crash_opts f dir) in
+          let db = open_crash f dir in
           crash_rounds db 2;
           Db.close db;
           (* the same tables, now over the L0 trigger *)
-          Db.open_store (crash_opts ~l0_trigger:2 f dir)),
+          open_crash ~l0_trigger:2 f dir),
         (fun _ db -> Db.compact_now db) );
       ( "quarantine batch",
         (fun f dir ->
-          let db = Db.open_store (crash_opts f dir) in
+          let db = open_crash f dir in
           crash_rounds db 2;
           rot f;
           db),

@@ -8,7 +8,6 @@
 
    - the real cLSM store (`Db`, skip-list memtable) under the default
      serializable snapshots and under `linearizable_snapshots`;
-   - its algorithmic twin `Cow_store`;
    - the bare lock-free memtable (Algorithm 3 RMW with no store around);
    - the lock-striping baseline (`Striped_rmw`, known good);
    - the deliberately-broken store, which the checker MUST flag — the
@@ -137,7 +136,6 @@ let assert_clean ~target ~seed ~scan_mode h =
 (* ---------- targets ---------- *)
 
 module Db_target = Target.Of_store (Db)
-module Cow_target = Target.Of_store (Cow_store)
 module Sharded_target = Target.Of_store (Sharded_db)
 
 let run_clsm ~linearizable seed () =
@@ -228,19 +226,6 @@ let run_sharded ~linearizable seed () =
     ~scan_mode:(if linearizable then `Linearizable else `Serializable)
     h
 
-let run_cow seed () =
-  let dir = Filename.concat base_dir (Printf.sprintf "cow_seed%d" seed) in
-  rm_rf dir;
-  let db = Cow_store.open_store (opts dir) in
-  let h =
-    Fun.protect
-      ~finally:(fun () ->
-        Cow_store.close db;
-        rm_rf dir)
-      (fun () -> Stress.run (cfg seed) (Cow_target.ops ~name:"cow" db))
-  in
-  assert_clean ~target:"cow" ~seed ~scan_mode:`Serializable h
-
 let run_striped seed () =
   let dir = Filename.concat base_dir (Printf.sprintf "striped_seed%d" seed) in
   rm_rf dir;
@@ -327,7 +312,6 @@ let () =
         (run_sharded ~linearizable:true)
         (take small (List.rev seeds));
       cases "memtable" run_memtable (take small seeds);
-      cases "cow-store" run_cow (take small seeds);
       cases "striped-rmw" run_striped (take small seeds);
       ( "self-test",
         [ Alcotest.test_case "broken store is flagged" `Slow broken_flagged ]

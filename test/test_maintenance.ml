@@ -63,16 +63,56 @@ let wakeup_wakes_sleeping_waiter () =
 
 (* ---------- Job model ---------- *)
 
+(* The store's claim order, read off [Db.maintenance_next] on a store
+   with no scheduler: with two L0 tables over the compaction trigger and
+   the memtable over its budget, the flush is claimed first and the
+   L0→L1 compaction second, while the flush is still held. *)
 let job_priorities () =
-  let flush = Job.Flush in
-  let l0 = Job.Compact { src_level = 0; target_level = 1 } in
-  let deep = Job.Compact { src_level = 3; target_level = 4 } in
-  Alcotest.(check bool) "flush beats L0 merge" true (Job.compare flush l0 < 0);
-  Alcotest.(check bool) "L0 merge beats deep" true (Job.compare l0 deep < 0);
-  Alcotest.(check (option (pair int int))) "flush occupies no levels" None
-    (Job.levels flush);
-  Alcotest.(check (option (pair int int))) "compact range" (Some (3, 4))
-    (Job.levels deep)
+  let dir = fresh_dir () in
+  let base = Options.default ~dir in
+  let opts =
+    {
+      base with
+      Options.memtable_bytes = 4 * 1024;
+      scrub_interval = 0.0;
+      lsm =
+        { base.Options.lsm with Clsm_lsm.Lsm_config.l0_compaction_trigger = 2 };
+    }
+  in
+  let db = Db.open_shard ~clock:(Clock.create ()) opts in
+  let fill round =
+    for i = 0 to 99 do
+      Db.put db
+        ~key:(Printf.sprintf "r%d-%03d" round i)
+        ~value:(String.make 64 'v')
+    done
+  in
+  let claim () =
+    match Db.maintenance_next db with
+    | Some job -> job
+    | None -> Alcotest.fail "expected a claimable job"
+  in
+  let job = Alcotest.testable Job.pp ( = ) in
+  for round = 1 to 2 do
+    fill round;
+    let flush = claim () in
+    Alcotest.check job "over-budget memtable claims a flush" Job.Flush flush;
+    Db.maintenance_run db flush
+  done;
+  Alcotest.(check int) "two L0 tables" 2 (List.hd (Db.level_file_counts db));
+  fill 3;
+  let first = claim () in
+  let second = claim () in
+  Alcotest.check job "flush first" Job.Flush first;
+  Alcotest.check job "then the L0 merge"
+    (Job.Compact { src_level = 0; target_level = 1 })
+    second;
+  Db.maintenance_run db first;
+  Db.maintenance_run db second;
+  Alcotest.(check (option string)) "data survives both jobs"
+    (Some (String.make 64 'v'))
+    (Db.get db "r1-042");
+  Db.close db
 
 (* ---------- Scheduler ---------- *)
 
@@ -92,7 +132,8 @@ let scheduler_runs_on_wake_not_tick () =
   in
   let run _job = Atomic.incr ran in
   let s =
-    Scheduler.create ~num_workers:2 ~tick_interval:3600.0 ~next ~run ()
+    Scheduler.create ~num_workers:2 ~tick_interval:3600.0 ~pp:Job.pp ~next
+      ~run ()
   in
   Scheduler.start s;
   Unix.sleepf 0.05;
@@ -109,7 +150,7 @@ let scheduler_runs_on_wake_not_tick () =
 
 let scheduler_stop_joins_quickly () =
   let s =
-    Scheduler.create ~num_workers:1 ~tick_interval:3600.0
+    Scheduler.create ~num_workers:1 ~tick_interval:3600.0 ~pp:Job.pp
       ~next:(fun () -> None)
       ~run:(fun _ -> ())
       ()
@@ -319,7 +360,7 @@ let flush_without_poll_tick () =
         (Db.get db "key-0199"))
 
 (* Blocked claimants wake when the holder releases, not on a tick: the
-   store runs no private scheduler (and a 30 s tick), so this domain
+   store runs no scheduler ([Db.open_shard]), so this domain
    takes claims itself with [maintenance_next] and holds them while
    other domains block in [compact_now], [scrub_now] and [repair_now];
    [maintenance_run] then releases each one, and every blocked call must
@@ -334,8 +375,6 @@ let blocking_claims_wake_on_release () =
       Options.env = Clsm_env.Faulty_env.env f;
       memtable_bytes = 4 * 1024;
       cache_bytes = 1 lsl 20;
-      maintenance_tick = 30.0;
-      external_maintenance = true;
       scrub_interval = 3600.0;
       auto_repair = true;
       lsm =
@@ -347,7 +386,7 @@ let blocking_claims_wake_on_release () =
         };
     }
   in
-  let db = Db.open_store opts in
+  let db = Db.open_shard ~clock:(Clock.create ()) opts in
   let key i = Printf.sprintf "key-%04d" i in
   for i = 0 to 199 do
     Db.put db ~key:(key i) ~value:(String.make 64 'v')

@@ -186,8 +186,8 @@ let rec module_structure me =
   | Pmod_functor (_, me') | Pmod_constraint (me', _) -> module_structure me'
   | _ -> None
 
-(* module State = Store_state.Make (M)  =>  State -> Store_state
-   module Env = Clsm_env.Env           =>  Env -> Env (last component) *)
+(* module SL = Clsm_skiplist.Skiplist.Make (K)  =>  SL -> Skiplist
+   module Env = Clsm_env.Env                     =>  Env -> Env (last component) *)
 let rec alias_target me =
   match me.pmod_desc with
   | Pmod_ident lid -> Some (Longident.last lid.txt)
