@@ -211,6 +211,7 @@ let run_mixed_phase ~scale =
         J.Float (float_of_int s.Stats.slowdown_delay_ns /. 1e9) );
       ("compaction_s", J.Float (float_of_int s.Stats.compaction_ns /. 1e9));
       ("compactions", J.Int s.Stats.compactions);
+      ("compaction_moves", J.Int s.Stats.compaction_moves);
       ("flushes", J.Int s.Stats.flushes);
       ("bytes_flushed", J.Int s.Stats.bytes_flushed);
       ("bytes_compacted", J.Int s.Stats.bytes_compacted);

@@ -245,7 +245,6 @@ let flush_imm t =
   | None -> false
   | Some mc ->
       let snapshots = with_mutex t (fun () -> t.snapshot_list) in
-      let bytes = Memtable.approximate_bytes mc.mem in
       let outputs =
         Compaction.write_sorted_run ~cfg:t.opts.Options.lsm
           ~dir:t.opts.Options.dir ~cache:t.cache
@@ -266,7 +265,7 @@ let flush_imm t =
           t.imm <- None);
       List.iter Refcounted.retire outputs;
       Stats.incr_flushes t.stats;
-      Stats.add_bytes_flushed t.stats bytes;
+      Stats.add_bytes_flushed t.stats (Version.file_bytes outputs);
       with_mutex t (fun () -> save_manifest t);
       (match mc.wal with
       | Some w ->

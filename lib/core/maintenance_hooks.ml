@@ -73,14 +73,19 @@ let guard_io t ~what f =
       in its file set and in quarantine;
    5. save the manifest (retried) — a crash now recovers the new version;
    6. only then mark the removed inputs obsolete (deletable); tables
-      entering quarantine are kept as evidence;
+      entering quarantine are kept as evidence, and a moved table (one
+      the edit both removes and adds: a compaction that relinked it a
+      level deeper) is live in the new version, so it is never marked;
    7. retire the replaced cells.
 
    Added files arrive with one owning reference each, which is dropped
-   here once the new version holds its own. An edit that changes no
-   file swaps nothing. A failed save propagates with nothing marked
-   obsolete. Close calls this holding [close_mutex]; every other caller
-   holds no lock. *)
+   here once the new version holds its own; a mover takes that extra
+   reference on the cell it re-adds. A moved table that left the
+   version since the edit was built (a quarantine swap took it) is not
+   re-added: it is in the ledger, and no version may list it too. An
+   edit that changes no file swaps nothing. A failed save propagates
+   with nothing marked obsolete. Close calls this holding
+   [close_mutex]; every other caller holds no lock. *)
 let commit_edit t ~kind (edit : Version_edit.t) =
   let started = Time_ns.now_ns () in
   let h = t.heal in
@@ -101,10 +106,22 @@ let commit_edit t ~kind (edit : Version_edit.t) =
               (fun (n, _) -> not (List.mem n edit.quarantine_add))
               h.pending_quarantine);
       List.iter (fun _ -> Stats.incr_quarantined_tables t.stats) entering;
+      let number f = (Refcounted.value f).Table_file.number in
+      let moved f = List.mem (number f) edit.removed in
       let replaced =
         if edit.removed = [] && edit.added = [] && kind <> `Flush then []
         else begin
-          let next = Version.apply cur edit in
+          let next =
+            Version.apply cur
+              {
+                edit with
+                added =
+                  List.filter
+                    (fun (_, f) ->
+                      (not (moved f)) || Version.find_file cur (number f) <> None)
+                    edit.added;
+              }
+          in
           let next = Refcounted.create ~release:Version.release next in
           Shared_lock.lock_exclusive t.lock;
           let old_pd = Rcu_box.swap t.pd next in
@@ -129,7 +146,11 @@ let commit_edit t ~kind (edit : Version_edit.t) =
             in
             List.iter
               (fun n ->
-                if not (List.mem n edit.quarantine_add) then
+                if
+                  not
+                    (List.mem n edit.quarantine_add
+                    || List.exists (fun (_, f) -> number f = n) edit.added)
+                then
                   Option.iter
                     (fun f -> Table_file.mark_obsolete (Refcounted.value f))
                     (Version.find_file cur n))
@@ -193,7 +214,6 @@ let flush_imm t =
   | No_imm -> false
   | Imm mc ->
       let snapshots = Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()) in
-      let bytes = Memtable.approximate_bytes mc.mem in
       (* Safe to retry wholesale: a failed attempt cleans up its partial
          outputs (Compaction.cleanup_failed), so each retry starts from
          a blank slate. *)
@@ -204,6 +224,7 @@ let flush_imm t =
               ~alloc_number:(alloc_file_number t) ~snapshots
               ~drop_tombstones:false (Memtable.iter mc.mem))
       in
+      let bytes = Version.file_bytes outputs in
       commit_edit t ~kind:`Flush
         {
           Version_edit.empty with
@@ -226,38 +247,54 @@ let flush_imm t =
           m "flushed %d bytes into %d L0 file(s)" bytes (List.length outputs));
       true
 
-(* Run one claimed compaction: merge outside any lock, then install.
-   Caller owns the claim on the task's level range. *)
-let run_claimed_compaction t { Store_state.task; pinned = _ } =
-  let snapshots = Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()) in
-  let started = Time_ns.now_ns () in
-  (* The expensive merge, on this worker: its output list is installed
-     below as one edit, so a crash observes all of it or none of it. *)
-  let outputs =
-    with_retry t ~what:"compaction merge" (fun () ->
-        Compaction.run ~cfg:t.opts.Options.lsm ~dir:t.opts.Options.dir
-          ~cache:t.cache ~env:t.opts.Options.env
-          ~alloc_number:(alloc_file_number t) ~snapshots task)
-  in
-  let merge_duration_ns = Time_ns.now_ns () - started in
-  let bytes =
-    List.fold_left
-      (fun a f -> a + (Refcounted.value f).Table_file.size)
-      0
-      (task.Compaction.inputs_lo @ task.Compaction.inputs_hi)
-  in
-  commit_edit t ~kind:`Compaction (Compaction.edit_of_task task ~outputs);
-  (if task.Compaction.src_level >= 1 then
-     match Version.files_range task.Compaction.inputs_lo with
-     | Some (_, largest) ->
-         t.compact_pointers.(task.Compaction.src_level - 1) <- largest
-     | None -> ());
-  Stats.incr_compactions t.stats ~src_level:task.Compaction.src_level ();
-  Stats.record_compaction_run t.stats ~duration_ns:merge_duration_ns;
-  Stats.add_bytes_compacted t.stats bytes;
-  Log.debug (fun m ->
-      m "compacted level %d (%d bytes) into %d file(s)"
-        task.Compaction.src_level bytes (List.length outputs))
+(* Run one claimed compaction: merge outside any lock, then install; or,
+   when the inputs overlap nothing at the target level, install them
+   there as a move (DESIGN §10). Caller owns the claim on the task's
+   level range, and [pinned] keeps the inputs alive. *)
+let run_claimed_compaction t { Store_state.task; pinned } =
+  let cfg = t.opts.Options.lsm in
+  let inputs_lo = task.Compaction.inputs_lo in
+  let bytes = Version.file_bytes (inputs_lo @ task.Compaction.inputs_hi) in
+  (if Compaction.is_trivial_move ~cfg (Refcounted.value pinned) task then begin
+     (* [commit_edit] retires one reference per added file *)
+     List.iter
+       (fun f ->
+         let ok = Refcounted.try_incr f in
+         assert ok)
+       inputs_lo;
+     commit_edit t ~kind:`Compaction
+       (Compaction.edit_of_task task ~outputs:inputs_lo);
+     Stats.record_move t.stats ~bytes;
+     Log.debug (fun m ->
+         m "moved %d file(s) (%d bytes) from level %d to %d"
+           (List.length inputs_lo) bytes task.Compaction.src_level
+           task.Compaction.target_level)
+   end
+   else begin
+     let snapshots = Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()) in
+     let started = Time_ns.now_ns () in
+     (* The expensive merge, on this worker: its output list is installed
+        below as one edit, so a crash observes all of it or none of it. *)
+     let outputs =
+       with_retry t ~what:"compaction merge" (fun () ->
+           Compaction.run ~cfg ~dir:t.opts.Options.dir ~cache:t.cache
+             ~env:t.opts.Options.env ~alloc_number:(alloc_file_number t)
+             ~snapshots task)
+     in
+     let merge_duration_ns = Time_ns.now_ns () - started in
+     commit_edit t ~kind:`Compaction (Compaction.edit_of_task task ~outputs);
+     Stats.incr_compactions t.stats ~src_level:task.Compaction.src_level ();
+     Stats.record_compaction_run t.stats ~duration_ns:merge_duration_ns;
+     Stats.add_bytes_compacted t.stats bytes;
+     Log.debug (fun m ->
+         m "compacted level %d (%d bytes) into %d file(s)"
+           task.Compaction.src_level bytes (List.length outputs))
+   end);
+  if task.Compaction.src_level >= 1 then
+    match Version.files_range inputs_lo with
+    | Some (_, largest) ->
+        t.compact_pointers.(task.Compaction.src_level - 1) <- largest
+    | None -> ()
 
 (* ---------- claims ---------- *)
 

@@ -32,6 +32,8 @@ type t = {
   compaction_ns : int Atomic.t;
   bytes_flushed : int Atomic.t;
   bytes_compacted : int Atomic.t;
+  compaction_moves : int Atomic.t;
+  bytes_moved : int Atomic.t;
   write_stalls : int Atomic.t;
   stall_ns : int Atomic.t;
   write_slowdowns : int Atomic.t;
@@ -69,6 +71,8 @@ type snapshot = {
   compaction_ns : int;
   bytes_flushed : int;
   bytes_compacted : int;
+  compaction_moves : int;
+  bytes_moved : int;
   write_stalls : int;
   stall_ns : int;
   write_slowdowns : int;
@@ -110,6 +114,8 @@ let create () : t =
     compaction_ns = Atomic.make 0;
     bytes_flushed = Atomic.make 0;
     bytes_compacted = Atomic.make 0;
+    compaction_moves = Atomic.make 0;
+    bytes_moved = Atomic.make 0;
     write_stalls = Atomic.make 0;
     stall_ns = Atomic.make 0;
     write_slowdowns = Atomic.make 0;
@@ -156,6 +162,11 @@ let record_compaction_run (t : t) ~duration_ns =
 
 let add_bytes_flushed (t : t) n = ignore (Atomic.fetch_and_add t.bytes_flushed n)
 let add_bytes_compacted (t : t) n = ignore (Atomic.fetch_and_add t.bytes_compacted n)
+
+let record_move (t : t) ~bytes =
+  Atomic.incr t.compaction_moves;
+  ignore (Atomic.fetch_and_add t.bytes_moved bytes)
+
 let incr_write_stalls (t : t) = Atomic.incr t.write_stalls
 let add_stall_ns (t : t) n = ignore (Atomic.fetch_and_add t.stall_ns (max 0 n))
 
@@ -220,6 +231,8 @@ let read (t : t) : snapshot =
     compaction_ns = Atomic.get t.compaction_ns;
     bytes_flushed = Atomic.get t.bytes_flushed;
     bytes_compacted = Atomic.get t.bytes_compacted;
+    compaction_moves = Atomic.get t.compaction_moves;
+    bytes_moved = Atomic.get t.bytes_moved;
     write_stalls = Atomic.get t.write_stalls;
     stall_ns = Atomic.get t.stall_ns;
     write_slowdowns = Atomic.get t.write_slowdowns;
@@ -281,6 +294,8 @@ let scalar_fields : (string * [ `Sum | `Max ] * (snapshot -> int)) list =
     ("compaction_ns", `Sum, fun s -> s.compaction_ns);
     ("bytes_flushed", `Sum, fun s -> s.bytes_flushed);
     ("bytes_compacted", `Sum, fun s -> s.bytes_compacted);
+    ("compaction_moves", `Sum, fun s -> s.compaction_moves);
+    ("bytes_moved", `Sum, fun s -> s.bytes_moved);
     ("write_stalls", `Sum, fun s -> s.write_stalls);
     ("stall_ns", `Sum, fun s -> s.stall_ns);
     ("write_slowdowns", `Sum, fun s -> s.write_slowdowns);
@@ -345,6 +360,8 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
     compaction_ns = a.compaction_ns + b.compaction_ns;
     bytes_flushed = a.bytes_flushed + b.bytes_flushed;
     bytes_compacted = a.bytes_compacted + b.bytes_compacted;
+    compaction_moves = a.compaction_moves + b.compaction_moves;
+    bytes_moved = a.bytes_moved + b.bytes_moved;
     write_stalls = a.write_stalls + b.write_stalls;
     stall_ns = a.stall_ns + b.stall_ns;
     write_slowdowns = a.write_slowdowns + b.write_slowdowns;

@@ -24,12 +24,16 @@ type snapshot = {
   scans : int;
   memtable_rotations : int;
   flushes : int;
-  compactions : int;
+  compactions : int;  (** merges; moves are [compaction_moves] *)
   compactions_per_level : int array;
       (** indexed by source level: [.(0)] counts L0→L1 merges *)
-  compaction_ns : int;  (** cumulative compaction job wall-clock, ns *)
-  bytes_flushed : int;
-  bytes_compacted : int;
+  compaction_ns : int;  (** cumulative merge wall-clock, ns *)
+  bytes_flushed : int;  (** file bytes of the flushed tables *)
+  bytes_compacted : int;  (** file bytes of the merged input tables *)
+  compaction_moves : int;
+      (** compactions installed as a move: inputs relinked one level
+          deeper by a manifest edit, nothing read or written *)
+  bytes_moved : int;  (** file bytes of the moved tables *)
   write_stalls : int;  (** hard stops (L0 at [l0_stall_limit] or memtable full) *)
   stall_ns : int;  (** cumulative time writers spent hard-stalled, ns *)
   write_slowdowns : int;  (** puts delayed by the graduated controller *)
@@ -79,7 +83,7 @@ val incr_rotations : t -> unit
 val incr_flushes : t -> unit
 
 val incr_compactions : t -> ?src_level:int -> unit -> unit
-(** Count a compaction, attributed to [src_level] when given. *)
+(** Count a merging compaction, attributed to [src_level] when given. *)
 
 val record_compaction_run : t -> duration_ns:int -> unit
 (** Account one finished compaction job's merge taking [duration_ns] of
@@ -91,6 +95,10 @@ val record_install :
 
 val add_bytes_flushed : t -> int -> unit
 val add_bytes_compacted : t -> int -> unit
+
+val record_move : t -> bytes:int -> unit
+(** Account one compaction installed as a move of [bytes] file bytes. *)
+
 val incr_write_stalls : t -> unit
 
 val add_stall_ns : t -> int -> unit

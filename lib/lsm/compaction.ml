@@ -103,6 +103,35 @@ let pick ~cfg ?(level_pointers = [||]) ?(skip = fun ~src:_ ~target:_ -> false)
     find 1
   end
 
+(* LevelDB's trivial move ([Compaction::IsTrivialMove]): inputs that
+   meet nothing at the target level are relinked there by the manifest
+   edit alone. A moved file keeps what a merge would have dropped (shadowed
+   versions, tombstones over nothing deeper), so the move is refused when
+   the file would sit over more than ten target-size files of the level
+   below the target (LevelDB's [kMaxGrandParentOverlapBytes]): its
+   eventual merge would be that much larger. *)
+let is_trivial_move ~cfg (v : Version.t) task =
+  let tfs = List.map Refcounted.value task.inputs_lo in
+  let uk_lo tf = Internal_key.user_key_of tf.Table_file.smallest in
+  let uk_hi tf = Internal_key.user_key_of tf.Table_file.largest in
+  let rec disjoint = function
+    | a :: (b :: _ as rest) ->
+        String.compare (uk_hi a) (uk_lo b) < 0 && disjoint rest
+    | [] | [ _ ] -> true
+  in
+  let grandparent_bytes () =
+    if task.target_level < Array.length v.Version.levels then
+      Version.file_bytes
+        (overlapping_user_keys v.Version.levels.(task.target_level)
+           task.inputs_lo)
+    else 0
+  in
+  task.inputs_hi = []
+  && List.for_all (fun tf -> tf.Table_file.smallest <> "") tfs
+  && disjoint
+       (List.sort (fun a b -> String.compare (uk_lo a) (uk_lo b)) tfs)
+  && grandparent_bytes () <= 10 * cfg.Lsm_config.target_file_size
+
 (* [versions]: (ts, is_tombstone) pairs, ascending ts. *)
 let keep_timestamps ~snapshots ~drop_tombstones versions =
   let arr = Array.of_list versions in

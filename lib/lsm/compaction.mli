@@ -46,6 +46,16 @@ val pick :
     survive until that table is readmitted or discarded, or the delete
     would resurrect on readmission. Default: [false]. *)
 
+val is_trivial_move : cfg:Lsm_config.t -> Version.t -> task -> bool
+(** Whether [task] (picked from [v]) can be installed as a move, without
+    a merge: [edit_of_task task ~outputs:task.inputs_lo] relinks the
+    inputs at [target_level] (LevelDB's trivial move). Holds when the
+    task has no target-level inputs, no input is an empty table, the
+    inputs are pairwise disjoint in user keys (so L0 files land
+    disjoint), and they overlap at most [10 * target_file_size] bytes of
+    the level below the target. A move keeps every version and
+    tombstone a merge would have dropped. *)
+
 val filter_group :
   snapshots:int list ->
   drop_tombstones:bool ->
@@ -90,4 +100,6 @@ val run :
 val edit_of_task : task -> outputs:Version.file list -> Version_edit.t
 (** The task's install: every input removed, the outputs added at
     [target_level]. Applied with {!Version.apply}; a base version that
-    gained L0 files since the task was picked keeps them. *)
+    gained L0 files since the task was picked keeps them. With
+    [~outputs:task.inputs_lo] it is a move: each input is both removed
+    and added, so it only changes level. *)

@@ -42,6 +42,9 @@ val level_bytes : t -> int -> int
 
 val total_bytes : t -> int
 
+val file_bytes : file list -> int
+(** Sum of the files' sizes. *)
+
 val get :
   ?on_corrupt:(Table_file.t -> string -> unit) ->
   t ->

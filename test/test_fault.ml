@@ -426,7 +426,8 @@ let crash_rounds db rounds =
     Db.compact_now db
   done
 
-let check_crash_image ~dir ~last_round =
+(* [expect i] is the value key i must read back. *)
+let check_crash_image ~expect ~dir =
   (match Manifest.load ~dir () with
   | None -> Alcotest.fail "no manifest in the crash image"
   | Some m ->
@@ -448,14 +449,15 @@ let check_crash_image ~dir ~last_round =
       for i = 1 to crash_keys do
         Alcotest.(check (option string))
           (Printf.sprintf "k%03d" i)
-          (Some (crash_value last_round i))
+          (Some (expect i))
           (Db.get db (Printf.sprintf "k%03d" i))
       done;
       Alcotest.(check (list string)) "verify clean" [] (Db.verify_integrity db))
 
-(* Crash [job] at mutating op k = 0, 1, ... until it completes; returns
-   how many crash points it had. *)
-let crash_at_every_op ~prepare ~job ~last_round =
+(* Crash [job] at mutating op k = 0, 1, ... until it completes, and
+   [check] the store directory each time; returns how many crash points
+   it had. *)
+let crash_at_every_op ~prepare ~job ~check =
   let rec go k =
     let dir = fresh_dir () in
     let f = Faulty_env.create ~seed:(100 + k) () in
@@ -472,7 +474,7 @@ let crash_at_every_op ~prepare ~job ~last_round =
       Faulty_env.disarm f;
       Db.close db
     end;
-    check_crash_image ~dir ~last_round;
+    check ~dir;
     if crashed then go (k + 1) else k
   in
   go 0
@@ -523,11 +525,124 @@ let install_crash_ordering () =
   in
   List.iter
     (fun (name, prepare, job) ->
-      let points = crash_at_every_op ~prepare ~job ~last_round:2 in
+      let points =
+        crash_at_every_op ~prepare ~job
+          ~check:(check_crash_image ~expect:(crash_value 2))
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: crashed at %d op(s) before completing" name points)
         true (points > 0))
     cases
+
+let move_value i = crash_value (if i <= crash_keys / 2 then 1 else 2) i
+
+(* Two flushes of disjoint key ranges, so two L0 tables that overlap
+   nothing, reopened with an L0 trigger of 2: the next compaction is a
+   move. Returns the store and the two table numbers. *)
+let two_disjoint_l0 f dir =
+  let db = open_crash f dir in
+  for round = 1 to 2 do
+    for i = ((round - 1) * crash_keys / 2) + 1 to round * crash_keys / 2 do
+      Db.put db ~key:(Printf.sprintf "k%03d" i) ~value:(move_value i)
+    done;
+    Db.compact_now db
+  done;
+  Db.close db;
+  match Manifest.load ~dir () with
+  | Some m -> (open_crash ~l0_trigger:2 f dir, List.map snd m.Manifest.files)
+  | None -> Alcotest.fail "setup: no manifest"
+
+(* A move installs by manifest edit alone, so its only crash points are
+   the manifest save's: crash it at each one and require that every moved
+   table exists and is listed exactly once, all of them at L0 (the old
+   manifest) or all at L1 (the new one); that every key reads back; and
+   that after the reopen no table file is an orphan. *)
+let move_crash_ordering () =
+  let moved = ref [] in
+  let prepare f dir =
+    let db, tables = two_disjoint_l0 f dir in
+    moved := tables;
+    db
+  in
+  let job f db =
+    Db.compact_now db;
+    if not (Faulty_env.crashed f) then begin
+      let st = Db.stats db in
+      Alcotest.(check int) "one move" 1 st.Stats.compaction_moves;
+      Alcotest.(check int) "no merge" 0 st.Stats.compactions
+    end
+  in
+  let check ~dir =
+    (match Manifest.load ~dir () with
+    | None -> Alcotest.fail "no manifest in the crash image"
+    | Some m ->
+        let levels =
+          List.map
+            (fun n ->
+              if not (Sys.file_exists (Table_file.table_path ~dir n)) then
+                Alcotest.failf "moved table %06d is gone" n;
+              match List.filter (fun (_, n') -> n' = n) m.Manifest.files with
+              | [ (level, _) ] -> level
+              | l ->
+                  Alcotest.failf "moved table %06d listed %d times" n
+                    (List.length l))
+            !moved
+        in
+        if not (List.for_all (( = ) 0) levels || List.for_all (( = ) 1) levels)
+        then
+          Alcotest.failf "moved tables at levels [%s]"
+            (String.concat ";" (List.map string_of_int levels)));
+    check_crash_image ~expect:move_value ~dir;
+    match Manifest.load ~dir () with
+    | None -> Alcotest.fail "no manifest after reopen"
+    | Some m ->
+        Array.iter
+          (fun name ->
+            match String.split_on_char '.' name with
+            | [ num; "sst" ] ->
+                if not (List.mem_assoc (int_of_string num)
+                          (List.map (fun (l, n) -> (n, l)) m.Manifest.files))
+                then Alcotest.failf "orphan table %s" name
+            | _ -> ())
+          (Sys.readdir dir)
+  in
+  let points = crash_at_every_op ~prepare ~job ~check in
+  Alcotest.(check int) "two tables moved" 2 (List.length !moved);
+  Alcotest.(check int)
+    "the move's crash points: manifest create, append, fsync, rename" 4 points
+
+(* A quarantine that lands between a move's pick and its install takes
+   the tables out of the version: the move must not put them back, or
+   the manifest would list them both as live and as quarantined. *)
+let move_skips_quarantined () =
+  let dir = fresh_dir () in
+  let f = Faulty_env.create ~seed:7 () in
+  let db, tables = two_disjoint_l0 f dir in
+  let job =
+    match Db.maintenance_next db with
+    | Some (Clsm_maintenance.Job.Compact _ as job) -> job
+    | Some _ | None -> Alcotest.fail "expected the L0 compaction claim"
+  in
+  Faulty_env.set_fault_rates f ~corrupt_read_1_in:1 ();
+  ignore (Db.scrub_now db : string list);
+  Faulty_env.set_fault_rates f ~corrupt_read_1_in:0 ();
+  Db.maintenance_run db job;
+  Alcotest.(check int) "the move was installed" 1
+    (Db.stats db).Stats.compaction_moves;
+  (match Manifest.load ~dir () with
+  | None -> Alcotest.fail "no manifest"
+  | Some m ->
+      Alcotest.(check (list int)) "both tables quarantined"
+        (List.sort compare tables)
+        (List.sort compare m.Manifest.quarantined);
+      List.iter
+        (fun n ->
+          if List.mem n (List.map snd m.Manifest.files) then
+            Alcotest.failf "table %06d both live and quarantined" n)
+        tables);
+  Db.close db;
+  (* readmission restores every key *)
+  check_crash_image ~expect:move_value ~dir
 
 let suites =
   [
@@ -545,5 +660,8 @@ let suites =
           mid_compaction_crash_leaves_no_orphans;
         Alcotest.test_case "strict wal" `Quick strict_wal_fails_on_corrupt_tail;
         Alcotest.test_case "install crash ordering" `Slow install_crash_ordering;
+        Alcotest.test_case "move crash ordering" `Quick move_crash_ordering;
+        Alcotest.test_case "move skips a table quarantined meanwhile" `Quick
+          move_skips_quarantined;
       ] );
   ]

@@ -114,6 +114,111 @@ let job_priorities () =
     (Db.get db "r1-042");
   Db.close db
 
+(* ---------- compaction moves ---------- *)
+
+(* A store with no scheduler, so only the calls below do maintenance
+   ([claim_flush], [compact_now]); L0 compacts at two tables. *)
+let move_store dir =
+  let base = Options.default ~dir in
+  Db.open_shard ~clock:(Clock.create ())
+    {
+      base with
+      Options.memtable_bytes = 4 * 1024;
+      scrub_interval = 0.0;
+      lsm =
+        { base.Options.lsm with Clsm_lsm.Lsm_config.l0_compaction_trigger = 2 };
+    }
+
+let claim_flush db =
+  match Db.maintenance_next db with
+  | Some Job.Flush -> Db.maintenance_run db Job.Flush
+  | Some _ | None -> Alcotest.fail "expected a flush claim"
+
+let tables_by_level dir =
+  match Clsm_lsm.Manifest.load ~dir () with
+  | None -> Alcotest.fail "no manifest"
+  | Some m -> List.sort compare m.Clsm_lsm.Manifest.files
+
+let move_value i = Printf.sprintf "v%04d-%s" i (String.make 48 'v')
+
+(* Ascending keys flush into L0 tables that overlap nothing: the L0→L1
+   compaction relinks them a level deeper by a manifest edit, and no
+   reader — an iterator and a snapshot opened before the move, a get
+   after it, a reopened store — can tell. *)
+let sequential_keys_move () =
+  let dir = fresh_dir () in
+  let db = move_store dir in
+  let n = 200 in
+  for i = 0 to n - 1 do
+    Db.put db ~key:(Printf.sprintf "seq%04d" i) ~value:(move_value i);
+    if i mod 100 = 99 then claim_flush db
+  done;
+  let before = tables_by_level dir in
+  Alcotest.(check (list int)) "two L0 tables" [ 0; 0 ] (List.map fst before);
+  let snap = Db.get_snap db in
+  let it = Db.iterator db in
+  Db.iter_seek_first it;
+  Db.compact_now db;
+  let st = Db.stats db in
+  Alcotest.(check bool) "at least one move" true (st.Stats.compaction_moves >= 1);
+  Alcotest.(check int) "no merge ran" 0 st.Stats.compactions;
+  Alcotest.(check int) "no merge bytes" 0 st.Stats.bytes_compacted;
+  Alcotest.(check bool) "moved bytes counted" true (st.Stats.bytes_moved > 0);
+  Alcotest.(check (list (pair int int)))
+    "the same tables, one level deeper"
+    (List.map (fun (_, number) -> (1, number)) before)
+    (tables_by_level dir);
+  let rec walk i =
+    if Db.iter_valid it then begin
+      Alcotest.(check string) "iterator key" (Printf.sprintf "seq%04d" i)
+        (Db.iter_key it);
+      Alcotest.(check string) "iterator value" (move_value i) (Db.iter_value it);
+      Db.iter_next it;
+      walk (i + 1)
+    end
+    else i
+  in
+  Alcotest.(check int) "the pre-move iterator reads every key" n (walk 0);
+  Db.iter_close it;
+  for i = 0 to n - 1 do
+    let key = Printf.sprintf "seq%04d" i in
+    Alcotest.(check (option string)) "snapshot read" (Some (move_value i))
+      (Db.get_at db snap key);
+    Alcotest.(check (option string)) "live read" (Some (move_value i))
+      (Db.get db key)
+  done;
+  Db.release_snapshot db snap;
+  Db.close db;
+  let db = move_store dir in
+  for i = 0 to n - 1 do
+    Alcotest.(check (option string)) "read after reopen" (Some (move_value i))
+      (Db.get db (Printf.sprintf "seq%04d" i))
+  done;
+  Alcotest.(check (list string)) "verify clean" [] (Db.verify_integrity db);
+  Db.close db
+
+(* Overwrites of one key range put the same user keys in both L0 tables:
+   that compaction must merge. *)
+let overwrites_still_merge () =
+  let dir = fresh_dir () in
+  let db = move_store dir in
+  let rng = Random.State.make [| 7 |] in
+  for round = 1 to 2 do
+    for _ = 1 to 100 do
+      let i = Random.State.int rng 100 in
+      Db.put db
+        ~key:(Printf.sprintf "key%03d" i)
+        ~value:(Printf.sprintf "r%d-%s" round (String.make 48 'v'))
+    done;
+    claim_flush db
+  done;
+  Db.compact_now db;
+  let st = Db.stats db in
+  Alcotest.(check int) "the L0 merge ran" 1 st.Stats.compactions;
+  Alcotest.(check int) "no move" 0 st.Stats.compaction_moves;
+  Alcotest.(check bool) "merged bytes counted" true (st.Stats.bytes_compacted > 0);
+  Db.close db
+
 (* ---------- Scheduler ---------- *)
 
 (* With an effectively infinite tick, only the wake signal can run the
@@ -193,6 +298,7 @@ let stats_json_shape () =
   Stats.incr_compactions s ~src_level:0 ();
   Stats.incr_compactions s ~src_level:2 ();
   Stats.add_slowdown s ~delay_ns:1234;
+  Stats.record_move s ~bytes:4096;
   Stats.record_install s ~kind:`Flush ~ns:500 ~manifest_bytes:70;
   Stats.record_install s ~kind:`Flush ~ns:700 ~manifest_bytes:90;
   Stats.record_install s ~kind:`Readmit ~ns:40 ~manifest_bytes:80;
@@ -206,6 +312,11 @@ let stats_json_shape () =
   Alcotest.(check bool) "per-level array" true
     (has "\"compactions_per_level\":[1,0,1");
   Alcotest.(check bool) "slowdown ns" true (has "\"slowdown_delay_ns\":1234");
+  (* a move is not a merge *)
+  Alcotest.(check bool) "compactions count merges" true
+    (has "\"compactions\":2");
+  Alcotest.(check bool) "moves" true (has "\"compaction_moves\":1");
+  Alcotest.(check bool) "moved bytes" true (has "\"bytes_moved\":4096");
   (* one install counter and latency sum per edit kind *)
   Array.iter
     (fun kind ->
@@ -610,6 +721,10 @@ let suites =
       ] );
     ( "maintenance.store",
       [
+        Alcotest.test_case "sequential keys move, not merge" `Quick
+          sequential_keys_move;
+        Alcotest.test_case "overwrites still merge" `Quick
+          overwrites_still_merge;
         Alcotest.test_case "flush without poll tick" `Quick
           flush_without_poll_tick;
         Alcotest.test_case "blocked claims wake on release" `Quick

@@ -79,75 +79,9 @@ let attempt m key state =
   let prev = Option.value ~default:[] (Hashtbl.find_opt m.pending key) in
   Hashtbl.replace m.pending key (state :: prev)
 
-let run_one_seed seed =
-  let dir = Filename.concat base_dir (Printf.sprintf "seed%d" seed) in
-  rm_rf dir;
-  let rng = Random.State.make [| seed |] in
-  let fault = Faulty_env.create ~seed () in
-  let opts = opts_for ~env:(Faulty_env.env fault) dir in
-  let db = Db.open_store opts in
-  let m = { acked = Hashtbl.create 64; pending = Hashtbl.create 16 } in
-  Faulty_env.arm fault ~crash_after:(20 + Random.State.int rng 600);
-  let crashed = ref false in
-  let ops = ref 0 in
-  while (not !crashed) && !ops < 400 do
-    incr ops;
-    let key = key_of (Random.State.int rng num_keys) in
-    match Random.State.int rng 10 with
-    | 0 | 1 -> (
-        (* delete *)
-        attempt m key None;
-        match Db.delete db ~key with
-        | () -> ack m key None
-        | exception (Env.Crashed | Env.Error _ | Store_sig.Degraded _) ->
-            crashed := true)
-    | 2 -> (
-        (* small atomic batch *)
-        let key2 = key_of (Random.State.int rng num_keys) in
-        let v1 = Printf.sprintf "b%d-%d" seed !ops
-        and v2 = Printf.sprintf "b%d-%d'" seed !ops in
-        attempt m key (Some v1);
-        attempt m key2 (Some v2);
-        match
-          Db.write_batch db
-            [ Db.Batch_put (key, v1); Db.Batch_put (key2, v2) ]
-        with
-        | () ->
-            (* Both or neither: the batch is one WAL record. The model
-               cannot express cross-key atomicity, so track each key
-               individually — presence checks still apply. *)
-            ack m key (Some v1);
-            ack m key2 (Some v2)
-        | exception (Env.Crashed | Env.Error _ | Store_sig.Degraded _) ->
-            crashed := true)
-    | 3 ->
-        (* read back a key the model knows; pending writes make the
-           expected value ambiguous, so only check fully-acked keys *)
-        if not (Hashtbl.mem m.pending key) then begin
-          let expect =
-            Option.value ~default:None (Hashtbl.find_opt m.acked key)
-          in
-          match Db.get db key with
-          | got ->
-              if got <> expect then
-                Alcotest.failf "seed %d: live read of %s: got %s, want %s"
-                  seed key
-                  (Option.value ~default:"<none>" got)
-                  (Option.value ~default:"<none>" expect)
-          | exception (Env.Crashed | Env.Error _) -> crashed := true
-        end
-    | _ -> (
-        (* put *)
-        let v = Printf.sprintf "v%d-%d" seed !ops in
-        attempt m key (Some v);
-        match Db.put db ~key ~value:v with
-        | () -> ack m key (Some v)
-        | exception (Env.Crashed | Env.Error _ | Store_sig.Degraded _) ->
-            crashed := true)
-  done;
-  Db.simulate_crash db;
-  Faulty_env.install_crash_image fault;
-  (* ---- restart on the crash image with a healthy environment ---- *)
+(* Restart on the crash image with a healthy environment and check the
+   directory, the durability model and the clock; removes [dir]. *)
+let check_recovery ~seed ~dir ~opts m =
   let clean_opts = { opts with Options.env = Env.unix } in
   let db = Db.open_store clean_opts in
   (* Quiesce background maintenance: a live flush legitimately stages a
@@ -217,6 +151,112 @@ let run_one_seed seed =
     Alcotest.failf "seed %d: second reopen lost data" seed;
   Db.close db;
   rm_rf dir
+
+let run_one_seed seed =
+  let dir = Filename.concat base_dir (Printf.sprintf "seed%d" seed) in
+  rm_rf dir;
+  let rng = Random.State.make [| seed |] in
+  let fault = Faulty_env.create ~seed () in
+  let opts = opts_for ~env:(Faulty_env.env fault) dir in
+  let db = Db.open_store opts in
+  let m = { acked = Hashtbl.create 64; pending = Hashtbl.create 16 } in
+  Faulty_env.arm fault ~crash_after:(20 + Random.State.int rng 600);
+  let crashed = ref false in
+  let ops = ref 0 in
+  while (not !crashed) && !ops < 400 do
+    incr ops;
+    let key = key_of (Random.State.int rng num_keys) in
+    match Random.State.int rng 10 with
+    | 0 | 1 -> (
+        (* delete *)
+        attempt m key None;
+        match Db.delete db ~key with
+        | () -> ack m key None
+        | exception (Env.Crashed | Env.Error _ | Store_sig.Degraded _) ->
+            crashed := true)
+    | 2 -> (
+        (* small atomic batch *)
+        let key2 = key_of (Random.State.int rng num_keys) in
+        let v1 = Printf.sprintf "b%d-%d" seed !ops
+        and v2 = Printf.sprintf "b%d-%d'" seed !ops in
+        attempt m key (Some v1);
+        attempt m key2 (Some v2);
+        match
+          Db.write_batch db
+            [ Db.Batch_put (key, v1); Db.Batch_put (key2, v2) ]
+        with
+        | () ->
+            (* Both or neither: the batch is one WAL record. The model
+               cannot express cross-key atomicity, so track each key
+               individually — presence checks still apply. *)
+            ack m key (Some v1);
+            ack m key2 (Some v2)
+        | exception (Env.Crashed | Env.Error _ | Store_sig.Degraded _) ->
+            crashed := true)
+    | 3 ->
+        (* read back a key the model knows; pending writes make the
+           expected value ambiguous, so only check fully-acked keys *)
+        if not (Hashtbl.mem m.pending key) then begin
+          let expect =
+            Option.value ~default:None (Hashtbl.find_opt m.acked key)
+          in
+          match Db.get db key with
+          | got ->
+              if got <> expect then
+                Alcotest.failf "seed %d: live read of %s: got %s, want %s"
+                  seed key
+                  (Option.value ~default:"<none>" got)
+                  (Option.value ~default:"<none>" expect)
+          | exception (Env.Crashed | Env.Error _) -> crashed := true
+        end
+    | _ -> (
+        (* put *)
+        let v = Printf.sprintf "v%d-%d" seed !ops in
+        attempt m key (Some v);
+        match Db.put db ~key ~value:v with
+        | () -> ack m key (Some v)
+        | exception (Env.Crashed | Env.Error _ | Store_sig.Degraded _) ->
+            crashed := true)
+  done;
+  Db.simulate_crash db;
+  Faulty_env.install_crash_image fault;
+  check_recovery ~seed ~dir ~opts m
+
+(* ---------- sequential keys: compaction moves under crashes ---------- *)
+
+(* Tables moved by the sequential campaign, over all its seeds. *)
+let sequential_moves = ref 0
+
+(* Ascending fresh keys flush into L0 tables that overlap nothing, so the
+   store's compactions are moves (manifest edits that relink tables a
+   level deeper): the crash point lands in and around them, and the
+   recovery checks of [run_one_seed] apply unchanged. *)
+let run_sequential_seed seed =
+  let dir = Filename.concat base_dir (Printf.sprintf "sequential_seed%d" seed) in
+  rm_rf dir;
+  let rng = Random.State.make [| seed; 11 |] in
+  let fault = Faulty_env.create ~seed () in
+  let opts = opts_for ~env:(Faulty_env.env fault) dir in
+  let db = Db.open_store opts in
+  let m = { acked = Hashtbl.create 64; pending = Hashtbl.create 16 } in
+  (* about two mutating ops a put (append, fsync): the crash lands
+     anywhere in the first ~700 puts, several moves deep *)
+  Faulty_env.arm fault ~crash_after:(20 + Random.State.int rng 1500);
+  let crashed = ref false in
+  let i = ref 0 in
+  while (not !crashed) && !i < 1000 do
+    let key = Printf.sprintf "seq%06d" !i and v = Printf.sprintf "v%d-%d" seed !i in
+    incr i;
+    attempt m key (Some v);
+    match Db.put db ~key ~value:v with
+    | () -> ack m key (Some v)
+    | exception (Env.Crashed | Env.Error _ | Store_sig.Degraded _) ->
+        crashed := true
+  done;
+  sequential_moves := !sequential_moves + (Db.stats db).Stats.compaction_moves;
+  Db.simulate_crash db;
+  Faulty_env.install_crash_image fault;
+  check_recovery ~seed ~dir ~opts m
 
 (* ---------- the sharded store under the same torture ---------- *)
 
@@ -802,6 +842,9 @@ let seeds = List.init num_seeds (fun i -> 1000 + (i * 77))
 let sharded_seeds =
   List.filteri (fun i _ -> i < max 2 (num_seeds / 4)) seeds
 
+(* So does the sequential-key campaign. *)
+let sequential_seeds = sharded_seeds
+
 (* The silent-corruption campaign has its own budget knob (BITROT_SEEDS,
    default 50 — the acceptance bar: 50 seeds, zero wrong answers). *)
 let bitrot_seeds =
@@ -851,6 +894,21 @@ let () =
               `Slow
               (fun () -> run_one_sharded_seed seed))
           sharded_seeds );
+      ( "torture-sequential",
+        List.map
+          (fun seed ->
+            Alcotest.test_case
+              (Printf.sprintf "seed %d" seed)
+              `Slow
+              (fun () -> run_sequential_seed seed))
+          sequential_seeds
+        @ [
+            Alcotest.test_case "the campaign moved tables" `Slow (fun () ->
+                Printf.printf "compaction moves before the crashes: %d\n"
+                  !sequential_moves;
+                Alcotest.(check bool) "at least one move" true
+                  (!sequential_moves > 0));
+          ] );
       ( "degrade-isolation",
         List.map
           (fun seed ->

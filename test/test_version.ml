@@ -229,6 +229,87 @@ let apply_preserves_new_l0 () =
       Version.release v3;
       List.iter Refcounted.retire [ f1; f2; f3 ]
 
+(* ---------- Compaction.is_trivial_move ---------- *)
+
+let numbers files = List.map (fun f -> (Refcounted.value f).Table_file.number) files
+
+(* The task [Compaction.pick] makes of [v] (an L0→L1 task: two L0 files
+   reach [small_cfg]'s trigger), with its move verdict under [cfg]. *)
+let pick_move ?(cfg = small_cfg) v =
+  match Compaction.pick ~cfg v with
+  | None -> Alcotest.fail "expected a task"
+  | Some task -> (task, Compaction.is_trivial_move ~cfg v task)
+
+let move_disjoint_l0 () =
+  let f1 = make_file [ ("a", 1, Some "1"); ("c", 2, None) ] in
+  let f2 = make_file [ ("d", 3, Some "3"); ("f", 4, Some "4") ] in
+  let v = Version.create ~l0:[ f2; f1 ] ~levels:(Array.make 3 []) in
+  let task, move = pick_move v in
+  Alcotest.(check bool) "disjoint L0 files over an empty L1 move" true move;
+  let v' =
+    Version.apply v (Compaction.edit_of_task task ~outputs:task.Compaction.inputs_lo)
+  in
+  Alcotest.(check int) "l0 emptied" 0 (Version.level_file_count v' 0);
+  Alcotest.(check (list int)) "the same tables, in key order, at L1"
+    (numbers [ f1; f2 ]) (numbers v'.Version.levels.(0));
+  Alcotest.check entry_testable "the tombstone rides along"
+    (Some (2, Entry.Tombstone))
+    (Version.get v' ~user_key:"c" ~snap_ts:Internal_key.max_ts);
+  Alcotest.check entry_testable "f readable" (Some (4, Entry.Value "4"))
+    (Version.get v' ~user_key:"f" ~snap_ts:Internal_key.max_ts);
+  Alcotest.(check (list string)) "L1 valid" [] (Version.validate v');
+  Version.release v';
+  Version.release v;
+  List.iter Refcounted.retire [ f1; f2 ]
+
+let no_move_shared_user_key () =
+  (* internal-key disjoint (k@5 < k@9), but one user key in both *)
+  let f1 = make_file [ ("a", 1, Some "1"); ("k", 5, Some "old") ] in
+  let f2 = make_file [ ("k", 9, Some "new"); ("z", 2, Some "2") ] in
+  let v = Version.create ~l0:[ f2; f1 ] ~levels:(Array.make 3 []) in
+  let task, move = pick_move v in
+  Alcotest.(check int) "nothing at L1" 0 (List.length task.Compaction.inputs_hi);
+  Alcotest.(check bool) "L0 files sharing a user key merge" false move;
+  Version.release v;
+  List.iter Refcounted.retire [ f1; f2 ]
+
+let no_move_target_inside_span () =
+  (* the L1 file lies between the inputs: neither input overlaps it, but
+     their union span does *)
+  let f1 = make_file [ ("a", 1, Some "1") ] in
+  let f2 = make_file [ ("z", 2, Some "2") ] in
+  let l1 = make_file [ ("m", 0, Some "m") ] in
+  let levels = Array.make 3 [] in
+  levels.(0) <- [ l1 ];
+  let v = Version.create ~l0:[ f2; f1 ] ~levels in
+  let task, move = pick_move v in
+  Alcotest.(check (list int)) "the L1 file is a target input" (numbers [ l1 ])
+    (numbers task.Compaction.inputs_hi);
+  Alcotest.(check bool) "a target file inside the span blocks the move" false
+    move;
+  Version.release v;
+  List.iter Refcounted.retire [ f1; f2; l1 ]
+
+let no_move_grandparent_overlap () =
+  let f1 = make_file [ ("a", 1, Some "1") ] in
+  let f2 = make_file [ ("b", 2, Some "2") ] in
+  let gp =
+    make_file (List.init 20 (fun i -> (Printf.sprintf "a%02d" i, 0, Some (String.make 100 'g'))))
+  in
+  let size = (Refcounted.value gp).Table_file.size in
+  let levels = Array.make 3 [] in
+  levels.(1) <- [ gp ];
+  let v = Version.create ~l0:[ f2; f1 ] ~levels in
+  (* the L2 file is exactly ten target files, then just over *)
+  let at_bound = { small_cfg with Lsm_config.target_file_size = size / 10 + 1 } in
+  let over = { small_cfg with Lsm_config.target_file_size = size / 10 - 1 } in
+  Alcotest.(check bool) "grandparent overlap within 10 target files moves" true
+    (snd (pick_move ~cfg:at_bound v));
+  Alcotest.(check bool) "grandparent overlap over 10 target files merges" false
+    (snd (pick_move ~cfg:over v));
+  Version.release v;
+  List.iter Refcounted.retire [ f1; f2; gp ]
+
 let prop_write_sorted_run_roundtrip =
   (* Random multi-version histories through the GC'ing table writer: with
      no snapshots, reading the outputs back must yield exactly the newest
@@ -434,6 +515,14 @@ let suites =
         Alcotest.test_case "pick none when quiet" `Quick pick_none_when_quiet;
         Alcotest.test_case "run + apply L0 merge" `Quick run_and_apply_l0_merge;
         Alcotest.test_case "apply preserves new L0" `Quick apply_preserves_new_l0;
+        Alcotest.test_case "move: disjoint L0 into empty L1" `Quick
+          move_disjoint_l0;
+        Alcotest.test_case "no move: L0 inputs share a user key" `Quick
+          no_move_shared_user_key;
+        Alcotest.test_case "no move: target file inside the span" `Quick
+          no_move_target_inside_span;
+        Alcotest.test_case "no move: grandparent overlap" `Quick
+          no_move_grandparent_overlap;
       ] );
     ( "lsm.compaction.props",
       List.map QCheck_alcotest.to_alcotest
