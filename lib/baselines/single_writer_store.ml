@@ -99,7 +99,7 @@ let get_entry t ~user_key ~snap_ts =
   result
 
 let get t key =
-  Stats.incr_gets t.stats;
+  Stats.incr t.stats Stats.gets;
   match get_entry t ~user_key:key ~snap_ts:Internal_key.max_ts with
   | Some (Entry.Value v) -> Some v
   | Some Entry.Tombstone | None -> None
@@ -120,7 +120,7 @@ let throttle t =
               >= t.opts.Options.lsm.Lsm_config.l0_stall_limit)
   in
   if stalled () then begin
-    Stats.incr_write_stalls t.stats;
+    Stats.incr t.stats Stats.write_stalls;
     let rec wait () =
       let seen = Wakeup.current t.work in
       if stalled () then begin
@@ -153,17 +153,17 @@ let write_entry t ~user_key entry =
   if crossed then Wakeup.signal t.work
 
 let put t ~key ~value =
-  Stats.incr_puts t.stats;
+  Stats.incr t.stats Stats.puts;
   write_entry t ~user_key:key (Entry.Value value)
 
 let delete t ~key =
-  Stats.incr_deletes t.stats;
+  Stats.incr t.stats Stats.deletes;
   write_entry t ~user_key:key Entry.Tombstone
 
 (* ---------- snapshots (trivial under a single writer, §4) ---------- *)
 
 let get_snap t =
-  Stats.incr_snapshots t.stats;
+  Stats.incr t.stats Stats.snapshots_taken;
   with_mutex t (fun () ->
       let ts = t.seq in
       t.snapshot_list <- ts :: t.snapshot_list;
@@ -184,7 +184,7 @@ let release_snapshot t s =
     with_mutex t (fun () -> t.snapshot_list <- remove_one s.snap_ts t.snapshot_list)
 
 let get_at t s key =
-  Stats.incr_gets t.stats;
+  Stats.incr t.stats Stats.gets;
   match get_entry t ~user_key:key ~snap_ts:s.snap_ts with
   | Some (Entry.Value v) -> Some v
   | Some Entry.Tombstone | None -> None
@@ -192,7 +192,7 @@ let get_at t s key =
 (* ---------- scans ---------- *)
 
 let range ?snapshot ?start ?stop ?(limit = max_int) t =
-  Stats.incr_scans t.stats;
+  Stats.incr t.stats Stats.scans;
   let snap, own =
     match snapshot with Some s -> (s, false) | None -> (get_snap t, true)
   in
@@ -236,7 +236,7 @@ let rotate t =
       else begin
         t.imm <- Some t.pm;
         t.pm <- fresh;
-        Stats.incr_rotations t.stats;
+        Stats.incr t.stats Stats.memtable_rotations;
         true
       end)
 
@@ -264,8 +264,8 @@ let flush_imm t =
           Refcounted.retire old;
           t.imm <- None);
       List.iter Refcounted.retire outputs;
-      Stats.incr_flushes t.stats;
-      Stats.add_bytes_flushed t.stats (Version.file_bytes outputs);
+      Stats.incr t.stats Stats.flushes;
+      Stats.add t.stats Stats.bytes_flushed (Version.file_bytes outputs);
       with_mutex t (fun () -> save_manifest t);
       (match mc.wal with
       | Some w ->
@@ -302,7 +302,7 @@ let compact_level_once t =
           (fun f -> Table_file.mark_obsolete (Refcounted.value f))
           (task.Compaction.inputs_lo @ task.Compaction.inputs_hi);
         List.iter Refcounted.retire outputs;
-        Stats.incr_compactions t.stats ~src_level:task.Compaction.src_level ();
+        Stats.record_compaction t.stats ~src_level:task.Compaction.src_level;
         with_mutex t (fun () -> save_manifest t);
         true
   in

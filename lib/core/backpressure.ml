@@ -7,7 +7,8 @@ let config_of_options (opts : Options.t) =
   {
     soft_l0 = opts.lsm.Clsm_lsm.Lsm_config.l0_slowdown_trigger;
     hard_l0 = opts.lsm.Clsm_lsm.Lsm_config.l0_stall_limit;
-    max_delay_ns = opts.backpressure_max_delay_us * 1000;
+    (* 1 ms at [hard_l0 - 1] *)
+    max_delay_ns = 1_000_000;
   }
 
 type observation = {
@@ -42,7 +43,7 @@ let admit t ~observe ~wake =
      store), so stall seconds in stats are real writer-observed time. *)
   let record_stall = function
     | None -> ()
-    | Some t0 -> Stats.add_stall_ns t.stats (Time_ns.now_ns () - t0)
+    | Some t0 -> Stats.add t.stats Stats.stall_ns (Time_ns.now_ns () - t0)
   in
   let rec wait_hard since =
     let o = observe () in
@@ -51,7 +52,7 @@ let admit t ~observe ~wake =
       let since =
         match since with
         | None ->
-            Stats.incr_write_stalls t.stats;
+            Stats.incr t.stats Stats.write_stalls;
             wake ();
             Some (Time_ns.now_ns ())
         | Some _ -> since
@@ -63,7 +64,8 @@ let admit t ~observe ~wake =
       record_stall since;
       let d = delay_ns t.config ~l0_files:o.l0_files in
       if d > 0 then begin
-        Stats.add_slowdown t.stats ~delay_ns:d;
+        Stats.incr t.stats Stats.write_slowdowns;
+        Stats.add t.stats Stats.slowdown_delay_ns d;
         (* The delay buys compaction time only if compaction is running. *)
         wake ();
         Unix.sleepf (float_of_int d /. 1e9)

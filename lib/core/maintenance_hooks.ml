@@ -28,7 +28,7 @@ module Retry = Clsm_env.Retry_policy
 let with_retry t ~what f =
   Retry.run t.opts.Options.retry
     ~on_retry:(fun ~attempt ~delay e ->
-      Stats.incr_io_retries t.stats;
+      Stats.incr t.stats Stats.io_retries;
       Log.warn (fun m ->
           m "%s failed (attempt %d), retrying in %.1fms: %s" what attempt
             (delay *. 1e3) (Printexc.to_string e)))
@@ -105,7 +105,7 @@ let commit_edit t ~kind (edit : Version_edit.t) =
             List.filter
               (fun (n, _) -> not (List.mem n edit.quarantine_add))
               h.pending_quarantine);
-      List.iter (fun _ -> Stats.incr_quarantined_tables t.stats) entering;
+      List.iter (fun _ -> Stats.incr t.stats Stats.quarantined_tables) entering;
       let number f = (Refcounted.value f).Table_file.number in
       let moved f = List.mem (number f) edit.removed in
       let replaced =
@@ -202,7 +202,7 @@ let rotate t =
         assert (old_pm_cell == old_pm_cell');
         Refcounted.retire old_imm_cell;
         Refcounted.retire old_pm_cell';
-        Stats.incr_rotations t.stats;
+        Stats.incr t.stats Stats.memtable_rotations;
         true
       end
 
@@ -230,8 +230,8 @@ let flush_imm t =
           Version_edit.empty with
           added = List.map (fun f -> (0, f)) outputs;
         };
-      Stats.incr_flushes t.stats;
-      Stats.add_bytes_flushed t.stats bytes;
+      Stats.incr t.stats Stats.flushes;
+      Stats.add t.stats Stats.bytes_flushed bytes;
       (match mc.wal with
       | Some w ->
           let env = t.opts.Options.env in
@@ -264,7 +264,8 @@ let run_claimed_compaction t { Store_state.task; pinned } =
        inputs_lo;
      commit_edit t ~kind:`Compaction
        (Compaction.edit_of_task task ~outputs:inputs_lo);
-     Stats.record_move t.stats ~bytes;
+     Stats.incr t.stats Stats.compaction_moves;
+     Stats.add t.stats Stats.bytes_moved bytes;
      Log.debug (fun m ->
          m "moved %d file(s) (%d bytes) from level %d to %d"
            (List.length inputs_lo) bytes task.Compaction.src_level
@@ -283,9 +284,9 @@ let run_claimed_compaction t { Store_state.task; pinned } =
      in
      let merge_duration_ns = Time_ns.now_ns () - started in
      commit_edit t ~kind:`Compaction (Compaction.edit_of_task task ~outputs);
-     Stats.incr_compactions t.stats ~src_level:task.Compaction.src_level ();
-     Stats.record_compaction_run t.stats ~duration_ns:merge_duration_ns;
-     Stats.add_bytes_compacted t.stats bytes;
+     Stats.record_compaction t.stats ~src_level:task.Compaction.src_level;
+     Stats.add t.stats Stats.compaction_ns merge_duration_ns;
+     Stats.add t.stats Stats.bytes_compacted bytes;
      Log.debug (fun m ->
          m "compacted level %d (%d bytes) into %d file(s)"
            task.Compaction.src_level bytes (List.length outputs))
@@ -488,7 +489,7 @@ let scrub_slice t ~budget =
                  with
                  | Ok { Clsm_sstable.Table.blocks_checked; next_block } -> (
                      used := !used + blocks_checked;
-                     Stats.add_scrubbed_blocks t.stats blocks_checked;
+                     Stats.add t.stats Stats.scrubbed_blocks blocks_checked;
                      match next_block with Some nb -> step nb | None -> ())
                  | Error detail ->
                      problems :=
@@ -518,7 +519,7 @@ let scrub_slice t ~budget =
               | _, Clsm_wal.Wal_reader.Corrupt_tail ->
                   let p = path ^ ": corrupt WAL tail" in
                   problems := p :: !problems;
-                  Stats.incr_corruptions_detected t.stats;
+                  Stats.incr t.stats Stats.corruptions_detected;
                   Log.err (fun m -> m "scrub: %s" p);
                   wake_bg t
               | _, (Clsm_wal.Wal_reader.Clean | Clsm_wal.Wal_reader.Torn_tail)
@@ -807,10 +808,10 @@ let run_repair t ~force =
     let finalized = finalize_quarantined t in
     let recovered = recover_from_degraded t in
     (match finalized with
-    | `Repaired -> Stats.incr_auto_repairs t.stats
+    | `Repaired -> Stats.incr t.stats Stats.auto_repairs
     | `Nothing | `Blocked -> ());
     match recovered with
-    | `Repaired -> Stats.incr_auto_repairs t.stats
+    | `Repaired -> Stats.incr t.stats Stats.auto_repairs
     | `Nothing | `Blocked -> ()
   end
 [@@excludes_locks]
@@ -880,9 +881,9 @@ let run t (job : Job.t) =
         (fun () ->
           guard_io t ~what:"scrub" (fun () ->
               try
-                ignore
-                  (scrub_slice t ~budget:t.opts.Options.scrub_block_budget
-                    : string list * bool)
+                (* 256 blocks per slice, then the worker is free again;
+                   the cursor carries the pass across slices *)
+                ignore (scrub_slice t ~budget:256 : string list * bool)
               with Env.Error _ ->
                 (* A transient read failure is not corruption and must
                    not degrade the store off a hygiene pass: abandon

@@ -12,7 +12,6 @@ type t = {
   unsafe_naive_snapshots : bool;
   maintenance_workers : int;
   maintenance_tick : float;
-  backpressure_max_delay_us : int;
   lsm : Clsm_lsm.Lsm_config.t;
   env : Clsm_env.Env.t;
   strict_wal : bool;
@@ -20,7 +19,6 @@ type t = {
   shard_boundaries : string list option;
   retry : Clsm_env.Retry_policy.t;
   scrub_interval : float;
-  scrub_block_budget : int;
   auto_repair : bool;
 }
 
@@ -36,7 +34,6 @@ let default ~dir =
     unsafe_naive_snapshots = false;
     maintenance_workers = 2;
     maintenance_tick = 0.25;
-    backpressure_max_delay_us = 1000;
     lsm = Clsm_lsm.Lsm_config.default;
     env = Clsm_env.Env.unix;
     strict_wal = false;
@@ -44,7 +41,6 @@ let default ~dir =
     shard_boundaries = None;
     retry = Clsm_env.Retry_policy.default;
     scrub_interval = 30.0;
-    scrub_block_budget = 256;
     auto_repair = true;
   }
 

@@ -45,9 +45,6 @@ type t = {
           maintenance is normally event-driven — write paths signal the
           scheduler — and the tick only bounds the staleness of work
           nobody signalled for *)
-  backpressure_max_delay_us : int;
-      (** ceiling of the per-put delay injected by the graduated write
-          controller as L0 approaches [l0_stall_limit] (default 1000 µs) *)
   lsm : Clsm_lsm.Lsm_config.t;  (** disk component tuning *)
   env : Clsm_env.Env.t;
       (** storage environment all file IO goes through (default
@@ -72,9 +69,6 @@ type t = {
       (** seconds between background scrub passes over the disk component
           (default 30.0); [<= 0] disables scheduled scrubbing (explicit
           [scrub_now] still works) *)
-  scrub_block_budget : int;
-      (** blocks one scrub slice re-verifies before yielding the worker
-          (default 256); the cursor persists across slices *)
   auto_repair : bool;
       (** run the [Repair] maintenance job automatically: apply pending
           quarantines, finalize quarantined files, and attempt the online

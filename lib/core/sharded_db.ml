@@ -306,7 +306,7 @@ module Core = struct
      the clock). Exclusive mode excludes in-flight router batches so
      their bare batch timestamps stay unobservable — see the header. *)
   let get_snap ?ttl t =
-    Stats.incr_snapshots t.stats;
+    Stats.incr t.stats Stats.snapshots_taken;
     Shared_lock.lock_exclusive t.batch_lock;
     let s =
       Clock.snapshot ?ttl t.clock ~mode:(Options.snapshot_mode t.opts)

@@ -1,6 +1,5 @@
-(* Per-level compaction counters are a fixed-size array indexed by source
-   level; 16 comfortably covers any [Lsm_config.num_levels] in use and
-   keeps the counters allocation-free on the hot path. *)
+(* Per-level compaction counters are a block of cells indexed by source
+   level; 16 comfortably covers any [Lsm_config.num_levels] in use. *)
 let max_levels = 16
 
 module Histogram = Clsm_util.Histogram
@@ -16,45 +15,6 @@ let kind_index = function
   | `Quarantine -> 2
   | `Readmit -> 3
   | `Commit -> 4
-
-type t = {
-  puts : int Atomic.t;
-  gets : int Atomic.t;
-  deletes : int Atomic.t;
-  rmws : int Atomic.t;
-  rmw_conflicts : int Atomic.t;
-  snapshots_taken : int Atomic.t;
-  scans : int Atomic.t;
-  memtable_rotations : int Atomic.t;
-  flushes : int Atomic.t;
-  compactions : int Atomic.t;
-  compactions_per_level : int Atomic.t array; (* by source level *)
-  compaction_ns : int Atomic.t;
-  bytes_flushed : int Atomic.t;
-  bytes_compacted : int Atomic.t;
-  compaction_moves : int Atomic.t;
-  bytes_moved : int Atomic.t;
-  write_stalls : int Atomic.t;
-  stall_ns : int Atomic.t;
-  write_slowdowns : int Atomic.t;
-  slowdown_delay_ns : int Atomic.t;
-  maintenance_wakeups : int Atomic.t;
-  scrubbed_blocks : int Atomic.t;
-  corruptions_detected : int Atomic.t;
-  quarantined_tables : int Atomic.t;
-  io_retries : int Atomic.t;
-  auto_repairs : int Atomic.t;
-  wal_group_commits : int Atomic.t;
-  wal_group_records : int Atomic.t;
-  wal_fsyncs_saved : int Atomic.t;
-  wal_windows_boarded : int Atomic.t;
-  wal_windows_expired : int Atomic.t;
-  commit_wait : Histogram.t;
-  get_latency : Histogram.t;
-  installs : int Atomic.t array; (* by install kind *)
-  install_ns : int Atomic.t array; (* by install kind *)
-  manifest_bytes_last : int Atomic.t;
-}
 
 type snapshot = {
   puts : int;
@@ -98,336 +58,231 @@ type snapshot = {
   manifest_bytes_last : int;
 }
 
-let create () : t =
-  {
-    puts = Atomic.make 0;
-    gets = Atomic.make 0;
-    deletes = Atomic.make 0;
-    rmws = Atomic.make 0;
-    rmw_conflicts = Atomic.make 0;
-    snapshots_taken = Atomic.make 0;
-    scans = Atomic.make 0;
-    memtable_rotations = Atomic.make 0;
-    flushes = Atomic.make 0;
-    compactions = Atomic.make 0;
-    compactions_per_level = Array.init max_levels (fun _ -> Atomic.make 0);
-    compaction_ns = Atomic.make 0;
-    bytes_flushed = Atomic.make 0;
-    bytes_compacted = Atomic.make 0;
-    compaction_moves = Atomic.make 0;
-    bytes_moved = Atomic.make 0;
-    write_stalls = Atomic.make 0;
-    stall_ns = Atomic.make 0;
-    write_slowdowns = Atomic.make 0;
-    slowdown_delay_ns = Atomic.make 0;
-    maintenance_wakeups = Atomic.make 0;
-    scrubbed_blocks = Atomic.make 0;
-    corruptions_detected = Atomic.make 0;
-    quarantined_tables = Atomic.make 0;
-    io_retries = Atomic.make 0;
-    auto_repairs = Atomic.make 0;
-    wal_group_commits = Atomic.make 0;
-    wal_group_records = Atomic.make 0;
-    wal_fsyncs_saved = Atomic.make 0;
-    wal_windows_boarded = Atomic.make 0;
-    wal_windows_expired = Atomic.make 0;
-    commit_wait = Histogram.create ();
-    get_latency = Histogram.create ();
-    installs = Array.init (Array.length install_kinds) (fun _ -> Atomic.make 0);
-    install_ns = Array.init (Array.length install_kinds) (fun _ -> Atomic.make 0);
-    manifest_bytes_last = Atomic.make 0;
-  }
-
-let incr_puts (t : t) = Atomic.incr t.puts
-let incr_gets (t : t) = Atomic.incr t.gets
-let incr_deletes (t : t) = Atomic.incr t.deletes
-let incr_rmws (t : t) = Atomic.incr t.rmws
-let incr_rmw_conflicts (t : t) = Atomic.incr t.rmw_conflicts
-let incr_snapshots (t : t) = Atomic.incr t.snapshots_taken
-let incr_scans (t : t) = Atomic.incr t.scans
-let incr_rotations (t : t) = Atomic.incr t.memtable_rotations
-let incr_flushes (t : t) = Atomic.incr t.flushes
-
-let incr_compactions (t : t) ?src_level () =
-  Atomic.incr t.compactions;
-  match src_level with
-  | Some l when l >= 0 && l < max_levels ->
-      Atomic.incr t.compactions_per_level.(l)
-  | Some _ | None -> ()
-
-(* Duration accounting for one finished compaction job, from whichever
-   maintenance worker ran it. *)
-let record_compaction_run (t : t) ~duration_ns =
-  ignore (Atomic.fetch_and_add t.compaction_ns (max 0 duration_ns))
-
-let add_bytes_flushed (t : t) n = ignore (Atomic.fetch_and_add t.bytes_flushed n)
-let add_bytes_compacted (t : t) n = ignore (Atomic.fetch_and_add t.bytes_compacted n)
-
-let record_move (t : t) ~bytes =
-  Atomic.incr t.compaction_moves;
-  ignore (Atomic.fetch_and_add t.bytes_moved bytes)
-
-let incr_write_stalls (t : t) = Atomic.incr t.write_stalls
-let add_stall_ns (t : t) n = ignore (Atomic.fetch_and_add t.stall_ns (max 0 n))
-
-let add_slowdown (t : t) ~delay_ns =
-  Atomic.incr t.write_slowdowns;
-  ignore (Atomic.fetch_and_add t.slowdown_delay_ns delay_ns)
-
-let incr_maintenance_wakeups (t : t) = Atomic.incr t.maintenance_wakeups
-let add_scrubbed_blocks (t : t) n = ignore (Atomic.fetch_and_add t.scrubbed_blocks (max 0 n))
-let incr_corruptions_detected (t : t) = Atomic.incr t.corruptions_detected
-let incr_quarantined_tables (t : t) = Atomic.incr t.quarantined_tables
-let incr_io_retries (t : t) = Atomic.incr t.io_retries
-let incr_auto_repairs (t : t) = Atomic.incr t.auto_repairs
-
-let record_install (t : t) ~kind ~ns ~manifest_bytes =
-  let i = kind_index kind in
-  Atomic.incr t.installs.(i);
-  ignore (Atomic.fetch_and_add t.install_ns.(i) (max 0 ns));
-  Atomic.set t.manifest_bytes_last manifest_bytes
-
-(* One durable WAL write+fsync that covered [records] records. A batch of
-   n acknowledged n commits with one fsync, so n-1 fsyncs were saved
-   relative to per-write durability. *)
-let record_group_commit (t : t) ~records =
-  Atomic.incr t.wal_group_commits;
-  ignore (Atomic.fetch_and_add t.wal_group_records (max 0 records));
-  ignore (Atomic.fetch_and_add t.wal_fsyncs_saved (max 0 (records - 1)))
-
-(* One closed group-commit accumulation window: closed early because the
-   predicted riders boarded, or by its deadline. *)
-let record_window (t : t) ~boarded =
-  Atomic.incr (if boarded then t.wal_windows_boarded else t.wal_windows_expired)
-
-let record_commit_wait (t : t) ~ns = Histogram.record t.commit_wait ns
-let record_get_latency (t : t) ~ns = Histogram.record t.get_latency ns
-
-(* The hook record every store layer passes to [Wal_writer.create], so
-   durable-commit accounting is identical no matter which layer (recovery,
-   rotation, a baseline store) opened the log. *)
-let wal_observer (t : t) : Clsm_wal.Wal_writer.observer =
-  {
-    Clsm_wal.Wal_writer.on_group_commit =
-      (fun ~records -> record_group_commit t ~records);
-    on_commit_wait = (fun ~ns -> record_commit_wait t ~ns);
-    on_window = (fun ~boarded -> record_window t ~boarded);
-  }
-
-let read (t : t) : snapshot =
-  let commit_wait_hist = Histogram.counts t.commit_wait in
-  {
-    puts = Atomic.get t.puts;
-    gets = Atomic.get t.gets;
-    deletes = Atomic.get t.deletes;
-    rmws = Atomic.get t.rmws;
-    rmw_conflicts = Atomic.get t.rmw_conflicts;
-    snapshots_taken = Atomic.get t.snapshots_taken;
-    scans = Atomic.get t.scans;
-    memtable_rotations = Atomic.get t.memtable_rotations;
-    flushes = Atomic.get t.flushes;
-    compactions = Atomic.get t.compactions;
-    compactions_per_level = Array.map Atomic.get t.compactions_per_level;
-    compaction_ns = Atomic.get t.compaction_ns;
-    bytes_flushed = Atomic.get t.bytes_flushed;
-    bytes_compacted = Atomic.get t.bytes_compacted;
-    compaction_moves = Atomic.get t.compaction_moves;
-    bytes_moved = Atomic.get t.bytes_moved;
-    write_stalls = Atomic.get t.write_stalls;
-    stall_ns = Atomic.get t.stall_ns;
-    write_slowdowns = Atomic.get t.write_slowdowns;
-    slowdown_delay_ns = Atomic.get t.slowdown_delay_ns;
-    maintenance_wakeups = Atomic.get t.maintenance_wakeups;
-    scrubbed_blocks = Atomic.get t.scrubbed_blocks;
-    corruptions_detected = Atomic.get t.corruptions_detected;
-    quarantined_tables = Atomic.get t.quarantined_tables;
-    io_retries = Atomic.get t.io_retries;
-    auto_repairs = Atomic.get t.auto_repairs;
-    wal_group_commits = Atomic.get t.wal_group_commits;
-    wal_group_records = Atomic.get t.wal_group_records;
-    wal_fsyncs_saved = Atomic.get t.wal_fsyncs_saved;
-    wal_windows_boarded = Atomic.get t.wal_windows_boarded;
-    wal_windows_expired = Atomic.get t.wal_windows_expired;
-    commit_waits = Array.fold_left ( + ) 0 commit_wait_hist;
-    commit_wait_ns = Histogram.sum_ns t.commit_wait;
-    commit_wait_hist;
-    get_ns = Histogram.sum_ns t.get_latency;
-    get_hist = Histogram.counts t.get_latency;
-    installs = Array.map Atomic.get t.installs;
-    install_ns = Array.map Atomic.get t.install_ns;
-    manifest_bytes_last = Atomic.get t.manifest_bytes_last;
-  }
-
 (* Ceiling microseconds, so a recorded sub-microsecond latency does not
    read as the 0 of an empty histogram. *)
 let percentile_us (hist : int array) ~pct =
   (Histogram.percentile_of_counts hist pct + 999) / 1000
 
-let commit_wait_percentile_us (s : snapshot) ~pct =
-  percentile_us s.commit_wait_hist ~pct
+let commit_wait_percentile_us s ~pct = percentile_us s.commit_wait_hist ~pct
+let get_percentile_us s ~pct = percentile_us s.get_hist ~pct
 
-let get_percentile_us (s : snapshot) ~pct = percentile_us s.get_hist ~pct
+(* ---------- the catalogue ----------
 
-(* ---------- the counter catalogue ----------
+   Each scalar metric is declared once below, in rendering order. JSON
+   names are part of the scraping surface — keep them stable. *)
 
-   The single source of truth for every rendered representation: [pp] and
-   [to_json] both walk this list, so a counter added to the snapshot
-   record cannot appear in one and be silently omitted from the other
-   (and [merge] below is a record construction, so the compiler forces it
-   to account for new fields too). JSON field names are part of the
-   scraping surface — keep them stable. *)
+type rule = Sum | Max
+type counter = int
 
-(* [`Max] marks high-watermarks, which aggregate by maximum (not sum)
-   when several stores' snapshots are merged into one roll-up. *)
-let scalar_fields : (string * [ `Sum | `Max ] * (snapshot -> int)) list =
-  [
-    ("puts", `Sum, fun s -> s.puts);
-    ("gets", `Sum, fun s -> s.gets);
-    ("deletes", `Sum, fun s -> s.deletes);
-    ("rmws", `Sum, fun s -> s.rmws);
-    ("rmw_conflicts", `Sum, fun s -> s.rmw_conflicts);
-    ("snapshots", `Sum, fun s -> s.snapshots_taken);
-    ("scans", `Sum, fun s -> s.scans);
-    ("memtable_rotations", `Sum, fun s -> s.memtable_rotations);
-    ("flushes", `Sum, fun s -> s.flushes);
-    ("compactions", `Sum, fun s -> s.compactions);
-    ("compaction_ns", `Sum, fun s -> s.compaction_ns);
-    ("bytes_flushed", `Sum, fun s -> s.bytes_flushed);
-    ("bytes_compacted", `Sum, fun s -> s.bytes_compacted);
-    ("compaction_moves", `Sum, fun s -> s.compaction_moves);
-    ("bytes_moved", `Sum, fun s -> s.bytes_moved);
-    ("write_stalls", `Sum, fun s -> s.write_stalls);
-    ("stall_ns", `Sum, fun s -> s.stall_ns);
-    ("write_slowdowns", `Sum, fun s -> s.write_slowdowns);
-    ("slowdown_delay_ns", `Sum, fun s -> s.slowdown_delay_ns);
-    ("maintenance_wakeups", `Sum, fun s -> s.maintenance_wakeups);
-    ("scrubbed_blocks", `Sum, fun s -> s.scrubbed_blocks);
-    ("corruptions_detected", `Sum, fun s -> s.corruptions_detected);
-    ("quarantined_tables", `Sum, fun s -> s.quarantined_tables);
-    ("io_retries", `Sum, fun s -> s.io_retries);
-    ("auto_repairs", `Sum, fun s -> s.auto_repairs);
-    ("wal_group_commits", `Sum, fun s -> s.wal_group_commits);
-    ("wal_group_records", `Sum, fun s -> s.wal_group_records);
-    ("wal_fsyncs_saved", `Sum, fun s -> s.wal_fsyncs_saved);
-    ("wal_windows_boarded", `Sum, fun s -> s.wal_windows_boarded);
-    ("wal_windows_expired", `Sum, fun s -> s.wal_windows_expired);
-    ("commit_waits", `Sum, fun s -> s.commit_waits);
-    ("commit_wait_ns", `Sum, fun s -> s.commit_wait_ns);
-    (* derived from the histogram, so a shard roll-up ([merge] adds the
-       buckets) re-resolves the percentiles over the combined population
-       instead of averaging per-shard percentiles *)
-    ("commit_wait_p50_us", `Max, fun s -> commit_wait_percentile_us s ~pct:50.);
-    ("commit_wait_p99_us", `Max, fun s -> commit_wait_percentile_us s ~pct:99.);
-    ("get_ns", `Sum, fun s -> s.get_ns);
-    ("get_p50_us", `Max, fun s -> get_percentile_us s ~pct:50.);
-    ("get_p99_us", `Max, fun s -> get_percentile_us s ~pct:99.);
-  ]
-  @ List.concat
-      (List.mapi
-         (fun i kind ->
-           [
-             ("installs_" ^ kind, `Sum, fun s -> s.installs.(i));
-             ("install_ns_total_" ^ kind, `Sum, fun s -> s.install_ns.(i));
-           ])
-         (Array.to_list install_kinds))
-  @ [ ("manifest_bytes_last", `Max, fun s -> s.manifest_bytes_last) ]
+let catalogue_rev = ref []
+let rules_rev = ref []
 
-(* Aggregate several stores' snapshots (the shard roll-up): counters sum,
-   high-watermarks take the maximum. A record construction on purpose —
-   adding a snapshot field without deciding its aggregation is a compile
-   error here. *)
-let merge (a : snapshot) (b : snapshot) : snapshot =
-  let per_level =
-    Array.init
-      (max (Array.length a.compactions_per_level)
-         (Array.length b.compactions_per_level))
-      (fun i ->
-        let at (arr : int array) = if i < Array.length arr then arr.(i) else 0 in
-        at a.compactions_per_level + at b.compactions_per_level)
-  in
+(* A registry cell, and a rendered row of it when [name] is given. A row
+   with no cell is computed from a histogram: a roll-up adds the buckets
+   and recomputes it, so it needs no rule. *)
+let cell ?(rule = Sum) ?name get =
+  rules_rev := (rule, get) :: !rules_rev;
+  let c = List.length !rules_rev - 1 in
+  Option.iter
+    (fun name -> catalogue_rev := (name, Some c, get) :: !catalogue_rev)
+    name;
+  c
+
+let metric ?rule name = cell ?rule ~name
+let derived name get = catalogue_rev := (name, None, get) :: !catalogue_rev
+
+let puts = metric "puts" (fun s -> s.puts)
+let gets = metric "gets" (fun s -> s.gets)
+let deletes = metric "deletes" (fun s -> s.deletes)
+let rmws = metric "rmws" (fun s -> s.rmws)
+let rmw_conflicts = metric "rmw_conflicts" (fun s -> s.rmw_conflicts)
+let snapshots_taken = metric "snapshots" (fun s -> s.snapshots_taken)
+let scans = metric "scans" (fun s -> s.scans)
+let memtable_rotations = metric "memtable_rotations" (fun s -> s.memtable_rotations)
+let flushes = metric "flushes" (fun s -> s.flushes)
+let compactions = metric "compactions" (fun s -> s.compactions)
+
+let compactions_per_level =
+  Array.init max_levels (fun l -> cell (fun s -> s.compactions_per_level.(l)))
+
+let compaction_ns = metric "compaction_ns" (fun s -> s.compaction_ns)
+let bytes_flushed = metric "bytes_flushed" (fun s -> s.bytes_flushed)
+let bytes_compacted = metric "bytes_compacted" (fun s -> s.bytes_compacted)
+let compaction_moves = metric "compaction_moves" (fun s -> s.compaction_moves)
+let bytes_moved = metric "bytes_moved" (fun s -> s.bytes_moved)
+let write_stalls = metric "write_stalls" (fun s -> s.write_stalls)
+let stall_ns = metric "stall_ns" (fun s -> s.stall_ns)
+let write_slowdowns = metric "write_slowdowns" (fun s -> s.write_slowdowns)
+let slowdown_delay_ns = metric "slowdown_delay_ns" (fun s -> s.slowdown_delay_ns)
+let maintenance_wakeups = metric "maintenance_wakeups" (fun s -> s.maintenance_wakeups)
+let scrubbed_blocks = metric "scrubbed_blocks" (fun s -> s.scrubbed_blocks)
+let corruptions_detected = metric "corruptions_detected" (fun s -> s.corruptions_detected)
+let quarantined_tables = metric "quarantined_tables" (fun s -> s.quarantined_tables)
+let io_retries = metric "io_retries" (fun s -> s.io_retries)
+let auto_repairs = metric "auto_repairs" (fun s -> s.auto_repairs)
+let wal_group_commits = metric "wal_group_commits" (fun s -> s.wal_group_commits)
+let wal_group_records = metric "wal_group_records" (fun s -> s.wal_group_records)
+let wal_fsyncs_saved = metric "wal_fsyncs_saved" (fun s -> s.wal_fsyncs_saved)
+let wal_windows_boarded = metric "wal_windows_boarded" (fun s -> s.wal_windows_boarded)
+let wal_windows_expired = metric "wal_windows_expired" (fun s -> s.wal_windows_expired)
+
+let () =
+  derived "commit_waits" (fun s -> s.commit_waits);
+  derived "commit_wait_ns" (fun s -> s.commit_wait_ns);
+  derived "commit_wait_p50_us" (commit_wait_percentile_us ~pct:50.);
+  derived "commit_wait_p99_us" (commit_wait_percentile_us ~pct:99.);
+  derived "get_ns" (fun s -> s.get_ns);
+  derived "get_p50_us" (get_percentile_us ~pct:50.);
+  derived "get_p99_us" (get_percentile_us ~pct:99.)
+
+let installs, install_ns =
+  Array.split
+    (Array.mapi
+       (fun i kind ->
+         let n = metric ("installs_" ^ kind) (fun s -> s.installs.(i)) in
+         (n, metric ("install_ns_total_" ^ kind) (fun s -> s.install_ns.(i))))
+       install_kinds)
+
+let manifest_bytes_last =
+  metric ~rule:Max "manifest_bytes_last" (fun s -> s.manifest_bytes_last)
+
+let catalogue = List.rev !catalogue_rev
+let rules = Array.of_list (List.rev !rules_rev)
+
+type t = {
+  cells : int Atomic.t array; (* indexed by [counter] *)
+  commit_wait : Histogram.t;
+  get_latency : Histogram.t;
+}
+
+let create () =
   {
-    puts = a.puts + b.puts;
-    gets = a.gets + b.gets;
-    deletes = a.deletes + b.deletes;
-    rmws = a.rmws + b.rmws;
-    rmw_conflicts = a.rmw_conflicts + b.rmw_conflicts;
-    snapshots_taken = a.snapshots_taken + b.snapshots_taken;
-    scans = a.scans + b.scans;
-    memtable_rotations = a.memtable_rotations + b.memtable_rotations;
-    flushes = a.flushes + b.flushes;
-    compactions = a.compactions + b.compactions;
-    compactions_per_level = per_level;
-    compaction_ns = a.compaction_ns + b.compaction_ns;
-    bytes_flushed = a.bytes_flushed + b.bytes_flushed;
-    bytes_compacted = a.bytes_compacted + b.bytes_compacted;
-    compaction_moves = a.compaction_moves + b.compaction_moves;
-    bytes_moved = a.bytes_moved + b.bytes_moved;
-    write_stalls = a.write_stalls + b.write_stalls;
-    stall_ns = a.stall_ns + b.stall_ns;
-    write_slowdowns = a.write_slowdowns + b.write_slowdowns;
-    slowdown_delay_ns = a.slowdown_delay_ns + b.slowdown_delay_ns;
-    maintenance_wakeups = a.maintenance_wakeups + b.maintenance_wakeups;
-    scrubbed_blocks = a.scrubbed_blocks + b.scrubbed_blocks;
-    corruptions_detected = a.corruptions_detected + b.corruptions_detected;
-    quarantined_tables = a.quarantined_tables + b.quarantined_tables;
-    io_retries = a.io_retries + b.io_retries;
-    auto_repairs = a.auto_repairs + b.auto_repairs;
-    wal_group_commits = a.wal_group_commits + b.wal_group_commits;
-    wal_group_records = a.wal_group_records + b.wal_group_records;
-    wal_fsyncs_saved = a.wal_fsyncs_saved + b.wal_fsyncs_saved;
-    wal_windows_boarded = a.wal_windows_boarded + b.wal_windows_boarded;
-    wal_windows_expired = a.wal_windows_expired + b.wal_windows_expired;
-    commit_waits = a.commit_waits + b.commit_waits;
-    commit_wait_ns = a.commit_wait_ns + b.commit_wait_ns;
-    commit_wait_hist = Array.map2 ( + ) a.commit_wait_hist b.commit_wait_hist;
-    get_ns = a.get_ns + b.get_ns;
-    get_hist = Array.map2 ( + ) a.get_hist b.get_hist;
-    installs = Array.map2 ( + ) a.installs b.installs;
-    install_ns = Array.map2 ( + ) a.install_ns b.install_ns;
-    manifest_bytes_last = max a.manifest_bytes_last b.manifest_bytes_last;
+    cells = Array.init (Array.length rules) (fun _ -> Atomic.make 0);
+    commit_wait = Histogram.create ();
+    get_latency = Histogram.create ();
   }
 
-let merge_all = function
-  | [] -> read (create ())
-  | s :: rest -> List.fold_left merge s rest
+let incr t c = Atomic.incr t.cells.(c)
+
+(* Counters only grow: a negative amount (a clock step) counts as 0. *)
+let add t c n = ignore (Atomic.fetch_and_add t.cells.(c) (max 0 n))
+let set t c n = Atomic.set t.cells.(c) n
+
+let record_compaction t ~src_level =
+  incr t compactions;
+  if src_level >= 0 && src_level < max_levels then
+    incr t compactions_per_level.(src_level)
+
+let record_install t ~kind ~ns ~manifest_bytes =
+  let i = kind_index kind in
+  incr t installs.(i);
+  add t install_ns.(i) ns;
+  set t manifest_bytes_last manifest_bytes
+
+let record_get_latency t ~ns = Histogram.record t.get_latency ns
+
+(* The hook record every store layer passes to [Wal_writer.create], so
+   durable-commit accounting is identical no matter which layer (recovery,
+   rotation, a baseline store) opened the log. *)
+let wal_observer t : Clsm_wal.Wal_writer.observer =
+  {
+    Clsm_wal.Wal_writer.on_group_commit =
+      (fun ~records ->
+        incr t wal_group_commits;
+        add t wal_group_records records;
+        add t wal_fsyncs_saved (records - 1));
+    on_commit_wait = (fun ~ns -> Histogram.record t.commit_wait ns);
+    on_window =
+      (fun ~boarded ->
+        incr t (if boarded then wal_windows_boarded else wal_windows_expired));
+  }
+
+(* The one place a snapshot is built. *)
+let read t : snapshot =
+  let get c = Atomic.get t.cells.(c) in
+  let commit_wait_hist = Histogram.counts t.commit_wait in
+  {
+    puts = get puts;
+    gets = get gets;
+    deletes = get deletes;
+    rmws = get rmws;
+    rmw_conflicts = get rmw_conflicts;
+    snapshots_taken = get snapshots_taken;
+    scans = get scans;
+    memtable_rotations = get memtable_rotations;
+    flushes = get flushes;
+    compactions = get compactions;
+    compactions_per_level = Array.map get compactions_per_level;
+    compaction_ns = get compaction_ns;
+    bytes_flushed = get bytes_flushed;
+    bytes_compacted = get bytes_compacted;
+    compaction_moves = get compaction_moves;
+    bytes_moved = get bytes_moved;
+    write_stalls = get write_stalls;
+    stall_ns = get stall_ns;
+    write_slowdowns = get write_slowdowns;
+    slowdown_delay_ns = get slowdown_delay_ns;
+    maintenance_wakeups = get maintenance_wakeups;
+    scrubbed_blocks = get scrubbed_blocks;
+    corruptions_detected = get corruptions_detected;
+    quarantined_tables = get quarantined_tables;
+    io_retries = get io_retries;
+    auto_repairs = get auto_repairs;
+    wal_group_commits = get wal_group_commits;
+    wal_group_records = get wal_group_records;
+    wal_fsyncs_saved = get wal_fsyncs_saved;
+    wal_windows_boarded = get wal_windows_boarded;
+    wal_windows_expired = get wal_windows_expired;
+    commit_waits = Array.fold_left ( + ) 0 commit_wait_hist;
+    commit_wait_ns = Histogram.sum_ns t.commit_wait;
+    commit_wait_hist;
+    get_ns = Histogram.sum_ns t.get_latency;
+    get_hist = Histogram.counts t.get_latency;
+    installs = Array.map get installs;
+    install_ns = Array.map get install_ns;
+    manifest_bytes_last = get manifest_bytes_last;
+  }
+
+(* The shard roll-up: fold every snapshot into a fresh registry by the
+   cells' rules, add the histograms bucket by bucket, and read it back. *)
+let merge_all snapshots =
+  let t = create () in
+  List.iter
+    (fun s ->
+      Array.iteri
+        (fun c (rule, get) ->
+          let v = Atomic.get t.cells.(c) and v' = get s in
+          set t c (match rule with Sum -> v + v' | Max -> max v v'))
+        rules;
+      Histogram.add_counts t.commit_wait s.commit_wait_hist
+        ~sum_ns:s.commit_wait_ns;
+      Histogram.add_counts t.get_latency s.get_hist ~sum_ns:s.get_ns)
+    snapshots;
+  read t
 
 let pp ppf s =
-  let per_level =
-    s.compactions_per_level |> Array.to_list
-    |> List.mapi (fun i n -> (i, n))
-    |> List.filter (fun (_, n) -> n > 0)
-    |> List.map (fun (i, n) -> Printf.sprintf "L%d:%d" i n)
-    |> String.concat " "
+  let levels =
+    Array.to_list (Array.mapi (Printf.sprintf "L%d:%d") s.compactions_per_level)
+    |> List.filteri (fun l _ -> s.compactions_per_level.(l) > 0)
   in
   Format.fprintf ppf "@[<v>";
   List.iteri
     (fun i (name, _, get) ->
-      if i > 0 then
-        if i mod 5 = 0 then Format.fprintf ppf "@," else Format.fprintf ppf " ";
+      if i > 0 then Format.fprintf ppf (if i mod 5 = 0 then "@," else " ");
       Format.fprintf ppf "%s=%d" name (get s);
       (* the per-level breakdown rides along with its total *)
-      if name = "compactions" && per_level <> "" then
-        Format.fprintf ppf " [%s]" per_level)
-    scalar_fields;
+      if name = "compactions" && levels <> [] then
+        Format.fprintf ppf " [%s]" (String.concat " " levels))
+    catalogue;
   Format.fprintf ppf "@]"
 
-let to_json (s : snapshot) =
-  let b = Buffer.create 512 in
-  Buffer.add_char b '{';
-  List.iter
-    (fun (name, _, get) ->
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d," name (get s));
-      if name = "compactions" then begin
-        Buffer.add_string b "\"compactions_per_level\":[";
-        Array.iteri
-          (fun i n ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_string b (string_of_int n))
-          s.compactions_per_level;
-        Buffer.add_string b "],"
-      end)
-    scalar_fields;
-  (* drop the trailing comma the last field left *)
-  Buffer.truncate b (Buffer.length b - 1);
-  Buffer.add_char b '}';
-  Buffer.contents b
+let to_json s =
+  let levels = List.map string_of_int (Array.to_list s.compactions_per_level) in
+  let field (name, _, get) =
+    Printf.sprintf "\"%s\":%d" name (get s)
+    ^
+    if name <> "compactions" then ""
+    else
+      Printf.sprintf ",\"compactions_per_level\":[%s]" (String.concat "," levels)
+  in
+  "{" ^ String.concat "," (List.map field catalogue) ^ "}"

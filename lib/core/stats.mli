@@ -1,7 +1,16 @@
 (** Operation and maintenance counters (all atomic; cheap enough to keep on
     in production), including backpressure observability: how often and
     for how long the graduated write controller delayed or stalled
-    writers, and compaction counts broken down by source level. *)
+    writers, and compaction counts broken down by source level.
+
+    One {!catalogue} declares each scalar metric once: JSON name, snapshot
+    getter and, for a registry cell, its roll-up rule (a sum, or a maximum
+    for a gauge). The registry is one array of atomic cells sized from it,
+    plus two latency histograms; {!merge_all}, {!pp} and {!to_json} are
+    derived from it. To add a metric, write its catalogue row, its
+    {!snapshot} field (benches read the record by field name) and its line
+    of [read], export its {!counter} here, and record it at the call site
+    with {!incr}, {!add} or {!set}. *)
 
 type t
 
@@ -71,81 +80,71 @@ type snapshot = {
   manifest_bytes_last : int;  (** size of the latest manifest written *)
 }
 
+type counter
+
+val puts : counter
+val gets : counter
+val deletes : counter
+val rmws : counter
+val rmw_conflicts : counter
+val snapshots_taken : counter
+val scans : counter
+val memtable_rotations : counter
+val flushes : counter
+val compaction_ns : counter
+val bytes_flushed : counter
+val bytes_compacted : counter
+val compaction_moves : counter
+val bytes_moved : counter
+val write_stalls : counter
+val stall_ns : counter
+val write_slowdowns : counter
+val slowdown_delay_ns : counter
+val maintenance_wakeups : counter
+val scrubbed_blocks : counter
+val corruptions_detected : counter
+val quarantined_tables : counter
+val io_retries : counter
+val auto_repairs : counter
+
+val catalogue : (string * counter option * (snapshot -> int)) list
+(** The rows {!pp} and {!to_json} render, in order: JSON name, the cell
+    the row reads ([None] for the rows derived from a latency histogram)
+    and the row's snapshot getter. *)
+
 val create : unit -> t
-val incr_puts : t -> unit
-val incr_gets : t -> unit
-val incr_deletes : t -> unit
-val incr_rmws : t -> unit
-val incr_rmw_conflicts : t -> unit
-val incr_snapshots : t -> unit
-val incr_scans : t -> unit
-val incr_rotations : t -> unit
-val incr_flushes : t -> unit
 
-val incr_compactions : t -> ?src_level:int -> unit -> unit
-(** Count a merging compaction, attributed to [src_level] when given. *)
+val incr : t -> counter -> unit
 
-val record_compaction_run : t -> duration_ns:int -> unit
-(** Account one finished compaction job's merge taking [duration_ns] of
-    wall-clock. Safe from any worker domain. *)
+val add : t -> counter -> int -> unit
+(** Add to a counter; a negative amount counts as 0. *)
+
+val set : t -> counter -> int -> unit
+(** Overwrite a gauge. *)
+
+val record_compaction : t -> src_level:int -> unit
+(** Count a merging compaction, also under its source level. *)
 
 val record_install :
   t -> kind:install_kind -> ns:int -> manifest_bytes:int -> unit
-(** Account one committed version edit. *)
-
-val add_bytes_flushed : t -> int -> unit
-val add_bytes_compacted : t -> int -> unit
-
-val record_move : t -> bytes:int -> unit
-(** Account one compaction installed as a move of [bytes] file bytes. *)
-
-val incr_write_stalls : t -> unit
-
-val add_stall_ns : t -> int -> unit
-(** Add one writer's hard-stall wait duration (nanoseconds). *)
-
-val add_slowdown : t -> delay_ns:int -> unit
-(** Record one graduated-backpressure delay of [delay_ns]. *)
-
-val incr_maintenance_wakeups : t -> unit
-
-val add_scrubbed_blocks : t -> int -> unit
-(** Count blocks re-verified by one scrub slice. *)
-
-val incr_corruptions_detected : t -> unit
-val incr_quarantined_tables : t -> unit
-val incr_io_retries : t -> unit
-val incr_auto_repairs : t -> unit
-
-val record_group_commit : t -> records:int -> unit
-(** Account one durable WAL write+fsync round covering [records] records
-    ([records - 1] fsyncs saved vs. per-write durability). *)
-
-val record_window : t -> boarded:bool -> unit
-(** Account one closed group-commit accumulation window: [boarded] when
-    the predicted riders boarded, [false] when its deadline passed. *)
-
-val record_commit_wait : t -> ns:int -> unit
-(** Account one durable append's commit-wait latency. *)
+(** Account one committed version edit and the manifest it wrote. *)
 
 val record_get_latency : t -> ns:int -> unit
 (** Account one point read's end-to-end latency. *)
 
 val wal_observer : t -> Clsm_wal.Wal_writer.observer
 (** The {!Clsm_wal.Wal_writer.observer} feeding this registry; pass it to
-    every WAL writer the store opens. *)
+    every WAL writer the store opens. A group commit of [records] records
+    also counts [records - 1] fsyncs saved vs. per-write durability. *)
 
 val read : t -> snapshot
 
-val merge : snapshot -> snapshot -> snapshot
-(** Aggregate two stores' snapshots (the per-shard roll-up of a
-    range-sharded store): counters and durations sum, high-watermarks
-    take the maximum, and the per-level compaction arrays and the latency histograms add
-    element-wise, so percentiles of the result are resolved over the
-    combined population. *)
-
 val merge_all : snapshot list -> snapshot
-(** [merge]d over the list; all-zero for [[]]. *)
+(** Aggregate stores' snapshots (the per-shard roll-up of a range-sharded
+    store) by the catalogue's rules: counters and durations sum, the
+    manifest-size gauge takes the maximum, and the latency histograms add
+    bucket by bucket, so percentiles of the result are resolved over the
+    combined population. All-zero for [[]]. *)
 
 val commit_wait_percentile_us : snapshot -> pct:float -> int
 (** Percentile of the commit-wait histogram in ceiling microseconds: the
@@ -157,8 +156,7 @@ val get_percentile_us : snapshot -> pct:float -> int
 (** Same resolution over the point-read latency histogram. *)
 
 val pp : Format.formatter -> snapshot -> unit
-(** Renders every counter of the catalogue that {!to_json} also walks —
-    the two representations cannot drift apart. *)
+(** Renders every row of {!catalogue}, as {!to_json} does. *)
 
 val to_json : snapshot -> string
 (** One-line JSON object, for benchmark output and scraping. *)

@@ -76,7 +76,7 @@ let timed_get t ~user_key ~snap_ts =
   r
 
 let get t key =
-  Stats.incr_gets t.stats;
+  Stats.incr t.stats Stats.gets;
   timed_get t ~user_key:key ~snap_ts:Internal_key.max_ts
 
 (* ---------- writes (Algorithm 1/2: shared lock + timestamp) ----------
@@ -148,7 +148,7 @@ let write_entry t ~user_key entry =
   maybe_wake_for_rotation t mc
 
 let put t ~key ~value =
-  Stats.incr_puts t.stats;
+  Stats.incr t.stats Stats.puts;
   write_entry t ~user_key:key (Entry.Value value)
 
 (* Atomic batches keep LevelDB's blocking implementation (paper §4): the
@@ -173,10 +173,10 @@ let write_batch t ops =
               let user_key, entry =
                 match op with
                 | Batch_put (key, value) ->
-                    Stats.incr_puts t.stats;
+                    Stats.incr t.stats Stats.puts;
                     (key, Entry.Value value)
                 | Batch_delete key ->
-                    Stats.incr_deletes t.stats;
+                    Stats.incr t.stats Stats.deletes;
                     (key, Entry.Tombstone)
               in
               (* No snapshot fence that could observe these keys can run
@@ -196,7 +196,7 @@ let write_batch t ops =
   end
 
 let delete t ~key =
-  Stats.incr_deletes t.stats;
+  Stats.incr t.stats Stats.deletes;
   write_entry t ~user_key:key Entry.Tombstone
 
 (* ---------- read-modify-write (Algorithm 3) ---------- *)
@@ -204,7 +204,7 @@ let delete t ~key =
 type rmw_decision = Set of string | Remove | Abort
 
 let rmw t ~key f =
-  Stats.incr_rmws t.stats;
+  Stats.incr t.stats Stats.rmws;
   check_writable t;
   throttle_writes t;
   Shared_lock.lock_shared t.lock;
@@ -267,7 +267,7 @@ let rmw t ~key f =
         match prev_ts with
         | Some p when p > seen_ts ->
             Clock.end_op t.clock h;
-            Stats.incr_rmw_conflicts t.stats;
+            Stats.incr t.stats Stats.rmw_conflicts;
             attempt ()
         | _ ->
             (* Lines 10-12: publish with a CAS. *)
@@ -279,7 +279,7 @@ let rmw t ~key f =
             end
             else begin
               Clock.end_op t.clock h;
-              Stats.incr_rmw_conflicts t.stats;
+              Stats.incr t.stats Stats.rmw_conflicts;
               attempt ()
             end)
   in
@@ -311,7 +311,7 @@ let put_if_absent t ~key ~value =
 type snapshot = Clock.snapshot
 
 let get_snap ?ttl t =
-  Stats.incr_snapshots t.stats;
+  Stats.incr t.stats Stats.snapshots_taken;
   Shared_lock.lock_shared t.lock;
   let s =
     Clock.snapshot ?ttl t.clock ~mode:(Options.snapshot_mode t.opts)
@@ -324,7 +324,7 @@ let snapshot_ts (s : snapshot) = s.snap_ts
 let release_snapshot t s = Clock.release_snapshot t.clock s
 
 let get_at t (s : snapshot) key =
-  Stats.incr_gets t.stats;
+  Stats.incr t.stats Stats.gets;
   if Atomic.get s.released then invalid_arg "Db.get_at: released snapshot";
   timed_get t ~user_key:key ~snap_ts:s.snap_ts
 
@@ -341,7 +341,7 @@ type iterator = {
 }
 
 let iterator ?snapshot t =
-  Stats.incr_scans t.stats;
+  Stats.incr t.stats Stats.scans;
   let snap, own_snapshot =
     match snapshot with Some s -> (s, false) | None -> (get_snap t, true)
   in

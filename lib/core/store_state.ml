@@ -144,10 +144,10 @@ let current_version t = Refcounted.value (Rcu_box.peek t.pd)
 let wake_bg t =
   match (t.scheduler, t.wake_hook) with
   | Some s, _ ->
-      Stats.incr_maintenance_wakeups t.stats;
+      Stats.incr t.stats Stats.maintenance_wakeups;
       Clsm_maintenance.Scheduler.wake s
   | None, Some wake ->
-      Stats.incr_maintenance_wakeups t.stats;
+      Stats.incr t.stats Stats.maintenance_wakeups;
       wake ()
   | None, None -> ()
 
@@ -168,7 +168,7 @@ let enqueue_quarantine t ~number ~detail =
         end)
   in
   if fresh then begin
-    Stats.incr_corruptions_detected t.stats;
+    Stats.incr t.stats Stats.corruptions_detected;
     wake_bg t
   end;
   fresh

@@ -43,9 +43,9 @@ val file_size : t -> int
 
 val index_anchors : t -> (string * int) list
 (** One [(last key, stored payload bytes)] pair per data block, in key
-    order, straight from the in-memory index — no data-block IO. These
-    are byte-weighted split-point candidates for range-partitioning a
-    compaction's key space (RocksDB's approximate key anchors). *)
+    order, straight from the in-memory index — no data-block IO. The
+    store does not call it: tests take a table's block count and block
+    sizes from it to place damage or count cache misses. *)
 
 val may_contain : t -> string -> bool
 (** Bloom-filter check. The argument is the {e filter key} (the value

@@ -46,15 +46,13 @@ let mean_ns t =
   let n = count t in
   if n = 0 then 0.0 else float_of_int (sum_ns t) /. float_of_int n
 
+let add_counts t counts ~sum_ns =
+  Array.iteri (fun i n -> ignore (Atomic.fetch_and_add t.buckets.(i) n)) counts;
+  ignore (Atomic.fetch_and_add t.sum sum_ns)
+
 let merge hs =
   let out = create () in
-  List.iter
-    (fun h ->
-      Array.iteri
-        (fun i b -> ignore (Atomic.fetch_and_add out.buckets.(i) (Atomic.get b)))
-        h.buckets;
-      ignore (Atomic.fetch_and_add out.sum (sum_ns h)))
-    hs;
+  List.iter (fun h -> add_counts out (counts h) ~sum_ns:(sum_ns h)) hs;
   out
 
 let percentile_of_counts counts pct =

@@ -33,6 +33,10 @@ val counts : t -> int array
 (** A copy of the bucket counts; every histogram has the same number of
     buckets, so counts arrays combine element-wise. *)
 
+val add_counts : t -> int array -> sum_ns:int -> unit
+(** Add a {!counts} array whose values sum to [sum_ns] into [t], e.g. a
+    snapshot of another histogram. *)
+
 val merge : t list -> t
 (** A fresh histogram holding every value recorded into the inputs. *)
 

@@ -294,11 +294,13 @@ let backpressure_curve () =
 
 let stats_json_shape () =
   let s = Stats.create () in
-  Stats.incr_puts s;
-  Stats.incr_compactions s ~src_level:0 ();
-  Stats.incr_compactions s ~src_level:2 ();
-  Stats.add_slowdown s ~delay_ns:1234;
-  Stats.record_move s ~bytes:4096;
+  Stats.incr s Stats.puts;
+  Stats.record_compaction s ~src_level:0;
+  Stats.record_compaction s ~src_level:2;
+  Stats.incr s Stats.write_slowdowns;
+  Stats.add s Stats.slowdown_delay_ns 1234;
+  Stats.incr s Stats.compaction_moves;
+  Stats.add s Stats.bytes_moved 4096;
   Stats.record_install s ~kind:`Flush ~ns:500 ~manifest_bytes:70;
   Stats.record_install s ~kind:`Flush ~ns:700 ~manifest_bytes:90;
   Stats.record_install s ~kind:`Readmit ~ns:40 ~manifest_bytes:80;
@@ -336,18 +338,122 @@ let stats_json_shape () =
     && json.[0] = '{'
     && json.[String.length json - 1] = '}')
 
+(* The rendering is a scraping surface: a recording that touches every
+   row pins the exact JSON and pp text, so no name, order, separator or
+   value can change unnoticed. *)
+let stats_golden () =
+  let s = Stats.create () in
+  let times n f = for _ = 1 to n do f () done in
+  let incr n c = times n (fun () -> Stats.incr s c) in
+  incr 3 Stats.puts;
+  incr 2 Stats.gets;
+  incr 1 Stats.deletes;
+  incr 1 Stats.rmws;
+  incr 1 Stats.rmw_conflicts;
+  incr 2 Stats.snapshots_taken;
+  incr 1 Stats.scans;
+  incr 1 Stats.memtable_rotations;
+  incr 2 Stats.flushes;
+  Stats.add s Stats.bytes_flushed 5000;
+  List.iter (fun l -> Stats.record_compaction s ~src_level:l) [ 0; 0; 2 ];
+  Stats.add s Stats.compaction_ns 777;
+  Stats.add s Stats.bytes_compacted 9000;
+  incr 1 Stats.compaction_moves;
+  Stats.add s Stats.bytes_moved 4096;
+  incr 1 Stats.write_stalls;
+  Stats.add s Stats.stall_ns 333;
+  incr 1 Stats.write_slowdowns;
+  Stats.add s Stats.slowdown_delay_ns 1234;
+  incr 4 Stats.maintenance_wakeups;
+  Stats.add s Stats.scrubbed_blocks 64;
+  incr 1 Stats.corruptions_detected;
+  incr 1 Stats.quarantined_tables;
+  incr 2 Stats.io_retries;
+  incr 1 Stats.auto_repairs;
+  let wal = Stats.wal_observer s in
+  wal.Clsm_wal.Wal_writer.on_group_commit ~records:3;
+  wal.on_group_commit ~records:1;
+  List.iter (fun boarded -> wal.on_window ~boarded) [ true; false; false ];
+  times 3 (fun () -> wal.on_commit_wait ~ns:50_000);
+  Stats.record_get_latency s ~ns:10_000;
+  Stats.record_get_latency s ~ns:2_000_000;
+  Stats.record_install s ~kind:`Flush ~ns:500 ~manifest_bytes:70;
+  Stats.record_install s ~kind:`Compaction ~ns:900 ~manifest_bytes:120;
+  Stats.record_install s ~kind:`Commit ~ns:40 ~manifest_bytes:80;
+  let st = Stats.read s in
+  Alcotest.(check string) "to_json"
+    "{\"puts\":3,\"gets\":2,\"deletes\":1,\"rmws\":1,\"rmw_conflicts\":1,\"snapshots\":2,\"scans\":1,\"memtable_rotations\":1,\"flushes\":2,\"compactions\":3,\"compactions_per_level\":[2,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0],\"compaction_ns\":777,\"bytes_flushed\":5000,\"bytes_compacted\":9000,\"compaction_moves\":1,\"bytes_moved\":4096,\"write_stalls\":1,\"stall_ns\":333,\"write_slowdowns\":1,\"slowdown_delay_ns\":1234,\"maintenance_wakeups\":4,\"scrubbed_blocks\":64,\"corruptions_detected\":1,\"quarantined_tables\":1,\"io_retries\":2,\"auto_repairs\":1,\"wal_group_commits\":2,\"wal_group_records\":4,\"wal_fsyncs_saved\":2,\"wal_windows_boarded\":1,\"wal_windows_expired\":2,\"commit_waits\":3,\"commit_wait_ns\":150000,\"commit_wait_p50_us\":52,\"commit_wait_p99_us\":52,\"get_ns\":2010000,\"get_p50_us\":10,\"get_p99_us\":2032,\"installs_flush\":1,\"install_ns_total_flush\":500,\"installs_compaction\":1,\"install_ns_total_compaction\":900,\"installs_quarantine\":0,\"install_ns_total_quarantine\":0,\"installs_readmit\":0,\"install_ns_total_readmit\":0,\"installs_commit\":1,\"install_ns_total_commit\":40,\"manifest_bytes_last\":80}"
+    (Stats.to_json st);
+  Alcotest.(check string) "pp"
+    (String.concat "\n"
+      [
+      "puts=3 gets=2 deletes=1 rmws=1 rmw_conflicts=1";
+      "snapshots=2 scans=1 memtable_rotations=1 flushes=2 compactions=3 [L0:2 L2:1]";
+      "compaction_ns=777 bytes_flushed=5000 bytes_compacted=9000 compaction_moves=1 bytes_moved=4096";
+      "write_stalls=1 stall_ns=333 write_slowdowns=1 slowdown_delay_ns=1234 maintenance_wakeups=4";
+      "scrubbed_blocks=64 corruptions_detected=1 quarantined_tables=1 io_retries=2 auto_repairs=1";
+      "wal_group_commits=2 wal_group_records=4 wal_fsyncs_saved=2 wal_windows_boarded=1 wal_windows_expired=2";
+      "commit_waits=3 commit_wait_ns=150000 commit_wait_p50_us=52 commit_wait_p99_us=52 get_ns=2010000";
+      "get_p50_us=10 get_p99_us=2032 installs_flush=1 install_ns_total_flush=500 installs_compaction=1";
+      "install_ns_total_compaction=900 installs_quarantine=0 install_ns_total_quarantine=0 installs_readmit=0 install_ns_total_readmit=0";
+      "installs_commit=1 install_ns_total_commit=40 manifest_bytes_last=80";
+      ])
+    (Format.asprintf "%a" Stats.pp st)
+
+(* Every cell set to its own value comes back in its own snapshot field
+   and JSON key: a [read] line or a row getter pointing at another cell
+   fails here. *)
+let stats_wiring () =
+  let s = Stats.create () in
+  List.iter
+    (fun l -> for _ = 0 to l do Stats.record_compaction s ~src_level:l done)
+    [ 0; 1; 2; 3 ];
+  let value i = 1000 + i in
+  List.iteri
+    (fun i (_, cell, _) -> Option.iter (fun c -> Stats.set s c (value i)) cell)
+    Stats.catalogue;
+  let st = Stats.read s in
+  let json = Stats.to_json st in
+  let has sub =
+    let n = String.length json and m = String.length sub in
+    let rec at i = i + m <= n && (String.sub json i m = sub || at (i + 1)) in
+    at 0
+  in
+  let cells = ref 0 in
+  List.iteri
+    (fun i (name, cell, get) ->
+      if cell <> None then begin
+        incr cells;
+        Alcotest.(check int) (name ^ " field") (value i) (get st);
+        Alcotest.(check bool) (name ^ " json") true
+          (has (Printf.sprintf "\"%s\":%d," name (value i))
+          || has (Printf.sprintf "\"%s\":%d}" name (value i)))
+      end)
+    Stats.catalogue;
+  Alcotest.(check int) "cell rows"
+    (30 + (2 * Array.length Stats.install_kinds) + 1)
+    !cells;
+  Alcotest.(check int) "snapshot field" (value 0) st.Stats.puts;
+  Alcotest.(check int) "gauge field"
+    (value (List.length Stats.catalogue - 1))
+    st.Stats.manifest_bytes_last;
+  Alcotest.(check (list int)) "per-level cells" [ 1; 2; 3; 4; 0 ]
+    (Array.to_list (Array.sub st.Stats.compactions_per_level 0 5))
+
 (* Latency percentiles come from the shared histogram: within one bucket
    (a factor of 2^(1/8)) of the exact order statistic, and a shard
    roll-up resolves them over the combined population — p50 of a fast
    and a slow shard is the fast shard's latency, not the slower
    shard's p50. *)
 let stats_percentiles () =
-  let shard ~get_ns ~wait_ns =
+  let shard ~get_ns ~wait_ns ~manifest_bytes =
     let s = Stats.create () in
+    let wal = Stats.wal_observer s in
     for _ = 1 to 100 do
       Stats.record_get_latency s ~ns:get_ns;
-      Stats.record_commit_wait s ~ns:wait_ns
+      wal.Clsm_wal.Wal_writer.on_commit_wait ~ns:wait_ns
     done;
+    Stats.record_install s ~kind:`Commit ~ns:0 ~manifest_bytes;
     Stats.read s
   in
   let near name expected got =
@@ -357,16 +463,20 @@ let stats_percentiles () =
       (float_of_int (abs (got - expected))
       <= (float_of_int expected *. (Float.pow 2.0 0.125 -. 1.0)) +. 1.0)
   in
-  let fast = shard ~get_ns:10_000 ~wait_ns:50_000 in
-  let slow = shard ~get_ns:1_000_000 ~wait_ns:2_000_000 in
+  let fast = shard ~get_ns:10_000 ~wait_ns:50_000 ~manifest_bytes:300 in
+  let slow = shard ~get_ns:1_000_000 ~wait_ns:2_000_000 ~manifest_bytes:200 in
   near "fast get p50" 10 (Stats.get_percentile_us fast ~pct:50.);
   near "fast commit-wait p99" 50 (Stats.commit_wait_percentile_us fast ~pct:99.);
   near "slow get p50" 1000 (Stats.get_percentile_us slow ~pct:50.);
-  let m = Stats.merge fast slow in
+  let m = Stats.merge_all [ fast; slow ] in
   Alcotest.(check int) "merged commit waits" 200 m.Stats.commit_waits;
   Alcotest.(check int) "merged commit-wait ns" (100 * 2_050_000)
     m.Stats.commit_wait_ns;
   Alcotest.(check int) "merged get ns" (100 * 1_010_000) m.Stats.get_ns;
+  (* a gauge rolls up by maximum, whichever side holds it *)
+  Alcotest.(check int) "merged manifest bytes" 300 m.Stats.manifest_bytes_last;
+  Alcotest.(check int) "merged manifest bytes, swapped" 300
+    (Stats.merge_all [ slow; fast ]).Stats.manifest_bytes_last;
   near "merged get p50" 10 (Stats.get_percentile_us m ~pct:50.);
   near "merged get p99" 1000 (Stats.get_percentile_us m ~pct:99.);
   near "merged commit-wait p50" 50 (Stats.commit_wait_percentile_us m ~pct:50.);
@@ -390,9 +500,9 @@ let stats_concurrent_updates () =
   let domains = 4 and per_domain = 5_000 in
   let worker d () =
     for _ = 0 to per_domain - 1 do
-      Stats.incr_flushes s;
-      Stats.record_compaction_run s ~duration_ns:10;
-      Stats.add_stall_ns s (d + 1)
+      Stats.incr s Stats.flushes;
+      Stats.add s Stats.compaction_ns 10;
+      Stats.add s Stats.stall_ns (d + 1)
     done
   in
   let doms = List.init domains (fun d -> Domain.spawn (worker d)) in
@@ -718,6 +828,8 @@ let suites =
           stats_concurrent_updates;
         Alcotest.test_case "percentiles and shard roll-up" `Quick
           stats_percentiles;
+        Alcotest.test_case "golden to_json and pp" `Quick stats_golden;
+        Alcotest.test_case "catalogue wiring" `Quick stats_wiring;
       ] );
     ( "maintenance.store",
       [
