@@ -34,59 +34,33 @@
                    a put's getTS); same JSON schema
                    (default BENCH_kernels.json) *)
 
+(* The clsm-bench/1 modes share their flags: [smoke] selects the
+   seconds-scale run, [--out FILE] the JSON path (else [default_out]). *)
+let json_mode rest ~default_out run =
+  let scale =
+    if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full
+  in
+  let rec out_of = function
+    | "--out" :: path :: _ -> path
+    | _ :: tl -> out_of tl
+    | [] -> default_out
+  in
+  run ~scale ~out:(out_of rest)
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
   | "--compaction" :: rest ->
-      let scale =
-        if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full
-      in
-      let rec out_of = function
-        | "--out" :: path :: _ -> path
-        | _ :: tl -> out_of tl
-        | [] -> "BENCH_compaction.json"
-      in
-      Bench_store.run ~scale ~out:(out_of rest)
+      json_mode rest ~default_out:"BENCH_compaction.json" Bench_store.run
   | "--durability" :: rest ->
-      let scale =
-        if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full
-      in
-      let rec out_of = function
-        | "--out" :: path :: _ -> path
-        | _ :: tl -> out_of tl
-        | [] -> "BENCH_durability.json"
-      in
-      Bench_store.run_durability ~scale ~out:(out_of rest)
+      json_mode rest ~default_out:"BENCH_durability.json"
+        Bench_store.run_durability
   | "--read" :: rest ->
-      let scale =
-        if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full
-      in
-      let rec out_of = function
-        | "--out" :: path :: _ -> path
-        | _ :: tl -> out_of tl
-        | [] -> "BENCH_read.json"
-      in
-      Bench_store.run_read ~scale ~out:(out_of rest)
+      json_mode rest ~default_out:"BENCH_read.json" Bench_store.run_read
   | "--kernels" :: rest ->
-      let scale =
-        if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full
-      in
-      let rec out_of = function
-        | "--out" :: path :: _ -> path
-        | _ :: tl -> out_of tl
-        | [] -> "BENCH_kernels.json"
-      in
-      Bench_store.run_kernels ~scale ~out:(out_of rest)
+      json_mode rest ~default_out:"BENCH_kernels.json" Bench_store.run_kernels
   | "--sharded" :: rest ->
-      let scale =
-        if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full
-      in
-      let rec out_of = function
-        | "--out" :: path :: _ -> path
-        | _ :: tl -> out_of tl
-        | [] -> "BENCH_sharded.json"
-      in
-      Bench_sharded.run ~scale ~out:(out_of rest)
+      json_mode rest ~default_out:"BENCH_sharded.json" Bench_sharded.run
   | [] | [ "--figures" ] ->
       print_endline
         "cLSM benchmark harness: regenerating all paper figures (simulated \

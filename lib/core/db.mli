@@ -4,8 +4,10 @@
 
     - {b Algorithm 1} — put/get over the global component pointers [Pm]
       (mutable memtable), [P'm] (immutable memtable being merged) and [Pd]
-      (the disk component), protected by an RCU-like pointer protocol with
-      per-component reference counters. Gets never block; puts hold a
+      (the disk component). [Pm] and [P'm] are plain atomics (the GC
+      keeps a memtable alive while a reader holds it); [Pd] keeps the
+      RCU-like pointer protocol with a reference counter, whose release
+      closes and unlinks table files. Gets never block; puts hold a
       writer-preference shared-exclusive lock in shared mode; the merge
       hooks [beforeMerge]/[afterMerge] take it exclusively for two short
       pointer-swap critical sections.

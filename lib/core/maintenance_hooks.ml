@@ -125,8 +125,7 @@ let commit_edit t ~kind (edit : Version_edit.t) =
           let next = Refcounted.create ~release:Version.release next in
           Shared_lock.lock_exclusive t.lock;
           let old_pd = Rcu_box.swap t.pd next in
-          if kind = `Flush then
-            Refcounted.retire (Rcu_box.swap t.pimm (Refcounted.create No_imm));
+          if kind = `Flush then Atomic.set t.pimm No_imm;
           Shared_lock.unlock_exclusive t.lock;
           List.iter (fun (_, f) -> Refcounted.retire f) edit.added;
           [ old_pd ]
@@ -192,16 +191,9 @@ let rotate t =
         Clock.await_older_writes t.clock;
         (* P'm <- Pm, then Pm <- new: readers traversing Pm then P'm may see
            the old component twice but can never miss it. *)
-        let old_pm_cell = Rcu_box.peek t.pm in
-        let imm_cell =
-          Refcounted.create (Imm (Refcounted.value old_pm_cell))
-        in
-        let old_imm_cell = Rcu_box.swap t.pimm imm_cell in
-        let old_pm_cell' = Rcu_box.swap t.pm (Refcounted.create fresh) in
+        Atomic.set t.pimm (Imm (Atomic.get t.pm));
+        Atomic.set t.pm fresh;
         Shared_lock.unlock_exclusive t.lock;
-        assert (old_pm_cell == old_pm_cell');
-        Refcounted.retire old_imm_cell;
-        Refcounted.retire old_pm_cell';
         Stats.incr t.stats Stats.memtable_rotations;
         true
       end

@@ -25,28 +25,18 @@ type t = Store_state.t
 let on_corrupt t tf detail =
   ignore (enqueue_quarantine t ~number:tf.Table_file.number ~detail : bool)
 
-(* Each component is probed under a reference taken from its RCU box
-   and dropped after, also when the probe raises. Written out rather
-   than through [Rcu_box.with_ref] so that a get allocates no closure. *)
+(* [Pm] and [P'm] are plain atomic loads (see [Store_state.t]). [Pd] is
+   probed under a reference taken from its RCU box and dropped after,
+   also when the probe raises. Written out rather than through
+   [Rcu_box.with_ref] so that a get allocates no closure. *)
 let get_entry t ~user_key ~snap_ts =
-  let pm = Rcu_box.acquire t.pm in
-  let from_pm =
-    match Memtable.get (Refcounted.value pm).mem ~user_key ~snap_ts with
-    | r -> Refcounted.decr pm; r
-    | exception e -> Refcounted.decr pm; raise e
-  in
-  match from_pm with
+  match Memtable.get (Atomic.get t.pm).mem ~user_key ~snap_ts with
   | Some (_, entry) -> Some entry
   | None -> (
-      let pimm = Rcu_box.acquire t.pimm in
       let from_imm =
-        match
-          match Refcounted.value pimm with
-          | No_imm -> None
-          | Imm mc -> Memtable.get mc.mem ~user_key ~snap_ts
-        with
-        | r -> Refcounted.decr pimm; r
-        | exception e -> Refcounted.decr pimm; raise e
+        match Atomic.get t.pimm with
+        | No_imm -> None
+        | Imm mc -> Memtable.get mc.mem ~user_key ~snap_ts
       in
       match from_imm with
       | Some (_, entry) -> Some entry
@@ -334,7 +324,7 @@ type iterator = {
   snap : snapshot;
   own_snapshot : bool;
   merged : Iter.t;
-  release_refs : unit -> unit;
+  pd_cell : Version.t Refcounted.t;
   db : t;
   mutable cur : (string * string) option;
   mutable it_closed : bool;
@@ -345,29 +335,22 @@ let iterator ?snapshot t =
   let snap, own_snapshot =
     match snapshot with Some s -> (s, false) | None -> (get_snap t, true)
   in
-  (* Pin all three components for the iterator's lifetime. *)
-  let pm_cell = Rcu_box.acquire t.pm in
-  let imm_cell = Rcu_box.acquire t.pimm in
+  (* The memtables stay reachable through [sources]; only the disk
+     component is pinned, so its files outlive the iterator's reads. *)
+  let pm = Atomic.get t.pm in
+  let imm = Atomic.get t.pimm in
   let pd_cell = Rcu_box.acquire t.pd in
   let sources =
-    Memtable.iter (Refcounted.value pm_cell).mem
-    ::
-    (match Refcounted.value imm_cell with
-    | Imm mc -> [ Memtable.iter mc.mem ]
-    | No_imm -> [])
+    Memtable.iter pm.mem
+    :: (match imm with Imm mc -> [ Memtable.iter mc.mem ] | No_imm -> [])
     @ Version.iters (Refcounted.value pd_cell)
   in
   let merged = Merge_iter.merge ~cmp:Internal_key.compare_encoded sources in
-  let release_refs () =
-    Refcounted.decr pm_cell;
-    Refcounted.decr imm_cell;
-    Refcounted.decr pd_cell
-  in
   {
     snap;
     own_snapshot;
     merged;
-    release_refs;
+    pd_cell;
     db = t;
     cur = None;
     it_closed = false;
@@ -421,7 +404,7 @@ let iter_close it =
   if not it.it_closed then begin
     it.it_closed <- true;
     it.cur <- None;
-    it.release_refs ();
+    Refcounted.decr it.pd_cell;
     if it.own_snapshot then release_snapshot it.db it.snap
   end
 
@@ -451,14 +434,13 @@ let open_shard ~clock (opts : Options.t) =
       lock = Shared_lock.create ();
       clock;
       pm =
-        Rcu_box.create
-          (Refcounted.create
-             {
-               mem = r.Recovery.mem;
-               wal = r.Recovery.wal;
-               wal_number = r.Recovery.wal_number;
-             });
-      pimm = Rcu_box.create (Refcounted.create No_imm);
+        Atomic.make
+          {
+            mem = r.Recovery.mem;
+            wal = r.Recovery.wal;
+            wal_number = r.Recovery.wal_number;
+          };
+      pimm = Atomic.make No_imm;
       pd =
         Rcu_box.create
           (Refcounted.create ~release:Version.release r.Recovery.version);
@@ -487,6 +469,7 @@ let open_store opts =
   let t = open_shard ~clock:(Clock.create ()) opts in
   let scheduler = Maintenance_hooks.make_scheduler t in
   t.scheduler <- Some scheduler;
+  t.wake_hook <- Some (fun () -> Clsm_maintenance.Scheduler.wake scheduler);
   Clsm_maintenance.Scheduler.start scheduler;
   t
 
@@ -502,7 +485,8 @@ let stop_scheduler t =
   match t.scheduler with
   | Some s ->
       Clsm_maintenance.Scheduler.stop s;
-      t.scheduler <- None
+      t.scheduler <- None;
+      t.wake_hook <- None
   | None -> ()
 
 (* Testing hook: die without flushing the WAL queue or saving the
@@ -526,20 +510,16 @@ let close t =
       if not t.closed then begin
         t.closed <- true;
         stop_scheduler t;
-        let pm_cell = Rcu_box.peek t.pm in
-        (* The component references are released even when the final
-           flush or manifest save fails — the error still reaches the
-           caller, and recovery replays the surviving log. *)
+        (* The disk component's reference is released even when the
+           final flush or manifest save fails — the error still reaches
+           the caller, and recovery replays the surviving log. *)
         Fun.protect
-          ~finally:(fun () ->
-            Refcounted.retire pm_cell;
-            Refcounted.retire (Rcu_box.peek t.pimm);
-            Refcounted.retire (Rcu_box.peek t.pd))
+          ~finally:(fun () -> Refcounted.retire (Rcu_box.peek t.pd))
           (fun () ->
             (* [Wal_writer.close] flushes before closing; an IO failure
                propagates (after the descriptor is released) instead of
                being silently dropped. *)
-            (match (Refcounted.value pm_cell).wal with
+            (match (current_pm t).wal with
             | Some w -> Clsm_wal.Wal_writer.close w
             | None -> ());
             (* The final manifest commit, through the one install

@@ -76,8 +76,12 @@ type t = {
          snapTime and the snapshot registry. Private by default;
          injected (shared) when this store is one shard of a
          range-sharded deployment *)
-  pm : memcomp Rcu_box.t;
-  pimm : imm_slot Rcu_box.t;
+  pm : memcomp Atomic.t;
+  pimm : imm_slot Atomic.t;
+      (* The memory components carry no reference count: the GC keeps a
+         swapped-out memtable alive for as long as a reader holds it,
+         and nothing outside the heap is freed when it goes. Only [pd]
+         counts, because its release closes and unlinks table files. *)
   pd : Version.t Rcu_box.t;
   next_file : int Atomic.t;
   cache : Clsm_sstable.Block.t Clsm_sstable.Cache.t;
@@ -92,9 +96,10 @@ type t = {
   compact_pointers : string array; (* per-level round-robin cursors *)
   mutable scheduler :
     Clsm_maintenance.Job.t Clsm_maintenance.Scheduler.t option;
+      (* the store's own worker pool, kept to be stopped at close *)
   mutable wake_hook : (unit -> unit) option;
-      (* where maintenance-work signals go when the pool is external
-         (a shard router's shared scheduler) instead of [scheduler] *)
+      (* where maintenance-work signals go: the own pool's wakeup, or a
+         shard router's shared scheduler *)
   degraded : string option Atomic.t;
       (* Some reason once an unrecoverable IO failure (ENOSPC, failed
          fsync) hits a maintenance path: the store stops accepting
@@ -134,22 +139,19 @@ let fresh_heal ~quarantined =
     repair_next_due = 0.0;
   }
 
-let current_pm t = Refcounted.value (Rcu_box.peek t.pm)
-let current_imm t = Refcounted.value (Rcu_box.peek t.pimm)
+let current_pm t = Atomic.get t.pm
+let current_imm t = Atomic.get t.pimm
 let current_version t = Refcounted.value (Rcu_box.peek t.pd)
 
 (* Signal the maintenance scheduler that work exists (memtable over
    threshold, rotation, stall). The paper's sleep-polling background
    loop is gone: this is a real Mutex+Condition wakeup. *)
 let wake_bg t =
-  match (t.scheduler, t.wake_hook) with
-  | Some s, _ ->
-      Stats.incr t.stats Stats.maintenance_wakeups;
-      Clsm_maintenance.Scheduler.wake s
-  | None, Some wake ->
+  match t.wake_hook with
+  | Some wake ->
       Stats.incr t.stats Stats.maintenance_wakeups;
       wake ()
-  | None, None -> ()
+  | None -> ()
 
 (* Record a corruption verdict against a table file, deduplicated, and
    signal maintenance. Safe from any read path (only takes the heal

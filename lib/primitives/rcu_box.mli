@@ -6,7 +6,9 @@
     re-validates that the pointer has not been switched in between; if it
     has, it releases and retries. Writers (the merge hooks) swap the pointer
     and retire the old component, which is released once the last reader
-    drops its reference. *)
+    drops its reference. The store uses it for [Pd] only, whose release
+    frees table files; the memory components are plain atomics, since the
+    GC frees them. *)
 
 type 'a t
 

@@ -1,6 +1,6 @@
 type 'a t = { payload : 'a; refs : int Atomic.t; release : 'a -> unit }
 
-let create ?(release = fun _ -> ()) payload =
+let create ~release payload =
   { payload; refs = Atomic.make 1; release }
 
 let value t = t.payload

@@ -1,16 +1,18 @@
-(** Per-component reference counting (paper §3.1): components (memtables,
-    disk versions) carry a reference counter so they are not released while
-    a reader still holds them. The OCaml GC reclaims memory, so [release]
-    is only for external resources (file descriptors, recycled buffers) and
-    for test observability.
+(** Per-component reference counting (paper §3.1), kept only where a
+    release frees something outside the heap: a disk version's table
+    files (descriptors closed, obsolete files unlinked) and the files
+    themselves. Memory is the GC's, so a component whose release would
+    free nothing — a memtable, a cached block — carries no count; that is
+    why [release] is required.
 
     A cell is created with one owner reference. Readers take extra
-    references through {!Rcu_box.load}; the owner drops its reference with
-    {!retire}. [release] runs exactly once, when the count reaches zero. *)
+    references through {!Rcu_box.acquire}; the owner drops its reference
+    with {!retire}. [release] runs exactly once, when the count reaches
+    zero. *)
 
 type 'a t
 
-val create : ?release:('a -> unit) -> 'a -> 'a t
+val create : release:('a -> unit) -> 'a -> 'a t
 
 val value : 'a t -> 'a
 (** The payload. Valid only while holding a reference. *)

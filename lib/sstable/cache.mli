@@ -6,9 +6,8 @@
     served from here, so the hit path must scale with reader domains. Each
     shard publishes an immutable map snapshot through an [Atomic.t]: a hit
     is a map lookup, a read of the entry's reference bit (written only
-    when clear) and a hit count, plus a [Refcounted.try_incr] when it
-    returns a {!handle} — no mutex. The shard mutex is taken only on
-    miss, insertion, eviction and pin management.
+    when clear) and a hit count — no mutex, no reference count. The shard
+    mutex is taken only on miss, insertion, eviction and reservation.
 
     {2 Keys}
 
@@ -18,47 +17,38 @@
     reader packs its table id and the block's file offset (see
     [Table]), and retires a closed table with {!remove_range}.
 
-    {2 Entries and handles}
+    {2 Entries}
 
-    Entries are reference counted ({!Clsm_primitives.Refcounted}): the
-    cache holds one owner reference, every outstanding {!handle} holds one
-    more. Eviction drops the owner reference; the payload stays alive (and
-    [release] does not fire) until the last handle is released, so a reader
-    can never observe a freed block.
+    An entry holds its value. Eviction only unpublishes it: a reader that
+    already has the value keeps it, and the GC reclaims it once no reader
+    does, so a reader can never observe a freed block.
 
-    {2 Pinned entries}
+    {2 Reservations}
 
-    Open tables pin their hot auxiliary blocks (index, filter) so every
-    get does not look them up again. Pinned entries are charged
-    to the shard budget but are never touched by the CLOCK hand, [clear],
-    or a racing {!insert}. {!reserve} charges weight for auxiliary data
-    that lives outside the cache's value type (e.g. bloom filters), so
-    accounting stays honest without widening ['a].
+    {!reserve} charges weight for data that lives outside the cache's
+    value type — an open table's index, filter, properties and footer —
+    so the per-open-table RAM a reader keeps hot counts against the
+    budget without widening ['a].
 
     {2 Singleflight}
 
-    {!find_or_add} and {!acquire_or_add} deduplicate concurrent misses:
-    one caller (the winner) runs the loader, everyone else waits on the
-    shard condition variable and reuses the winner's entry. A loser never
-    installs anything, so it can never overwrite a winner's entry — in
-    particular not one that already has pinned or outstanding handles. If
-    the winner's loader raises, the waiters re-raise the same exception
-    and the next caller retries the load. *)
+    {!find_or_add} deduplicates concurrent misses: one caller (the
+    winner) runs the loader, everyone else waits on the shard condition
+    variable and takes the winner's value from its flight record. A loser
+    never installs anything, so it can never overwrite a winner's entry.
+    If the winner's loader raises, the waiters re-raise the same
+    exception and the next caller retries the load. *)
 
 type 'a t
-
-type 'a handle
-(** A counted reference to a cache entry. The payload obtained through
-    {!handle_value} is valid until {!release}; releasing twice is a no-op.
-    Handles are owned by a single reader and are not thread-safe
-    themselves. *)
 
 type stats = {
   hits : int;
   misses : int;
   evictions : int;
-  weight : int;  (** resident + pinned + reserved weight *)
-  pins : int;  (** currently pinned entries across all shards *)
+  weight : int;  (** resident + reserved weight *)
+  pins : int;
+      (** live reservations across all shards: one per open cached
+          table *)
   singleflight_waits : int;
       (** times a reader waited for another reader's in-flight load *)
   readaheads : int;  (** readahead batches issued by table iterators *)
@@ -67,48 +57,38 @@ type stats = {
 
 val create :
   ?shards:int ->
-  ?release:('a -> unit) ->
   ?readahead:int ->
   capacity:int ->
   weight:('a -> int) ->
   unit ->
   'a t
 (** [capacity] is the total weight budget across all shards (e.g. bytes);
-    [weight] measures each entry. Default [shards] is 16. [release] runs
-    when an entry's last reference drops (eviction with no outstanding
-    handles, or the last {!release} after eviction). [readahead] is the
+    [weight] measures each entry. Default [shards] is 16. [readahead] is the
     forward-scan readahead depth in blocks advertised through
     {!readahead_blocks} (default 0 = disabled); the cache only carries the
     policy and counters — table iterators implement the fetch. *)
 
 val find : 'a t -> int -> 'a option
-(** Lock-free on hit, and takes no reference: the returned value stays
-    reachable through the GC even if the entry is evicted, and [release]
-    may run on it, immediately after. Hold a {!handle} to keep it off. *)
+(** Lock-free on hit. The returned value stays valid after the entry is
+    evicted. *)
 
 val insert : 'a t -> int -> 'a -> unit
 (** Insert or refresh; runs the CLOCK hand until the shard fits its
-    budget. Entries heavier than a whole shard are not cached. Inserting
-    over a pinned entry is a no-op (the pin wins). *)
+    budget. Entries heavier than a whole shard are not cached. *)
 
 val find_or_add : 'a t -> int -> (unit -> 'a) -> 'a
 (** [find_or_add t k f] returns the cached value or computes, caches and
     returns [f ()]. A hit is {!find}'s. Concurrent callers on the same
     missing key run [f] exactly once per generation: one winner loads,
-    losers wait and share the result. A loser never installs its own
-    entry (see the singleflight notes above). *)
+    losers wait and share the winner's value. A loser never installs its
+    own entry (see the singleflight notes above). *)
 
 val remove : 'a t -> int -> unit
-(** Drop the cache's reference to [key]'s entry if present and not
-    pinned. Outstanding handles keep the payload alive. *)
-
-val clear : 'a t -> unit
-(** Evict every unpinned entry. Pinned entries and reservations
-    survive. *)
+(** Drop [key]'s entry if present. *)
 
 val remove_range : 'a t -> lo:int -> hi:int -> unit
-(** Drop every unpinned entry whose key is in [\[lo, hi)]. Used to
-    retire a closing table's blocks eagerly: CLOCK's second chance cannot
+(** Drop every entry whose key is in [\[lo, hi)]. Used to retire a
+    closing table's blocks eagerly: CLOCK's second chance cannot
     distinguish "recently used, then orphaned" from "hot", so without
     eager invalidation dead blocks would push live data out first.
     Each shard visits only the keys in the range, but takes its mutex:
@@ -117,27 +97,7 @@ val remove_range : 'a t -> lo:int -> hi:int -> unit
 val stats : 'a t -> stats
 val cardinal : 'a t -> int
 
-(** {2 Handles} *)
-
-val acquire : 'a t -> int -> 'a handle option
-(** Lock-free on hit: like {!find} but returns a counted handle the
-    caller must {!release}. *)
-
-val acquire_or_add : 'a t -> int -> (unit -> 'a) -> 'a handle
-(** Handle-returning {!find_or_add}; same singleflight contract. *)
-
-val handle_value : 'a handle -> 'a
-val release : 'a handle -> unit
-
-(** {2 Pinning} *)
-
-val pin : 'a t -> int -> 'a -> 'a handle
-(** Insert [key] as a pinned entry (evicting any unpinned entry under the
-    same key) and return a handle to it. The entry is charged to the
-    budget but never evicted until {!unpin}. *)
-
-val unpin : 'a t -> 'a handle -> unit
-(** Remove the pinned entry and release the handle. Idempotent. *)
+(** {2 Reservations} *)
 
 val reserve : 'a t -> int -> int -> unit
 (** Charge [weight] against [key]'s shard without storing a value.

@@ -33,17 +33,11 @@ let rec free_id id =
   let ids = Atomic.get free_ids in
   if not (Atomic.compare_and_set free_ids ids (id :: ids)) then free_id id
 
-(* A table opened with a cache: its id, and the accounting handles. The
-   index block is pinned into the cache (direct reference, charged to
-   the budget, never evicted) and the filter + properties weight is
-   reserved, so the per-open-table RAM the reader keeps hot is visible
-   in [Cache.stats]. *)
-type cached = {
-  cache : Block.t Cache.t;
-  id : int;
-  index_pin : Block.t Cache.handle;
-  aux_key : int;
-}
+(* A table opened with a cache: its id, and the key of the reservation
+   that charges the index, filter, properties and footer to the budget,
+   so the per-open-table RAM the reader keeps hot is visible in
+   [Cache.stats]. *)
+type cached = { cache : Block.t Cache.t; id : int; aux_key : int }
 
 type t = {
   path : string;
@@ -126,20 +120,17 @@ let open_file ?cache ?(env = Env.unix) ~cmp path =
     | None -> None
     | Some cache ->
         let id = take_id () in
-        (* The index and the aux weight key on their own handles'
-           offsets, which no data block shares. *)
-        let key h = block_key id h.Block_handle.offset in
-        let aux_key = key footer.Table_format.filter_handle in
-        let aux_weight =
-          footer.Table_format.filter_handle.Block_handle.size
+        (* The filter's offset keys the reservation: no data block
+           shares it. *)
+        let aux_key =
+          block_key id footer.Table_format.filter_handle.Block_handle.offset
+        in
+        Cache.reserve cache aux_key
+          (Block.size_bytes index
+          + footer.Table_format.filter_handle.Block_handle.size
           + footer.Table_format.props_handle.Block_handle.size
-          + Table_format.footer_length
-        in
-        let index_pin =
-          Cache.pin cache (key footer.Table_format.index_handle) index
-        in
-        Cache.reserve cache aux_key aux_weight;
-        Some { cache; id; index_pin; aux_key }
+          + Table_format.footer_length);
+        Some { cache; id; aux_key }
   in
   {
     path;
@@ -157,12 +148,10 @@ let close t =
   if not (Atomic.exchange t.closed true) then begin
     (match t.cached with
     | Some c ->
-        Cache.unpin c.cache c.index_pin;
         Cache.unreserve c.cache c.aux_key;
         (* Retire this table's data blocks so they stop competing with
-           live tables for cache space (handles held by in-flight reads
-           keep their blocks alive); only then may a new table take the
-           id. *)
+           live tables for cache space (in-flight reads keep the blocks
+           they already hold); only then may a new table take the id. *)
         Cache.remove_range c.cache ~lo:(block_key c.id 0)
           ~hi:(block_key (c.id + 1) 0);
         free_id c.id

@@ -1,7 +1,6 @@
-(* The read-path cache contracts: lock-free hits, epoch-style handle
-   reclamation, singleflight miss dedup, pinning/reservation accounting,
-   and table-iterator readahead (including degradation under injected IO
-   faults). *)
+(* The read-path cache contracts: lock-free hits, singleflight miss
+   dedup, reservation accounting, and table-iterator readahead (including
+   degradation under injected IO faults). *)
 
 open Clsm_sstable
 module Env = Clsm_env.Env
@@ -16,6 +15,16 @@ let tmp_dir =
   d
 
 let tmp_path name = Filename.concat tmp_dir name
+
+let sorted_pairs n =
+  List.init n (fun i -> (Printf.sprintf "key%06d" i, Printf.sprintf "val%d" i))
+
+let build_table ?(block_size = 256) name pairs =
+  let path = tmp_path name in
+  let b = Table_builder.create ~block_size ~cmp:Comparator.bytewise ~path () in
+  List.iter (fun (k, v) -> Table_builder.add b ~key:k ~value:v) pairs;
+  ignore (Table_builder.finish b);
+  path
 
 (* ---------- lock-free hit path ---------- *)
 
@@ -41,46 +50,16 @@ let hits_lock_free () =
   (* The shard mutex is held right now. *)
   let via_find = Cache.find c 1 in
   let via_mem = Cache.mem c 1 in
-  let via_handle =
-    match Cache.acquire c 1 with
-    | None -> None
-    | Some h ->
-        let v = Cache.handle_value h in
-        Cache.release h;
-        Some v
+  let via_find_or_add =
+    Cache.find_or_add c 1 (fun () -> Alcotest.fail "loader ran on a hit")
   in
   Atomic.set release true;
   Domain.join holder;
   Alcotest.(check (option string))
     "find completed under held shard lock" (Some "v") via_find;
   Alcotest.(check bool) "mem completed under held shard lock" true via_mem;
-  Alcotest.(check (option string))
-    "acquire completed under held shard lock" (Some "v") via_handle
-
-(* ---------- handles vs. eviction ---------- *)
-
-let handle_survives_eviction () =
-  let freed = ref [] in
-  let c =
-    Cache.create ~shards:1 ~capacity:4
-      ~release:(fun v -> freed := v :: !freed)
-      ~weight:(fun _ -> 1) ()
-  in
-  let h = Cache.acquire_or_add c 100 (fun () -> "payload-k") in
-  (* Flood the shard so key 100 is certainly evicted. *)
-  for i = 0 to 15 do
-    Cache.insert c i ("v" ^ string_of_int i)
-  done;
-  Alcotest.(check (option string)) "k evicted" None (Cache.find c 100);
-  Alcotest.(check bool)
-    "payload not freed while a handle is held" false
-    (List.mem "payload-k" !freed);
-  Alcotest.(check string) "handle still reads the payload" "payload-k"
-    (Cache.handle_value h);
-  Cache.release h;
-  Alcotest.(check bool) "freed after the last release" true
-    (List.mem "payload-k" !freed);
-  Cache.release h (* idempotent *)
+  Alcotest.(check string)
+    "find_or_add hit completed under held shard lock" "v" via_find_or_add
 
 (* ---------- singleflight ---------- *)
 
@@ -127,68 +106,72 @@ let singleflight_failure_propagates () =
   Alcotest.(check string) "retry succeeds" "ok"
     (Cache.find_or_add c 1 (fun () -> "ok"))
 
-(* ---------- pinning and reservations ---------- *)
+(* ---------- reservations ---------- *)
 
+(* Reserved weight squeezes resident entries, and an open cached table
+   reserves exactly what its reader keeps hot — index, filter,
+   properties and footer, read back from the file's own footer — as one
+   reservation, which [close] returns. *)
 let pins_and_reservations () =
   let c = Cache.create ~shards:1 ~capacity:8 ~weight:(fun _ -> 1) () in
-  let h = Cache.pin c 100 "P" in
-  Alcotest.(check int) "pins counted" 1 (Cache.stats c).Cache.pins;
   Cache.reserve c 101 3;
   for i = 0 to 31 do
     Cache.insert c i "v"
   done;
   let s = Cache.stats c in
-  Alcotest.(check bool) "budget holds pin + reservation + resident" true
+  Alcotest.(check bool) "budget holds reservation + resident" true
     (s.Cache.weight <= 8);
   Alcotest.(check bool) "reservation squeezed resident entries" true
     (Cache.cardinal c <= 5);
-  Alcotest.(check (option string)) "pinned entry never evicted" (Some "P")
-    (Cache.find c 100);
-  Cache.clear c;
-  Alcotest.(check (option string)) "pin survives clear" (Some "P")
-    (Cache.find c 100);
-  Alcotest.(check int) "only the pin survives clear" 1 (Cache.cardinal c);
-  Cache.insert c 100 "usurper";
-  Alcotest.(check (option string)) "insert over a pin is a no-op" (Some "P")
-    (Cache.find c 100);
+  Alcotest.(check int) "reservations counted" 1 s.Cache.pins;
   Cache.unreserve c 101;
-  Cache.unpin c h;
-  Alcotest.(check int) "pins drop on unpin" 0 (Cache.stats c).Cache.pins;
-  Alcotest.(check (option string)) "unpinned entry gone" None
-    (Cache.find c 100);
-  Alcotest.(check int) "weight back to zero" 0 (Cache.stats c).Cache.weight;
-  Cache.unpin c h (* idempotent *)
+  Cache.unreserve c 101 (* idempotent *);
+  Alcotest.(check int) "reservation returned" 0 (Cache.stats c).Cache.pins;
+  let path = build_table "reserve" (sorted_pairs 500) in
+  let footer =
+    In_channel.with_open_bin path (fun ic ->
+        let len = Int64.to_int (In_channel.length ic) in
+        In_channel.seek ic (Int64.of_int (len - Table_format.footer_length));
+        Table_format.decode_footer
+          (really_input_string ic Table_format.footer_length))
+  in
+  let size h = h.Block_handle.size in
+  let hot =
+    size footer.Table_format.index_handle
+    + size footer.Table_format.filter_handle
+    + size footer.Table_format.props_handle
+    + Table_format.footer_length
+  in
+  let cache = Cache.create ~capacity:(1 lsl 20) ~weight:Block.size_bytes () in
+  let t = Table.open_file ~cache ~cmp:Comparator.bytewise path in
+  let s = Cache.stats cache in
+  Alcotest.(check int) "open charges index + filter + props + footer" hot
+    s.Cache.weight;
+  Alcotest.(check int) "one reservation per open table" 1 s.Cache.pins;
+  Alcotest.(check int) "nothing resident before a read" 0 (Cache.cardinal cache);
+  Table.close t;
+  let s = Cache.stats cache in
+  Alcotest.(check int) "close returns the weight" 0 s.Cache.weight;
+  Alcotest.(check int) "close returns the reservation" 0 s.Cache.pins
 
 (* ---------- multi-domain stress ---------- *)
 
-(* Heavy eviction pressure + racing handle reads + singleflight loads.
-   Payloads carry their own freed flag (set by the release hook), so any
-   read of a reclaimed block is caught at the moment it happens. *)
+(* Heavy eviction pressure + racing lock-free hits + singleflight loads:
+   every read must return its own key's value. *)
 let stress_domains () =
-  let c =
-    Cache.create ~shards:4 ~capacity:64
-      ~release:(fun (_, freed) -> freed := true)
-      ~weight:(fun _ -> 1) ()
-  in
+  let c = Cache.create ~shards:4 ~capacity:64 ~weight:(fun _ -> 1) () in
   let n_keys = 512 in
   let worker seed () =
     let ok = ref true in
     for i = 0 to 10_000 do
-      let k = (i * seed) mod n_keys in
-      let key = k in
-      let expect = Printf.sprintf "val%d" k in
-      match Cache.acquire c key with
-      | Some h ->
-          let v, freed = Cache.handle_value h in
-          if v <> expect then ok := false;
-          if !freed then ok := false;
-          Cache.release h
-      | None ->
-          let v, freed =
-            Cache.find_or_add c key (fun () -> (expect, ref false))
-          in
-          if v <> expect then ok := false;
-          ignore freed
+      let key = (i * seed) mod n_keys in
+      let expect = Printf.sprintf "val%d" key in
+      let v =
+        match Cache.find c key with
+        | Some v -> v
+        | None -> Cache.find_or_add c key (fun () -> expect)
+      in
+      if v <> expect then ok := false
     done;
     !ok
   in
@@ -197,8 +180,7 @@ let stress_domains () =
     |> List.map Domain.join
   in
   List.iter
-    (fun ok ->
-      Alcotest.(check bool) "no wrong value, no freed payload read" true ok)
+    (fun ok -> Alcotest.(check bool) "no wrong value" true ok)
     results;
   let s = Cache.stats c in
   Alcotest.(check bool) "evictions happened (pressure was real)" true
@@ -206,16 +188,6 @@ let stress_domains () =
   Alcotest.(check bool) "capacity respected" true (s.Cache.weight <= 64)
 
 (* ---------- readahead ---------- *)
-
-let sorted_pairs n =
-  List.init n (fun i -> (Printf.sprintf "key%06d" i, Printf.sprintf "val%d" i))
-
-let build_table ?(block_size = 256) name pairs =
-  let path = tmp_path name in
-  let b = Table_builder.create ~block_size ~cmp:Comparator.bytewise ~path () in
-  List.iter (fun (k, v) -> Table_builder.add b ~key:k ~value:v) pairs;
-  ignore (Table_builder.finish b);
-  path
 
 let readahead_warms_cache () =
   let pairs = sorted_pairs 2000 in
@@ -418,8 +390,8 @@ let open_tables_never_share_keys () =
   done;
   Alcotest.(check (option (pair string string))) "a point read"
     (Some ("key000300", "a00300")) (Table.find_first_ge a "key000300");
-  Alcotest.(check int) "every block and both pinned indexes resident"
-    (n_blocks a + n_blocks b + 2)
+  Alcotest.(check int) "every block of both tables resident"
+    (n_blocks a + n_blocks b)
     (Cache.cardinal cache);
   Table.close a;
   Table.close b
@@ -431,7 +403,7 @@ let close_drops_only_its_blocks () =
   ignore (Table.to_list b);
   let b_blocks = n_blocks b in
   Table.close a;
-  Alcotest.(check int) "only b's blocks and index remain" (b_blocks + 1)
+  Alcotest.(check int) "only b's blocks remain" b_blocks
     (Cache.cardinal cache);
   let before = misses cache in
   Alcotest.(check (list (pair string string))) "b still reads"
@@ -478,8 +450,6 @@ let suites =
       [
         Alcotest.test_case "hit path ignores a held shard lock" `Quick
           hits_lock_free;
-        Alcotest.test_case "handle outlives eviction" `Quick
-          handle_survives_eviction;
       ] );
     ( "cache.singleflight",
       [

@@ -31,22 +31,35 @@ let small_opts ?(wal_sync = `Async) dir =
 
 (* ---------- iterators pinned across compactions ---------- *)
 
-let iterator_survives_compaction () =
-  (* An open iterator holds references on its components; a compaction that
-     obsoletes and deletes the underlying files must not disturb it. *)
+(* An open iterator holds a reference on the disk component; a
+   compaction that obsoletes and deletes the underlying files must not
+   disturb it. Opened while its keys are still in Pm, the iterator holds
+   the memtable itself, with no count: rotation and flush (which deletes
+   the memtable's WAL) swap it out, and the GC alone keeps it readable. *)
+let iterator_survives_compaction_from ~in_pm =
   let dir = fresh_dir () in
-  let db = Db.open_store (small_opts dir) in
+  let opts = small_opts dir in
+  let db =
+    Db.open_store
+      (if in_pm then { opts with Options.memtable_bytes = 1 lsl 20 } else opts)
+  in
   let n = 800 in
   for i = 0 to n - 1 do
     Db.put db ~key:(Printf.sprintf "k%05d" i) ~value:(string_of_int i)
   done;
-  Db.compact_now db;
+  if not in_pm then Db.compact_now db;
   let it = Db.iterator db in
   Db.iter_seek_first it;
   (* consume a prefix *)
   for _ = 1 to 100 do
     Db.iter_next it
   done;
+  if in_pm then begin
+    Alcotest.(check int) "iterator opened over Pm alone" 0
+      (List.fold_left ( + ) 0 (Db.level_file_counts db));
+    (* rotate, then flush: the iterator's memtable leaves Pm and P'm *)
+    Db.compact_now db
+  end;
   (* rewrite everything and compact twice: the iterator's files become
      obsolete and are unlinked once unpinned *)
   for i = 0 to n - 1 do
@@ -69,6 +82,10 @@ let iterator_survives_compaction () =
   (* after closing, live reads see the new values *)
   Alcotest.(check (option string)) "live read" (Some "NEW") (Db.get db "k00042");
   Db.close db
+
+let iterator_survives_compaction () =
+  iterator_survives_compaction_from ~in_pm:false;
+  iterator_survives_compaction_from ~in_pm:true
 
 let snapshot_read_through_compacted_files () =
   let dir = fresh_dir () in
@@ -224,7 +241,7 @@ let cache_clear_and_stats () =
   Clsm_sstable.Cache.insert c 1 1;
   Clsm_sstable.Cache.insert c 2 2;
   Alcotest.(check int) "cardinal" 2 (Clsm_sstable.Cache.cardinal c);
-  Clsm_sstable.Cache.clear c;
+  Clsm_sstable.Cache.remove_range c ~lo:0 ~hi:max_int;
   Alcotest.(check int) "cleared" 0 (Clsm_sstable.Cache.cardinal c);
   Alcotest.(check (option int)) "miss after clear" None
     (Clsm_sstable.Cache.find c 1)

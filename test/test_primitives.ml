@@ -283,7 +283,7 @@ let rcu_swap_under_readers () =
   List.iter (fun bad -> Alcotest.(check int) "no released read" 0 bad) results
 
 let rcu_with_ref () =
-  let box = Rcu_box.create (Refcounted.create "hello") in
+  let box = Rcu_box.create (Refcounted.create ~release:ignore "hello") in
   Alcotest.(check string) "with_ref" "hello" (Rcu_box.with_ref box Fun.id);
   let cur = Rcu_box.peek box in
   Alcotest.(check int) "count back to 1" 1 (Refcounted.count cur)
