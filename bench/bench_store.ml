@@ -744,6 +744,47 @@ let clock_rows ~scale ~samples =
   in
   [ serializable; linearizable; rmw; row "clock.put_ts" put_ts ]
 
+(* [Merge_iter]'s two engines at 2, 4, 8 and 16 sources
+   ([Merge_iter.merge] takes the linear scan up to 4 and the heap above):
+   ns and minor words per merged entry, over [Iter.of_array] sources
+   that interleave one run of internal keys, as overlapping L0 tables
+   do. Each call steps the merge once; an exhausted merge is rebuilt, so
+   building it is amortized over its entries. *)
+let merge_iter_rows ~scale ~samples =
+  let entries = match scale with Smoke -> 4_096 | Full -> 65_536 in
+  let ops = match scale with Smoke -> 50_000 | Full -> 500_000 in
+  let cmp = Internal_key.compare_encoded in
+  let keys =
+    Array.init entries (fun i ->
+        Internal_key.make (Clsm_workload.Key_dist.key_of_index ~key_len:8 i) 1)
+  in
+  Array.sort cmp keys;
+  let row engine name k =
+    let sources =
+      Array.init k (fun j ->
+          Array.init
+            ((entries - j + k - 1) / k)
+            (fun i -> (keys.((i * k) + j), "v")))
+    in
+    let fresh () =
+      let it = engine ~cmp (Array.to_list (Array.map Iter.of_array sources)) in
+      it.Iter.seek_to_first ();
+      it
+    in
+    let it = ref (fresh ()) in
+    ns_row ~samples ~ops (Printf.sprintf "merge_iter.%s.k%d" name k) (fun _ ->
+        if !it.Iter.valid () then begin
+          ignore (Sys.opaque_identity (!it.Iter.key ()) : string);
+          !it.Iter.next ()
+        end
+        else it := fresh ())
+  in
+  List.concat_map
+    (fun k ->
+      let linear = row Merge_iter.merge_linear "linear" k in
+      [ linear; row Merge_iter.merge_heap "heap" k ])
+    [ 2; 4; 8; 16 ]
+
 let run_kernels ~scale ~out =
   Printf.printf "clsm kernel bench (%s scale, %d core(s))\n%!" (scale_name scale)
     (Domain.recommended_domain_count ());
@@ -823,6 +864,7 @@ let run_kernels ~scale ~out =
   let merge_row = kernel_row "merge" ~bytes_per_sample:input_bytes merge in
   let read_rows = cached_read_rows ~scale ~samples in
   let clock_rows = clock_rows ~scale ~samples in
+  let merge_iter_rows = merge_iter_rows ~scale ~samples in
   let doc =
     J.Obj
       [
@@ -837,7 +879,9 @@ let run_kernels ~scale ~out =
         ("samples", J.Int samples);
         ("merge_input_files", J.Int num_files);
         ( "kernels",
-          J.List ([ crc_row; read_row; merge_row ] @ read_rows @ clock_rows) );
+          J.List
+            ([ crc_row; read_row; merge_row ]
+            @ read_rows @ clock_rows @ merge_iter_rows) );
       ]
   in
   let oc = open_out out in

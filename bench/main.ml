@@ -31,8 +31,9 @@
                    (Table.find_last_le, Db.get), per cached scan
                    (Db.range of 1 and of 50 rows) and per clock call
                    (getSnap's timestamp in both modes, the RMW fence,
-                   a put's getTS); same JSON schema
-                   (default BENCH_kernels.json) *)
+                   a put's getTS) and per entry merged by each
+                   Merge_iter engine at 2, 4, 8 and 16 sources; same
+                   JSON schema (default BENCH_kernels.json) *)
 
 (* The clsm-bench/1 modes share their flags: [smoke] selects the
    seconds-scale run, [--out FILE] the JSON path (else [default_out]). *)

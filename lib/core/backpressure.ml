@@ -18,9 +18,9 @@ type observation = {
   l0_files : int;
 }
 
-type t = { config : config; stats : Stats.t }
+type t = { config : config; stats : Stats.t; changed : Wakeup.t }
 
-let create ~config ~stats = { config; stats }
+let create ~config ~stats ~changed = { config; stats; changed }
 
 (* Quadratic ramp: gentle just past the soft threshold, steep near the
    hard stop, where every additional L0 file matters most. *)
@@ -36,40 +36,32 @@ let hard_blocked o config =
   (o.mem_full && o.imm_busy) || o.l0_files >= config.hard_l0
 
 let admit t ~observe ~wake =
-  let b = Backoff.create ~max_spins:4096 () in
-  (* [since] is the monotonic instant (ns) this writer first found itself
-     hard-blocked (None while unblocked); the elapsed stall is accounted
-     once, when the writer gets through (or gives up on a stopped
-     store), so stall seconds in stats are real writer-observed time. *)
-  let record_stall = function
-    | None -> ()
-    | Some t0 -> Stats.add t.stats Stats.stall_ns (Time_ns.now_ns () - t0)
-  in
-  let rec wait_hard since =
-    let o = observe () in
-    if o.stopped then record_stall since
-    else if hard_blocked o t.config then begin
-      let since =
-        match since with
-        | None ->
-            Stats.incr t.stats Stats.write_stalls;
-            wake ();
-            Some (Time_ns.now_ns ())
-        | Some _ -> since
-      in
-      Backoff.once b;
-      wait_hard since
-    end
+  let clear o = o.stopped || not (hard_blocked o t.config) in
+  let o = observe () in
+  let o =
+    if clear o then o
     else begin
-      record_stall since;
-      let d = delay_ns t.config ~l0_files:o.l0_files in
-      if d > 0 then begin
-        Stats.incr t.stats Stats.write_slowdowns;
-        Stats.add t.stats Stats.slowdown_delay_ns d;
-        (* The delay buys compaction time only if compaction is running. *)
-        wake ();
-        Unix.sleepf (float_of_int d /. 1e9)
-      end
+      (* Hard stall: park until the maintenance state changes. Each
+         observation follows the generation it waits from, so no change
+         is lost. The stall is accounted once, when the writer gets
+         through or finds the store stopped: writer-observed time. *)
+      Stats.incr t.stats Stats.write_stalls;
+      wake ();
+      let t0 = Time_ns.now_ns () in
+      let rec park seen =
+        let o = observe () in
+        if clear o then o else park (Wakeup.wait t.changed ~seen)
+      in
+      let o = park (Wakeup.current t.changed) in
+      Stats.add t.stats Stats.stall_ns (Time_ns.now_ns () - t0);
+      o
     end
   in
-  wait_hard None
+  let d = if o.stopped then 0 else delay_ns t.config ~l0_files:o.l0_files in
+  if d > 0 then begin
+    Stats.incr t.stats Stats.write_slowdowns;
+    Stats.add t.stats Stats.slowdown_delay_ns d;
+    (* The delay buys compaction time only if compaction is running. *)
+    wake ();
+    Unix.sleepf (float_of_int d /. 1e9)
+  end

@@ -10,8 +10,10 @@
     [max_delay_ns], shaving ingest smoothly so compaction can keep up
     and the hard stop is rarely hit. The hard conditions (L0 at the
     stall limit, or the memtable overfull while its predecessor is still
-    merging, paper §5.3) still stop the writer, with exponential
-    backoff, until maintenance catches up. *)
+    merging, paper §5.3) still stop the writer until maintenance catches
+    up: it parks on the store's state-change cell and re-observes on
+    each signal, so a stalled writer burns no CPU the compaction it
+    waits for needs. *)
 
 type config = {
   soft_l0 : int;  (** L0 file count where delays begin *)
@@ -30,7 +32,9 @@ type observation = {
 
 type t
 
-val create : config:config -> stats:Stats.t -> t
+val create :
+  config:config -> stats:Stats.t -> changed:Clsm_primitives.Wakeup.t -> t
+(** [changed] is signalled on every change that can lift a stall. *)
 
 val delay_ns : config -> l0_files:int -> int
 (** Pure delay curve: [0] below [soft_l0], then a quadratic ramp
@@ -38,7 +42,8 @@ val delay_ns : config -> l0_files:int -> int
     property testing. *)
 
 val admit : t -> observe:(unit -> observation) -> wake:(unit -> unit) -> unit
-(** Gate one write. Re-observes via [observe] while a hard condition
-    holds (calling [wake] once per stall episode so the scheduler runs),
-    then injects the graduated delay, recording stall and slowdown
-    statistics. Returns promptly once admitted. *)
+(** Gate one write. While a hard condition holds, parks on [changed]
+    and re-observes via [observe] after each signal (calling [wake] once
+    per stall episode so the scheduler runs), then injects the graduated
+    delay, recording stall and slowdown statistics. An unblocked writer
+    takes no mutex. *)

@@ -68,7 +68,9 @@ let guard_io t ~what f =
       so no compaction pick can see a quarantined table's range as
       "nothing deeper". Verdicts on tables already gone from the
       version are moot and dropped;
-   3. swap [pd] (and, for a flush, empty P'm) under the exclusive lock;
+   3. swap [pd] (and, for a flush, empty P'm) under the exclusive lock,
+      then signal [changed]: a stalled writer waits for the swap, not
+      for the manifest fsync;
    4. clear resolved ledger entries, so no manifest lists a number both
       in its file set and in quarantine;
    5. save the manifest (retried) — a crash now recovers the new version;
@@ -127,6 +129,7 @@ let commit_edit t ~kind (edit : Version_edit.t) =
           let old_pd = Rcu_box.swap t.pd next in
           if kind = `Flush then Atomic.set t.pimm No_imm;
           Shared_lock.unlock_exclusive t.lock;
+          changed t;
           List.iter (fun (_, f) -> Refcounted.retire f) edit.added;
           [ old_pd ]
         end
@@ -322,7 +325,7 @@ let claim t tag = Mutex.protect t.claims.cm (fun () -> claim_locked t.claims tag
 let release t tag =
   let c = t.claims in
   Mutex.protect c.cm (fun () -> set_claimed c tag false);
-  Wakeup.signal c.released
+  changed t
 
 (* The one way to wait on the claims ledger. [attempt] takes [cm]
    itself and answers [Some] once what the caller waits for is
@@ -399,7 +402,7 @@ let release_compaction t range =
   let c = t.claims in
   Mutex.protect c.cm (fun () ->
       c.busy_levels <- List.filter (fun r -> r <> range) c.busy_levels);
-  Wakeup.signal c.released
+  changed t
 
 let take_pending t range =
   let c = t.claims in
@@ -548,7 +551,7 @@ let with_compaction_barrier t f =
   Fun.protect
     ~finally:(fun () ->
       Mutex.protect c.cm (fun () -> c.barrier <- false);
-      Wakeup.signal c.released)
+      changed t)
     (fun () ->
       Mutex.protect c.cm (fun () -> c.barrier <- true);
       await_release t (fun () ->
@@ -786,6 +789,10 @@ let recover_from_degraded t =
             `Repaired
         | exception Env.Error _ -> `Blocked)
 
+(* Seconds before a failed repair is retried: a repair that fails
+   (media still rotten, fault still live) must not hot-loop the pool. *)
+let repair_damping = 1.0
+
 (* The [Repair] job body. Containment always runs; the healing steps
    run when [auto_repair] is on or the caller forces them
    ([repair_now]). Caller holds the repair claim. *)
@@ -793,10 +800,9 @@ let run_repair t ~force =
   let h = t.heal in
   apply_pending_quarantines t;
   if t.opts.Options.auto_repair || force then begin
-    (* Damp the next attempt up front: a repair that fails (media
-       still rotten, fault still live) must not hot-loop the pool. *)
+    (* Damp the next attempt up front. *)
     Mutex.protect h.hm (fun () ->
-        h.repair_next_due <- Time_ns.now_s () +. 1.0);
+        h.repair_next_due <- Time_ns.now_s () +. repair_damping);
     let finalized = finalize_quarantined t in
     let recovered = recover_from_degraded t in
     (match finalized with
@@ -900,9 +906,18 @@ let run t (job : Job.t) =
               guard_io t ~what:"compaction" (fun () ->
                   run_claimed_compaction t cc)))
 
+(* Every state change wakes the workers, so only work that falls due
+   with time needs a clock: the next scrub pass and the retry of a
+   failed repair. Without either there is no ticker. *)
+let tick (opts : Options.t) =
+  if opts.scrub_interval > 0.0 then
+    Some (Float.min repair_damping opts.scrub_interval)
+  else if opts.auto_repair then Some repair_damping
+  else None
+
 let make_scheduler t =
   Scheduler.create ~num_workers:t.opts.Options.maintenance_workers
-    ~tick_interval:t.opts.Options.maintenance_tick ~pp:Job.pp
+    ?tick:(tick t.opts) ~pp:Job.pp
     ~next:(fun () -> next t)
     ~run:(fun job -> run t job)
     ()

@@ -11,7 +11,6 @@ type t = {
   linearizable_snapshots : bool;
   unsafe_naive_snapshots : bool;
   maintenance_workers : int;
-  maintenance_tick : float;
   lsm : Clsm_lsm.Lsm_config.t;
   env : Clsm_env.Env.t;
   strict_wal : bool;
@@ -33,7 +32,6 @@ let default ~dir =
     linearizable_snapshots = false;
     unsafe_naive_snapshots = false;
     maintenance_workers = 2;
-    maintenance_tick = 0.25;
     lsm = Clsm_lsm.Lsm_config.default;
     env = Clsm_env.Env.unix;
     strict_wal = false;

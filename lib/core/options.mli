@@ -40,11 +40,6 @@ type t = {
       (** background worker domains for flush/compaction (default 2);
           flushes and deep-level compactions proceed in parallel on
           disjoint level ranges *)
-  maintenance_tick : float;
-      (** scheduler fallback-tick interval in seconds (default 0.25);
-          maintenance is normally event-driven — write paths signal the
-          scheduler — and the tick only bounds the staleness of work
-          nobody signalled for *)
   lsm : Clsm_lsm.Lsm_config.t;  (** disk component tuning *)
   env : Clsm_env.Env.t;
       (** storage environment all file IO goes through (default
@@ -68,11 +63,14 @@ type t = {
   scrub_interval : float;
       (** seconds between background scrub passes over the disk component
           (default 30.0); [<= 0] disables scheduled scrubbing (explicit
-          [scrub_now] still works) *)
+          [scrub_now] still works). This and [auto_repair] are the only
+          work that falls due with time: with neither, the scheduler
+          runs no ticker *)
   auto_repair : bool;
       (** run the [Repair] maintenance job automatically: apply pending
           quarantines, finalize quarantined files, and attempt the online
-          [`Degraded]→[`Ok] transition (default true) *)
+          [`Degraded]→[`Ok] transition, retrying a failed attempt after
+          one second (default true) *)
 }
 
 val default : dir:string -> t

@@ -212,7 +212,7 @@ module Core = struct
     in
     let scheduler =
       Scheduler.create ~num_workers:opts.Options.maintenance_workers
-        ~tick_interval:opts.Options.maintenance_tick ~pp:pp_job
+        ?tick:(Maintenance_hooks.tick opts) ~pp:pp_job
         ~next:(next_job shards (Atomic.make 0))
         ~run:(fun (i, job) -> Db.maintenance_run shards.(i) job)
         ()

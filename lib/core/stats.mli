@@ -47,7 +47,10 @@ type snapshot = {
   stall_ns : int;  (** cumulative time writers spent hard-stalled, ns *)
   write_slowdowns : int;  (** puts delayed by the graduated controller *)
   slowdown_delay_ns : int;  (** cumulative injected delay, nanoseconds *)
-  maintenance_wakeups : int;  (** scheduler signals sent by foreground paths *)
+  maintenance_wakeups : int;
+      (** scheduler signals: work created by a write (memtable over
+          budget, stall, slowdown, corruption verdict) and every state
+          change (claim released, version installed, store degraded) *)
   scrubbed_blocks : int;  (** blocks re-verified by the scrub job *)
   corruptions_detected : int;  (** checksum/structure failures classified *)
   quarantined_tables : int;  (** sstables pulled from the read view *)

@@ -428,6 +428,7 @@ let open_shard ~clock (opts : Options.t) =
   (* Fresh writes must outrank everything this directory persisted —
      with a shared clock, CAS-max across shards in any recovery order. *)
   Clock.observe_recovered_ts clock r.Recovery.last_ts;
+  let claims = fresh_claims () in
   let t =
     {
       opts;
@@ -451,12 +452,12 @@ let open_shard ~clock (opts : Options.t) =
       degraded = Atomic.make None;
       heal = fresh_heal ~quarantined:r.Recovery.quarantined;
       install = Mutex.create ();
-      claims = fresh_claims ();
+      claims;
       compact_pointers = Array.make (num_levels - 1) "";
       backpressure =
         Backpressure.create
           ~config:(Backpressure.config_of_options opts)
-          ~stats;
+          ~stats ~changed:claims.released;
       scheduler = None;
       wake_hook = None;
       closed = false;
@@ -480,14 +481,16 @@ let flush_wal t =
   | Some w -> Clsm_wal.Wal_writer.flush w
   | None -> ()
 
+(* Stalled writers wake on [changed] and find the store stopped. *)
 let stop_scheduler t =
   Atomic.set t.stop true;
-  match t.scheduler with
+  (match t.scheduler with
   | Some s ->
       Clsm_maintenance.Scheduler.stop s;
       t.scheduler <- None;
       t.wake_hook <- None
-  | None -> ()
+  | None -> ());
+  changed t
 
 (* Testing hook: die without flushing the WAL queue or saving the
    manifest — what a crash leaves on disk. The value must not be used

@@ -21,8 +21,11 @@ type imm_slot = No_imm | Imm of memcomp
    race itself); [busy_levels] holds the (src, target) ranges of
    in-flight compactions so parallel workers only ever merge disjoint
    ranges; [repair_claimed] and [scrub_claimed] make the Repair and
-   Scrub jobs single-instance. Every release and the barrier clear
-   signal [released], which is what a blocked claimant waits on. A
+   Scrub jobs single-instance. [released] is the store's one
+   state-change cell: every claim release, the barrier clear, every
+   install, the first degradation and the stop signal it (through
+   [changed]), and everything that waits on maintenance state waits on
+   it — a blocked claimant, and a writer in a hard stall. A
    claimed compaction carries its picked task and a reference on the
    version it was picked from, so input files cannot be retired
    between claim and execution. *)
@@ -111,10 +114,6 @@ type t = {
 
 let alloc_file_number t () = Atomic.fetch_and_add t.next_file 1
 
-(* First degradation reason wins; later failures are consequences. *)
-let degrade t reason =
-  ignore (Atomic.compare_and_set t.degraded None (Some reason) : bool)
-
 let is_degraded t = Atomic.get t.degraded <> None
 
 let fresh_claims () =
@@ -143,15 +142,28 @@ let current_pm t = Atomic.get t.pm
 let current_imm t = Atomic.get t.pimm
 let current_version t = Refcounted.value (Rcu_box.peek t.pd)
 
-(* Signal the maintenance scheduler that work exists (memtable over
-   threshold, rotation, stall). The paper's sleep-polling background
-   loop is gone: this is a real Mutex+Condition wakeup. *)
+(* Signal the maintenance scheduler that work may exist (memtable over
+   threshold, rotation, stall, and every [changed]). The paper's
+   sleep-polling background loop is gone: this is a real
+   Mutex+Condition wakeup. *)
 let wake_bg t =
   match t.wake_hook with
   | Some wake ->
       Stats.incr t.stats Stats.maintenance_wakeups;
       wake ()
   | None -> ()
+
+(* The maintenance state changed (a claim released, a version
+   installed, the store degraded or stopping): wake whoever waits on it
+   and the workers, which may now find work a held claim hid. *)
+let changed t =
+  Wakeup.signal t.claims.released;
+  wake_bg t
+
+(* First degradation reason wins; later failures are consequences. The
+   first one wakes the Repair job and releases stalled writers. *)
+let degrade t reason =
+  if Atomic.compare_and_set t.degraded None (Some reason) then changed t
 
 (* Record a corruption verdict against a table file, deduplicated, and
    signal maintenance. Safe from any read path (only takes the heal

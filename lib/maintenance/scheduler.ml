@@ -8,29 +8,27 @@ type 'job t = {
   wakeup : Wakeup.t;
   stopping : bool Atomic.t;
   num_workers : int;
-  tick_interval : float;
+  tick : float option;
   pp : Format.formatter -> 'job -> unit;
   next : unit -> 'job option;
   run : 'job -> unit;
   jobs : int Atomic.t;
-  wake_signals : int Atomic.t;
   mutable domains : unit Domain.t list;
   lifecycle : Mutex.t; (* serializes start/stop *)
   mutable started : bool;
 }
 
-let create ?(num_workers = 2) ?(tick_interval = 0.25) ~pp ~next ~run () =
+let create ?(num_workers = 2) ?tick ~pp ~next ~run () =
   if num_workers < 1 then invalid_arg "Scheduler.create: num_workers < 1";
   {
     wakeup = Wakeup.create ();
     stopping = Atomic.make false;
     num_workers;
-    tick_interval;
+    tick;
     pp;
     next;
     run;
     jobs = Atomic.make 0;
-    wake_signals = Atomic.make 0;
     domains = [];
     lifecycle = Mutex.create ();
     started = false;
@@ -56,12 +54,12 @@ let worker_loop t id =
   in
   go (Wakeup.current t.wakeup)
 
-(* The fallback clock. Sleeps in small slices so [stop] never waits a
-   full (possibly long) tick to join this domain. *)
-let ticker_loop t =
+(* The clock for time-due work. Sleeps in small slices so [stop] never
+   waits a full (possibly long) tick to join this domain. *)
+let ticker_loop t period =
   let slice = 0.05 in
   while not (Atomic.get t.stopping) do
-    let deadline = Clsm_util.Time_ns.now_s () +. t.tick_interval in
+    let deadline = Clsm_util.Time_ns.now_s () +. period in
     let rec nap () =
       if not (Atomic.get t.stopping) then begin
         let left = deadline -. Clsm_util.Time_ns.now_s () in
@@ -83,15 +81,15 @@ let start t =
           List.init t.num_workers (fun id ->
               Domain.spawn (fun () -> worker_loop t id))
         in
-        let ticker = Domain.spawn (fun () -> ticker_loop t) in
-        t.domains <- ticker :: workers
+        let ticker =
+          Option.map
+            (fun period -> Domain.spawn (fun () -> ticker_loop t period))
+            t.tick
+        in
+        t.domains <- Option.to_list ticker @ workers
       end)
 
-let wake t =
-  if not (Atomic.get t.stopping) then begin
-    Atomic.incr t.wake_signals;
-    Wakeup.signal t.wakeup
-  end
+let wake t = if not (Atomic.get t.stopping) then Wakeup.signal t.wakeup
 
 let stop t =
   Mutex.protect t.lifecycle (fun () ->
@@ -102,4 +100,3 @@ let stop t =
       end)
 
 let jobs_run t = Atomic.get t.jobs
-let wakes t = Atomic.get t.wake_signals

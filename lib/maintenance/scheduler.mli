@@ -1,12 +1,14 @@
 (** Event-driven maintenance scheduler.
 
     Replaces the store's sleep-polling background domain with a pool of
-    worker domains parked on a {!Clsm_primitives.Wakeup} cell. Write
-    paths call {!wake} when they create work (memtable over its
-    threshold, L0 pile-up, rotation); a ticker domain additionally
-    signals every [tick_interval] as a fallback clock, so deferred work
-    (e.g. a compaction that became eligible without any put noticing) is
-    still picked up with bounded delay.
+    worker domains parked on a {!Clsm_primitives.Wakeup} cell. The store
+    calls {!wake} on every change that can create or unblock work (a
+    memtable over its threshold, a rotation, a stall, an install, a
+    released claim, a degradation), so no work waits on a clock. Only
+    work that falls due with time (a scrub pass every [scrub_interval],
+    the retry of a failed repair) needs one: a store that has such work
+    passes [tick], and a ticker domain then signals every [tick]
+    seconds.
 
     The scheduler owns no job queue: [next] claims and returns the
     highest-priority runnable job under the caller's own bookkeeping,
@@ -27,20 +29,22 @@ type 'job t
 
 val create :
   ?num_workers:int ->
-  ?tick_interval:float ->
+  ?tick:float ->
   pp:(Format.formatter -> 'job -> unit) ->
   next:(unit -> 'job option) ->
   run:('job -> unit) ->
   unit ->
   'job t
-(** [num_workers] defaults to [2]; [tick_interval] (seconds) defaults to
-    [0.25]. [next] must be thread-safe and claim the job it returns;
-    [run] must release the claim even on failure (exceptions escaping
-    [run] are caught and logged by the worker, naming the job with
-    [pp]). No domain is spawned until {!start}. *)
+(** [num_workers] defaults to [2]. With [tick] (seconds), {!start} also
+    spawns a ticker that signals the workers at that period; without
+    it, only {!wake} does. [next] must be thread-safe and claim the job
+    it returns; [run] must release the claim even on failure
+    (exceptions escaping [run] are caught and logged by the worker,
+    naming the job with [pp]). No domain is spawned until {!start}. *)
 
 val start : _ t -> unit
-(** Spawn the worker pool and the ticker. Idempotent. *)
+(** Spawn the worker pool, and the ticker if [tick] was given.
+    Idempotent. *)
 
 val wake : _ t -> unit
 (** Signal the workers that work may exist. Never blocks; safe from any
@@ -48,11 +52,8 @@ val wake : _ t -> unit
 
 val stop : _ t -> unit
 (** Ask workers to finish their current job, then join every domain.
-    The ticker wakes within ~50 ms regardless of [tick_interval].
+    The ticker wakes within ~50 ms regardless of [tick].
     Idempotent. After [stop], {!wake} is a no-op. *)
 
 val jobs_run : _ t -> int
 (** Total jobs executed (for stats and tests). *)
-
-val wakes : _ t -> int
-(** Total {!wake} signals delivered (for stats and tests). *)

@@ -1,13 +1,10 @@
-type t = { min_spins : int; max_spins : int; mutable spins : int }
+type t = { mutable spins : int }
 
-let create ?(min_spins = 1) ?(max_spins = 1024) () =
-  if min_spins < 1 || max_spins < min_spins then invalid_arg "Backoff.create";
-  { min_spins; max_spins; spins = min_spins }
+let max_spins = 1024
+let create () = { spins = 1 }
 
 let once t =
   for _ = 1 to t.spins do
     Domain.cpu_relax ()
   done;
-  if t.spins < t.max_spins then t.spins <- t.spins * 2
-
-let reset t = t.spins <- t.min_spins
+  if t.spins < max_spins then t.spins <- t.spins * 2

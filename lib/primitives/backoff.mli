@@ -1,15 +1,13 @@
 (** Bounded exponential backoff for CAS retry loops.
 
-    Each failed attempt doubles the number of [Domain.cpu_relax] spins up to
-    a cap, reducing cache-line ping-pong under contention. *)
+    Each failed attempt doubles the number of [Domain.cpu_relax] spins,
+    from 1 up to a cap of 1024, reducing cache-line ping-pong under
+    contention. *)
 
 type t
 
-val create : ?min_spins:int -> ?max_spins:int -> unit -> t
-(** Fresh backoff state. Defaults: [min_spins = 1], [max_spins = 1024]. *)
+val create : unit -> t
+(** Fresh backoff state at one spin. *)
 
 val once : t -> unit
 (** Spin for the current budget, then double it (up to the cap). *)
-
-val reset : t -> unit
-(** Return to the minimum budget (after a successful operation). *)

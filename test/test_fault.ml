@@ -40,7 +40,6 @@ let small_opts ?(env = Env.unix) ?(wal_enabled = true) ?(wal_sync = `Async)
     env;
     cache_bytes = 1 lsl 20;
     maintenance_workers = 1;
-    maintenance_tick = 0.01;
     lsm =
       {
         base.Options.lsm with
@@ -205,6 +204,52 @@ let enospc_degrades_to_read_only () =
     (Db.verify_integrity db);
   Db.close db
 
+(* The same ENOSPC, healed by the store alone: once the fault clears,
+   the Repair job's retry falls due with time, so an idle store must
+   lift [`Degraded] without any call but [health]. *)
+let idle_degraded_store_repairs_itself () =
+  let dir = fresh_dir () in
+  let f = Faulty_env.create ~seed:3 () in
+  let opts =
+    {
+      (small_opts ~env:(Faulty_env.env f) ~wal_enabled:false
+         ~memtable_bytes:(1 lsl 20) dir)
+      with
+      Options.retry = Clsm_env.Retry_policy.none;
+      auto_repair = true;
+      scrub_interval = 0.0;
+    }
+  in
+  let db = Db.open_store opts in
+  Fun.protect
+    ~finally:(fun () -> Db.close db)
+    (fun () ->
+      for i = 1 to 200 do
+        Db.put db ~key:(Printf.sprintf "k%04d" i) ~value:(String.make 40 'v')
+      done;
+      Faulty_env.set_fault_rates f ~append_fail_1_in:1 ();
+      Db.compact_now db;
+      (match Db.health db with
+      | `Degraded _ -> ()
+      | `Ok | `Partial _ ->
+          Alcotest.fail "store should be degraded after ENOSPC flush");
+      (* The degradation woke a repair; let it fail on the live fault,
+         so only its damped retry can heal the store. *)
+      Unix.sleepf 0.2;
+      Faulty_env.set_fault_rates f ~append_fail_1_in:0 ();
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Db.health db <> `Ok && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.01
+      done;
+      (match Db.health db with
+      | `Ok -> ()
+      | `Degraded r | `Partial r -> Alcotest.failf "still unhealthy: %s" r);
+      Db.put db ~key:"after" ~value:"x";
+      Alcotest.(check (option string)) "writes accepted" (Some "x")
+        (Db.get db "after");
+      Alcotest.(check bool) "repair counted" true
+        ((Db.stats db).Stats.auto_repairs >= 1))
+
 (* ---------- orphan cleanup after a mid-flush crash ---------- *)
 
 let mid_flush_crash_leaves_no_orphans () =
@@ -274,7 +319,10 @@ let mid_compaction_crash_leaves_no_orphans () =
       lsm = { base.Options.lsm with Lsm_config.target_file_size = 32 * 1024 };
     }
   in
-  let db = Db.open_store opts in
+  (* No scheduler: the flush's install would wake a background worker,
+     whose merge could then interleave with the flush's log removal and
+     move the crash point. [compact_now] alone runs every job, in order. *)
+  let db = Db.open_shard ~clock:(Clock.create ()) opts in
   let put_batch round =
     for i = 1 to 300 do
       Db.put db
@@ -654,6 +702,8 @@ let suites =
         Alcotest.test_case "crash image" `Quick crash_image_keeps_synced_prefix;
         Alcotest.test_case "fsync gate" `Quick fsync_gate_poisons_writer;
         Alcotest.test_case "enospc degrades" `Quick enospc_degrades_to_read_only;
+        Alcotest.test_case "idle degraded store repairs itself" `Quick
+          idle_degraded_store_repairs_itself;
         Alcotest.test_case "no orphans after crash" `Quick
           mid_flush_crash_leaves_no_orphans;
         Alcotest.test_case "no orphans after compaction crash" `Quick

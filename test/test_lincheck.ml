@@ -60,7 +60,6 @@ let opts ?(linearizable = false) dir =
     wal_enabled = true;
     linearizable_snapshots = linearizable;
     maintenance_workers = 2;
-    maintenance_tick = 0.01;
     lsm =
       {
         base.Options.lsm with

@@ -221,8 +221,8 @@ let overwrites_still_merge () =
 
 (* ---------- Scheduler ---------- *)
 
-(* With an effectively infinite tick, only the wake signal can run the
-   job: the scheduler is event-driven, not polling. *)
+(* With no ticker, only the wake signal can run the job: the scheduler
+   is event-driven, not polling. *)
 let scheduler_runs_on_wake_not_tick () =
   let pending = Atomic.make 0 in
   let ran = Atomic.make 0 in
@@ -237,8 +237,7 @@ let scheduler_runs_on_wake_not_tick () =
   in
   let run _job = Atomic.incr ran in
   let s =
-    Scheduler.create ~num_workers:2 ~tick_interval:3600.0 ~pp:Job.pp ~next
-      ~run ()
+    Scheduler.create ~num_workers:2 ~pp:Job.pp ~next ~run ()
   in
   Scheduler.start s;
   Unix.sleepf 0.05;
@@ -255,7 +254,7 @@ let scheduler_runs_on_wake_not_tick () =
 
 let scheduler_stop_joins_quickly () =
   let s =
-    Scheduler.create ~num_workers:1 ~tick_interval:3600.0 ~pp:Job.pp
+    Scheduler.create ~num_workers:1 ~tick:3600.0 ~pp:Job.pp
       ~next:(fun () -> None)
       ~run:(fun _ -> ())
       ()
@@ -529,8 +528,8 @@ let stats_concurrent_updates () =
 
 (* The seed's background loop slept between polls, so flush latency was
    bounded below by the poll interval. With the scheduler, a rotation
-   signals a condvar: set the fallback tick to 30 s and require the flush
-   to land orders of magnitude sooner. *)
+   signals a condvar: with scrubbing and auto-repair off the store runs
+   no ticker at all, and the flush must still land in milliseconds. *)
 let flush_without_poll_tick () =
   let dir = fresh_dir () in
   let base = Options.default ~dir in
@@ -539,7 +538,8 @@ let flush_without_poll_tick () =
       base with
       Options.memtable_bytes = 4 * 1024;
       cache_bytes = 1 lsl 20;
-      maintenance_tick = 30.0;
+      scrub_interval = 0.0;
+      auto_repair = false;
       lsm =
         {
           base.Options.lsm with
@@ -571,7 +571,7 @@ let flush_without_poll_tick () =
         (st.Stats.memtable_rotations >= 1);
       Alcotest.(check bool) "flush happened" true (st.Stats.flushes >= 1);
       Alcotest.(check bool)
-        (Printf.sprintf "flush in %.3fs, far below the 30s tick" elapsed)
+        (Printf.sprintf "flush in %.3fs with no ticker" elapsed)
         true
         (elapsed < 5.0);
       Alcotest.(check bool) "writes signalled the scheduler" true
@@ -699,6 +699,109 @@ let blocking_claims_wake_on_release () =
     (st.Stats.manifest_bytes_last > 0);
   Db.close db
 
+(* A writer in a hard stall parks instead of spinning: the store runs
+   no scheduler ([Db.open_shard]), L0 stalls at two tables, and this
+   domain builds them with [maintenance_next]/[maintenance_run]. The
+   stalled put must burn almost no CPU while it waits, return once the
+   L0→L1 merge installs, and a second stalled put must be released by
+   [Db.close]. *)
+let stalled_writer_parks () =
+  let dir = fresh_dir () in
+  let base = Options.default ~dir in
+  let opts =
+    {
+      base with
+      Options.memtable_bytes = 4 * 1024;
+      scrub_interval = 0.0;
+      lsm =
+        {
+          base.Options.lsm with
+          Clsm_lsm.Lsm_config.l0_compaction_trigger = 2;
+          l0_slowdown_trigger = 2;
+          l0_stall_limit = 2;
+        };
+    }
+  in
+  let db = Db.open_shard ~clock:(Clock.create ()) opts in
+  let run_next expected =
+    match Db.maintenance_next db with
+    | Some job when job = expected -> Db.maintenance_run db job
+    | Some _ | None -> Alcotest.fail "expected to claim the job"
+  in
+  let two_l0_tables round =
+    for r = 1 to 2 do
+      for i = 0 to 99 do
+        Db.put db
+          ~key:(Printf.sprintf "r%d-%d-%03d" round r i)
+          ~value:(String.make 64 'v')
+      done;
+      run_next Job.Flush
+    done;
+    Alcotest.(check int) "two L0 tables" 2 (List.hd (Db.level_file_counts db))
+  in
+  (* The put on its own domain; [finished] holds its outcome. *)
+  let stalled_put key =
+    let finished = Atomic.make None in
+    let d =
+      Domain.spawn (fun () ->
+          let outcome =
+            match Db.put db ~key ~value:"late" with
+            | () -> "returned"
+            | exception e -> Printexc.to_string e
+          in
+          Atomic.set finished (Some (Unix.gettimeofday (), outcome)))
+    in
+    (d, finished)
+  in
+  let await ~what ~within (d, finished) =
+    let deadline = Unix.gettimeofday () +. within in
+    while Atomic.get finished = None && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.002
+    done;
+    match Atomic.get finished with
+    | None -> Alcotest.failf "%s: still stalled %.0f s later" what within
+    | Some (at, outcome) ->
+        Domain.join d;
+        (at, outcome)
+  in
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  two_l0_tables 1;
+  let writer = stalled_put "stalled-1" in
+  Unix.sleepf 0.02;
+  let wall0 = Unix.gettimeofday () and cpu0 = cpu () in
+  Unix.sleepf 0.3;
+  let wall = Unix.gettimeofday () -. wall0 and used = cpu () -. cpu0 in
+  Alcotest.(check bool) "put still stalled" true (Atomic.get (snd writer) = None);
+  Alcotest.(check int) "one stall" 1 (Db.stats db).Stats.write_stalls;
+  Alcotest.(check bool)
+    (Printf.sprintf "stalled writer used %.0f ms CPU over %.0f ms" (used *. 1e3)
+       (wall *. 1e3))
+    true
+    (used < wall /. 3.);
+  let job_started = Unix.gettimeofday () in
+  run_next (Job.Compact { src_level = 0; target_level = 1 });
+  let at, outcome = await ~what:"after the install" ~within:2.0 writer in
+  Alcotest.(check string) "put returned" "returned" outcome;
+  Alcotest.(check bool)
+    (Printf.sprintf "returned %.1f ms after the L0 merge started"
+       ((at -. job_started) *. 1e3))
+    true
+    (at -. job_started < 2.0);
+  Alcotest.(check bool) "stall time recorded" true
+    ((Db.stats db).Stats.stall_ns > 0);
+  Alcotest.(check (option string)) "stalled put landed" (Some "late")
+    (Db.get db "stalled-1");
+  two_l0_tables 2;
+  let writer = stalled_put "stalled-2" in
+  Unix.sleepf 0.05;
+  Alcotest.(check bool) "second put stalled" true
+    (Atomic.get (snd writer) = None);
+  Db.close db;
+  ignore (await ~what:"after close" ~within:5.0 writer : float * string)
+
 (* ---------- Store-level: concurrency stress under the scheduler ---------- *)
 
 let stress_writers_readers_churn () =
@@ -710,7 +813,6 @@ let stress_writers_readers_churn () =
       Options.memtable_bytes = 8 * 1024;
       cache_bytes = 1 lsl 20;
       maintenance_workers = 2;
-      maintenance_tick = 0.05;
       lsm =
         {
           base.Options.lsm with
@@ -841,6 +943,8 @@ let suites =
           flush_without_poll_tick;
         Alcotest.test_case "blocked claims wake on release" `Quick
           blocking_claims_wake_on_release;
+        Alcotest.test_case "stalled writer parks until an install" `Quick
+          stalled_writer_parks;
         Alcotest.test_case "writers/readers/churn stress" `Slow
           stress_writers_readers_churn;
       ] );

@@ -38,7 +38,6 @@ let small_opts ?(env = Env.unix) dir =
     env;
     cache_bytes = 1 lsl 20;
     maintenance_workers = 1;
-    maintenance_tick = 0.01;
     (* tests drive scrub/repair explicitly *)
     scrub_interval = 0.0;
     auto_repair = false;
@@ -371,6 +370,27 @@ let transient_fsync_completes_via_retry () =
   Alcotest.(check (list string)) "consistent" [] (Db.verify_integrity db);
   Db.close db
 
+(* Scrubbing is work that falls due with time, not with any event: once
+   the store goes idle, only the scheduler's clock can start the next
+   pass. No call after [compact_now] but reading stats, and the count
+   starts once the passes its installs woke have had time to finish. *)
+let idle_store_keeps_scrubbing () =
+  let dir = fresh_dir () in
+  let db =
+    Db.open_store { (small_opts dir) with Options.scrub_interval = 0.05 }
+  in
+  Fun.protect
+    ~finally:(fun () -> Db.close db)
+    (fun () ->
+      fill db;
+      Unix.sleepf 0.1;
+      let before = (Db.stats db).Stats.scrubbed_blocks in
+      Unix.sleepf 0.5;
+      let after = (Db.stats db).Stats.scrubbed_blocks in
+      Alcotest.(check bool)
+        (Printf.sprintf "scrubbed %d blocks while idle" (after - before))
+        true (after > before))
+
 let suites =
   [
     ( "selfheal.retry",
@@ -392,6 +412,8 @@ let suites =
           malformed_block_is_contained;
         Alcotest.test_case "persistent rot round trip" `Quick
           persistent_rot_round_trip;
+        Alcotest.test_case "idle store keeps scrubbing" `Quick
+          idle_store_keeps_scrubbing;
       ] );
     ( "selfheal.retry-io",
       [

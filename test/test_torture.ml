@@ -48,7 +48,6 @@ let opts_for ~env dir =
     memtable_bytes = 4 * 1024;
     cache_bytes = 1 lsl 18;
     maintenance_workers = 1;
-    maintenance_tick = 0.005;
     lsm =
       {
         base.Options.lsm with
