@@ -1,23 +1,24 @@
 (* Real-execution cross-check: drives the actual OCaml stores (cLSM vs the
-   single-writer and lock-striping baselines) with the paper's workloads
-   through real domains. On this container (1 hardware core) the absolute
-   scaling is not meaningful — the simulator regenerates the figures — but
-   relative single-thread costs and correctness under concurrency are. *)
+   single-writer and lock-striping baselines, which run cLSM's own engine
+   under LevelDB's global mutex) with the paper's workloads through real
+   domains. Scaling beyond the host's cores is not meaningful — the
+   simulator regenerates the figures — but relative costs and correctness
+   under concurrency are. *)
 
 open Clsm_workload
+
+let rec rm path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
 
 let tmp_dir name =
   let d =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "clsm_real_%s_%d" name (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
   in
   rm d;
   d
@@ -40,7 +41,8 @@ let scenario ~name ~spec ~preload_count ~ops_per_thread ~threads_list =
   Printf.printf "\n-- real:%s --\n%!" name;
   List.iter
     (fun (sname, open_store) ->
-      let store = open_store (tmp_dir (name ^ "_" ^ sname)) in
+      let dir = tmp_dir (name ^ "_" ^ sname) in
+      let store = open_store dir in
       if preload_count > 0 then
         Driver.preload store spec ~count:preload_count;
       List.iter
@@ -52,7 +54,8 @@ let scenario ~name ~spec ~preload_count ~ops_per_thread ~threads_list =
       (match store.Store_ops.stats_json () with
       | Some json -> Printf.printf "%-14s stats %s\n%!" sname json
       | None -> ());
-      store.Store_ops.close ())
+      store.Store_ops.close ();
+      rm dir)
     stores
 
 let run ~quick =

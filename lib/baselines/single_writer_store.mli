@@ -1,15 +1,18 @@
-(** LevelDB-style baseline: the same LSM substrate as cLSM (memtable,
-    SSTables, leveled compaction, WAL) under LevelDB's concurrency control —
-    "coarse-grained synchronization that forces all puts to be executed
-    sequentially" (paper §6). A single global mutex serializes every write
-    and every component-pointer access; reads take it briefly to pin the
-    components (as LevelDB's [GetApproximate...] path does) and release it
-    before searching.
+(** LevelDB-style baseline: {!Clsm_core.Db} under LevelDB's concurrency
+    control — "coarse-grained synchronization that forces all puts to be
+    executed sequentially" (paper §6). One global mutex is held across
+    every write; reads take it once (as LevelDB pins its components
+    under [mutex_]) and release it before searching.
 
-    Semantically equivalent to {!Clsm_core.Db} (multi-versioned reads,
-    snapshots, recovery); only the synchronization differs. This is the
-    competitor for the write/read scalability comparisons (Figures 5–8)
-    and, via {!Striped_rmw}, the lock-striping RMW baseline of Figure 9. *)
+    The memtable, WAL, tables, compaction, recovery and [Options.env]
+    are cLSM's own, so a comparison against {!Clsm_core.Db} differs in
+    the discipline alone. This is the competitor for the write/read
+    scalability comparisons (Figures 5–8) and, via {!Striped_rmw}, the
+    lock-striping RMW baseline of Figure 9.
+
+    One known divergence from LevelDB: a writer parked in the store's
+    hard stall holds the mutex, so reads wait behind it, whereas
+    LevelDB's writer releases [mutex_] while it waits. *)
 
 type t
 
@@ -19,6 +22,10 @@ val close : t -> unit
 val put : t -> key:string -> value:string -> unit
 val delete : t -> key:string -> unit
 val get : t -> string -> string option
+
+val put_if_absent : t -> key:string -> value:string -> bool
+(** Read, then put if absent, both under the global mutex, so no write
+    interleaves. [true] if this call installed [value]. *)
 
 type snapshot
 
@@ -38,3 +45,6 @@ val range :
 val compact_now : t -> unit
 val stats : t -> Clsm_core.Stats.snapshot
 val level_file_counts : t -> int list
+
+val verify_integrity : t -> string list
+(** {!Clsm_core.Db.verify_integrity}: empty when every table is clean. *)

@@ -116,6 +116,29 @@ let of_memtable () =
     compact = None;
   }
 
+(* A full-range scan through a fresh snapshot of the single-writer
+   baseline, reporting the snapshot's timestamp. *)
+let single_writer_scan base () =
+  let module S = Clsm_baselines.Single_writer_store in
+  let snap = S.get_snap base in
+  let bindings = S.range ~snapshot:snap base in
+  let ts = S.snapshot_ts snap in
+  S.release_snapshot base snap;
+  (Some ts, bindings)
+
+let of_single_writer st =
+  let module S = Clsm_baselines.Single_writer_store in
+  {
+    name = "single-writer";
+    get = (fun key -> S.get st key);
+    put = (fun ~key ~value -> S.put st ~key ~value);
+    delete = (fun ~key -> S.delete st ~key);
+    rmw = None;
+    put_if_absent = Some (fun ~key ~value -> S.put_if_absent st ~key ~value);
+    scan = Some (single_writer_scan st);
+    compact = Some (fun () -> S.compact_now st);
+  }
+
 let of_striped st =
   let module R = Clsm_baselines.Striped_rmw in
   let module S = Clsm_baselines.Single_writer_store in
@@ -134,14 +157,7 @@ let of_striped st =
               | History.Remove -> R.Remove
               | History.Abort -> R.Abort));
     put_if_absent = Some (fun ~key ~value -> R.put_if_absent st ~key ~value);
-    scan =
-      Some
-        (fun () ->
-          let snap = S.get_snap base in
-          let bindings = S.range ~snapshot:snap base in
-          let ts = S.snapshot_ts snap in
-          S.release_snapshot base snap;
-          (Some ts, bindings));
+    scan = Some (single_writer_scan base);
     compact = Some (fun () -> S.compact_now base);
   }
 

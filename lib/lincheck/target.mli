@@ -37,6 +37,11 @@ val of_memtable : unit -> ops
     with no store around it. No scans (memtable iteration is only weakly
     consistent, by design). *)
 
+val of_single_writer : Clsm_baselines.Single_writer_store.t -> ops
+(** The LevelDB-style baseline: puts, deletes and put-if-absent under its
+    global mutex, and snapshot scans. No RMW (the stress driver puts
+    instead). *)
+
 val of_striped : Clsm_baselines.Striped_rmw.t -> ops
 (** The Figure 9 lock-striping baseline — a known-good reference. *)
 

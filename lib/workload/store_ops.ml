@@ -26,24 +26,13 @@ let of_clsm db =
 
 let of_single_writer st =
   let module S = Clsm_baselines.Single_writer_store in
-  (* The single-writer baseline has no native RMW; emulate LevelDB's
-     "atomic" flavor by holding no extra lock — callers wanting the
-     Figure 9 baseline use {!of_striped}. *)
-  let mutex = Mutex.create () in
   {
     name = "single-writer";
     put = (fun ~key ~value -> S.put st ~key ~value);
     get = (fun key -> S.get st key);
     delete = (fun ~key -> S.delete st ~key);
     scan = (fun ~start ~limit -> S.range ~start ~limit st);
-    put_if_absent =
-      (fun ~key ~value ->
-        Mutex.protect mutex (fun () ->
-            match S.get st key with
-            | Some _ -> false
-            | None ->
-                S.put st ~key ~value;
-                true));
+    put_if_absent = (fun ~key ~value -> S.put_if_absent st ~key ~value);
     compact = (fun () -> S.compact_now st);
     close = (fun () -> S.close st);
     stats_json = (fun () -> Some (Clsm_core.Stats.to_json (S.stats st)));

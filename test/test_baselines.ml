@@ -150,6 +150,92 @@ let stalled_writers_wake () =
     (stats.Clsm_core.Stats.write_stalls > 0);
   Alcotest.(check bool) "flushed" true (stats.Clsm_core.Stats.flushes > 1)
 
+(* The lincheck campaign's single-writer target on its small seed set
+   (the @lincheck target of the same name, with the key shapes rotated
+   the same way): put-if-absent must be atomic with respect to every
+   put, delete and put-if-absent. *)
+let put_if_absent_linearizable () =
+  let open Clsm_lincheck in
+  List.iter
+    (fun seed ->
+      with_store (fun st _ ->
+          let dist =
+            match seed mod 4 with
+            | 0 -> `Uniform
+            | 1 -> `Zipf
+            | 2 -> `Skewed_blocks
+            | _ -> `Heavy_tail
+          in
+          let h =
+            Stress.run
+              {
+                Stress.default with
+                Stress.seed;
+                dist;
+                read_pct = 20;
+                put_pct = 15;
+                delete_pct = 25;
+                rmw_pct = 0;
+              }
+              (Target.of_single_writer st)
+          in
+          let r = Checker.check h in
+          if not (Checker.ok r) then
+            Alcotest.failf "seed %d: %s" seed (Checker.pp_result r);
+          match Scan_checker.check ~mode:`Serializable h with
+          | [] -> ()
+          | v :: _ ->
+              Alcotest.failf "seed %d: %s" seed (Scan_checker.pp_violation v)))
+    [ 9000; 9013; 9026; 9039 ]
+
+(* Every file the baseline touches goes through [Options.env]: crash a
+   per-write-durable baseline mid-workload on a Faulty_env, rebuild the
+   directory as the crash left it, and reopen. *)
+let honours_env () =
+  let module Env = Clsm_env.Env in
+  let module Faulty_env = Clsm_env.Faulty_env in
+  let dir = fresh_dir () in
+  let f = Faulty_env.create ~seed:11 () in
+  let opts =
+    {
+      (small_opts dir) with
+      Clsm_core.Options.env = Faulty_env.env f;
+      wal_sync = `Per_write;
+    }
+  in
+  let st = S.open_store opts in
+  let key i = Printf.sprintf "k%05d" i in
+  let value i = Printf.sprintf "%d-%s" i (String.make 100 'v') in
+  for i = 0 to 19 do
+    S.put st ~key:(key i) ~value:(value i)
+  done;
+  (* past several memtable flushes, so tables and the manifest are
+     written through the env too *)
+  Faulty_env.arm f ~crash_after:1_000;
+  let acked = ref 20 in
+  (try
+     while !acked < 5_000 do
+       S.put st ~key:(key !acked) ~value:(value !acked);
+       incr acked
+     done
+   with Env.Crashed | Clsm_core.Store_sig.Degraded _ -> ());
+  Alcotest.(check bool) "crashed" true (Faulty_env.crashed f);
+  Alcotest.(check bool) "IO went through the env" true
+    (Faulty_env.mutating_ops f > 0);
+  (try S.close st with Env.Crashed | Env.Error _ -> ());
+  Faulty_env.install_crash_image f;
+  let st = S.open_store { opts with Clsm_core.Options.env = Env.unix } in
+  let lost = ref [] in
+  for i = 0 to !acked - 1 do
+    if S.get st (key i) <> Some (value i) then lost := key i :: !lost
+  done;
+  let problems = S.verify_integrity st in
+  let files = List.fold_left ( + ) 0 (S.level_file_counts st) in
+  S.close st;
+  Alcotest.(check (list string)) "acknowledged puts survive" [] !lost;
+  Alcotest.(check (list string)) "integrity" [] problems;
+  Alcotest.(check bool) "flushed tables recovered" true (files > 0)
+
 (* ---------- Striped RMW ---------- *)
 
 let striped_counter_no_lost_updates () =
@@ -222,6 +308,9 @@ let suites =
         Alcotest.test_case "concurrent writers" `Quick serialized_writers_are_safe;
         Alcotest.test_case "stalled writers wake on install" `Quick
           stalled_writers_wake;
+        Alcotest.test_case "put-if-absent is linearizable" `Quick
+          put_if_absent_linearizable;
+        Alcotest.test_case "IO goes through Options.env" `Quick honours_env;
       ] );
     ( "baselines.striped_rmw",
       [

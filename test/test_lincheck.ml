@@ -9,7 +9,9 @@
    - the real cLSM store (`Db`, skip-list memtable) under the default
      serializable snapshots and under `linearizable_snapshots`;
    - the bare lock-free memtable (Algorithm 3 RMW with no store around);
-   - the lock-striping baseline (`Striped_rmw`, known good);
+   - the LevelDB-style baseline (`Single_writer_store`: one global
+     mutex over `Db`, put-if-absent atomic under it) and the
+     lock-striping baseline layered on it (`Striped_rmw`, known good);
    - the deliberately-broken store, which the checker MUST flag — the
      negative control proving the harness can fail.
 
@@ -239,6 +241,36 @@ let run_striped seed () =
   in
   assert_clean ~target:"striped" ~seed ~scan_mode:`Serializable h
 
+(* The LevelDB-style baseline on its own: put-if-absent holds the global
+   mutex across its read and its write, so no put, delete or other
+   put-if-absent may interleave between them. The baseline has no RMW;
+   its share goes to deletes and put-if-absent, which is what makes a
+   non-atomic put-if-absent show (two winners on one absent key, or a
+   put lost beneath one). *)
+let run_single_writer seed () =
+  let dir =
+    Filename.concat base_dir (Printf.sprintf "single_writer_seed%d" seed)
+  in
+  rm_rf dir;
+  let st = Clsm_baselines.Single_writer_store.open_store (opts dir) in
+  let h =
+    Fun.protect
+      ~finally:(fun () ->
+        Clsm_baselines.Single_writer_store.close st;
+        rm_rf dir)
+      (fun () ->
+        Stress.run
+          {
+            (cfg seed) with
+            Stress.read_pct = 20;
+            put_pct = 15;
+            delete_pct = 25;
+            rmw_pct = 0;
+          }
+          (Target.of_single_writer st))
+  in
+  assert_clean ~target:"single-writer" ~seed ~scan_mode:`Serializable h
+
 let run_memtable seed () =
   let h =
     Stress.run
@@ -312,6 +344,7 @@ let () =
         (take small (List.rev seeds));
       cases "memtable" run_memtable (take small seeds);
       cases "striped-rmw" run_striped (take small seeds);
+      cases "single-writer" run_single_writer (take small seeds);
       ( "self-test",
         [ Alcotest.test_case "broken store is flagged" `Slow broken_flagged ]
       );

@@ -55,6 +55,7 @@ type summary = {
 type genv = {
   spec : Lockspec.t;
   summaries : (string, summary) Hashtbl.t;
+  includes : (string, string) Hashtbl.t; (* module -> included modules *)
   mutable diags : Diag.t list;
 }
 
@@ -343,24 +344,36 @@ let rec extract_str genv fenv str =
               fenv.f_opens <- Longident.last lid.txt :: fenv.f_opens
           | _ -> ())
       | Pstr_include inc -> (
-          match module_structure inc.pincl_mod with
-          | Some s -> extract_str genv fenv s
-          | None -> ())
+          match (module_structure inc.pincl_mod, inc.pincl_mod.pmod_desc) with
+          | Some s, _ -> extract_str genv fenv s
+          | None, Pmod_ident lid ->
+              Hashtbl.add genv.includes fenv.f_module
+                (canon fenv (Longident.last lid.txt))
+          | None, _ -> ())
       | _ -> ())
     str
 
 (* ---------- call resolution + fixpoint ---------- *)
 
+(* [M.name], or else the [name] of a module [M] includes ([db.ml] is
+   [include Store], so [Db.put] is [Store.put]). *)
+let rec find_summary genv m name ~depth =
+  match Hashtbl.find_opt genv.summaries (m ^ "." ^ name) with
+  | Some s -> Some s
+  | None when depth > 0 ->
+      List.find_map
+        (fun inc -> find_summary genv inc name ~depth:(depth - 1))
+        (Hashtbl.find_all genv.includes m)
+  | None -> None
+
 let resolve_call genv fenv (hint, name) =
+  let find m = find_summary genv m name ~depth:5 in
   match hint with
-  | Some h -> Hashtbl.find_opt genv.summaries (canon fenv h ^ "." ^ name)
+  | Some h -> find (canon fenv h)
   | None -> (
-      match Hashtbl.find_opt genv.summaries (fenv.f_module ^ "." ^ name) with
+      match find fenv.f_module with
       | Some s -> Some s
-      | None ->
-          List.find_map
-            (fun o -> Hashtbl.find_opt genv.summaries (canon fenv o ^ "." ^ name))
-            fenv.f_opens)
+      | None -> List.find_map (fun o -> find (canon fenv o)) fenv.f_opens)
 
 let fixpoint genv =
   let resolved =
@@ -847,7 +860,14 @@ let module_of_file file =
   String.capitalize_ascii Filename.(remove_extension (basename file))
 
 let run spec units =
-  let genv = { spec; summaries = Hashtbl.create 256; diags = [] } in
+  let genv =
+    {
+      spec;
+      summaries = Hashtbl.create 256;
+      includes = Hashtbl.create 16;
+      diags = [];
+    }
+  in
   let units =
     List.map
       (fun (file, str) ->
