@@ -6,7 +6,8 @@
 
    Known divergence: a writer parked in the store's hard stall holds the
    mutex, so reads queue behind it. LevelDB's writer releases [mutex_]
-   while it waits on [bg_cv_]. *)
+   while it waits on [bg_cv_]. [close] needs no mutex: {!Db.close}
+   waits out the writes in flight itself. *)
 
 open Clsm_core
 
@@ -15,7 +16,7 @@ type snapshot = Db.snapshot
 
 let with_mutex t f = Mutex.protect t.mutex f
 let open_store opts = { db = Db.open_store opts; mutex = Mutex.create () }
-let close t = with_mutex t (fun () -> Db.close t.db)
+let close t = Db.close t.db
 let put t ~key ~value = with_mutex t (fun () -> Db.put t.db ~key ~value)
 let delete t ~key = with_mutex t (fun () -> Db.delete t.db ~key)
 

@@ -24,7 +24,9 @@ type config = {
 val config_of_options : Options.t -> config
 
 type observation = {
-  stopped : bool;  (** store shutting down: admit immediately *)
+  stopped : bool;
+      (** store not [Open] (degraded or closing): admit at once, and let
+          the write's own check raise *)
   mem_full : bool;  (** active memtable over twice its budget *)
   imm_busy : bool;  (** previous memtable still merging *)
   l0_files : int;

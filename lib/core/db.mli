@@ -21,7 +21,13 @@
 
     All operations are safe to call from any number of domains. One
     background domain runs the maintenance service: memtable rotation,
-    flush to level 0, and leveled compaction with snapshot-aware GC. *)
+    flush to level 0, and leveled compaction with snapshot-aware GC.
+
+    {b Lifecycle.} {!close} is one more component change, to nothing:
+    it turns new operations away with {!Store_sig.Closed}, then takes
+    the lock exclusively, as [beforeMerge] does, so the writes already
+    past their check finish and no later one reaches the WAL (see
+    {!Store_sig.S.close} for the whole contract). *)
 
 include Store_sig.S with type snapshot = Clock.snapshot
 

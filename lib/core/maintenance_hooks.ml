@@ -63,6 +63,9 @@ let guard_io t ~what f =
    manifest. The crash-ordering invariant, stated once:
 
    1. under [install] (commits serialize; [pd] cannot move meanwhile),
+      on a store not yet [Closed] — [close] sets that under [install]
+      after its own final commit, and a later commit raises [Closed]
+      before it touches [pd],
    2. move the verdicts from the pending queue into the ledger BEFORE
       the swap: tombstone dropping is pinned while either is non-empty,
       so no compaction pick can see a quarantined table's range as
@@ -86,8 +89,7 @@ let guard_io t ~what f =
    version since the edit was built (a quarantine swap took it) is not
    re-added: it is in the ledger, and no version may list it too. An
    edit that changes no file swaps nothing. A failed save propagates
-   with nothing marked obsolete. Close calls this holding
-   [close_mutex]; every other caller holds no lock. *)
+   with nothing marked obsolete. Callers hold no lock. *)
 let commit_edit t ~kind (edit : Version_edit.t) =
   let started = Time_ns.now_ns () in
   let h = t.heal in
@@ -95,6 +97,7 @@ let commit_edit t ~kind (edit : Version_edit.t) =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.install)
     (fun () ->
+      if Atomic.get t.state == Closed then raise Store_sig.Closed;
       let cur = current_version t in
       let entering =
         List.filter
@@ -161,7 +164,7 @@ let commit_edit t ~kind (edit : Version_edit.t) =
       in
       Stats.record_install t.stats ~kind ~manifest_bytes
         ~ns:(Time_ns.now_ns () - started))
-[@@excludes_locks install lock cm hm]
+[@@excludes_locks]
 
 (* ---------- merge hooks ---------- *)
 
@@ -332,7 +335,9 @@ let release t tag =
    available. The generation is read before each attempt, so a
    release that lands between a failed attempt and the wait makes
    the wait return at once: a waiter wakes when the holder releases,
-   with no poll tick and no lost wakeup. *)
+   with no poll tick and no lost wakeup. On a [Closed] store nothing
+   is ever released again (its flush claim is [close]'s for good), so
+   the waiter raises [Closed] instead. *)
 let await_release t attempt =
   let c = t.claims in
   let rec go () =
@@ -340,6 +345,7 @@ let await_release t attempt =
     match attempt () with
     | Some x -> x
     | None ->
+        if Atomic.get t.state == Closed then raise Store_sig.Closed;
         ignore (Wakeup.wait c.released ~seen : int);
         go ()
   in
@@ -766,28 +772,31 @@ let finalize_quarantined t =
    write-path probe. Success means the fault was transient after all:
    the degraded flag is lifted online, without reopening the store. *)
 let recover_from_degraded t =
-  if Atomic.get t.degraded = None then `Nothing
-  else if not (claim t `Flush) then `Blocked (* flush in flight *)
-  else
-    Fun.protect
-      ~finally:(fun () -> release t `Flush)
-      (fun () ->
-        match
-          ignore (flush_imm t : bool);
-          ignore (rotate t : bool);
-          ignore (flush_imm t : bool);
-          commit_edit t ~kind:`Commit Version_edit.empty
-        with
-        | () ->
-            (match Atomic.get t.degraded with
-            | Some reason ->
-                Log.info (fun m ->
-                    m "repair: store restored to Ok (was degraded: %s)"
-                      reason)
-            | None -> ());
-            Atomic.set t.degraded None;
-            `Repaired
-        | exception Env.Error _ -> `Blocked)
+  match Atomic.get t.state with
+  | Open | Closing | Closed -> `Nothing
+  | Degraded reason as was ->
+      if not (claim t `Flush) then `Blocked (* flush in flight *)
+      else
+        Fun.protect
+          ~finally:(fun () -> release t `Flush)
+          (fun () ->
+            match
+              ignore (flush_imm t : bool);
+              ignore (rotate t : bool);
+              ignore (flush_imm t : bool);
+              commit_edit t ~kind:`Commit Version_edit.empty
+            with
+            | () ->
+                (* A CAS from the state read: a [close] begun meanwhile
+                   stays [Closing]. *)
+                if Atomic.compare_and_set t.state was Open then begin
+                  Log.info (fun m ->
+                      m "repair: store restored to Ok (was degraded: %s)"
+                        reason);
+                  `Repaired
+                end
+                else `Nothing
+            | exception Env.Error _ -> `Blocked)
 
 (* Seconds before a failed repair is retried: a repair that fails
    (media still rotten, fault still live) must not hot-loop the pool. *)
@@ -822,36 +831,40 @@ let run_repair t ~force =
    them L0→L1 first, then shallowest over-budget level), then Scrub
    when nothing else wants the worker. A degraded store skips the
    flush check — its write path is exactly what is broken — and claims
-   nothing but Repair, which is the way back out. *)
+   nothing but Repair, which is the way back out. A closing store
+   claims nothing; the state is read under [cm], so a claim made before
+   [close] began is one [quiesce] sees and waits out. *)
 let next t =
-  if Atomic.get t.stop then None
-  else begin
-    let c = t.claims and h = t.heal in
-    let now = Time_ns.now_s () in
-    Mutex.protect c.cm (fun () ->
-        let repair_wanted () =
-          Mutex.protect h.hm (fun () ->
-              h.pending_quarantine <> []
-              || t.opts.Options.auto_repair
-                 && now >= h.repair_next_due
-                 && (h.quarantined <> [] || is_degraded t))
-        in
-        let scrub_due () =
-          t.opts.Options.scrub_interval > 0.0
-          && Mutex.protect h.hm (fun () -> now >= h.scrub_next_due)
-        in
-        if (not (is_degraded t)) && flush_needed t && claim_locked c `Flush
-        then Some Job.Flush
-        else if repair_wanted () && claim_locked c `Repair then
-          Some Job.Repair
-        else if is_degraded t then None
-        else
-          match claim_compaction_locked t with
-          | Some _ as j -> j
-          | None ->
-              if scrub_due () && claim_locked c `Scrub then Some Job.Scrub
-              else None)
-  end
+  let c = t.claims and h = t.heal in
+  let now = Time_ns.now_s () in
+  Mutex.protect c.cm (fun () ->
+      let repair_wanted ~degraded =
+        Mutex.protect h.hm (fun () ->
+            h.pending_quarantine <> []
+            || t.opts.Options.auto_repair
+               && now >= h.repair_next_due
+               && (h.quarantined <> [] || degraded))
+      in
+      let scrub_due () =
+        t.opts.Options.scrub_interval > 0.0
+        && Mutex.protect h.hm (fun () -> now >= h.scrub_next_due)
+      in
+      match Atomic.get t.state with
+      | Closing | Closed -> None
+      | Degraded _ ->
+          if repair_wanted ~degraded:true && claim_locked c `Repair then
+            Some Job.Repair
+          else None
+      | Open -> (
+          if flush_needed t && claim_locked c `Flush then Some Job.Flush
+          else if repair_wanted ~degraded:false && claim_locked c `Repair
+          then Some Job.Repair
+          else
+            match claim_compaction_locked t with
+            | Some _ as j -> j
+            | None ->
+                if scrub_due () && claim_locked c `Scrub then Some Job.Scrub
+                else None))
 
 let run_flush t =
   Fun.protect
@@ -943,8 +956,9 @@ let compact_now t =
           Mutex.protect c.cm (fun () ->
               (* A degraded store must not keep re-claiming the same
                  doomed task: stop draining, the directory is as
-                 compacted as it will get. *)
-              if is_degraded t then Some None
+                 compacted as it will get. A closing one is shutting
+                 maintenance down. *)
+              if Atomic.get t.state != Open then Some None
               else
                 match claim_compaction_locked t with
                 | Some job -> Some (Some job)
@@ -959,6 +973,18 @@ let compact_now t =
     | None -> ()
   in
   drain ()
+[@@excludes_locks]
+
+(* [close]'s step after maintenance has stopped: take the flush claim
+   for good, so no foreground flush or rotation runs again, and wait
+   out the compactions in flight. None can be claimed any more: the
+   store is [Closing], and every claimant reads that under [cm]. *)
+let quiesce t =
+  claim_blocking t `Flush;
+  let c = t.claims in
+  await_release t (fun () ->
+      Mutex.protect c.cm (fun () ->
+          if c.busy_levels = [] then Some () else None))
 [@@excludes_locks]
 
 (* Synchronous full scrub pass (the CLI's [scrub] and the tests call

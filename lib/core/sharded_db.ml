@@ -27,6 +27,11 @@
    - Deadlock-freedom: router [get_snap] takes no shard lock; a router
      batch holds router-shared and at most one shard-exclusive at a
      time; shards never take the router lock.
+   - Lifecycle: the router's own cell only ever goes [Open] ->
+     [Closing] -> [Closed]. [close] drains router batches through the
+     exclusive mode of the batch lock, as a shard drains its puts, so
+     no batch is cut by it; then it stops the pool and closes every
+     shard. Point operations check the owning shard's cell only.
 
    Maintenance is arbitrated by ONE shared scheduler: shards are opened
    with [Db.open_shard] (no private pools), their wake signals are
@@ -145,8 +150,7 @@ module Core = struct
         (* batches shared / cross-shard getSnap exclusive, see above *)
     stats : Stats.t; (* router-level counters (snapshot fences) *)
     scheduler : (int * Job.t) Scheduler.t;
-    mutable closed : bool;
-    close_mutex : Mutex.t;
+    state : Store_state.lifecycle Atomic.t;
   }
 
   (* Owning shard = number of boundaries <= key (binary search). *)
@@ -229,40 +233,37 @@ module Core = struct
       batch_lock = Shared_lock.create ();
       stats = Stats.create ();
       scheduler;
-      closed = false;
-      close_mutex = Mutex.create ();
+      state = Atomic.make Store_state.Open;
     }
 
-  (* Close every shard even when one of them fails; the first failure
+  let check_open t =
+    if Atomic.get t.state != Store_state.Open then raise Store_sig.Closed
+
+  (* The shutdown [close] and [simulate_crash] share; [finish] closes
+     one shard. The first caller drains router batches; every caller
+     then stops the pool (a second [Scheduler.stop] waits for the
+     first) and finishes every shard (a shard's second close waits for
+     its first), so a second caller returns once the first is done.
+     Every shard is finished even when one fails; the first failure
      still reaches the caller. *)
-  let close_shards ~f t =
-    let first = ref None in
-    Array.iter
-      (fun s -> try f s with e -> if !first = None then first := Some e)
-      t.shards;
-    match !first with Some e -> raise e | None -> ()
-
-  let close t =
-    Mutex.lock t.close_mutex;
+  let shutdown t ~finish =
+    if Atomic.compare_and_set t.state Store_state.Open Store_state.Closing
+    then begin
+      Shared_lock.lock_exclusive t.batch_lock;
+      Shared_lock.unlock_exclusive t.batch_lock
+    end;
     Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.close_mutex)
+      ~finally:(fun () -> Atomic.set t.state Store_state.Closed)
       (fun () ->
-        if not t.closed then begin
-          t.closed <- true;
-          Scheduler.stop t.scheduler;
-          close_shards ~f:Db.close t
-        end)
+        Scheduler.stop t.scheduler;
+        let first = ref None in
+        Array.iter
+          (fun s -> try finish s with e -> if !first = None then first := Some e)
+          t.shards;
+        Option.iter raise !first)
 
-  let simulate_crash t =
-    Mutex.lock t.close_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.close_mutex)
-      (fun () ->
-        if not t.closed then begin
-          t.closed <- true;
-          Scheduler.stop t.scheduler;
-          close_shards ~f:Db.simulate_crash t
-        end)
+  let close t = shutdown t ~finish:Db.close
+  let simulate_crash t = shutdown t ~finish:Db.simulate_crash
 
   (* ---------- point operations: route and delegate ---------- *)
 
@@ -284,19 +285,19 @@ module Core = struct
     | Batch_delete of string
 
   let write_batch t ops =
-    if ops <> [] then
-      Shared_lock.with_shared t.batch_lock (fun () ->
-          let per = Array.make (Array.length t.shards) [] in
-          List.iter
-            (fun op ->
-              let key = match op with Batch_put (k, _) | Batch_delete k -> k in
-              let i = shard_index t key in
-              per.(i) <- op :: per.(i))
-            ops;
-          Array.iteri
-            (fun i sub ->
-              if sub <> [] then Db.write_batch t.shards.(i) (List.rev sub))
-            per)
+    Shared_lock.with_shared t.batch_lock (fun () ->
+        check_open t;
+        let per = Array.make (Array.length t.shards) [] in
+        List.iter
+          (fun op ->
+            let key = match op with Batch_put (k, _) | Batch_delete k -> k in
+            let i = shard_index t key in
+            per.(i) <- op :: per.(i))
+          ops;
+        Array.iteri
+          (fun i sub ->
+            if sub <> [] then Db.write_batch t.shards.(i) (List.rev sub))
+          per)
 
   (* ---------- snapshots ---------- *)
 
@@ -306,6 +307,7 @@ module Core = struct
      the clock). Exclusive mode excludes in-flight router batches so
      their bare batch timestamps stay unobservable — see the header. *)
   let get_snap ?ttl t =
+    check_open t;
     Stats.incr t.stats Stats.snapshots_taken;
     Shared_lock.lock_exclusive t.batch_lock;
     let s =
@@ -350,6 +352,7 @@ module Core = struct
      make the merge degenerate to concatenation; the k-way machinery is
      shared with the LSM read path. *)
   let iterator ?snapshot t =
+    check_open t;
     let snap, own_snapshot =
       match snapshot with Some s -> (s, false) | None -> (get_snap t, true)
     in
@@ -393,8 +396,13 @@ module Core = struct
 
   (* ---------- maintenance / introspection ---------- *)
 
-  let compact_now t = Array.iter Db.compact_now t.shards
-  let flush_wal t = Array.iter Db.flush_wal t.shards
+  let compact_now t =
+    check_open t;
+    Array.iter Db.compact_now t.shards
+
+  let flush_wal t =
+    check_open t;
+    Array.iter Db.flush_wal t.shards
 
   (* Scan/get/put counters live in the shards (a cross-shard scan opens
      one iterator per shard and counts as such); the router adds only
@@ -422,21 +430,25 @@ module Core = struct
             degraded := Printf.sprintf "shard %d: %s" i reason :: !degraded)
       t.shards;
     match (List.rev !degraded, List.rev !partial) with
+    | _ when Atomic.get t.state != Store_state.Open -> `Degraded "store closed"
     | [], [] -> `Ok
     | [], partials -> `Partial (String.concat "; " partials)
     | reasons, _ -> `Degraded (String.concat "; " reasons)
 
   let scrub_now t =
+    check_open t;
     Array.to_list t.shards
     |> List.mapi (fun i s ->
            List.map (Printf.sprintf "shard %d: %s" i) (Db.scrub_now s))
     |> List.concat
 
   let repair_now t =
+    check_open t;
     Array.iter (fun s -> ignore (Db.repair_now s)) t.shards;
     health t
 
   let level_file_counts t =
+    check_open t;
     Array.fold_left
       (fun acc s ->
         let counts = Array.of_list (Db.level_file_counts s) in
@@ -449,9 +461,11 @@ module Core = struct
     |> Array.to_list
 
   let memtable_bytes t =
+    check_open t;
     Array.fold_left (fun acc s -> acc + Db.memtable_bytes s) 0 t.shards
 
   let cache_stats t =
+    check_open t;
     Array.fold_left
       (fun (acc : Clsm_sstable.Cache.stats) s ->
         let c = Db.cache_stats s in
@@ -480,6 +494,7 @@ module Core = struct
       t.shards
 
   let verify_integrity t =
+    check_open t;
     Array.to_list t.shards
     |> List.mapi (fun i s ->
            List.map (Printf.sprintf "shard %d: %s" i) (Db.verify_integrity s))

@@ -28,7 +28,15 @@
 
     [repair] rebuilds each shard directory independently; [health]
     reports the union of per-shard degradations, so one shard's IO
-    failure leaves the other ranges writable. *)
+    failure leaves the other ranges writable.
+
+    [close] (and [simulate_crash]) first turns router-level calls away
+    with {!Store_sig.Closed} and waits out the router batches in flight,
+    so no batch is cut by the shutdown; then it stops the shared pool
+    and closes every shard with the single-store contract ({!Db}).
+    Point operations check their shard only, so one that lands before
+    its shard closes still completes. A second call returns once the
+    first has finished. *)
 
 include Store_sig.S
 

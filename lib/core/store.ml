@@ -66,6 +66,7 @@ let timed_get t ~user_key ~snap_ts =
   r
 
 let get t key =
+  check_open t;
   Stats.incr t.stats Stats.gets;
   timed_get t ~user_key:key ~snap_ts:Internal_key.max_ts
 
@@ -77,12 +78,14 @@ let get t key =
 
 (* Graduated admission control (see {!Backpressure}), checked outside the
    shared lock so a delayed or stalled writer cannot block the merge.
-   A degraded store counts as stopped: the stall it is waiting out
-   (e.g. a full L0 that can no longer be compacted) will never clear,
-   so writers must not spin on it. *)
+   A store that is not [Open] counts as stopped: the stall a degraded
+   store's writer waits out (e.g. a full L0 that can no longer be
+   compacted) will never clear, and a closing store takes no more
+   writes, so the writer goes on to the check under the lock, which
+   raises. *)
 let observe_pressure t () =
   {
-    Backpressure.stopped = Atomic.get t.stop || is_degraded t;
+    Backpressure.stopped = Atomic.get t.state != Open;
     mem_full =
       Memtable.approximate_bytes (current_pm t).mem
       > 2 * t.opts.Options.memtable_bytes;
@@ -100,11 +103,6 @@ let maybe_wake_for_rotation t mc =
   if Memtable.approximate_bytes mc.mem > t.opts.Options.memtable_bytes then
     wake_bg t
 
-let check_writable t =
-  match Atomic.get t.degraded with
-  | Some reason -> raise (Store_sig.Degraded reason)
-  | None -> ()
-
 (* Append to the memory component's log. An environment failure (failed
    fsync, out of space) degrades the store to read-only before the
    exception reaches the caller: the writer is poisoned, so no later
@@ -118,14 +116,15 @@ let wal_append ?alone t mc data =
         degrade t ("wal append failed: " ^ Printexc.to_string e);
         raise e)
 
-let write_entry t ~user_key entry =
-  check_writable t;
+let write_entry t ~counter ~user_key entry =
   throttle_writes t;
   Shared_lock.lock_shared t.lock;
   let mc = current_pm t in
   Fun.protect
     ~finally:(fun () -> Shared_lock.unlock_shared t.lock)
     (fun () ->
+      check_writable t;
+      Stats.incr t.stats counter;
       let ts, h, hp = Clock.get_put_ts t.clock in
       (* The Active entries guard visibility (snapshots and RMWs wait
          on them), which is established by the memtable insert; holding
@@ -138,8 +137,7 @@ let write_entry t ~user_key entry =
   maybe_wake_for_rotation t mc
 
 let put t ~key ~value =
-  Stats.incr t.stats Stats.puts;
-  write_entry t ~user_key:key (Entry.Value value)
+  write_entry t ~counter:Stats.puts ~user_key:key (Entry.Value value)
 
 (* Atomic batches keep LevelDB's blocking implementation (paper §4): the
    shared-exclusive lock is held in exclusive mode, so the batch is atomic
@@ -149,14 +147,15 @@ let put t ~key ~value =
 type batch_op = Batch_put of string * string | Batch_delete of string
 
 let write_batch t ops =
-  if ops <> [] then begin
-    check_writable t;
+  if ops = [] then check_open t
+  else begin
     throttle_writes t;
     Shared_lock.lock_exclusive t.lock;
     let mc = current_pm t in
     Fun.protect
       ~finally:(fun () -> Shared_lock.unlock_exclusive t.lock)
       (fun () ->
+        check_writable t;
         let records =
           List.map
             (fun op ->
@@ -186,16 +185,13 @@ let write_batch t ops =
   end
 
 let delete t ~key =
-  Stats.incr t.stats Stats.deletes;
-  write_entry t ~user_key:key Entry.Tombstone
+  write_entry t ~counter:Stats.deletes ~user_key:key Entry.Tombstone
 
 (* ---------- read-modify-write (Algorithm 3) ---------- *)
 
 type rmw_decision = Set of string | Remove | Abort
 
 let rmw t ~key f =
-  Stats.incr t.stats Stats.rmws;
-  check_writable t;
   throttle_writes t;
   Shared_lock.lock_shared t.lock;
   let pm = current_pm t in
@@ -276,7 +272,10 @@ let rmw t ~key f =
   let result =
     Fun.protect
       ~finally:(fun () -> Shared_lock.unlock_shared t.lock)
-      attempt
+      (fun () ->
+        check_writable t;
+        Stats.incr t.stats Stats.rmws;
+        attempt ())
   in
   maybe_wake_for_rotation t pm;
   result
@@ -301,6 +300,7 @@ let put_if_absent t ~key ~value =
 type snapshot = Clock.snapshot
 
 let get_snap ?ttl t =
+  check_open t;
   Stats.incr t.stats Stats.snapshots_taken;
   Shared_lock.lock_shared t.lock;
   let s =
@@ -314,6 +314,7 @@ let snapshot_ts (s : snapshot) = s.snap_ts
 let release_snapshot t s = Clock.release_snapshot t.clock s
 
 let get_at t (s : snapshot) key =
+  check_open t;
   Stats.incr t.stats Stats.gets;
   if Atomic.get s.released then invalid_arg "Db.get_at: released snapshot";
   timed_get t ~user_key:key ~snap_ts:s.snap_ts
@@ -331,12 +332,14 @@ type iterator = {
 }
 
 let iterator ?snapshot t =
+  check_open t;
   Stats.incr t.stats Stats.scans;
   let snap, own_snapshot =
     match snapshot with Some s -> (s, false) | None -> (get_snap t, true)
   in
   (* The memtables stay reachable through [sources]; only the disk
-     component is pinned, so its files outlive the iterator's reads. *)
+     component is pinned, so its files outlive the iterator's reads,
+     [close] included. *)
   let pm = Atomic.get t.pm in
   let imm = Atomic.get t.pimm in
   let pd_cell = Rcu_box.acquire t.pd in
@@ -410,7 +413,9 @@ let iter_close it =
 
 (* ---------- maintenance (delegated to the scheduler + hooks) ---------- *)
 
-let compact_now t = Maintenance_hooks.compact_now t
+let compact_now t =
+  check_open t;
+  Maintenance_hooks.compact_now t
 
 (* ---------- open / recovery / close ---------- *)
 
@@ -448,8 +453,7 @@ let open_shard ~clock (opts : Options.t) =
       next_file = r.Recovery.next_file;
       cache;
       stats;
-      stop = Atomic.make false;
-      degraded = Atomic.make None;
+      state = Atomic.make Open;
       heal = fresh_heal ~quarantined:r.Recovery.quarantined;
       install = Mutex.create ();
       claims;
@@ -460,8 +464,6 @@ let open_shard ~clock (opts : Options.t) =
           ~stats ~changed:claims.released;
       scheduler = None;
       wake_hook = None;
-      closed = false;
-      close_mutex = Mutex.create ();
     }
   in
   t
@@ -477,74 +479,83 @@ let open_store opts =
 let repair = Recovery.repair
 
 let flush_wal t =
+  check_open t;
   match (current_pm t).wal with
   | Some w -> Clsm_wal.Wal_writer.flush w
   | None -> ()
 
-(* Stalled writers wake on [changed] and find the store stopped. *)
-let stop_scheduler t =
-  Atomic.set t.stop true;
-  (match t.scheduler with
-  | Some s ->
-      Clsm_maintenance.Scheduler.stop s;
-      t.scheduler <- None;
-      t.wake_hook <- None
-  | None -> ());
-  changed t
+(* The shutdown [close] and [simulate_crash] share; [finish] does what
+   differs, on a quiet store. [Closing] turns every new operation
+   away, and its signal wakes stalled writers into that check; taking
+   the lock exclusively then waits out the writes that passed it, as
+   beforeMerge waits out puts (Algorithm 1), so none reaches the WAL
+   from here on. Then maintenance stops, foreground flushes and
+   compactions are excluded for good, and [finish] runs. [Closed] is
+   set under [install], so no commit can swap [pd] after it, and only
+   then is [pd] retired in place: a racing [acquire] raises [Closed].
+   A second caller waits for the first to finish. *)
+let rec shutdown t ~finish =
+  match Atomic.get t.state with
+  | Closing | Closed ->
+      Maintenance_hooks.await_release t (fun () ->
+          if Atomic.get t.state == Closed then Some () else None)
+  | (Open | Degraded _) as s ->
+      if not (Atomic.compare_and_set t.state s Closing) then
+        shutdown t ~finish
+      else begin
+        changed t;
+        Shared_lock.lock_exclusive t.lock;
+        Shared_lock.unlock_exclusive t.lock;
+        Fun.protect
+          ~finally:(fun () ->
+            Mutex.protect t.install (fun () -> Atomic.set t.state Closed);
+            Refcounted.retire (Rcu_box.peek t.pd);
+            changed t)
+          (fun () ->
+            (match t.scheduler with
+            | Some s ->
+                Clsm_maintenance.Scheduler.stop s;
+                t.scheduler <- None;
+                t.wake_hook <- None
+            | None -> ());
+            Maintenance_hooks.quiesce t;
+            finish (current_pm t).wal)
+      end
 
 (* Testing hook: die without flushing the WAL queue or saving the
-   manifest — what a crash leaves on disk. The value must not be used
-   afterwards (a fresh open_store on the directory performs recovery). *)
-let simulate_crash t =
-  Mutex.protect t.close_mutex (fun () ->
-      if not t.closed then begin
-        t.closed <- true;
-        stop_scheduler t;
-        match (current_pm t).wal with
-        | Some w -> Clsm_wal.Wal_writer.abandon w
-        | None -> ()
-      end)
+   manifest — what a crash leaves on disk. A fresh open_store on the
+   directory performs recovery. *)
+let simulate_crash t = shutdown t ~finish:(Option.iter Clsm_wal.Wal_writer.abandon)
 
 let close t =
-  Mutex.lock t.close_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.close_mutex)
-    (fun () ->
-      if not t.closed then begin
-        t.closed <- true;
-        stop_scheduler t;
-        (* The disk component's reference is released even when the
-           final flush or manifest save fails — the error still reaches
-           the caller, and recovery replays the surviving log. *)
-        Fun.protect
-          ~finally:(fun () -> Refcounted.retire (Rcu_box.peek t.pd))
-          (fun () ->
-            (* [Wal_writer.close] flushes before closing; an IO failure
-               propagates (after the descriptor is released) instead of
-               being silently dropped. *)
-            (match (current_pm t).wal with
-            | Some w -> Clsm_wal.Wal_writer.close w
-            | None -> ());
-            (* The final manifest commit, through the one install
-               step like every other (a plain commit: no file
-               changes, transient faults ride the retry policy). *)
-            Maintenance_hooks.commit_edit t ~kind:`Commit Version_edit.empty)
-      end)
+  shutdown t ~finish:(fun wal ->
+      (* [Wal_writer.close] flushes before closing; an IO failure
+         propagates (after the descriptor is released) instead of
+         being silently dropped, and the components are released all
+         the same. *)
+      Option.iter Clsm_wal.Wal_writer.close wal;
+      (* The final manifest commit, through the one install step like
+         every other (a plain commit: no file changes, transient
+         faults ride the retry policy). *)
+      Maintenance_hooks.commit_edit t ~kind:`Commit Version_edit.empty)
 
 (* Offline-style health check runnable on a live store: validates every
    table file and the level invariants of the current version. *)
 let verify_integrity t =
+  check_open t;
   Rcu_box.with_ref t.pd Version.validate
 
 let stats t = Stats.read t.stats
 let options t = t.opts
 
-(* Degraded (write path down) dominates Partial (some key ranges
-   serving from reduced redundancy); both beat Ok. *)
+(* Degraded (write path down, also from the start of [close]) dominates
+   Partial (some key ranges serving from reduced redundancy); both beat
+   Ok. *)
 let health t =
-  match Atomic.get t.degraded with
-  | Some reason -> `Degraded reason
-  | None -> (
+  match Atomic.get t.state with
+  | Degraded reason -> `Degraded reason
+  | Closing | Closed -> `Degraded "store closed"
+  | Open -> (
       match quarantine_counts t with
       | 0, 0 -> `Ok
       | pending, quarantined ->
@@ -553,19 +564,28 @@ let health t =
                "%d table(s) quarantined for corruption (%d pending)"
                (pending + quarantined) pending))
 
-let scrub_now t = Maintenance_hooks.scrub_now t
+let scrub_now t =
+  check_open t;
+  Maintenance_hooks.scrub_now t
 
 let repair_now t =
+  check_open t;
   Maintenance_hooks.repair_now t;
   health t
 
 let level_file_counts t =
+  check_open t;
   let v = current_version t in
   List.length v.Version.l0
   :: List.map List.length (Array.to_list v.Version.levels)
 
-let memtable_bytes t = Memtable.approximate_bytes (current_pm t).mem
-let cache_stats t = Clsm_sstable.Cache.stats t.cache
+let memtable_bytes t =
+  check_open t;
+  Memtable.approximate_bytes (current_pm t).mem
+
+let cache_stats t =
+  check_open t;
+  Clsm_sstable.Cache.stats t.cache
 
 (* ---------- shard support (see db.mli) ---------- *)
 

@@ -5,8 +5,15 @@
 exception Degraded of string
 (** Raised by write operations after an unrecoverable IO failure (failed
     fsync, out of disk space) has switched the store to read-only mode.
-    The payload describes the original failure. Reads keep working; close
-    the store, fix the environment and reopen to resume writing. *)
+    The payload describes the original failure. Reads keep working. The
+    Repair job ([auto_repair]) or {!S.repair_now} lifts the state online
+    once a flush and a manifest commit succeed again; so does reopening. *)
+
+exception Closed = Clsm_primitives.Rcu_box.Closed
+(** The outcome of any operation on a store once {!S.close} or
+    {!S.simulate_crash} has begun, except [stats], [options], [health],
+    [release_snapshot], [snapshot_ts] and the steps of an iterator
+    opened before. A write that raises it had no effect. *)
 
 (** The snapshot and iterator primitives of {!S}, from which {!Scans}
     derives its bulk reads. *)
@@ -59,9 +66,17 @@ module type S = sig
       Raises on unrecoverable corruption. *)
 
   val close : t -> unit
-  (** Stop maintenance, flush the WAL, persist the manifest and release all
-      components. Idempotent. The memtable is {e not} flushed — like
-      LevelDB, reopening recovers it from the log. *)
+  (** Shut the store down. From its start every new operation raises
+      {!Closed} (see there for the exceptions), and stalled writers
+      wake and raise it. Writes already past their check finish, and
+      only they: close waits them out, then stops maintenance, flushes
+      and closes the WAL, persists the manifest and releases the
+      components. Iterators opened before [close] still read to their
+      end, from the version they pinned. [health] reports
+      [`Degraded] from then on. Idempotent: a second call, concurrent
+      or not, returns once the first has finished. The memtable is
+      {e not} flushed — like LevelDB, reopening recovers it from the
+      log. *)
 
   (** {1 Point operations} *)
 
@@ -137,10 +152,11 @@ module type S = sig
       to quiescence. For tests, benchmarks and bulk-load flows. *)
 
   val simulate_crash : t -> unit
-  (** Testing hook: abandon the store without flushing the asynchronous WAL
-      queue or persisting the manifest — the on-disk state is what a process
-      crash would leave. The handle must not be used afterwards; reopen the
-      directory with {!open_store} to run recovery. *)
+  (** Testing hook: {!close}, except that the asynchronous WAL queue is
+      dropped unflushed and no manifest is persisted — the on-disk state
+      is what a process crash would leave. The handle then behaves as a
+      closed one; reopen the directory with {!open_store} to run
+      recovery. *)
 
   val flush_wal : t -> unit
   val stats : t -> Stats.snapshot
@@ -148,7 +164,8 @@ module type S = sig
 
   val health : t -> [ `Ok | `Partial of string | `Degraded of string ]
   (** [`Degraded reason] once an IO failure has switched the store to
-      read-only mode — writes raise {!Degraded}, reads still work.
+      read-only mode — writes raise {!Degraded}, reads still work — and
+      from the start of {!close} on.
       [`Partial reason] while corrupt table files sit in quarantine:
       reads and writes both work, but quarantined key ranges answer from
       the surviving overlapping data only. [`Ok] means neither. *)

@@ -23,9 +23,10 @@ type imm_slot = No_imm | Imm of memcomp
    ranges; [repair_claimed] and [scrub_claimed] make the Repair and
    Scrub jobs single-instance. [released] is the store's one
    state-change cell: every claim release, the barrier clear, every
-   install, the first degradation and the stop signal it (through
+   install and every lifecycle transition signal it (through
    [changed]), and everything that waits on maintenance state waits on
-   it — a blocked claimant, and a writer in a hard stall. A
+   it — a blocked claimant, a writer in a hard stall, and a second
+   [close]. A
    claimed compaction carries its picked task and a reference on the
    version it was picked from, so input files cannot be retired
    between claim and execution. *)
@@ -71,6 +72,13 @@ type heal = {
          (degraded recovery, quarantine finalization) *)
 }
 
+(* The store's lifecycle, one cell for all of it (DESIGN §9). [Degraded]
+   follows an unrecoverable IO failure: writes raise, reads serve, and a
+   repair that re-proves the write path returns to [Open]. [Closing]
+   runs from the start of [close] (or [simulate_crash]) to [Closed];
+   neither goes back. Every transition is a CAS on the value read. *)
+type lifecycle = Open | Degraded of string | Closing | Closed
+
 type t = {
   opts : Options.t;
   lock : Shared_lock.t;
@@ -89,7 +97,7 @@ type t = {
   next_file : int Atomic.t;
   cache : Clsm_sstable.Block.t Clsm_sstable.Cache.t;
   stats : Stats.t;
-  stop : bool Atomic.t;
+  state : lifecycle Atomic.t;
   install : Mutex.t;
       (* serializes edit commits (Maintenance_hooks.commit_edit): the
          manifest written must describe a version no concurrent install
@@ -103,18 +111,24 @@ type t = {
   mutable wake_hook : (unit -> unit) option;
       (* where maintenance-work signals go: the own pool's wakeup, or a
          shard router's shared scheduler *)
-  degraded : string option Atomic.t;
-      (* Some reason once an unrecoverable IO failure (ENOSPC, failed
-         fsync) hits a maintenance path: the store stops accepting
-         writes and scheduling maintenance but keeps serving reads *)
   heal : heal;
-  mutable closed : bool;
-  close_mutex : Mutex.t;
 }
 
 let alloc_file_number t () = Atomic.fetch_and_add t.next_file 1
 
-let is_degraded t = Atomic.get t.degraded <> None
+(* The entry check of every operation a closing store refuses. *)
+let check_open t =
+  match Atomic.get t.state with
+  | Closing | Closed -> raise Store_sig.Closed
+  | Open | Degraded _ -> ()
+
+(* The write-path check, made under the shared lock that [close]
+   drains, so no write that passed it reaches the WAL after [close]. *)
+let check_writable t =
+  match Atomic.get t.state with
+  | Open -> ()
+  | Degraded reason -> raise (Store_sig.Degraded reason)
+  | Closing | Closed -> raise Store_sig.Closed
 
 let fresh_claims () =
   {
@@ -154,16 +168,17 @@ let wake_bg t =
   | None -> ()
 
 (* The maintenance state changed (a claim released, a version
-   installed, the store degraded or stopping): wake whoever waits on it
-   and the workers, which may now find work a held claim hid. *)
+   installed, a lifecycle transition): wake whoever waits on it and the
+   workers, which may now find work a held claim hid. *)
 let changed t =
   Wakeup.signal t.claims.released;
   wake_bg t
 
-(* First degradation reason wins; later failures are consequences. The
-   first one wakes the Repair job and releases stalled writers. *)
+(* First degradation reason wins; later failures are consequences, and
+   a closing store stays closing. The first one wakes the Repair job
+   and releases stalled writers. *)
 let degrade t reason =
-  if Atomic.compare_and_set t.degraded None (Some reason) then changed t
+  if Atomic.compare_and_set t.state Open (Degraded reason) then changed t
 
 (* Record a corruption verdict against a table file, deduplicated, and
    signal maintenance. Safe from any read path (only takes the heal

@@ -190,7 +190,6 @@ let builder_of st =
         Clsm_sstable.Table_builder.create
           ~block_size:st.cfg.Lsm_config.block_size
           ~bits_per_key:st.cfg.Lsm_config.bits_per_key
-          ~compress:st.cfg.Lsm_config.compress
           ~filter_key_of:Internal_key.user_key_of ~cmp:Internal_key.comparator
           ~env:st.env
           ~path:(Table_file.table_path ~dir:st.dir number)

@@ -8,7 +8,6 @@ type t = {
   target_file_size : int;
   block_size : int;
   bits_per_key : int;
-  compress : bool;
 }
 
 let default =
@@ -22,7 +21,6 @@ let default =
     target_file_size = 2 * 1024 * 1024;
     block_size = 4096;
     bits_per_key = 10;
-    compress = false;
   }
 
 let max_bytes_for_level cfg level =

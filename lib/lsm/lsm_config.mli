@@ -16,8 +16,6 @@ type t = {
   target_file_size : int;  (** compaction output file cut size *)
   block_size : int;
   bits_per_key : int;  (** Bloom bits per user key; 0 disables filters *)
-  compress : bool;  (** LZSS-compress data blocks (LevelDB compresses with
-                        Snappy by default; off here by default) *)
 }
 
 val default : t

@@ -1,10 +1,12 @@
 type 'a t = 'a Refcounted.t Atomic.t
 
+exception Closed
+
 let create cell = Atomic.make cell
 
-(* The backoff is made on the first retired cell only, so an
-   uncontended acquire allocates nothing. *)
-let rec acquire_from t backoff =
+(* A cell whose count is already zero was swapped out (retry at once)
+   or retired in place by close (raise): see the rule in the mli. *)
+let rec acquire t =
   let cell = Atomic.get t in
   if Refcounted.try_incr cell then
     (* Re-validate: if the pointer moved while we were incrementing, the
@@ -12,15 +14,10 @@ let rec acquire_from t backoff =
     if Atomic.get t == cell then cell
     else begin
       Refcounted.decr cell;
-      acquire_from t backoff
+      acquire t
     end
-  else begin
-    let b = match backoff with Some b -> b | None -> Backoff.create () in
-    Backoff.once b;
-    acquire_from t (Some b)
-  end
-
-let acquire t = acquire_from t None
+  else if Atomic.get t == cell then raise Closed
+  else acquire t
 
 let peek t = Atomic.get t
 

@@ -8,16 +8,24 @@
     and retire the old component, which is released once the last reader
     drops its reference. The store uses it for [Pd] only, whose release
     frees table files; the memory components are plain atomics, since the
-    GC frees them. *)
+    GC frees them.
+
+    The rule: a cell leaves the box (by {!swap}) before it is retired,
+    except through close, which retires the last cell in place. *)
 
 type 'a t
+
+exception Closed
+(** Raised by {!acquire} on a box whose cell was retired in place; with
+    no payload, raising it allocates nothing. *)
 
 val create : 'a Refcounted.t -> 'a t
 
 val acquire : 'a t -> 'a Refcounted.t
 (** Take a validated reference to the current component. The caller must
-    eventually call [Refcounted.decr] on the result. Never blocks; retries
-    (with backoff) across concurrent pointer switches. *)
+    eventually call [Refcounted.decr] on the result. Never blocks: by
+    the rule above, a cell found retired is either gone from the box, and
+    it retries at once, or still in it, and it raises {!Closed}. *)
 
 val peek : 'a t -> 'a Refcounted.t
 (** The current component without taking a reference. The payload may be

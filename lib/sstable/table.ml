@@ -67,9 +67,7 @@ let decode_block_image ~offset ~pos ~size raw =
   let payload = String.sub raw pos size in
   match raw.[pos + size] with
   | '\000' -> payload
-  | '\001' -> (
-      try Simple_compress.decompress payload
-      with Invalid_argument m -> corrupt m)
+  | '\001' -> corrupt "compressed block (no codec)"
   | _ -> corrupt "unknown block type"
 
 (* Read a block payload at [handle], verifying the CRC trailer. *)

@@ -5,7 +5,6 @@ type t = {
   cmp : Comparator.t;
   block_size : int;
   bits_per_key : int;
-  compress : bool;
   filter_key_of : string -> string;
   path : string; (* final path; the builder writes to [tmp_path] *)
   tmp_path : string;
@@ -41,15 +40,13 @@ let flush_out t =
    exists is always complete; a crash mid-build leaves only a [.tmp] file
    that recovery deletes. *)
 let create ?(block_size = 4096) ?(restart_interval = 16) ?(bits_per_key = 10)
-    ?(compress = false) ?(filter_key_of = Fun.id) ?(env = Env.unix) ~cmp ~path
-    () =
+    ?(filter_key_of = Fun.id) ?(env = Env.unix) ~cmp ~path () =
   if block_size < 64 then invalid_arg "Table_builder.create: block_size";
   let tmp_path = path ^ ".tmp" in
   {
     cmp;
     block_size;
     bits_per_key;
-    compress;
     filter_key_of;
     path;
     tmp_path;
@@ -68,22 +65,13 @@ let create ?(block_size = 4096) ?(restart_interval = 16) ?(bits_per_key = 10)
     finished = false;
   }
 
-(* Emit [payload] followed by the 5-byte trailer (compression type byte +
-   masked CRC over payload+type); return its handle. Compression is applied
-   only when it actually shrinks the block. *)
-let emit_block ?(try_compress = false) t payload =
-  let payload, block_type =
-    if try_compress then begin
-      let packed = Simple_compress.compress payload in
-      if String.length packed < String.length payload then (packed, "\001")
-      else (payload, "\000")
-    end
-    else (payload, "\000")
-  in
+(* Emit [payload] followed by the 5-byte trailer (block type byte, 0 =
+   uncompressed, + masked CRC over payload+type); return its handle. *)
+let emit_block t payload =
   let handle = { Block_handle.offset = t.offset; size = String.length payload } in
   Buffer.add_string t.out payload;
-  Buffer.add_string t.out block_type;
-  let crc = Crc32c.string ~init:(Crc32c.string payload) block_type in
+  Buffer.add_char t.out '\000';
+  let crc = Crc32c.string ~init:(Crc32c.string payload) "\000" in
   Binary.write_fixed32 t.out (Crc32c.mask crc);
   t.offset <-
     t.offset + String.length payload + Table_format.block_trailer_length;
@@ -98,7 +86,7 @@ let flush_data_block t =
       | None -> assert false
     in
     let payload = Block_builder.finish t.data in
-    let handle = emit_block ~try_compress:t.compress t payload in
+    let handle = emit_block t payload in
     Block_builder.reset t.data;
     t.pending_index <- Some (last, handle)
   end

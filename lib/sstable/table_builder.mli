@@ -14,7 +14,6 @@ val create :
   ?block_size:int ->
   ?restart_interval:int ->
   ?bits_per_key:int ->
-  ?compress:bool ->
   ?filter_key_of:(string -> string) ->
   ?env:Clsm_env.Env.t ->
   cmp:Comparator.t ->
@@ -22,8 +21,7 @@ val create :
   unit ->
   t
 (** Defaults: [block_size] 4096 bytes, [restart_interval] 16,
-    [bits_per_key] 10, [compress] false (data blocks LZSS-compressed when it
-    shrinks them), [filter_key_of] identity, [env] {!Clsm_env.Env.unix}.
+    [bits_per_key] 10, [filter_key_of] identity, [env] {!Clsm_env.Env.unix}.
     [filter_key_of] maps each stored key to the key the Bloom filter
     indexes — the LSM layer passes the user-key extractor so probes by
     user key work across versions. *)

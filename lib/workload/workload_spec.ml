@@ -39,8 +39,8 @@ let next_op t rng =
 
 let next_key t rng = Key_dist.next_key ~key_len:t.key_len t.keys rng
 
-(* Values are incompressible-ish pseudo-random bytes of the configured
-   size; content does not affect the systems under test beyond length. *)
+(* Values are pseudo-random bytes of the configured size; content does
+   not affect the systems under test beyond length. *)
 let value_for t rng =
   let b = Bytes.create t.value_len in
   let r = ref (Rng.next rng) in

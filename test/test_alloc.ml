@@ -48,10 +48,7 @@ let resident_store dir =
   db
 
 let cached_point_lookups_allocate_their_result () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_test_alloc_%d" (Unix.getpid ()))
-  in
+  let dir = Test_dirs.fresh "alloc" () in
   let db = resident_store dir in
   Alcotest.(check bool) "levels below L1 hold files" true
     (List.length (List.filter (fun n -> n > 0) (Db.level_file_counts db)) >= 2);
@@ -101,9 +98,7 @@ let cached_point_lookups_allocate_their_result () =
   Alcotest.(check bool)
     (Printf.sprintf "find_last_le beyond its result: %.1f words <= 40" overhead)
     true (overhead <= 40.0);
-  Table.close t;
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir
+  Table.close t
 
 (* Allocation budget of a cached scan. Each row of a [Db.range] should
    cost the result's own words — its key, its value, its tuple and list
@@ -141,17 +136,9 @@ let scan_store dir ~target_file_size =
   db
 
 let with_scan_store name ~target_file_size f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_test_alloc_%s_%d" name (Unix.getpid ()))
-  in
+  let dir = Test_dirs.fresh ("alloc_" ^ name) () in
   let db = scan_store dir ~target_file_size in
-  Fun.protect
-    ~finally:(fun () ->
-      Db.close db;
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f db)
+  Fun.protect ~finally:(fun () -> Db.close db) (fun () -> f db)
 
 let rows = 50
 

@@ -1,13 +1,7 @@
 open Clsm_baselines
 module S = Single_writer_store
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_test_base_%d_%d" (Unix.getpid ()) !counter)
+let fresh_dir = Test_dirs.fresh "base"
 
 let small_opts dir =
   {

@@ -5,14 +5,7 @@
 open Clsm_sstable
 module Env = Clsm_env.Env
 
-let tmp_dir =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_test_cache_%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
+let tmp_dir = Test_dirs.dir "cache"
 
 let tmp_path name = Filename.concat tmp_dir name
 

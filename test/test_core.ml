@@ -3,25 +3,7 @@ open Clsm_lsm
 
 let spawn_all fns = List.map Domain.spawn fns |> List.map Domain.join
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "clsm_test_db_%d_%d" (Unix.getpid ()) !counter)
-    in
-    let rec rm path =
-      if Sys.file_exists path then
-        if Sys.is_directory path then begin
-          Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-          Unix.rmdir path
-        end
-        else Sys.remove path
-    in
-    rm d;
-    d
+let fresh_dir = Test_dirs.fresh "db"
 
 (* Small components so tests exercise rotation/flush/compaction quickly. *)
 let small_opts ?(memtable_bytes = 16 * 1024) ?(wal_enabled = true)

@@ -6,13 +6,7 @@
 open Clsm_core
 module M = Map.Make (String)
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_test_model_%d_%d" (Unix.getpid ()) !counter)
+let fresh_dir = Test_dirs.fresh "model"
 
 let small_opts dir =
   let base = Options.default ~dir in
@@ -38,6 +32,9 @@ type model_op =
   | Mcompact
   | Mreopen
   | Mcrash_flushed (* flush WAL then crash: nothing may be lost *)
+  | Mclose of model_op list
+      (* close, then each op on the closed handle must raise [Closed]
+         and change nothing; then reopen *)
 
 let apply_model m = function
   | Mput (k, v) -> M.add k v m
@@ -50,9 +47,9 @@ let apply_model m = function
   | Mrmw_incr k ->
       let n = match M.find_opt k m with Some s -> int_of_string s | None -> 0 in
       M.add k (string_of_int (n + 1)) m
-  | Mcompact | Mreopen | Mcrash_flushed -> m
+  | Mcompact | Mreopen | Mcrash_flushed | Mclose _ -> m
 
-let apply_db db = function
+let rec apply_db db = function
   | Mput (k, v) ->
       Db.put !db ~key:k ~value:v;
       ()
@@ -81,8 +78,28 @@ let apply_db db = function
       Db.flush_wal !db;
       Db.simulate_crash !db;
       db := Db.open_store opts
+  | Mclose run ->
+      let opts = Db.options !db in
+      Db.close !db;
+      List.iter
+        (fun op ->
+          Watchdog.expect_closed "an update" (fun () -> apply_db db op);
+          Watchdog.expect_closed "get" (fun () -> Db.get !db "k000");
+          Watchdog.expect_closed "range" (fun () -> Db.range !db))
+        run;
+      db := Db.open_store opts
 
-let gen_op rng key_space =
+let rec gen_op ?(closes = false) rng key_space =
+  if closes && Clsm_workload.Rng.int rng 100 < 3 then
+    (* what a closed handle is asked to do: updates and compactions *)
+    Mclose
+      (List.init
+         (1 + Clsm_workload.Rng.int rng 4)
+         (fun _ ->
+           match gen_op rng key_space with
+           | Mreopen | Mcrash_flushed | Mclose _ -> Mcompact
+           | op -> op))
+  else
   (* plain keys use the k* namespace; counters use ctr* (numeric values) *)
   let key () = Printf.sprintf "k%03d" (Clsm_workload.Rng.int rng key_space) in
   let value () = Printf.sprintf "v%d" (Clsm_workload.Rng.int rng 1_000_000) in
@@ -118,13 +135,13 @@ let check_agreement ~ctx db model =
     model_contents;
   Alcotest.(check (option string)) (ctx ^ ": absent") None (Db.get db "zz-absent")
 
-let run_history ~seed ~steps ~key_space () =
+let run_history ?closes ~seed ~steps ~key_space () =
   let dir = fresh_dir () in
   let db = ref (Db.open_store (small_opts dir)) in
   let rng = Clsm_workload.Rng.create seed in
   let model = ref M.empty in
   for step = 1 to steps do
-    let op = gen_op rng key_space in
+    let op = gen_op ?closes rng key_space in
     apply_db db op;
     model := apply_model !model op;
     if step mod 100 = 0 then
@@ -150,7 +167,7 @@ let snapshot_history () =
     let op = gen_op rng 40 in
     (* reopen/crash invalidate snapshots; keep this history in-process *)
     (match op with
-    | Mreopen | Mcrash_flushed -> ()
+    | Mreopen | Mcrash_flushed | Mclose _ -> ()
     | op ->
         apply_db (ref db) op;
         model := apply_model !model op);
@@ -177,6 +194,8 @@ let suites =
           (run_history ~seed:2 ~steps:700 ~key_space:8);
         Alcotest.test_case "random history (seed 3, wide keyspace)" `Quick
           (run_history ~seed:3 ~steps:700 ~key_space:400);
+        Alcotest.test_case "random history with closes (seed 4)" `Quick
+          (run_history ~closes:true ~seed:4 ~steps:700 ~key_space:50);
         Alcotest.test_case "snapshots read their past" `Quick snapshot_history;
       ] );
   ]

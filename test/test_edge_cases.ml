@@ -4,13 +4,7 @@
 
 open Clsm_core
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_test_edge_%d_%d" (Unix.getpid ()) !counter)
+let fresh_dir = Test_dirs.fresh "edge"
 
 let small_opts ?(wal_sync = `Async) dir =
   let base = Options.default ~dir in

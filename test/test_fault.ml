@@ -8,25 +8,7 @@ open Clsm_core
 open Clsm_lsm
 open Clsm_env
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "clsm_test_fault_%d_%d" (Unix.getpid ()) !counter)
-    in
-    let rec rm path =
-      if Sys.file_exists path then
-        if Sys.is_directory path then begin
-          Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-          Unix.rmdir path
-        end
-        else Sys.remove path
-    in
-    rm d;
-    d
+let fresh_dir = Test_dirs.fresh "fault"
 
 let small_opts ?(env = Env.unix) ?(wal_enabled = true) ?(wal_sync = `Async)
     ?(strict_wal = false) ?(memtable_bytes = 16 * 1024) dir =

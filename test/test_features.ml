@@ -6,13 +6,7 @@ open Clsm_lsm
 
 let spawn_all fns = List.map Domain.spawn fns |> List.map Domain.join
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_test_feat_%d_%d" (Unix.getpid ()) !counter)
+let fresh_dir = Test_dirs.fresh "feat"
 
 let small_opts ?(memtable_bytes = 16 * 1024) dir =
   let base = Options.default ~dir in

@@ -535,10 +535,7 @@ let prop_gc_keeps_snapshot_views =
 
 (* ---------- Manifest ---------- *)
 
-let tmp_dir =
-  let d = Filename.concat (Filename.get_temp_dir_name ()) "clsm_test_lsm" in
-  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
+let tmp_dir = Test_dirs.dir "lsm"
 
 let manifest_roundtrip () =
   let m =

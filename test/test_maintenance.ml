@@ -9,25 +9,7 @@ open Clsm_core
 open Clsm_primitives
 open Clsm_maintenance
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "clsm_test_maint_%d_%d" (Unix.getpid ()) !counter)
-    in
-    let rec rm path =
-      if Sys.file_exists path then
-        if Sys.is_directory path then begin
-          Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-          Unix.rmdir path
-        end
-        else Sys.remove path
-    in
-    rm d;
-    d
+let fresh_dir = Test_dirs.fresh "maint"
 
 (* ---------- Wakeup primitive ---------- *)
 
@@ -800,7 +782,225 @@ let stalled_writer_parks () =
   Alcotest.(check bool) "second put stalled" true
     (Atomic.get (snd writer) = None);
   Db.close db;
-  ignore (await ~what:"after close" ~within:5.0 writer : float * string)
+  let _, outcome = await ~what:"after close" ~within:5.0 writer in
+  Alcotest.(check string) "released by close, raises Closed"
+    (Printexc.to_string Store_sig.Closed) outcome;
+  let db = Db.open_store opts in
+  Alcotest.(check (option string)) "the put that raised left nothing" None
+    (Db.get db "stalled-2");
+  Db.close db
+
+(* ---------- Store-level: the lifecycle ---------- *)
+
+let lifecycle_opts dir =
+  let base = Options.default ~dir in
+  {
+    base with
+    Options.memtable_bytes = 16 * 1024;
+    cache_bytes = 1 lsl 20;
+    scrub_interval = 0.0;
+    lsm =
+      {
+        base.Options.lsm with
+        Clsm_lsm.Lsm_config.block_size = 1024;
+        target_file_size = 16 * 1024;
+        level1_max_bytes = 64 * 1024;
+      };
+  }
+
+let key i = Printf.sprintf "key%05d" i
+
+(* A store whose data sits in tables, so a get that misses the
+   memtables goes on to the disk component. *)
+let store_on_disk dir =
+  let db = Db.open_store (lifecycle_opts dir) in
+  for i = 0 to 499 do
+    Db.put db ~key:(key i) ~value:(String.make 32 'v')
+  done;
+  Db.compact_now db;
+  db
+
+(* After [close], every operation but the introspection ones raises
+   [Closed] within the watchdog's bound, an iterator opened before still
+   reads to its end, and nothing written after [close] survives. *)
+let closed_store_calls () =
+  let dir = fresh_dir () in
+  let db = store_on_disk dir in
+  let snap = Db.get_snap db in
+  let it = Db.iterator db in
+  Db.iter_seek_first it;
+  Db.close db;
+  let closed = Watchdog.expect_closed in
+  closed "put" (fun () -> Db.put db ~key:"late-put" ~value:"x");
+  closed "delete" (fun () -> Db.delete db ~key:(key 1));
+  closed "write_batch" (fun () ->
+      Db.write_batch db [ Db.Batch_put ("late-batch", "x") ]);
+  closed "rmw" (fun () -> Db.rmw db ~key:"late-rmw" (fun _ -> Db.Set "x"));
+  closed "put_if_absent" (fun () ->
+      Db.put_if_absent db ~key:"late-pia" ~value:"x");
+  closed "get" (fun () -> Db.get db (key 7));
+  closed "get_at" (fun () -> Db.get_at db snap (key 7));
+  closed "get_snap" (fun () -> Db.get_snap db);
+  closed "iterator" (fun () -> Db.iterator db);
+  closed "range" (fun () -> Db.range db);
+  closed "compact_now" (fun () -> Db.compact_now db);
+  closed "scrub_now" (fun () -> Db.scrub_now db);
+  closed "repair_now" (fun () -> Db.repair_now db);
+  closed "verify_integrity" (fun () -> Db.verify_integrity db);
+  closed "flush_wal" (fun () -> Db.flush_wal db);
+  closed "level_file_counts" (fun () -> Db.level_file_counts db);
+  let rec drain n =
+    if Db.iter_valid it then begin
+      Db.iter_next it;
+      drain (n + 1)
+    end
+    else n
+  in
+  Alcotest.(check int) "pre-close iterator reads to its end" 500 (drain 0);
+  Db.iter_close it;
+  Db.release_snapshot db snap;
+  Alcotest.(check int) "stats still answer" 500 (Db.stats db).Stats.puts;
+  Alcotest.(check bool) "health is not Ok" true (Db.health db <> `Ok);
+  Db.close db;
+  let db = Db.open_store (Db.options db) in
+  List.iter
+    (fun k ->
+      Alcotest.(check (option string)) ("no " ^ k) None (Db.get db k))
+    [ "late-put"; "late-batch"; "late-rmw"; "late-pia" ];
+  Alcotest.(check bool) "no delete after close" true (Db.get db (key 1) <> None);
+  Db.close db
+
+(* [close] drains the writes already past their check, as beforeMerge
+   drains puts: an RMW held inside its decision keeps the shared lock,
+   so [close] may not finish before it, and it lands. New operations
+   are refused meanwhile. *)
+let close_waits_out_a_write_in_flight () =
+  let dir = fresh_dir () in
+  let db = store_on_disk dir in
+  let entered = Atomic.make false and release = Atomic.make false in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set release true)
+    (fun () ->
+      let writer =
+        Domain.spawn (fun () ->
+            match
+              Db.rmw db ~key:"in-flight" (fun _ ->
+                  Atomic.set entered true;
+                  while not (Atomic.get release) do
+                    Unix.sleepf 0.001
+                  done;
+                  Db.Set "x")
+            with
+            | _ -> "returned"
+            | exception e -> Printexc.to_string e)
+      in
+      while not (Atomic.get entered) do
+        Unix.sleepf 0.001
+      done;
+      let closed = Atomic.make false in
+      let closer =
+        Domain.spawn (fun () ->
+            Db.close db;
+            Atomic.set closed true)
+      in
+      Unix.sleepf 0.1;
+      Alcotest.(check bool) "close waits for the write in flight" false
+        (Atomic.get closed);
+      Watchdog.expect_closed "get while closing" (fun () -> Db.get db (key 3));
+      Atomic.set release true;
+      Alcotest.(check string) "the write in flight completes" "returned"
+        (Domain.join writer);
+      Domain.join closer);
+  let db = Db.open_store (lifecycle_opts dir) in
+  Alcotest.(check (option string)) "and survives reopen" (Some "x")
+    (Db.get db "in-flight");
+  Db.close db
+
+(* Two writers and two readers against [close]: every operation
+   returns or raises [Closed], every domain ends, and after reopen
+   exactly the puts that returned are present. *)
+let close_races_writers_and_readers () =
+  List.iter
+    (fun seed ->
+      let dir = fresh_dir () in
+      let db = store_on_disk dir in
+      let outcome = Atomic.make [] in
+      let record r =
+        let rec go () =
+          let old = Atomic.get outcome in
+          if not (Atomic.compare_and_set outcome old (r :: old)) then go ()
+        in
+        go ()
+      in
+      let writer w () =
+        let rec go n acked =
+          let k = Printf.sprintf "w%d-%06d" w n in
+          match Db.put db ~key:k ~value:"x" with
+          | () -> go (n + 1) (k :: acked)
+          | exception Store_sig.Closed -> (acked, Some k)
+        in
+        let acked, raised = go 0 [] in
+        record (`Writer (acked, raised))
+      in
+      let reader r () =
+        let rng = Random.State.make [| seed; r |] in
+        let rec go n =
+          match Db.get db (key (Random.State.int rng 500)) with
+          | Some _ -> go (n + 1)
+          | None -> record (`Fail "a preloaded key read as absent")
+          | exception Store_sig.Closed -> record (`Reader n)
+        in
+        go 0
+      in
+      let guarded f () =
+        try f () with e -> record (`Fail (Printexc.to_string e))
+      in
+      let domains =
+        List.map
+          (fun f -> Domain.spawn (guarded f))
+          [ writer 0; writer 1; reader 0; reader 1 ]
+      in
+      Unix.sleepf (0.005 *. float_of_int (seed mod 4));
+      (match Watchdog.run ~within:5.0 (fun () -> Db.close db) with
+      | Some (Ok ()) -> ()
+      | Some (Error e) -> Alcotest.failf "close raised %s" (Printexc.to_string e)
+      | None -> Alcotest.fail "close did not return");
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      while
+        List.length (Atomic.get outcome) < 4 && Unix.gettimeofday () < deadline
+      do
+        Unix.sleepf 0.002
+      done;
+      let results = Atomic.get outcome in
+      List.iter
+        (function
+          | `Fail e -> Alcotest.failf "seed %d: an operation raised %s" seed e
+          | `Writer _ | `Reader _ -> ())
+        results;
+      if List.length results < 4 then
+        Alcotest.failf "seed %d: %d of 4 domains still running 2 s after close"
+          seed (4 - List.length results);
+      List.iter Domain.join domains;
+      let db = Db.open_store (lifecycle_opts dir) in
+      List.iter
+        (function
+          | `Writer (acked, raised) ->
+              List.iter
+                (fun k ->
+                  Alcotest.(check (option string))
+                    (Printf.sprintf "seed %d: acknowledged %s" seed k)
+                    (Some "x") (Db.get db k))
+                acked;
+              Option.iter
+                (fun k ->
+                  Alcotest.(check (option string))
+                    (Printf.sprintf "seed %d: refused %s" seed k)
+                    None (Db.get db k))
+                raised
+          | `Reader _ | `Fail _ -> ())
+        results;
+      Db.close db)
+    [ 1; 2; 3; 4; 5 ]
 
 (* ---------- Store-level: concurrency stress under the scheduler ---------- *)
 
@@ -945,6 +1145,11 @@ let suites =
           blocking_claims_wake_on_release;
         Alcotest.test_case "stalled writer parks until an install" `Quick
           stalled_writer_parks;
+        Alcotest.test_case "closed-store calls" `Quick closed_store_calls;
+        Alcotest.test_case "close waits out a write in flight" `Quick
+          close_waits_out_a_write_in_flight;
+        Alcotest.test_case "close races writers and readers" `Quick
+          close_races_writers_and_readers;
         Alcotest.test_case "writers/readers/churn stress" `Slow
           stress_writers_readers_churn;
       ] );

@@ -69,10 +69,7 @@ let prop_histogram_percentile_brackets_max =
 (* ---------- wal large records ---------- *)
 
 let wal_large_record () =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_wal_large_%d" (Unix.getpid ()))
-  in
+  let path = Filename.concat (Test_dirs.dir "misc") "wal_large" in
   let w =
     Clsm_wal.Wal_writer.create
       ~mode:(Clsm_wal.Wal_writer.Group { max_batch = 1; max_delay_us = 0 })
@@ -128,10 +125,7 @@ let engine_past_schedule_clamps () =
 (* ---------- store range corner cases ---------- *)
 
 let range_corner_cases () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_misc_range_%d" (Unix.getpid ()))
-  in
+  let dir = Test_dirs.fresh "misc_range" () in
   let db = Clsm_core.Db.open_store (Clsm_core.Options.default ~dir) in
   List.iter (fun k -> Clsm_core.Db.put db ~key:k ~value:k) [ "a"; "b"; "c" ];
   Alcotest.(check (list (pair string string))) "limit 0" []

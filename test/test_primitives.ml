@@ -288,6 +288,17 @@ let rcu_with_ref () =
   let cur = Rcu_box.peek box in
   Alcotest.(check int) "count back to 1" 1 (Refcounted.count cur)
 
+(* A cell retired in place (what [close] does to the store's [Pd]) has
+   left no successor to retry on: [acquire] must raise, not spin. *)
+let rcu_retired_in_place_raises () =
+  let box = Rcu_box.create (Refcounted.create ~release:ignore "gone") in
+  Refcounted.retire (Rcu_box.peek box);
+  match Watchdog.run ~within:2.0 (fun () -> Rcu_box.acquire box) with
+  | Some (Error Rcu_box.Closed) -> ()
+  | Some (Error e) -> Alcotest.failf "raised %s, not Closed" (Printexc.to_string e)
+  | Some (Ok _) -> Alcotest.fail "acquired a retired cell"
+  | None -> Alcotest.fail "acquire still spinning 2 s later"
+
 (* ---------- Event_buffer ---------- *)
 
 let event_buffer_order () =
@@ -522,6 +533,8 @@ let suites =
         Alcotest.test_case "release exactly once" `Quick refcount_release_once;
         Alcotest.test_case "swap under readers" `Quick rcu_swap_under_readers;
         Alcotest.test_case "with_ref" `Quick rcu_with_ref;
+        Alcotest.test_case "retired in place raises" `Quick
+          rcu_retired_in_place_raises;
         Alcotest.test_case "backoff" `Quick backoff_progresses;
       ] );
   ]

@@ -10,13 +10,7 @@
 
 open Clsm_core
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_test_sharded_%d_%d" (Unix.getpid ()) !counter)
+let fresh_dir = Test_dirs.fresh "sharded"
 
 let small_opts dir =
   let base = Options.default ~dir in
@@ -388,6 +382,33 @@ let test_repair_per_shard () =
   Alcotest.(check (option string)) "z row" (Some "y") (Sharded_db.get db "z042");
   Sharded_db.close db
 
+(* The router keeps the single-store contract after [close]: every
+   call raises [Closed] (point calls through their shard, batches and
+   snapshots at the router), a second [close] returns, and nothing
+   written after [close] survives a reopen. *)
+let test_closed_router_refuses_calls () =
+  let dir = fresh_dir () in
+  let opts = sharded_opts ~bounds:[ "m" ] ~shards:2 dir in
+  let db = Sharded_db.open_store opts in
+  Sharded_db.put db ~key:"a" ~value:"1";
+  Sharded_db.put db ~key:"z" ~value:"2";
+  Sharded_db.close db;
+  let closed = Watchdog.expect_closed in
+  closed "put" (fun () -> Sharded_db.put db ~key:"b" ~value:"x");
+  closed "get" (fun () -> Sharded_db.get db "a");
+  closed "write_batch" (fun () ->
+      Sharded_db.write_batch db
+        [ Sharded_db.Batch_put ("c", "x"); Sharded_db.Batch_put ("y", "x") ]);
+  closed "get_snap" (fun () -> Sharded_db.get_snap db);
+  closed "range" (fun () -> Sharded_db.range db);
+  closed "compact_now" (fun () -> Sharded_db.compact_now db);
+  Alcotest.(check bool) "health is not Ok" true (Sharded_db.health db <> `Ok);
+  Sharded_db.close db;
+  let db = Sharded_db.open_store opts in
+  Alcotest.(check (list (pair string string))) "only what was written before"
+    [ ("a", "1"); ("z", "2") ] (Sharded_db.range db);
+  Sharded_db.close db
+
 let suites =
   [
     ( "sharded",
@@ -404,6 +425,8 @@ let suites =
           test_shared_maintenance_flushes_all_shards;
         Alcotest.test_case "repair rebuilds shard subdirectories" `Quick
           test_repair_per_shard;
+        Alcotest.test_case "closed router refuses calls" `Quick
+          test_closed_router_refuses_calls;
       ]
       @ List.map QCheck_alcotest.to_alcotest [ prop_sharded_equals_single ] );
   ]

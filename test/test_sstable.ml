@@ -1,9 +1,6 @@
 open Clsm_sstable
 
-let tmp_dir =
-  let d = Filename.concat (Filename.get_temp_dir_name ()) "clsm_test_sstable" in
-  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
+let tmp_dir = Test_dirs.dir "sstable"
 
 let tmp_path name = Filename.concat tmp_dir name
 

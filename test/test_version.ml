@@ -5,10 +5,7 @@
 open Clsm_lsm
 open Clsm_primitives
 
-let tmp_dir =
-  let d = Filename.concat (Filename.get_temp_dir_name ()) "clsm_test_version" in
-  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
+let tmp_dir = Test_dirs.dir "version"
 
 let next_number = ref 1000
 

@@ -168,10 +168,7 @@ let spec_value_sizes () =
 (* ---------- Driver over a real store ---------- *)
 
 let driver_end_to_end () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_driver_%d" (Unix.getpid ()))
-  in
+  let dir = Test_dirs.fresh "driver" () in
   let opts =
     {
       (Clsm_core.Options.default ~dir) with
