@@ -70,7 +70,9 @@ let snapshot_protocol () =
       {
         (Clsm_core.Options.default ~dir) with
         Clsm_core.Options.memtable_bytes = 1 lsl 22;
-        unsafe_naive_snapshots = naive;
+        snapshots =
+          (if naive then Clsm_core.Clock.Unsafe_naive
+           else Clsm_core.Clock.Serializable);
       }
     in
     let db = Clsm_core.Db.open_store opts in
@@ -131,7 +133,9 @@ let snapshot_linearizability () =
       {
         (Clsm_core.Options.default ~dir) with
         Clsm_core.Options.memtable_bytes = 1 lsl 22;
-        linearizable_snapshots = linearizable;
+        snapshots =
+          (if linearizable then Clsm_core.Clock.Linearizable
+           else Clsm_core.Clock.Serializable);
       }
     in
     let db = Clsm_core.Db.open_store opts in

@@ -8,8 +8,7 @@ type t = {
   wal_enabled : bool;
   cache_bytes : int;
   readahead_blocks : int;
-  linearizable_snapshots : bool;
-  unsafe_naive_snapshots : bool;
+  snapshots : Clock.snapshot_mode;
   maintenance_workers : int;
   lsm : Clsm_lsm.Lsm_config.t;
   env : Clsm_env.Env.t;
@@ -29,8 +28,7 @@ let default ~dir =
     wal_enabled = true;
     cache_bytes = 64 * 1024 * 1024;
     readahead_blocks = 8;
-    linearizable_snapshots = false;
-    unsafe_naive_snapshots = false;
+    snapshots = Clock.Serializable;
     maintenance_workers = 2;
     lsm = Clsm_lsm.Lsm_config.default;
     env = Clsm_env.Env.unix;
@@ -50,8 +48,3 @@ let wal_mode t =
   | `Per_write -> Clsm_wal.Wal_writer.Group { max_batch = 1; max_delay_us = 0 }
   | `Group { max_batch; max_delay_us } ->
       Clsm_wal.Wal_writer.Group { max_batch; max_delay_us }
-
-let snapshot_mode t =
-  if t.unsafe_naive_snapshots then Clock.Unsafe_naive
-  else if t.linearizable_snapshots then Clock.Linearizable
-  else Clock.Serializable

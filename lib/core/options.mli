@@ -29,13 +29,13 @@ type t = {
           table iterator advances sequentially, up to this many physically
           contiguous blocks are fetched in one pread and decoded into the
           block cache ahead of the scan; 0 disables *)
-  linearizable_snapshots : bool;
-      (** use the linearizable [getSnap] variant (§3.2.1: omit lines 10–11)
-          instead of the default serializable one *)
-  unsafe_naive_snapshots : bool;
-      (** ABLATION ONLY: take snapshot timestamps straight from
-          [timeCounter], skipping the Active-set protocol — reintroduces the
-          Figure 3/4 races (scans may observe inconsistent states) *)
+  snapshots : Clock.snapshot_mode;
+      (** the [getSnap] variant (default [Serializable]): [Linearizable]
+          is §3.2.1's variant (omit lines 10–11); [Unsafe_naive] is for
+          ablations only — it takes snapshot timestamps straight from
+          [timeCounter], skipping the Active-set protocol, and so
+          reintroduces the Figure 3/4 races (scans may observe
+          inconsistent states) *)
   maintenance_workers : int;
       (** background worker domains for flush/compaction (default 2);
           flushes and deep-level compactions proceed in parallel on
@@ -86,8 +86,3 @@ val default_group_commit : group_commit
 val wal_mode : t -> Clsm_wal.Wal_writer.mode
 (** The {!Clsm_wal.Wal_writer.mode} this policy maps to (used everywhere
     a store layer opens a WAL writer, so all writers of one store agree). *)
-
-val snapshot_mode : t -> Clock.snapshot_mode
-(** The [getSnap] variant these options select: [Unsafe_naive] under
-    [unsafe_naive_snapshots], else [Linearizable] under
-    [linearizable_snapshots], else [Serializable]. *)

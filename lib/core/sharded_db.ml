@@ -70,16 +70,11 @@ let of_hex h =
       with _ -> failwith "Sharded_db: bad hex in SHARDING")
 
 let persist_layout ~(env : Env.t) ~dir bounds =
-  let tmp = layout_file dir ^ ".tmp" in
-  let w = env.Env.create_writer tmp in
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "%s %d\n" layout_magic (Array.length bounds + 1));
   Array.iter (fun k -> Buffer.add_string b (to_hex k ^ "\n")) bounds;
-  w.Env.w_append (Buffer.contents b);
-  w.Env.w_fsync ();
-  w.Env.w_close ();
-  env.Env.rename ~src:tmp ~dst:(layout_file dir)
+  Env.publish env ~path:(layout_file dir) (Buffer.contents b)
 
 let load_layout ~(env : Env.t) ~dir =
   let path = layout_file dir in
@@ -311,7 +306,7 @@ module Core = struct
     Stats.incr t.stats Stats.snapshots_taken;
     Shared_lock.lock_exclusive t.batch_lock;
     let s =
-      Clock.snapshot ?ttl t.clock ~mode:(Options.snapshot_mode t.opts)
+      Clock.snapshot ?ttl t.clock ~mode:t.opts.Options.snapshots
         ~now:(Clsm_util.Time_ns.now_s ())
     in
     Shared_lock.unlock_exclusive t.batch_lock;

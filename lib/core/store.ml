@@ -304,7 +304,7 @@ let get_snap ?ttl t =
   Stats.incr t.stats Stats.snapshots_taken;
   Shared_lock.lock_shared t.lock;
   let s =
-    Clock.snapshot ?ttl t.clock ~mode:(Options.snapshot_mode t.opts)
+    Clock.snapshot ?ttl t.clock ~mode:t.opts.Options.snapshots
       ~now:(Time_ns.now_s ())
   in
   Shared_lock.unlock_shared t.lock;

@@ -23,7 +23,7 @@ module type SCAN_PRIMITIVES = sig
 
   val get_snap : ?ttl:float -> t -> snapshot
   (** Consistent point-in-time view (serializable; linearizable when the
-      store was opened with [linearizable_snapshots]). Release it with
+      store was opened with [snapshots = Linearizable]). Release it with
       {!release_snapshot}, or pass [ttl] (seconds) to have the handle expire
       automatically — the paper's two removal paths for unused snapshot
       handles (§3.2.1). Reading through an expired snapshot is not checked;

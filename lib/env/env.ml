@@ -166,3 +166,13 @@ let unix : t =
       (fun path ->
         wrap ~op:"list_dir" ~path (fun () -> Array.to_list (Sys.readdir path)));
   }
+
+let publish env ~path contents =
+  let tmp = path ^ ".tmp" in
+  let w = env.create_writer tmp in
+  Fun.protect
+    ~finally:(fun () -> w.w_close ())
+    (fun () ->
+      w.w_append contents;
+      w.w_fsync ());
+  env.rename ~src:tmp ~dst:path

@@ -45,3 +45,10 @@ type t = {
 val unix : t
 (** The production environment: direct [Unix] IO, tables read through
     [mmap]. *)
+
+val publish : t -> path:string -> string -> unit
+(** Replace the file at [path] with [contents] atomically: write
+    [path ^ ".tmp"], fsync it, close it, then rename it over [path]. On
+    failure the temp file's descriptor is still released, the error
+    propagates, and [path] is untouched; only the [.tmp] is left for
+    the caller's recovery to delete. *)

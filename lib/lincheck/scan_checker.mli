@@ -13,7 +13,7 @@
       anywhere at or before the scan's response — the snapshot may read "in
       the past", but it must still be *some* consistent prefix, so no put
       is ever half-visible.
-    - [`Linearizable] (stores opened with [linearizable_snapshots]): the
+    - [`Linearizable] (stores opened with [snapshots = Linearizable]): the
       cut must additionally lie within the scan's own invocation window.
 
     Independently, snapshot timestamps must be monotone: if scan A responds

@@ -33,17 +33,8 @@ let save ?(env = Env.unix) ~dir t =
   let contents =
     contents ^ Printf.sprintf "crc %08x\n" (Crc32c.string contents)
   in
-  let path = Table_file.manifest_path ~dir in
-  let tmp = path ^ ".tmp" in
-  let w = env.Env.create_writer tmp in
-  (* Contents must be durable before the rename publishes them; a failure
-     leaves only the [.tmp] file, which recovery deletes. *)
-  Fun.protect
-    ~finally:(fun () -> w.Env.w_close ())
-    (fun () ->
-      w.Env.w_append contents;
-      w.Env.w_fsync ());
-  env.Env.rename ~src:tmp ~dst:path;
+  (* A failure leaves only the [.tmp] file, which recovery deletes. *)
+  Env.publish env ~path:(Table_file.manifest_path ~dir) contents;
   String.length contents
 
 let load ?(env = Env.unix) ~dir () =

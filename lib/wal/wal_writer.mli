@@ -1,28 +1,37 @@
 (** Write-ahead-log writer.
 
-    In [Async] mode (the common configuration, paper §2.3/§4) [append] only
-    pushes the record onto a non-blocking queue — "a write only queues the
-    request for logging" — so writes proceed at memory speed and a handful
-    of recent writes may be lost on a crash. Queued records are drained to
-    the file opportunistically by whichever appender wins a try-lock (group
-    commit), or synchronously by {!flush}.
+    One commit path serves every mode. Each record joins one pending FIFO
+    with a ticket; a {e leader} — whichever caller finds no round in
+    progress; no dedicated domain is spawned, so the scheme composes with
+    the maintenance scheduler's pool and simulated environments — takes
+    the pending records, issues {e one} write (and, when the round is
+    durable, {e one} fsync) through the env, and publishes two
+    watermarks: the highest ticket handed to the env, and the highest
+    ticket made durable. Only the leader touches the file. The modes are
+    policies for that round:
 
-    In [Group] mode every [append] is durable before returning, but the
-    write+fsync is leader-batched (RocksDB-style group commit): concurrent
-    appenders enqueue their record with a ticket and park on a condition
-    variable; the first waiter elects itself leader — no dedicated domain
-    is spawned, so the scheme composes with the maintenance scheduler's
-    pool and simulated environments — waits in an accumulation window
-    until the committers the previous round predicts have boarded (at
-    most [max_delay_us]), drains up to [max_batch] records, issues
-    {e one} write and {e one} fsync through the env, publishes the durable
-    ticket and wakes all riders. [max_batch] bounds a single batch;
-    leftover records elect the next leader immediately. The window's
-    early close uses a self-pipe, created only when a window can open
-    ([max_batch > 1] and [max_delay_us > 0]) and closed by {!close} or
-    {!abandon}. Per-write durability is
-    [Group { max_batch = 1; max_delay_us = 0 }]: every append is its own
-    round, with no window and no pipe.
+    - [Async] (the common configuration, paper §2.3/§4): [append] queues
+      the record — "a write only queues the request for logging" — and,
+      unless a leader is already at work, leads a round with no window
+      and no fsync. It never waits on anyone else's IO, so writes
+      proceed at memory speed and a handful of recent writes may be lost
+      on a crash.
+    - [Group]: every [append] is durable before returning, and the
+      write+fsync is leader-batched (RocksDB-style group commit):
+      appenders park on a condition variable until their ticket is
+      durable or they find no leader and lead a round themselves. The
+      leader waits in an accumulation window until the committers the
+      previous round predicts have boarded (at most [max_delay_us]),
+      takes up to [max_batch] records, writes and fsyncs them, and wakes
+      all riders; leftover records elect the next leader immediately.
+      The window's early close uses a self-pipe, created only when a
+      window can open ([max_batch > 1] and [max_delay_us > 0]) and
+      closed by {!close} or {!abandon}. Per-write durability is
+      [Group { max_batch = 1; max_delay_us = 0 }]: every append is its
+      own round, with no window and no pipe.
+
+    {!flush} leads durable rounds, with no window and no batch bound,
+    until every record queued before it is durable.
 
     {b Failure model (fsync-gate).} All IO goes through the store's
     {!Clsm_env.Env.t}. The first append or fsync failure {e poisons} the
@@ -73,9 +82,9 @@ val create : ?mode:mode -> ?env:Clsm_env.Env.t -> ?observer:observer -> string -
     Default mode: [Async]; default env: {!Clsm_env.Env.unix}. *)
 
 val append : ?alone:bool -> t -> string -> unit
-(** Log one record. Thread-safe; non-blocking in [Async] mode except for an
-    opportunistic drain attempt; blocks until durable in [Group]
-    mode. Raises {!Clsm_env.Env.Error} (or the original
+(** Log one record. Thread-safe. In [Async] mode it never waits on
+    another caller's IO: it writes out what is pending only when no
+    leader is already doing so. Blocks until durable in [Group] mode. Raises {!Clsm_env.Env.Error} (or the original
     poisoning exception) on IO failure — in [Group] mode the
     record is then {e not} acknowledged.
 
@@ -91,15 +100,18 @@ val enqueue : t -> string -> unit
     per-record fsync in durable modes. *)
 
 val flush : t -> unit
-(** Settle parked group riders (leader rounds, no accumulation delay),
-    then drain the queue, write everything out and [fsync]. Raises on
-    failure and poisons the writer; once poisoned, idempotently re-raises
-    the original exception. *)
+(** Make every record queued before the call durable: lead rounds (no
+    accumulation window, no batch bound) that write out what is pending
+    and [fsync], waiting out a round another caller is leading. A round
+    with nothing pending but unsynced bytes only fsyncs; with nothing
+    unsynced, [flush] does no IO. Raises on failure and poisons the
+    writer; once poisoned, idempotently re-raises the original exception
+    without touching the queue or the file. *)
 
 val close : t -> unit
-(** {!flush} then close the file. The descriptors (the file's and the
-    window pipe's) are always released, but a flush/fsync failure still
-    propagates. *)
+(** {!flush} then close the file, after waiting out a leader still in
+    its round. The descriptors (the file's and the window pipe's) are
+    always released, but a flush/fsync failure still propagates. *)
 
 val poisoned : t -> bool
 (** True once an IO failure has permanently disabled the writer (or
@@ -107,8 +119,7 @@ val poisoned : t -> bool
 
 val path : t -> string
 val queued : t -> int
-(** Records still in memory: async queue plus unpublished group tickets
-    (test/stats). *)
+(** Records pending, not yet taken by a round (test/stats). *)
 
 val written_bytes : t -> int
 (** Bytes fully appended to the file so far. The prefix
@@ -119,9 +130,10 @@ val written_bytes : t -> int
     benignly (a stale value under-reports). *)
 
 val abandon : t -> unit
-(** Close the file without draining the queue or syncing — test hook that
+(** Close the file without writing out the queue or syncing — test hook that
     leaves the file exactly as a crash would. Poisons the writer with
     {!Clsm_env.Env.Crashed} and wakes parked group riders, and a leader
     parked in an accumulation window, so in-flight commits raise
-    (unacknowledged) at once instead of hanging. Releases the window
-    pipe once no leader is inside a window. Never raises. *)
+    (unacknowledged) at once instead of hanging. A leader already in
+    its write is waited out before the descriptors (the file's and the
+    window pipe's) are released. Never raises. *)

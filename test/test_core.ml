@@ -13,7 +13,7 @@ let small_opts ?(memtable_bytes = 16 * 1024) ?(wal_enabled = true)
     base with
     Options.memtable_bytes;
     wal_enabled;
-    linearizable_snapshots = linearizable;
+    snapshots = (if linearizable then Clock.Linearizable else Clock.Serializable);
     cache_bytes = 1 lsl 20;
     lsm =
       {

@@ -238,7 +238,11 @@ let first_put_vs_snapshot () =
     let dir = fresh_dir () in
     let db =
       Db.open_store
-        { (small_opts dir) with Options.linearizable_snapshots = round mod 2 = 0 }
+        {
+          (small_opts dir) with
+          Options.snapshots =
+            (if round mod 2 = 0 then Clock.Linearizable else Clock.Serializable);
+        }
     in
     let ready = Atomic.make 0 and put_done = Atomic.make false in
     let start () =

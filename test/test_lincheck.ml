@@ -7,7 +7,7 @@
    validator:
 
    - the real cLSM store (`Db`, skip-list memtable) under the default
-     serializable snapshots and under `linearizable_snapshots`;
+     serializable snapshots and under `snapshots = Linearizable`;
    - the bare lock-free memtable (Algorithm 3 RMW with no store around);
    - the LevelDB-style baseline (`Single_writer_store`: one global
      mutex over `Db`, put-if-absent atomic under it) and the
@@ -33,22 +33,8 @@ let num_seeds =
 
 let seeds = List.init num_seeds (fun i -> 9000 + (i * 13))
 
-let base_dir =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_lincheck_%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
+(* Removed, with whatever a seed left in it, when the run exits. *)
+let base_dir = Test_dirs.dir "lincheck"
 
 (* Tiny components so the schedule crosses memtable rotations, flushes and
    level compactions while the workers run. *)
@@ -60,7 +46,7 @@ let opts ?(linearizable = false) dir =
     cache_bytes = 1 lsl 18;
     wal_sync = `Async;
     wal_enabled = true;
-    linearizable_snapshots = linearizable;
+    snapshots = (if linearizable then Clock.Linearizable else Clock.Serializable);
     maintenance_workers = 2;
     lsm =
       {
@@ -146,13 +132,13 @@ let run_clsm ~linearizable seed () =
          (if linearizable then "_lin" else "")
          seed)
   in
-  rm_rf dir;
+  Test_dirs.rm_rf dir;
   let db = Db.open_store (opts ~linearizable dir) in
   let h =
     Fun.protect
       ~finally:(fun () ->
         Db.close db;
-        rm_rf dir)
+        Test_dirs.rm_rf dir)
       (fun () -> Stress.run (cfg seed) (Db_target.ops ~name:"clsm" db))
   in
   assert_clean
@@ -172,7 +158,7 @@ let run_clsm_group seed () =
   let dir =
     Filename.concat base_dir (Printf.sprintf "clsm_group_seed%d" seed)
   in
-  rm_rf dir;
+  Test_dirs.rm_rf dir;
   let o =
     {
       (opts dir) with
@@ -184,7 +170,7 @@ let run_clsm_group seed () =
     Fun.protect
       ~finally:(fun () ->
         Db.close db;
-        rm_rf dir)
+        Test_dirs.rm_rf dir)
       (fun () ->
         Stress.run
           { (cfg seed) with Stress.ops_per_domain = 120 }
@@ -205,7 +191,7 @@ let run_sharded ~linearizable seed () =
          (if linearizable then "_lin" else "")
          seed)
   in
-  rm_rf dir;
+  Test_dirs.rm_rf dir;
   let o =
     {
       (opts ~linearizable dir) with
@@ -218,7 +204,7 @@ let run_sharded ~linearizable seed () =
     Fun.protect
       ~finally:(fun () ->
         Sharded_db.close db;
-        rm_rf dir)
+        Test_dirs.rm_rf dir)
       (fun () -> Stress.run (cfg seed) (Sharded_target.ops ~name:"sharded" db))
   in
   assert_clean
@@ -229,14 +215,14 @@ let run_sharded ~linearizable seed () =
 
 let run_striped seed () =
   let dir = Filename.concat base_dir (Printf.sprintf "striped_seed%d" seed) in
-  rm_rf dir;
+  Test_dirs.rm_rf dir;
   let base = Clsm_baselines.Single_writer_store.open_store (opts dir) in
   let st = Clsm_baselines.Striped_rmw.create base in
   let h =
     Fun.protect
       ~finally:(fun () ->
         Clsm_baselines.Single_writer_store.close base;
-        rm_rf dir)
+        Test_dirs.rm_rf dir)
       (fun () -> Stress.run (cfg seed) (Target.of_striped st))
   in
   assert_clean ~target:"striped" ~seed ~scan_mode:`Serializable h
@@ -251,13 +237,13 @@ let run_single_writer seed () =
   let dir =
     Filename.concat base_dir (Printf.sprintf "single_writer_seed%d" seed)
   in
-  rm_rf dir;
+  Test_dirs.rm_rf dir;
   let st = Clsm_baselines.Single_writer_store.open_store (opts dir) in
   let h =
     Fun.protect
       ~finally:(fun () ->
         Clsm_baselines.Single_writer_store.close st;
-        rm_rf dir)
+        Test_dirs.rm_rf dir)
       (fun () ->
         Stress.run
           {

@@ -179,69 +179,6 @@ let active_set_lease_reuse () =
   Alcotest.(check bool) "span <= 2" true (Active_set.span s <= 2);
   Alcotest.(check int) "empty" 0 (Active_set.cardinal s)
 
-(* ---------- Mpmc_queue ---------- *)
-
-let queue_fifo () =
-  let q = Mpmc_queue.create () in
-  Alcotest.(check bool) "empty" true (Mpmc_queue.is_empty q);
-  for i = 1 to 100 do Mpmc_queue.push q i done;
-  Alcotest.(check int) "length" 100 (Mpmc_queue.length q);
-  for i = 1 to 100 do
-    Alcotest.(check (option int)) "fifo order" (Some i) (Mpmc_queue.pop q)
-  done;
-  Alcotest.(check (option int)) "drained" None (Mpmc_queue.pop q)
-
-let queue_concurrent_sum () =
-  let q = Mpmc_queue.create () in
-  let n = 20_000 in
-  let producer lo () =
-    for i = lo to lo + n - 1 do Mpmc_queue.push q i done;
-    0
-  in
-  let consumer () =
-    let sum = ref 0 in
-    let seen = ref 0 in
-    while !seen < n do
-      match Mpmc_queue.pop q with
-      | Some v ->
-          sum := !sum + v;
-          incr seen
-      | None -> Domain.cpu_relax ()
-    done;
-    !sum
-  in
-  let results = spawn_all [ producer 0; producer n; consumer; consumer ] in
-  let total = List.fold_left ( + ) 0 results in
-  let expected = (2 * n * (2 * n - 1)) / 2 in
-  Alcotest.(check int) "sum preserved" expected total;
-  Alcotest.(check bool) "empty at end" true (Mpmc_queue.is_empty q)
-
-let queue_per_producer_order () =
-  let q = Mpmc_queue.create () in
-  let n = 5_000 in
-  let producer tag () =
-    for i = 0 to n - 1 do Mpmc_queue.push q (tag, i) done;
-    true
-  in
-  let watcher () =
-    let last = Hashtbl.create 4 in
-    let seen = ref 0 in
-    let ok = ref true in
-    while !seen < 2 * n do
-      match Mpmc_queue.pop q with
-      | Some (tag, i) ->
-          (match Hashtbl.find_opt last tag with
-          | Some prev when prev >= i -> ok := false
-          | Some _ | None -> ());
-          Hashtbl.replace last tag i;
-          incr seen
-      | None -> Domain.cpu_relax ()
-    done;
-    !ok
-  in
-  let results = spawn_all [ producer 1; producer 2; watcher ] in
-  List.iter (fun ok -> Alcotest.(check bool) "per-producer FIFO" true ok) results
-
 (* ---------- Refcounted / Rcu_box ---------- *)
 
 let refcount_release_once () =
@@ -422,65 +359,6 @@ let prop_counter_model =
       && final >= max_target
       && final <= initial + (domains * incs) + slack)
 
-(* Mpmc_queue: every pushed item pops exactly once, and each consumer sees
-   every producer's items in push order (FIFO per producer). *)
-let prop_queue_fifo_per_producer =
-  let gen =
-    QCheck.(triple (int_range 2 3) (int_range 1 2) (int_range 1 400))
-  in
-  QCheck.Test.make ~name:"mpmc_queue FIFO per producer (2-4 domains)"
-    ~count:10 gen (fun (producers, consumers, n) ->
-      let q = Mpmc_queue.create () in
-      let total = producers * n in
-      let got = Atomic.make 0 in
-      let producer tag () =
-        for i = 0 to n - 1 do Mpmc_queue.push q (tag, i) done;
-        []
-      in
-      let consumer () =
-        let mine = ref [] in
-        let continue = ref true in
-        while !continue do
-          match Mpmc_queue.pop q with
-          | Some item ->
-              mine := item :: !mine;
-              ignore (Atomic.fetch_and_add got 1)
-          | None ->
-              if Atomic.get got >= total then continue := false
-              else Domain.cpu_relax ()
-        done;
-        List.rev !mine
-      in
-      let results =
-        spawn_all
-          (List.init producers (fun p -> producer p)
-          @ List.init consumers (fun _ -> consumer))
-      in
-      let popped = List.concat results in
-      let complete =
-        List.sort compare popped
-        = List.sort compare
-            (List.concat
-               (List.init producers (fun p -> List.init n (fun i -> (p, i)))))
-      in
-      let per_producer_fifo =
-        List.for_all
-          (fun stream ->
-            let last = Hashtbl.create 4 in
-            List.for_all
-              (fun (tag, i) ->
-                let ok =
-                  match Hashtbl.find_opt last tag with
-                  | Some prev -> prev < i
-                  | None -> true
-                in
-                Hashtbl.replace last tag i;
-                ok)
-              stream)
-          results
-      in
-      complete && per_producer_fifo)
-
 (* ---------- Backoff ---------- *)
 
 let backoff_progresses () =
@@ -510,12 +388,6 @@ let suites =
         Alcotest.test_case "fill and drain" `Quick active_set_fills_and_drains;
         Alcotest.test_case "lease reuse" `Quick active_set_lease_reuse;
       ] );
-    ( "primitives.mpmc_queue",
-      [
-        Alcotest.test_case "fifo" `Quick queue_fifo;
-        Alcotest.test_case "concurrent sum" `Quick queue_concurrent_sum;
-        Alcotest.test_case "per-producer order" `Quick queue_per_producer_order;
-      ] );
     ( "primitives.event_buffer",
       [
         Alcotest.test_case "order across chunks" `Quick event_buffer_order;
@@ -524,10 +396,7 @@ let suites =
       ] );
     ( "primitives.props",
       List.map QCheck_alcotest.to_alcotest
-        [
-          prop_active_set_model; prop_counter_model;
-          prop_queue_fifo_per_producer;
-        ] );
+        [ prop_active_set_model; prop_counter_model ] );
     ( "primitives.rcu",
       [
         Alcotest.test_case "release exactly once" `Quick refcount_release_once;

@@ -409,6 +409,45 @@ let test_closed_router_refuses_calls () =
     [ ("a", "1"); ("z", "2") ] (Sharded_db.range db);
   Sharded_db.close db
 
+(* A failed SHARDING write must not leak its descriptor: with the temp
+   file's fsync failing, [open_store] raises and every writer the env
+   opened has been closed. *)
+let test_layout_write_failure_releases_writer () =
+  let module Env = Clsm_env.Env in
+  let dir = fresh_dir () in
+  let opened = Atomic.make 0 and closed = Atomic.make 0 in
+  let env =
+    {
+      Env.unix with
+      create_writer =
+        (fun path ->
+          let w = Env.unix.create_writer path in
+          Atomic.incr opened;
+          {
+            w with
+            w_fsync =
+              (fun () ->
+                if Filename.basename path = "SHARDING.tmp" then
+                  raise (Env.Error { op = "fsync"; path; message = "injected" });
+                w.w_fsync ());
+            w_close =
+              (fun () ->
+                Atomic.incr closed;
+                w.w_close ());
+          });
+    }
+  in
+  (match
+     Sharded_db.open_store
+       { (sharded_opts ~bounds:[ "m" ] ~shards:2 dir) with Options.env }
+   with
+  | db ->
+      Sharded_db.close db;
+      Alcotest.fail "open_store must raise on the failed SHARDING fsync"
+  | exception Env.Error _ -> ());
+  Alcotest.(check int) "writers opened = writers closed" (Atomic.get opened)
+    (Atomic.get closed)
+
 let suites =
   [
     ( "sharded",
@@ -427,6 +466,8 @@ let suites =
           test_repair_per_shard;
         Alcotest.test_case "closed router refuses calls" `Quick
           test_closed_router_refuses_calls;
+        Alcotest.test_case "failed layout write releases its writer" `Quick
+          test_layout_write_failure_releases_writer;
       ]
       @ List.map QCheck_alcotest.to_alcotest [ prop_sharded_equals_single ] );
   ]

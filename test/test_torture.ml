@@ -21,22 +21,8 @@ open Clsm_core
 open Clsm_lsm
 open Clsm_env
 
-let base_dir =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "clsm_torture_%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
+(* Removed, with whatever a seed left in it, when the run exits. *)
+let base_dir = Test_dirs.dir "torture"
 
 let opts_for ~env dir =
   let base = Options.default ~dir in
@@ -149,11 +135,11 @@ let check_recovery ~seed ~dir ~opts m =
   if Db.get db (key_of 0) <> Some "fresh" then
     Alcotest.failf "seed %d: second reopen lost data" seed;
   Db.close db;
-  rm_rf dir
+  Test_dirs.rm_rf dir
 
 let run_one_seed seed =
   let dir = Filename.concat base_dir (Printf.sprintf "seed%d" seed) in
-  rm_rf dir;
+  Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed |] in
   let fault = Faulty_env.create ~seed () in
   let opts = opts_for ~env:(Faulty_env.env fault) dir in
@@ -232,7 +218,7 @@ let sequential_moves = ref 0
    recovery checks of [run_one_seed] apply unchanged. *)
 let run_sequential_seed seed =
   let dir = Filename.concat base_dir (Printf.sprintf "sequential_seed%d" seed) in
-  rm_rf dir;
+  Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed; 11 |] in
   let fault = Faulty_env.create ~seed () in
   let opts = opts_for ~env:(Faulty_env.env fault) dir in
@@ -303,7 +289,7 @@ let sharded_opts_for ~env dir =
    clock that still outranks everything recovered. *)
 let run_one_sharded_seed seed =
   let dir = Filename.concat base_dir (Printf.sprintf "sharded_seed%d" seed) in
-  rm_rf dir;
+  Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed; 7 |] in
   let fault = Faulty_env.create ~seed () in
   let opts = sharded_opts_for ~env:(Faulty_env.env fault) dir in
@@ -430,7 +416,7 @@ let run_one_sharded_seed seed =
   if Sharded_db.get db (key_of 0) <> Some "fresh" then
     Alcotest.failf "seed %d: second reopen lost data" seed;
   Sharded_db.close db;
-  rm_rf dir
+  Test_dirs.rm_rf dir
 
 (* Failure isolation: persistent fsync failures degrade the shard whose
    maintenance hits them — and ONLY that shard. The others must keep
@@ -438,7 +424,7 @@ let run_one_sharded_seed seed =
    shards individually. *)
 let run_degrade_isolation seed =
   let dir = Filename.concat base_dir (Printf.sprintf "degrade_seed%d" seed) in
-  rm_rf dir;
+  Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed; 13 |] in
   let fault = Faulty_env.create ~seed () in
   (* This test is about what ISOLATION looks like once a shard is down,
@@ -512,7 +498,7 @@ let run_degrade_isolation seed =
               survivor));
   (try Sharded_db.close db
    with Env.Error _ | Store_sig.Degraded _ -> () (* degraded WAL close *));
-  rm_rf dir
+  Test_dirs.rm_rf dir
 
 (* ---------- bit-rot torture ---------- *)
 
@@ -527,7 +513,7 @@ let run_degrade_isolation seed =
    without reopening the store. *)
 let run_bitrot_seed seed =
   let dir = Filename.concat base_dir (Printf.sprintf "bitrot_seed%d" seed) in
-  rm_rf dir;
+  Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed; 29 |] in
   let fault = Faulty_env.create ~seed () in
   let opts =
@@ -631,7 +617,7 @@ let run_bitrot_seed seed =
       Alcotest.failf "seed %d: integrity after heal: %s" seed
         (String.concat "; " errs));
   Db.close db;
-  rm_rf dir
+  Test_dirs.rm_rf dir
 
 (* ---------- group-commit torture ---------- *)
 
@@ -656,7 +642,7 @@ let run_bitrot_seed seed =
    resurrects as a value that was never attempted. *)
 let run_group_commit_seed seed =
   let dir = Filename.concat base_dir (Printf.sprintf "group_seed%d" seed) in
-  rm_rf dir;
+  Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed; 53 |] in
   let fault = Faulty_env.create ~seed () in
   (* Sweep the policy space deterministically per seed: tiny batches
@@ -775,7 +761,7 @@ let run_group_commit_seed seed =
   if Db.get db (key_of 0) <> Some "fresh" then
     Alcotest.failf "seed %d: second reopen lost data" seed;
   Db.close db;
-  rm_rf dir
+  Test_dirs.rm_rf dir
 
 (* Post-crash scribble: the torn tail of any file with unsynced appends
    is overwritten with garbage instead of just truncated — the disk that
@@ -784,7 +770,7 @@ let run_group_commit_seed seed =
    of them and come up healthy despite the scribbled tail. *)
 let run_scribble_seed seed =
   let dir = Filename.concat base_dir (Printf.sprintf "scribble_seed%d" seed) in
-  rm_rf dir;
+  Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed; 41 |] in
   let fault = Faulty_env.create ~seed () in
   let opts = opts_for ~env:(Faulty_env.env fault) dir in
@@ -820,7 +806,7 @@ let run_scribble_seed seed =
       Alcotest.failf "seed %d: integrity after scribbled recovery: %s" seed
         (String.concat "; " errs));
   Db.close db;
-  rm_rf dir
+  Test_dirs.rm_rf dir
 
 (* Seed count: TORTURE_SEEDS (default 200). CI pins a smaller budget to
    stay fast; local runs can go as deep as patience allows. The seed

@@ -571,6 +571,120 @@ let flush_idempotent_after_poison () =
     queued_after_poison (Wal_writer.queued w);
   Wal_writer.abandon w
 
+(* ---------- one commit path: a round parked inside its write ---------- *)
+
+(* An env whose writers log their calls and whose [w_append] parks while
+   [held] is set, so a test can hold a round inside its write. *)
+type gate = {
+  genv : Env.t;
+  held : bool Atomic.t;
+  parked : int Atomic.t;  (** appends that found [held] set *)
+  log : string list Atomic.t;  (** calls, newest first *)
+}
+
+let gate () =
+  let held = Atomic.make true
+  and parked = Atomic.make 0
+  and log = Atomic.make [] in
+  let rec note e =
+    let l = Atomic.get log in
+    if not (Atomic.compare_and_set log l (e :: l)) then note e
+  in
+  let create_writer p =
+    let w = Env.unix.create_writer p in
+    {
+      Env.w_append =
+        (fun s ->
+          if Atomic.get held then begin
+            Atomic.incr parked;
+            while Atomic.get held do
+              Unix.sleepf 0.001
+            done
+          end;
+          w.w_append s;
+          note "append");
+      w_fsync =
+        (fun () ->
+          w.w_fsync ();
+          note "fsync");
+      w_close =
+        (fun () ->
+          note "close";
+          w.w_close ());
+    }
+  in
+  { genv = { Env.unix with create_writer }; held; parked; log }
+
+let calls g = List.rev (Atomic.get g.log)
+
+(* An async writer whose first append is parked inside its round. *)
+let parked_async_writer name =
+  let g = gate () in
+  let w =
+    Wal_writer.create ~mode:Wal_writer.Async ~env:g.genv (tmp_path name)
+  in
+  let first = Domain.spawn (fun () -> Wal_writer.append w "first") in
+  while Atomic.get g.parked < 1 do
+    Unix.sleepf 0.001
+  done;
+  (g, w, first)
+
+(* The call [f] issued while the round is parked has not returned 50 ms
+   later; after the gate opens it has, and the log reads [expected]. *)
+let check_waits_out_round g first what f ~expected =
+  let returned = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        f ();
+        Atomic.set returned true)
+  in
+  Unix.sleepf 0.05;
+  Alcotest.(check bool) (what ^ " waits for the parked write") false
+    (Atomic.get returned);
+  Alcotest.(check (list string)) "nothing after the parked write" []
+    (calls g);
+  Atomic.set g.held false;
+  Domain.join first;
+  Domain.join d;
+  Alcotest.(check (list string)) "calls in order" expected (calls g)
+
+let async_append_never_waits () =
+  let g, w, first = parked_async_writer "gate_append.log" in
+  (match Watchdog.run ~within:2.0 (fun () -> Wal_writer.append w "second") with
+  | Some (Ok ()) -> ()
+  | Some (Error e) -> raise e
+  | None -> Alcotest.fail "second append waited on the parked round");
+  Alcotest.(check int) "first still parked" 0 (List.length (calls g));
+  Atomic.set g.held false;
+  Domain.join first;
+  Wal_writer.close w;
+  let records, _ = Wal_reader.read_records ~strict:true (Wal_writer.path w) in
+  Alcotest.(check (list string)) "both, in order" [ "first"; "second" ] records
+
+let flush_waits_out_round () =
+  let g, w, first = parked_async_writer "gate_flush.log" in
+  check_waits_out_round g first "flush"
+    (fun () -> Wal_writer.flush w)
+    ~expected:[ "append"; "fsync" ];
+  let records, _ =
+    Wal_reader.read_records ~strict:true ~max_bytes:(Wal_writer.written_bytes w)
+      (Wal_writer.path w)
+  in
+  Alcotest.(check (list string)) "durable" [ "first" ] records;
+  Wal_writer.close w
+
+let abandon_waits_out_round () =
+  let g, w, first = parked_async_writer "gate_abandon.log" in
+  check_waits_out_round g first "abandon"
+    (fun () -> Wal_writer.abandon w)
+    ~expected:[ "append"; "close" ]
+
+let close_waits_out_round () =
+  let g, w, first = parked_async_writer "gate_close.log" in
+  check_waits_out_round g first "close"
+    (fun () -> Wal_writer.close w)
+    ~expected:[ "append"; "fsync"; "close" ]
+
 let prop_wal_roundtrip =
   QCheck.Test.make ~name:"wal roundtrip (random payloads)" ~count:50
     QCheck.(list (string_of_size Gen.(0 -- 100)))
@@ -676,6 +790,14 @@ let suites =
         Alcotest.test_case "zero-length file" `Quick zero_length_file;
         Alcotest.test_case "garbage trailer" `Quick garbage_trailer;
         Alcotest.test_case "empty log" `Quick empty_log;
+        Alcotest.test_case "async append never waits" `Quick
+          async_append_never_waits;
+        Alcotest.test_case "flush waits out a parked round" `Quick
+          flush_waits_out_round;
+        Alcotest.test_case "abandon waits out a parked round" `Quick
+          abandon_waits_out_round;
+        Alcotest.test_case "close waits out a parked round" `Quick
+          close_waits_out_round;
       ] );
     ( "wal.group",
       [
