@@ -640,7 +640,9 @@ let ns_row ~samples ~ops ?(warmup = ops) name call =
 (* Point lookups and scans served wholly from the block cache, in the
    shape of the e2e get_resident workload: 8 B keys and 256 B values,
    preloaded, compacted and warmed by a full fold. Times a cached
-   [Table.find_last_le] on the store's largest table, and [Db.get], a
+   [Table.find_last_le] on the store's largest table and its two layers
+   alone (the index search, and [Block.Iter.seek_le] in one cached 4 KB
+   block of the table's entries), and [Db.get], a
    one-row [Db.range] (the scan's seek: an iterator, one seek per
    component, one row) and a 50-row [Db.range] (the seek plus 49 rows)
    on the store, and counts the minor-heap words each call allocates: on
@@ -714,9 +716,43 @@ let cached_read_rows ~scale ~samples =
     row "point_lookup.find_last_le" (fun k ->
         ignore (Sys.opaque_identity (Table.find_last_le table k) : _ option))
   in
+  let index_row =
+    row "point_lookup.index_seek" (fun k ->
+        ignore (Sys.opaque_identity (Table.index_seek table k) : int))
+  in
+  (* The first 4 KB block of the table's entries, cut as [Table_builder]
+     cuts it, with its key directory built, probed at its own keys. *)
+  let block =
+    let b = Clsm_sstable.Block_builder.create () in
+    let rec fill = function
+      | (k, v) :: rest when Clsm_sstable.Block_builder.estimated_size b < 4096 ->
+          Clsm_sstable.Block_builder.add b ~key:k ~value:v;
+          fill rest
+      | _ -> ()
+    in
+    fill (Table.to_list table);
+    Clsm_sstable.Block.parse Internal_key.comparator
+      (Clsm_sstable.Block_builder.finish b)
+  in
+  ignore (Clsm_sstable.Block.add_directory block : int);
+  let in_block =
+    Array.of_list
+      (Clsm_sstable.Block.Iter.fold
+         (fun k _ acc -> Internal_key.probe (Internal_key.user_key_of k) :: acc)
+         block [])
+  in
+  Array.iteri
+    (fun i _ -> probes.(i) <- in_block.(Random.State.int rng (Array.length in_block)))
+    probes;
+  let block_it = Clsm_sstable.Block.Iter.make block in
+  let block_row =
+    row "point_lookup.block_seek" (fun k ->
+        Clsm_sstable.Block.Iter.seek_le block_it k;
+        ignore (Sys.opaque_identity (Clsm_sstable.Block.Iter.valid block_it) : bool))
+  in
   Table.close table;
   rm_rf dir;
-  [ table_row; db_row; seek_row; range_row ]
+  [ table_row; index_row; block_row; db_row; seek_row; range_row ]
 
 (* The paper's timestamp protocol on an otherwise idle clock, in ns per
    call: getSnap's choice and fence of a snapshot timestamp (Algorithm

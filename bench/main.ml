@@ -28,7 +28,8 @@
                    MB/s of the per-block byte loops: Crc32c.sub and
                    Env.unix rf_read on 4 KB blocks, and one L0→L1 merge;
                    ns and minor words per cached point lookup
-                   (Table.find_last_le, Db.get), per cached scan
+                   (Table.find_last_le, its index search and its
+                   block seek_le alone, Db.get), per cached scan
                    (Db.range of 1 and of 50 rows) and per clock call
                    (getSnap's timestamp in both modes, the RMW fence,
                    a put's getTS) and per entry merged by each

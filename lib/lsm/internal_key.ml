@@ -69,4 +69,10 @@ let compare_user_key ik user_key =
     (String.length ik - ts_size)
     user_key
 
+let ts_if_user_key s pos len user_key =
+  let n = len - ts_size in
+  if n < 0 then invalid_arg "Internal_key: too short";
+  if Clsm_sstable.Comparator.bytewise_compare_sub s pos n user_key <> 0 then -1
+  else Binary.get_fixed64 s ~pos:(pos + n)
+
 let comparator = Clsm_sstable.Comparator.make ~name:"clsm-internal-key" compare_sub

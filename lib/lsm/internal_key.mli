@@ -41,6 +41,14 @@ val compare_user_key : string -> string -> int
 (** [compare_user_key ik k] = [String.compare (user_key_of ik) k],
     without the copy. *)
 
+val ts_if_user_key : string -> int -> int -> string -> int
+(** [ts_if_user_key s pos len user_key] is the timestamp of the internal
+    key [s.[pos .. pos+len)] if its user key is [user_key], else [-1]
+    (timestamps are never negative). Arguments as a comparator's
+    [compare_sub], so a block entry is read in place
+    ([Block.Iter.key_sub]). Raises like {!compare_user_key} and
+    {!ts_of}. *)
+
 val comparator : Clsm_sstable.Comparator.t
 (** The order packaged for blocks and tables: its [compare_sub] is the
     one implementation, [compare_encoded] its whole-string form. *)

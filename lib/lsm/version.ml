@@ -77,14 +77,12 @@ let user_range_contains tf user_key =
   && Internal_key.compare_user_key tf.largest user_key >= 0
 
 (* The block entry a lookup landed on, if it is a version of [user_key]:
-   its timestamp and the entry, whose value is the one copy made. *)
+   its timestamp and the entry, whose value is the one copy made. The key
+   is read where the iterator holds it. *)
 let read_hit user_key it =
-  let ik = Clsm_sstable.Block.Iter.key it in
-  if Internal_key.compare_user_key ik user_key <> 0 then None
-  else
-    Some
-      ( Internal_key.ts_of ik,
-        Clsm_sstable.Block.Iter.read_value it Entry.decode_at )
+  let ts = Clsm_sstable.Block.Iter.key_sub it Internal_key.ts_if_user_key user_key in
+  if ts < 0 then None
+  else Some (ts, Clsm_sstable.Block.Iter.read_value it Entry.decode_at)
 
 (* Newest entry for [user_key] with ts <= probe's ts inside one file.
    A block that fails its checksum or does not decode raises

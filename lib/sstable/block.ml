@@ -4,11 +4,20 @@ exception Corrupt of string
 
 let corrupt m = raise (Corrupt m)
 
+(* A key directory: entry [i]'s whole key is
+   [keys.[pos.(2i) .. pos.(2i+2))] and the entry starts at byte
+   [pos.(2i+1)] of the block; [pos.(2n)] ends the last of [n] keys. *)
+type directory = { keys : string; pos : int array }
+
+(* What a block holds until a point lookup builds its directory. *)
+let no_directory = { keys = ""; pos = [||] }
+
 type t = {
   data : string;
   limit : int; (* end of entry region / start of restart array *)
   num_restarts : int;
   cmp : Comparator.t;
+  dir : directory Atomic.t; (* [no_directory], then the directory *)
 }
 
 let parse cmp data =
@@ -17,23 +26,28 @@ let parse cmp data =
   let num_restarts = Binary.get_fixed32 data ~pos:(n - 4) in
   let trailer = 4 + (4 * num_restarts) in
   if num_restarts < 1 || trailer > n then raise (Corrupt "bad restart count");
-  { data; limit = n - trailer; num_restarts; cmp }
+  {
+    data;
+    limit = n - trailer;
+    num_restarts;
+    cmp;
+    dir = Atomic.make no_directory;
+  }
 
 let num_restarts t = t.num_restarts
 let size_bytes t = String.length t.data
 let restart_offset t i = Binary.get_fixed32 t.data ~pos:(t.limit + (4 * i))
+let directory_bytes d = String.length d.keys + (8 * Array.length d.pos)
 
 module Iter = struct
   (* An entry is [shared; non_shared; value_len] as varints, then the
      [non_shared] key bytes that follow the [shared]-byte prefix of the
      previous key, then the value. Keys are rebuilt into two buffers that
      the iterator owns: a step forward writes the new key into [spare]
-     and swaps, so [spare] then holds the previous key and {!step_back}
-     swaps again. The two keys share the [shared] prefix of the newer
-     one, so the next step copies only what the older one lacks. Nothing
-     is allocated per entry once the buffers fit
-     the block's longest key; [key] makes the key a string on demand,
-     once per entry. *)
+     and swaps. The two keys share the [shared] prefix of the newer one,
+     so the next step copies only what the older one lacks. Nothing is
+     allocated per entry once the buffers fit the block's longest key;
+     [key] makes the key a string on demand, once per entry. *)
   type iter = {
     mutable block : t;
     mutable pos : int; (* varint cursor *)
@@ -45,10 +59,6 @@ module Iter = struct
     mutable common : int; (* [key] and [spare] agree on this many bytes *)
     mutable value_pos : int;
     mutable value_len : int;
-    (* the entry before the current one, for {!step_back} *)
-    mutable prev_offset : int;
-    mutable prev_key_len : int;
-    mutable prev_value_pos : int;
     mutable key_string : string; (* [key] as a string when [key_cached] *)
     mutable key_cached : bool;
   }
@@ -65,9 +75,6 @@ module Iter = struct
       common = 0;
       value_pos = 0;
       value_len = 0;
-      prev_offset = block.limit;
-      prev_key_len = 0;
-      prev_value_pos = 0;
       key_string = "";
       key_cached = false;
     }
@@ -89,6 +96,11 @@ module Iter = struct
       it.key_cached <- true
     end;
     it.key_string
+
+  (* The buffer is only read for the duration of the call. *)
+  let key_sub it f x =
+    if not (valid it) then invalid_arg "Block.Iter.key_sub: invalid iterator";
+    f (Bytes.unsafe_to_string it.key) 0 it.key_len x
 
   let value it =
     if not (valid it) then invalid_arg "Block.Iter.value: invalid iterator";
@@ -152,27 +164,11 @@ module Iter = struct
     it.spare <- it.key;
     it.key <- k;
     it.common <- shared;
-    it.prev_offset <- it.offset;
-    it.prev_key_len <- it.key_len;
-    it.prev_value_pos <- it.value_pos;
     it.offset <- off;
     it.key_len <- len;
     it.value_pos <- key_pos + non_shared;
     it.value_len <- value_len;
     it.next_offset <- key_pos + non_shared + value_len;
-    it.key_cached <- false
-
-  (* Undo the last {!decode_at}: the previous key is in [spare], and the
-     previous entry ends where the current one starts. *)
-  let step_back it =
-    let k = it.key in
-    it.key <- it.spare;
-    it.spare <- k;
-    it.next_offset <- it.offset;
-    it.value_len <- it.offset - it.prev_value_pos;
-    it.offset <- it.prev_offset;
-    it.key_len <- it.prev_key_len;
-    it.value_pos <- it.prev_value_pos;
     it.key_cached <- false
 
   let invalidate it = it.offset <- it.block.limit
@@ -202,7 +198,6 @@ module Iter = struct
     check_extent b ~key_pos ~non_shared ~value_len;
     b.cmp.Comparator.compare_sub b.data key_pos non_shared target
 
-  (* The buffer is only read for the duration of the call. *)
   let compare_current it target =
     it.block.cmp.Comparator.compare_sub
       (Bytes.unsafe_to_string it.key)
@@ -214,48 +209,93 @@ module Iter = struct
 
   let next it = if valid it then advance it
 
-  (* Binary search: the greatest restart whose key compares below
-     [bound] against [target] (0: key < target, 1: key <= target), or
-     restart 0. *)
-  let restart_below it target bound =
+  (* Binary search: the greatest restart whose key is below [target],
+     or restart 0. *)
+  let restart_below it target =
     let lo = ref 0 and hi = ref (it.block.num_restarts - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if restart_compare it mid target < bound then lo := mid else hi := mid - 1
+      if restart_compare it mid target < 0 then lo := mid else hi := mid - 1
     done;
     !lo
 
   let seek it target =
-    seek_to_restart it (restart_below it target 0);
+    seek_to_restart it (restart_below it target);
     advance it;
     while valid it && compare_current it target < 0 do
       advance it
     done
 
-  let seek_le it target =
-    let b = it.block in
-    if b.limit = 0 || restart_compare it 0 target > 0 then invalidate it
+  (* One forward decode of the whole block, with every check a step
+     makes. Each restart must also fall on an entry whose key is stored
+     whole, as {!seek}'s restart search assumes. *)
+  let build_directory b =
+    let it = make b in
+    let keys = Buffer.create 256 and pos = ref [] and restart = ref 0 in
+    seek_to_first it;
+    while valid it do
+      if !restart < b.num_restarts && restart_offset b !restart = it.offset
+      then begin
+        if it.common <> 0 then corrupt "restart entry has shared bytes";
+        incr restart
+      end;
+      pos := it.offset :: Buffer.length keys :: !pos;
+      Buffer.add_subbytes keys it.key 0 it.key_len;
+      advance it
+    done;
+    if !pos <> [] && !restart < b.num_restarts then
+      corrupt "restart offset not at an entry";
+    {
+      keys = Buffer.contents keys;
+      pos = Array.of_list (List.rev (Buffer.length keys :: !pos));
+    }
+
+  let add_directory b =
+    if Atomic.get b.dir != no_directory then 0
     else begin
-      seek_to_restart it (restart_below it target 1);
-      advance it;
-      (* Step forward while the next entry is still <= target; the first
-         one past it is stepped back over. *)
-      let stepping = ref true in
-      while !stepping && it.next_offset < b.limit do
-        decode_at it it.next_offset;
-        if compare_current it target > 0 then begin
-          step_back it;
-          stepping := false
-        end
-      done
+      let d = build_directory b in
+      if Atomic.compare_and_set b.dir no_directory d then directory_bytes d
+      else 0
     end
 
-  let seek_last it =
-    seek_to_restart it (it.block.num_restarts - 1);
-    advance it;
-    while valid it && it.next_offset < it.block.limit do
-      decode_at it it.next_offset
-    done
+  (* Position on entry [i] of [d]: the key is copied whole from the
+     directory and only the entry's header is decoded, for the value.
+     The build checked the entry. *)
+  let position_at it (d : directory) i =
+    let b = it.block in
+    let off = d.pos.((2 * i) + 1) in
+    let key_start = d.pos.(2 * i) in
+    let len = d.pos.((2 * i) + 2) - key_start in
+    it.pos <- off;
+    ignore (read_varint it b.limit : int);
+    let non_shared = read_varint it b.limit in
+    let value_len = read_varint it b.limit in
+    if Bytes.length it.key < len then
+      it.key <- Bytes.create (Int.max len (2 * Bytes.length it.key));
+    Bytes.blit_string d.keys key_start it.key 0 len;
+    it.common <- 0;
+    it.offset <- off;
+    it.key_len <- len;
+    it.value_pos <- it.pos + non_shared;
+    it.value_len <- value_len;
+    it.next_offset <- it.value_pos + value_len;
+    it.key_cached <- false
+
+  let seek_le it target =
+    let b = it.block in
+    if Atomic.get b.dir == no_directory then ignore (add_directory b : int);
+    let (d : directory) = Atomic.get b.dir in
+    let cmp = b.cmp.Comparator.compare_sub in
+    (* [lo] ends as the number of keys <= target. *)
+    let lo = ref 0 and hi = ref ((Array.length d.pos - 1) / 2) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      let start = d.pos.(2 * mid) in
+      if cmp d.keys start (d.pos.((2 * mid) + 2) - start) target <= 0 then
+        lo := mid + 1
+      else hi := mid
+    done;
+    if !lo = 0 then invalidate it else position_at it d (!lo - 1)
 
   let fold f block acc =
     let it = make block in
@@ -270,3 +310,5 @@ module Iter = struct
     in
     go acc
 end
+
+let add_directory = Iter.add_directory

@@ -1,12 +1,25 @@
 (** Reader for blocks produced by {!Block_builder}: in-memory parse plus a
-    seekable iterator that binary-searches the restart array and then scans
-    forward, reconstructing prefix-compressed keys.
+    seekable iterator that reconstructs prefix-compressed keys.
 
-    The search compares keys where they lie, through the comparator's
+    {!Iter.seek} binary-searches the restart array and then scans
+    forward, comparing keys where they lie through the comparator's
     [compare_sub]: restart keys in the block bytes, rebuilt keys in two
-    buffers the iterator owns. Positioning allocates nothing once those
-    buffers fit the block's longest key; only {!Iter.key} and
-    {!Iter.value} copy bytes out. *)
+    buffers the iterator owns. {!Iter.seek_le}, the point lookup's
+    search, binary-searches the block's key directory instead. Positioning
+    allocates nothing once the buffers fit the block's longest key; only
+    {!Iter.key} and {!Iter.value} copy bytes out.
+
+    {2 Key directory}
+
+    The first {!Iter.seek_le} into a block (or {!add_directory}) builds
+    its key directory: every entry's whole key, end to end in one
+    string, and one [int] array of each key's start and each entry's
+    offset. It costs the keys' bytes plus 16 bytes per entry, plus 8.
+    It is built by one forward decode with every check a step makes, so
+    a malformed entry raises {!Corrupt} there, and it is published
+    through an [Atomic.t]: a domain sees no directory or a whole one.
+    Scans and compaction read every entry in order and never build
+    one. *)
 
 exception Corrupt of string
 (** A structurally malformed block. Every decode failure of a block —
@@ -21,6 +34,13 @@ val parse : Comparator.t -> string -> t
 
 val num_restarts : t -> int
 val size_bytes : t -> int
+
+val add_directory : t -> int
+(** Build and publish the key directory unless the block has one.
+    Returns the directory's bytes if this call published it, else 0: of
+    domains racing into a fresh block, exactly one sees its bytes, so a
+    caller can charge them once. Raises {!Corrupt} if an entry does not
+    decode or a restart does not fall on an entry stored whole. *)
 
 module Iter : sig
   type iter
@@ -41,14 +61,20 @@ module Iter : sig
   val seek_le : iter -> string -> unit
   (** Position at the {e last} entry with key [<= target] (invalid if
       none). Used for newest-version-not-exceeding-a-snapshot lookups when
-      versions are ordered by ascending timestamp. *)
-
-  val seek_last : iter -> unit
-  (** Position at the last entry of the block (invalid if empty). *)
+      versions are ordered by ascending timestamp. A binary search of the
+      key directory (built first if the block has none) and one decode of
+      the entry's header; {!next} continues from there. *)
 
   val valid : iter -> bool
   val key : iter -> string
   (** Raises [Invalid_argument] if not {!valid}. *)
+
+  val key_sub : iter -> (string -> int -> int -> 'a -> 'b) -> 'a -> 'b
+  (** [key_sub it f x] is [f s pos len x] with
+      [String.sub s pos len = key it], read where the iterator keeps it,
+      so nothing is copied; the arguments are a comparator's
+      [compare_sub]'s. [f] must not keep [s]. Raises [Invalid_argument]
+      if not {!valid}. *)
 
   val value : iter -> string
   (** Raises [Invalid_argument] if not {!valid}. [key] is made a string

@@ -34,10 +34,16 @@ let rec free_id id =
   if not (Atomic.compare_and_set free_ids ids (id :: ids)) then free_id id
 
 (* A table opened with a cache: its id, and the key of the reservation
-   that charges the index, filter, properties and footer to the budget,
-   so the per-open-table RAM the reader keeps hot is visible in
+   that charges the decoded index, filter, properties and footer to the
+   budget, so the per-open-table RAM the reader keeps hot is visible in
    [Cache.stats]. *)
 type cached = { cache : Block.t Cache.t; id : int; aux_key : int }
+
+(* The index block, decoded once at open. Data block [i] holds the keys
+   up to its separator [seps.[sep_pos.(i) .. sep_pos.(i+1))], its last
+   key, and lies at [handles.(2i)] with [handles.(2i+1)] payload
+   bytes. *)
+type index = { seps : string; sep_pos : int array; handles : int array }
 
 type t = {
   path : string;
@@ -46,10 +52,23 @@ type t = {
   cached : cached option;
   closed : bool Atomic.t;
   footer : Table_format.footer;
-  index : Block.t;
+  index : index;
   filter : Bloom.t;
   props : Table_format.properties;
 }
+
+let num_blocks ix = Array.length ix.sep_pos - 1
+let block_offset ix i = ix.handles.(2 * i)
+let block_size ix i = ix.handles.((2 * i) + 1)
+
+let block_end ix i =
+  block_offset ix i + block_size ix i + Table_format.block_trailer_length
+
+let separator ix i =
+  String.sub ix.seps ix.sep_pos.(i) (ix.sep_pos.(i + 1) - ix.sep_pos.(i))
+
+let index_bytes ix =
+  String.length ix.seps + (8 * (Array.length ix.sep_pos + Array.length ix.handles))
 
 (* Decode one block image ([payload ^ trailer] as laid out on disk) of
    [size] payload bytes starting at [pos] in [raw], verifying the CRC
@@ -70,9 +89,9 @@ let decode_block_image ~offset ~pos ~size raw =
   | '\001' -> corrupt "compressed block (no codec)"
   | _ -> corrupt "unknown block type"
 
-(* Read a block payload at [handle], verifying the CRC trailer. *)
-let read_block_raw (file : Env.random_file) handle =
-  let { Block_handle.offset; size } = handle in
+(* Read a block payload of [size] bytes at [offset], verifying the CRC
+   trailer. *)
+let read_block_raw (file : Env.random_file) ~offset ~size =
   let raw =
     try
       file.Env.rf_read ~pos:offset
@@ -82,65 +101,101 @@ let read_block_raw (file : Env.random_file) handle =
   in
   decode_block_image ~offset ~pos:0 ~size raw
 
-let open_file ?cache ?(env = Env.unix) ~cmp path =
-  let file = env.Env.open_random path in
-  let len = file.Env.rf_length in
-  if Option.is_some cache && len > max_file_length then begin
-    file.Env.rf_close ();
-    invalid_arg "Table.open_file: file too long for cache keys"
-  end;
-  if len < Table_format.footer_length then raise (Corrupt "file too short");
-  let footer_str =
-    file.Env.rf_read
-      ~pos:(len - Table_format.footer_length)
-      ~len:Table_format.footer_length
-  in
-  let footer =
-    try Table_format.decode_footer footer_str
-    with Failure m -> raise (Corrupt m)
-  in
+let read_handle file h =
+  read_block_raw file ~offset:h.Block_handle.offset ~size:h.Block_handle.size
+
+(* A block decode failure, named by the offset of the block. *)
+let corrupt_at offset m = raise (Corrupt (Printf.sprintf "block@%d: %s" offset m))
+
+(* One forward walk over the index block's entries. *)
+let decode_index cmp payload =
+  let it = Block.Iter.make (Block.parse cmp payload) in
+  let seps = Buffer.create (String.length payload) in
+  let sep_pos = ref [] and handles = ref [] in
+  Block.Iter.seek_to_first it;
+  while Block.Iter.valid it do
+    sep_pos := Buffer.length seps :: !sep_pos;
+    Buffer.add_string seps (Block.Iter.key it);
+    let h = Block.Iter.value_handle it in
+    handles := h.Block_handle.size :: h.Block_handle.offset :: !handles;
+    Block.Iter.next it
+  done;
+  {
+    seps = Buffer.contents seps;
+    sep_pos = Array.of_list (List.rev (Buffer.length seps :: !sep_pos));
+    handles = Array.of_list (List.rev !handles);
+  }
+
+(* Read and decode the blocks the footer addresses. A failure names the
+   block: its offset when it fails its checksum, its role when it does
+   not decode. *)
+let read_aux_blocks cmp file footer =
   let index =
-    try Block.parse cmp (read_block_raw file footer.Table_format.index_handle)
-    with Block.Corrupt m -> raise (Corrupt m)
+    try decode_index cmp (read_handle file footer.Table_format.index_handle)
+    with Block.Corrupt m -> raise (Corrupt ("index block: " ^ m))
   in
   let filter =
-    try Bloom.decode (read_block_raw file footer.Table_format.filter_handle)
-    with Invalid_argument m -> raise (Corrupt m)
+    try Bloom.decode (read_handle file footer.Table_format.filter_handle)
+    with Invalid_argument m -> raise (Corrupt ("filter block: " ^ m))
   in
   let props =
     try
       Table_format.decode_properties
-        (read_block_raw file footer.Table_format.props_handle)
-    with Varint.Corrupt m | Invalid_argument m -> raise (Corrupt m)
+        (read_handle file footer.Table_format.props_handle)
+    with Varint.Corrupt m | Invalid_argument m ->
+      raise (Corrupt ("properties block: " ^ m))
   in
-  let cached =
-    match cache with
-    | None -> None
-    | Some cache ->
-        let id = take_id () in
-        (* The filter's offset keys the reservation: no data block
-           shares it. *)
-        let aux_key =
-          block_key id footer.Table_format.filter_handle.Block_handle.offset
-        in
-        Cache.reserve cache aux_key
-          (Block.size_bytes index
-          + footer.Table_format.filter_handle.Block_handle.size
-          + footer.Table_format.props_handle.Block_handle.size
-          + Table_format.footer_length);
-        Some { cache; id; aux_key }
-  in
-  {
-    path;
-    file;
-    cmp;
-    cached;
-    closed = Atomic.make false;
-    footer;
-    index;
-    filter;
-    props;
-  }
+  (index, filter, props)
+
+let open_file ?cache ?(env = Env.unix) ~cmp path =
+  let file = env.Env.open_random path in
+  try
+    let len = file.Env.rf_length in
+    if Option.is_some cache && len > max_file_length then
+      invalid_arg "Table.open_file: file too long for cache keys";
+    if len < Table_format.footer_length then raise (Corrupt "file too short");
+    let footer_str =
+      file.Env.rf_read
+        ~pos:(len - Table_format.footer_length)
+        ~len:Table_format.footer_length
+    in
+    let footer =
+      try Table_format.decode_footer footer_str
+      with Failure m -> raise (Corrupt m)
+    in
+    let index, filter, props = read_aux_blocks cmp file footer in
+    let cached =
+      match cache with
+      | None -> None
+      | Some cache ->
+          let id = take_id () in
+          (* The filter's offset keys the reservation: no data block
+             shares it. *)
+          let aux_key =
+            block_key id footer.Table_format.filter_handle.Block_handle.offset
+          in
+          Cache.reserve cache aux_key
+            (index_bytes index
+            + footer.Table_format.filter_handle.Block_handle.size
+            + footer.Table_format.props_handle.Block_handle.size
+            + Table_format.footer_length);
+          Some { cache; id; aux_key }
+    in
+    {
+      path;
+      file;
+      cmp;
+      cached;
+      closed = Atomic.make false;
+      footer;
+      index;
+      filter;
+      props;
+    }
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    file.Env.rf_close ();
+    Printexc.raise_with_backtrace e bt
 
 let close t =
   if not (Atomic.exchange t.closed true) then begin
@@ -161,20 +216,33 @@ let properties t = t.props
 let file_size t = t.file.Env.rf_length
 let may_contain t filter_key = Bloom.mem t.filter filter_key
 
-let load_block t handle =
+let parse_block t offset payload =
+  try Block.parse t.cmp payload with Block.Corrupt m -> corrupt_at offset m
+
+(* Data block [i], through the cache if the table has one. *)
+let load_block t i =
+  let offset = block_offset t.index i in
   let decode () =
-    try Block.parse t.cmp (read_block_raw t.file handle)
-    with Block.Corrupt m -> raise (Corrupt m)
+    parse_block t offset
+      (read_block_raw t.file ~offset ~size:(block_size t.index i))
   in
   match t.cached with
   | None -> decode ()
-  | Some c ->
-      Cache.find_or_add c.cache (block_key c.id handle.Block_handle.offset) decode
+  | Some c -> Cache.find_or_add c.cache (block_key c.id offset) decode
 
-(* A block decode failure, named by the offset of the block. *)
-let corrupt_at offset m = raise (Corrupt (Printf.sprintf "block@%d: %s" offset m))
-
-let index_offset t = t.footer.Table_format.index_handle.Block_handle.offset
+(* The first block whose separator is >= [target]: the only block that
+   can hold the first entry >= [target]; [num_blocks] if none. *)
+let index_seek t target =
+  let ix = t.index and cmp = t.cmp.Comparator.compare_sub in
+  let lo = ref 0 and hi = ref (num_blocks ix) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let start = ix.sep_pos.(mid) in
+    if cmp ix.seps start (ix.sep_pos.(mid + 1) - start) target < 0 then
+      lo := mid + 1
+    else hi := mid
+  done;
+  !lo
 
 (* What an iterator points at before its first block. *)
 let empty_block =
@@ -183,135 +251,122 @@ let empty_block =
 module Iter = struct
   type iter = {
     table : t;
-    index_iter : Block.Iter.iter;
     data_iter : Block.Iter.iter; (* rebound to each data block in turn *)
-    mutable at : int; (* offset of the block being decoded, for errors *)
+    mutable block : int; (* the block [data_iter] reads; [num_blocks] past the end *)
     mutable seq_blocks : int;
-        (* consecutive sequential (index [next]) block advances; reset by
-           any seek, so point reads never trigger readahead *)
+        (* consecutive sequential block advances; reset by any seek, so
+           point reads never trigger readahead *)
   }
 
   let make table =
     {
       table;
-      index_iter = Block.Iter.make table.index;
       data_iter = Block.Iter.make empty_block;
-      at = index_offset table;
+      block = num_blocks table.index;
       seq_blocks = 0;
     }
 
-  let block_end h =
-    h.Block_handle.offset + h.Block_handle.size
-    + Table_format.block_trailer_length
-
-  (* Fetch the block [cur] the scan is entering, which is not cached,
-     together with the following physically contiguous data blocks (up
-     to [k] in all) in one pread; decode and cache those not already
-     resident. Any failure (short read, rot in one of the prefetched
-     blocks) is swallowed: the scan falls back to an on-demand read of
-     [cur], which carries its own verification and error paths. *)
+  (* Fetch block [cur], which the scan is entering and which is not
+     cached, together with the following physically contiguous data
+     blocks (up to [k] in all) in one pread; decode and cache those not
+     already resident. Any failure (short read, rot in one of the
+     prefetched blocks) is swallowed: the scan falls back to an
+     on-demand read of [cur], which carries its own verification and
+     error paths. *)
   let readahead_batch it c k cur =
     let t = it.table in
-    let probe = Block.Iter.make t.index in
-    Block.Iter.seek probe (Block.Iter.key it.index_iter);
-    Block.Iter.next probe;
-    (* The blocks after [cur] that follow it on disk, nearest first. *)
-    let rec followers n run_end acc =
-      if n >= k || not (Block.Iter.valid probe) then (run_end, List.rev acc)
-      else
-        let h = Block.Iter.value_handle probe in
-        if h.Block_handle.offset <> run_end then (run_end, List.rev acc)
-        else begin
-          Block.Iter.next probe;
-          followers (n + 1) (block_end h) (h :: acc)
-        end
-    in
-    let run_end, rest = followers 1 (block_end cur) [] in
-    if rest <> [] then begin
-      let key_of h = block_key c.id h.Block_handle.offset in
-      let missing =
-        cur :: List.filter (fun h -> not (Cache.mem c.cache (key_of h))) rest
-      in
-      let base = cur.Block_handle.offset in
-      let span = t.file.Env.rf_read ~pos:base ~len:(run_end - base) in
-      List.iter
-        (fun h ->
+    let ix = t.index in
+    let last = ref cur in
+    while
+      !last + 1 < num_blocks ix
+      && !last + 1 - cur < k
+      && block_offset ix (!last + 1) = block_end ix !last
+    do
+      incr last
+    done;
+    if !last > cur then begin
+      let base = block_offset ix cur in
+      let span = t.file.Env.rf_read ~pos:base ~len:(block_end ix !last - base) in
+      let fetched = ref 0 in
+      for i = cur to !last do
+        let offset = block_offset ix i in
+        let key = block_key c.id offset in
+        if i = cur || not (Cache.mem c.cache key) then begin
           let payload =
-            decode_block_image ~offset:h.Block_handle.offset
-              ~pos:(h.Block_handle.offset - base) ~size:h.Block_handle.size span
+            decode_block_image ~offset ~pos:(offset - base)
+              ~size:(block_size ix i) span
           in
-          Cache.insert c.cache (key_of h) (Block.parse t.cmp payload))
-        missing;
-      Cache.note_readahead c.cache ~blocks:(List.length missing)
+          Cache.insert c.cache key (parse_block t offset payload);
+          incr fetched
+        end
+      done;
+      Cache.note_readahead c.cache ~blocks:!fetched
     end
 
   (* Read ahead only when a sequential scan enters a block that is not
      cached: a scan over resident blocks pays one lock-free probe per
      block crossing and never looks further. *)
-  let maybe_readahead it =
+  let maybe_readahead it i =
     match it.table.cached with
     | None -> ()
     | Some c ->
         let k = Cache.readahead_blocks c.cache in
-        if k > 1 && it.seq_blocks >= 1 && Block.Iter.valid it.index_iter
-        then begin
-          let cur = Block.Iter.value_handle it.index_iter in
-          if not (Cache.mem c.cache (block_key c.id cur.Block_handle.offset))
-          then try readahead_batch it c k cur with _ -> ()
-        end
+        if
+          k > 1 && it.seq_blocks >= 1
+          && not (Cache.mem c.cache (block_key c.id (block_offset it.table.index i)))
+        then try readahead_batch it c k i with _ -> ()
 
-  let load_data_block it =
-    if Block.Iter.valid it.index_iter then begin
-      let handle = Block.Iter.value_handle it.index_iter in
-      Block.Iter.reset it.data_iter (load_block it.table handle);
-      it.at <- handle.Block_handle.offset
-    end
+  (* Rebind the data iterator to block [i], or to nothing past the
+     last. *)
+  let enter it i =
+    it.block <- i;
+    if i < num_blocks it.table.index then
+      Block.Iter.reset it.data_iter (load_block it.table i)
     else Block.Iter.reset it.data_iter empty_block
 
   (* Advance to the first valid entry at or after the current position,
      skipping exhausted data blocks. *)
   let rec skip_exhausted it =
-    if not (Block.Iter.valid it.data_iter) then begin
-      it.at <- index_offset it.table;
-      Block.Iter.next it.index_iter;
-      if Block.Iter.valid it.index_iter then begin
+    if (not (Block.Iter.valid it.data_iter)) && it.block < num_blocks it.table.index
+    then begin
+      let next = it.block + 1 in
+      if next < num_blocks it.table.index then begin
         it.seq_blocks <- it.seq_blocks + 1;
-        maybe_readahead it;
-        load_data_block it;
+        maybe_readahead it next;
+        enter it next;
         Block.Iter.seek_to_first it.data_iter;
         skip_exhausted it
       end
-      else Block.Iter.reset it.data_iter empty_block
+      else enter it next
     end
 
-  (* Block decode errors, raised as {!Corrupt} naming the block. *)
+  (* A block decode error, raised as {!Corrupt} naming the block: only a
+     data block bound to [data_iter] decodes. *)
+  let corrupt_in it m = corrupt_at (block_offset it.table.index it.block) m
+
   let seek_to_first it =
+    it.seq_blocks <- 0;
     try
-      it.seq_blocks <- 0;
-      it.at <- index_offset it.table;
-      Block.Iter.seek_to_first it.index_iter;
-      load_data_block it;
+      enter it 0;
       Block.Iter.seek_to_first it.data_iter;
       skip_exhausted it
-    with Block.Corrupt m -> corrupt_at it.at m
+    with Block.Corrupt m -> corrupt_in it m
 
   let seek it target =
-    (* Index keys are the last key of each block, so the first index entry
-       >= target points at the only block that can contain it. *)
+    (* Separators are the last key of each block, so the first one
+       >= target names the only block that can contain it. *)
+    it.seq_blocks <- 0;
     try
-      it.seq_blocks <- 0;
-      it.at <- index_offset it.table;
-      Block.Iter.seek it.index_iter target;
-      load_data_block it;
+      enter it (index_seek it.table target);
       Block.Iter.seek it.data_iter target;
       skip_exhausted it
-    with Block.Corrupt m -> corrupt_at it.at m
+    with Block.Corrupt m -> corrupt_in it m
 
   let next it =
     try
       Block.Iter.next it.data_iter;
       skip_exhausted it
-    with Block.Corrupt m -> corrupt_at it.at m
+    with Block.Corrupt m -> corrupt_in it m
 
   let valid it = Block.Iter.valid it.data_iter
   let key it = Block.Iter.key it.data_iter
@@ -320,91 +375,57 @@ module Iter = struct
 end
 
 let index_anchors t =
-  let it = Block.Iter.make t.index in
-  let rec go acc =
-    if Block.Iter.valid it then begin
-      let k = Block.Iter.key it in
-      let h = Block.Iter.value_handle it in
-      Block.Iter.next it;
-      go ((k, h.Block_handle.size) :: acc)
-    end
-    else List.rev acc
-  in
-  try
-    Block.Iter.seek_to_first it;
-    go []
-  with Block.Corrupt m -> corrupt_at (index_offset t) m
+  List.init (num_blocks t.index) (fun i ->
+      (separator t.index i, block_size t.index i))
 
 let find_first_ge t probe =
   let it = Iter.make t in
   Iter.seek it probe;
   if Iter.valid it then Some (Iter.key it, Iter.value it) else None
 
-(* Point lookups reuse one pair of block iterators per domain, so after
-   the first few calls their key buffers fit and a cache-hit lookup
-   allocates nothing but what the caller copies out. A lookup that finds
-   the domain's pair busy (a systhread or fiber interleaved on the
-   domain, or a reader that looks up again) takes a fresh pair. *)
+(* Point lookups reuse one block iterator per domain, so after the first
+   few calls its key buffers fit and a cache-hit lookup allocates
+   nothing but what the caller copies out. A lookup that finds the
+   domain's iterator busy (a systhread or fiber interleaved on the
+   domain, or a reader that looks up again) takes a fresh one. *)
 type lookup = {
   mutable busy : bool;
   mutable at : int; (* offset of the block being decoded, for errors *)
-  index_it : Block.Iter.iter;
   data_it : Block.Iter.iter;
 }
 
-let new_lookup () =
-  {
-    busy = false;
-    at = 0;
-    index_it = Block.Iter.make empty_block;
-    data_it = Block.Iter.make empty_block;
-  }
-
+let new_lookup () = { busy = false; at = 0; data_it = Block.Iter.make empty_block }
 let lookups = Domain.DLS.new_key new_lookup
 
 let release_lookup l =
   (* Hold no block of this table past the call. *)
-  Block.Iter.reset l.index_it empty_block;
   Block.Iter.reset l.data_it empty_block;
   l.busy <- false
 
-let load_data t l handle =
-  Block.Iter.reset l.data_it (load_block t handle);
-  l.at <- handle.Block_handle.offset
-
-(* Leave [l.data_it] on the last entry of the block at [handle]. *)
-let seek_last_of t l handle =
-  load_data t l handle;
-  Block.Iter.seek_last l.data_it;
+(* Leave [l.data_it] on the last entry <= probe of block [i]; false if
+   there is none. The lookup that builds the block's key directory
+   charges it to the block's cache entry. *)
+let seek_le_in t l i probe =
+  let offset = block_offset t.index i in
+  l.at <- offset;
+  let block = load_block t i in
+  let built = Block.add_directory block in
+  (match t.cached with
+  | Some c when built > 0 ->
+      Cache.charge c.cache (block_key c.id offset) block built
+  | Some _ | None -> ());
+  Block.Iter.reset l.data_it block;
+  Block.Iter.seek_le l.data_it probe;
   Block.Iter.valid l.data_it
 
-(* Leave [l.data_it] on the last entry <= probe; false if there is none.
-   The first block whose last key >= probe is the only one that can hold
-   entries in (prev_block.last, probe]; if it holds nothing <= probe, the
-   answer is the last entry of the latest block entirely <= probe. *)
+(* The first block whose separator is >= probe is the only one that can
+   hold entries in (its predecessor's separator, probe]; if it holds
+   nothing <= probe, or there is no such block, the answer is the last
+   entry of the block before. *)
 let seek_last_le t l probe =
-  let ii = l.index_it in
-  Block.Iter.reset ii t.index;
-  l.at <- index_offset t;
-  Block.Iter.seek ii probe;
-  if Block.Iter.valid ii then begin
-    load_data t l (Block.Iter.value_handle ii);
-    Block.Iter.seek_le l.data_it probe;
-    Block.Iter.valid l.data_it
-    ||
-    (* Every entry of that block is > probe: fall back to the preceding
-       block, i.e. the greatest index key <= probe. *)
-    begin
-      l.at <- index_offset t;
-      Block.Iter.seek_le ii probe;
-      Block.Iter.valid ii && seek_last_of t l (Block.Iter.value_handle ii)
-    end
-  end
-  else begin
-    (* probe is past every block: answer is the last entry of the table. *)
-    Block.Iter.seek_last ii;
-    Block.Iter.valid ii && seek_last_of t l (Block.Iter.value_handle ii)
-  end
+  let i = index_seek t probe in
+  (i < num_blocks t.index && seek_le_in t l i probe)
+  || (i > 0 && seek_le_in t l (i - 1) probe)
 
 let find_last_le_with t probe f =
   let l = Domain.DLS.get lookups in
@@ -443,41 +464,12 @@ let to_list t = List.rev (fold (fun k v acc -> (k, v) :: acc) t [])
    properties) straight from disk. The in-memory copies were validated
    once at [open_file]; this catches rot that happened on the media since
    — the cache and the eager copies are deliberately bypassed. *)
-let verify_aux_blocks t =
-  try
-    ignore
-      (Block.parse t.cmp (read_block_raw t.file t.footer.Table_format.index_handle));
-    ignore (Bloom.decode (read_block_raw t.file t.footer.Table_format.filter_handle));
-    ignore
-      (Table_format.decode_properties
-         (read_block_raw t.file t.footer.Table_format.props_handle));
-    Ok ()
-  with
-  | Corrupt m -> Error m
-  | Block.Corrupt m -> Error ("index block: " ^ m)
-  | Invalid_argument m -> Error ("filter block: " ^ m)
-  | Varint.Corrupt m -> Error ("properties block: " ^ m)
-
-(* Data-block handles in index (= key) order, straight from the in-memory
-   index. *)
-let data_block_handles t =
-  let it = Block.Iter.make t.index in
-  Block.Iter.seek_to_first it;
-  let rec go acc =
-    if Block.Iter.valid it then begin
-      let h = Block.Iter.value_handle it in
-      Block.Iter.next it;
-      go (h :: acc)
-    end
-    else Array.of_list (List.rev acc)
-  in
-  go []
+let verify_aux_blocks t = ignore (read_aux_blocks t.cmp t.file t.footer)
 
 type scrub_progress = { blocks_checked : int; next_block : int option }
 
 let scrub ?(from_block = 0) ?max_blocks t =
-  let handles = data_block_handles t in
-  let n = Array.length handles in
+  let n = num_blocks t.index in
   let from_block = max 0 from_block in
   let budget =
     match max_blocks with None -> max 1 (n + 3) | Some b -> max 1 b
@@ -486,13 +478,16 @@ let scrub ?(from_block = 0) ?max_blocks t =
     let checked = ref 0 in
     (* A pass starting at block 0 also re-verifies the footer-addressed
        auxiliary blocks (counted as three blocks against the budget). *)
-    (if from_block = 0 then
-       match verify_aux_blocks t with
-       | Ok () -> checked := !checked + 3
-       | Error m -> raise (Corrupt m));
+    if from_block = 0 then begin
+      verify_aux_blocks t;
+      checked := !checked + 3
+    end;
     let i = ref from_block in
     while !i < n && !checked < budget do
-      ignore (Block.parse t.cmp (read_block_raw t.file handles.(!i)));
+      let offset = block_offset t.index !i in
+      ignore
+        (parse_block t offset
+           (read_block_raw t.file ~offset ~size:(block_size t.index !i)));
       incr checked;
       incr i
     done;
@@ -501,27 +496,23 @@ let scrub ?(from_block = 0) ?max_blocks t =
         blocks_checked = !checked;
         next_block = (if !i >= n then None else Some !i);
       }
-  with
-  | Corrupt m -> Error m
-  | Block.Corrupt m -> Error m
+  with Corrupt m -> Error m
 
 let verify t =
   let cmp = t.cmp.Comparator.compare in
   match
-    match verify_aux_blocks t with
-    | Error _ as e -> e
-    | Ok () ->
-        fold
-          (fun k _ state ->
-            match state with
-            | Error _ as e -> e
-            | Ok (count, prev) -> (
-                match prev with
-                | Some p when cmp p k >= 0 ->
-                    Error (Printf.sprintf "key order violation after %S" p)
-                | Some _ | None -> Ok (count + 1, Some k)))
-          t
-          (Ok (0, None))
+    verify_aux_blocks t;
+    fold
+      (fun k _ state ->
+        match state with
+        | Error _ as e -> e
+        | Ok (count, prev) -> (
+            match prev with
+            | Some p when cmp p k >= 0 ->
+                Error (Printf.sprintf "key order violation after %S" p)
+            | Some _ | None -> Ok (count + 1, Some k)))
+      t
+      (Ok (0, None))
   with
   | exception Corrupt msg -> Error msg
   | Error _ as e -> e

@@ -23,19 +23,26 @@ val open_file :
   string ->
   t
 (** Open and validate a table file through [env] (default
-    {!Clsm_env.Env.unix}). The index, filter and properties blocks are
-    loaded eagerly and held as direct references for the table's lifetime;
-    when [cache] is provided the index block is additionally pinned into it
-    and the filter/properties weight reserved, so this per-open-table RAM
-    is charged to the cache budget and visible in {!Cache.stats} (released
-    by {!close}). Data blocks are read on demand through [cache]. Raises
-    {!Corrupt} or {!Clsm_env.Env.Error}, and [Invalid_argument] when
-    [cache] is given and the file is longer than the cache key's offset
-    bits allow, or more tables are open than its id bits allow. *)
+    {!Clsm_env.Env.unix}). The filter and properties blocks are loaded
+    eagerly, and the index block is decoded once into flat arrays: every
+    data block's separator (its last key) end to end in one string, the
+    separators' offsets, and the block handles. The reader holds these
+    for the table's lifetime and searches them in place, so a lookup
+    decodes nothing to find its block. When [cache] is provided their
+    weight is reserved in it — the decoded index at its separators'
+    bytes plus 24 bytes per block, plus 8, then the filter, properties
+    and footer — so this per-open-table RAM is charged to the cache
+    budget and visible in {!Cache.stats} (released by {!close}). Data
+    blocks are read on demand through [cache]. Raises {!Corrupt} (an
+    index, filter or properties block that does not decode is named:
+    ["index block: ..."]) or {!Clsm_env.Env.Error}, and
+    [Invalid_argument] when [cache] is given and the file is longer than
+    the cache key's offset bits allow, or more tables are open than its
+    id bits allow. A failed open closes the file it opened. *)
 
 val close : t -> unit
-(** Release the pinned index, the reservation and the table's cached
-    blocks, then the file. Idempotent. *)
+(** Release the reservation and the table's cached blocks, then the
+    file. Idempotent. *)
 
 val path : t -> string
 val properties : t -> Table_format.properties
@@ -43,9 +50,16 @@ val file_size : t -> int
 
 val index_anchors : t -> (string * int) list
 (** One [(last key, stored payload bytes)] pair per data block, in key
-    order, straight from the in-memory index — no data-block IO. The
-    store does not call it: tests take a table's block count and block
-    sizes from it to place damage or count cache misses. *)
+    order, straight from the decoded index — no IO. The store does not
+    call it: tests take a table's block count, separators and block
+    sizes from it to place damage, count cache misses or check the
+    index's reservation. *)
+
+val index_seek : t -> string -> int
+(** The index search alone: the number of the first data block whose
+    last key is [>= probe], or the number of blocks if there is none. A
+    point lookup enters that block first. The store does not call it:
+    [bench --kernels] times it as one layer of a lookup. *)
 
 val may_contain : t -> string -> bool
 (** Bloom-filter check. The argument is the {e filter key} (the value
@@ -65,11 +79,18 @@ val find_last_le : t -> string -> (string * string) option
 val find_last_le_with : t -> string -> (Block.Iter.iter -> 'a option) -> 'a option
 (** [find_last_le_with t probe f] positions a block iterator on the last
     binding with key [<= probe] and returns [f] of it, or [None] if there
-    is none. [f] reads the entry in place ({!Block.Iter.key},
+    is none. [f] reads the entry in place ({!Block.Iter.key_sub},
     {!Block.Iter.read_value}) and must not keep the iterator: it belongs
-    to the calling domain and is reused by its next lookup. A cache-hit
-    lookup allocates nothing but [f]'s result, the block handle and the
-    loader closure. *)
+    to the calling domain and is reused by its next lookup.
+
+    The lookup is two binary searches: {!index_seek} over the decoded
+    index, then {!Block.Iter.seek_le} over the entered block's key
+    directory (and the block before, when the entered one holds nothing
+    [<= probe]). The lookup that builds a block's directory charges its
+    bytes to the block's cache entry ({!Cache.charge}); the others, and
+    every lookup into a block evicted meanwhile, charge nothing. A
+    cache-hit lookup allocates nothing but [f]'s result and the loader
+    closure. *)
 
 module Iter : sig
   (** Two-level iterator with forward-scan readahead on a miss: when a

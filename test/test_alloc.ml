@@ -62,9 +62,11 @@ let cached_point_lookups_allocate_their_result () =
     words_per_call (Array.length probes) (fun i ->
         ignore (Sys.opaque_identity (Db.get db probes.(i)) : string option))
   in
+  (* 75.5 words measured: the value, its entry, option and pair, and the
+     lookup's closures; the bound leaves 8 words to spare. *)
   Alcotest.(check bool)
-    (Printf.sprintf "Db.get of a 256 B value: %.1f words <= 100" get_words)
-    true (get_words <= 100.0);
+    (Printf.sprintf "Db.get of a 256 B value: %.1f words <= 84" get_words)
+    true (get_words <= 84.0);
   (* [find_last_le] on the store's largest table through a warm cache:
      everything beyond the returned binding counts against the budget. *)
   Db.close db;

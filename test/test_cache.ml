@@ -102,7 +102,8 @@ let singleflight_failure_propagates () =
 (* ---------- reservations ---------- *)
 
 (* Reserved weight squeezes resident entries, and an open cached table
-   reserves exactly what its reader keeps hot — index, filter,
+   reserves exactly what its reader keeps hot — the decoded index (its
+   separators' bytes plus 24 bytes per block, plus 8), filter,
    properties and footer, read back from the file's own footer — as one
    reservation, which [close] returns. *)
 let pins_and_reservations () =
@@ -129,14 +130,19 @@ let pins_and_reservations () =
           (really_input_string ic Table_format.footer_length))
   in
   let size h = h.Block_handle.size in
+  let cache = Cache.create ~capacity:(1 lsl 20) ~weight:Block.size_bytes () in
+  let t = Table.open_file ~cache ~cmp:Comparator.bytewise path in
+  let index =
+    List.fold_left
+      (fun acc (sep, _) -> acc + String.length sep + 24)
+      8 (Table.index_anchors t)
+  in
   let hot =
-    size footer.Table_format.index_handle
+    index
     + size footer.Table_format.filter_handle
     + size footer.Table_format.props_handle
     + Table_format.footer_length
   in
-  let cache = Cache.create ~capacity:(1 lsl 20) ~weight:Block.size_bytes () in
-  let t = Table.open_file ~cache ~cmp:Comparator.bytewise path in
   let s = Cache.stats cache in
   Alcotest.(check int) "open charges index + filter + props + footer" hot
     s.Cache.weight;

@@ -150,9 +150,7 @@ let block_seek_le () =
   check_seek_le "c" (Some "b");
   check_seek_le "e" (Some "d");
   check_seek_le "f" (Some "f");
-  check_seek_le "z" (Some "f");
-  Block.Iter.seek_last it;
-  Alcotest.(check string) "seek_last" "f" (Block.Iter.key it)
+  check_seek_le "z" (Some "f")
 
 let prop_block_seek_le_matches_model =
   QCheck.Test.make ~name:"block seek_le = last <= target" ~count:300
@@ -177,13 +175,14 @@ let prop_block_seek_le_matches_model =
       got = expected)
 
 (* The iterator against a sorted-list oracle. Every case builds one
-   block, then for each target checks the entry [seek], [seek_le] or
-   [seek_last] lands on, key and value, and every entry [next] reaches
-   after it. Keys share a 14-byte prefix and differ in a short tail, so
-   most entries store a byte or two of their own and [seek_le]'s one-step
-   undo (a buffer swap) lands on restart and block edges at every
-   restart interval. One iterator, rebound with [reset], serves every
-   case, so stale key buffers from a previous block are exercised too. *)
+   block, then for each target checks the entry [seek] or [seek_le]
+   lands on, key and value, and every entry [next] reaches after it.
+   Keys share a 14-byte prefix and differ in a short tail, so most
+   entries store a byte or two of their own, and [next] after [seek_le]
+   continues from a key copied whole out of the key directory at
+   restart and block edges. One iterator, rebound with [reset], serves
+   every case, so stale key buffers from a previous block are exercised
+   too. *)
 type block_case = {
   internal : bool; (* Internal_key.comparator, else bytewise *)
   interval : int;
@@ -260,10 +259,8 @@ let prop_block_iter_matches_oracle =
         in
         go [] c.entries
       in
-      let last = match List.rev c.entries with [] -> [] | e :: _ -> [ e ] in
-      Block.Iter.seek_last it;
-      yields last
-      && (Block.Iter.seek_to_first it; yields c.entries)
+      Block.Iter.seek_to_first it;
+      yields c.entries
       && List.for_all
            (fun target ->
              Block.Iter.seek it target;
@@ -314,6 +311,23 @@ let cache_find_or_add () =
   Cache.remove c 1;
   Alcotest.(check int) "reloaded" 42 (Cache.find_or_add c 1 load);
   Alcotest.(check int) "loaded twice" 2 !calls
+
+(* A charge lands on the entry that still holds the charged value, and
+   leaves with it; a value evicted or replaced meanwhile is not
+   charged. *)
+let cache_charge_follows_entry () =
+  let c = Cache.create ~shards:1 ~capacity:100 ~weight:String.length () in
+  let v1 = String.make 10 'a' in
+  Cache.insert c 1 v1;
+  Cache.charge c 1 v1 5;
+  Alcotest.(check int) "charged" 15 (Cache.stats c).Cache.weight;
+  Cache.insert c 1 (String.make 10 'b');
+  Alcotest.(check int) "replaced with its charge" 10 (Cache.stats c).Cache.weight;
+  Cache.charge c 1 v1 5;
+  Alcotest.(check int) "replaced value not charged" 10 (Cache.stats c).Cache.weight;
+  Cache.remove c 1;
+  Cache.charge c 1 v1 5;
+  Alcotest.(check int) "evicted value not charged" 0 (Cache.stats c).Cache.weight
 
 let cache_concurrent () =
   let c = Cache.create ~shards:4 ~capacity:64 ~weight:(fun _ -> 1) () in
@@ -415,6 +429,26 @@ let table_corruption_detected () =
   | _ -> Alcotest.fail "expected Corrupt");
   Table.close t
 
+(* Recompute the CRC trailer of the block of [size] payload bytes at
+   [offset] in a table image, so that only decoding can tell an edit. *)
+let reseal raw ~offset ~size =
+  let crc =
+    Clsm_util.Crc32c.sub (Bytes.unsafe_to_string raw) ~pos:offset ~len:(size + 1)
+  in
+  Clsm_util.Binary.put_fixed32 raw ~pos:(offset + size + 1)
+    (Clsm_util.Crc32c.mask crc)
+
+let read_image path =
+  Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+
+let write_image path raw =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc raw)
+
+let footer_of raw =
+  let n = Bytes.length raw in
+  Table_format.decode_footer
+    (Bytes.sub_string raw (n - Table_format.footer_length) Table_format.footer_length)
+
 (* A block whose checksum holds but whose first entry does not decode:
    the value-length varint of the first (restart) entry gets its
    continuation bit, so it runs on into the key and claims more bytes
@@ -426,16 +460,13 @@ let malformed_first_block name =
   let t = Table.open_file ~cmp:Comparator.bytewise path in
   let size = snd (List.hd (Table.index_anchors t)) in
   Table.close t;
-  let raw = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  let raw = read_image path in
   (* [shared = 0; non_shared; value_len] as one-byte varints *)
   Alcotest.(check bool) "restart entry header" true
     (Bytes.get raw 0 = '\000' && Char.code (Bytes.get raw 2) < 0x80);
   Bytes.set raw 2 (Char.chr (Char.code (Bytes.get raw 2) lor 0x80));
-  let crc =
-    Clsm_util.Crc32c.sub (Bytes.unsafe_to_string raw) ~pos:0 ~len:(size + 1)
-  in
-  Clsm_util.Binary.put_fixed32 raw ~pos:(size + 1) (Clsm_util.Crc32c.mask crc);
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc raw);
+  reseal raw ~offset:0 ~size;
+  write_image path raw;
   (path, props.Table_format.smallest)
 
 (* Every read path turns a block decode failure into [Table.Corrupt],
@@ -458,6 +489,97 @@ let table_malformed_block_is_corrupt () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "verify passed a malformed block");
   Table.close t
+
+(* A malformed entry in the middle of a later block: the lookup that
+   builds the block's key directory meets it, raises it naming that
+   block, and publishes nothing, so the next lookup raises too. *)
+let table_malformed_later_block_is_corrupt () =
+  let path, _ = build_table "t_malformed_later" (sorted_pairs 100) in
+  let t = Table.open_file ~cmp:Comparator.bytewise path in
+  let anchors = Table.index_anchors t in
+  Table.close t;
+  let size0 = snd (List.nth anchors 0) and size1 = snd (List.nth anchors 1) in
+  let offset = size0 + Table_format.block_trailer_length in
+  let raw = read_image path in
+  (* Entry 0 is [0; 9; value_len] and a 9-byte key; entry 1 follows its
+     value and shares a prefix with it. Claim a longer one. *)
+  let value_len = Char.code (Bytes.get raw (offset + 2)) in
+  let entry1 = offset + 3 + 9 + value_len in
+  Alcotest.(check bool) "entry 1 shares a prefix" true
+    (Char.code (Bytes.get raw entry1) > 0);
+  Bytes.set raw entry1 '\x7f';
+  reseal raw ~offset ~size:size1;
+  write_image path raw;
+  let t = Table.open_file ~cmp:Comparator.bytewise path in
+  let first_key = Bytes.sub_string raw (offset + 3) 9 in
+  for attempt = 1 to 2 do
+    match Table.find_last_le t first_key with
+    | exception Table.Corrupt m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "attempt %d names block@%d: %s" attempt offset m)
+          true
+          (String.starts_with ~prefix:(Printf.sprintf "block@%d:" offset) m)
+    | _ -> Alcotest.failf "attempt %d read a malformed block" attempt
+  done;
+  Table.close t
+
+(* An index block whose CRC holds but whose first entry overruns the
+   block is refused at open, naming the index block. *)
+let table_malformed_index_refused () =
+  let path, _ = build_table "t_malformed_index" (sorted_pairs 100) in
+  let raw = read_image path in
+  let { Block_handle.offset; size } = (footer_of raw).Table_format.index_handle in
+  Bytes.set raw (offset + 2)
+    (Char.chr (Char.code (Bytes.get raw (offset + 2)) lor 0x80));
+  reseal raw ~offset ~size;
+  write_image path raw;
+  match Table.open_file ~cmp:Comparator.bytewise path with
+  | exception Table.Corrupt m ->
+      Alcotest.(check bool) ("names the index block: " ^ m) true
+        (String.starts_with ~prefix:"index block" m)
+  | t ->
+      Table.close t;
+      Alcotest.fail "opened a table with a malformed index"
+
+(* Every failed open closes the file it opened: a file too short for a
+   footer, and a table whose index block fails its checksum. *)
+let table_failed_open_closes_file () =
+  let module Env = Clsm_env.Env in
+  let opened = Atomic.make 0 and closed = Atomic.make 0 in
+  let env =
+    {
+      Env.unix with
+      open_random =
+        (fun path ->
+          let f = Env.unix.open_random path in
+          Atomic.incr opened;
+          {
+            f with
+            rf_close =
+              (fun () ->
+                Atomic.incr closed;
+                f.rf_close ());
+          });
+    }
+  in
+  let short = tmp_path "t_leak_short" in
+  Out_channel.with_open_bin short (fun oc -> output_string oc "short");
+  let rotten, _ = build_table "t_leak_index" (sorted_pairs 100) in
+  let raw = read_image rotten in
+  let { Block_handle.offset; _ } = (footer_of raw).Table_format.index_handle in
+  Bytes.set raw (offset + 3)
+    (Char.chr (Char.code (Bytes.get raw (offset + 3)) lxor 0xff));
+  write_image rotten raw;
+  List.iter
+    (fun path ->
+      match Table.open_file ~env ~cmp:Comparator.bytewise path with
+      | exception Table.Corrupt _ -> ()
+      | t ->
+          Table.close t;
+          Alcotest.failf "%s opened" path)
+    [ short; rotten ];
+  Alcotest.(check int) "both files opened" 2 (Atomic.get opened);
+  Alcotest.(check int) "opens = closes" (Atomic.get opened) (Atomic.get closed)
 
 let table_truncated_rejected () =
   let path = tmp_path "t_trunc" in
@@ -545,6 +667,180 @@ let prop_table_find_last_le =
       in
       got = expected)
 
+(* ---------- Table: decoded index and block key directories ---------- *)
+
+module Ik = Clsm_lsm.Internal_key
+
+(* A table of internal keys: each user key holds a run of versions at
+   timestamps 10, 20, ..., so small blocks cut runs in two and a probe
+   at an odd timestamp falls between two versions. *)
+let build_ik_table ~restart_interval ~block_size name entries =
+  let path = tmp_path name in
+  let b =
+    Table_builder.create ~block_size ~restart_interval ~cmp:Ik.comparator ~path ()
+  in
+  List.iter (fun (k, v) -> Table_builder.add b ~key:k ~value:v) entries;
+  ignore (Table_builder.finish b);
+  path
+
+let version_entries runs =
+  List.concat_map
+    (fun (user_key, versions) ->
+      List.init versions (fun j ->
+          let ts = 10 * (j + 1) in
+          (Ik.make user_key ts, Printf.sprintf "%s@%d" user_key ts)))
+    (List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) runs)
+
+(* The last entry <= probe and the first entry >= probe of a sorted
+   list. *)
+let last_le entries probe =
+  List.fold_left
+    (fun acc ((k, _) as e) -> if Ik.compare_encoded k probe <= 0 then Some e else acc)
+    None entries
+
+let first_ge entries probe =
+  List.find_opt (fun (k, _) -> Ik.compare_encoded k probe >= 0) entries
+
+type search_case = {
+  interval : int;
+  block_size : int;
+  runs : (string * int) list; (* user key, number of versions *)
+  random_probes : string list;
+}
+
+let gen_search_case =
+  let open QCheck.Gen in
+  let user_key = string_size ~gen:(char_range 'b' 'e') (1 -- 3) in
+  oneofl [ 1; 2; 16 ] >>= fun interval ->
+  oneofl [ 64; 96; 160 ] >>= fun block_size ->
+  list_size (10 -- 30) (pair user_key (1 -- 6)) >>= fun runs ->
+  let ts = oneof [ 0 -- 70; return Ik.max_ts ] in
+  list_size (0 -- 8) (map2 Ik.make (string_size ~gen:(char_range 'a' 'f') (0 -- 3)) ts)
+  >>= fun random_probes -> return { interval; block_size; runs; random_probes }
+
+let print_search_case c =
+  Printf.sprintf "interval=%d block_size=%d runs=[%s] probes=[%s]" c.interval
+    c.block_size
+    (String.concat "; " (List.map (fun (k, n) -> Printf.sprintf "%s×%d" k n) c.runs))
+    (String.concat "; " (List.map String.escaped c.random_probes))
+
+(* [find_last_le] and [Iter.seek] against the table's own [fold], at
+   probes before the first key, after the last, onto every separator,
+   just past every separator (between blocks), and at random. *)
+let prop_table_search_matches_fold =
+  QCheck.Test.make ~name:"table find_last_le / seek = fold, across blocks"
+    ~count:60
+    (QCheck.make ~print:print_search_case gen_search_case)
+    (fun c ->
+      (* A run of 12 versions outgrows every block size drawn, so at
+         least one run straddles a block boundary. *)
+      let entries = version_entries (("cz", 12) :: c.runs) in
+      let path =
+        build_ik_table ~restart_interval:c.interval ~block_size:c.block_size
+          "t_prop_search" entries
+      in
+      let t = Table.open_file ~cmp:Ik.comparator path in
+      let folded = Table.to_list t in
+      let separators = List.map fst (Table.index_anchors t) in
+      let past k =
+        let u = Ik.user_key_of k and ts = Ik.ts_of k in
+        Ik.make u (if ts = Ik.max_ts then ts else ts + 1)
+      in
+      let probes =
+        (Ik.make "" 0 :: Ik.probe "zz" :: separators)
+        @ List.map past separators @ c.random_probes
+      in
+      let it = Table.Iter.make t in
+      let ok =
+        folded = entries
+        && List.length separators > 1
+        && List.for_all
+             (fun p ->
+               Table.find_last_le t p = last_le folded p
+               &&
+               (Table.Iter.seek it p;
+                let got =
+                  if Table.Iter.valid it then
+                    Some (Table.Iter.key it, Table.Iter.value it)
+                  else None
+                in
+                got = first_ge folded p))
+             probes
+      in
+      Table.close t;
+      ok)
+
+(* Two domains race their first lookups into a fresh cached table. Both
+   get the reference answers, and the cache holds, beyond the open
+   table's reservation, each block entered plus exactly one key
+   directory for it (its keys' bytes plus 16 per entry plus 8), however
+   the builds raced. *)
+let table_lookup_race_charges_one_directory () =
+  let runs = List.init 300 (fun i -> (Printf.sprintf "user%04d" i, 1 + (i mod 4))) in
+  let entries = version_entries runs in
+  let path =
+    build_ik_table ~restart_interval:16 ~block_size:512 "t_race" entries
+  in
+  let plain = Table.open_file ~cmp:Ik.comparator path in
+  let blocks = Array.of_list (Table.index_anchors plain) in
+  (* Each entry is in the first block whose separator is >= it. *)
+  let block_of k = Table.index_seek plain k in
+  let members = Array.make (Array.length blocks) [] in
+  List.iter (fun (k, _) -> members.(block_of k) <- k :: members.(block_of k)) entries;
+  let probes =
+    List.filteri (fun i _ -> i mod 3 = 0) runs
+    |> List.map (fun (u, _) -> Ik.probe u)
+    |> Array.of_list
+  in
+  let expected = Array.map (fun p -> last_le entries p) probes in
+  (* A lookup enters the block [index_seek] names, and the one before
+     when that block holds nothing <= probe. *)
+  let entered = Hashtbl.create 64 in
+  Array.iter
+    (fun p ->
+      let i = Table.index_seek plain p in
+      let n = Array.length blocks in
+      if i < n then Hashtbl.replace entered i ();
+      let first_of j = List.nth members.(j) (List.length members.(j) - 1) in
+      if i > 0 && (i = n || Ik.compare_encoded (first_of i) p > 0) then
+        Hashtbl.replace entered (i - 1) ())
+    probes;
+  Table.close plain;
+  let cache = Cache.create ~capacity:(64 lsl 20) ~weight:Block.size_bytes () in
+  let t = Table.open_file ~cache ~cmp:Ik.comparator path in
+  let reserved = (Cache.stats cache).Cache.weight in
+  let ready = Atomic.make 0 in
+  let racer () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    Array.map (fun p -> Table.find_last_le t p) probes
+  in
+  let d1 = Domain.spawn racer and d2 = Domain.spawn racer in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check bool) "first racer's answers" true (r1 = expected);
+  Alcotest.(check bool) "second racer's answers" true (r2 = expected);
+  let charged =
+    Hashtbl.fold
+      (fun i () acc ->
+        let keys = members.(i) in
+        let directory =
+          List.fold_left (fun a k -> a + String.length k + 16) 8 keys
+        in
+        acc + snd blocks.(i) + directory)
+      entered 0
+  in
+  Alcotest.(check bool) "more than one block entered" true
+    (Hashtbl.length entered > 1);
+  Alcotest.(check int) "blocks plus one directory each" (reserved + charged)
+    (Cache.stats cache).Cache.weight;
+  (* Lookups into blocks that have their directories charge nothing. *)
+  ignore (Array.map (fun p -> Table.find_last_le t p) probes);
+  Alcotest.(check int) "a second round charges nothing" (reserved + charged)
+    (Cache.stats cache).Cache.weight;
+  Table.close t
+
 let prop_table_roundtrip =
   QCheck.Test.make ~name:"table roundtrip (random sorted keys)" ~count:25
     QCheck.(list (pair (string_of_size Gen.(1 -- 16)) (string_of_size Gen.(0 -- 32))))
@@ -576,7 +872,7 @@ let suites =
         Alcotest.test_case "prefix compression" `Quick block_restart_compression;
         Alcotest.test_case "single entry / corrupt" `Quick
           block_single_entry_and_corrupt;
-        Alcotest.test_case "seek_le / seek_last" `Quick block_seek_le;
+        Alcotest.test_case "seek_le" `Quick block_seek_le;
       ] );
     ( "sstable.block.props",
       List.map QCheck_alcotest.to_alcotest
@@ -591,6 +887,8 @@ let suites =
         Alcotest.test_case "lru eviction" `Quick cache_lru_eviction;
         Alcotest.test_case "weighted entries" `Quick cache_weighted;
         Alcotest.test_case "find_or_add" `Quick cache_find_or_add;
+        Alcotest.test_case "charge follows the entry" `Quick
+          cache_charge_follows_entry;
         Alcotest.test_case "concurrent" `Quick cache_concurrent;
       ] );
     ( "sstable.table",
@@ -606,8 +904,20 @@ let suites =
         Alcotest.test_case "tiny blocks" `Quick
           table_single_and_empty_block_boundaries;
         Alcotest.test_case "find_last_le" `Quick table_find_last_le;
+        Alcotest.test_case "malformed later block is Corrupt" `Quick
+          table_malformed_later_block_is_corrupt;
+        Alcotest.test_case "malformed index refused" `Quick
+          table_malformed_index_refused;
+        Alcotest.test_case "failed open closes its file" `Quick
+          table_failed_open_closes_file;
+        Alcotest.test_case "racing lookups charge one directory" `Quick
+          table_lookup_race_charges_one_directory;
       ] );
     ( "sstable.table.props",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_table_roundtrip; prop_table_find_last_le ] );
+        [
+          prop_table_roundtrip;
+          prop_table_find_last_le;
+          prop_table_search_matches_fold;
+        ] );
   ]

@@ -24,6 +24,44 @@ open Clsm_env
 (* Removed, with whatever a seed left in it, when the run exits. *)
 let base_dir = Test_dirs.dir "torture"
 
+(* Where a failing seed's store directory is copied before [base_dir] is
+   removed: TORTURE_DUMP_DIR, if set. *)
+let dump_dir =
+  match Sys.getenv_opt "TORTURE_DUMP_DIR" with
+  | Some d when d <> "" -> Some d
+  | _ -> None
+
+let rec copy_tree src dst =
+  if Sys.is_directory src then begin
+    (try Unix.mkdir dst 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    Array.iter
+      (fun f -> copy_tree (Filename.concat src f) (Filename.concat dst f))
+      (Sys.readdir src)
+  end
+  else
+    Out_channel.with_open_bin dst (fun oc ->
+        Out_channel.output_string oc
+          (In_channel.with_open_bin src In_channel.input_all))
+
+(* One seed of a campaign: [run ~dir seed] keeps its store in [dir],
+   [<campaign><seed>] under [base_dir]. A failure leaves the store as the
+   seed left it; with a dump directory it is copied there, and the
+   failure is raised as it was. *)
+let seed_case campaign run seed =
+  let name = Printf.sprintf "%s%d" campaign seed in
+  let dir = Filename.concat base_dir name in
+  Alcotest.test_case (Printf.sprintf "seed %d" seed) `Slow (fun () ->
+      try run ~dir seed
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        (match dump_dir with
+        | Some d when Sys.file_exists dir ->
+            (try Unix.mkdir d 0o755
+             with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+            copy_tree dir (Filename.concat d name)
+        | Some _ | None -> ());
+        Printexc.raise_with_backtrace e bt)
+
 let opts_for ~env dir =
   let base = Options.default ~dir in
   {
@@ -137,8 +175,7 @@ let check_recovery ~seed ~dir ~opts m =
   Db.close db;
   Test_dirs.rm_rf dir
 
-let run_one_seed seed =
-  let dir = Filename.concat base_dir (Printf.sprintf "seed%d" seed) in
+let run_one_seed ~dir seed =
   Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed |] in
   let fault = Faulty_env.create ~seed () in
@@ -216,8 +253,7 @@ let sequential_moves = ref 0
    store's compactions are moves (manifest edits that relink tables a
    level deeper): the crash point lands in and around them, and the
    recovery checks of [run_one_seed] apply unchanged. *)
-let run_sequential_seed seed =
-  let dir = Filename.concat base_dir (Printf.sprintf "sequential_seed%d" seed) in
+let run_sequential_seed ~dir seed =
   Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed; 11 |] in
   let fault = Faulty_env.create ~seed () in
@@ -287,8 +323,7 @@ let sharded_opts_for ~env dir =
    must restore every shard — per-shard directory consistency, the
    SHARDING layout, the durability model across all ranges, and a shared
    clock that still outranks everything recovered. *)
-let run_one_sharded_seed seed =
-  let dir = Filename.concat base_dir (Printf.sprintf "sharded_seed%d" seed) in
+let run_one_sharded_seed ~dir seed =
   Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed; 7 |] in
   let fault = Faulty_env.create ~seed () in
@@ -422,8 +457,7 @@ let run_one_sharded_seed seed =
    maintenance hits them — and ONLY that shard. The others must keep
    accepting writes, and the combined health report must name the hit
    shards individually. *)
-let run_degrade_isolation seed =
-  let dir = Filename.concat base_dir (Printf.sprintf "degrade_seed%d" seed) in
+let run_degrade_isolation ~dir seed =
   Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed; 13 |] in
   let fault = Faulty_env.create ~seed () in
@@ -511,8 +545,7 @@ let run_degrade_isolation seed =
    stops, a scrub + repair round-trip must readmit every quarantined
    table and restore BOTH the full data and [`Ok] health — online,
    without reopening the store. *)
-let run_bitrot_seed seed =
-  let dir = Filename.concat base_dir (Printf.sprintf "bitrot_seed%d" seed) in
+let run_bitrot_seed ~dir seed =
   Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed; 29 |] in
   let fault = Faulty_env.create ~seed () in
@@ -640,8 +673,7 @@ let run_bitrot_seed seed =
    well-defined). The invariant is the campaign's usual one: everything
    acknowledged survives recovery exactly; nothing unacknowledged
    resurrects as a value that was never attempted. *)
-let run_group_commit_seed seed =
-  let dir = Filename.concat base_dir (Printf.sprintf "group_seed%d" seed) in
+let run_group_commit_seed ~dir seed =
   Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed; 53 |] in
   let fault = Faulty_env.create ~seed () in
@@ -768,8 +800,7 @@ let run_group_commit_seed seed =
    lies about what it wrote. Sync-WAL acked writes live in the synced
    prefix, so recovery (CRC-guarded, salvage mode) must keep every one
    of them and come up healthy despite the scribbled tail. *)
-let run_scribble_seed seed =
-  let dir = Filename.concat base_dir (Printf.sprintf "scribble_seed%d" seed) in
+let run_scribble_seed ~dir seed =
   Test_dirs.rm_rf dir;
   let rng = Random.State.make [| seed; 41 |] in
   let fault = Faulty_env.create ~seed () in
@@ -864,29 +895,11 @@ let () =
   Alcotest.run "clsm-torture"
     [
       ( "torture",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Slow
-              (fun () -> run_one_seed seed))
-          seeds );
+        List.map (seed_case "seed" run_one_seed) seeds );
       ( "torture-sharded",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Slow
-              (fun () -> run_one_sharded_seed seed))
-          sharded_seeds );
+        List.map (seed_case "sharded_seed" run_one_sharded_seed) sharded_seeds );
       ( "torture-sequential",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Slow
-              (fun () -> run_sequential_seed seed))
-          sequential_seeds
+        List.map (seed_case "sequential_seed" run_sequential_seed) sequential_seeds
         @ [
             Alcotest.test_case "the campaign moved tables" `Slow (fun () ->
                 Printf.printf "compaction moves before the crashes: %d\n"
@@ -895,35 +908,12 @@ let () =
                   (!sequential_moves > 0));
           ] );
       ( "degrade-isolation",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Slow
-              (fun () -> run_degrade_isolation seed))
-          [ 4242; 4319; 4396 ] );
+        List.map (seed_case "degrade_seed" run_degrade_isolation) [ 4242; 4319; 4396 ]
+      );
       ( "bitrot",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Slow
-              (fun () -> run_bitrot_seed seed))
-          bitrot_seeds );
+        List.map (seed_case "bitrot_seed" run_bitrot_seed) bitrot_seeds );
       ( "crash-scribble",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Slow
-              (fun () -> run_scribble_seed seed))
-          scribble_seeds );
+        List.map (seed_case "scribble_seed" run_scribble_seed) scribble_seeds );
       ( "group-commit",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Slow
-              (fun () -> run_group_commit_seed seed))
-          group_commit_seeds );
+        List.map (seed_case "group_seed" run_group_commit_seed) group_commit_seeds );
     ]
