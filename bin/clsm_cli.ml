@@ -101,7 +101,10 @@ type 'r app = {
   apply : 'a. (module Store_sig.S with type t = 'a) -> 'a -> 'r;
 }
 
-let with_store (dir, shards, boundaries, wal_sync, cache_bytes) { apply } =
+(* [~self_heal:false] opens with no background scrub and no automatic
+   repair, for a command that runs both itself. *)
+let with_store ?(self_heal = true) (dir, shards, boundaries, wal_sync, cache_bytes)
+    { apply } =
   let base = Options.default ~dir in
   let opts =
     {
@@ -110,6 +113,8 @@ let with_store (dir, shards, boundaries, wal_sync, cache_bytes) { apply } =
       shard_boundaries = Option.map (String.split_on_char ',') boundaries;
       wal_sync;
       cache_bytes = Option.value cache_bytes ~default:base.Options.cache_bytes;
+      scrub_interval = (if self_heal then base.Options.scrub_interval else 0.0);
+      auto_repair = self_heal && base.Options.auto_repair;
     }
   in
   let sharded =
@@ -336,8 +341,9 @@ let health_cmd =
     (Cmd.info "health"
        ~doc:
          "Print store health (per-shard roll-up on a sharded store): 'ok', \
-          'partial' (corrupt tables quarantined, reads served from \
-          surviving data) or 'degraded' (write path down). Exit code 0/1/2 \
+          'partial' (tables with a corruption verdict awaiting \
+          re-verification; gets read around a rotten block, scans over \
+          it fail) or 'degraded' (write path down). Exit code 0/1/2 \
           respectively.")
     Term.(const run $ store_args $ json)
 
@@ -347,12 +353,13 @@ let scrub_cmd =
       value & flag
       & info [ "repair" ]
           ~doc:
-            "After scrubbing, run the repair pass: finalize quarantines \
-             whose surviving data verifies clean and attempt the online \
-             degraded-to-ok transition.")
+            "After scrubbing, run the repair pass: re-verify each table \
+             the scrub found corrupt, keep it if it now reads clean, else \
+             drop it from the store and rename it to <n>.sst.quarantined; \
+             then attempt the online degraded-to-ok transition.")
   in
   let run st repair =
-    with_store st
+    with_store ~self_heal:false st
       {
         apply =
           (fun (type a) (module S : Store_sig.S with type t = a) (db : a) ->
@@ -375,9 +382,11 @@ let scrub_cmd =
     (Cmd.info "scrub"
        ~doc:
          "Re-verify every sstable block and the WAL tail (every shard on a \
-          sharded store), quarantining corrupt tables. Prints the problems \
-          found, the resulting health and the counter set as JSON; exit \
-          code 1 if anything was corrupt.")
+          sharded store); only --repair acts on what it finds. The store is \
+          opened with background scrubbing and automatic repair off, so \
+          this pass is the one that detects. Prints the problems found, \
+          the resulting health and the counter set as JSON; exit code 1 if \
+          anything was corrupt.")
     Term.(const run $ store_args $ repair)
 
 let batch_cmd =

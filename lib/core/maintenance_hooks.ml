@@ -41,7 +41,7 @@ let with_retry t ~what f =
    surfaced through [health] and the [Degraded] exception on writes.
 
    A corruption verdict is different: the media lied, but only about
-   one table. Quarantining it (containment) keeps the store writable;
+   one table. Queueing it for re-verification keeps the store writable;
    degrading would punish every key for one rotten block. *)
 let guard_io t ~what f =
   try f () with
@@ -51,12 +51,24 @@ let guard_io t ~what f =
           m "%s failed, store degraded to read-only: %s" what
             (Printexc.to_string e))
   | Table_file.Corruption { number; detail; _ } ->
-      ignore (enqueue_quarantine t ~number ~detail : bool);
+      ignore (enqueue_suspect t ~number ~detail : bool);
       Log.err (fun m ->
-          m "%s hit corrupt table %06d (%s): quarantine queued" what number
-            detail)
+          m "%s hit corrupt table %06d (%s): re-verification queued" what
+            number detail)
 
 (* ---------- the install step ---------- *)
+
+(* Set a discarded table aside as evidence: renamed, never deleted (a
+   pinned reader may still read it through its open handle, and its
+   release closes without unlinking, since it is not obsolete). *)
+let set_aside t tf =
+  let path = Clsm_sstable.Table.path tf.Table_file.table in
+  (try Env.(t.opts.Options.env.rename) ~src:path ~dst:(path ^ ".quarantined")
+   with Env.Error _ -> ());
+  Stats.incr t.stats Stats.quarantined_tables;
+  Log.warn (fun m ->
+      m "table %06d discarded, set aside as %s.quarantined" tf.Table_file.number
+        (Filename.basename path))
 
 (* Commit one version edit — the paper's afterMerge exclusive section
    (Algorithm 1, §3.1) and the only place that swaps [pd] or saves the
@@ -66,51 +78,33 @@ let guard_io t ~what f =
       on a store not yet [Closed] — [close] sets that under [install]
       after its own final commit, and a later commit raises [Closed]
       before it touches [pd],
-   2. move the verdicts from the pending queue into the ledger BEFORE
-      the swap: tombstone dropping is pinned while either is non-empty,
-      so no compaction pick can see a quarantined table's range as
-      "nothing deeper". Verdicts on tables already gone from the
-      version are moot and dropped;
-   3. swap [pd] (and, for a flush, empty P'm) under the exclusive lock,
+   2. swap [pd] (and, for a flush, empty P'm) under the exclusive lock,
       then signal [changed]: a stalled writer waits for the swap, not
       for the manifest fsync;
-   4. clear resolved ledger entries, so no manifest lists a number both
-      in its file set and in quarantine;
-   5. save the manifest (retried) — a crash now recovers the new version;
-   6. only then mark the removed inputs obsolete (deletable); tables
-      entering quarantine are kept as evidence, and a moved table (one
-      the edit both removes and adds: a compaction that relinked it a
-      level deeper) is live in the new version, so it is never marked;
-   7. retire the replaced cells.
+   3. save the manifest (retried) — a crash now recovers the new version;
+   4. only then let go of the removed tables: a merged input is marked
+      obsolete (deleted once its last pin drops); a table a discard
+      ([`Quarantine]) removes is set aside instead, so a crash between
+      the save and the rename leaves an orphan [.sst] that recovery
+      collects (the evidence is lost, no data); a moved table (one the
+      edit both removes and adds: a compaction that relinked it a level
+      deeper) is live in the new version, so it is neither;
+   5. retire the replaced cells.
 
    Added files arrive with one owning reference each, which is dropped
    here once the new version holds its own; a mover takes that extra
    reference on the cell it re-adds. A moved table that left the
-   version since the edit was built (a quarantine swap took it) is not
-   re-added: it is in the ledger, and no version may list it too. An
-   edit that changes no file swaps nothing. A failed save propagates
-   with nothing marked obsolete. Callers hold no lock. *)
+   version since the edit was built (a discard took it) is not
+   re-added. An edit that changes no file swaps nothing. A failed save
+   propagates with nothing let go. Callers hold no lock. *)
 let commit_edit t ~kind (edit : Version_edit.t) =
   let started = Time_ns.now_ns () in
-  let h = t.heal in
   Mutex.lock t.install;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.install)
     (fun () ->
       if Atomic.get t.state == Closed then raise Store_sig.Closed;
       let cur = current_version t in
-      let entering =
-        List.filter
-          (fun n -> Version.find_file cur n <> None)
-          edit.Version_edit.quarantine_add
-      in
-      Mutex.protect h.hm (fun () ->
-          h.quarantined <- entering @ h.quarantined;
-          h.pending_quarantine <-
-            List.filter
-              (fun (n, _) -> not (List.mem n edit.quarantine_add))
-              h.pending_quarantine);
-      List.iter (fun _ -> Stats.incr t.stats Stats.quarantined_tables) entering;
       let number f = (Refcounted.value f).Table_file.number in
       let moved f = List.mem (number f) edit.removed in
       let replaced =
@@ -137,11 +131,6 @@ let commit_edit t ~kind (edit : Version_edit.t) =
           [ old_pd ]
         end
       in
-      Mutex.protect h.hm (fun () ->
-          h.quarantined <-
-            List.filter
-              (fun n -> not (List.mem n edit.quarantine_clear))
-              h.quarantined);
       let manifest_bytes =
         Fun.protect
           ~finally:(fun () -> List.iter Refcounted.retire replaced)
@@ -151,13 +140,13 @@ let commit_edit t ~kind (edit : Version_edit.t) =
             in
             List.iter
               (fun n ->
-                if
-                  not
-                    (List.mem n edit.quarantine_add
-                    || List.exists (fun (_, f) -> number f = n) edit.added)
+                if not (List.exists (fun (_, f) -> number f = n) edit.added)
                 then
                   Option.iter
-                    (fun f -> Table_file.mark_obsolete (Refcounted.value f))
+                    (fun f ->
+                      let tf = Refcounted.value f in
+                      if kind = `Quarantine then set_aside t tf
+                      else Table_file.mark_obsolete tf)
                     (Version.find_file cur n))
               edit.removed;
             bytes)
@@ -357,51 +346,44 @@ let claim_blocking t tag =
 [@@excludes_locks]
 
 (* Pick and claim a compaction whose level range is disjoint from every
-   in-flight one. The version the task was picked from is pinned so its
-   input files cannot be released before the task runs.
-
-   Tombstone dropping is pinned while the quarantine ledger is
-   non-empty: a quarantined table is invisible to the version, so
-   "nothing deeper than the target" may be a fiction — dropping a
-   tombstone whose only covered older values live in the quarantined
-   table would resurrect the deleted key on readmission. The ledger is
-   populated BEFORE the quarantine swap (see [commit_edit]), so any
-   pick that sees an empty ledger ran against a version still
-   containing every quarantined table's data, and its
-   [deeper_levels_empty] verdict is honest. *)
+   in-flight one and whose inputs hold no suspect table: merging a
+   suspect would fail again on the same block, so its level range
+   waits for repair to settle the verdict while the deeper ones go on.
+   The version the task was picked from is pinned so its input files
+   cannot be released before the task runs. *)
 let claim_compaction_locked t =
   let c = t.claims in
-  if c.barrier then None
-  else begin
-    let busy l = List.exists (fun (s, tg) -> l = s || l = tg) c.busy_levels in
-    let skip ~src ~target = busy src || busy target in
-    let pin_tombstones =
-      let h = t.heal in
-      Mutex.protect h.hm (fun () ->
-          h.pending_quarantine <> [] || h.quarantined <> [])
-    in
-    let cell = Rcu_box.acquire t.pd in
+  let busy l = List.exists (fun (s, tg) -> l = s || l = tg) c.busy_levels in
+  let suspects = Mutex.protect t.heal.hm (fun () -> List.map fst t.heal.suspects) in
+  let suspect f = List.mem (Refcounted.value f).Table_file.number suspects in
+  let cell = Rcu_box.acquire t.pd in
+  let rec pick held =
     match
       Compaction.pick ~cfg:t.opts.Options.lsm
-        ~level_pointers:t.compact_pointers ~skip ~pin_tombstones
+        ~level_pointers:t.compact_pointers
+        ~skip:(fun ~src ~target -> busy src || busy target || List.mem src held)
         (Refcounted.value cell)
     with
-    | Some task ->
-        let range =
-          (task.Compaction.src_level, task.Compaction.target_level)
-        in
-        c.busy_levels <- range :: c.busy_levels;
-        c.pending <- (range, { Store_state.task; pinned = cell }) :: c.pending;
-        Some
-          (Job.Compact
-             {
-               src_level = task.Compaction.src_level;
-               target_level = task.Compaction.target_level;
-             })
-    | None ->
-        Refcounted.decr cell;
-        None
-  end
+    | Some task
+      when List.exists suspect task.Compaction.inputs_lo
+           || List.exists suspect task.Compaction.inputs_hi ->
+        pick (task.Compaction.src_level :: held)
+    | picked -> picked
+  in
+  match pick [] with
+  | Some task ->
+      let range = (task.Compaction.src_level, task.Compaction.target_level) in
+      c.busy_levels <- range :: c.busy_levels;
+      c.pending <- (range, { Store_state.task; pinned = cell }) :: c.pending;
+      Some
+        (Job.Compact
+           {
+             src_level = task.Compaction.src_level;
+             target_level = task.Compaction.target_level;
+           })
+  | None ->
+      Refcounted.decr cell;
+      None
 [@@requires_lock cm]
 
 let release_compaction t range =
@@ -419,36 +401,12 @@ let take_pending t range =
           Some cc
       | None -> None)
 
-(* ---------- self-healing: quarantine, scrub, repair ---------- *)
-
-(* Containment: swap every table with a pending corruption verdict out
-   of the read view and record it in the manifest's quarantine ledger,
-   as one edit for the whole batch, so neither this process nor a
-   recovery after crash ever reads the rotten files again. Overlapping
-   data in other tables keeps serving the key range; the store's
-   health becomes [`Partial] (reported by the store layer from the
-   ledger), not [`Degraded] — writes continue. Verdicts against tables
-   already compacted away are moot ([commit_edit] drops them).
-
-   Runs regardless of [auto_repair] (containment is not optional). *)
-let apply_pending_quarantines t =
-  let h = t.heal in
-  let pending = Mutex.protect h.hm (fun () -> List.rev h.pending_quarantine) in
-  if pending <> [] then begin
-    List.iter
-      (fun (number, detail) ->
-        Log.err (fun m -> m "quarantining table %06d: %s" number detail))
-      pending;
-    let numbers = List.map fst pending in
-    commit_edit t ~kind:`Quarantine
-      { Version_edit.empty with removed = numbers; quarantine_add = numbers }
-  end
-[@@excludes_locks]
+(* ---------- self-healing: verdicts, scrub, repair ---------- *)
 
 (* One scrub slice: re-verify up to [budget] blocks (checksums plus
    structural decode, bypassing the block cache) starting from the
-   pass cursor; corrupt tables are enqueued for quarantine and the
-   pass continues with the next file. When the file set is exhausted
+   pass cursor; corrupt tables are queued as suspects and the pass
+   continues with the next file. When the file set is exhausted
    the active WAL tail is checked too and the pass closes, scheduling
    the next one [scrub_interval] later. Returns the problems found.
    Caller holds the scrub claim. *)
@@ -496,7 +454,7 @@ let scrub_slice t ~budget =
                      problems :=
                        Printf.sprintf "table %06d: %s" number detail
                        :: !problems;
-                     ignore (enqueue_quarantine t ~number ~detail : bool)
+                     ignore (enqueue_suspect t ~number ~detail : bool)
                in
                step (if number = resume_file then resume_block else 0)
              end)
@@ -546,208 +504,82 @@ let scrub_full_pass t =
   assert finished;
   problems
 
-(* Block new compaction claims and wait out the in-flight ones, so the
-   files a readmission collapse merges can be neither consumed nor
-   overlapped at the bottom level by a concurrent compaction install.
-   Flushes keep running: they only prepend strictly newer L0 files,
-   which the collapse reads nothing from — its closure is computed
-   against a version snapshot taken after the barrier is up. *)
-let with_compaction_barrier t f =
-  let c = t.claims in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect c.cm (fun () -> c.barrier <- false);
-      changed t)
-    (fun () ->
-      Mutex.protect c.cm (fun () -> c.barrier <- true);
-      await_release t (fun () ->
-          Mutex.protect c.cm (fun () ->
-              if c.busy_levels = [] then Some () else None));
-      f ())
-
-(* Readmission by range collapse (DESIGN §12). [Version.get] answers
-   from the shallowest component holding a key, and the table's age
-   relative to anything still in the tree is unknown: spliced at L0 its
-   old values would shadow newer ones below, spliced deep it would be
-   shadowed by older ones above. So it is merged with every file whose
-   user-key range overlaps it at ANY level, closed transitively, and the
-   output goes to the bottom level — an ordinary compaction task (the
-   table as [inputs_lo], the closure as [inputs_hi]) run by
-   {!Compaction.run} and installed by [commit_edit] with its ledger
-   entry cleared. Files flushed after the closure's snapshot are
-   strictly newer and win by timestamp; tombstones ride through
-   ([drop_tombstones = false]) and keep covering the readmitted puts.
-
-   Caller holds the repair claim and the compaction barrier, and no
-   locks. Raises [Env.Error] on transient IO trouble and
-   {!Table_file.Corruption} naming whichever merge input (possibly the
-   readmitted table itself) turned out rotten. *)
-let readmit_collapsed t ~number qcell =
-  let uk_lo tf = Internal_key.user_key_of tf.Table_file.smallest in
-  let uk_hi tf = Internal_key.user_key_of tf.Table_file.largest in
-  (* The closure, pinned past the version cell it was found in; the
-     barrier keeps it live (and the closure) until the install. *)
-  let overlaps =
-    Rcu_box.with_ref t.pd (fun v ->
-        let files = List.map snd (Version.files_by_level v) in
-        let touches (lo, hi) f =
-          let tf = Refcounted.value f in
-          tf.Table_file.smallest <> "" && uk_hi tf >= lo && uk_lo tf <= hi
-        in
-        let widen (lo, hi) f =
-          let tf = Refcounted.value f in
-          (min lo (uk_lo tf), max hi (uk_hi tf))
-        in
-        let rec close range inputs =
-          match
-            List.filter
-              (fun f -> (not (List.memq f inputs)) && touches range f)
-              files
-          with
-          | [] -> inputs
-          | extra -> close (List.fold_left widen range extra) (inputs @ extra)
-        in
-        let q = Refcounted.value qcell in
-        let inputs = close (uk_lo q, uk_hi q) [] in
-        List.iter
-          (fun f ->
-            (* live in the pinned version, so the count is positive *)
-            let ok = Refcounted.try_incr f in
-            assert ok)
-          inputs;
-        inputs)
-  in
-  Fun.protect
-    ~finally:(fun () -> List.iter Refcounted.decr overlaps)
-    (fun () ->
-      let bottom = t.opts.Options.lsm.Lsm_config.num_levels - 1 in
-      let task =
-        {
-          Compaction.src_level = bottom;
-          inputs_lo = [ qcell ];
-          inputs_hi = overlaps;
-          target_level = bottom;
-          drop_tombstones = false;
-        }
-      in
-      let outputs =
-        Compaction.run ~cfg:t.opts.Options.lsm ~dir:t.opts.Options.dir
-          ~cache:t.cache ~env:t.opts.Options.env
-          ~alloc_number:(alloc_file_number t)
-          ~snapshots:(Clock.live_snapshots t.clock ~now:(Time_ns.now_s ()))
-          task
-      in
-      commit_edit t ~kind:`Readmit
-        {
-          (Compaction.edit_of_task task ~outputs) with
-          quarantine_clear = [ number ];
-        };
-      (* The rewritten original is in no version, so [commit_edit]
-         could not mark it: it becomes deletable once the manifest that
-         stops naming it has landed, which is now. *)
-      Table_file.mark_obsolete (Refcounted.value qcell))
-[@@excludes_locks]
-
-(* Repair out of [`Partial]. Every quarantined table gets a second
-   chance: re-opened fresh and fully re-verified from disk. Rot that
-   was transient (a bit flipped on some past read, not damage on the
-   platter) re-verifies clean and the table is readmitted online via
-   {!readmit_collapsed}. Persistent damage gets the file renamed aside
-   as evidence (never deleted); its key ranges keep answering from
-   surviving overlapping data. Either way the QUARANTINE record is
-   resolved. A final full scrub pass vets the whole component before
-   [`Ok] is honest — fresh verdicts it finds are queued and block the
-   transition until the next round. Returns [`Nothing] (no quarantined
-   files), [`Repaired], or [`Blocked] (transient IO trouble or
-   still-rotten data; retried after the damping interval). *)
-let finalize_quarantined t =
-  let h = t.heal in
-  let nums = Mutex.protect h.hm (fun () -> h.quarantined) in
-  if nums = [] then `Nothing
-  else begin
-    let env = t.opts.Options.env in
-    let dir = t.opts.Options.dir in
-    let blocked = ref false in
-    let resolved = ref [] in
-    let drop number = resolved := number :: !resolved in
-    let close_quietly tf =
-      try Clsm_sstable.Table.close tf.Table_file.table with _ -> ()
-    in
-    (* Re-open and fully re-verify; the footer/index/filter load can hit
-       the same rot the data blocks did. *)
-    let reverify number =
-      match Table_file.open_number ~cache:t.cache ~env ~dir number with
-      | exception Env.Crashed -> raise Env.Crashed
-      | exception Env.Error _ -> `Io
-      | exception e -> `Rotten (Printexc.to_string e)
-      | tf -> (
+(* Re-open table [number] fresh, without the block cache, and verify
+   every block: the footer, index and filter load can hit the same rot
+   the data blocks did. An entry-less table holds nothing to keep. *)
+let reverify t number =
+  match
+    Table_file.open_number ~env:t.opts.Options.env ~dir:t.opts.Options.dir
+      number
+  with
+  | exception Env.Crashed -> raise Env.Crashed
+  | exception Env.Error _ -> `Io
+  | exception e -> `Rotten (Printexc.to_string e)
+  | tf -> (
+      Fun.protect
+        ~finally:(fun () ->
+          try Clsm_sstable.Table.close tf.Table_file.table with _ -> ())
+        (fun () ->
           match Clsm_sstable.Table.verify tf.Table_file.table with
-          | Ok _ when tf.Table_file.smallest <> "" -> `Clean tf
-          | Ok _ ->
-              (* An entry-less table holds nothing to restore. *)
-              close_quietly tf;
-              `Rotten "no entries"
-          | Error detail ->
-              close_quietly tf;
-              `Rotten detail
-          | exception Env.Crashed -> raise Env.Crashed
-          | exception Env.Error _ ->
-              close_quietly tf;
-              `Io)
+          | Ok _ when tf.Table_file.smallest <> "" -> `Clean
+          | Ok _ -> `Rotten "no entries"
+          | Error detail -> `Rotten detail
+          | exception Env.Error _ -> `Io))
+
+(* Repair out of [`Partial] (DESIGN §12): settle every pending verdict.
+   A suspect never left the version, so nothing ever has to come back:
+
+   - gone from the version (compacted away meanwhile): moot, dropped;
+   - re-verifies clean (the rot was transient, a bit flipped on some
+     past read rather than damage on the platter): dropped, with no
+     edit and nothing written;
+   - still rotten: discarded by one [`Quarantine] edit for the batch,
+     which sets the file aside as evidence ([commit_edit] step 4); its
+     key ranges keep answering from surviving older data;
+   - an [Env.Error] on the way: kept, and the round is [`Blocked].
+
+   A final full scrub pass vets the whole component before [`Ok] is
+   honest; fresh verdicts it queues block the transition until the
+   next round. Returns [`Nothing] (no verdicts), [`Repaired] or
+   [`Blocked] (retried after the damping interval). *)
+let settle_suspects t =
+  let h = t.heal in
+  let suspects = Mutex.protect h.hm (fun () -> List.rev h.suspects) in
+  if suspects = [] then `Nothing
+  else begin
+    let blocked = ref false in
+    let rotten = ref [] in
+    let settled =
+      List.filter_map
+        (fun (number, _) ->
+          if Version.find_file (current_version t) number = None then
+            Some number
+          else
+            match reverify t number with
+            | `Io ->
+                blocked := true;
+                None
+            | `Clean ->
+                Log.info (fun m ->
+                    m "repair: table %06d re-verified clean" number);
+                Some number
+            | `Rotten detail ->
+                Log.err (fun m ->
+                    m "repair: table %06d still rotten: %s" number detail);
+                rotten := number :: !rotten;
+                Some number)
+        suspects
     in
-    with_compaction_barrier t (fun () ->
-        List.iter
-          (fun number ->
-            let path = Table_file.table_path ~dir number in
-            let discard detail =
-              (try Env.(env.rename) ~src:path ~dst:(path ^ ".quarantined")
-               with Env.Error _ -> ());
-              Log.warn (fun m ->
-                  m "repair: table %06d still rotten (%s), renamed aside as \
-                     %s.quarantined"
-                    number detail (Filename.basename path));
-              drop number
-            in
-            if not (Env.(env.file_exists) path) then
-              (* compacted away in a race before the quarantine swap;
-                 the record is moot *)
-              drop number
-            else
-              match reverify number with
-              | `Io -> blocked := true
-              | `Rotten detail -> discard detail
-              | `Clean tf -> (
-                  let qcell = Refcounted.create ~release:Table_file.release tf in
-                  match
-                    Fun.protect
-                      ~finally:(fun () -> Refcounted.decr qcell)
-                      (fun () -> readmit_collapsed t ~number qcell)
-                  with
-                  | () ->
-                      Log.info (fun m ->
-                          m
-                            "repair: table %06d re-verified clean, \
-                             readmitted via bottom-level collapse"
-                            number)
-                  | exception Env.Error _ -> blocked := true
-                  | exception Table_file.Corruption { number = n; detail; _ }
-                    ->
-                      if n = number then discard detail
-                      else begin
-                        (* a surviving merge input is rotten too: queue
-                           it and retry the whole round *)
-                        ignore (enqueue_quarantine t ~number:n ~detail : bool);
-                        blocked := true
-                      end))
-          nums);
-    (* The purely-ledger resolutions (discards, moot records) in one
-       edit; readmissions cleared their own entries. *)
-    if !resolved <> [] then
-      commit_edit t ~kind:`Commit
-        { Version_edit.empty with quarantine_clear = !resolved };
+    if !rotten <> [] then
+      commit_edit t ~kind:`Quarantine
+        { Version_edit.empty with removed = !rotten };
+    Mutex.protect h.hm (fun () ->
+        h.suspects <-
+          List.filter (fun (n, _) -> not (List.mem n settled)) h.suspects);
+    (* a compaction a suspect held back may be claimable now *)
+    wake_bg t;
     if !blocked then `Blocked
     else begin
-      (* Vet the whole component before claiming health. *)
       claim_blocking t `Scrub;
       match
         Fun.protect
@@ -755,12 +587,8 @@ let finalize_quarantined t =
           (fun () -> scrub_full_pass t)
       with
       | exception Env.Error _ -> `Blocked
-      | [] ->
-          wake_bg t;
-          `Repaired
-      | _problems ->
-          apply_pending_quarantines t;
-          `Blocked
+      | [] -> `Repaired
+      | _problems -> `Blocked
     end
   end
 [@@excludes_locks]
@@ -802,25 +630,18 @@ let recover_from_degraded t =
    (media still rotten, fault still live) must not hot-loop the pool. *)
 let repair_damping = 1.0
 
-(* The [Repair] job body. Containment always runs; the healing steps
-   run when [auto_repair] is on or the caller forces them
-   ([repair_now]). Caller holds the repair claim. *)
-let run_repair t ~force =
+(* The [Repair] job body, run by the scheduler when [auto_repair] is on
+   and always by [repair_now]. Caller holds the repair claim. *)
+let run_repair t =
   let h = t.heal in
-  apply_pending_quarantines t;
-  if t.opts.Options.auto_repair || force then begin
-    (* Damp the next attempt up front. *)
-    Mutex.protect h.hm (fun () ->
-        h.repair_next_due <- Time_ns.now_s () +. repair_damping);
-    let finalized = finalize_quarantined t in
-    let recovered = recover_from_degraded t in
-    (match finalized with
-    | `Repaired -> Stats.incr t.stats Stats.auto_repairs
-    | `Nothing | `Blocked -> ());
-    match recovered with
-    | `Repaired -> Stats.incr t.stats Stats.auto_repairs
-    | `Nothing | `Blocked -> ()
-  end
+  (* Damp the next attempt up front. *)
+  Mutex.protect h.hm (fun () ->
+      h.repair_next_due <- Time_ns.now_s () +. repair_damping);
+  List.iter
+    (function
+      | `Repaired -> Stats.incr t.stats Stats.auto_repairs
+      | `Nothing | `Blocked -> ())
+    [ settle_suspects t; recover_from_degraded t ]
 [@@excludes_locks]
 
 (* ---------- the scheduler's job interface ---------- *)
@@ -839,11 +660,9 @@ let next t =
   let now = Time_ns.now_s () in
   Mutex.protect c.cm (fun () ->
       let repair_wanted ~degraded =
-        Mutex.protect h.hm (fun () ->
-            h.pending_quarantine <> []
-            || t.opts.Options.auto_repair
-               && now >= h.repair_next_due
-               && (h.quarantined <> [] || degraded))
+        t.opts.Options.auto_repair
+        && Mutex.protect h.hm (fun () ->
+               now >= h.repair_next_due && (h.suspects <> [] || degraded))
       in
       let scrub_due () =
         t.opts.Options.scrub_interval > 0.0
@@ -885,7 +704,7 @@ let run t (job : Job.t) =
       Fun.protect
         ~finally:(fun () -> release t `Repair)
         (fun () ->
-          guard_io t ~what:"repair" (fun () -> run_repair t ~force:false))
+          guard_io t ~what:"repair" (fun () -> run_repair t))
   | Job.Scrub ->
       Fun.protect
         ~finally:(fun () -> release t `Scrub)
@@ -988,27 +807,21 @@ let quiesce t =
 [@@excludes_locks]
 
 (* Synchronous full scrub pass (the CLI's [scrub] and the tests call
-   this): verify every sstable block plus the WAL tail, queue
-   quarantines for anything rotten and apply them before returning.
-   Returns human-readable problem descriptions, [] when clean. *)
+   this): verify every sstable block plus the WAL tail and queue a
+   verdict for anything rotten; it changes nothing ([repair_now]
+   settles the verdicts). Returns human-readable problem descriptions,
+   [] when clean. *)
 let scrub_now t =
   claim_blocking t `Scrub;
-  let problems =
-    Fun.protect
-      ~finally:(fun () -> release t `Scrub)
-      (fun () -> scrub_full_pass t)
-  in
-  apply_pending_quarantines t;
-  problems
+  Fun.protect ~finally:(fun () -> release t `Scrub) (fun () -> scrub_full_pass t)
 [@@excludes_locks]
 
-(* Synchronous repair attempt (the Repair job, forced): containment,
-   quarantine finalization and the degraded-recovery probe all run
-   even with [auto_repair] off. *)
+(* Synchronous repair attempt (the Repair job, forced): verdict
+   settlement and the degraded-recovery probe run even with
+   [auto_repair] off. *)
 let repair_now t =
   claim_blocking t `Repair;
   Fun.protect
     ~finally:(fun () -> release t `Repair)
-    (fun () ->
-      guard_io t ~what:"repair" (fun () -> run_repair t ~force:true))
+    (fun () -> guard_io t ~what:"repair" (fun () -> run_repair t))
 [@@excludes_locks]

@@ -67,10 +67,13 @@ type t = {
           work that falls due with time: with neither, the scheduler
           runs no ticker *)
   auto_repair : bool;
-      (** run the [Repair] maintenance job automatically: apply pending
-          quarantines, finalize quarantined files, and attempt the online
+      (** run the [Repair] maintenance job automatically: settle pending
+          corruption verdicts (re-verify each suspect table; keep a
+          clean one, discard a rotten one) and attempt the online
           [`Degraded]→[`Ok] transition, retrying a failed attempt after
-          one second (default true) *)
+          one second (default true). With it off, verdicts stay pending
+          until [repair_now], and so does a compaction whose inputs hold
+          a suspect table *)
 }
 
 val default : dir:string -> t

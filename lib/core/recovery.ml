@@ -87,9 +87,6 @@ let repair ?(env = Env.unix) ~dir () =
          wal_number = List.fold_left min max_int (max_int :: wals);
          (* newest tables first, like fresh flushes *)
          files = List.map (fun n -> (0, n)) (List.rev usable);
-         (* offline repair starts a clean slate: unreadable tables were
-            renamed aside above, so nothing is left to quarantine *)
-         quarantined = [];
        }
       : int)
 
@@ -100,33 +97,33 @@ type recovered = {
   wal_number : int;
   last_ts : int;  (** highest timestamp seen anywhere *)
   next_file : int Atomic.t;
-  quarantined : int list;
-      (** table numbers under QUARANTINE records in the manifest:
-          neither opened into the version nor collected as orphans *)
 }
 
-let load_version (opts : Options.t) ~cache ~disk_files =
+let load_version (opts : Options.t) ~cache ~stats ~disk_files =
   let env = opts.Options.env in
   let num_levels = opts.Options.lsm.Lsm_config.num_levels in
   match Manifest.load ~env ~dir:opts.dir () with
-  | None -> (Version.empty ~num_levels, 1, 0, 0, [])
-  | Some m ->
+  | None -> (Version.empty ~num_levels, 1, 0, 0)
+  | Some (m, quarantined) ->
       (* Drop orphans: tables not in the manifest (half-finished flush or
-         compaction) and logs below the manifest's replay floor.
-         Quarantined tables are neither: known corrupt, excluded from
-         the read view, but kept on disk as evidence until repair
-         finalization renames them aside. *)
+         compaction, or an input whose deletion a crash cut short) and
+         logs below the manifest's replay floor. A table under an old
+         manifest's [quarantine] record was already out of the read
+         view: it is set aside as evidence, as repair's discard does, and
+         the manifest saved below drops the record. *)
       let live = List.map snd m.Manifest.files in
-      let quarantined = m.Manifest.quarantined in
       List.iter
         (fun f ->
           match f with
-          | `Table (n, name)
-            when (not (List.mem n live)) && not (List.mem n quarantined) ->
-              Env.(env.remove) (Filename.concat opts.dir name)
+          | `Table (n, _) when List.mem n live -> ()
+          | `Table (n, name) when List.mem n quarantined ->
+              let path = Filename.concat opts.dir name in
+              Env.(env.rename) ~src:path ~dst:(path ^ ".quarantined");
+              Stats.incr stats Stats.quarantined_tables
+          | `Table (_, name) -> Env.(env.remove) (Filename.concat opts.dir name)
           | `Wal (n, name) when n < m.Manifest.wal_number ->
               Env.(env.remove) (Filename.concat opts.dir name)
-          | `Table _ | `Wal _ -> ())
+          | `Wal _ -> ())
         disk_files;
       let added =
         List.map
@@ -144,8 +141,7 @@ let load_version (opts : Options.t) ~cache ~disk_files =
       ( v,
         m.Manifest.next_file_number,
         m.Manifest.last_ts,
-        m.Manifest.wal_number,
-        quarantined )
+        m.Manifest.wal_number )
 
 (* Replay surviving logs oldest-first; timestamps restore the global
    write order regardless of on-disk record order (paper §4). *)
@@ -189,8 +185,8 @@ let recover (opts : Options.t) ~cache ~stats =
   if not (Env.(env.file_exists) opts.dir) then Env.(env.mkdir) opts.dir;
   remove_temp_files ~env opts.dir;
   let disk_files = list_files ~env opts.dir in
-  let version, next_file, last_ts, min_wal, quarantined =
-    load_version opts ~cache ~disk_files
+  let version, next_file, last_ts, min_wal =
+    load_version opts ~cache ~stats ~disk_files
   in
   let mem = Memtable.create () in
   let max_ts = ref last_ts in
@@ -238,7 +234,6 @@ let recover (opts : Options.t) ~cache ~stats =
          last_ts = !max_ts;
          wal_number;
          files = files_of_version;
-         quarantined;
        }
       : int);
   List.iter
@@ -255,5 +250,4 @@ let recover (opts : Options.t) ~cache ~stats =
     wal_number;
     last_ts = !max_ts;
     next_file = next_file_atomic;
-    quarantined;
   }

@@ -54,5 +54,5 @@ val shard_stats : t -> Stats.snapshot array
     the router's own fence counters. *)
 
 val shard_healths : t -> [ `Ok | `Partial of string | `Degraded of string ] array
-(** Per-shard health, index-aligned: corruption quarantines and IO
+(** Per-shard health, index-aligned: pending corruption verdicts and IO
     degradations stay isolated to the shard that hit them. *)

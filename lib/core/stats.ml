@@ -5,16 +5,15 @@ let max_levels = 16
 module Histogram = Clsm_util.Histogram
 
 (* Installs are counted per edit kind, indexed by [kind_index]. *)
-type install_kind = [ `Flush | `Compaction | `Quarantine | `Readmit | `Commit ]
+type install_kind = [ `Flush | `Compaction | `Quarantine | `Commit ]
 
-let install_kinds = [| "flush"; "compaction"; "quarantine"; "readmit"; "commit" |]
+let install_kinds = [| "flush"; "compaction"; "quarantine"; "commit" |]
 
 let kind_index = function
   | `Flush -> 0
   | `Compaction -> 1
   | `Quarantine -> 2
-  | `Readmit -> 3
-  | `Commit -> 4
+  | `Commit -> 3
 
 type snapshot = {
   puts : int;

@@ -14,10 +14,10 @@
 
 type t
 
-type install_kind = [ `Flush | `Compaction | `Quarantine | `Readmit | `Commit ]
-(** What a committed version edit did; the plain [`Commit] is a
-    manifest save with no file change (ledger resolutions, the repair
-    probe, close). *)
+type install_kind = [ `Flush | `Compaction | `Quarantine | `Commit ]
+(** What a committed version edit did: [`Quarantine] discards rotten
+    tables; the plain [`Commit] is a manifest save with no file change
+    (the degraded-repair probe, close). *)
 
 val install_kinds : string array
 (** JSON names of the install kinds, in the index order of
@@ -53,7 +53,9 @@ type snapshot = {
           change (claim released, version installed, store degraded) *)
   scrubbed_blocks : int;  (** blocks re-verified by the scrub job *)
   corruptions_detected : int;  (** checksum/structure failures classified *)
-  quarantined_tables : int;  (** sstables pulled from the read view *)
+  quarantined_tables : int;
+      (** rotten sstables discarded from the version and set aside as
+          [<n>.sst.quarantined] *)
   io_retries : int;  (** transient-fault retries by {!Retry_policy} *)
   auto_repairs : int;  (** online repairs back to [`Ok] health *)
   wal_group_commits : int;  (** durable WAL write+fsync rounds *)

@@ -19,11 +19,12 @@ type t = Store_state.t
 
 (* Silent corruption discovered on a read path is contained, not
    fatal: the verdict is enqueued (read paths may hold the shared
-   lock, so the quarantine swap itself is deferred to the Repair job)
-   and the rotten file treated as a miss — overlapping data in other
-   tables still answers. Health reports [`Partial] until repair. *)
+   lock, so re-verification and any discard are deferred to the Repair
+   job) and the rotten block treated as a miss — overlapping data in
+   other tables still answers. Health reports [`Partial] until repair
+   settles the verdict. *)
 let on_corrupt t tf detail =
-  ignore (enqueue_quarantine t ~number:tf.Table_file.number ~detail : bool)
+  ignore (enqueue_suspect t ~number:tf.Table_file.number ~detail : bool)
 
 (* [Pm] and [P'm] are plain atomic loads (see [Store_state.t]). [Pd] is
    probed under a reference taken from its RCU box and dropped after,
@@ -359,17 +360,18 @@ let iterator ?snapshot t =
     it_closed = false;
   }
 
-(* A corruption surfacing mid-scan is reported for quarantine and
+(* A corruption surfacing mid-scan is reported for re-verification and
    re-raised: unlike a point get, a scan cannot treat a rotten file as
    a miss without silently dropping a key range from its answer. The
-   caller can retry after repair — the quarantined table is gone from
-   the next read view, so the retry answers from surviving data.
+   caller can retry after repair — a table that re-verified clean reads
+   again, and a rotten one is gone from the next read view, so the
+   retry answers from surviving data.
    [guard_iter] applies [f] to [x] so that a step passes [advance]
    itself and allocates no closure per row. *)
 let guard_iter it f x =
   try f x
   with Table_file.Corruption { number; detail; _ } as e ->
-    ignore (enqueue_quarantine it.db ~number ~detail : bool);
+    ignore (enqueue_suspect it.db ~number ~detail : bool);
     raise e
 
 let advance it =
@@ -454,7 +456,7 @@ let open_shard ~clock (opts : Options.t) =
       cache;
       stats;
       state = Atomic.make Open;
-      heal = fresh_heal ~quarantined:r.Recovery.quarantined;
+      heal = fresh_heal ();
       install = Mutex.create ();
       claims;
       compact_pointers = Array.make (num_levels - 1) "";
@@ -556,13 +558,9 @@ let health t =
   | Degraded reason -> `Degraded reason
   | Closing | Closed -> `Degraded "store closed"
   | Open -> (
-      match quarantine_counts t with
-      | 0, 0 -> `Ok
-      | pending, quarantined ->
-          `Partial
-            (Printf.sprintf
-               "%d table(s) quarantined for corruption (%d pending)"
-               (pending + quarantined) pending))
+      match suspect_count t with
+      | 0 -> `Ok
+      | n -> `Partial (Printf.sprintf "%d table(s) awaiting re-verification" n))
 
 let scrub_now t =
   check_open t;

@@ -166,24 +166,29 @@ module type S = sig
   (** [`Degraded reason] once an IO failure has switched the store to
       read-only mode — writes raise {!Degraded}, reads still work — and
       from the start of {!close} on.
-      [`Partial reason] while corrupt table files sit in quarantine:
-      reads and writes both work, but quarantined key ranges answer from
-      the surviving overlapping data only. [`Ok] means neither. *)
+      [`Partial "<n> table(s) awaiting re-verification"] while
+      corruption verdicts are pending: reads and writes both work, a get
+      treats a rotten block as a miss (answering from the surviving
+      overlapping data), and a scan that meets one raises
+      {!Clsm_lsm.Table_file.Corruption}. [`Ok] means neither. *)
 
   val scrub_now : t -> string list
   (** Synchronously re-verify every sstable block (checksums, structural
       decode, bloom/index/properties blocks — bypassing the block cache)
-      and the active WAL tail. Corrupt tables are quarantined before
-      returning. Empty list = clean media. The background [Scrub] job
-      runs the same pass incrementally every [scrub_interval] seconds. *)
+      and the active WAL tail. It only detects: a corrupt table gets a
+      pending verdict ({!repair_now} settles it) and stays in the
+      version. Empty list = clean media. The background [Scrub] job runs
+      the same pass incrementally every [scrub_interval] seconds. *)
 
   val repair_now : t -> [ `Ok | `Partial of string | `Degraded of string ]
   (** Synchronously run the self-healing pass the background [Repair]
-      job performs (regardless of [auto_repair]): apply pending
-      quarantines, finalize quarantined files whose surviving data
-      re-verifies clean, and attempt the online [`Degraded] → [`Ok]
-      transition by re-proving the write path. Returns the resulting
-      health. *)
+      job performs (regardless of [auto_repair]): settle every pending
+      verdict by a fresh full re-verification of its table — a clean
+      table keeps its place and nothing is written; a rotten one is
+      dropped from the version and set aside as [<n>.sst.quarantined] —
+      then scrub the whole component once more, and attempt the online
+      [`Degraded] → [`Ok] transition by re-proving the write path.
+      Returns the resulting health. *)
 
   val level_file_counts : t -> int list
   (** Files per level, L0 first. *)

@@ -22,14 +22,13 @@ type imm_slot = No_imm | Imm of memcomp
    in-flight compactions so parallel workers only ever merge disjoint
    ranges; [repair_claimed] and [scrub_claimed] make the Repair and
    Scrub jobs single-instance. [released] is the store's one
-   state-change cell: every claim release, the barrier clear, every
-   install and every lifecycle transition signal it (through
-   [changed]), and everything that waits on maintenance state waits on
-   it — a blocked claimant, a writer in a hard stall, and a second
-   [close]. A
-   claimed compaction carries its picked task and a reference on the
-   version it was picked from, so input files cannot be retired
-   between claim and execution. *)
+   state-change cell: every claim release, every install and every
+   lifecycle transition signal it (through [changed]), and everything
+   that waits on maintenance state waits on it — a blocked claimant, a
+   writer in a hard stall, and a second [close]. A claimed compaction
+   carries its picked task and a reference on the version it was
+   picked from, so input files cannot be retired between claim and
+   execution. *)
 type claimed_compaction = {
   task : Compaction.task;
   pinned : Version.t Refcounted.t;
@@ -42,34 +41,27 @@ type claims = {
   mutable scrub_claimed : bool;
   mutable busy_levels : (int * int) list;
   mutable pending : ((int * int) * claimed_compaction) list;
-  mutable barrier : bool;
-      (* repair's readmission collapse is running (or waiting to):
-         no new compaction may be claimed until it clears, so the
-         collapse's input files cannot be consumed under it. Flushes
-         are unaffected — they only prepend strictly newer L0 files. *)
   released : Wakeup.t;
 }
 
 (* Self-healing state. Read paths never mutate the version or the
    manifest directly (they may hold the shared lock, which cannot be
    upgraded): a corruption verdict is only *enqueued* here, and the
-   maintenance [Repair] job — which holds no locks on entry — performs
-   the actual quarantine swap and manifest record. *)
+   maintenance [Repair] job — which holds no locks on entry —
+   re-verifies the table and discards it only if it is really rotten. A
+   suspect stays in the version until then. *)
 type heal = {
   hm : Mutex.t;
-  mutable pending_quarantine : (int * string) list;
-      (* (table number, detail) verdicts awaiting the Repair job,
-         deduplicated against themselves and [quarantined] *)
-  mutable quarantined : int list;
-      (* dropped from the read view and recorded in the manifest;
-         cleared by repair finalization *)
+  mutable suspects : (int * string) list;
+      (* (table number, detail) verdicts awaiting re-verification by
+         the Repair job, newest first, one per table *)
   mutable scrub_cursor : (int * int) option;
       (* (table number, data-block index) to resume the current scrub
          pass from; [None] between passes *)
   mutable scrub_next_due : float;
   mutable repair_next_due : float;
       (* damping for repair attempts that can fail and be retried
-         (degraded recovery, quarantine finalization) *)
+         (degraded recovery, blocked re-verification) *)
 }
 
 (* The store's lifecycle, one cell for all of it (DESIGN §9). [Degraded]
@@ -138,15 +130,13 @@ let fresh_claims () =
     scrub_claimed = false;
     busy_levels = [];
     pending = [];
-    barrier = false;
     released = Wakeup.create ();
   }
 
-let fresh_heal ~quarantined =
+let fresh_heal () =
   {
     hm = Mutex.create ();
-    pending_quarantine = [];
-    quarantined;
+    suspects = [];
     scrub_cursor = None;
     scrub_next_due = Clsm_util.Time_ns.now_s ();
     repair_next_due = 0.0;
@@ -183,16 +173,13 @@ let degrade t reason =
 (* Record a corruption verdict against a table file, deduplicated, and
    signal maintenance. Safe from any read path (only takes the heal
    mutex). Returns whether the verdict was fresh. *)
-let enqueue_quarantine t ~number ~detail =
+let enqueue_suspect t ~number ~detail =
   let h = t.heal in
   let fresh =
     Mutex.protect h.hm (fun () ->
-        if
-          List.mem_assoc number h.pending_quarantine
-          || List.mem number h.quarantined
-        then false
+        if List.mem_assoc number h.suspects then false
         else begin
-          h.pending_quarantine <- (number, detail) :: h.pending_quarantine;
+          h.suspects <- (number, detail) :: h.suspects;
           true
         end)
   in
@@ -202,10 +189,8 @@ let enqueue_quarantine t ~number ~detail =
   end;
   fresh
 
-let quarantine_counts t =
-  let h = t.heal in
-  Mutex.protect h.hm (fun () ->
-      (List.length h.pending_quarantine, List.length h.quarantined))
+let suspect_count t =
+  Mutex.protect t.heal.hm (fun () -> List.length t.heal.suspects)
 
 (* ---------- manifest ---------- *)
 
@@ -218,7 +203,6 @@ let manifest_of_state t =
       List.map
         (fun (level, f) -> (level, (Refcounted.value f).Table_file.number))
         (Version.files_by_level (current_version t));
-    quarantined = Mutex.protect t.heal.hm (fun () -> t.heal.quarantined);
   }
 
 (* Returns the bytes written. *)

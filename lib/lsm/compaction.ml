@@ -32,7 +32,7 @@ let overlapping_user_keys level files =
         ~largest:(Internal_key.probe (Internal_key.user_key_of largest))
 
 let pick ~cfg ?(level_pointers = [||]) ?(skip = fun ~src:_ ~target:_ -> false)
-    ?(pin_tombstones = false) (v : Version.t) =
+    (v : Version.t) =
   let mk ~src_level ~inputs_lo ~target_level =
     let inputs_lo =
       if src_level = 0 then inputs_lo
@@ -54,8 +54,7 @@ let pick ~cfg ?(level_pointers = [||]) ?(skip = fun ~src:_ ~target:_ -> false)
       inputs_lo;
       inputs_hi;
       target_level;
-      drop_tombstones =
-        (not pin_tombstones) && deeper_levels_empty v target_level;
+      drop_tombstones = deeper_levels_empty v target_level;
     }
   in
   if
@@ -294,7 +293,7 @@ let write_sorted_run ~cfg ~dir ?cache ?(env = Clsm_env.Env.unix) ~alloc_number
 
 (* Input iterators carry the typed corruption signal: a rotten input
    aborts the whole job with {!Table_file.Corruption} so the store can
-   quarantine the file instead of merging garbage forward. *)
+   re-verify the file instead of merging garbage forward. *)
 let file_iter f = Version.iter_of_file f
 
 let run ~cfg ~dir ?cache ?env ~alloc_number ~snapshots task =
@@ -308,8 +307,7 @@ let run ~cfg ~dir ?cache ?env ~alloc_number ~snapshots task =
 
 let edit_of_task task ~outputs =
   {
-    Version_edit.empty with
-    removed =
+    Version_edit.removed =
       List.map
         (fun f -> (Refcounted.value f).Table_file.number)
         (task.inputs_lo @ task.inputs_hi);

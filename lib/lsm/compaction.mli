@@ -18,7 +18,6 @@ val pick :
   cfg:Lsm_config.t ->
   ?level_pointers:string array ->
   ?skip:(src:int -> target:int -> bool) ->
-  ?pin_tombstones:bool ->
   Version.t ->
   task option
 (** L0 is compacted when it accumulates [l0_compaction_trigger] files;
@@ -38,13 +37,10 @@ val pick :
     disjoint level ranges (a skipped candidate falls through to the next
     deeper one). Default: skip nothing.
 
-    [pin_tombstones] forces [drop_tombstones = false] regardless of
-    level emptiness. The store sets it while its quarantine ledger is
-    non-empty: a quarantined table is absent from [v], so
-    "no data below the target level" may be a lie — a tombstone whose
-    only covered older values live in the quarantined table must
-    survive until that table is readmitted or discarded, or the delete
-    would resurrect on readmission. Default: [false]. *)
+    [drop_tombstones] is set exactly when no level below the target
+    holds a file. A table leaves [v] only through an edit that drops its
+    data for good (merged into outputs, or discarded as rotten), never
+    to come back, so "nothing deeper" in [v] is the truth. *)
 
 val is_trivial_move : cfg:Lsm_config.t -> Version.t -> task -> bool
 (** Whether [task] (picked from [v]) can be installed as a move, without

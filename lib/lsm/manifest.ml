@@ -6,7 +6,6 @@ type t = {
   last_ts : int;
   wal_number : int;
   files : (int * int) list;
-  quarantined : int list;
 }
 
 let body t =
@@ -19,13 +18,6 @@ let body t =
     (fun (level, number) ->
       Buffer.add_string buf (Printf.sprintf "file %d %d\n" level number))
     t.files;
-  (* Quarantined tables are named so recovery neither opens them (they
-     failed a checksum) nor collects them as orphans (a repair may still
-     want the evidence). *)
-  List.iter
-    (fun number ->
-      Buffer.add_string buf (Printf.sprintf "quarantine %d\n" number))
-    t.quarantined;
   Buffer.contents buf
 
 let save ?(env = Env.unix) ~dir t =
@@ -70,16 +62,18 @@ let load ?(env = Env.unix) ~dir () =
         | [ "file"; level; number ] ->
             files := (int_of_string level, int_of_string number) :: !files
         | [ "quarantine"; number ] ->
+            (* written only by stores that took a suspect table out of
+               the version before verifying it *)
             quarantined := int_of_string number :: !quarantined
         | [ "" ] | [] -> ()
         | _ -> failwith ("manifest: bad line: " ^ line))
       body_lines;
     Some
-      {
-        next_file_number = !next_file_number;
-        last_ts = !last_ts;
-        wal_number = !wal_number;
-        files = List.rev !files;
-        quarantined = List.rev !quarantined;
-      }
+      ( {
+          next_file_number = !next_file_number;
+          last_ts = !last_ts;
+          wal_number = !wal_number;
+          files = List.rev !files;
+        },
+        List.rev !quarantined )
   end

@@ -5,12 +5,12 @@
 
 exception
   Corruption of {
-    number : int;  (** table file number — the quarantine unit *)
+    number : int;  (** table file number — the unit a verdict names *)
     path : string;
     detail : string;  (** which block and how it failed *)
   }
 (** Typed classification of a silent-corruption read failure (checksum or
-    structural decode), carrying enough to quarantine the file. Distinct
+    structural decode), carrying enough to name the file in a verdict. Distinct
     from {!Clsm_env.Env.Error} (transient IO) and {!Clsm_env.Env.Crashed}
     (hard stop). *)
 

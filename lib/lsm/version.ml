@@ -185,7 +185,7 @@ let get ?on_corrupt t ~user_key ~snap_ts =
 (* Table iterator that translates the sstable layer's stringly Corrupt
    into the typed {!Table_file.Corruption}. Scans do NOT transparently
    skip a rotten file — silently dropping a key range is a wrong answer;
-   the caller gets the typed signal and the store quarantines. *)
+   the caller gets the typed signal and the store queues a verdict. *)
 let iter_of_file file =
   let tf = Refcounted.value file in
   Iter.of_table ~corruption:(Table_file.typed_corruption tf) tf.Table_file.table

@@ -63,8 +63,8 @@ val get :
     still answers — possibly with an older committed version. Note that
     if the {e tombstone} itself lived in the rotten file, that older
     version is a key the caller committed a delete for: containment
-    reads may observe deleted keys as live until repair resolves the
-    quarantine. Callers that rely on strict delete semantics must treat
+    reads may observe deleted keys as live until repair settles the
+    table's verdict. Callers that rely on strict delete semantics must treat
     [`Partial] store health as a reason to fail the read instead of
     serving around the rot. *)
 

@@ -15,8 +15,9 @@
 type t =
   | Flush  (** rotate the memtable if needed and merge [C'm] to L0 *)
   | Repair
-      (** self-healing: apply pending quarantines, finalize quarantined
-          files, and attempt the online transition out of [`Degraded] *)
+      (** self-healing: re-verify each table with a pending corruption
+          verdict (a clean one stays, a rotten one is discarded), and
+          attempt the online transition out of [`Degraded] *)
   | Compact of { src_level : int; target_level : int }
       (** merge one unit of [src_level] into [target_level];
           [src_level = 0] is the L0→L1 merge *)

@@ -73,7 +73,7 @@ let index_bytes ix =
 (* Decode one block image ([payload ^ trailer] as laid out on disk) of
    [size] payload bytes starting at [pos] in [raw], verifying the CRC
    trailer in place before the payload is copied out. Corrupt messages
-   carry the block's byte offset so containment/quarantine can report
+   carry the block's byte offset so a corruption verdict can report
    exactly which block rotted. *)
 let decode_block_image ~offset ~pos ~size raw =
   let corrupt what =

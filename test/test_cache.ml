@@ -308,7 +308,7 @@ let readahead_failure_degrades_to_on_demand () =
 (* Store-level: scans with bit-rot injected under an active readahead
    policy. Rot seen by a readahead batch is swallowed (the batch is
    dropped); rot seen by an on-demand read goes through the existing
-   containment path (quarantine, `Partial`). Neither may take the store
+   containment path (a verdict, `Partial`). Neither may take the store
    to `Degraded`. *)
 let readahead_with_bitrot_never_degrades () =
   let module Db = Clsm_core.Db in

@@ -373,8 +373,8 @@ let verify_detects_corruption () =
   ignore (Unix.write fd (Bytes.of_string "\xde\xad") 0 2);
   Unix.close fd;
   (* Hold the self-healing machinery off: with the default options the
-     background scrub quarantines (and auto-repair then releases) the
-     rotten table so fast that verify_integrity finds a clean store —
+     background scrub detects the rotten table and auto-repair then
+     discards it so fast that verify_integrity finds a clean store —
      here the point is that verify itself detects the damage. *)
   let db =
     Db.open_store { opts with Options.scrub_interval = 0.0; auto_repair = false }

@@ -544,24 +544,38 @@ let manifest_roundtrip () =
       last_ts = 99999;
       wal_number = 17;
       files = [ (0, 5); (0, 3); (1, 2); (2, 1) ];
-      quarantined = [ 9; 4 ];
     }
   in
   let written = Manifest.save ~dir:tmp_dir m in
   Alcotest.(check int) "save reports the file size" written
     (Unix.stat (Filename.concat tmp_dir "MANIFEST")).Unix.st_size;
+  let path = Table_file.manifest_path ~dir:tmp_dir in
   (match Manifest.load ~dir:tmp_dir () with
-  | Some m' ->
+  | Some (m', quarantined) ->
       Alcotest.(check int) "next_file" 42 m'.Manifest.next_file_number;
       Alcotest.(check int) "last_ts" 99999 m'.Manifest.last_ts;
       Alcotest.(check int) "wal" 17 m'.Manifest.wal_number;
       Alcotest.(check (list (pair int int))) "files (order preserved)"
         m.Manifest.files m'.Manifest.files;
-      Alcotest.(check (list int)) "quarantined (order preserved)"
-        m.Manifest.quarantined m'.Manifest.quarantined
+      Alcotest.(check (list int)) "no quarantine records" [] quarantined
   | None -> Alcotest.fail "manifest missing");
+  (* [quarantine] records of an older store can only be loaded: a
+     hand-written manifest carrying two, under a valid checksum *)
+  let body =
+    "clsm-manifest v1\nnext_file 42\nlast_ts 99999\nwal 17\nfile 0 5\n\
+     quarantine 9\nquarantine 4\n"
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "%scrc %08x\n" body (Clsm_util.Crc32c.string body));
+  (match Manifest.load ~dir:tmp_dir () with
+  | Some (m', quarantined) ->
+      Alcotest.(check (list (pair int int))) "old files" [ (0, 5) ]
+        m'.Manifest.files;
+      Alcotest.(check (list int)) "quarantined (order preserved)" [ 9; 4 ]
+        quarantined
+  | None -> Alcotest.fail "old manifest missing");
+  ignore (Manifest.save ~dir:tmp_dir m : int);
   (* corruption detected *)
-  let path = Table_file.manifest_path ~dir:tmp_dir in
   let contents = In_channel.with_open_bin path In_channel.input_all in
   let tampered = String.map (fun c -> if c = '4' then '5' else c) contents in
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc tampered);

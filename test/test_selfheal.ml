@@ -1,6 +1,7 @@
 (* Self-healing unit tests: the Retry_policy backoff schedule under a
-   fake clock, the quarantine -> repair round trip for both transient
-   and persistent corruption, and the transient-fsync profile that must
+   fake clock, the verdict -> repair round trip for both transient
+   and persistent corruption, a manifest with the older quarantine
+   records, and the transient-fsync profile that must
    complete through retries without ever degrading the store. The
    multi-seed bit-rot campaign lives in test_torture.ml. *)
 
@@ -158,7 +159,7 @@ let deadline_cuts_retries_short () =
   Alcotest.(check int) "deadline bounded the attempts" 2 !attempts;
   Alcotest.(check int) "one sleep" 1 (List.length !slept)
 
-(* ---------- quarantine -> repair round trip ---------- *)
+(* ---------- verdict -> repair round trip ---------- *)
 
 let fill db =
   for i = 0 to 599 do
@@ -174,43 +175,60 @@ let check_all db =
       (Db.get db (Printf.sprintf "k%04d" i))
   done
 
-(* Transient rot: every table fails its scrub while the fault is armed,
-   gets quarantined, then re-verifies clean from disk once the fault is
-   gone — repair must readmit the tables and lose nothing. *)
+(* The store's table files, by name, with their bytes. *)
+let table_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun n -> Filename.check_suffix n ".sst")
+  |> List.sort compare
+  |> List.map (fun n ->
+         (n, In_channel.with_open_bin (Filename.concat dir n) In_channel.input_all))
+
+let set_aside dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun n -> Filename.check_suffix n ".quarantined")
+
+let installs db = Array.fold_left ( + ) 0 (Db.stats db).Stats.installs
+
+(* Transient rot: every table fails its scrub while the fault is armed
+   and gets a pending verdict, but stays in the version; once the fault
+   is gone each re-verifies clean from disk. Repair must drop the
+   verdicts without an edit: no install, and the table files exactly
+   as before the scrub, name for name and byte for byte. *)
 let transient_rot_round_trip () =
   let dir = fresh_dir () in
   let f = Faulty_env.create ~seed:5 () in
   let opts = small_opts ~env:(Faulty_env.env f) dir in
   let db = Db.open_store opts in
   fill db;
+  let before = table_files dir and installs_before = installs db in
   Faulty_env.set_fault_rates f ~corrupt_read_1_in:1 ();
   let problems = Db.scrub_now db in
   Alcotest.(check bool) "scrub saw the rot" true (problems <> []);
   (match Db.health db with
   | `Partial _ -> ()
-  | `Ok -> Alcotest.fail "quarantine must surface as `Partial"
+  | `Ok -> Alcotest.fail "pending verdicts must surface as `Partial"
   | `Degraded r -> Alcotest.failf "bit-rot must not degrade: %s" r);
   let s = Db.stats db in
   Alcotest.(check bool) "corruptions counted" true
     (s.Stats.corruptions_detected > 0);
-  Alcotest.(check bool) "tables quarantined" true
-    (s.Stats.quarantined_tables > 0);
+  Alcotest.(check int) "nothing set aside by a scrub" 0
+    s.Stats.quarantined_tables;
+  Alcotest.(check (list string)) "no file renamed by a scrub" [] (set_aside dir);
   (* The rot was the injector's fiction: on a clean medium every table
-     re-verifies and comes back. *)
+     re-verifies and keeps its place. *)
   Faulty_env.set_fault_rates f ~corrupt_read_1_in:0 ();
   (match Db.repair_now db with
   | `Ok -> ()
   | `Partial r | `Degraded r -> Alcotest.failf "repair did not heal: %s" r);
   Alcotest.(check bool) "repair counted" true
     ((Db.stats db).Stats.auto_repairs > 0);
+  Alcotest.(check int) "clean verdicts install nothing" installs_before
+    (installs db);
+  Alcotest.(check bool) "the same table files, byte for byte" true
+    (table_files dir = before);
+  Alcotest.(check (list string)) "nothing set aside" [] (set_aside dir);
   check_all db;
   Alcotest.(check (list string)) "verify clean" [] (Db.verify_integrity db);
-  (* Nothing was set aside: readmission, not discard. *)
-  Array.iter
-    (fun name ->
-      if Filename.check_suffix name ".quarantined" then
-        Alcotest.failf "transiently rotten table was discarded: %s" name)
-    (Sys.readdir dir);
   Db.close db
 
 (* Persistent rot: damage on the platter. Repair must set the table
@@ -237,7 +255,7 @@ let persistent_rot_round_trip () =
   Alcotest.(check bool) "scrub found the damage" true (problems <> []);
   (match Db.health db with
   | `Partial _ -> ()
-  | `Ok | `Degraded _ -> Alcotest.fail "expected `Partial after quarantine");
+  | `Ok | `Degraded _ -> Alcotest.fail "expected `Partial while the verdict is pending");
   (match Db.repair_now db with
   | `Ok -> ()
   | `Partial r | `Degraded r -> Alcotest.failf "repair did not finish: %s" r);
@@ -251,8 +269,8 @@ let persistent_rot_round_trip () =
   let n = List.length (Db.range ~limit:10_000 db) in
   Alcotest.(check bool) "surviving keys readable" true (n > 0 && n < 600);
   Db.close db;
-  (* The quarantine outcome is durable: a reopen neither resurrects the
-     damaged table nor trips over the set-aside file. *)
+  (* The discard is durable: a reopen neither resurrects the damaged
+     table nor trips over the set-aside file. *)
   let db = Db.open_store opts in
   Alcotest.(check int) "reopen serves the same survivors" n
     (List.length (Db.range ~limit:10_000 db));
@@ -260,9 +278,74 @@ let persistent_rot_round_trip () =
     (Db.verify_integrity db);
   Db.close db
 
+(* A store written before verdicts were settled in place listed a
+   suspect table under a [quarantine] record, out of the version. Such a
+   manifest still opens: the table is set aside as evidence, the read
+   view is the one that manifest described, and the next manifest
+   carries no such record. *)
+let old_quarantine_record_opens () =
+  let dir = fresh_dir () in
+  let opts = small_opts dir in
+  let db = Db.open_store opts in
+  fill db;
+  Db.close db;
+  let m =
+    match Manifest.load ~dir () with
+    | Some (m, []) -> m
+    | Some _ | None -> Alcotest.fail "setup: no manifest"
+  in
+  let _, n = List.hd m.Manifest.files in
+  let path = Table_file.table_path ~dir n in
+  let lost =
+    let tf = Table_file.open_number ~dir n in
+    let count = Clsm_sstable.Table.fold (fun _ _ c -> c + 1) tf.Table_file.table 0 in
+    Clsm_sstable.Table.close tf.Table_file.table;
+    count
+  in
+  (* the older format: the table out of the file set, under a record *)
+  ignore
+    (Manifest.save ~dir
+       {
+         m with
+         Manifest.files = List.filter (fun (_, n') -> n' <> n) m.Manifest.files;
+       }
+      : int);
+  let mpath = Table_file.manifest_path ~dir in
+  let saved = In_channel.with_open_bin mpath In_channel.input_all in
+  let body =
+    String.sub saved 0
+      (String.rindex_from saved (String.length saved - 2) '\n' + 1)
+    ^ Printf.sprintf "quarantine %d\n" n
+  in
+  Out_channel.with_open_bin mpath (fun oc ->
+      Printf.fprintf oc "%scrc %08x\n" body (Clsm_util.Crc32c.string body));
+  let db = Db.open_store opts in
+  Fun.protect
+    ~finally:(fun () -> Db.close db)
+    (fun () ->
+      Alcotest.(check bool) "set aside" true
+        (Sys.file_exists (path ^ ".quarantined"));
+      Alcotest.(check bool) "not a table any more" false (Sys.file_exists path);
+      Alcotest.(check int) "counted" 1 (Db.stats db).Stats.quarantined_tables;
+      (match Manifest.load ~dir () with
+      | Some (m', []) ->
+          Alcotest.(check bool) "not listed" false
+            (List.mem n (List.map snd m'.Manifest.files))
+      | Some _ -> Alcotest.fail "the record survived recovery's save"
+      | None -> Alcotest.fail "no manifest");
+      Alcotest.(check bool) "health ok" true (Db.health db = `Ok);
+      Alcotest.(check (list string)) "verify clean" [] (Db.verify_integrity db);
+      let kvs = Db.range ~limit:10_000 db in
+      Alcotest.(check int) "the read view without the table" (600 - lost)
+        (List.length kvs);
+      List.iter
+        (fun (k, v) ->
+          Alcotest.(check string) k ("v" ^ String.sub k 1 4) v)
+        kvs)
+
 (* A block whose checksum holds but whose entries do not decode (a
    writer bug rather than media rot) is contained like rot: the get that
-   meets it reports the table for quarantine and answers from the rest
+   meets it queues a verdict on the table and answers from the rest
    of the store instead of raising. The first entry of the table's first
    block gets a value-length varint that runs on into the key and past
    the block; the trailer is recomputed. *)
@@ -394,6 +477,8 @@ let suites =
           malformed_block_is_contained;
         Alcotest.test_case "persistent rot round trip" `Quick
           persistent_rot_round_trip;
+        Alcotest.test_case "old quarantine record opens" `Quick
+          old_quarantine_record_opens;
         Alcotest.test_case "idle store keeps scrubbing" `Quick
           idle_store_keeps_scrubbing;
       ] );

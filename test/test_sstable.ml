@@ -470,7 +470,7 @@ let malformed_first_block name =
   (path, props.Table_format.smallest)
 
 (* Every read path turns a block decode failure into [Table.Corrupt],
-   which is what the LSM layer quarantines on. *)
+   which is what the LSM layer queues a corruption verdict on. *)
 let table_malformed_block_is_corrupt () =
   let path, first = malformed_first_block "t_malformed" in
   let t = Table.open_file ~cmp:Comparator.bytewise path in

@@ -102,36 +102,40 @@ let attempt m key state =
   let prev = Option.value ~default:[] (Hashtbl.find_opt m.pending key) in
   Hashtbl.replace m.pending key (state :: prev)
 
-(* Restart on the crash image with a healthy environment and check the
-   directory, the durability model and the clock; removes [dir]. *)
-let check_recovery ~seed ~dir ~opts m =
-  let clean_opts = { opts with Options.env = Env.unix } in
-  let db = Db.open_store clean_opts in
-  (* Quiesce background maintenance: a live flush legitimately stages a
-     .sst.tmp and publishes tables moments before the manifest save, so
-     the directory is only required to be consistent at rest. *)
-  Db.compact_now db;
-  (* Directory consistency: no staged temp files survive recovery, and
-     every table file on disk is referenced by the manifest. *)
+(* Directory consistency at rest, for one store directory after its
+   store is closed: no staged temp file, and every table file on disk
+   listed by the manifest. A compacted-away input is deleted only when
+   the last version holding it is released, and until [close] a job (a
+   scrub slice, say) may still hold one; after [close] none does, so an
+   unlisted table then is a leak. *)
+let check_dir_consistent ~seed ~label dir =
   let listing = Sys.readdir dir |> Array.to_list in
   List.iter
     (fun name ->
       if Filename.check_suffix name ".tmp" then
-        Alcotest.failf "seed %d: stray temp file after recovery: %s" seed name)
+        Alcotest.failf "seed %d: %s: stray temp file after recovery: %s" seed
+          label name)
     listing;
-  (match Manifest.load ~dir () with
-  | None -> Alcotest.failf "seed %d: no manifest after recovery" seed
-  | Some man ->
+  match Manifest.load ~dir () with
+  | None -> Alcotest.failf "seed %d: %s: no manifest after recovery" seed label
+  | Some (man, _) ->
       let live = List.map snd man.Manifest.files in
       List.iter
         (fun name ->
           match String.split_on_char '.' name with
           | [ num; "sst" ] ->
               if not (List.mem (int_of_string num) live) then
-                Alcotest.failf "seed %d: orphan table after recovery: %s" seed
-                  name
+                Alcotest.failf "seed %d: %s: orphan table after recovery: %s"
+                  seed label name
           | _ -> ())
-        listing);
+        listing
+
+(* Restart on the crash image with a healthy environment and check the
+   directory, the durability model and the clock; removes [dir]. *)
+let check_recovery ~seed ~dir ~opts m =
+  let clean_opts = { opts with Options.env = Env.unix } in
+  let db = Db.open_store clean_opts in
+  Db.compact_now db;
   (match Db.verify_integrity db with
   | [] -> ()
   | problems ->
@@ -168,6 +172,8 @@ let check_recovery ~seed ~dir ~opts m =
   if Db.get db (key_of 0) <> Some "fresh" || Db.get db (key_of 1) <> Some "fresh"
   then Alcotest.failf "seed %d: recovered timestamps shadow new writes" seed;
   Db.close db;
+  (* Before the second open, whose recovery would collect a leak. *)
+  check_dir_consistent ~seed ~label:"store" dir;
   (* A second clean restart must also work (recovery is idempotent). *)
   let db = Db.open_store clean_opts in
   if Db.get db (key_of 0) <> Some "fresh" then
@@ -281,30 +287,6 @@ let run_sequential_seed ~dir seed =
 
 (* ---------- the sharded store under the same torture ---------- *)
 
-(* Directory-consistency-at-rest for one store directory: no staged temp
-   files, every table referenced by the manifest. *)
-let check_dir_consistent ~seed ~label dir =
-  let listing = Sys.readdir dir |> Array.to_list in
-  List.iter
-    (fun name ->
-      if Filename.check_suffix name ".tmp" then
-        Alcotest.failf "seed %d: %s: stray temp file after recovery: %s" seed
-          label name)
-    listing;
-  match Manifest.load ~dir () with
-  | None -> Alcotest.failf "seed %d: %s: no manifest after recovery" seed label
-  | Some man ->
-      let live = List.map snd man.Manifest.files in
-      List.iter
-        (fun name ->
-          match String.split_on_char '.' name with
-          | [ num; "sst" ] ->
-              if not (List.mem (int_of_string num) live) then
-                Alcotest.failf "seed %d: %s: orphan table after recovery: %s"
-                  seed label name
-          | _ -> ())
-        listing
-
 let shard_bounds = [ "key27"; "key54" ]
 
 let sharded_opts_for ~env dir =
@@ -404,11 +386,6 @@ let run_one_sharded_seed ~dir seed =
   | `Degraded reason ->
       Alcotest.failf "seed %d: degraded after clean recovery: %s" seed reason);
   Sharded_db.compact_now db;
-  for i = 0 to 2 do
-    check_dir_consistent ~seed
-      ~label:(Printf.sprintf "shard-%d" i)
-      (Filename.concat dir (Printf.sprintf "shard-%d" i))
-  done;
   (match Sharded_db.verify_integrity db with
   | [] -> ()
   | problems ->
@@ -447,6 +424,11 @@ let run_one_sharded_seed ~dir seed =
           key)
     [ 0; 30; 60 ];
   Sharded_db.close db;
+  for i = 0 to 2 do
+    check_dir_consistent ~seed
+      ~label:(Printf.sprintf "shard-%d" i)
+      (Filename.concat dir (Printf.sprintf "shard-%d" i))
+  done;
   let db = Sharded_db.open_store clean_opts in
   if Sharded_db.get db (key_of 0) <> Some "fresh" then
     Alcotest.failf "seed %d: second reopen lost data" seed;
@@ -492,7 +474,7 @@ let run_degrade_isolation ~dir seed =
   (match Sharded_db.health db with
   | `Ok -> ()
   | `Partial reason ->
-      (* no corruption is injected here; quarantines would be a bug *)
+      (* no corruption is injected here; a verdict would be a bug *)
       Alcotest.failf "seed %d: unexpected partial health: %s" seed reason
   | `Degraded reason ->
       let healths = Sharded_db.shard_healths db in
@@ -539,11 +521,11 @@ let run_degrade_isolation ~dir seed =
 (* Seeded silent-corruption campaign. The environment flips one random
    bit on seeded sstable reads; the invariant is NO WRONG ANSWERS: a
    read may return the key's newest committed value, an older committed
-   value (the newest copy's table is in quarantine — health says
+   value (the newest copy's block read as rotten — health says
    [`Partial]), or nothing, but never bytes that were not written. The
    injected rot is transient (the platter stays clean), so once it
-   stops, a scrub + repair round-trip must readmit every quarantined
-   table and restore BOTH the full data and [`Ok] health — online,
+   stops, a repair round must find every suspect table clean, discard
+   none, and restore BOTH the full data and [`Ok] health — online,
    without reopening the store. *)
 let run_bitrot_seed ~dir seed =
   Test_dirs.rm_rf dir;
@@ -557,11 +539,11 @@ let run_bitrot_seed ~dir seed =
          would otherwise hide from the rot *)
       scrub_interval = 0.02;
       (* repair runs explicitly AFTER the rot stops: under ongoing rot a
-         background repair would re-verify a quarantined table through
-         the same lying reads, conclude "persistently damaged" and
-         discard a file whose platter is actually clean. (A real disk
-         that fails a re-verify IS damaged — transient flips on the wire
-         are this injector's fiction.) *)
+         background repair would re-verify a suspect table through the
+         same lying reads, conclude "persistently damaged" and discard a
+         file whose platter is actually clean. (A real disk that fails a
+         re-verify IS damaged — transient flips on the wire are this
+         injector's fiction.) *)
       auto_repair = false;
     }
   in
@@ -594,12 +576,12 @@ let run_bitrot_seed ~dir seed =
       | ans -> check_answer ~ctx:"get" k ans
       | exception Table_file.Corruption _ ->
           (* surfaced through an iterator-backed path; the table is
-             queued for quarantine *)
+             queued for re-verification *)
           ()
     done;
     (* A scan must not fabricate data either. It may abort on a rotten
-       block (typed Corruption) — acceptable: the table is quarantined
-       and a retry answers from survivors. *)
+       block (typed Corruption) — acceptable: the table is queued for
+       re-verification and a retry after repair answers. *)
     (match Db.range ~limit:(num_keys * 2) db with
     | kvs ->
         List.iter
@@ -615,8 +597,8 @@ let run_bitrot_seed ~dir seed =
     ignore (Db.scrub_now db : string list)
   done;
   (* The rot stops. Self-healing must now converge to [`Ok] with no
-     data loss: every quarantined table re-verifies clean off the disk
-     and is readmitted. *)
+     data loss: every suspect table re-verifies clean off the disk and
+     keeps its place. *)
   Faulty_env.set_fault_rates fault ~corrupt_read_1_in:0 ();
   let deadline = Unix.gettimeofday () +. 30.0 in
   let rec heal () =
@@ -629,6 +611,13 @@ let run_bitrot_seed ~dir seed =
         Alcotest.failf "seed %d: failed to heal online: %s" seed reason
   in
   heal ();
+  (* The platter was clean throughout, so a table set aside is a false
+     discard. *)
+  Array.iter
+    (fun name ->
+      if Filename.check_suffix name ".quarantined" then
+        Alcotest.failf "seed %d: clean table discarded: %s" seed name)
+    (Sys.readdir dir);
   for k = 0 to num_keys - 1 do
     match Db.get db (key_of k) with
     | Some v when String.equal v (value_of k gens) -> ()
@@ -747,7 +736,6 @@ let run_group_commit_seed ~dir seed =
   let clean_opts = { opts with Options.env = Env.unix } in
   let db = Db.open_store clean_opts in
   Db.compact_now db;
-  check_dir_consistent ~seed ~label:"group" dir;
   (match Db.verify_integrity db with
   | [] -> ()
   | problems ->
@@ -789,6 +777,7 @@ let run_group_commit_seed ~dir seed =
   if Db.get db (key_of 0) <> Some "fresh" then
     Alcotest.failf "seed %d: recovered timestamps shadow new writes" seed;
   Db.close db;
+  check_dir_consistent ~seed ~label:"group" dir;
   let db = Db.open_store clean_opts in
   if Db.get db (key_of 0) <> Some "fresh" then
     Alcotest.failf "seed %d: second reopen lost data" seed;

@@ -450,7 +450,7 @@ let prop_version_apply =
         List.filteri (fun i _ -> List.nth_opt mask i = Some true) base
         |> List.map number
       in
-      let v' = Version.apply v { Version_edit.empty with removed; added } in
+      let v' = Version.apply v { Version_edit.removed; added } in
       (* exactly (old - removed) + added, level by level; new L0 files
          in front, deeper levels in smallest-key order *)
       let exact level =
