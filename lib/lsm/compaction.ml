@@ -293,8 +293,11 @@ let write_sorted_run ~cfg ~dir ?cache ?(env = Clsm_env.Env.unix) ~alloc_number
 
 (* Input iterators carry the typed corruption signal: a rotten input
    aborts the whole job with {!Table_file.Corruption} so the store can
-   re-verify the file instead of merging garbage forward. *)
-let file_iter f = Version.iter_of_file f
+   re-verify the file instead of merging garbage forward. They stream
+   past the block cache (LevelDB's [fill_cache = false]): the inputs are
+   read once and deleted, so caching their blocks would only evict the
+   blocks that readers use. *)
+let file_iter f = Version.iter_of_file ~fill_cache:false f
 
 let run ~cfg ~dir ?cache ?env ~alloc_number ~snapshots task =
   let inputs = task.inputs_lo @ task.inputs_hi in

@@ -91,7 +91,10 @@ val run :
   snapshots:int list ->
   task ->
   Version.file list
-(** Merge the task's inputs and write the target-level output run. *)
+(** Merge the task's inputs and write the target-level output run. The
+    inputs are read past the block cache ([Version.iter_of_file
+    ~fill_cache:false]): they move no cache counter and evict no block.
+    The outputs are opened with [cache], so readers cache them. *)
 
 val edit_of_task : task -> outputs:Version.file list -> Version_edit.t
 (** The task's install: every input removed, the outputs added at

@@ -8,9 +8,10 @@ type t = {
   next : unit -> unit;
 }
 
-let of_table ?(corruption = fun m -> Clsm_sstable.Table.Corrupt m) table =
+let of_table ?(corruption = fun m -> Clsm_sstable.Table.Corrupt m) ?fill_cache
+    table =
   let module T = Clsm_sstable.Table in
-  let it = T.Iter.make table in
+  let it = T.Iter.make ?fill_cache table in
   {
     seek_to_first =
       (fun () ->

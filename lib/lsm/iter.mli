@@ -19,10 +19,13 @@ type t = {
   next : unit -> unit;
 }
 
-val of_table : ?corruption:(string -> exn) -> Clsm_sstable.Table.t -> t
+val of_table :
+  ?corruption:(string -> exn) -> ?fill_cache:bool -> Clsm_sstable.Table.t -> t
 (** A table's entries. A block that fails its checksum or does not decode
     — only seeks and steps load blocks — raises [corruption] of the
-    {!Clsm_sstable.Table.Corrupt} message (default: re-raise it). *)
+    {!Clsm_sstable.Table.Corrupt} message (default: re-raise it).
+    [fill_cache] is {!Clsm_sstable.Table.Iter.make}'s: [false] streams
+    the table's blocks past the block cache, for compaction's inputs. *)
 
 val of_array : (string * string) array -> t
 (** Over an array already sorted by the caller (tests, fixtures). Seek uses

@@ -186,9 +186,10 @@ let get ?on_corrupt t ~user_key ~snap_ts =
    into the typed {!Table_file.Corruption}. Scans do NOT transparently
    skip a rotten file — silently dropping a key range is a wrong answer;
    the caller gets the typed signal and the store queues a verdict. *)
-let iter_of_file file =
+let iter_of_file ?fill_cache file =
   let tf = Refcounted.value file in
-  Iter.of_table ~corruption:(Table_file.typed_corruption tf) tf.Table_file.table
+  Iter.of_table ~corruption:(Table_file.typed_corruption tf) ?fill_cache
+    tf.Table_file.table
 
 let iters t =
   let level_iters =

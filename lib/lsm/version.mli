@@ -68,9 +68,12 @@ val get :
     [`Partial] store health as a reason to fail the read instead of
     serving around the rot. *)
 
-val iter_of_file : file -> Iter.t
+val iter_of_file : ?fill_cache:bool -> file -> Iter.t
 (** Iterator over one file that raises the typed {!Table_file.Corruption}
-    (instead of the stringly sstable error) on checksum failure. *)
+    (instead of the stringly sstable error) on checksum failure. With
+    [~fill_cache:false] it streams the file's blocks past the block
+    cache ({!Clsm_sstable.Table.Iter.make}): compaction reads its inputs
+    so, and scans ({!iters}) read through the cache. *)
 
 val iters : t -> Iter.t list
 (** One iterator per L0 file (newest first) followed by one

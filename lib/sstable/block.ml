@@ -13,15 +13,16 @@ type directory = { keys : string; pos : int array }
 let no_directory = { keys = ""; pos = [||] }
 
 type t = {
-  data : string;
+  data : string; (* the block is [data.[0 .. limit + 4 + 4 * num_restarts)] *)
   limit : int; (* end of entry region / start of restart array *)
   num_restarts : int;
   cmp : Comparator.t;
   dir : directory Atomic.t; (* [no_directory], then the directory *)
 }
 
-let parse cmp data =
-  let n = String.length data in
+let parse ?len cmp data =
+  let n = match len with None -> String.length data | Some n -> n in
+  if n < 0 || n > String.length data then invalid_arg "Block.parse";
   if n < 4 then raise (Corrupt "block too small");
   let num_restarts = Binary.get_fixed32 data ~pos:(n - 4) in
   let trailer = 4 + (4 * num_restarts) in
@@ -35,7 +36,7 @@ let parse cmp data =
   }
 
 let num_restarts t = t.num_restarts
-let size_bytes t = String.length t.data
+let size_bytes t = t.limit + 4 + (4 * t.num_restarts)
 let restart_offset t i = Binary.get_fixed32 t.data ~pos:(t.limit + (4 * i))
 let directory_bytes d = String.length d.keys + (8 * Array.length d.pos)
 

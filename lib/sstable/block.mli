@@ -28,12 +28,21 @@ exception Corrupt of string
 
 type t
 
-val parse : Comparator.t -> string -> t
-(** Validate the trailer and wrap the serialized block.
-    Raises {!Corrupt} if the restart array is malformed. *)
+val parse : ?len:int -> Comparator.t -> string -> t
+(** [parse ?len cmp data] validates the trailer and wraps the serialized
+    block [data.[0 .. len)] (default: all of [data]) where it lies, with
+    no copy: a table parses a block read from disk inside the image
+    [payload ^ trailer] it read, so the block keeps the 5-byte trailer
+    alive beside it. Raises {!Corrupt} if the restart array is
+    malformed, and [Invalid_argument] if [len] is not within [data]. *)
 
 val num_restarts : t -> int
+
 val size_bytes : t -> int
+(** The block's own bytes, [len] at {!parse}: what the block cache
+    weighs it by. Bytes of [data] past [len] are not counted — for a
+    block parsed in its on-disk image, the 5-byte trailer, 0.1 % of a
+    4 KB block. *)
 
 val add_directory : t -> int
 (** Build and publish the key directory unless the block has one.

@@ -70,12 +70,12 @@ let separator ix i =
 let index_bytes ix =
   String.length ix.seps + (8 * (Array.length ix.sep_pos + Array.length ix.handles))
 
-(* Decode one block image ([payload ^ trailer] as laid out on disk) of
-   [size] payload bytes starting at [pos] in [raw], verifying the CRC
-   trailer in place before the payload is copied out. Corrupt messages
-   carry the block's byte offset so a corruption verdict can report
-   exactly which block rotted. *)
-let decode_block_image ~offset ~pos ~size raw =
+(* Verify one block image ([payload ^ trailer] as laid out on disk) of
+   [size] payload bytes starting at [pos] in [raw] where it lies: the
+   CRC of payload and type byte, then the type. Corrupt messages carry
+   the block's byte offset so a corruption verdict can report exactly
+   which block rotted. *)
+let check_block_image ~offset ~pos ~size raw =
   let corrupt what =
     raise (Corrupt (Printf.sprintf "block@%d: %s" offset what))
   in
@@ -83,26 +83,28 @@ let decode_block_image ~offset ~pos ~size raw =
   let stored = Crc32c.unmask (Binary.get_fixed32 raw ~pos:(pos + size + 1)) in
   if Crc32c.sub raw ~pos ~len:(size + 1) <> stored then
     corrupt "checksum mismatch";
-  let payload = String.sub raw pos size in
   match raw.[pos + size] with
-  | '\000' -> payload
+  | '\000' -> ()
   | '\001' -> corrupt "compressed block (no codec)"
   | _ -> corrupt "unknown block type"
 
-(* Read a block payload of [size] bytes at [offset], verifying the CRC
-   trailer. *)
-let read_block_raw (file : Env.random_file) ~offset ~size =
-  let raw =
-    try
-      file.Env.rf_read ~pos:offset
-        ~len:(size + Table_format.block_trailer_length)
-    with Invalid_argument _ ->
-      raise (Corrupt (Printf.sprintf "block@%d: handle out of bounds" offset))
-  in
-  decode_block_image ~offset ~pos:0 ~size raw
+(* The verified payload of a block image, copied out of [raw]: for
+   blocks that share their image with others (a readahead span) or are
+   decoded into something else (index, filter, properties). *)
+let decode_block_image ~offset ~pos ~size raw =
+  check_block_image ~offset ~pos ~size raw;
+  String.sub raw pos size
 
-let read_handle file h =
-  read_block_raw file ~offset:h.Block_handle.offset ~size:h.Block_handle.size
+(* The image of the block of [size] payload bytes at [offset]: one
+   [rf_read], one copy. *)
+let read_block_image (file : Env.random_file) ~offset ~size =
+  try file.Env.rf_read ~pos:offset ~len:(size + Table_format.block_trailer_length)
+  with Invalid_argument _ ->
+    raise (Corrupt (Printf.sprintf "block@%d: handle out of bounds" offset))
+
+(* The verified payload of the auxiliary block [h] addresses. *)
+let read_handle file { Block_handle.offset; size } =
+  decode_block_image ~offset ~pos:0 ~size (read_block_image file ~offset ~size)
 
 (* A block decode failure, named by the offset of the block. *)
 let corrupt_at offset m = raise (Corrupt (Printf.sprintf "block@%d: %s" offset m))
@@ -216,19 +218,26 @@ let properties t = t.props
 let file_size t = t.file.Env.rf_length
 let may_contain t filter_key = Bloom.mem t.filter filter_key
 
-let parse_block t offset payload =
-  try Block.parse t.cmp payload with Block.Corrupt m -> corrupt_at offset m
+let parse_block ?len t offset payload =
+  try Block.parse ?len t.cmp payload with Block.Corrupt m -> corrupt_at offset m
+
+(* Data block [i] read from the file, verified and parsed in the image
+   [rf_read] returned: the read is the block's only copy. Every data
+   block read outside a readahead span comes through here. *)
+let read_data_block t i =
+  let offset = block_offset t.index i and size = block_size t.index i in
+  let image = read_block_image t.file ~offset ~size in
+  check_block_image ~offset ~pos:0 ~size image;
+  parse_block ~len:size t offset image
 
 (* Data block [i], through the cache if the table has one. *)
 let load_block t i =
-  let offset = block_offset t.index i in
-  let decode () =
-    parse_block t offset
-      (read_block_raw t.file ~offset ~size:(block_size t.index i))
-  in
   match t.cached with
-  | None -> decode ()
-  | Some c -> Cache.find_or_add c.cache (block_key c.id offset) decode
+  | None -> read_data_block t i
+  | Some c ->
+      Cache.find_or_add c.cache
+        (block_key c.id (block_offset t.index i))
+        (fun () -> read_data_block t i)
 
 (* The first block whose separator is >= [target]: the only block that
    can hold the first entry >= [target]; [num_blocks] if none. *)
@@ -251,6 +260,7 @@ let empty_block =
 module Iter = struct
   type iter = {
     table : t;
+    fill_cache : bool; (* false: read every block past the cache *)
     data_iter : Block.Iter.iter; (* rebound to each data block in turn *)
     mutable block : int; (* the block [data_iter] reads; [num_blocks] past the end *)
     mutable seq_blocks : int;
@@ -258,9 +268,10 @@ module Iter = struct
            point reads never trigger readahead *)
   }
 
-  let make table =
+  let make ?(fill_cache = true) table =
     {
       table;
+      fill_cache;
       data_iter = Block.Iter.make empty_block;
       block = num_blocks table.index;
       seq_blocks = 0;
@@ -308,20 +319,22 @@ module Iter = struct
      block crossing and never looks further. *)
   let maybe_readahead it i =
     match it.table.cached with
-    | None -> ()
-    | Some c ->
+    | Some c when it.fill_cache ->
         let k = Cache.readahead_blocks c.cache in
         if
           k > 1 && it.seq_blocks >= 1
           && not (Cache.mem c.cache (block_key c.id (block_offset it.table.index i)))
-        then try readahead_batch it c k i with _ -> ()
+        then (try readahead_batch it c k i with _ -> ())
+    | Some _ | None -> ()
 
   (* Rebind the data iterator to block [i], or to nothing past the
      last. *)
   let enter it i =
     it.block <- i;
     if i < num_blocks it.table.index then
-      Block.Iter.reset it.data_iter (load_block it.table i)
+      Block.Iter.reset it.data_iter
+        (if it.fill_cache then load_block it.table i
+         else read_data_block it.table i)
     else Block.Iter.reset it.data_iter empty_block
 
   (* Advance to the first valid entry at or after the current position,
@@ -484,10 +497,7 @@ let scrub ?(from_block = 0) ?max_blocks t =
     end;
     let i = ref from_block in
     while !i < n && !checked < budget do
-      let offset = block_offset t.index !i in
-      ignore
-        (parse_block t offset
-           (read_block_raw t.file ~offset ~size:(block_size t.index !i)));
+      ignore (read_data_block t !i : Block.t);
       incr checked;
       incr i
     done;

@@ -33,12 +33,15 @@ val open_file :
     bytes plus 24 bytes per block, plus 8, then the filter, properties
     and footer — so this per-open-table RAM is charged to the cache
     budget and visible in {!Cache.stats} (released by {!close}). Data
-    blocks are read on demand through [cache]. Raises {!Corrupt} (an
-    index, filter or properties block that does not decode is named:
-    ["index block: ..."]) or {!Clsm_env.Env.Error}, and
-    [Invalid_argument] when [cache] is given and the file is longer than
-    the cache key's offset bits allow, or more tables are open than its
-    id bits allow. A failed open closes the file it opened. *)
+    blocks are read on demand through [cache], except by a streaming
+    iterator ({!Iter.make} [~fill_cache:false]), which reads past it. A
+    data block read from the file is verified and parsed inside the
+    image the read returned, so a cold read copies the block once.
+    Raises {!Corrupt} (an index, filter or properties block that does
+    not decode is named: ["index block: ..."]) or {!Clsm_env.Env.Error},
+    and [Invalid_argument] when [cache] is given and the file is longer
+    than the cache key's offset bits allow, or more tables are open than
+    its id bits allow. A failed open closes the file it opened. *)
 
 val close : t -> unit
 (** Release the reservation and the table's cached blocks, then the
@@ -102,11 +105,22 @@ module Iter : sig
       looks further. Seeks reset the sequential detector, so point reads
       never prefetch. Readahead failures are swallowed — the scan
       degrades to on-demand per-block reads, which carry their own
-      verification and error reporting. *)
+      verification and error reporting.
+
+      A {e streaming} iterator ([make ~fill_cache:false], LevelDB's
+      [fill_cache = false]) is for a reader that passes over a table
+      once and drops it, as compaction does with its inputs. It reads
+      each block it enters straight from the file, one read per block,
+      verifies it, and parses it where it was read. It never looks in
+      the cache, inserts into it or reads ahead, so it moves no cache
+      counter and evicts nothing. *)
 
   type iter
 
-  val make : t -> iter
+  val make : ?fill_cache:bool -> t -> iter
+  (** [fill_cache] (default [true]): read blocks through the table's
+      cache, with readahead; [false]: stream them past it. *)
+
   val seek_to_first : iter -> unit
   val seek : iter -> string -> unit
   val valid : iter -> bool

@@ -1,9 +1,14 @@
-(* CRC-32C, reflected polynomial 0x82F63B78, computed slicing-by-8: eight
-   256-entry tables let each step fold 8 input bytes into the CRC with
-   eight independent lookups instead of eight dependent ones. Table k
-   maps a byte to its CRC contribution when followed by k zero bytes, so
-   table 0 is the classic byte-at-a-time table. The result is the same
-   CRC as the byte loop, which finishes the sub-8-byte tail. *)
+(* CRC-32C, reflected polynomial 0x82F63B78. On an x86-64 CPU with
+   SSE4.2 the C stub folds 8 bytes per [crc32] instruction; everywhere
+   else the portable loop below runs. The choice is made once, at module
+   init, and both give the same CRC.
+
+   The portable loop is slicing-by-8: eight 256-entry tables let each
+   step fold 8 input bytes into the CRC with eight independent lookups
+   instead of eight dependent ones. Table k maps a byte to its CRC
+   contribution when followed by k zero bytes, so table 0 is the classic
+   byte-at-a-time table. The result is the same CRC as the byte loop,
+   which finishes the sub-8-byte tail. *)
 
 let poly = 0x82F63B78
 
@@ -32,10 +37,9 @@ let[@inline] lookup k b = Array.unsafe_get tables ((k * 256) + b)
    bit 63. *)
 let[@inline] get32 s i = Int32.to_int (String.get_int32_le s i) land 0xffffffff
 
-let sub ?(init = 0) s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Crc32c.sub";
-  let crc = ref (init lxor 0xffffffff) in
+(* The loop over a checked range; [crc] is the inverted register. *)
+let portable_update crc s ~pos ~len =
+  let crc = ref crc in
   let i = ref pos in
   let words_end = pos + (len land lnot 7) in
   while !i < words_end do
@@ -57,7 +61,32 @@ let sub ?(init = 0) s ~pos ~len =
       lookup 0 ((!crc lxor Char.code (String.unsafe_get s j)) land 0xff)
       lxor (!crc lsr 8)
   done;
-  !crc lxor 0xffffffff
+  !crc
+
+external hw_available : unit -> bool = "clsm_crc32c_hw_available"
+
+(* Reads [s.[pos .. pos+len-1]] unchecked: callers check the range. *)
+external hw_update :
+  (int[@untagged]) -> string -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) = "clsm_crc32c_hw_update_byte" "clsm_crc32c_hw_update"
+[@@noalloc]
+
+let hardware = hw_available ()
+let implementation = if hardware then "sse4.2" else "portable"
+
+let check s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Crc32c.sub"
+
+let sub ?(init = 0) s ~pos ~len =
+  check s ~pos ~len;
+  let crc = init lxor 0xffffffff in
+  (if hardware then hw_update crc s pos len else portable_update crc s ~pos ~len)
+  lxor 0xffffffff
+
+let portable_sub ?(init = 0) s ~pos ~len =
+  check s ~pos ~len;
+  portable_update (init lxor 0xffffffff) s ~pos ~len lxor 0xffffffff
 
 let string ?init s = sub ?init s ~pos:0 ~len:(String.length s)
 

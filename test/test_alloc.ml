@@ -194,6 +194,58 @@ let seek_cost_ignores_file_count () =
     true
     (snd many <= snd few +. 16.0)
 
+(* Major-heap words this domain allocated directly (promotions from the
+   minor heap excluded): where a block image of 4 KB lands. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* A point lookup that misses the block cache reads its block once:
+   [rf_read]'s image is verified and parsed where it lies, so the lookup
+   puts one image on the major heap, beside the key directory it builds
+   and a few words, not an image and a copy of its payload. *)
+let block_miss_allocates_one_image () =
+  let path = Filename.concat (Test_dirs.dir "alloc_miss") "t.sst" in
+  let b =
+    Clsm_sstable.Table_builder.create ~cmp:Clsm_sstable.Comparator.bytewise ~path ()
+  in
+  for i = 0 to 1999 do
+    Clsm_sstable.Table_builder.add b ~key:(key i) ~value:(value i)
+  done;
+  ignore (Clsm_sstable.Table_builder.finish b : Clsm_sstable.Table_format.properties);
+  let cache =
+    Clsm_sstable.Cache.create ~capacity:(64 lsl 20)
+      ~weight:Clsm_sstable.Block.size_bytes ()
+  in
+  let t = Table.open_file ~cache ~cmp:Clsm_sstable.Comparator.bytewise path in
+  let anchors = Table.index_anchors t in
+  Alcotest.(check bool) "4 KB blocks" true
+    (List.length anchors > 20 && List.for_all (fun (_, size) -> size >= 4096) anchors);
+  List.iteri
+    (fun i (last_key, size) ->
+      if i mod 5 = 0 then begin
+        let misses = (Clsm_sstable.Cache.stats cache).Clsm_sstable.Cache.misses in
+        let weight = (Clsm_sstable.Cache.stats cache).Clsm_sstable.Cache.weight in
+        Gc.minor ();
+        let w0 = direct_major_words () in
+        let found = Table.find_last_le t last_key in
+        let words = direct_major_words () -. w0 in
+        let after = Clsm_sstable.Cache.stats cache in
+        Alcotest.(check int) "a miss" (misses + 1) after.Clsm_sstable.Cache.misses;
+        Alcotest.(check (option string)) "found" (Some last_key) (Option.map fst found);
+        (* The image and its header; the charge beyond the block's own
+           weight is its directory. *)
+        let image = ((size + Clsm_sstable.Table_format.block_trailer_length) / 8) + 2 in
+        let directory = (after.Clsm_sstable.Cache.weight - weight - size) / 8 in
+        Alcotest.(check bool)
+          (Printf.sprintf "block %d: %.0f major words <= image %d + directory %d + 32"
+             i words image directory)
+          true
+          (words <= float_of_int (image + directory + 32))
+      end)
+    anchors;
+  Table.close t
+
 let suites =
   [
     ( "alloc.point_lookup",
@@ -207,5 +259,10 @@ let suites =
           cached_scan_rows_allocate_their_result;
         Alcotest.test_case "seek cost ignores the file count" `Quick
           seek_cost_ignores_file_count;
+      ] );
+    ( "alloc.block_miss",
+      [
+        Alcotest.test_case "a missed block is read into one image" `Quick
+          block_miss_allocates_one_image;
       ] );
   ]

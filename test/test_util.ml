@@ -150,8 +150,11 @@ let crc_reference =
     !crc lxor 0xffffffff
 
 (* Every pos mod 8, short lengths around the 8-byte step and random long
-   ones, chained through [~init] at a random split. *)
-let prop_crc_matches_reference =
+   ones, chained through [~init] at a random split: once per
+   implementation, the portable loop always and the hardware one when
+   this CPU has it. *)
+let prop_crc_matches_reference name
+    (sub : ?init:int -> string -> pos:int -> len:int -> int) =
   let gen =
     QCheck.Gen.(
       let* pos = 0 -- 15 in
@@ -162,20 +165,26 @@ let prop_crc_matches_reference =
       let* init = frequency [ (1, return 0); (1, map (fun x -> x land 0xffffffff) int) ] in
       return (s, pos, len, split, init))
   in
-  QCheck.Test.make ~name:"slicing-by-8 = byte-at-a-time reference" ~count:2000
+  QCheck.Test.make ~name:(name ^ " = byte-at-a-time reference") ~count:2000
     (QCheck.make
        ~print:(fun (s, pos, len, split, init) ->
          Printf.sprintf "len(s)=%d pos=%d len=%d split=%d init=%#x"
            (String.length s) pos len split init)
        gen)
     (fun (s, pos, len, split, init) ->
-      let whole = Crc32c.sub ~init s ~pos ~len in
+      let whole = sub ~init s ~pos ~len in
       let chained =
-        Crc32c.sub
-          ~init:(Crc32c.sub ~init s ~pos ~len:split)
+        sub
+          ~init:(sub ~init s ~pos ~len:split)
           s ~pos:(pos + split) ~len:(len - split)
       in
       whole = crc_reference ~init s ~pos ~len && chained = whole)
+
+let crc_props =
+  prop_crc_matches_reference "slicing-by-8" Crc32c.portable_sub
+  ::
+  (if Crc32c.implementation = "portable" then []
+   else [ prop_crc_matches_reference Crc32c.implementation Crc32c.sub ])
 
 let crc_rejects_out_of_bounds () =
   List.iter
@@ -310,7 +319,7 @@ let suites =
         Alcotest.test_case "RFC 3720 vectors" `Quick crc_rfc3720_vectors;
         Alcotest.test_case "bounds" `Quick crc_rejects_out_of_bounds;
       ] );
-    qsuite "util.crc32c.props" [ prop_crc_matches_reference ];
+    qsuite "util.crc32c.props" crc_props;
     ( "util.hashing",
       [
         Alcotest.test_case "deterministic" `Quick hash_deterministic;

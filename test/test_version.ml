@@ -10,7 +10,7 @@ let tmp_dir = Test_dirs.dir "version"
 let next_number = ref 1000
 
 (* Build a table file of (user_key, ts, value-or-tombstone) triples. *)
-let make_file entries =
+let make_file ?cache ?env entries =
   incr next_number;
   let number = !next_number in
   let b =
@@ -29,7 +29,7 @@ let make_file entries =
        entries);
   ignore (Clsm_sstable.Table_builder.finish b);
   Refcounted.create ~release:Table_file.release
-    (Table_file.open_number ~dir:tmp_dir number)
+    (Table_file.open_number ?cache ?env ~dir:tmp_dir number)
 
 let entry_testable =
   Alcotest.testable
@@ -225,6 +225,120 @@ let apply_preserves_new_l0 () =
       Version.release v2;
       Version.release v3;
       List.iter Refcounted.retire [ f1; f2; f3 ]
+
+(* ---------- compaction and the block cache ---------- *)
+
+let cache_entries prefix n =
+  List.init n (fun i ->
+      (Printf.sprintf "%s%04d" prefix i, i + 1, Some (String.make 100 prefix.[0])))
+
+let table_of f = (Refcounted.value f).Table_file.table
+
+(* Every data block of [f]'s table through the cache: returns the
+   misses this took. *)
+let fold_misses cache f =
+  let before = (Clsm_sstable.Cache.stats cache).Clsm_sstable.Cache.misses in
+  ignore (Clsm_sstable.Table.fold (fun _ _ n -> n + 1) (table_of f) 0 : int);
+  (Clsm_sstable.Cache.stats cache).Clsm_sstable.Cache.misses - before
+
+let l0_task inputs =
+  {
+    Compaction.src_level = 0;
+    inputs_lo = inputs;
+    inputs_hi = [];
+    target_level = 1;
+    drop_tombstones = false;
+  }
+
+(* A merge reads its inputs past the block cache: a warmed table A keeps
+   every block resident in a cache with room for A and little else, and
+   the counters do not move, though the inputs B and C hold eight times
+   A's data and nothing of theirs was resident. *)
+let compaction_leaves_cache_alone () =
+  let module Cache = Clsm_sstable.Cache in
+  let probe =
+    Cache.create ~shards:1 ~capacity:(64 lsl 20)
+      ~weight:Clsm_sstable.Block.size_bytes ()
+  in
+  let a_entries = cache_entries "a" 100 in
+  let b_entries = cache_entries "b" 400 and c_entries = cache_entries "c" 400 in
+  let probes = List.map (make_file ~cache:probe) [ a_entries; b_entries; c_entries ] in
+  let reserved = (Cache.stats probe).Cache.weight in
+  ignore (fold_misses probe (List.hd probes) : int);
+  let a_weight = (Cache.stats probe).Cache.weight - reserved in
+  List.iter Refcounted.retire probes;
+  (* Room for A's blocks, twice the reservations of A, B and C (the
+     outputs reserve about what B and C do), and 16 KB: a sixth of B and
+     C's blocks. *)
+  let cache =
+    Cache.create ~shards:1 ~readahead:8
+      ~capacity:(a_weight + (2 * reserved) + (16 * 1024))
+      ~weight:Clsm_sstable.Block.size_bytes ()
+  in
+  let a = make_file ~cache a_entries in
+  let b = make_file ~cache b_entries and c = make_file ~cache c_entries in
+  Alcotest.(check bool) "A spans blocks" true
+    (List.length (Clsm_sstable.Table.index_anchors (table_of a)) > 4);
+  ignore (fold_misses cache a : int);
+  Alcotest.(check int) "A resident" 0 (fold_misses cache a);
+  let before = Cache.stats cache and cardinal = Cache.cardinal cache in
+  let n = ref 9700 in
+  let outputs =
+    Compaction.run ~cfg:small_cfg ~dir:tmp_dir ~cache
+      ~alloc_number:(fun () -> incr n; !n)
+      ~snapshots:[] (l0_task [ c; b ])
+  in
+  let after = Cache.stats cache in
+  Alcotest.(check (list int)) "hits, misses, evictions, readahead blocks"
+    Cache.[ before.hits; before.misses; before.evictions; before.readahead_blocks ]
+    Cache.[ after.hits; after.misses; after.evictions; after.readahead_blocks ];
+  Alcotest.(check int) "resident blocks" cardinal (Cache.cardinal cache);
+  Alcotest.(check int) "one reservation per output"
+    (before.Cache.pins + List.length outputs) after.Cache.pins;
+  List.iter Refcounted.retire [ b; c ];
+  Alcotest.(check int) "retired inputs leave their reservations"
+    (after.Cache.pins - 2) (Cache.stats cache).Cache.pins;
+  Alcotest.(check int) "resident blocks after retiring the inputs" cardinal
+    (Cache.cardinal cache);
+  Alcotest.(check int) "every block of A still resident" 0 (fold_misses cache a);
+  let encode (k, ts, v) =
+    (Internal_key.make k ts, Entry.encode (Entry.Value (Option.get v)))
+  in
+  Alcotest.(check (list (pair string string)))
+    "the output is the inputs' union"
+    (List.map encode (b_entries @ c_entries))
+    (List.concat_map (fun f -> Clsm_sstable.Table.to_list (table_of f)) outputs);
+  List.iter Refcounted.retire (a :: outputs)
+
+(* A rotten block in a streamed input still aborts the merge with the
+   typed corruption that names the input. The rot is the bit-rot
+   injector's, armed after the tables opened: every block read flips a
+   bit. *)
+let compaction_streamed_rot_is_typed () =
+  let fault = Clsm_env.Faulty_env.create ~seed:5 () in
+  let cache =
+    Clsm_sstable.Cache.create ~capacity:(1 lsl 20)
+      ~weight:Clsm_sstable.Block.size_bytes ()
+  in
+  let b =
+    make_file ~cache ~env:(Clsm_env.Faulty_env.env fault) (cache_entries "b" 200)
+  in
+  let c = make_file ~cache (cache_entries "c" 200) in
+  Clsm_env.Faulty_env.set_fault_rates fault ~corrupt_read_1_in:1 ();
+  let n = ref 9800 in
+  (match
+     Compaction.run ~cfg:small_cfg ~dir:tmp_dir ~cache
+       ~alloc_number:(fun () -> incr n; !n)
+       ~snapshots:[] (l0_task [ c; b ])
+   with
+  | _ -> Alcotest.fail "a rotten input must abort the merge"
+  | exception Table_file.Corruption { number; _ } ->
+      Alcotest.(check int) "names the rotten input"
+        (Refcounted.value b).Table_file.number number);
+  Alcotest.(check bool) "the rot was injected" true
+    (Clsm_env.Faulty_env.injected_corruptions fault > 0);
+  Clsm_env.Faulty_env.set_fault_rates fault ~corrupt_read_1_in:0 ();
+  List.iter Refcounted.retire [ b; c ]
 
 (* ---------- Compaction.is_trivial_move ---------- *)
 
@@ -520,6 +634,10 @@ let suites =
           no_move_target_inside_span;
         Alcotest.test_case "no move: grandparent overlap" `Quick
           no_move_grandparent_overlap;
+        Alcotest.test_case "inputs stream past the block cache" `Quick
+          compaction_leaves_cache_alone;
+        Alcotest.test_case "a rotten streamed input is typed" `Quick
+          compaction_streamed_rot_is_typed;
       ] );
     ( "lsm.compaction.props",
       List.map QCheck_alcotest.to_alcotest
