@@ -611,6 +611,24 @@ let direct_major_words () =
   let _, promoted, major = Gc.counters () in
   major -. promoted
 
+(* One batch of [ops] calls [call i]: its ns, and the minor and direct
+   major words allocated between its two readings of the counters. *)
+let batch ~ops call =
+  let w0 = Gc.minor_words () and m0 = direct_major_words () in
+  let t0 = Time_ns.now_ns () in
+  for i = 0 to ops - 1 do
+    call i
+  done;
+  let ns = Time_ns.now_ns () - t0 in
+  (ns, Gc.minor_words () -. w0, direct_major_words () -. m0)
+
+(* The minor words the counter readings themselves box: an empty batch
+   measures them, and each row subtracts them, so a call that allocates
+   nothing reports 0 words. *)
+let bracket_words =
+  let _, words, _ = batch ~ops:0 ignore in
+  words
+
 (* [samples] timed batches of [ops] calls [call i], i = 0 .. ops - 1,
    after one warm-up batch of [warmup] calls: median and best ns per
    call, and the minor and direct major words per call of the median
@@ -621,15 +639,9 @@ let ns_row ~samples ~ops ?(warmup = ops) name call =
   done;
   let runs =
     List.init samples (fun _ ->
-        let w0 = Gc.minor_words () and m0 = direct_major_words () in
-        let t0 = Time_ns.now_ns () in
-        for i = 0 to ops - 1 do
-          call i
-        done;
-        let ns = Time_ns.now_ns () - t0 in
-        let words = Gc.minor_words () -. w0 and major = direct_major_words () -. m0 in
+        let ns, words, major = batch ~ops call in
         let per_op x = x /. float_of_int ops in
-        (per_op (float_of_int ns), per_op words, per_op major))
+        (per_op (float_of_int ns), per_op (words -. bracket_words), per_op major))
     |> List.sort compare
   in
   let median_ns, words, major = List.nth runs (samples / 2) in
@@ -687,6 +699,23 @@ let block_miss_row ~samples ~ops path =
   Table.close t;
   row
 
+(* A store in a fresh directory holding [key i] -> [value] for
+   i = 0 .. keys - 1, compacted and warmed by a full fold. *)
+let resident_store ~cache_bytes ~keys ~key ~value =
+  let dir = fresh_dir () in
+  let db =
+    Db.open_store
+      { (Options.default ~dir) with Options.cache_bytes; scrub_interval = 0.0 }
+  in
+  let chunk = 1000 in
+  for c = 0 to (keys / chunk) - 1 do
+    Db.write_batch db
+      (List.init chunk (fun j -> Db.Batch_put (key ((c * chunk) + j), value)))
+  done;
+  Db.compact_now db;
+  ignore (Db.fold (fun _ _ n -> n + 1) db 0 : int);
+  (dir, db)
+
 (* Point lookups and scans served wholly from the block cache, in the
    shape of the e2e get_resident workload: 8 B keys and 256 B values,
    preloaded, compacted and warmed by a full fold. Times a cached
@@ -702,23 +731,10 @@ let cached_read_rows ~scale ~samples =
   let keys = match scale with Smoke -> 10_000 | Full -> 100_000 in
   let ops = match scale with Smoke -> 20_000 | Full -> 200_000 in
   let key i = Clsm_workload.Key_dist.key_of_index ~key_len:8 i in
-  let value = String.make 256 'v' in
-  let dir = fresh_dir () in
-  let db =
-    Db.open_store
-      {
-        (Options.default ~dir) with
-        Options.cache_bytes = 64 lsl 20;
-        scrub_interval = 0.0;
-      }
+  let dir, db =
+    resident_store ~cache_bytes:(64 lsl 20) ~keys ~key
+      ~value:(String.make 256 'v')
   in
-  let chunk = 1000 in
-  for c = 0 to (keys / chunk) - 1 do
-    Db.write_batch db
-      (List.init chunk (fun j -> Db.Batch_put (key ((c * chunk) + j), value)))
-  done;
-  Db.compact_now db;
-  ignore (Db.fold (fun _ _ n -> n + 1) db 0 : int);
   let rng = Random.State.make [| 7 |] in
   let probes = Array.init 4096 (fun _ -> key (Random.State.int rng keys)) in
   let mask = Array.length probes - 1 in
@@ -804,6 +820,63 @@ let cached_read_rows ~scale ~samples =
   let miss_row = block_miss_row ~samples ~ops largest in
   rm_rf dir;
   [ table_row; index_row; block_row; miss_row; db_row; seek_row; range_row ]
+
+(* [Internal_key.compare_encoded] in ns and minor words per call, on
+   neighbouring keys of a sorted run: user keys of [key_len] bytes as
+   the workloads generate them (zero-padded indices, so 40 B keys share
+   a 35-byte prefix), one version each. A comparison must allocate
+   nothing: {!run_kernels} fails if a row reports a word. *)
+let key_compare_rows ~scale ~samples =
+  let ops = match scale with Smoke -> 200_000 | Full -> 2_000_000 in
+  let row key_len =
+    let keys =
+      Array.init 4096 (fun i ->
+          Internal_key.make (Clsm_workload.Key_dist.key_of_index ~key_len i) 1)
+    in
+    let mask = Array.length keys - 2 in
+    ns_row ~samples ~ops (Printf.sprintf "key_compare.internal.k%d" key_len)
+      (fun i ->
+        let j = i land mask in
+        ignore
+          (Sys.opaque_identity
+             (Internal_key.compare_encoded (Array.unsafe_get keys j)
+                (Array.unsafe_get keys (j + 1)))
+            : int))
+  in
+  let k8 = row 8 in
+  [ k8; row 40 ]
+
+let minor_words_of = function
+  | J.Obj fields -> (
+      match List.assoc_opt "minor_words_per_op" fields with
+      | Some (J.Float w) -> w
+      | Some _ | None -> 0.0)
+  | _ -> 0.0
+
+(* [Db.get] served wholly from the block cache in the shape of the e2e
+   production_mix workload: 40 B keys, 1 KB values, preloaded, compacted
+   and warmed by a full fold, in a cache that holds them all. *)
+let long_key_get_row ~scale ~samples =
+  let keys = match scale with Smoke -> 5_000 | Full -> 40_000 in
+  let ops = match scale with Smoke -> 20_000 | Full -> 200_000 in
+  let key i = Clsm_workload.Key_dist.key_of_index ~key_len:40 i in
+  let dir, db =
+    resident_store ~cache_bytes:(128 lsl 20) ~keys ~key
+      ~value:(String.make 1024 'v')
+  in
+  let rng = Random.State.make [| 7 |] in
+  let probes = Array.init 4096 (fun _ -> key (Random.State.int rng keys)) in
+  let mask = Array.length probes - 1 in
+  let row =
+    ns_row ~samples ~ops ~warmup:(Array.length probes) "point_lookup.db_get.k40"
+      (fun i ->
+        ignore
+          (Sys.opaque_identity (Db.get db (Array.unsafe_get probes (i land mask)))
+            : string option))
+  in
+  Db.close db;
+  rm_rf dir;
+  row
 
 (* The paper's timestamp protocol on an otherwise idle clock, in ns per
    call: getSnap's choice and fence of a snapshot timestamp (Algorithm
@@ -952,6 +1025,8 @@ let run_kernels ~scale ~out =
   rm_rf dir;
   let merge_row = kernel_row "merge" ~bytes_per_sample:input_bytes merge in
   let read_rows = cached_read_rows ~scale ~samples in
+  let long_key_row = long_key_get_row ~scale ~samples in
+  let compare_rows = key_compare_rows ~scale ~samples in
   let clock_rows = clock_rows ~scale ~samples in
   let merge_iter_rows = merge_iter_rows ~scale ~samples in
   let doc =
@@ -971,14 +1046,19 @@ let run_kernels ~scale ~out =
         ( "kernels",
           J.List
             ([ crc_row; read_row; merge_row ]
-            @ read_rows @ clock_rows @ merge_iter_rows) );
+            @ read_rows @ (long_key_row :: compare_rows) @ clock_rows
+            @ merge_iter_rows) );
       ]
   in
   let oc = open_out out in
   output_string oc (J.to_string doc);
   output_char oc '\n';
   close_out oc;
-  Printf.printf "wrote %s\n%!" out
+  Printf.printf "wrote %s\n%!" out;
+  if List.exists (fun r -> minor_words_of r > 0.0) compare_rows then begin
+    prerr_endline "key_compare: a key comparison allocates";
+    exit 1
+  end
 
 (* ---------- entry point ---------- *)
 

@@ -43,23 +43,14 @@ let ts_at s pos =
   Binary.get_fixed32 s ~pos lor (Binary.get_fixed32 s ~pos:(pos + 4) lsl 32)
 
 (* The one implementation of the internal-key order: user keys
-   bytewise (a proper prefix first), then timestamps ascending. A plain
-   loop, so a comparison allocates nothing. *)
+   bytewise (a proper prefix first), then timestamps ascending. The
+   user keys are compared a word at a time, so a comparison allocates
+   nothing. *)
 let compare_sub s pos len target =
   let la = len - ts_size and lb = String.length target - ts_size in
   if la < 0 || lb < 0 then invalid_arg "Internal_key.compare_encoded";
-  let n = if la < lb then la else lb in
-  let i = ref 0 in
-  while
-    !i < n
-    && Char.equal (String.unsafe_get s (pos + !i)) (String.unsafe_get target !i)
-  do
-    incr i
-  done;
-  if !i < n then
-    Char.compare (String.unsafe_get s (pos + !i)) (String.unsafe_get target !i)
-  else if la <> lb then Int.compare la lb
-  else Int.compare (ts_at s (pos + la)) (ts_at target lb)
+  let c = Clsm_sstable.Comparator.bytewise_compare_range s pos la target 0 lb in
+  if c <> 0 then c else Int.compare (ts_at s (pos + la)) (ts_at target lb)
 
 let compare_encoded a b = compare_sub a 0 (String.length a) b
 
@@ -75,4 +66,16 @@ let ts_if_user_key s pos len user_key =
   if Clsm_sstable.Comparator.bytewise_compare_sub s pos n user_key <> 0 then -1
   else Binary.get_fixed64 s ~pos:(pos + n)
 
-let comparator = Clsm_sstable.Comparator.make ~name:"clsm-internal-key" compare_sub
+(* The index key of a block ending at [last]: its user key at [max_ts],
+   which sorts after every version of that key, when the next block
+   starts another user key (or there is none). A user key whose
+   versions run on into the next block keeps [last], so its probe
+   still routes there, to its newest versions. *)
+let separator ~last ~next =
+  let sep = probe (user_key_of last) in
+  match next with
+  | Some next when compare_encoded next sep <= 0 -> last
+  | Some _ | None -> sep
+
+let comparator =
+  Clsm_sstable.Comparator.make ~separator ~name:"clsm-internal-key" compare_sub

@@ -51,4 +51,9 @@ val ts_if_user_key : string -> int -> int -> string -> int
 
 val comparator : Clsm_sstable.Comparator.t
 (** The order packaged for blocks and tables: its [compare_sub] is the
-    one implementation, [compare_encoded] its whole-string form. *)
+    one implementation, [compare_encoded] its whole-string form. Its
+    [separator] is a block's last user key at {!max_ts}, which sorts
+    after every version of that key, unless the next block continues
+    the user key; then it is the block's last key, so the key's probe
+    routes on to its newest versions. A lookup for [probe k] thus
+    enters the one block that holds [k]'s newest version. *)

@@ -40,9 +40,9 @@ let rec free_id id =
 type cached = { cache : Block.t Cache.t; id : int; aux_key : int }
 
 (* The index block, decoded once at open. Data block [i] holds the keys
-   up to its separator [seps.[sep_pos.(i) .. sep_pos.(i+1))], its last
-   key, and lies at [handles.(2i)] with [handles.(2i+1)] payload
-   bytes. *)
+   up to its separator [seps.[sep_pos.(i) .. sep_pos.(i+1))], which is
+   >= its last key and < the next block's first, and lies at
+   [handles.(2i)] with [handles.(2i+1)] payload bytes. *)
 type index = { seps : string; sep_pos : int array; handles : int array }
 
 type t = {
@@ -366,8 +366,9 @@ module Iter = struct
     with Block.Corrupt m -> corrupt_in it m
 
   let seek it target =
-    (* Separators are the last key of each block, so the first one
-       >= target names the only block that can contain it. *)
+    (* A separator is >= its block's last key and < the next block's
+       first, so the first one >= target names the only block that can
+       contain it. *)
     it.seq_blocks <- 0;
     try
       enter it (index_seek it.table target);
@@ -434,7 +435,11 @@ let seek_le_in t l i probe =
 (* The first block whose separator is >= probe is the only one that can
    hold entries in (its predecessor's separator, probe]; if it holds
    nothing <= probe, or there is no such block, the answer is the last
-   entry of the block before. *)
+   entry of the block before. Under the internal-key order's
+   separators (a block's last user key at [max_ts]) every probe for a
+   user key a block ends with stays in that block; a table whose
+   separators are its last keys sends such a probe to the next block,
+   which then takes the fallback. *)
 let seek_last_le t l probe =
   let i = index_seek t probe in
   (i < num_blocks t.index && seek_le_in t l i probe)

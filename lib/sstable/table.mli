@@ -25,7 +25,8 @@ val open_file :
 (** Open and validate a table file through [env] (default
     {!Clsm_env.Env.unix}). The filter and properties blocks are loaded
     eagerly, and the index block is decoded once into flat arrays: every
-    data block's separator (its last key) end to end in one string, the
+    data block's separator (a key [>=] its last key and [<] the next
+    block's first, see {!Table_builder}) end to end in one string, the
     separators' offsets, and the block handles. The reader holds these
     for the table's lifetime and searches them in place, so a lookup
     decodes nothing to find its block. When [cache] is provided their
@@ -52,7 +53,7 @@ val properties : t -> Table_format.properties
 val file_size : t -> int
 
 val index_anchors : t -> (string * int) list
-(** One [(last key, stored payload bytes)] pair per data block, in key
+(** One [(separator, stored payload bytes)] pair per data block, in key
     order, straight from the decoded index — no IO. The store does not
     call it: tests take a table's block count, separators and block
     sizes from it to place damage, count cache misses or check the
@@ -60,7 +61,7 @@ val index_anchors : t -> (string * int) list
 
 val index_seek : t -> string -> int
 (** The index search alone: the number of the first data block whose
-    last key is [>= probe], or the number of blocks if there is none. A
+    separator is [>= probe], or the number of blocks if there is none. A
     point lookup enters that block first. The store does not call it:
     [bench --kernels] times it as one layer of a lookup. *)
 
@@ -89,11 +90,16 @@ val find_last_le_with : t -> string -> (Block.Iter.iter -> 'a option) -> 'a opti
     The lookup is two binary searches: {!index_seek} over the decoded
     index, then {!Block.Iter.seek_le} over the entered block's key
     directory (and the block before, when the entered one holds nothing
-    [<= probe]). The lookup that builds a block's directory charges its
-    bytes to the block's cache entry ({!Cache.charge}); the others, and
-    every lookup into a block evicted meanwhile, charge nothing. A
-    cache-hit lookup allocates nothing but [f]'s result and the loader
-    closure. *)
+    [<= probe]). Under separators past each block's last user key (the
+    internal-key order's) a probe [(k, max_ts)] for a stored [k] enters
+    one block. A table whose separators are its blocks' last keys
+    (written by the default [separator], or before the internal-key
+    order had one) sends a probe just past a block's last key into the
+    next block and falls back, with the same answer. The lookup that
+    builds a block's directory charges its bytes to the block's cache
+    entry ({!Cache.charge}); the others, and every lookup into a block
+    evicted meanwhile, charge nothing. A cache-hit lookup allocates
+    nothing but [f]'s result and the loader closure. *)
 
 module Iter : sig
   (** Two-level iterator with forward-scan readahead on a miss: when a

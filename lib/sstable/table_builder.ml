@@ -91,13 +91,18 @@ let flush_data_block t =
     t.pending_index <- Some (last, handle)
   end
 
-let write_pending_index t =
+(* A block's index entry waits for the first key of the next block
+   ([next], [None] at [finish]), so the comparator can pick a separator
+   in between. *)
+let write_pending_index t ~next =
   match t.pending_index with
   | None -> ()
   | Some (last, handle) ->
       let buf = Buffer.create 16 in
       Block_handle.encode buf handle;
-      Block_builder.add t.index ~key:last ~value:(Buffer.contents buf);
+      Block_builder.add t.index
+        ~key:(t.cmp.Comparator.separator ~last ~next)
+        ~value:(Buffer.contents buf);
       t.pending_index <- None
 
 let add t ~key ~value =
@@ -106,7 +111,7 @@ let add t ~key ~value =
   | Some last when t.cmp.Comparator.compare last key >= 0 ->
       invalid_arg "Table_builder.add: keys not strictly increasing"
   | Some _ | None -> ());
-  write_pending_index t;
+  write_pending_index t ~next:(Some key);
   if t.entries = 0 then t.smallest <- key;
   t.largest <- key;
   t.last_key <- Some key;
@@ -128,7 +133,7 @@ let finish t =
   if t.finished then invalid_arg "Table_builder.finish: already finished";
   t.finished <- true;
   flush_data_block t;
-  write_pending_index t;
+  write_pending_index t ~next:None;
   let data_bytes = t.offset in
   let filter = Bloom.create ~bits_per_key:t.bits_per_key t.filter_keys in
   let filter_handle = emit_block t (Bloom.encode filter) in

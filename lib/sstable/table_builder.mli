@@ -1,7 +1,13 @@
 (** Streaming writer of sorted table files (the SSTables forming the disk
     component). Keys must be added in strictly increasing comparator order;
-    data blocks are cut at [block_size], an index entry records the last key
-    of each block, and one Bloom filter covers the whole table.
+    data blocks are cut at [block_size], an index entry records each
+    block's separator, and one Bloom filter covers the whole table. The
+    separator is the comparator's [separator] of the block's last key and
+    the next block's first key: the last key itself under
+    {!Comparator.bytewise}, the last user key at the maximal timestamp
+    under the LSM layer's internal-key order (unless that user key runs
+    on into the next block). Either way it is [>=] every key of its block
+    and [<] every key of the next.
 
     The table is built at [path ^ ".tmp"] and atomically renamed to [path]
     by {!finish} after an fsync, so a table file that exists under its

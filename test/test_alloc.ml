@@ -102,6 +102,60 @@ let cached_point_lookups_allocate_their_result () =
     true (overhead <= 40.0);
   Table.close t
 
+(* The same budget on production-shaped keys: 40 B user keys sharing a
+   35-byte prefix, 1 KB values. Every comparison on the path — the
+   index search, the block's key directory, the version check — runs
+   the word-at-a-time compare over the shared prefix, so a word boxed
+   there would show here as dozens of words per lookup; a compare on
+   its own allocates nothing. *)
+let long_key_lookups_allocate_their_result () =
+  let path = Filename.concat (Test_dirs.dir "alloc_long_keys") "t.sst" in
+  let user_key i = Clsm_workload.Key_dist.key_of_index ~key_len:40 i in
+  let b =
+    Clsm_sstable.Table_builder.create ~cmp:Internal_key.comparator
+      ~filter_key_of:Internal_key.user_key_of ~path ()
+  in
+  for i = 0 to 1999 do
+    Clsm_sstable.Table_builder.add b
+      ~key:(Internal_key.make (user_key i) 1)
+      ~value:(value i ^ String.make 768 'v')
+  done;
+  ignore (Clsm_sstable.Table_builder.finish b : Clsm_sstable.Table_format.properties);
+  let a = Internal_key.make (user_key 1234) 1 and z = Internal_key.make (user_key 1235) 1 in
+  let compare_words =
+    words_per_call 10_000 (fun _ ->
+        ignore (Sys.opaque_identity (Internal_key.compare_encoded a z) : int))
+  in
+  Alcotest.(check (float 0.0)) "a 48 B compare allocates nothing" 0.0 compare_words;
+  let cache =
+    Clsm_sstable.Cache.create ~capacity:(64 lsl 20)
+      ~weight:Clsm_sstable.Block.size_bytes ()
+  in
+  let t = Table.open_file ~cache ~cmp:Internal_key.comparator path in
+  ignore (Table.fold (fun _ _ n -> n + 1) t 0 : int);
+  let rng = Random.State.make [| 19 |] in
+  let probes =
+    Array.init 2000 (fun _ -> Internal_key.probe (user_key (Random.State.int rng 2000)))
+  in
+  Array.iter (fun p -> ignore (Table.find_last_le t p : _ option)) probes;
+  let result_words =
+    Array.fold_left
+      (fun acc p -> acc + Obj.reachable_words (Obj.repr (Table.find_last_le t p)))
+      0 probes
+  in
+  let find_words =
+    words_per_call (Array.length probes) (fun i ->
+        ignore (Sys.opaque_identity (Table.find_last_le t probes.(i)) : _ option))
+  in
+  let overhead =
+    find_words -. (float_of_int result_words /. float_of_int (Array.length probes))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "find_last_le on 40 B keys beyond its result: %.1f words <= 40"
+       overhead)
+    true (overhead <= 40.0);
+  Table.close t
+
 (* Allocation budget of a cached scan. Each row of a [Db.range] should
    cost the result's own words — its key, its value, its tuple and list
    cell — plus a small constant: a value is copied once, from the block
@@ -252,6 +306,8 @@ let suites =
       [
         Alcotest.test_case "cached lookups allocate their result" `Quick
           cached_point_lookups_allocate_their_result;
+        Alcotest.test_case "40 B-key lookups allocate their result" `Quick
+          long_key_lookups_allocate_their_result;
       ] );
     ( "alloc.scan",
       [

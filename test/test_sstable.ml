@@ -841,6 +841,195 @@ let table_lookup_race_charges_one_directory () =
     (Cache.stats cache).Cache.weight;
   Table.close t
 
+(* ---------- Key order: the word-at-a-time compare ---------- *)
+
+(* Two internal keys whose user keys share a prefix of 0 to 41 bytes
+   (every word boundary and its neighbours drawn often), are at most 48
+   bytes long and draw bytes from the whole 0x00-0xff range; sometimes
+   one user key is a proper prefix of the other, and sometimes the two
+   are equal and only the timestamps differ. *)
+let gen_key_pair =
+  let open QCheck.Gen in
+  let bytes n = string_size ~gen:char (return n) in
+  let prefix_len =
+    oneof
+      [
+        oneofl (List.concat_map (fun w -> [ w - 1; w; w + 1 ]) [ 8; 16; 24; 32; 40 ]);
+        0 -- 41;
+      ]
+  in
+  let ts = oneof [ 0 -- 3; map (fun x -> x land Ik.max_ts) int; return Ik.max_ts ] in
+  prefix_len >>= fun p ->
+  bytes p >>= fun prefix ->
+  (0 -- (48 - p)) >>= fun la ->
+  (0 -- (48 - p)) >>= fun lb ->
+  bytes la >>= fun sa ->
+  bytes lb >>= fun sb ->
+  oneofl [ `Distinct; `Proper_prefix; `Equal ] >>= fun shape ->
+  let ua = prefix ^ sa in
+  let ub =
+    match shape with
+    | `Distinct -> prefix ^ sb
+    | `Proper_prefix -> String.sub ua 0 (String.length ua * lb / 48)
+    | `Equal -> ua
+  in
+  pair ts ts >>= fun (ta, tb) -> return ((ua, ta), (ub, tb))
+
+let print_key_pair ((ua, ta), (ub, tb)) =
+  Printf.sprintf "(%S, %d) (%S, %d)" ua ta ub tb
+
+let sign c = Int.compare c 0
+
+(* Both comparators, whole and in place at an unaligned offset, and the
+   user-key helpers, against [String.compare] on user keys then
+   [Int.compare] on timestamps. *)
+let prop_comparators_match_reference =
+  QCheck.Test.make ~name:"comparators = String.compare, then ts" ~count:2000
+    (QCheck.make ~print:print_key_pair gen_key_pair)
+    (fun (((ua, ta), (ub, tb)) as pair) ->
+      let a = Ik.make ua ta and b = Ik.make ub tb in
+      let user = sign (String.compare ua ub) in
+      let full = if user <> 0 then user else sign (Int.compare ta tb) in
+      let pad = "\xff\x00\x80" in
+      let padded k = pad ^ k ^ pad in
+      let at = String.length pad in
+      let check name got expected =
+        if sign got <> expected then
+          QCheck.Test.fail_reportf "%s: %s gives %d, expected %d" name
+            (print_key_pair pair) got expected
+      in
+      check "Ik.compare_encoded" (Ik.compare_encoded a b) full;
+      check "Ik.compare_encoded (swapped)" (Ik.compare_encoded b a) (-full);
+      check "Ik.comparator.compare" (Ik.comparator.Comparator.compare a b) full;
+      check "Ik.comparator.compare_sub"
+        (Ik.comparator.Comparator.compare_sub (padded a) at (String.length a) b)
+        full;
+      check "bytewise.compare" (Comparator.bytewise.Comparator.compare ua ub) user;
+      check "bytewise_compare_sub"
+        (Comparator.bytewise_compare_sub (padded ua) at (String.length ua) ub)
+        user;
+      check "bytewise_compare_range"
+        (Comparator.bytewise_compare_range (padded ua) at (String.length ua)
+           ("\x01" ^ ub) 1 (String.length ub))
+        user;
+      check "Ik.compare_user_key" (Ik.compare_user_key a ub) user;
+      let ts = Ik.ts_if_user_key (padded a) at (String.length a) ub in
+      if ts <> if user = 0 then ta else -1 then
+        QCheck.Test.fail_reportf "ts_if_user_key: %s gives %d" (print_key_pair pair)
+          ts;
+      true)
+
+(* ---------- Table: separators past a block's last user key ---------- *)
+
+(* Production-shaped internal keys: 40 B user keys that share a long
+   zero prefix, 1 KB values, so a 4 KB block holds about four entries.
+   Every fifth user key has three versions, which some block boundary
+   cuts; the others have one. *)
+let long_key_entries () =
+  let user_key i = Printf.sprintf "%040d" i in
+  List.concat_map
+    (fun i ->
+      let versions = if i mod 5 = 0 then 3 else 1 in
+      List.init versions (fun j ->
+          let ts = 10 * (j + 1) in
+          (Ik.make (user_key i) ts, Printf.sprintf "%d@%d" i ts ^ String.make 1000 'v')))
+    (List.init 120 Fun.id)
+
+(* A user key's newest version, looked up at [max_ts] through the block
+   cache, costs one cache probe: the block holding the key's last
+   version is the first whose separator is >= the probe, so no lookup
+   falls back to the block before. That includes the table's last key,
+   whose separator is its user key at [max_ts]. *)
+let table_lookup_enters_one_block () =
+  let entries = long_key_entries () in
+  let path =
+    build_ik_table ~restart_interval:16 ~block_size:4096 "t_one_block" entries
+  in
+  let cache = Cache.create ~capacity:(64 lsl 20) ~weight:Block.size_bytes () in
+  let t = Table.open_file ~cache ~cmp:Ik.comparator path in
+  Alcotest.(check bool) "many blocks" true (List.length (Table.index_anchors t) > 20);
+  let probes = List.sort_uniq compare (List.map (fun (k, _) -> Ik.user_key_of k) entries) in
+  let probes_of st = st.Cache.hits + st.Cache.misses in
+  List.iter
+    (fun u ->
+      let p = Ik.probe u in
+      let before = probes_of (Cache.stats cache) in
+      let got = Table.find_last_le t p in
+      Alcotest.(check int) ("one cache probe for " ^ u) (before + 1)
+        (probes_of (Cache.stats cache));
+      Alcotest.(check bool) ("newest version of " ^ u) true (got = last_le entries p))
+    probes;
+  Table.close t
+
+(* A user key whose versions straddle a block boundary keeps the exact
+   last key as the earlier block's separator, so a probe for it at
+   [max_ts] still routes on to its newer versions; a probe at every
+   snapshot timestamp finds the right version. Every other separator is
+   its block's last user key at [max_ts]. *)
+let table_straddling_versions_keep_last_key () =
+  let entries = long_key_entries () in
+  let path =
+    build_ik_table ~restart_interval:16 ~block_size:4096 "t_straddle" entries
+  in
+  let t = Table.open_file ~cmp:Ik.comparator path in
+  let keys = List.map fst entries in
+  let straddled = ref [] in
+  List.iteri
+    (fun i (sep, _) ->
+      (* The block's last key, and the next block's first. *)
+      let last = List.find (fun k -> Ik.compare_encoded k sep <= 0) (List.rev keys) in
+      let u = Ik.user_key_of last in
+      match List.find_opt (fun k -> Ik.compare_encoded k sep > 0) keys with
+      | Some next when Ik.user_key_of next = u ->
+          Alcotest.(check string) (Printf.sprintf "block %d: its last key" i) last sep;
+          straddled := u :: !straddled
+      | Some _ | None ->
+          Alcotest.(check string) (Printf.sprintf "block %d: at max_ts" i) (Ik.probe u) sep)
+    (Table.index_anchors t);
+  Alcotest.(check bool) "some user key straddles a boundary" true (!straddled <> []);
+  List.iter
+    (fun u ->
+      List.iter
+        (fun ts ->
+          let p = Ik.make u ts in
+          Alcotest.(check bool) (Printf.sprintf "%s at %d" u ts) true
+            (Table.find_last_le t p = last_le entries p))
+        [ 0; 5; 10; 15; 20; 25; 30; 35; Ik.max_ts ])
+    !straddled;
+  Table.close t
+
+(* A table whose index holds each block's last key, as the default
+   [separator] writes it and as tables were written before the
+   internal-key order had one, reads through the same lookup: the probe
+   that sorts past a block's last key enters the next block and falls
+   back. *)
+let table_last_key_index_still_reads () =
+  let entries = long_key_entries () in
+  let path = tmp_path "t_last_key_index" in
+  let last_key_order =
+    Comparator.make ~name:"clsm-internal-key" Ik.comparator.Comparator.compare_sub
+  in
+  let b = Table_builder.create ~block_size:4096 ~cmp:last_key_order ~path () in
+  List.iter (fun (k, v) -> Table_builder.add b ~key:k ~value:v) entries;
+  ignore (Table_builder.finish b);
+  let t = Table.open_file ~cmp:Ik.comparator path in
+  let seps = List.map fst (Table.index_anchors t) in
+  Alcotest.(check bool) "separators are entries' keys" true
+    (List.for_all (fun s -> List.mem_assoc s entries) seps);
+  let probes =
+    List.concat_map
+      (fun (k, _) ->
+        let u = Ik.user_key_of k and ts = Ik.ts_of k in
+        [ k; Ik.make u (ts - 1); Ik.make u (ts + 1); Ik.probe u; Ik.make (u ^ "\x00") 0 ])
+      entries
+  in
+  List.iter
+    (fun p ->
+      if Table.find_last_le t p <> last_le entries p then
+        Alcotest.failf "find_last_le %S differs from last <= probe" p)
+    (Ik.make "" 0 :: probes);
+  Table.close t
+
 let prop_table_roundtrip =
   QCheck.Test.make ~name:"table roundtrip (random sorted keys)" ~count:25
     QCheck.(list (pair (string_of_size Gen.(1 -- 16)) (string_of_size Gen.(0 -- 32))))
@@ -912,7 +1101,15 @@ let suites =
           table_failed_open_closes_file;
         Alcotest.test_case "racing lookups charge one directory" `Quick
           table_lookup_race_charges_one_directory;
+        Alcotest.test_case "a lookup enters one block" `Quick
+          table_lookup_enters_one_block;
+        Alcotest.test_case "straddling versions keep the last key" `Quick
+          table_straddling_versions_keep_last_key;
+        Alcotest.test_case "a last-key index still reads" `Quick
+          table_last_key_index_still_reads;
       ] );
+    ( "sstable.comparator.props",
+      List.map QCheck_alcotest.to_alcotest [ prop_comparators_match_reference ] );
     ( "sstable.table.props",
       List.map QCheck_alcotest.to_alcotest
         [
