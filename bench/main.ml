@@ -29,9 +29,10 @@
                    Env.unix rf_read on 4 KB blocks, and one L0→L1 merge;
                    ns and minor words per cached point lookup
                    (Table.find_last_le, its index search and its
-                   block seek_le alone, Db.get, and Db.get on 40 B
-                   keys and 1 KB values), per internal-key compare on
-                   8 B and 40 B user keys (exit 1 if one allocates),
+                   block seek_le alone (exit 1 if that allocates),
+                   Db.get, and Db.get on 40 B keys and 1 KB values),
+                   per internal-key compare on 8 B and 40 B user keys
+                   (exit 1 if one allocates),
                    per lookup that
                    misses the cache (with major words), per cached scan
                    (Db.range of 1 and of 50 rows) and per clock call

@@ -4,22 +4,19 @@ exception Corrupt of string
 
 let corrupt m = raise (Corrupt m)
 
-(* A key directory: entry [i]'s whole key is
-   [keys.[pos.(2i) .. pos.(2i+2))] and the entry starts at byte
-   [pos.(2i+1)] of the block; [pos.(2n)] ends the last of [n] keys. *)
-type directory = { keys : string; pos : int array }
-
-(* What a block holds until a point lookup builds its directory. *)
-let no_directory = { keys = ""; pos = [||] }
-
 type t = {
   data : string; (* the block is [data.[0 .. limit + 4 + 4 * num_restarts)] *)
   limit : int; (* end of entry region / start of restart array *)
   num_restarts : int;
   cmp : Comparator.t;
-  dir : directory Atomic.t; (* [no_directory], then the directory *)
 }
 
+let restart_offset t i = Binary.get_fixed32 t.data ~pos:(t.limit + (4 * i))
+
+(* Restart 0 opens the entry region and each later restart lies past
+   the one before and inside the region, so a search reads a restart's
+   entry with no further check on its offset. An empty block has one
+   restart, at 0. *)
 let parse ?len cmp data =
   let n = match len with None -> String.length data | Some n -> n in
   if n < 0 || n > String.length data then invalid_arg "Block.parse";
@@ -27,18 +24,20 @@ let parse ?len cmp data =
   let num_restarts = Binary.get_fixed32 data ~pos:(n - 4) in
   let trailer = 4 + (4 * num_restarts) in
   if num_restarts < 1 || trailer > n then raise (Corrupt "bad restart count");
-  {
-    data;
-    limit = n - trailer;
-    num_restarts;
-    cmp;
-    dir = Atomic.make no_directory;
-  }
+  let t = { data; limit = n - trailer; num_restarts; cmp } in
+  if restart_offset t 0 <> 0 then corrupt "first restart not at 0";
+  for i = 1 to num_restarts - 1 do
+    let off = restart_offset t i in
+    if off <= restart_offset t (i - 1) then corrupt "restart offsets out of order";
+    if off >= t.limit then corrupt "restart offset past entries"
+  done;
+  t
 
 let num_restarts t = t.num_restarts
 let size_bytes t = t.limit + 4 + (4 * t.num_restarts)
-let restart_offset t i = Binary.get_fixed32 t.data ~pos:(t.limit + (4 * i))
-let directory_bytes d = String.length d.keys + (8 * Array.length d.pos)
+
+(* The offset that ends restart [i]'s run of entries. *)
+let run_end t i = if i + 1 < t.num_restarts then restart_offset t (i + 1) else t.limit
 
 module Iter = struct
   (* An entry is [shared; non_shared; value_len] as varints, then the
@@ -178,125 +177,106 @@ module Iter = struct
     if it.next_offset >= it.block.limit then invalidate it
     else decode_at it it.next_offset
 
-  let seek_to_restart it i =
-    let off = restart_offset it.block i in
-    if off > it.block.limit then corrupt "restart offset past entries";
-    it.next_offset <- off;
-    it.offset <- it.block.limit;
+  (* Position on restart [i]'s entry. Its key is stored whole: with no
+     previous key, a [shared] above 0 is refused. *)
+  let decode_restart it i =
     it.key_len <- 0;
     it.common <- 0;
-    it.key_cached <- false
+    decode_at it (restart_offset it.block i)
 
-  (* Order the key of restart [i], stored whole, against [target] where
-     it lies in the block. *)
-  let restart_compare it i target =
+  (* Read the header of restart [i]'s entry, where it lies: leave
+     [it.pos] on the key and [it.value_len] on the value's length, and
+     return the key's length. *)
+  let restart_header it i =
     let b = it.block in
     it.pos <- restart_offset b i;
     if read_varint it b.limit <> 0 then corrupt "restart entry has shared bytes";
     let non_shared = read_varint it b.limit in
     let value_len = read_varint it b.limit in
-    let key_pos = it.pos in
-    check_extent b ~key_pos ~non_shared ~value_len;
-    b.cmp.Comparator.compare_sub b.data key_pos non_shared target
+    check_extent b ~key_pos:it.pos ~non_shared ~value_len;
+    it.value_len <- value_len;
+    non_shared
 
   let compare_current it target =
     it.block.cmp.Comparator.compare_sub
       (Bytes.unsafe_to_string it.key)
       0 it.key_len target
 
-  let seek_to_first it =
-    seek_to_restart it 0;
-    advance it
-
-  let next it = if valid it then advance it
-
-  (* Binary search: the greatest restart whose key is below [target],
-     or restart 0. *)
-  let restart_below it target =
-    let lo = ref 0 and hi = ref (it.block.num_restarts - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if restart_compare it mid target < 0 then lo := mid else hi := mid - 1
-    done;
-    !lo
-
-  let seek it target =
-    seek_to_restart it (restart_below it target);
-    advance it;
-    while valid it && compare_current it target < 0 do
-      advance it
-    done
-
-  (* One forward decode of the whole block, with every check a step
-     makes. Each restart must also fall on an entry whose key is stored
-     whole, as {!seek}'s restart search assumes. *)
-  let build_directory b =
-    let it = make b in
-    let keys = Buffer.create 256 and pos = ref [] and restart = ref 0 in
-    seek_to_first it;
-    while valid it do
-      if !restart < b.num_restarts && restart_offset b !restart = it.offset
-      then begin
-        if it.common <> 0 then corrupt "restart entry has shared bytes";
-        incr restart
-      end;
-      pos := it.offset :: Buffer.length keys :: !pos;
-      Buffer.add_subbytes keys it.key 0 it.key_len;
-      advance it
-    done;
-    if !pos <> [] && !restart < b.num_restarts then
-      corrupt "restart offset not at an entry";
-    {
-      keys = Buffer.contents keys;
-      pos = Array.of_list (List.rev (Buffer.length keys :: !pos));
-    }
-
-  let add_directory b =
-    if Atomic.get b.dir != no_directory then 0
-    else begin
-      let d = build_directory b in
-      if Atomic.compare_and_set b.dir no_directory d then directory_bytes d
-      else 0
-    end
-
-  (* Position on entry [i] of [d]: the key is copied whole from the
-     directory and only the entry's header is decoded, for the value.
-     The build checked the entry. *)
-  let position_at it (d : directory) i =
+  (* The restart search both seeks share: the number of restarts whose
+     key orders below [bound] against [target] — below it for
+     [bound = 0], at or below it for [bound = 1]. Each probe compares
+     the key where it lies in the block. *)
+  let restarts_before it target bound =
     let b = it.block in
-    let off = d.pos.((2 * i) + 1) in
-    let key_start = d.pos.(2 * i) in
-    let len = d.pos.((2 * i) + 2) - key_start in
-    it.pos <- off;
-    ignore (read_varint it b.limit : int);
-    let non_shared = read_varint it b.limit in
-    let value_len = read_varint it b.limit in
-    if Bytes.length it.key < len then
-      it.key <- Bytes.create (Int.max len (2 * Bytes.length it.key));
-    Bytes.blit_string d.keys key_start it.key 0 len;
-    it.common <- 0;
-    it.offset <- off;
-    it.key_len <- len;
-    it.value_pos <- it.pos + non_shared;
-    it.value_len <- value_len;
-    it.next_offset <- it.value_pos + value_len;
-    it.key_cached <- false
-
-  let seek_le it target =
-    let b = it.block in
-    if Atomic.get b.dir == no_directory then ignore (add_directory b : int);
-    let (d : directory) = Atomic.get b.dir in
-    let cmp = b.cmp.Comparator.compare_sub in
-    (* [lo] ends as the number of keys <= target. *)
-    let lo = ref 0 and hi = ref ((Array.length d.pos - 1) / 2) in
+    let lo = ref 0 and hi = ref (if b.limit = 0 then 0 else b.num_restarts) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      let start = d.pos.(2 * mid) in
-      if cmp d.keys start (d.pos.((2 * mid) + 2) - start) target <= 0 then
+      let len = restart_header it mid in
+      if b.cmp.Comparator.compare_sub b.data it.pos len target < bound then
         lo := mid + 1
       else hi := mid
     done;
-    if !lo = 0 then invalidate it else position_at it d (!lo - 1)
+    !lo
+
+  let seek_to_first it =
+    invalidate it;
+    if it.block.limit > 0 then decode_restart it 0
+
+  let next it = if valid it then advance it
+
+  (* Restart [j]'s key is the first restart key >= [target]. When the
+     run before it is that restart's entry alone, as in every block
+     written at interval 1, restart [j] is the answer; otherwise the
+     answer is in the run, or is restart [j]. *)
+  let seek it target =
+    invalidate it;
+    let b = it.block in
+    let j = restarts_before it target 0 in
+    if j = 0 then seek_to_first it
+    else
+      let len = restart_header it (j - 1) in
+      if it.pos + len + it.value_len = run_end b (j - 1) then begin
+        if j < b.num_restarts then decode_restart it j
+      end
+      else begin
+        decode_restart it (j - 1);
+        advance it;
+        while valid it && compare_current it target < 0 do
+          advance it
+        done
+      end
+
+  (* Steps on from the current entry while the next one, before [stop],
+     is <= [target]: the number taken. Leaves the iterator on the first
+     entry past [target] if it met one. *)
+  let rec steps_le it target stop n =
+    if it.next_offset >= stop then n
+    else begin
+      advance it;
+      if compare_current it target <= 0 then steps_le it target stop (n + 1) else n
+    end
+
+  (* Restart [j - 1]'s key is the last restart key <= [target], and its
+     entry is the answer when it ends its run, as in every block written
+     at interval 1. A block written at a larger interval is scanned on
+     through the run, and decoded again up to the last entry <=
+     [target] if the scan stepped past it. *)
+  let seek_le it target =
+    invalidate it;
+    let j = restarts_before it target 1 in
+    if j > 0 then begin
+      decode_restart it (j - 1);
+      let stop = run_end it.block (j - 1) in
+      if it.next_offset < stop then begin
+        let n = steps_le it target stop 0 in
+        if compare_current it target > 0 then begin
+          decode_restart it (j - 1);
+          for _ = 1 to n do
+            advance it
+          done
+        end
+      end
+    end
 
   let fold f block acc =
     let it = make block in
@@ -312,4 +292,19 @@ module Iter = struct
     go acc
 end
 
-let add_directory = Iter.add_directory
+(* One forward decode of the whole block, with every check a step
+   makes. Each restart must also fall on an entry whose key is stored
+   whole, as the restart search assumes. *)
+let check_entries b =
+  let it = Iter.make b in
+  let restart = ref 0 in
+  Iter.seek_to_first it;
+  while Iter.valid it do
+    if !restart < b.num_restarts && restart_offset b !restart = it.Iter.offset then begin
+      if it.Iter.common <> 0 then corrupt "restart entry has shared bytes";
+      incr restart
+    end;
+    Iter.advance it
+  done;
+  if b.limit > 0 && !restart < b.num_restarts then
+    corrupt "restart offset not at an entry"

@@ -1,25 +1,17 @@
 (** Reader for blocks produced by {!Block_builder}: in-memory parse plus a
     seekable iterator that reconstructs prefix-compressed keys.
 
-    {!Iter.seek} binary-searches the restart array and then scans
-    forward, comparing keys where they lie through the comparator's
-    [compare_sub]: restart keys in the block bytes, rebuilt keys in two
-    buffers the iterator owns. {!Iter.seek_le}, the point lookup's
-    search, binary-searches the block's key directory instead. Positioning
-    allocates nothing once the buffers fit the block's longest key; only
-    {!Iter.key} and {!Iter.value} copy bytes out.
-
-    {2 Key directory}
-
-    The first {!Iter.seek_le} into a block (or {!add_directory}) builds
-    its key directory: every entry's whole key, end to end in one
-    string, and one [int] array of each key's start and each entry's
-    offset. It costs the keys' bytes plus 16 bytes per entry, plus 8.
-    It is built by one forward decode with every check a step makes, so
-    a malformed entry raises {!Corrupt} there, and it is published
-    through an [Atomic.t]: a domain sees no directory or a whole one.
-    Scans and compaction read every entry in order and never build
-    one. *)
+    The restart array is the block's one search structure. {!Iter.seek}
+    and {!Iter.seek_le} binary-search it, comparing each probed restart's
+    key where it lies in the block bytes through the comparator's
+    [compare_sub]: three varints, an extent check, and the compare. A
+    table writes its data blocks at restart interval 1, so every key is
+    stored whole and the restart found is the entry sought, positioned
+    on with one decode. A block written at a larger interval (every
+    table written before tables used interval 1) reads through the same
+    search, then a forward scan bounded by the next restart. Positioning
+    allocates nothing once the iterator's key buffers fit the block's
+    longest key; only {!Iter.key} and {!Iter.value} copy bytes out. *)
 
 exception Corrupt of string
 (** A structurally malformed block. Every decode failure of a block —
@@ -29,12 +21,15 @@ exception Corrupt of string
 type t
 
 val parse : ?len:int -> Comparator.t -> string -> t
-(** [parse ?len cmp data] validates the trailer and wraps the serialized
-    block [data.[0 .. len)] (default: all of [data]) where it lies, with
-    no copy: a table parses a block read from disk inside the image
-    [payload ^ trailer] it read, so the block keeps the 5-byte trailer
-    alive beside it. Raises {!Corrupt} if the restart array is
-    malformed, and [Invalid_argument] if [len] is not within [data]. *)
+(** [parse ?len cmp data] validates the trailer and restart array and
+    wraps the serialized block [data.[0 .. len)] (default: all of
+    [data]) where it lies, with no copy: a table parses a block read
+    from disk inside the image [payload ^ trailer] it read, so the block
+    keeps the 5-byte trailer alive beside it. Raises {!Corrupt} unless
+    the restart count fits the block, restart 0 is at offset 0, and the
+    offsets strictly increase inside the entry region (one pass over the
+    restarts); raises [Invalid_argument] if [len] is not within
+    [data]. *)
 
 val num_restarts : t -> int
 
@@ -44,12 +39,12 @@ val size_bytes : t -> int
     block parsed in its on-disk image, the 5-byte trailer, 0.1 % of a
     4 KB block. *)
 
-val add_directory : t -> int
-(** Build and publish the key directory unless the block has one.
-    Returns the directory's bytes if this call published it, else 0: of
-    domains racing into a fresh block, exactly one sees its bytes, so a
-    caller can charge them once. Raises {!Corrupt} if an entry does not
-    decode or a restart does not fall on an entry stored whole. *)
+val check_entries : t -> unit
+(** Decode every entry, with every check a step makes, and check that
+    each restart falls on an entry whose key is stored whole, as the
+    restart search assumes. Raises {!Corrupt} otherwise. Lookups make
+    these checks only on the entries they read; {!Table.verify} makes
+    them on every block. *)
 
 module Iter : sig
   type iter
@@ -70,9 +65,10 @@ module Iter : sig
   val seek_le : iter -> string -> unit
   (** Position at the {e last} entry with key [<= target] (invalid if
       none). Used for newest-version-not-exceeding-a-snapshot lookups when
-      versions are ordered by ascending timestamp. A binary search of the
-      key directory (built first if the block has none) and one decode of
-      the entry's header; {!next} continues from there. *)
+      versions are ordered by ascending timestamp. The restart search
+      {!seek} makes, then one decode of the restart found when it is
+      alone in its run (always, at interval 1); {!next} continues from
+      there. *)
 
   val valid : iter -> bool
   val key : iter -> string

@@ -4,6 +4,7 @@ type t = {
   restart_interval : int;
   buf : Buffer.t;
   mutable restarts : int list; (* reversed offsets *)
+  mutable num_restarts : int; (* [List.length restarts] *)
   mutable count_since_restart : int;
   mutable entries : int;
   mutable last : string option;
@@ -15,6 +16,7 @@ let create ?(restart_interval = 16) () =
     restart_interval;
     buf = Buffer.create 4096;
     restarts = [ 0 ];
+    num_restarts = 1;
     count_since_restart = 0;
     entries = 0;
     last = None;
@@ -29,6 +31,7 @@ let add t ~key ~value =
   let shared =
     if t.count_since_restart >= t.restart_interval then begin
       t.restarts <- Buffer.length t.buf :: t.restarts;
+      t.num_restarts <- t.num_restarts + 1;
       t.count_since_restart <- 0;
       0
     end
@@ -48,22 +51,21 @@ let add t ~key ~value =
   t.last <- Some key
 
 let finish t =
-  let restarts = List.rev t.restarts in
-  let n = List.length restarts in
-  List.iter (fun off -> Binary.write_fixed32 t.buf off) restarts;
-  Binary.write_fixed32 t.buf n;
+  List.iter (fun off -> Binary.write_fixed32 t.buf off) (List.rev t.restarts);
+  Binary.write_fixed32 t.buf t.num_restarts;
   Buffer.contents t.buf
 
 let num_entries t = t.entries
 
 let estimated_size t =
-  Buffer.length t.buf + (4 * List.length t.restarts) + 4
+  Buffer.length t.buf + (4 * t.num_restarts) + 4
 
 let is_empty t = t.entries = 0
 
 let reset t =
   Buffer.clear t.buf;
   t.restarts <- [ 0 ];
+  t.num_restarts <- 1;
   t.count_since_restart <- 0;
   t.entries <- 0;
   t.last <- None

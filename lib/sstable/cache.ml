@@ -17,7 +17,7 @@ module IMap = Map.Make (Int)
 type 'a entry = {
   ekey : int;
   value : 'a;
-  mutable w : int; (* [weight_of value], plus what {!charge} added *)
+  w : int; (* [weight_of value] *)
   refbit : bool Atomic.t;
   mutable slot : int; (* index in the CLOCK ring *)
 }
@@ -200,19 +200,6 @@ let remove t key =
       match IMap.find_opt key (Atomic.get sh.map) with
       | Some e -> drop_entry sh e
       | None -> ())
-
-(* The entry must still hold [v] itself: a block evicted and loaded
-   again is a new value, which the charge is not for. *)
-let charge t key v w =
-  if w < 0 then invalid_arg "Cache.charge";
-  let sh = shard_of t key in
-  with_locked sh (fun () ->
-      match IMap.find_opt key (Atomic.get sh.map) with
-      | Some e when e.value == v ->
-          e.w <- e.w + w;
-          sh.used <- sh.used + w;
-          evict_until_fits sh
-      | Some _ | None -> ())
 
 (* Eager invalidation for a retiring key range (a closing table's
    blocks). Without it, dead blocks linger with their reference bits set

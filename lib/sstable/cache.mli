@@ -23,13 +23,6 @@
     already has the value keeps it, and the GC reclaims it once no reader
     does, so a reader can never observe a freed block.
 
-    {2 Charges}
-
-    {!charge} adds weight to a resident entry for data built after it
-    was inserted: a table charges a block's key directory (see
-    {!Block.add_directory}) to the block's own entry, so the directory
-    leaves the budget when the block is evicted.
-
     {2 Reservations}
 
     {!reserve} charges weight for data that lives outside the cache's
@@ -52,7 +45,7 @@ type stats = {
   hits : int;
   misses : int;
   evictions : int;
-  weight : int;  (** resident weight (charges included) + reserved weight *)
+  weight : int;  (** resident weight + reserved weight *)
   pins : int;
       (** live reservations across all shards: one per open cached
           table *)
@@ -89,13 +82,6 @@ val find_or_add : 'a t -> int -> (unit -> 'a) -> 'a
     missing key run [f] exactly once per generation: one winner loads,
     losers wait and share the winner's value. A loser never installs its
     own entry (see the singleflight notes above). *)
-
-val charge : 'a t -> int -> 'a -> int -> unit
-(** [charge t key v w] adds [w] to the weight of [key]'s entry, under
-    its shard mutex, if that entry still holds [v] (physically), and
-    runs the CLOCK hand until the shard fits its budget. Nothing is
-    charged if [v] was evicted or replaced. Raises [Invalid_argument]
-    if [w < 0]. *)
 
 val remove : 'a t -> int -> unit
 (** Drop [key]'s entry if present. *)

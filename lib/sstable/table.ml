@@ -417,18 +417,10 @@ let release_lookup l =
   l.busy <- false
 
 (* Leave [l.data_it] on the last entry <= probe of block [i]; false if
-   there is none. The lookup that builds the block's key directory
-   charges it to the block's cache entry. *)
+   there is none. *)
 let seek_le_in t l i probe =
-  let offset = block_offset t.index i in
-  l.at <- offset;
-  let block = load_block t i in
-  let built = Block.add_directory block in
-  (match t.cached with
-  | Some c when built > 0 ->
-      Cache.charge c.cache (block_key c.id offset) block built
-  | Some _ | None -> ());
-  Block.Iter.reset l.data_it block;
+  l.at <- block_offset t.index i;
+  Block.Iter.reset l.data_it (load_block t i);
   Block.Iter.seek_le l.data_it probe;
   Block.Iter.valid l.data_it
 
@@ -515,19 +507,28 @@ let scrub ?(from_block = 0) ?max_blocks t =
 
 let verify t =
   let cmp = t.cmp.Comparator.compare in
+  let step k _ = function
+    | Error _ as e -> e
+    | Ok (count, prev) -> (
+        match prev with
+        | Some p when cmp p k >= 0 ->
+            Error (Printf.sprintf "key order violation after %S" p)
+        | Some _ | None -> Ok (count + 1, Some k))
+  in
+  let verify_block i acc =
+    let block = load_block t i in
+    try
+      Block.check_entries block;
+      Block.Iter.fold step block acc
+    with Block.Corrupt m -> corrupt_at (block_offset t.index i) m
+  in
   match
     verify_aux_blocks t;
-    fold
-      (fun k _ state ->
-        match state with
-        | Error _ as e -> e
-        | Ok (count, prev) -> (
-            match prev with
-            | Some p when cmp p k >= 0 ->
-                Error (Printf.sprintf "key order violation after %S" p)
-            | Some _ | None -> Ok (count + 1, Some k)))
-      t
-      (Ok (0, None))
+    let acc = ref (Ok (0, None)) in
+    for i = 0 to num_blocks t.index - 1 do
+      acc := verify_block i !acc
+    done;
+    !acc
   with
   | exception Corrupt msg -> Error msg
   | Error _ as e -> e

@@ -88,18 +88,20 @@ val find_last_le_with : t -> string -> (Block.Iter.iter -> 'a option) -> 'a opti
     to the calling domain and is reused by its next lookup.
 
     The lookup is two binary searches: {!index_seek} over the decoded
-    index, then {!Block.Iter.seek_le} over the entered block's key
-    directory (and the block before, when the entered one holds nothing
-    [<= probe]). Under separators past each block's last user key (the
-    internal-key order's) a probe [(k, max_ts)] for a stored [k] enters
-    one block. A table whose separators are its blocks' last keys
-    (written by the default [separator], or before the internal-key
-    order had one) sends a probe just past a block's last key into the
-    next block and falls back, with the same answer. The lookup that
-    builds a block's directory charges its bytes to the block's cache
-    entry ({!Cache.charge}); the others, and every lookup into a block
-    evicted meanwhile, charge nothing. A cache-hit lookup allocates
-    nothing but [f]'s result and the loader closure. *)
+    index, then {!Block.Iter.seek_le} over the entered block's restart
+    array, comparing keys where they lie in the block (and the block
+    before, when the entered one holds nothing [<= probe]). Data blocks
+    are written with a restart at every entry, so the restart found is
+    the entry; a table written with longer restart runs reads through
+    the same search and a scan of one run. Under separators past each
+    block's last user key (the internal-key order's) a probe
+    [(k, max_ts)] for a stored [k] enters one block. A table whose
+    separators are its blocks' last keys (written by the default
+    [separator], or before the internal-key order had one) sends a probe
+    just past a block's last key into the next block and falls back,
+    with the same answer. A cached block is searched as it was read: a
+    lookup builds nothing and adds no weight to the cache. A cache-hit
+    lookup allocates nothing but [f]'s result and the loader closure. *)
 
 module Iter : sig
   (** Two-level iterator with forward-scan readahead on a miss: when a
@@ -145,10 +147,12 @@ val to_list : t -> (string * string) list
 val verify : t -> (int, string) result
 (** Full integrity pass: re-read the index, bloom-filter and properties
     blocks from disk (bypassing the eagerly-loaded in-memory copies),
-    decode every data block (checksums are validated on read), check
-    strict key ordering under the comparator, and check the entry count
-    and key range against the properties block. Returns the number of
-    entries, or a description of the first inconsistency. *)
+    decode every data block (checksums are validated on read) and check
+    that its restarts fall on entries stored whole
+    ({!Block.check_entries}), check strict key ordering under the
+    comparator, and check the entry count and key range against the
+    properties block. Returns the number of entries, or a description
+    of the first inconsistency. *)
 
 type scrub_progress = {
   blocks_checked : int;  (** blocks re-verified this slice *)

@@ -39,7 +39,7 @@ let flush_out t =
    final name only after the full contents are fsynced, so a [.sst] that
    exists is always complete; a crash mid-build leaves only a [.tmp] file
    that recovery deletes. *)
-let create ?(block_size = 4096) ?(restart_interval = 16) ?(bits_per_key = 10)
+let create ?(block_size = 4096) ?(bits_per_key = 10)
     ?(filter_key_of = Fun.id) ?(env = Env.unix) ~cmp ~path () =
   if block_size < 64 then invalid_arg "Table_builder.create: block_size";
   let tmp_path = path ^ ".tmp" in
@@ -53,7 +53,7 @@ let create ?(block_size = 4096) ?(restart_interval = 16) ?(bits_per_key = 10)
     env;
     writer = env.Env.create_writer tmp_path;
     out = Buffer.create (flush_bytes + block_size);
-    data = Block_builder.create ~restart_interval ();
+    data = Block_builder.create ~restart_interval:1 ();
     index = Block_builder.create ~restart_interval:1 ();
     offset = 0;
     pending_index = None;

@@ -1,6 +1,7 @@
 (** Streaming writer of sorted table files (the SSTables forming the disk
     component). Keys must be added in strictly increasing comparator order;
-    data blocks are cut at [block_size], an index entry records each
+    data blocks are cut at [block_size], with a restart at every entry
+    so each key is stored whole (see {!Block}), an index entry records each
     block's separator, and one Bloom filter covers the whole table. The
     separator is the comparator's [separator] of the block's last key and
     the next block's first key: the last key itself under
@@ -18,7 +19,6 @@ type t
 
 val create :
   ?block_size:int ->
-  ?restart_interval:int ->
   ?bits_per_key:int ->
   ?filter_key_of:(string -> string) ->
   ?env:Clsm_env.Env.t ->
@@ -26,8 +26,8 @@ val create :
   path:string ->
   unit ->
   t
-(** Defaults: [block_size] 4096 bytes, [restart_interval] 16,
-    [bits_per_key] 10, [filter_key_of] identity, [env] {!Clsm_env.Env.unix}.
+(** Defaults: [block_size] 4096 bytes, [bits_per_key] 10,
+    [filter_key_of] identity, [env] {!Clsm_env.Env.unix}.
     [filter_key_of] maps each stored key to the key the Bloom filter
     indexes — the LSM layer passes the user-key extractor so probes by
     user key work across versions. *)

@@ -104,7 +104,7 @@ let cached_point_lookups_allocate_their_result () =
 
 (* The same budget on production-shaped keys: 40 B user keys sharing a
    35-byte prefix, 1 KB values. Every comparison on the path — the
-   index search, the block's key directory, the version check — runs
+   index search, the block's restart search, the version check — runs
    the word-at-a-time compare over the shared prefix, so a word boxed
    there would show here as dozens of words per lookup; a compare on
    its own allocates nothing. *)
@@ -232,7 +232,7 @@ let seek_words db =
 
 let seek_cost_ignores_file_count () =
   let few, many =
-    ( with_scan_store "few" ~target_file_size:(1 lsl 20) (fun db ->
+    ( with_scan_store "few" ~target_file_size:(2 lsl 20) (fun db ->
           (Db.level_file_counts db, seek_words db)),
       with_scan_store "many" ~target_file_size:(100 * 1024) (fun db ->
           (Db.level_file_counts db, seek_words db)) )
@@ -255,9 +255,12 @@ let direct_major_words () =
   major -. promoted
 
 (* A point lookup that misses the block cache reads its block once:
-   [rf_read]'s image is verified and parsed where it lies, so the lookup
-   puts one image on the major heap, beside the key directory it builds
-   and a few words, not an image and a copy of its payload. *)
+   [rf_read]'s image is verified and parsed where it lies and searched
+   as it lies, so the lookup puts one image on the major heap and a few
+   words, not an image and a copy of its payload, and builds nothing
+   beside it. A table opened without a cache reads the block on every
+   lookup, under the same budget, and allocates no more than a cached
+   lookup beyond its result on the minor heap. *)
 let block_miss_allocates_one_image () =
   let path = Filename.concat (Test_dirs.dir "alloc_miss") "t.sst" in
   let b =
@@ -271,34 +274,50 @@ let block_miss_allocates_one_image () =
     Clsm_sstable.Cache.create ~capacity:(64 lsl 20)
       ~weight:Clsm_sstable.Block.size_bytes ()
   in
-  let t = Table.open_file ~cache ~cmp:Clsm_sstable.Comparator.bytewise path in
-  let anchors = Table.index_anchors t in
+  let cached = Table.open_file ~cache ~cmp:Clsm_sstable.Comparator.bytewise path in
+  let uncached = Table.open_file ~cmp:Clsm_sstable.Comparator.bytewise path in
+  let anchors = Table.index_anchors cached in
   Alcotest.(check bool) "4 KB blocks" true
     (List.length anchors > 20 && List.for_all (fun (_, size) -> size >= 4096) anchors);
+  let major_words t last_key =
+    Gc.minor ();
+    let w0 = direct_major_words () in
+    let found = Table.find_last_le t last_key in
+    let words = direct_major_words () -. w0 in
+    Alcotest.(check (option string)) "found" (Some last_key) (Option.map fst found);
+    words
+  in
   List.iteri
     (fun i (last_key, size) ->
       if i mod 5 = 0 then begin
-        let misses = (Clsm_sstable.Cache.stats cache).Clsm_sstable.Cache.misses in
-        let weight = (Clsm_sstable.Cache.stats cache).Clsm_sstable.Cache.weight in
-        Gc.minor ();
-        let w0 = direct_major_words () in
-        let found = Table.find_last_le t last_key in
-        let words = direct_major_words () -. w0 in
-        let after = Clsm_sstable.Cache.stats cache in
-        Alcotest.(check int) "a miss" (misses + 1) after.Clsm_sstable.Cache.misses;
-        Alcotest.(check (option string)) "found" (Some last_key) (Option.map fst found);
-        (* The image and its header; the charge beyond the block's own
-           weight is its directory. *)
+        (* The image and its header. *)
         let image = ((size + Clsm_sstable.Table_format.block_trailer_length) / 8) + 2 in
-        let directory = (after.Clsm_sstable.Cache.weight - weight - size) / 8 in
+        let within what words =
+          Alcotest.(check bool)
+            (Printf.sprintf "block %d, %s: %.0f major words <= image %d + 32" i what
+               words image)
+            true
+            (words <= float_of_int (image + 32))
+        in
+        let misses = (Clsm_sstable.Cache.stats cache).Clsm_sstable.Cache.misses in
+        within "a cache miss" (major_words cached last_key);
+        Alcotest.(check int) "a miss" (misses + 1)
+          (Clsm_sstable.Cache.stats cache).Clsm_sstable.Cache.misses;
+        within "no cache" (major_words uncached last_key);
+        let result = Table.find_last_le uncached last_key in
+        let minor =
+          words_per_call 1 (fun _ ->
+              ignore (Sys.opaque_identity (Table.find_last_le uncached last_key)))
+          -. float_of_int (Obj.reachable_words (Obj.repr result))
+        in
         Alcotest.(check bool)
-          (Printf.sprintf "block %d: %.0f major words <= image %d + directory %d + 32"
-             i words image directory)
-          true
-          (words <= float_of_int (image + directory + 32))
+          (Printf.sprintf "block %d, no cache: %.0f minor words beyond the result <= 40" i
+             minor)
+          true (minor <= 40.0)
       end)
     anchors;
-  Table.close t
+  Table.close cached;
+  Table.close uncached
 
 let suites =
   [

@@ -178,9 +178,9 @@ let prop_block_seek_le_matches_model =
    block, then for each target checks the entry [seek] or [seek_le]
    lands on, key and value, and every entry [next] reaches after it.
    Keys share a 14-byte prefix and differ in a short tail, so most
-   entries store a byte or two of their own, and [next] after [seek_le]
-   continues from a key copied whole out of the key directory at
-   restart and block edges. One iterator, rebound with [reset], serves
+   entries store a byte or two of their own, and [next] after [seek] or
+   [seek_le] continues from a key decoded whole at a restart, or rebuilt
+   by the scan through a run, at restart and block edges. One iterator, rebound with [reset], serves
    every case, so stale key buffers from a previous block are exercised
    too. *)
 type block_case = {
@@ -271,6 +271,307 @@ let prop_block_iter_matches_oracle =
              && (Block.Iter.seek_le it target; yields (from_last_le target)))
            c.targets)
 
+(* ---------- Block: structure-aware fuzz ---------- *)
+
+(* A valid block, cut at restart interval 1, 2 or 16, with one decoded
+   field changed: an entry's varint re-encoded with another value (a
+   length) or replaced by malformed bytes (a varint), a restart offset,
+   the restart count, or bytes spliced in. The trailer is left as the
+   edit leaves it, as a block whose CRC was resealed would be. *)
+type mutation =
+  | Field of int * int * int (* entry, field (shared, non_shared, value_len), value *)
+  | Varint_bytes of int * int * string (* entry, field, bytes *)
+  | Restart of int * int (* restart, offset *)
+  | Num_restarts of int
+  | Splice of int * int * string (* position, bytes removed, bytes inserted *)
+
+type fuzz_case = {
+  f_interval : int;
+  f_entries : (string * string) list;
+  mutation : mutation;
+  f_targets : string list;
+}
+
+let print_mutation = function
+  | Field (e, f, v) -> Printf.sprintf "Field (entry %d, field %d, %d)" e f v
+  | Varint_bytes (e, f, b) ->
+      Printf.sprintf "Varint_bytes (entry %d, field %d, %S)" e f b
+  | Restart (i, off) -> Printf.sprintf "Restart (%d, %d)" i off
+  | Num_restarts n -> Printf.sprintf "Num_restarts %d" n
+  | Splice (p, d, b) -> Printf.sprintf "Splice (at %d, remove %d, insert %S)" p d b
+
+let print_fuzz_case c =
+  Printf.sprintf "interval=%d entries=[%s] %s targets=[%s]" c.f_interval
+    (String.concat "; "
+       (List.map (fun (k, v) -> Printf.sprintf "%S=%S" k v) c.f_entries))
+    (print_mutation c.mutation)
+    (String.concat "; " (List.map String.escaped c.f_targets))
+
+let gen_fuzz_case =
+  let open QCheck.Gen in
+  let prefix = oneofl [ ""; "ab"; "abcabc" ] in
+  let key = map2 ( ^ ) prefix (string_size ~gen:(char_range 'a' 'c') (0 -- 4)) in
+  let some_bytes n = string_size ~gen:char (0 -- n) in
+  oneofl [ 1; 2; 16 ] >>= fun f_interval ->
+  list_size (0 -- 40) key >>= fun keys ->
+  let keys = List.sort_uniq String.compare keys in
+  list_repeat (List.length keys) (some_bytes 10) >>= fun values ->
+  let f_entries = List.combine keys values in
+  let value =
+    oneof
+      [
+        0 -- 300;
+        oneofl [ 0; 1; 2; 127; 128; 1 lsl 20; 1 lsl 40; max_int ];
+      ]
+  in
+  let malformed_varint =
+    oneofl
+      [
+        "\x80";
+        "\xff\xff";
+        String.make 9 '\xff' ^ "\x01";
+        String.make 10 '\x80';
+        String.make 8 '\xff' ^ "\x7f";
+        "\x80\x00";
+      ]
+  in
+  let offset =
+    oneof [ 0 -- 600; oneofl [ 0; 1; 4095; 0xffffffff ] ]
+  in
+  let mutation =
+    oneof
+      [
+        map3 (fun e f v -> Field (e, f, v)) nat (0 -- 2) value;
+        map3 (fun e f b -> Varint_bytes (e, f, b)) nat (0 -- 2) malformed_varint;
+        map2 (fun i off -> Restart (i, off)) nat offset;
+        map (fun n -> Num_restarts n) (oneof [ 0 -- 50; oneofl [ 0xffffffff; 1 lsl 30 ] ]);
+        map3 (fun p d b -> Splice (p, d, b)) nat (0 -- 4) (some_bytes 4);
+      ]
+  in
+  mutation >>= fun mutation ->
+  let near k =
+    oneofl [ k; k ^ "\x00"; String.sub k 0 (Int.max 0 (String.length k - 1)) ]
+  in
+  let present = if keys = [] then return "" else oneofl keys >>= near in
+  list_size (1 -- 8) (oneof [ present; key; oneofl [ ""; "\xff" ] ]) >>= fun f_targets ->
+  return { f_interval; f_entries; mutation; f_targets }
+
+(* The block format read by a decoder written from it alone. *)
+type block_model = {
+  refused : bool; (* the trailer or restart array is malformed *)
+  limit : int; (* end of the entry region *)
+  decoded : (int * int * string * string) list;
+      (* each entry that decodes, in order: offset, shared, key, value *)
+  decodes : bool; (* every entry decodes *)
+  restarts_whole : bool; (* each restart is an entry that stores its key whole *)
+  ordered : bool; (* keys strictly increase *)
+}
+
+let model_block data =
+  let n = String.length data in
+  let refused = { refused = true; limit = 0; decoded = []; decodes = false;
+                  restarts_whole = false; ordered = false } in
+  let get32 pos = Clsm_util.Binary.get_fixed32 data ~pos in
+  if n < 4 then refused
+  else
+    let nr = get32 (n - 4) in
+    if nr < 1 || 4 + (4 * nr) > n then refused
+    else
+      let limit = n - 4 - (4 * nr) in
+      let restarts = List.init nr (fun i -> get32 (limit + (4 * i))) in
+      let rec well_placed prev = function
+        | [] -> true
+        | r :: rest -> r > prev && r < limit && well_placed r rest
+      in
+      if List.hd restarts <> 0 || not (well_placed 0 (List.tl restarts)) then refused
+      else
+        let region = String.sub data 0 limit in
+        let rec decode acc prev pos =
+          if pos >= limit then (List.rev acc, true)
+          else
+            match
+              let shared, p = Clsm_util.Varint.read region ~pos in
+              let non_shared, p = Clsm_util.Varint.read region ~pos:p in
+              let value_len, p = Clsm_util.Varint.read region ~pos:p in
+              if non_shared > limit - p || value_len > limit - p - non_shared
+                 || shared > String.length prev
+              then None
+              else
+                Some
+                  ( shared,
+                    String.sub prev 0 shared ^ String.sub region p non_shared,
+                    String.sub region (p + non_shared) value_len,
+                    p + non_shared + value_len )
+            with
+            | exception Clsm_util.Varint.Corrupt _ -> (List.rev acc, false)
+            | None -> (List.rev acc, false)
+            | Some (shared, key, value, next) ->
+                decode ((pos, shared, key, value) :: acc) key next
+        in
+        let decoded, decodes = decode [] "" 0 in
+        let restarts_whole =
+          limit = 0
+          || List.for_all
+               (fun r -> List.exists (fun (off, shared, _, _) -> off = r && shared = 0) decoded)
+               restarts
+        in
+        let rec ordered = function
+          | (_, _, a, _) :: ((_, _, b, _) :: _ as rest) -> a < b && ordered rest
+          | [ _ ] | [] -> true
+        in
+        { refused = false; limit; decoded; decodes; restarts_whole;
+          ordered = ordered decoded }
+
+exception Read_outside_entries of string
+
+(* [bytewise], refusing to compare a key that does not lie inside the
+   entry region of the block under test: every key a search compares
+   in place must have passed the block's extent checks. *)
+let fuzz_data = ref "" and fuzz_limit = ref 0
+
+let checked_bytewise =
+  Comparator.make ~name:"bytewise" (fun s pos len target ->
+      let bound = if s == !fuzz_data then !fuzz_limit else String.length s in
+      if pos < 0 || len < 0 || len > bound - pos then
+        raise
+          (Read_outside_entries
+             (Printf.sprintf "compare at %d, %d bytes, bound %d" pos len bound));
+      Comparator.bytewise_compare_sub s pos len target)
+
+let mutate data entry_offsets mutation =
+  let n = String.length data in
+  let limit = n - 4 - (4 * Clsm_util.Binary.get_fixed32 data ~pos:(n - 4)) in
+  let splice pos del ins =
+    String.sub data 0 pos ^ ins ^ String.sub data (pos + del) (n - pos - del)
+  in
+  let put32 pos v =
+    let b = Bytes.of_string data in
+    Clsm_util.Binary.put_fixed32 b ~pos (v land 0xffffffff);
+    Bytes.to_string b
+  in
+  (* Bytes [a, b) of field [f] of entry [e]. *)
+  let field e f =
+    let start = entry_offsets.(e mod Array.length entry_offsets) in
+    let rec go pos i =
+      let _, next = Clsm_util.Varint.read data ~pos in
+      if i = f then (pos, next) else go next (i + 1)
+    in
+    go start 0
+  in
+  let encode v =
+    let b = Buffer.create 10 in
+    Clsm_util.Varint.write b v;
+    Buffer.contents b
+  in
+  match mutation with
+  | (Field _ | Varint_bytes _) when entry_offsets = [||] -> data
+  | Field (e, f, v) ->
+      let a, b = field e f in
+      splice a (b - a) (encode v)
+  | Varint_bytes (e, f, bytes) ->
+      let a, b = field e f in
+      splice a (b - a) bytes
+  | Restart (i, off) ->
+      let nr = (n - 4 - limit) / 4 in
+      put32 (limit + (4 * (i mod nr))) off
+  | Num_restarts v -> put32 (n - 4) v
+  | Splice (p, d, ins) ->
+      let p = p mod (n + 1) in
+      splice p (Int.min d (n - p)) ins
+
+let fuzz_iter = Block.Iter.make (build_block [])
+
+(* Each call gives the model's answer or raises [Block.Corrupt]:
+   - [parse] refuses exactly the blocks whose restart array is
+     malformed;
+   - [fold] reads every entry, so it returns the model's entries or
+     raises when one does not decode;
+   - [check_entries] raises exactly when an entry does not decode or a
+     restart is not an entry stored whole;
+   - [seek], [seek_le] and [next] answer as a sorted list would on a
+     block that passes both and is ordered, never raise on one that
+     passes both, and otherwise return or raise.
+   Any other exception, or a compare outside the entry region, fails. *)
+let prop_block_fuzz =
+  QCheck.Test.make ~name:"mutated blocks give the model's answer or Corrupt"
+    ~count:1000
+    (QCheck.make ~print:print_fuzz_case gen_fuzz_case)
+    (fun c ->
+      let b = Block_builder.create ~restart_interval:c.f_interval () in
+      List.iter (fun (k, v) -> Block_builder.add b ~key:k ~value:v) c.f_entries;
+      let valid = Block_builder.finish b in
+      let offsets =
+        Array.of_list (List.map (fun (off, _, _, _) -> off) (model_block valid).decoded)
+      in
+      let data = mutate valid offsets c.mutation in
+      let m = model_block data in
+      fuzz_data := data;
+      fuzz_limit := m.limit;
+      let fail fmt = QCheck.Test.fail_reportf ("%s on %S: " ^^ fmt) (print_mutation c.mutation) data in
+      let corrupt f = match f () with _ -> false | exception Block.Corrupt _ -> true in
+      match Block.parse checked_bytewise data with
+      | exception Block.Corrupt msg ->
+          if not m.refused then fail "parse refused it: %s" msg;
+          true
+      | block ->
+          if m.refused then fail "parse accepted it";
+          let entries = List.map (fun (_, _, k, v) -> (k, v)) m.decoded in
+          (match Block.Iter.fold (fun k v acc -> (k, v) :: acc) block [] with
+          | exception Block.Corrupt msg ->
+              if m.decodes then fail "fold raised %s" msg
+          | got ->
+              if not m.decodes then fail "fold read an entry that does not decode";
+              if List.rev got <> entries then fail "fold differs from the model");
+          let sound = m.decodes && m.restarts_whole in
+          if corrupt (fun () -> Block.check_entries block) = sound then
+            fail "check_entries %s" (if sound then "raised" else "passed");
+          let it = fuzz_iter in
+          Block.Iter.reset it block;
+          let rec yields = function
+            | [] -> not (Block.Iter.valid it)
+            | (k, v) :: rest ->
+                Block.Iter.valid it
+                && Block.Iter.key it = k
+                && Block.Iter.value it = v
+                && (Block.Iter.next it; yields rest)
+          in
+          let rec drop_while p = function
+            | x :: rest when p x -> drop_while p rest
+            | l -> l
+          in
+          let rec last_le t acc = function
+            | [] -> acc
+            | ((k, _) :: rest) as l -> if k <= t then last_le t l rest else acc
+          in
+          List.iter
+            (fun t ->
+              let checks =
+                [
+                  ("seek", (fun () -> Block.Iter.seek it t),
+                    drop_while (fun (k, _) -> k < t) entries);
+                  ("seek_le", (fun () -> Block.Iter.seek_le it t), last_le t [] entries);
+                ]
+              in
+              List.iter
+                (fun (name, seek, expected) ->
+                  if sound && m.ordered then begin
+                    seek ();
+                    if not (yields expected) then fail "%s %S differs from the model" name t
+                  end
+                  else
+                    match
+                      seek ();
+                      for _ = 1 to 3 do
+                        Block.Iter.next it
+                      done
+                    with
+                    | () -> ()
+                    | exception Block.Corrupt msg ->
+                        if sound then fail "%s %S raised %s" name t msg)
+                checks)
+            c.f_targets;
+          true)
+
 (* ---------- Cache ---------- *)
 
 let cache_lru_eviction () =
@@ -311,23 +612,6 @@ let cache_find_or_add () =
   Cache.remove c 1;
   Alcotest.(check int) "reloaded" 42 (Cache.find_or_add c 1 load);
   Alcotest.(check int) "loaded twice" 2 !calls
-
-(* A charge lands on the entry that still holds the charged value, and
-   leaves with it; a value evicted or replaced meanwhile is not
-   charged. *)
-let cache_charge_follows_entry () =
-  let c = Cache.create ~shards:1 ~capacity:100 ~weight:String.length () in
-  let v1 = String.make 10 'a' in
-  Cache.insert c 1 v1;
-  Cache.charge c 1 v1 5;
-  Alcotest.(check int) "charged" 15 (Cache.stats c).Cache.weight;
-  Cache.insert c 1 (String.make 10 'b');
-  Alcotest.(check int) "replaced with its charge" 10 (Cache.stats c).Cache.weight;
-  Cache.charge c 1 v1 5;
-  Alcotest.(check int) "replaced value not charged" 10 (Cache.stats c).Cache.weight;
-  Cache.remove c 1;
-  Cache.charge c 1 v1 5;
-  Alcotest.(check int) "evicted value not charged" 0 (Cache.stats c).Cache.weight
 
 let cache_concurrent () =
   let c = Cache.create ~shards:4 ~capacity:64 ~weight:(fun _ -> 1) () in
@@ -490,38 +774,73 @@ let table_malformed_block_is_corrupt () =
   | Ok _ -> Alcotest.fail "verify passed a malformed block");
   Table.close t
 
-(* A malformed entry in the middle of a later block: the lookup that
-   builds the block's key directory meets it, raises it naming that
-   block, and publishes nothing, so the next lookup raises too. *)
-let table_malformed_later_block_is_corrupt () =
-  let path, _ = build_table "t_malformed_later" (sorted_pairs 100) in
+(* Block 1 of a table of [sorted_pairs 100], its payload edited in
+   place by [edit raw ~offset ~size] and its checksum resealed, so only
+   decoding can tell. Returns the path, the block's offset and its first
+   key. *)
+let table_with_edited_block name edit =
+  let path, _ = build_table name (sorted_pairs 100) in
   let t = Table.open_file ~cmp:Comparator.bytewise path in
   let anchors = Table.index_anchors t in
   Table.close t;
-  let size0 = snd (List.nth anchors 0) and size1 = snd (List.nth anchors 1) in
+  let size0 = snd (List.nth anchors 0) and size = snd (List.nth anchors 1) in
   let offset = size0 + Table_format.block_trailer_length in
   let raw = read_image path in
-  (* Entry 0 is [0; 9; value_len] and a 9-byte key; entry 1 follows its
-     value and shares a prefix with it. Claim a longer one. *)
-  let value_len = Char.code (Bytes.get raw (offset + 2)) in
-  let entry1 = offset + 3 + 9 + value_len in
-  Alcotest.(check bool) "entry 1 shares a prefix" true
-    (Char.code (Bytes.get raw entry1) > 0);
-  Bytes.set raw entry1 '\x7f';
-  reseal raw ~offset ~size:size1;
+  edit raw ~offset ~size;
+  reseal raw ~offset ~size;
   write_image path raw;
+  (path, offset, Bytes.sub_string raw (offset + 3) 9)
+
+(* Every lookup into the edited block raises naming it (twice: nothing
+   is kept from the first failure), and [Table.verify] reports it. *)
+let expect_block_corrupt path offset probe =
   let t = Table.open_file ~cmp:Comparator.bytewise path in
-  let first_key = Bytes.sub_string raw (offset + 3) 9 in
+  let names_block m = String.starts_with ~prefix:(Printf.sprintf "block@%d:" offset) m in
   for attempt = 1 to 2 do
-    match Table.find_last_le t first_key with
+    match Table.find_last_le t probe with
     | exception Table.Corrupt m ->
         Alcotest.(check bool)
           (Printf.sprintf "attempt %d names block@%d: %s" attempt offset m)
-          true
-          (String.starts_with ~prefix:(Printf.sprintf "block@%d:" offset) m)
+          true (names_block m)
     | _ -> Alcotest.failf "attempt %d read a malformed block" attempt
   done;
+  (match Table.verify t with
+  | Error m -> Alcotest.(check bool) ("verify names the block: " ^ m) true (names_block m)
+  | Ok _ -> Alcotest.fail "verify passed a malformed block");
   Table.close t
+
+(* A malformed entry in the middle of a later block: entry 1, a
+   restart, claims a shared prefix. The restart search for the block's
+   first key compares entry 1, so it meets it. *)
+let table_malformed_later_block_is_corrupt () =
+  let path, offset, first_key =
+    table_with_edited_block "t_malformed_later" (fun raw ~offset ~size:_ ->
+        (* Entry 0 is [0; 9; value_len] and a 9-byte key; entry 1
+           follows its value and stores its key whole. *)
+        let value_len = Char.code (Bytes.get raw (offset + 2)) in
+        let entry1 = offset + 3 + 9 + value_len in
+        Alcotest.(check bool) "entry 1 is stored whole" true
+          (Bytes.get raw entry1 = '\000' && Bytes.get raw (entry1 + 1) = '\009');
+        Bytes.set raw entry1 '\x7f')
+  in
+  expect_block_corrupt path offset first_key
+
+(* Restart offsets out of order in a later block: [Block.parse] refuses
+   it on the lookup's load. *)
+let table_restarts_out_of_order_refused () =
+  let path, offset, first_key =
+    table_with_edited_block "t_restart_order" (fun raw ~offset ~size ->
+        let num_restarts =
+          Clsm_util.Binary.get_fixed32 (Bytes.unsafe_to_string raw)
+            ~pos:(offset + size - 4)
+        in
+        let restart i = offset + size - 4 - (4 * num_restarts) + (4 * i) in
+        Alcotest.(check bool) "several restarts" true (num_restarts > 3);
+        let r1 = Bytes.sub raw (restart 1) 4 in
+        Bytes.blit raw (restart 2) raw (restart 1) 4;
+        Bytes.blit r1 0 raw (restart 2) 4)
+  in
+  expect_block_corrupt path offset first_key
 
 (* An index block whose CRC holds but whose first entry overruns the
    block is refused at open, naming the index block. *)
@@ -667,18 +986,16 @@ let prop_table_find_last_le =
       in
       got = expected)
 
-(* ---------- Table: decoded index and block key directories ---------- *)
+(* ---------- Table: the decoded index and the in-block search ---------- *)
 
 module Ik = Clsm_lsm.Internal_key
 
 (* A table of internal keys: each user key holds a run of versions at
    timestamps 10, 20, ..., so small blocks cut runs in two and a probe
    at an odd timestamp falls between two versions. *)
-let build_ik_table ~restart_interval ~block_size name entries =
+let build_ik_table ~block_size name entries =
   let path = tmp_path name in
-  let b =
-    Table_builder.create ~block_size ~restart_interval ~cmp:Ik.comparator ~path ()
-  in
+  let b = Table_builder.create ~block_size ~cmp:Ik.comparator ~path () in
   List.iter (fun (k, v) -> Table_builder.add b ~key:k ~value:v) entries;
   ignore (Table_builder.finish b);
   path
@@ -702,7 +1019,6 @@ let first_ge entries probe =
   List.find_opt (fun (k, _) -> Ik.compare_encoded k probe >= 0) entries
 
 type search_case = {
-  interval : int;
   block_size : int;
   runs : (string * int) list; (* user key, number of versions *)
   random_probes : string list;
@@ -711,16 +1027,14 @@ type search_case = {
 let gen_search_case =
   let open QCheck.Gen in
   let user_key = string_size ~gen:(char_range 'b' 'e') (1 -- 3) in
-  oneofl [ 1; 2; 16 ] >>= fun interval ->
   oneofl [ 64; 96; 160 ] >>= fun block_size ->
   list_size (10 -- 30) (pair user_key (1 -- 6)) >>= fun runs ->
   let ts = oneof [ 0 -- 70; return Ik.max_ts ] in
   list_size (0 -- 8) (map2 Ik.make (string_size ~gen:(char_range 'a' 'f') (0 -- 3)) ts)
-  >>= fun random_probes -> return { interval; block_size; runs; random_probes }
+  >>= fun random_probes -> return { block_size; runs; random_probes }
 
 let print_search_case c =
-  Printf.sprintf "interval=%d block_size=%d runs=[%s] probes=[%s]" c.interval
-    c.block_size
+  Printf.sprintf "block_size=%d runs=[%s] probes=[%s]" c.block_size
     (String.concat "; " (List.map (fun (k, n) -> Printf.sprintf "%s×%d" k n) c.runs))
     (String.concat "; " (List.map String.escaped c.random_probes))
 
@@ -736,8 +1050,7 @@ let prop_table_search_matches_fold =
          least one run straddles a block boundary. *)
       let entries = version_entries (("cz", 12) :: c.runs) in
       let path =
-        build_ik_table ~restart_interval:c.interval ~block_size:c.block_size
-          "t_prop_search" entries
+        build_ik_table ~block_size:c.block_size "t_prop_search" entries
       in
       let t = Table.open_file ~cmp:Ik.comparator path in
       let folded = Table.to_list t in
@@ -769,77 +1082,6 @@ let prop_table_search_matches_fold =
       in
       Table.close t;
       ok)
-
-(* Two domains race their first lookups into a fresh cached table. Both
-   get the reference answers, and the cache holds, beyond the open
-   table's reservation, each block entered plus exactly one key
-   directory for it (its keys' bytes plus 16 per entry plus 8), however
-   the builds raced. *)
-let table_lookup_race_charges_one_directory () =
-  let runs = List.init 300 (fun i -> (Printf.sprintf "user%04d" i, 1 + (i mod 4))) in
-  let entries = version_entries runs in
-  let path =
-    build_ik_table ~restart_interval:16 ~block_size:512 "t_race" entries
-  in
-  let plain = Table.open_file ~cmp:Ik.comparator path in
-  let blocks = Array.of_list (Table.index_anchors plain) in
-  (* Each entry is in the first block whose separator is >= it. *)
-  let block_of k = Table.index_seek plain k in
-  let members = Array.make (Array.length blocks) [] in
-  List.iter (fun (k, _) -> members.(block_of k) <- k :: members.(block_of k)) entries;
-  let probes =
-    List.filteri (fun i _ -> i mod 3 = 0) runs
-    |> List.map (fun (u, _) -> Ik.probe u)
-    |> Array.of_list
-  in
-  let expected = Array.map (fun p -> last_le entries p) probes in
-  (* A lookup enters the block [index_seek] names, and the one before
-     when that block holds nothing <= probe. *)
-  let entered = Hashtbl.create 64 in
-  Array.iter
-    (fun p ->
-      let i = Table.index_seek plain p in
-      let n = Array.length blocks in
-      if i < n then Hashtbl.replace entered i ();
-      let first_of j = List.nth members.(j) (List.length members.(j) - 1) in
-      if i > 0 && (i = n || Ik.compare_encoded (first_of i) p > 0) then
-        Hashtbl.replace entered (i - 1) ())
-    probes;
-  Table.close plain;
-  let cache = Cache.create ~capacity:(64 lsl 20) ~weight:Block.size_bytes () in
-  let t = Table.open_file ~cache ~cmp:Ik.comparator path in
-  let reserved = (Cache.stats cache).Cache.weight in
-  let ready = Atomic.make 0 in
-  let racer () =
-    Atomic.incr ready;
-    while Atomic.get ready < 2 do
-      Domain.cpu_relax ()
-    done;
-    Array.map (fun p -> Table.find_last_le t p) probes
-  in
-  let d1 = Domain.spawn racer and d2 = Domain.spawn racer in
-  let r1 = Domain.join d1 and r2 = Domain.join d2 in
-  Alcotest.(check bool) "first racer's answers" true (r1 = expected);
-  Alcotest.(check bool) "second racer's answers" true (r2 = expected);
-  let charged =
-    Hashtbl.fold
-      (fun i () acc ->
-        let keys = members.(i) in
-        let directory =
-          List.fold_left (fun a k -> a + String.length k + 16) 8 keys
-        in
-        acc + snd blocks.(i) + directory)
-      entered 0
-  in
-  Alcotest.(check bool) "more than one block entered" true
-    (Hashtbl.length entered > 1);
-  Alcotest.(check int) "blocks plus one directory each" (reserved + charged)
-    (Cache.stats cache).Cache.weight;
-  (* Lookups into blocks that have their directories charge nothing. *)
-  ignore (Array.map (fun p -> Table.find_last_le t p) probes);
-  Alcotest.(check int) "a second round charges nothing" (reserved + charged)
-    (Cache.stats cache).Cache.weight;
-  Table.close t
 
 (* ---------- Key order: the word-at-a-time compare ---------- *)
 
@@ -943,7 +1185,7 @@ let long_key_entries () =
 let table_lookup_enters_one_block () =
   let entries = long_key_entries () in
   let path =
-    build_ik_table ~restart_interval:16 ~block_size:4096 "t_one_block" entries
+    build_ik_table ~block_size:4096 "t_one_block" entries
   in
   let cache = Cache.create ~capacity:(64 lsl 20) ~weight:Block.size_bytes () in
   let t = Table.open_file ~cache ~cmp:Ik.comparator path in
@@ -969,7 +1211,7 @@ let table_lookup_enters_one_block () =
 let table_straddling_versions_keep_last_key () =
   let entries = long_key_entries () in
   let path =
-    build_ik_table ~restart_interval:16 ~block_size:4096 "t_straddle" entries
+    build_ik_table ~block_size:4096 "t_straddle" entries
   in
   let t = Table.open_file ~cmp:Ik.comparator path in
   let keys = List.map fst entries in
@@ -1045,6 +1287,70 @@ let prop_table_roundtrip =
       Table.close t;
       got = pairs)
 
+(* ---------- A store written at restart interval 16 ---------- *)
+
+(* test/data/interval16_store, written by test/data/write_interval16_store.sh
+   with a build whose tables cut data blocks at restart interval 16:
+   three tables and a write-ahead log. These are its contents. *)
+let interval16_contents =
+  let alphabet = "abcdefghijklmnopqrstuvwxyz" in
+  List.init 1250 (fun i ->
+      let value =
+        if i >= 1200 then Some (Printf.sprintf "wal-%d" i)
+        else if i mod 7 = 0 then None
+        else if i mod 3 = 1 then Some (Printf.sprintf "second-%d" i)
+        else Some (Printf.sprintf "value-%d-%s" i (String.sub alphabet 0 (i mod 27)))
+      in
+      (Printf.sprintf "key-%05d" i, value))
+
+(* The fixture beside the test executable, where dune copies it, or
+   under the source tree when the executable runs from the repo root. *)
+let interval16_fixture () =
+  let beside = Filename.concat (Filename.dirname Sys.executable_name) "data" in
+  let dir = if Sys.file_exists beside then beside else Filename.concat "test" "data" in
+  Filename.concat dir "interval16_store"
+
+let copy_dir src dst =
+  Unix.mkdir dst 0o755;
+  Array.iter
+    (fun f ->
+      let contents = In_channel.with_open_bin (Filename.concat src f) In_channel.input_all in
+      Out_channel.with_open_bin (Filename.concat dst f) (fun oc ->
+          Out_channel.output_string oc contents))
+    (Sys.readdir src)
+
+(* Every key by [get], a full [range] and [verify_integrity] on a copy
+   of the fixture: a store written before data blocks had a restart at
+   every entry reads through the restart search and its scan of each
+   run. *)
+let interval16_store_still_reads () =
+  let module Db = Clsm_core.Db in
+  let src = interval16_fixture () in
+  (* Its first table's first block holds runs of several entries. *)
+  let table = Filename.concat src "000004.sst" in
+  let t = Table.open_file ~cmp:Ik.comparator table in
+  let size = snd (List.hd (Table.index_anchors t)) in
+  Table.close t;
+  let image = In_channel.with_open_bin table In_channel.input_all in
+  let block = Block.parse ~len:size Ik.comparator image in
+  let entries = Block.Iter.fold (fun _ _ n -> n + 1) block 0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d entries on %d restarts" entries (Block.num_restarts block))
+    true
+    (entries > 2 * Block.num_restarts block);
+  let dir = Test_dirs.fresh "interval16" () in
+  copy_dir src dir;
+  let db = Db.open_store (Clsm_core.Options.default ~dir) in
+  List.iter
+    (fun (k, v) -> Alcotest.(check (option string)) ("get " ^ k) v (Db.get db k))
+    interval16_contents;
+  Alcotest.(check (list (pair string string)))
+    "range"
+    (List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) v) interval16_contents)
+    (Db.range db);
+  Alcotest.(check (list string)) "verify_integrity" [] (Db.verify_integrity db);
+  Db.close db
+
 let suites =
   [
     ( "sstable.bloom",
@@ -1071,13 +1377,12 @@ let suites =
           prop_block_seek_le_matches_model;
           prop_block_iter_matches_oracle;
         ] );
+    ("sstable.block.fuzz", List.map QCheck_alcotest.to_alcotest [ prop_block_fuzz ]);
     ( "sstable.cache",
       [
         Alcotest.test_case "lru eviction" `Quick cache_lru_eviction;
         Alcotest.test_case "weighted entries" `Quick cache_weighted;
         Alcotest.test_case "find_or_add" `Quick cache_find_or_add;
-        Alcotest.test_case "charge follows the entry" `Quick
-          cache_charge_follows_entry;
         Alcotest.test_case "concurrent" `Quick cache_concurrent;
       ] );
     ( "sstable.table",
@@ -1095,18 +1400,23 @@ let suites =
         Alcotest.test_case "find_last_le" `Quick table_find_last_le;
         Alcotest.test_case "malformed later block is Corrupt" `Quick
           table_malformed_later_block_is_corrupt;
+        Alcotest.test_case "restarts out of order refused" `Quick
+          table_restarts_out_of_order_refused;
         Alcotest.test_case "malformed index refused" `Quick
           table_malformed_index_refused;
         Alcotest.test_case "failed open closes its file" `Quick
           table_failed_open_closes_file;
-        Alcotest.test_case "racing lookups charge one directory" `Quick
-          table_lookup_race_charges_one_directory;
         Alcotest.test_case "a lookup enters one block" `Quick
           table_lookup_enters_one_block;
         Alcotest.test_case "straddling versions keep the last key" `Quick
           table_straddling_versions_keep_last_key;
         Alcotest.test_case "a last-key index still reads" `Quick
           table_last_key_index_still_reads;
+      ] );
+    ( "sstable.compat",
+      [
+        Alcotest.test_case "an interval-16 store still reads" `Quick
+          interval16_store_still_reads;
       ] );
     ( "sstable.comparator.props",
       List.map QCheck_alcotest.to_alcotest [ prop_comparators_match_reference ] );
