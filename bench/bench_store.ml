@@ -949,6 +949,83 @@ let merge_iter_rows ~scale ~samples =
       [ linear; row Merge_iter.merge_heap "heap" k ])
     [ 2; 4; 8; 16 ]
 
+(* What a parked domain costs everyone else: every minor collection
+   stops every domain, and one parked in [Condition.wait] must still be
+   scheduled before the collection proceeds. Wall ns per minor
+   collection while two domains (this one and one spawned) allocate
+   200 B objects, beside [parked] domains parked on a condition, as an
+   idle maintenance pool used to park its workers. The two rows start
+   1 + 0 and 1 + 3 domains. *)
+let stw_rows ~scale ~samples =
+  let objects = match scale with Smoke -> 400_000 | Full -> 2_000_000 in
+  let allocate () =
+    for _ = 1 to objects do
+      ignore (Sys.opaque_identity (Array.make 24 0) : int array)
+    done
+  in
+  let row parked =
+    let m = Mutex.create () and c = Condition.create () in
+    let waiting = ref 0 and stop = ref false in
+    let parkers =
+      List.init parked (fun _ ->
+          Domain.spawn (fun () ->
+              Mutex.protect m (fun () ->
+                  incr waiting;
+                  while not !stop do
+                    Condition.wait c m
+                  done)))
+    in
+    while Mutex.protect m (fun () -> !waiting < parked) do
+      Unix.sleepf 0.001
+    done;
+    (* the allocator runs sample [k] once [go] reaches it *)
+    let go = Atomic.make 0 and finished = Atomic.make 0 in
+    let allocator =
+      Domain.spawn (fun () ->
+          for k = 1 to samples do
+            while Atomic.get go < k do
+              Domain.cpu_relax ()
+            done;
+            allocate ();
+            Atomic.set finished k
+          done)
+    in
+    let runs =
+      List.init samples (fun k ->
+          let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+          let t0 = Time_ns.now_ns () in
+          Atomic.set go (k + 1);
+          allocate ();
+          while Atomic.get finished <= k do
+            Domain.cpu_relax ()
+          done;
+          let ns = Time_ns.now_ns () - t0 in
+          let n = (Gc.quick_stat ()).Gc.minor_collections - c0 in
+          (float_of_int ns /. float_of_int (max 1 n), n))
+      |> List.sort compare
+    in
+    Domain.join allocator;
+    Mutex.protect m (fun () ->
+        stop := true;
+        Condition.broadcast c);
+    List.iter Domain.join parkers;
+    let median, collections = List.nth runs (samples / 2) in
+    let best, _ = List.hd runs in
+    let name = Printf.sprintf "stw.minor_gc.parked%d" parked in
+    Printf.printf
+      "  %-30s median %8.0f ns/op   best %8.0f ns/op   (%d minor GCs)\n%!" name
+      median best collections;
+    J.Obj
+      [
+        ("kernel", J.Str name);
+        ("ops_per_sample", J.Int collections);
+        ("median_ns_per_op", J.Float median);
+        ("best_ns_per_op", J.Float best);
+      ]
+  in
+  let parked0 = row 0 in
+  [ parked0; row 3 ]
+
 let run_kernels ~scale ~out =
   Printf.printf "clsm kernel bench (%s scale, %d core(s), crc32c %s)\n%!"
     (scale_name scale)
@@ -1033,6 +1110,7 @@ let run_kernels ~scale ~out =
   let compare_rows = key_compare_rows ~scale ~samples in
   let clock_rows = clock_rows ~scale ~samples in
   let merge_iter_rows = merge_iter_rows ~scale ~samples in
+  let stw_rows = stw_rows ~scale ~samples in
   let doc =
     J.Obj
       [
@@ -1051,7 +1129,7 @@ let run_kernels ~scale ~out =
           J.List
             ([ crc_row; read_row; merge_row ]
             @ read_rows @ (long_key_row :: compare_rows) @ clock_rows
-            @ merge_iter_rows) );
+            @ merge_iter_rows @ stw_rows) );
       ]
   in
   let oc = open_out out in

@@ -45,14 +45,27 @@ val open_shard : clock:Clock.t -> Options.t -> t
     timestamp is consistent across all of them, and its snapshots can
     be read through any shard. *)
 
-val maintenance_next : t -> Clsm_maintenance.Job.t option
+val maintenance_next : t -> Clsm_maintenance.Job.t Clsm_maintenance.Scheduler.work
 (** Claim this store's highest-priority runnable maintenance job
-    ([None] when idle, stopped or degraded). Thread-safe; the claim
-    must be discharged with {!maintenance_run}. *)
+    ([Run]); else the earliest time a repair retry or a scrub pass falls
+    due ([Due]), or [Idle] (also when stopped). Thread-safe; a claim
+    must be discharged with {!maintenance_run} or
+    {!maintenance_abandon}. *)
 
 val maintenance_run : t -> Clsm_maintenance.Job.t -> unit
 (** Execute a job claimed by {!maintenance_next} and release its claim
     (exceptions are degraded into read-only mode, never propagated). *)
+
+val maintenance_abandon : t -> exn -> Clsm_maintenance.Job.t option -> unit
+(** No domain could be spawned (the exception) to run the claimed job,
+    if any: release its claim and degrade the store, whose maintenance
+    cannot run. *)
+
+val maintenance_domains : t -> int
+(** Maintenance worker slots held now by the store's own pool (0 for a
+    store opened with {!open_shard}); an idle store with nothing due
+    holds none once its workers' linger (a second) has passed. For
+    tests. *)
 
 val set_wake_hook : t -> (unit -> unit) -> unit
 (** Where "maintenance work exists" signals go for a store opened with

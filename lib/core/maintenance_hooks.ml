@@ -654,36 +654,54 @@ let run_repair t =
    flush check — its write path is exactly what is broken — and claims
    nothing but Repair, which is the way back out. A closing store
    claims nothing; the state is read under [cm], so a claim made before
-   [close] began is one [quiesce] sees and waits out. *)
-let next t =
+   [close] began is one [quiesce] sees and waits out.
+
+   Repair (with [auto_repair], while a verdict is pending or the store
+   is degraded) and Scrub (with a [scrub_interval]) fall due with time:
+   past its due time such a job is claimed when its slot is free (a held
+   one wakes the pool at its release); before it, and with nothing else
+   runnable, the earliest due time is reported, so the pool waits for
+   it with no clock of its own. *)
+let next t : Job.t Scheduler.work =
   let c = t.claims and h = t.heal in
   let now = Time_ns.now_s () in
   Mutex.protect c.cm (fun () ->
-      let repair_wanted ~degraded =
-        t.opts.Options.auto_repair
-        && Mutex.protect h.hm (fun () ->
-               now >= h.repair_next_due && (h.suspects <> [] || degraded))
+      let timed due tag job (found : Job.t Scheduler.work) =
+        match (found, due) with
+        | Scheduler.Run _, _ | _, None -> found
+        | _, Some d when d <= now ->
+            if claim_locked c tag then Scheduler.Run job else found
+        | Due d', Some d -> Due (Float.min d d')
+        | Idle, Some d -> Due d
       in
-      let scrub_due () =
-        t.opts.Options.scrub_interval > 0.0
-        && Mutex.protect h.hm (fun () -> now >= h.scrub_next_due)
+      let repair ~degraded =
+        timed
+          (Mutex.protect h.hm (fun () ->
+               if
+                 t.opts.Options.auto_repair && (h.suspects <> [] || degraded)
+               then Some h.repair_next_due
+               else None))
+          `Repair Job.Repair
+      in
+      let scrub =
+        timed
+          (if t.opts.Options.scrub_interval > 0.0 then
+             Some (Mutex.protect h.hm (fun () -> h.scrub_next_due))
+           else None)
+          `Scrub Job.Scrub
       in
       match Atomic.get t.state with
-      | Closing | Closed -> None
-      | Degraded _ ->
-          if repair_wanted ~degraded:true && claim_locked c `Repair then
-            Some Job.Repair
-          else None
+      | Closing | Closed -> Scheduler.Idle
+      | Degraded _ -> repair ~degraded:true Idle
       | Open -> (
-          if flush_needed t && claim_locked c `Flush then Some Job.Flush
-          else if repair_wanted ~degraded:false && claim_locked c `Repair
-          then Some Job.Repair
+          if flush_needed t && claim_locked c `Flush then Scheduler.Run Job.Flush
           else
-            match claim_compaction_locked t with
-            | Some _ as j -> j
-            | None ->
-                if scrub_due () && claim_locked c `Scrub then Some Job.Scrub
-                else None))
+            match repair ~degraded:false Idle with
+            | Run _ as job -> job
+            | found -> (
+                match claim_compaction_locked t with
+                | Some job -> Run job
+                | None -> scrub found)))
 
 let run_flush t =
   Fun.protect
@@ -698,6 +716,7 @@ let run_flush t =
       then if rotate t then ignore (flush_imm t))
 
 let run t (job : Job.t) =
+  Stats.incr t.stats Stats.maintenance_jobs;
   match job with
   | Job.Flush -> guard_io t ~what:"memtable flush" (fun () -> run_flush t)
   | Job.Repair ->
@@ -738,21 +757,33 @@ let run t (job : Job.t) =
               guard_io t ~what:"compaction" (fun () ->
                   run_claimed_compaction t cc)))
 
-(* Every state change wakes the workers, so only work that falls due
-   with time needs a clock: the next scrub pass and the retry of a
-   failed repair. Without either there is no ticker. *)
-let tick (opts : Options.t) =
-  if opts.scrub_interval > 0.0 then
-    Some (Float.min repair_damping opts.scrub_interval)
-  else if opts.auto_repair then Some repair_damping
-  else None
+(* Give back the claim of a job no domain could be spawned for, and
+   degrade the store: its maintenance cannot run. *)
+let abandon t e (job : Job.t option) =
+  degrade t ("maintenance: cannot spawn a worker: " ^ Printexc.to_string e);
+  match job with
+  | None -> ()
+  | Some Job.Flush -> release t `Flush
+  | Some Job.Repair -> release t `Repair
+  | Some Job.Scrub -> release t `Scrub
+  | Some (Job.Compact { src_level; target_level }) ->
+      let range = (src_level, target_level) in
+      Option.iter
+        (fun cc -> Refcounted.decr cc.Store_state.pinned)
+        (take_pending t range);
+      release_compaction t range
+
+let counted_spawn stats f =
+  let d = Domain.spawn f in
+  Stats.incr stats Stats.maintenance_spawns;
+  d
 
 let make_scheduler t =
   Scheduler.create ~num_workers:t.opts.Options.maintenance_workers
-    ?tick:(tick t.opts) ~pp:Job.pp
+    ~spawn:(counted_spawn t.stats) ~pp:Job.pp
     ~next:(fun () -> next t)
     ~run:(fun job -> run t job)
-    ()
+    ~spawn_failed:(abandon t) ()
 
 (* ---------- foreground maintenance ---------- *)
 

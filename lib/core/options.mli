@@ -37,9 +37,11 @@ type t = {
           reintroduces the Figure 3/4 races (scans may observe
           inconsistent states) *)
   maintenance_workers : int;
-      (** background worker domains for flush/compaction (default 2);
-          flushes and deep-level compactions proceed in parallel on
-          disjoint level ranges *)
+      (** at most N concurrent maintenance domains (default 2); none
+          while idle. A domain is spawned when a job is claimable and
+          exits a second after it last found one; flushes and
+          deep-level compactions proceed in parallel on disjoint level
+          ranges *)
   lsm : Clsm_lsm.Lsm_config.t;  (** disk component tuning *)
   env : Clsm_env.Env.t;
       (** storage environment all file IO goes through (default
@@ -64,8 +66,9 @@ type t = {
       (** seconds between background scrub passes over the disk component
           (default 30.0); [<= 0] disables scheduled scrubbing (explicit
           [scrub_now] still works). This and [auto_repair] are the only
-          work that falls due with time: with neither, the scheduler
-          runs no ticker *)
+          work that falls due with time: one maintenance domain waits
+          for the next pass, so with scrubbing off and nothing to repair
+          an idle store runs no maintenance domain *)
   auto_repair : bool;
       (** run the [Repair] maintenance job automatically: settle pending
           corruption verdicts (re-verify each suspect table; keep a

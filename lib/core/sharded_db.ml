@@ -118,19 +118,22 @@ let default_bounds n =
   Array.init (n - 1) (fun j -> String.make 1 (Char.chr ((j + 1) * 256 / n)))
 
 (* The shared pool's claim: a round-robin pass over the shards' claim
-   queues from a rotating start, so no shard starves the others. *)
-let next_job shards rr () =
+   queues from a rotating start, so no shard starves the others. With
+   nothing runnable, the earliest due time of any shard. *)
+let next_job shards rr () : (int * Job.t) Scheduler.work =
   let n = Array.length shards in
   let start = Atomic.fetch_and_add rr 1 in
-  let rec probe i =
-    if i >= n then None
+  let rec probe i found =
+    if i >= n then found
     else
       let s = (start + i) mod n in
-      match Db.maintenance_next shards.(s) with
-      | Some job -> Some (s, job)
-      | None -> probe (i + 1)
+      match (Db.maintenance_next shards.(s), found) with
+      | Scheduler.Run job, _ -> Run (s, job)
+      | Due d, Scheduler.Due d' -> probe (i + 1) (Due (Float.min d d'))
+      | Due d, _ -> probe (i + 1) (Due d)
+      | Idle, _ -> probe (i + 1) found
   in
-  probe 0
+  probe 0 Idle
 
 let pp_job ppf (shard, job) =
   Format.fprintf ppf "shard%d:%a" shard Job.pp job
@@ -143,7 +146,7 @@ module Core = struct
     bounds : string array; (* length = shards - 1, strictly ascending *)
     batch_lock : Shared_lock.t;
         (* batches shared / cross-shard getSnap exclusive, see above *)
-    stats : Stats.t; (* router-level counters (snapshot fences) *)
+    stats : Stats.t; (* router-level counters (snapshot fences, pool spawns) *)
     scheduler : (int * Job.t) Scheduler.t;
     state : Store_state.lifecycle Atomic.t;
   }
@@ -209,11 +212,16 @@ module Core = struct
         List.iter (fun s -> try Db.close s with _ -> ()) !opened;
         raise e
     in
+    let stats = Stats.create () in
     let scheduler =
       Scheduler.create ~num_workers:opts.Options.maintenance_workers
-        ?tick:(Maintenance_hooks.tick opts) ~pp:pp_job
+        ~spawn:(Maintenance_hooks.counted_spawn stats)
+        ~pp:pp_job
         ~next:(next_job shards (Atomic.make 0))
         ~run:(fun (i, job) -> Db.maintenance_run shards.(i) job)
+        ~spawn_failed:(fun e -> function
+          | Some (i, job) -> Db.maintenance_abandon shards.(i) e (Some job)
+          | None -> Array.iter (fun s -> Db.maintenance_abandon s e None) shards)
         ()
     in
     Array.iter
@@ -226,7 +234,7 @@ module Core = struct
       shards;
       bounds;
       batch_lock = Shared_lock.create ();
-      stats = Stats.create ();
+      stats;
       scheduler;
       state = Atomic.make Store_state.Open;
     }

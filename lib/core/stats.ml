@@ -37,6 +37,8 @@ type snapshot = {
   write_slowdowns : int;
   slowdown_delay_ns : int;
   maintenance_wakeups : int;
+  maintenance_spawns : int;
+  maintenance_jobs : int;
   scrubbed_blocks : int;
   corruptions_detected : int;
   quarantined_tables : int;
@@ -114,6 +116,8 @@ let stall_ns = metric "stall_ns" (fun s -> s.stall_ns)
 let write_slowdowns = metric "write_slowdowns" (fun s -> s.write_slowdowns)
 let slowdown_delay_ns = metric "slowdown_delay_ns" (fun s -> s.slowdown_delay_ns)
 let maintenance_wakeups = metric "maintenance_wakeups" (fun s -> s.maintenance_wakeups)
+let maintenance_spawns = metric "maintenance_spawns" (fun s -> s.maintenance_spawns)
+let maintenance_jobs = metric "maintenance_jobs" (fun s -> s.maintenance_jobs)
 let scrubbed_blocks = metric "scrubbed_blocks" (fun s -> s.scrubbed_blocks)
 let corruptions_detected = metric "corruptions_detected" (fun s -> s.corruptions_detected)
 let quarantined_tables = metric "quarantined_tables" (fun s -> s.quarantined_tables)
@@ -222,6 +226,8 @@ let read t : snapshot =
     write_slowdowns = get write_slowdowns;
     slowdown_delay_ns = get slowdown_delay_ns;
     maintenance_wakeups = get maintenance_wakeups;
+    maintenance_spawns = get maintenance_spawns;
+    maintenance_jobs = get maintenance_jobs;
     scrubbed_blocks = get scrubbed_blocks;
     corruptions_detected = get corruptions_detected;
     quarantined_tables = get quarantined_tables;

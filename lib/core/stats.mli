@@ -51,6 +51,10 @@ type snapshot = {
       (** scheduler signals: work created by a write (memtable over
           budget, stall, slowdown, corruption verdict) and every state
           change (claim released, version installed, store degraded) *)
+  maintenance_spawns : int;
+      (** worker domains the maintenance pool started; the pool keeps
+          none while idle, so each job burst costs at least one *)
+  maintenance_jobs : int;  (** maintenance jobs run *)
   scrubbed_blocks : int;  (** blocks re-verified by the scrub job *)
   corruptions_detected : int;  (** checksum/structure failures classified *)
   quarantined_tables : int;
@@ -106,6 +110,8 @@ val stall_ns : counter
 val write_slowdowns : counter
 val slowdown_delay_ns : counter
 val maintenance_wakeups : counter
+val maintenance_spawns : counter
+val maintenance_jobs : counter
 val scrubbed_blocks : counter
 val corruptions_detected : counter
 val quarantined_tables : counter

@@ -589,4 +589,10 @@ let cache_stats t =
 
 let maintenance_next t = Maintenance_hooks.next t
 let maintenance_run t job = Maintenance_hooks.run t job
+let maintenance_abandon t e job = Maintenance_hooks.abandon t e job
+
+let maintenance_domains t =
+  match t.scheduler with
+  | Some s -> Clsm_maintenance.Scheduler.live_workers s
+  | None -> 0
 let set_wake_hook t f = t.wake_hook <- Some f

@@ -8,22 +8,46 @@ type t = {
   next : unit -> unit;
 }
 
+(* The exceptions a table read raises for bytes that are the table's
+   fault: [Table.Corrupt] for a block that fails its checksum or does
+   not decode, and, in a checksum-valid block, the [Invalid_argument]
+   or [Failure] the internal-key order and the entry decoder raise for
+   a key shorter than its timestamp or an unknown entry tag. *)
+let table_fault = function
+  | Clsm_sstable.Table.Corrupt m | Invalid_argument m | Failure m -> Some m
+  | _ -> None
+
+let reraise_fault corruption e =
+  match table_fault e with Some m -> raise (corruption m) | None -> raise e
+
 let of_table ?(corruption = fun m -> Clsm_sstable.Table.Corrupt m) ?fill_cache
     table =
   let module T = Clsm_sstable.Table in
   let it = T.Iter.make ?fill_cache table in
+  (* [try] handlers, not wrapping closures: the translation allocates
+     nothing *)
   {
     seek_to_first =
       (fun () ->
-        try T.Iter.seek_to_first it with T.Corrupt m -> raise (corruption m));
+        try T.Iter.seek_to_first it with e -> reraise_fault corruption e);
     seek =
       (fun target ->
-        try T.Iter.seek it target with T.Corrupt m -> raise (corruption m));
+        try T.Iter.seek it target with e -> reraise_fault corruption e);
     valid = (fun () -> T.Iter.valid it);
-    key = (fun () -> T.Iter.key it);
+    key =
+      (fun () ->
+        let k = T.Iter.key it in
+        (* a seek to the first entry or a step compares no key: the
+           reader that gets this one would raise for it *)
+        if String.length k < Internal_key.ts_size then
+          raise (corruption "internal key shorter than its timestamp")
+        else k);
     value = (fun () -> T.Iter.value it);
-    entry = (fun () -> T.Iter.read_value it Entry.decode_at);
-    next = (fun () -> try T.Iter.next it with T.Corrupt m -> raise (corruption m));
+    entry =
+      (fun () ->
+        try T.Iter.read_value it Entry.decode_at
+        with e -> reraise_fault corruption e);
+    next = (fun () -> try T.Iter.next it with e -> reraise_fault corruption e);
   }
 
 let of_array arr =

@@ -19,13 +19,22 @@ type t = {
   next : unit -> unit;
 }
 
+val table_fault : exn -> string option
+(** The message of an exception a table read raises for bytes that are
+    the table's fault: {!Clsm_sstable.Table.Corrupt} (a block failing
+    its checksum or not decoding), or, in a checksum-valid block, the
+    [Invalid_argument] or [Failure] that the internal-key order and the
+    entry decoder raise for a key shorter than its timestamp or an
+    unknown entry tag; [None] for any other exception. The one
+    classification both the point lookup and the table iterator use. *)
+
 val of_table :
   ?corruption:(string -> exn) -> ?fill_cache:bool -> Clsm_sstable.Table.t -> t
-(** A table's entries. A block that fails its checksum or does not decode
-    — only seeks and steps load blocks — raises [corruption] of the
-    {!Clsm_sstable.Table.Corrupt} message (default: re-raise it).
-    [fill_cache] is {!Clsm_sstable.Table.Iter.make}'s: [false] streams
-    the table's blocks past the block cache, for compaction's inputs. *)
+(** A table's entries. A seek, step or entry decode that meets one of
+    {!table_fault}'s faults raises [corruption] of its message
+    (default: {!Clsm_sstable.Table.Corrupt}). [fill_cache] is
+    {!Clsm_sstable.Table.Iter.make}'s: [false] streams the table's
+    blocks past the block cache, for compaction's inputs. *)
 
 val of_array : (string * string) array -> t
 (** Over an array already sorted by the caller (tests, fixtures). Seek uses

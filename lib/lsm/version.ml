@@ -100,13 +100,11 @@ let search_file on_corrupt file ~user_key ~probe =
           read_hit user_key it)
     with
     | hit -> hit
-    | exception
-        ( Clsm_sstable.Table.Corrupt detail
-        | Invalid_argument detail
-        | Failure detail ) -> (
-        match on_corrupt with
-        | None -> raise (Table_file.typed_corruption tf detail)
-        | Some report ->
+    | exception e -> (
+        match (Iter.table_fault e, on_corrupt) with
+        | None, _ -> raise e
+        | Some detail, None -> raise (Table_file.typed_corruption tf detail)
+        | Some detail, Some report ->
             report tf detail;
             None)
 

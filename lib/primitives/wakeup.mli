@@ -15,7 +15,12 @@
         | None -> loop (Wakeup.wait cell ~seen)
       in
       loop (Wakeup.current cell)
-    ]} *)
+    ]}
+
+    {!wait_until} is a wait bounded by a deadline, for the maintenance
+    scheduler's workers: one lingering before it exits, or one waiting
+    for work that falls due with time (the next scrub pass or repair
+    retry). *)
 
 type t
 
@@ -32,5 +37,19 @@ val wait : t -> seen:int -> int
 (** Block until the generation differs from [seen]; returns the new
     generation. Returns immediately if it already differs. *)
 
+val wait_until : t -> seen:int -> deadline:float -> int
+(** {!wait}, but returning at [deadline] too (seconds on
+    {!Clsm_util.Time_ns.now_s}'s clock); the generation returned equals
+    [seen] when the deadline came first. The waiter parks in [select] on
+    a self-pipe of its own, opened on first need and kept for the next
+    deadline waiter: [Condition] has no timed wait. Should no pipe open,
+    or [select] refuse one (a descriptor past its limit), the wait
+    returns at the next signal only. *)
+
+val close : t -> unit
+(** Close the pipes {!wait_until} opened. Call it once no domain can
+    wait on the cell again. *)
+
 val waiters : t -> int
-(** Instantaneous number of blocked waiters (for stats and tests). *)
+(** Instantaneous number of blocked waiters, deadline waiters included
+    (for stats and tests). *)

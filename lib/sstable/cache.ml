@@ -115,7 +115,10 @@ let ring_add sh e =
 [@@requires_lock cache_shard]
 
 (* Swap-remove keeps the ring compact; CLOCK order is approximate anyway
-   and the reference bits carry the recency information. *)
+   and the reference bits carry the recency information. The entry moved
+   is the ring's last, usually the block inserted last: when it lands
+   under the hand (an eviction always removes the entry there), the
+   hand steps past it, or the newest block would be the next victim. *)
 let ring_remove sh e =
   let i = e.slot in
   assert (i >= 0 && i < sh.count);
@@ -127,7 +130,8 @@ let ring_remove sh e =
   end;
   sh.ring.(last) <- None;
   sh.count <- last;
-  if sh.hand >= sh.count then sh.hand <- 0
+  if i = sh.hand && i <> last then sh.hand <- (i + 1) mod last
+  else if sh.hand >= sh.count then sh.hand <- 0
 [@@requires_lock cache_shard]
 
 let drop_entry sh e =

@@ -443,6 +443,26 @@ let open_refuses_unkeyable_file () =
   | exception Invalid_argument _ -> ());
   Alcotest.(check bool) "the file was closed" true !closed
 
+(* CLOCK: an eviction swap-moves the ring's last entry, the one just
+   inserted, into the victim's slot under the hand; the hand must step
+   past it, or the newest entry is the next victim. In a full one-shard
+   cache of unreferenced entries, each insert evicts one entry, and
+   never the one inserted just before it. *)
+let newest_entry_survives_next_insert () =
+  let cap = 8 in
+  let c = Cache.create ~shards:1 ~capacity:cap ~weight:(fun _ -> 1) () in
+  for i = 0 to cap - 1 do
+    Cache.insert c i "v"
+  done;
+  for i = cap to (4 * cap) - 1 do
+    Cache.insert c i "v";
+    Cache.insert c (i + 1000) "v";
+    Alcotest.(check bool)
+      (Printf.sprintf "entry %d survives the insert after it" i)
+      true (Cache.mem c i);
+    Cache.remove c (i + 1000)
+  done
+
 let suites =
   [
     ( "cache.lockfree",
@@ -461,6 +481,11 @@ let suites =
       [
         Alcotest.test_case "pin + reservation accounting" `Quick
           pins_and_reservations;
+      ] );
+    ( "cache.clock",
+      [
+        Alcotest.test_case "the newest entry survives the next insert" `Quick
+          newest_entry_survives_next_insert;
       ] );
     ( "cache.keys",
       [

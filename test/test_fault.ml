@@ -651,8 +651,10 @@ let move_skips_quarantined () =
   let db, tables = two_disjoint_l0 f dir in
   let job =
     match Db.maintenance_next db with
-    | Some (Clsm_maintenance.Job.Compact _ as job) -> job
-    | Some _ | None -> Alcotest.fail "expected the L0 compaction claim"
+    | Clsm_maintenance.Scheduler.Run (Clsm_maintenance.Job.Compact _ as job) ->
+        job
+    | Clsm_maintenance.Scheduler.Run _ | Idle | Due _ ->
+        Alcotest.fail "expected the L0 compaction claim"
   in
   (* the newer table holds keys 21..40 *)
   let rotten = List.nth tables 1 in
@@ -691,8 +693,8 @@ let suspect_blocks_its_compaction () =
       | [] -> Alcotest.fail "setup: the scrub missed the damage"
       | _ -> ());
       (match Db.maintenance_next db with
-      | None -> ()
-      | Some job ->
+      | Clsm_maintenance.Scheduler.Idle | Due _ -> ()
+      | Clsm_maintenance.Scheduler.Run job ->
           (* run it, or [close] would wait for its claim forever *)
           Db.maintenance_run db job;
           Alcotest.failf "%s claimed while the verdict is pending"
@@ -761,14 +763,16 @@ let suspect_holds_back_only_its_range () =
       | [] -> Alcotest.fail "setup: the scrub missed the damage"
       | _ -> ());
       (match Db.maintenance_next db with
-      | Some (Clsm_maintenance.Job.Compact { src_level = 1; target_level = 2 }
-              as job) ->
+      | Clsm_maintenance.Scheduler.Run
+          (Clsm_maintenance.Job.Compact { src_level = 1; target_level = 2 }
+           as job) ->
           Db.maintenance_run db job
-      | Some job ->
+      | Clsm_maintenance.Scheduler.Run job ->
           Db.maintenance_run db job;
           Alcotest.failf "claimed %s"
             (Format.asprintf "%a" Clsm_maintenance.Job.pp job)
-      | None -> Alcotest.fail "a suspect in L0 held back L1's compaction");
+      | Clsm_maintenance.Scheduler.Idle | Due _ ->
+          Alcotest.fail "a suspect in L0 held back L1's compaction");
       Alcotest.(check int) "L0 still waits" 2
         (List.hd (Db.level_file_counts db));
       (match Db.repair_now db with

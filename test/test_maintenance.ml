@@ -43,6 +43,40 @@ let wakeup_wakes_sleeping_waiter () =
   Domain.join waiter;
   Alcotest.(check bool) "waiter woke" true (Atomic.get woke)
 
+(* A deadline wait returns the unchanged generation once the deadline
+   passes, and the new one as soon as a signal comes first, for every
+   deadline waiter at once; a later wait on the drained pipes starts
+   clean. *)
+let wakeup_wait_until () =
+  let w = Wakeup.create () in
+  let now = Clsm_util.Time_ns.now_s in
+  let seen = Wakeup.current w in
+  let t0 = now () in
+  Alcotest.(check int) "deadline first" seen
+    (Wakeup.wait_until w ~seen ~deadline:(t0 +. 0.05));
+  Alcotest.(check bool) "waited out the deadline" true (now () -. t0 >= 0.05);
+  let waiters =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            Wakeup.wait_until w ~seen ~deadline:(now () +. 3600.0)))
+  in
+  while Wakeup.waiters w < 2 do
+    Unix.sleepf 0.002
+  done;
+  let t1 = now () in
+  Wakeup.signal w;
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) "a signal ends each wait" true (Domain.join d > seen))
+    waiters;
+  Alcotest.(check bool) "promptly" true (now () -. t1 < 2.0);
+  let seen = Wakeup.current w in
+  let t2 = now () in
+  Alcotest.(check int) "the pipes were drained" seen
+    (Wakeup.wait_until w ~seen ~deadline:(t2 +. 0.02));
+  Alcotest.(check bool) "waited again" true (now () -. t2 >= 0.02);
+  Wakeup.close w
+
 (* ---------- Job model ---------- *)
 
 (* The store's claim order, read off [Db.maintenance_next] on a store
@@ -71,8 +105,8 @@ let job_priorities () =
   in
   let claim () =
     match Db.maintenance_next db with
-    | Some job -> job
-    | None -> Alcotest.fail "expected a claimable job"
+    | Scheduler.Run job -> job
+    | Scheduler.Idle | Due _ -> Alcotest.fail "expected a claimable job"
   in
   let job = Alcotest.testable Job.pp ( = ) in
   for round = 1 to 2 do
@@ -113,8 +147,8 @@ let move_store dir =
 
 let claim_flush db =
   match Db.maintenance_next db with
-  | Some Job.Flush -> Db.maintenance_run db Job.Flush
-  | Some _ | None -> Alcotest.fail "expected a flush claim"
+  | Scheduler.Run Job.Flush -> Db.maintenance_run db Job.Flush
+  | Scheduler.Run _ | Idle | Due _ -> Alcotest.fail "expected a flush claim"
 
 let tables_by_level dir =
   match Clsm_lsm.Manifest.load ~dir () with
@@ -240,52 +274,140 @@ let pinned_input_outlives_its_merge () =
 
 (* ---------- Scheduler ---------- *)
 
-(* With no ticker, only the wake signal can run the job: the scheduler
-   is event-driven, not polling. *)
-let scheduler_runs_on_wake_not_tick () =
-  let pending = Atomic.make 0 in
-  let ran = Atomic.make 0 in
-  let next () =
-    let rec claim () =
-      let n = Atomic.get pending in
-      if n <= 0 then None
-      else if Atomic.compare_and_set pending n (n - 1) then Some Job.Flush
-      else claim ()
-    in
-    claim ()
+(* A pool over a counter of pending jobs: [next] claims one, [run]
+   counts it. *)
+let counter_pool ?(num_workers = 2) ?linger ?spawn
+    ?(spawn_failed = fun _ _ -> ()) ?(run = fun () -> ()) () =
+  let pending = Atomic.make 0 and ran = Atomic.make 0 in
+  let rec next () =
+    let n = Atomic.get pending in
+    if n <= 0 then Scheduler.Idle
+    else if Atomic.compare_and_set pending n (n - 1) then Run Job.Flush
+    else next ()
   in
-  let run _job = Atomic.incr ran in
   let s =
-    Scheduler.create ~num_workers:2 ~pp:Job.pp ~next ~run ()
+    Scheduler.create ~num_workers ?linger ?spawn ~pp:Job.pp ~next
+      ~run:(fun _ -> run (); Atomic.incr ran)
+      ~spawn_failed ()
   in
+  (s, pending, ran)
+
+let await ?(within = 5.0) cond =
+  let deadline = Unix.gettimeofday () +. within in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.002
+  done;
+  cond ()
+
+(* Only the wake signal can run the job: the scheduler is event-driven,
+   not polling, and keeps no domain while nothing is runnable. *)
+let scheduler_runs_on_wake_not_tick () =
+  let s, pending, ran = counter_pool () in
   Scheduler.start s;
   Unix.sleepf 0.05;
   Alcotest.(check int) "idle until work exists" 0 (Atomic.get ran);
+  Alcotest.(check int) "no domain while idle" 0 (Scheduler.live_workers s);
   Atomic.set pending 3;
   Scheduler.wake s;
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while Atomic.get ran < 3 && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.002
-  done;
+  ignore (await (fun () -> Atomic.get ran >= 3) : bool);
+  Alcotest.(check bool) "the workers leave once idle" true
+    (await (fun () -> Scheduler.live_workers s = 0));
   Scheduler.stop s;
   Alcotest.(check int) "all jobs ran without a tick" 3 (Atomic.get ran);
   Alcotest.(check int) "jobs counted" 3 (Scheduler.jobs_run s)
 
-let scheduler_stop_joins_quickly () =
+(* The one worker left waits for the next due time on the wakeup cell,
+   with a deadline an hour out; [stop] must end that wait at once. *)
+let scheduler_stop_during_due_wait () =
+  let spawned = Atomic.make 0 in
   let s =
-    Scheduler.create ~num_workers:1 ~tick:3600.0 ~pp:Job.pp
-      ~next:(fun () -> None)
+    Scheduler.create ~num_workers:1
+      ~spawn:(fun f ->
+        Atomic.incr spawned;
+        Domain.spawn f)
+      ~pp:Job.pp
+      ~next:(fun () -> Scheduler.Due (Clsm_util.Time_ns.now_s () +. 3600.0))
       ~run:(fun _ -> ())
+      ~spawn_failed:(fun _ _ -> ())
       ()
   in
   Scheduler.start s;
+  Alcotest.(check bool) "one worker waits for the due time" true
+    (await (fun () -> Scheduler.live_workers s = 1));
+  Scheduler.wake s;
   Unix.sleepf 0.02;
+  Alcotest.(check int) "a wake while it waits spawns nothing" 1
+    (Atomic.get spawned);
   let t0 = Unix.gettimeofday () in
   Scheduler.stop s;
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool)
-    (Printf.sprintf "stop returned in %.3fs despite 1h tick" elapsed)
-    true (elapsed < 2.0)
+    (Printf.sprintf "stop returned in %.3fs despite a 1h deadline" elapsed)
+    true (elapsed < 2.0);
+  Alcotest.(check int) "no worker left" 0 (Scheduler.live_workers s)
+
+(* Producers add a job and wake, with seeded jitter, while the workers
+   run them in microseconds and then leave at once (no linger) or after
+   a 1 ms linger: wakes keep landing in a worker's exit, and in its
+   start to wait. Every job must still run, with no wake after the
+   last. *)
+let wake_racing_exit_strands_no_job () =
+  List.iter
+    (fun linger ->
+      let s, pending, ran = counter_pool ~linger () in
+      let producers = 2 and per_producer = 2000 in
+      let outcome =
+        Watchdog.run ~within:30.0 (fun () ->
+            let produce seed =
+              let rng = Random.State.make [| seed |] in
+              for _ = 1 to per_producer do
+                Atomic.incr pending;
+                Scheduler.wake s;
+                for _ = 1 to Random.State.int rng 200 do
+                  Domain.cpu_relax ()
+                done
+              done
+            in
+            let ds =
+              List.init producers (fun i ->
+                  Domain.spawn (fun () -> produce (41 + i)))
+            in
+            List.iter Domain.join ds;
+            await ~within:10.0 (fun () ->
+                Atomic.get ran = producers * per_producer))
+      in
+      Scheduler.stop s;
+      match outcome with
+      | Some (Ok true) ->
+          Alcotest.(check int) "none pending" 0 (Atomic.get pending)
+      | Some (Ok false) ->
+          Alcotest.failf "linger %g: %d of %d jobs ran; %d stranded" linger
+            (Atomic.get ran) (producers * per_producer) (Atomic.get pending)
+      | Some (Error e) -> raise e
+      | None -> Alcotest.fail "the race run did not finish in 30 s")
+    [ 0.0; 0.001 ]
+
+(* A spawn that fails hands the claimed job back, and pauses spawning. *)
+let failed_spawn_returns_the_claim () =
+  let returned = ref [] in
+  let s, pending, ran =
+    counter_pool
+      ~spawn:(fun _ -> failwith "no domain")
+      ~spawn_failed:(fun e job -> returned := (Printexc.to_string e, job) :: !returned)
+      ()
+  in
+  Atomic.set pending 2;
+  Scheduler.wake s;
+  Scheduler.wake s;
+  Scheduler.stop s;
+  Alcotest.(check int) "nothing ran" 0 (Atomic.get ran);
+  Alcotest.(check int) "one claim handed back, then a pause" 1
+    (List.length !returned);
+  (match !returned with
+  | [ (e, Some Job.Flush) ] ->
+      Alcotest.(check string) "the reason" "Failure(\"no domain\")" e
+  | _ -> Alcotest.fail "expected the claimed flush");
+  Alcotest.(check int) "no slot held" 0 (Scheduler.live_workers s)
 
 (* ---------- Backpressure curve ---------- *)
 
@@ -384,6 +506,8 @@ let stats_golden () =
   incr 1 Stats.write_slowdowns;
   Stats.add s Stats.slowdown_delay_ns 1234;
   incr 4 Stats.maintenance_wakeups;
+  incr 3 Stats.maintenance_spawns;
+  incr 5 Stats.maintenance_jobs;
   Stats.add s Stats.scrubbed_blocks 64;
   incr 1 Stats.corruptions_detected;
   incr 1 Stats.quarantined_tables;
@@ -401,7 +525,7 @@ let stats_golden () =
   Stats.record_install s ~kind:`Commit ~ns:40 ~manifest_bytes:80;
   let st = Stats.read s in
   Alcotest.(check string) "to_json"
-    "{\"puts\":3,\"gets\":2,\"deletes\":1,\"rmws\":1,\"rmw_conflicts\":1,\"snapshots\":2,\"scans\":1,\"memtable_rotations\":1,\"flushes\":2,\"compactions\":3,\"compactions_per_level\":[2,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0],\"compaction_ns\":777,\"bytes_flushed\":5000,\"bytes_compacted\":9000,\"compaction_moves\":1,\"bytes_moved\":4096,\"write_stalls\":1,\"stall_ns\":333,\"write_slowdowns\":1,\"slowdown_delay_ns\":1234,\"maintenance_wakeups\":4,\"scrubbed_blocks\":64,\"corruptions_detected\":1,\"quarantined_tables\":1,\"io_retries\":2,\"auto_repairs\":1,\"wal_group_commits\":2,\"wal_group_records\":4,\"wal_fsyncs_saved\":2,\"wal_windows_boarded\":1,\"wal_windows_expired\":2,\"commit_waits\":3,\"commit_wait_ns\":150000,\"commit_wait_p50_us\":52,\"commit_wait_p99_us\":52,\"get_ns\":2010000,\"get_p50_us\":10,\"get_p99_us\":2032,\"installs_flush\":1,\"install_ns_total_flush\":500,\"installs_compaction\":1,\"install_ns_total_compaction\":900,\"installs_quarantine\":0,\"install_ns_total_quarantine\":0,\"installs_commit\":1,\"install_ns_total_commit\":40,\"manifest_bytes_last\":80}"
+    "{\"puts\":3,\"gets\":2,\"deletes\":1,\"rmws\":1,\"rmw_conflicts\":1,\"snapshots\":2,\"scans\":1,\"memtable_rotations\":1,\"flushes\":2,\"compactions\":3,\"compactions_per_level\":[2,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0],\"compaction_ns\":777,\"bytes_flushed\":5000,\"bytes_compacted\":9000,\"compaction_moves\":1,\"bytes_moved\":4096,\"write_stalls\":1,\"stall_ns\":333,\"write_slowdowns\":1,\"slowdown_delay_ns\":1234,\"maintenance_wakeups\":4,\"maintenance_spawns\":3,\"maintenance_jobs\":5,\"scrubbed_blocks\":64,\"corruptions_detected\":1,\"quarantined_tables\":1,\"io_retries\":2,\"auto_repairs\":1,\"wal_group_commits\":2,\"wal_group_records\":4,\"wal_fsyncs_saved\":2,\"wal_windows_boarded\":1,\"wal_windows_expired\":2,\"commit_waits\":3,\"commit_wait_ns\":150000,\"commit_wait_p50_us\":52,\"commit_wait_p99_us\":52,\"get_ns\":2010000,\"get_p50_us\":10,\"get_p99_us\":2032,\"installs_flush\":1,\"install_ns_total_flush\":500,\"installs_compaction\":1,\"install_ns_total_compaction\":900,\"installs_quarantine\":0,\"install_ns_total_quarantine\":0,\"installs_commit\":1,\"install_ns_total_commit\":40,\"manifest_bytes_last\":80}"
     (Stats.to_json st);
   Alcotest.(check string) "pp"
     (String.concat "\n"
@@ -410,12 +534,12 @@ let stats_golden () =
       "snapshots=2 scans=1 memtable_rotations=1 flushes=2 compactions=3 [L0:2 L2:1]";
       "compaction_ns=777 bytes_flushed=5000 bytes_compacted=9000 compaction_moves=1 bytes_moved=4096";
       "write_stalls=1 stall_ns=333 write_slowdowns=1 slowdown_delay_ns=1234 maintenance_wakeups=4";
-      "scrubbed_blocks=64 corruptions_detected=1 quarantined_tables=1 io_retries=2 auto_repairs=1";
-      "wal_group_commits=2 wal_group_records=4 wal_fsyncs_saved=2 wal_windows_boarded=1 wal_windows_expired=2";
-      "commit_waits=3 commit_wait_ns=150000 commit_wait_p50_us=52 commit_wait_p99_us=52 get_ns=2010000";
-      "get_p50_us=10 get_p99_us=2032 installs_flush=1 install_ns_total_flush=500 installs_compaction=1";
-      "install_ns_total_compaction=900 installs_quarantine=0 install_ns_total_quarantine=0 installs_commit=1 install_ns_total_commit=40";
-      "manifest_bytes_last=80";
+      "maintenance_spawns=3 maintenance_jobs=5 scrubbed_blocks=64 corruptions_detected=1 quarantined_tables=1";
+      "io_retries=2 auto_repairs=1 wal_group_commits=2 wal_group_records=4 wal_fsyncs_saved=2";
+      "wal_windows_boarded=1 wal_windows_expired=2 commit_waits=3 commit_wait_ns=150000 commit_wait_p50_us=52";
+      "commit_wait_p99_us=52 get_ns=2010000 get_p50_us=10 get_p99_us=2032 installs_flush=1";
+      "install_ns_total_flush=500 installs_compaction=1 install_ns_total_compaction=900 installs_quarantine=0 install_ns_total_quarantine=0";
+      "installs_commit=1 install_ns_total_commit=40 manifest_bytes_last=80";
       ])
     (Format.asprintf "%a" Stats.pp st)
 
@@ -450,7 +574,7 @@ let stats_wiring () =
       end)
     Stats.catalogue;
   Alcotest.(check int) "cell rows"
-    (30 + (2 * Array.length Stats.install_kinds) + 1)
+    (32 + (2 * Array.length Stats.install_kinds) + 1)
     !cells;
   Alcotest.(check int) "snapshot field" (value 0) st.Stats.puts;
   Alcotest.(check int) "gauge field"
@@ -600,6 +724,108 @@ let flush_without_poll_tick () =
       Alcotest.(check (option string)) "read-back" (Some (String.make 64 'v'))
         (Db.get db "key-0199"))
 
+(* Options for the pool tests below: the bench's maintenance settings
+   (no background scrub, auto-repair on) on a store small enough that a
+   few thousand puts flush and compact many times. *)
+let pool_opts ?(scrub_interval = 0.0) ?env dir =
+  let base = Options.default ~dir in
+  {
+    base with
+    Options.memtable_bytes = 8 * 1024;
+    cache_bytes = 1 lsl 20;
+    env = Option.value env ~default:base.Options.env;
+    scrub_interval;
+    auto_repair = true;
+    lsm =
+      {
+        base.Options.lsm with
+        Clsm_lsm.Lsm_config.level1_max_bytes = 64 * 1024;
+        target_file_size = 16 * 1024;
+        block_size = 1024;
+      };
+  }
+
+let put_many db n =
+  for i = 0 to n - 1 do
+    Db.put db ~key:(Printf.sprintf "key-%05d" (i * 7919 mod n)) ~value:(String.make 64 'v')
+  done
+
+(* Once maintenance has nothing to do and nothing falls due, the store
+   keeps no maintenance domain, and starts none while nothing is
+   written. *)
+let idle_store_runs_no_domain () =
+  let db = Db.open_store (pool_opts (fresh_dir ())) in
+  Fun.protect
+    ~finally:(fun () -> Db.close db)
+    (fun () ->
+      put_many db 2000;
+      Db.compact_now db;
+      Alcotest.(check bool) "no maintenance domain after compact_now" true
+        (await (fun () -> Db.maintenance_domains db = 0));
+      let spawns = (Db.stats db).Stats.maintenance_spawns in
+      for _ = 1 to 20 do
+        Unix.sleepf 0.01;
+        Alcotest.(check int) "still none" 0 (Db.maintenance_domains db)
+      done;
+      Alcotest.(check int) "none spawned while idle" spawns
+        (Db.stats db).Stats.maintenance_spawns)
+
+(* A domain is spawned only for a job its waker claimed, so a write
+   load's flushes and compactions never cost more domains than jobs. *)
+let write_load_spawns_at_most_its_jobs () =
+  let db = Db.open_store (pool_opts (fresh_dir ())) in
+  Fun.protect
+    ~finally:(fun () -> Db.close db)
+    (fun () ->
+      put_many db 6000;
+      ignore (await (fun () -> Db.maintenance_domains db = 0) : bool);
+      let st = Db.stats db in
+      Alcotest.(check bool)
+        (Printf.sprintf "the load ran jobs (%d flushes, %d compactions)"
+           st.Stats.flushes st.Stats.compactions)
+        true
+        (st.Stats.flushes >= 5);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d spawns <= %d jobs" st.Stats.maintenance_spawns
+           st.Stats.maintenance_jobs)
+        true
+        (st.Stats.maintenance_spawns >= 1
+        && st.Stats.maintenance_spawns <= st.Stats.maintenance_jobs))
+
+(* Work that falls due with time runs with no traffic and no ticker: a
+   repair that failed on a live fault is retried once its damping has
+   passed, and scrub passes follow one another every [scrub_interval]. *)
+let timed_work_runs_with_no_traffic () =
+  let f = Clsm_env.Faulty_env.create ~seed:3 () in
+  let opts =
+    {
+      (pool_opts ~scrub_interval:0.05 ~env:(Clsm_env.Faulty_env.env f)
+         (fresh_dir ()))
+      with
+      Options.wal_enabled = false;
+      memtable_bytes = 1 lsl 20;
+      retry = Clsm_env.Retry_policy.none;
+    }
+  in
+  let db = Db.open_store opts in
+  Fun.protect
+    ~finally:(fun () -> Db.close db)
+    (fun () ->
+      put_many db 200;
+      Clsm_env.Faulty_env.set_fault_rates f ~append_fail_1_in:1 ();
+      Db.compact_now db;
+      (match Db.health db with
+      | `Degraded _ -> ()
+      | `Ok | `Partial _ -> Alcotest.fail "a failed flush must degrade the store");
+      (* the degradation's own repair fails on the live fault *)
+      Unix.sleepf 0.2;
+      Clsm_env.Faulty_env.set_fault_rates f ~append_fail_1_in:0 ();
+      Alcotest.(check bool) "the damped retry healed the store" true
+        (await (fun () -> Db.health db = `Ok));
+      let scrubbed = (Db.stats db).Stats.scrubbed_blocks in
+      Alcotest.(check bool) "a scrub pass ran while idle" true
+        (await (fun () -> (Db.stats db).Stats.scrubbed_blocks > scrubbed)))
+
 (* Blocked claimants wake when the holder releases, not on a tick: the
    store runs no scheduler ([Db.open_shard]), so this domain
    takes claims itself with [maintenance_next] and holds them while
@@ -634,8 +860,8 @@ let blocking_claims_wake_on_release () =
   done;
   let hold expected =
     match Db.maintenance_next db with
-    | Some job when job = expected -> job
-    | Some _ | None -> Alcotest.fail "expected to claim the job"
+    | Scheduler.Run job when job = expected -> job
+    | Scheduler.Run _ | Idle | Due _ -> Alcotest.fail "expected to claim the job"
   in
   (* Run [calls] on their own domains while [job] is held; release it and
      require each call to finish within [bound] seconds of the release. *)
@@ -744,8 +970,8 @@ let stalled_writer_parks () =
   let db = Db.open_shard ~clock:(Clock.create ()) opts in
   let run_next expected =
     match Db.maintenance_next db with
-    | Some job when job = expected -> Db.maintenance_run db job
-    | Some _ | None -> Alcotest.fail "expected to claim the job"
+    | Scheduler.Run job when job = expected -> Db.maintenance_run db job
+    | Scheduler.Run _ | Idle | Due _ -> Alcotest.fail "expected to claim the job"
   in
   let two_l0_tables round =
     for r = 1 to 2 do
@@ -1148,6 +1374,8 @@ let suites =
         Alcotest.test_case "signal then wait" `Quick wakeup_signal_then_wait;
         Alcotest.test_case "wakes sleeping waiter" `Quick
           wakeup_wakes_sleeping_waiter;
+        Alcotest.test_case "a deadline wait ends at its deadline or a signal"
+          `Quick wakeup_wait_until;
       ] );
     ( "maintenance.job",
       [ Alcotest.test_case "priorities" `Quick job_priorities ] );
@@ -1155,8 +1383,14 @@ let suites =
       [
         Alcotest.test_case "event-driven, not polling" `Quick
           scheduler_runs_on_wake_not_tick;
-        Alcotest.test_case "stop joins despite long tick" `Quick
-          scheduler_stop_joins_quickly;
+        Alcotest.test_case
+          "stop returns promptly while a worker waits out a one-hour scrub \
+           deadline"
+          `Quick scheduler_stop_during_due_wait;
+        Alcotest.test_case "a wake racing a worker's exit strands no job"
+          `Quick wake_racing_exit_strands_no_job;
+        Alcotest.test_case "a failed spawn hands the claim back" `Quick
+          failed_spawn_returns_the_claim;
       ] );
     ( "maintenance.backpressure",
       [ Alcotest.test_case "graduated delay curve" `Quick backpressure_curve ] );
@@ -1180,6 +1414,14 @@ let suites =
           pinned_input_outlives_its_merge;
         Alcotest.test_case "flush without poll tick" `Quick
           flush_without_poll_tick;
+        Alcotest.test_case "an idle store runs no maintenance domain" `Quick
+          idle_store_runs_no_domain;
+        Alcotest.test_case
+          "a steady write load spawns no more domains than jobs it runs"
+          `Quick write_load_spawns_at_most_its_jobs;
+        Alcotest.test_case
+          "a scrub pass and a damped repair retry still run with no traffic"
+          `Quick timed_work_runs_with_no_traffic;
         Alcotest.test_case "blocked claims wake on release" `Quick
           blocking_claims_wake_on_release;
         Alcotest.test_case "stalled writer parks until an install" `Quick

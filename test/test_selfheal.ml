@@ -390,6 +390,77 @@ let malformed_block_is_contained () =
   | `Ok | `Degraded _ -> Alcotest.fail "expected `Partial with the table reported");
   Db.close db
 
+(* Rewrite the first entry of [path]'s first data block so its key is
+   [len] bytes, shorter than an internal key's 8-byte timestamp: the
+   key's remaining bytes become the head of its value. The checksum is
+   recomputed, so only the key order and the entry decoder can see it. *)
+let shorten_first_key path ~len =
+  let t = Clsm_sstable.Table.open_file ~cmp:Internal_key.comparator path in
+  let size = snd (List.hd (Clsm_sstable.Table.index_anchors t)) in
+  Clsm_sstable.Table.close t;
+  let raw = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  let key_len = Char.code (Bytes.get raw 1) and value_len = Char.code (Bytes.get raw 2) in
+  Alcotest.(check bool) "restart entry header" true
+    (Bytes.get raw 0 = '\000' && key_len < 0x80 && value_len + key_len - len < 0x80);
+  Bytes.set raw 1 (Char.chr len);
+  Bytes.set raw 2 (Char.chr (value_len + key_len - len));
+  let crc =
+    Clsm_util.Crc32c.sub (Bytes.unsafe_to_string raw) ~pos:0 ~len:(size + 1)
+  in
+  Clsm_util.Binary.put_fixed32 raw ~pos:(size + 1) (Clsm_util.Crc32c.mask crc);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc raw)
+
+(* A checksum-valid block holding a 3-byte key under the internal-key
+   order is the table's corruption on every path: a get reads a miss and
+   queues a verdict, a scan raises the typed [Corruption] and queues a
+   suspect, and a merge over the table queues a verdict instead of
+   degrading the store. *)
+let short_key_is_typed_corruption () =
+  let dir = fresh_dir () in
+  let opts = small_opts dir in
+  let reopen_damaged () =
+    let db = Db.open_store opts in
+    fill db;
+    Db.close db;
+    let sst = List.hd (List.map fst (table_files dir)) in
+    shorten_first_key (Filename.concat dir sst) ~len:3;
+    Db.open_store opts
+  in
+  let partial db what =
+    match Db.health db with
+    | `Partial _ -> ()
+    | `Ok -> Alcotest.failf "%s: no verdict queued" what
+    | `Degraded r -> Alcotest.failf "%s degraded the store: %s" what r
+  in
+  let db = reopen_damaged () in
+  (match Db.get db "k0000" with
+  | got -> Alcotest.(check (option string)) "get reads a miss" None got
+  | exception e -> Alcotest.failf "get raised %s" (Printexc.to_string e));
+  partial db "get";
+  Db.close db;
+  Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+  let db = reopen_damaged () in
+  (match Db.range db with
+  | _ -> Alcotest.fail "range over the short key returned"
+  | exception Table_file.Corruption _ -> ()
+  | exception e -> Alcotest.failf "range raised %s" (Printexc.to_string e));
+  partial db "range";
+  Db.close db;
+  Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+  let db = reopen_damaged () in
+  (* overwrites of the damaged table's range, until L0 is over its
+     compaction trigger and the merge reads the table *)
+  for _ = 1 to 3 do
+    for i = 0 to 399 do
+      Db.put db ~key:(Printf.sprintf "k%04d" i) ~value:"w"
+    done;
+    Db.compact_now db
+  done;
+  Alcotest.(check bool) "the merge met the short key" true
+    ((Db.stats db).Stats.corruptions_detected > 0);
+  partial db "compact_now";
+  Db.close db
+
 (* ---------- transient fsync faults ride through retry ---------- *)
 
 let transient_fsync_completes_via_retry () =
@@ -473,6 +544,8 @@ let suites =
       [
         Alcotest.test_case "transient rot round trip" `Quick
           transient_rot_round_trip;
+        Alcotest.test_case "a short key is typed corruption" `Quick
+          short_key_is_typed_corruption;
         Alcotest.test_case "malformed block contained" `Quick
           malformed_block_is_contained;
         Alcotest.test_case "persistent rot round trip" `Quick

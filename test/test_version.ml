@@ -118,6 +118,56 @@ let iters_cover_everything () =
   Version.release v;
   List.iter Refcounted.retire [ f1; f2; f3 ]
 
+(* A checksum-valid table under the internal-key order whose middle key
+   is 3 bytes, shorter than its timestamp: written with the bytewise
+   order, which accepts it, and read as the store reads a table. A
+   point lookup that compares against it and a scan that reaches it both
+   raise the table's typed corruption, not the key order's
+   [Invalid_argument]. *)
+let short_key_is_the_tables_fault () =
+  incr next_number;
+  let number = !next_number in
+  let b =
+    Clsm_sstable.Table_builder.create ~block_size:512
+      ~filter_key_of:(fun k ->
+        if String.length k < Internal_key.ts_size then k
+        else Internal_key.user_key_of k)
+      ~cmp:Clsm_sstable.Comparator.bytewise
+      ~path:(Table_file.table_path ~dir:tmp_dir number)
+      ()
+  in
+  List.iter
+    (fun key ->
+      Clsm_sstable.Table_builder.add b ~key ~value:(Entry.encode (Entry.Value "v")))
+    [ Internal_key.make "a" 1; "k00"; Internal_key.make "z" 1 ];
+  ignore (Clsm_sstable.Table_builder.finish b);
+  let f =
+    Refcounted.create ~release:Table_file.release
+      (Table_file.open_number ~dir:tmp_dir number)
+  in
+  let v = Version.create ~l0:[ f ] ~levels:(Array.make 2 []) in
+  let typed what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no error" what
+    | exception Table_file.Corruption { number = n; _ } ->
+        Alcotest.(check int) (what ^ ": the table") number n
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  typed "get" (fun () ->
+      Version.get v ~user_key:"k00" ~snap_ts:Internal_key.max_ts);
+  let reported = ref [] in
+  Alcotest.check entry_testable "get reporting the table reads a miss" None
+    (Version.get
+       ~on_corrupt:(fun tf _ -> reported := tf.Table_file.number :: !reported)
+       v ~user_key:"k00" ~snap_ts:Internal_key.max_ts);
+  Alcotest.(check (list int)) "reported" [ number ] !reported;
+  typed "scan" (fun () ->
+      Iter.fold (fun k _ acc -> k :: acc)
+        (Merge_iter.merge ~cmp:Internal_key.compare_encoded (Version.iters v))
+        []);
+  Version.release v;
+  Refcounted.retire f
+
 let refcount_lifecycle () =
   let f = make_file [ ("k", 1, Some "v") ] in
   let path = Clsm_sstable.Table.path (Refcounted.value f).Table_file.table in
@@ -618,6 +668,8 @@ let suites =
         Alcotest.test_case "key straddles files" `Quick get_key_straddles_files;
         Alcotest.test_case "tombstone shadows" `Quick get_tombstone_shadows;
         Alcotest.test_case "iters cover everything" `Quick iters_cover_everything;
+        Alcotest.test_case "a short key is the table's fault" `Quick
+          short_key_is_the_tables_fault;
         Alcotest.test_case "refcount lifecycle" `Quick refcount_lifecycle;
       ] );
     ( "lsm.compaction",
